@@ -7,6 +7,7 @@
 // numbers depend on (percentiles, span self time, the max-rate search, the
 // timing wrappers) live here so perfbench_selftest can pin them.
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -14,6 +15,8 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "resonator/channels.hpp"
@@ -56,6 +59,75 @@ double percentile(std::vector<double> sample, double q);
 
 /// percentile(sample, 0.5).
 double median(std::vector<double> sample);
+
+// --- host-speed reference ---------------------------------------------------
+
+/// Time of one reference block on the host the bounds were set on (4-vCPU
+/// x86-64 Xeon, a quiet phase), seconds. It fixes only the scale of
+/// reference-speed times: on that host they read as plain seconds.
+inline constexpr double kReferenceBlockS = 2.0e-3;
+
+/// Walls rescaled to the host's reference speed: walls[i] · nominal / r_i,
+/// where refs[i] is the reference block timed right after walls[i] and r_i
+/// the median of refs[j] for |j - i| <= window (clipped at the ends). The
+/// median keeps one preempted block from rescaling its neighbours.
+std::vector<double> at_reference_speed(const std::vector<double>& walls,
+                                       const std::vector<double>& refs,
+                                       std::size_t window, double nominal);
+
+/// Times stretches of work together with the host's speed. A shared host's
+/// CPU speed drifts by ±20 % over seconds to minutes, and a fixed integer
+/// loop slows in step with the solve path (per-half-second correlation 0.98
+/// on solve_m16). record() takes a stretch's wall time and runs one
+/// reference block right after it: that loop (xorshift, xor, popcount over
+/// a 16 KiB buffer that stays in L1) is compiled here, so no library change
+/// moves it. scaled() gives each stretch's wall at the reference speed.
+class ReferenceClock {
+ public:
+  ReferenceClock();
+  /// Record a stretch of `wall_s` seconds, then time one reference block.
+  /// Returns the stretch's index into scaled().
+  std::size_t record(double wall_s);
+  /// Every recorded wall at kReferenceBlockS per block (window 4).
+  [[nodiscard]] std::vector<double> scaled() const;
+  /// kReferenceBlockS / the median reference block: the host's speed over
+  /// the run relative to the reference host (stamped, not a metric).
+  [[nodiscard]] double host_speed() const;
+
+ private:
+  std::vector<std::uint64_t> buffer_;
+  std::uint64_t state_ = 0x9e3779b97f4a7c15ULL;
+  std::uint64_t sink_ = 0;
+  std::vector<double> walls_, refs_;
+};
+
+/// Samples the host's speed while one long stretch runs that cannot be cut
+/// into short ones (a design search): a background thread times one stencil
+/// block every 20 ms on whichever CPU is free, so it follows the slow phases
+/// the whole host goes through. The stencil has the shape of
+/// thermal::ThermalGrid::solve's inner loop (Gauss-Seidel SOR with a
+/// division per cell over a 24×24×6 grid) and is compiled here, so no
+/// library change moves it.
+class BackgroundReference {
+ public:
+  BackgroundReference();
+  ~BackgroundReference();
+  BackgroundReference(const BackgroundReference&) = delete;
+  BackgroundReference& operator=(const BackgroundReference&) = delete;
+  /// wall_s · kReferenceBlockS / the median block started in [from, to]
+  /// (steady-clock ns); wall_s itself when no block started there.
+  [[nodiscard]] double scale(double wall_s, std::int64_t from_ns,
+                             std::int64_t to_ns) const;
+
+ private:
+  void run();
+
+  mutable h3dfact::util::Mutex mutex_;
+  std::vector<std::pair<std::int64_t, double>> samples_ GUARDED_BY(mutex_);
+  double sink_ GUARDED_BY(mutex_) = 0.0;
+  std::atomic<bool> stop_{false};
+  std::thread thread_;  // last: starts after the members it uses
+};
 
 // --- digests ----------------------------------------------------------------
 

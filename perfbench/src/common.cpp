@@ -63,6 +63,136 @@ double median(std::vector<double> sample) {
   return percentile(std::move(sample), 0.5);
 }
 
+// --- host-speed reference ---------------------------------------------------
+
+std::vector<double> at_reference_speed(const std::vector<double>& walls,
+                                       const std::vector<double>& refs,
+                                       std::size_t window, double nominal) {
+  if (walls.size() != refs.size()) {
+    throw std::invalid_argument("at_reference_speed: one reference per wall");
+  }
+  std::vector<double> out;
+  out.reserve(walls.size());
+  for (std::size_t i = 0; i < walls.size(); ++i) {
+    const std::size_t lo = i > window ? i - window : 0;
+    const std::size_t hi = std::min(refs.size(), i + window + 1);
+    const double r = median(std::vector<double>(
+        refs.begin() + static_cast<std::ptrdiff_t>(lo),
+        refs.begin() + static_cast<std::ptrdiff_t>(hi)));
+    out.push_back(walls[i] * nominal / r);
+  }
+  return out;
+}
+
+namespace {
+
+// 250 passes over 2048 words: about kReferenceBlockS on the reference host.
+constexpr int kReferencePasses = 250;
+constexpr std::size_t kReferenceWords = 2048;
+
+}  // namespace
+
+ReferenceClock::ReferenceClock() : buffer_(kReferenceWords, 0) {}
+
+std::size_t ReferenceClock::record(double wall_s) {
+  const auto t0 = Clock::now();
+  std::uint64_t x = state_;
+  std::uint64_t acc = 0;
+  for (int pass = 0; pass < kReferencePasses; ++pass) {
+    for (std::uint64_t& w : buffer_) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      w ^= x;
+      acc += static_cast<std::uint64_t>(__builtin_popcountll(w));
+    }
+  }
+  state_ = x;
+  sink_ += acc;  // keeps the loop observable
+  refs_.push_back(seconds_between(t0, Clock::now()));
+  walls_.push_back(wall_s);
+  return walls_.size() - 1;
+}
+
+std::vector<double> ReferenceClock::scaled() const {
+  return at_reference_speed(walls_, refs_, 4, kReferenceBlockS);
+}
+
+double ReferenceClock::host_speed() const {
+  return refs_.empty() ? 0.0 : kReferenceBlockS / median(refs_);
+}
+
+namespace {
+
+// 40 sweeps: about kReferenceBlockS on the reference host. The sweeps
+// continue from the previous block's state; returns the last residual.
+double stencil_block(std::vector<double>& grid) {
+  constexpr std::size_t n = 24, nc = n * n, nl = 6;
+  const double g_lat = 0.8, g_vert = 2.5, g_top = 0.05, g_bottom = 0.01;
+  const double ambient = 25.0, omega = 1.9, heat = 1e-3;
+  double residual = 0.0;
+  for (int sweep = 0; sweep < 40; ++sweep) {
+    residual = 0.0;
+    for (std::size_t l = 0; l < nl; ++l) {
+      double* t = grid.data() + l * nc;
+      for (std::size_t iy = 0; iy < n; ++iy) {
+        for (std::size_t ix = 0; ix < n; ++ix) {
+          const std::size_t c = iy * n + ix;
+          double gsum = 0.0, flux = l == 0 ? heat : 0.0;
+          if (ix > 0) { gsum += g_lat; flux += g_lat * t[c - 1]; }
+          if (ix + 1 < n) { gsum += g_lat; flux += g_lat * t[c + 1]; }
+          if (iy > 0) { gsum += g_lat; flux += g_lat * t[c - n]; }
+          if (iy + 1 < n) { gsum += g_lat; flux += g_lat * t[c + n]; }
+          if (l == 0) { gsum += g_top; flux += g_top * ambient; }
+          else { gsum += g_vert; flux += g_vert * t[c - nc]; }
+          if (l + 1 == nl) { gsum += g_bottom; flux += g_bottom * ambient; }
+          else { gsum += g_vert; flux += g_vert * t[c + nc]; }
+          const double t_new = flux / gsum;
+          const double t_sor = t[c] + omega * (t_new - t[c]);
+          residual = std::max(residual, std::abs(t_sor - t[c]));
+          t[c] = t_sor;
+        }
+      }
+    }
+  }
+  return residual;
+}
+
+}  // namespace
+
+BackgroundReference::BackgroundReference()
+    : thread_([this] { run(); }) {}
+
+BackgroundReference::~BackgroundReference() {
+  stop_.store(true);
+  thread_.join();
+}
+
+void BackgroundReference::run() {
+  std::vector<double> grid(24 * 24 * 6, 25.0);
+  while (!stop_.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const std::int64_t t0 = now_ns();
+    const double residual = stencil_block(grid);
+    const double s = static_cast<double>(now_ns() - t0) * 1e-9;
+    h3dfact::util::MutexLock lock(mutex_);
+    samples_.emplace_back(t0, s);
+    sink_ += residual;  // keeps the loop observable
+  }
+}
+
+double BackgroundReference::scale(double wall_s, std::int64_t from_ns,
+                                  std::int64_t to_ns) const {
+  std::vector<double> inside;
+  {
+    h3dfact::util::MutexLock lock(mutex_);
+    for (const auto& [t, s] : samples_) {
+      if (t >= from_ns && t <= to_ns) inside.push_back(s);
+    }
+  }
+  return inside.empty() ? wall_s : wall_s * kReferenceBlockS / median(inside);
+}
+
 // --- digests ----------------------------------------------------------------
 
 void Digest::bytes(const void* data, std::size_t n) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -191,8 +192,11 @@ Result run_dse(const Options& opt) {
 
   // Set-up: grid build and cell resolve, microseconds each, so timed in
   // batches of 64. The host's speed shifts over seconds, so samples are
-  // taken before and after every search and the median batch mean reported.
-  std::vector<double> setup_samples;
+  // taken before and after every search, each followed by a reference block,
+  // and the median batch mean at reference speed reported. (On wall clock
+  // the median read 7.5 µs in some processes and 12.9 µs in others.)
+  ReferenceClock clock;
+  std::vector<std::size_t> setup_marks;
   std::size_t resolved = 0;
   auto sample_setup = [&]() {
     for (int s = 0; s < 7; ++s) {
@@ -203,7 +207,8 @@ Result run_dse(const Options& opt) {
           resolved += spec.cell(i).params.size();
         }
       }
-      setup_samples.push_back(seconds_between(t0, Clock::now()) / 64.0);
+      setup_marks.push_back(
+          clock.record(seconds_between(t0, Clock::now()) / 64.0));
     }
   };
   sample_setup();
@@ -223,12 +228,24 @@ Result run_dse(const Options& opt) {
     trace.spans = &spans;
     trace.root = spans.reserve();
   }
+  // Untraced searches are scaled by a BackgroundReference: the integer
+  // loop after a 6-7 s search followed the thermal solve poorly (it slowed
+  // 1.63x where the solve slowed 1.16x), a stencil sampled all through the
+  // search does (spread 0.054 against 0.162 on wall clock, ten seeds).
   std::vector<SearchRun> runs;
-  std::vector<double> walls;
-  for (std::size_t i = 0; i < reps; ++i) {
-    runs.push_back(search_once(ref, threads, trace));
-    walls.push_back(runs.back().wall_s);
-    sample_setup();
+  std::vector<double> walls, host_walls;
+  {
+    std::unique_ptr<BackgroundReference> host;
+    if (!opt.trace) host = std::make_unique<BackgroundReference>();
+    for (std::size_t i = 0; i < reps; ++i) {
+      const std::int64_t t0 = now_ns();
+      runs.push_back(search_once(ref, threads, trace));
+      const std::int64_t t1 = now_ns();
+      host_walls.push_back(runs.back().wall_s);
+      walls.push_back(host ? host->scale(runs.back().wall_s, t0, t1)
+                           : runs.back().wall_s);
+      sample_setup();
+    }
   }
   if (resolved == 0) r.fail("the dse grid resolved no cells");
 
@@ -262,9 +279,14 @@ Result run_dse(const Options& opt) {
   r.stamp["fail_frac"] = std::to_string(fail_frac);
 
   if (!opt.trace) {
+    const std::vector<double> scaled = clock.scaled();
+    std::vector<double> setup_s;
+    for (std::size_t k : setup_marks) setup_s.push_back(scaled[k]);
+    r.stamp["host_speed"] = std::to_string(clock.host_speed());
+    r.stamp["search_s_host"] = std::to_string(median(host_walls));
     const double search_s = median(walls);
     const double designs = static_cast<double>(sweep::build_grid(ref).cell_count());
-    r.set("setup_s", median(setup_samples), "s");
+    r.set("setup_s", median(setup_s), "s");
     r.set("trials_per_s", static_cast<double>(search_trials) / search_s, "1/s");
     r.set("accuracy", accuracy, "ratio");
     r.set("p50_ms", percentile(walls, 0.50) * 1e3, "ms");

@@ -2,7 +2,9 @@
 // in-process sweep::run_sweep. The timed phase sweeps K cells of n trials
 // each — the same (D, F, M, channel) point with per-cell seeds — so every
 // run does a fixed amount of simulated work for a given seed and --seconds,
-// and per-cell walls give the time-to-result distribution.
+// and per-cell walls give the time-to-result distribution. Each cell is its
+// own run_sweep call followed by a reference block (ReferenceClock), and the
+// timings are reported at the host's reference speed.
 
 #include <algorithm>
 #include <cmath>
@@ -38,18 +40,19 @@ struct SolvePoint {
   double theta = 1.5;  ///< sense threshold, units of √D
   double clip = 4.0;   ///< ADC full scale, units of √D
   std::size_t cap = 1000;
-  unsigned trial_threads = 4;
+  unsigned trial_threads = 1;
   unsigned pool_threads = 1;
-  std::size_t trials_per_cell = 1024;
-  double cells_per_second = 4.0;  ///< K = round(seconds · this), >= 2
+  std::size_t trials_per_cell = 32;
+  double cells_per_second = 36.0;  ///< K = round(seconds · this), >= 2
   std::size_t replay_trials = 16;
 };
 
 SolvePoint point_for(const std::string& workload, unsigned cpus) {
   SolvePoint p;
   if (workload == "solve_m16") {
-    p.trial_threads = std::min(4u, cpus);
-    p.pool_threads = 1;
+    // One trial thread: the reference block then times the very CPU the
+    // cells ran on. Cells of 32 trials (~22 ms) give about a thousand
+    // time-to-result samples, ten of them beyond the p99.
   } else if (workload == "solve_m256") {
     p.m = 256;
     p.theta = 2.0;
@@ -159,44 +162,37 @@ Result run_solve(const Options& opt) {
   hdc::kernels::set_kernel_threads(p.pool_threads);
 
   // Set-up is shorter than the clock noise (M=16: batches of 16 set-ups per
-  // sample) and the host's speed shifts over seconds, so samples are taken
-  // between the timed sweeps, across the whole run, and the median reported.
+  // sample), so samples are taken between the cells, across the whole run,
+  // each followed by its reference block, and the median reported.
   const std::size_t batch = p.m <= 16 ? 16 : 1;
-  std::vector<double> setup_samples;
+  const std::size_t setup_every = std::max<std::size_t>(1, cells / 100);
+  ReferenceClock clock;
+  std::vector<std::size_t> setup_marks, cell_marks;
   auto sample_setup = [&]() {
-    for (int s = 0; s < 3; ++s) {
-      const auto t0 = Clock::now();
-      for (std::size_t b = 0; b < batch; ++b) one_setup(p, opt.seed + b);
-      setup_samples.push_back(seconds_between(t0, Clock::now()) /
-                              static_cast<double>(batch));
-    }
+    const auto t0 = Clock::now();
+    for (std::size_t b = 0; b < batch; ++b) one_setup(p, opt.seed + b);
+    setup_marks.push_back(clock.record(seconds_between(t0, Clock::now()) /
+                                       static_cast<double>(batch)));
   };
 
   const sweep::SweepSpec spec = make_spec(p, opt.seed, cells, false);
-  std::vector<double> cell_ms;
 
   SpanLog spans;
   std::vector<sweep::CellResult> results;
-  double wall = 0.0;
   LayerTotals layers;
   double traced_wall = 0.0, plain_wall = 0.0, traced_cpu = 0.0;
-  double cell_wall_sum = 0.0;
+  double cell_wall_sum = 0.0, raw_wall = 0.0;
   if (!opt.trace) {
-    // The K cells run as five consecutive sweeps; the timed wall is their
-    // sum, with set-up samples taken in between.
-    const std::size_t groups = std::min<std::size_t>(5, cells);
-    for (std::size_t g = 0; g < groups; ++g) {
-      sample_setup();
+    // One run_sweep call per cell; the timed phase is the sum of the cells.
+    for (std::size_t i = 0; i < cells; ++i) {
+      if (i % setup_every == 0) sample_setup();
       sweep::SweepOptions so = sweep_options(p);
-      for (std::size_t i = g * cells / groups; i < (g + 1) * cells / groups; ++i) {
-        so.cells.push_back(i);
-      }
-      so.progress = [&](const sweep::CellResult& c, std::size_t, std::size_t) {
-        cell_ms.push_back(c.wall_seconds * 1e3);
-      };
+      so.cells = {i};
       const auto t0 = Clock::now();
       std::vector<sweep::CellResult> part = sweep::run_sweep(spec, so);
-      wall += seconds_between(t0, Clock::now());
+      const double cell_wall = seconds_between(t0, Clock::now());
+      raw_wall += cell_wall;
+      cell_marks.push_back(clock.record(cell_wall));
       for (sweep::CellResult& c : part) results.push_back(std::move(c));
     }
     sample_setup();
@@ -219,6 +215,10 @@ Result run_solve(const Options& opt) {
       const std::int64_t s1 = now_ns();
       const double cpu1 = process_cpu_s();
       const auto c = Clock::now();
+      // One trial thread runs the cell inline on this thread: stop its
+      // factorizer-CPU count here, before the next plain run (the next
+      // wrapped cell re-arms it).
+      (void)collect_layer_totals();
       plain_wall += seconds_between(a, b);
       traced_wall += seconds_between(b, c);
       traced_cpu += cpu1 - cpu0;
@@ -314,8 +314,19 @@ Result run_solve(const Options& opt) {
   r.stamp["problem_iters"] = std::to_string(iters);
 
   if (!opt.trace) {
+    const std::vector<double> scaled = clock.scaled();
+    std::vector<double> setup_s, cell_ms;
+    for (std::size_t k : setup_marks) setup_s.push_back(scaled[k]);
+    double wall = 0.0;
+    for (std::size_t k : cell_marks) {
+      cell_ms.push_back(scaled[k] * 1e3);
+      wall += scaled[k];
+    }
     const double tps = static_cast<double>(trials) / wall;
-    r.set("setup_s", median(setup_samples), "s");
+    r.stamp["host_speed"] = std::to_string(clock.host_speed());
+    r.stamp["trials_per_s_host"] =
+        std::to_string(static_cast<double>(trials) / raw_wall);
+    r.set("setup_s", median(setup_s), "s");
     r.set("trials_per_s", tps, "1/s");
     r.set("accuracy", accuracy, "ratio");
     r.set("p50_ms", percentile(cell_ms, 0.50), "ms");

@@ -1,7 +1,8 @@
-// Self-test of perfbench's own helpers: the nearest-rank percentile, span
-// self-time arithmetic, the max-rate search on a synthetic latency curve,
-// and the engine/channel timing wrappers, which must reproduce the
-// unwrapped factorizer bit for bit. Exits nonzero on the first failure.
+// Self-test of perfbench's own helpers: the nearest-rank percentile, the
+// rescaling to the host's reference speed (both clocks), span self-time
+// arithmetic, the max-rate search on a synthetic latency curve, and the
+// engine/channel timing wrappers, which must reproduce the unwrapped
+// factorizer bit for bit. Exits nonzero after reporting every failed check.
 //
 //   cmake --build .bench_build/perfbench --target perfbench_selftest
 //   .bench_build/perfbench/perfbench_selftest
@@ -9,7 +10,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <chrono>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "bench.hpp"
@@ -48,6 +51,52 @@ void test_percentile() {
   CHECK(percentile(hundred, 0.99) == 99.0);
   CHECK(percentile(hundred, 0.995) == 100.0);
   CHECK(median({4, 1, 3, 2}) == 2.0);  // lower median for even counts
+}
+
+void test_reference_speed() {
+  // A host at the reference speed leaves walls as they are; one running at
+  // half speed (blocks twice as long) halves them.
+  const std::vector<double> walls = {1.0, 2.0, 3.0, 4.0, 5.0};
+  CHECK(at_reference_speed(walls, {2, 2, 2, 2, 2}, 1, 2.0) == walls);
+  const auto half = at_reference_speed(walls, {4, 4, 4, 4, 4}, 2, 2.0);
+  for (std::size_t i = 0; i < walls.size(); ++i) CHECK(half[i] == walls[i] / 2);
+  // One preempted block is outvoted by the median of its window...
+  const auto spike = at_reference_speed(walls, {2, 2, 9, 2, 2}, 1, 2.0);
+  CHECK(spike == walls);
+  // ...while a lasting slowdown is followed, ends clipped: windows
+  // {2,2} {2,2,4} {2,4,4} {4,4,4} {4,4}, lower median.
+  const auto step = at_reference_speed({8, 8, 8, 8, 8}, {2, 2, 4, 4, 4}, 1, 2.0);
+  CHECK(step == (std::vector<double>{8, 8, 4, 4, 4}));
+  // Window 0 uses each stretch's own block.
+  const auto own = at_reference_speed({6, 6}, {3, 1}, 0, 1.0);
+  CHECK(own == (std::vector<double>{2, 6}));
+  bool threw = false;
+  try {
+    (void)at_reference_speed({1.0}, {}, 1, 1.0);
+  } catch (const std::invalid_argument&) {
+    threw = true;
+  }
+  CHECK(threw);
+
+  // The clock hands back one scaled wall per record(), in order, and its
+  // blocks take measurable time.
+  ReferenceClock clock;
+  CHECK(clock.record(0.5) == 0);
+  CHECK(clock.record(0.25) == 1);
+  const auto scaled = clock.scaled();
+  CHECK(scaled.size() == 2);
+  CHECK(scaled[0] > 0.0 && scaled[1] > 0.0 && scaled[0] == 2 * scaled[1]);
+  CHECK(clock.host_speed() > 0.0);
+
+  // The background sampler scales by the blocks started inside the
+  // interval, and leaves a wall alone when none did.
+  BackgroundReference host;
+  const std::int64_t t0 = now_ns();
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  const std::int64_t t1 = now_ns();
+  const double s = host.scale(1.0, t0, t1);
+  CHECK(std::isfinite(s) && s > 0.0 && s != 1.0);
+  CHECK(host.scale(1.0, t1 + 1'000'000'000'000, t1 + 2'000'000'000'000) == 1.0);
 }
 
 void test_span_self_time() {
@@ -176,6 +225,7 @@ void test_wrappers_bit_identical() {
 
 int main() {
   test_percentile();
+  test_reference_speed();
   test_span_self_time();
   test_max_rate_search();
   test_wrappers_bit_identical();
