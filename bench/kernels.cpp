@@ -31,7 +31,6 @@
 #include "hdc/kernels/backend.hpp"
 #include "hdc/kernels/capability.hpp"
 #include "hdc/kernels/thread_pool.hpp"
-#include "resonator/batched.hpp"
 #include "resonator/channels.hpp"
 #include "resonator/resonator.hpp"
 #include "util/rng.hpp"
@@ -155,12 +154,13 @@ void BM_ProjectionBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ProjectionBatch)->Args({256, 16})->Args({512, 16});
 
-// End-to-end: B concurrent factorizations through one exact engine — either
-// sequentially on the default per-call (asynchronous) path, i.e. the
-// pre-batching pipeline, or through the BatchedFactorizer. A success
-// threshold above cosine 1 pins every run to exactly `cap` iterations, and
-// random init keeps setup cost off the measurement, so both paths execute
-// the same number of MVMs and the difference is the MVM path itself.
+// End-to-end: B factorizations through one exact engine — either as B
+// single runs, each a batch of one that the resonator loop drives through
+// the per-call kernels, or as one batch run whose MVMs are batched engine
+// passes across the live problems. A success threshold above cosine 1 pins
+// every run to exactly `cap` iterations, and random init keeps setup cost
+// off the measurement, so both paths execute the same number of MVMs and
+// the difference is the MVM path itself.
 resonator::ResonatorOptions fixed_work_options(std::size_t cap,
                                                resonator::UpdateMode mode) {
   resonator::ResonatorOptions opts;
@@ -201,7 +201,7 @@ void BM_FactorizeBatched(benchmark::State& state) {
   resonator::ProblemGenerator gen(set);
   std::vector<resonator::FactorizationProblem> problems;
   for (std::size_t i = 0; i < batch; ++i) problems.push_back(gen.sample(rng));
-  resonator::BatchedFactorizer factorizer(
+  resonator::ResonatorNetwork factorizer(
       set, fixed_work_options(5, resonator::UpdateMode::kSynchronous));
   for (auto _ : state) {
     std::vector<util::Rng> rngs;

@@ -25,6 +25,10 @@ express (docs/static-analysis.md):
                choke point (docs/serialization.md). Ad-hoc binary
                readers skip the magic/version/digest validation that
                makes corrupt files a typed error instead of UB.
+  raw-fnv      The FNV-1a offset-basis and prime literals may appear only
+               in src/util/hash.hpp. Every digest hashes through
+               util::Fnv1a (or its kFnvOffset/kFnvPrime constants), so
+               the repo keeps one FNV-1a instead of hand-rolled copies.
   pragma-once  Every header under src/ opens with #pragma once as its
                first non-comment line.
 
@@ -73,6 +77,9 @@ MUTEX_ALLOWLIST = {"src/util/sync.hpp"}
 # The one directory where raw binary file I/O may live (prefix match):
 # every on-disk binary format goes through the H3DA artifact container.
 RAW_IO_ALLOW_PREFIXES = ("src/io/",)
+
+# The one file where the FNV-1a constants may be spelled out.
+FNV_ALLOWLIST = {"src/util/hash.hpp"}
 
 RULES = [
     {
@@ -132,6 +139,15 @@ RULES = [
                    "the H3DA artifact container (io::ArtifactWriter / "
                    "io::Artifact::load) so files carry magic, version and "
                    "digests",
+    },
+    {
+        "id": "raw-fnv",
+        "pattern": re.compile(
+            r"(?<![\w])0x0*(?:cbf29ce484222325|100000001b3)(?![0-9a-f])",
+            re.IGNORECASE),
+        "allow": FNV_ALLOWLIST,
+        "message": "FNV-1a constant outside src/util/hash.hpp; hash through "
+                   "util::Fnv1a (or util::kFnvOffset/kFnvPrime)",
     },
 ]
 

@@ -16,6 +16,7 @@
 #include "hdc/kernels/backend.hpp"
 #include "hdc/kernels/policy.hpp"
 #include "hdc/kernels/thread_pool.hpp"
+#include "util/hash.hpp"
 
 namespace h3dfact::hdc {
 
@@ -312,24 +313,17 @@ double CodebookSet::search_space() const {
 }
 
 std::uint64_t set_fingerprint(const CodebookSet& set) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  auto mix64 = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ull;
-    }
-  };
-  mix64(set.dim());
-  mix64(set.factors());
+  util::Fnv1a h;
+  h.u64(set.dim()).u64(set.factors());
   for (std::size_t f = 0; f < set.factors(); ++f) {
     const Codebook& book = set.book(f);
-    mix64(book.size());
+    h.u64(book.size());
     for (std::size_t m = 0; m < book.size(); ++m) {
       const BipolarVector& v = book.vector(m);
-      for (std::size_t w = 0; w < v.words(); ++w) mix64(v.data()[w]);
+      for (std::size_t w = 0; w < v.words(); ++w) h.u64(v.data()[w]);
     }
   }
-  return h;
+  return h.digest();
 }
 
 }  // namespace h3dfact::hdc

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/hash.hpp"
+
 namespace h3dfact::hdc {
 
 namespace {
@@ -151,10 +153,12 @@ std::vector<std::int8_t> BipolarVector::to_i8() const {
 }
 
 std::uint64_t BipolarVector::hash() const {
-  std::uint64_t h = 0xcbf29ce484222325ULL ^ dim_;
+  // Word-wise FNV-style mix with an extra xorshift (not util::Fnv1a, which
+  // is byte-wise): snapshots and the cycle detector store these values.
+  std::uint64_t h = util::kFnvOffset ^ dim_;
   for (std::uint64_t w : words_) {
     h ^= w;
-    h *= 0x100000001b3ULL;
+    h *= util::kFnvPrime;
     h ^= h >> 29;
   }
   return h;

@@ -13,6 +13,8 @@
 #include <unistd.h>
 #endif
 
+#include "util/hash.hpp"
+
 namespace h3dfact::io {
 
 std::string section_kind_name(std::uint32_t kind) {
@@ -24,16 +26,6 @@ std::string section_kind_name(std::uint32_t kind) {
     case SectionKind::kResonatorState: return "resonator-state";
   }
   return "unknown(" + std::to_string(kind) + ")";
-}
-
-std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t seed) {
-  std::uint64_t h = seed;
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
 }
 
 // --- payload scalar codecs --------------------------------------------------
@@ -184,7 +176,8 @@ std::string ArtifactWriter::serialize() const {
     put_u32(table, s.version);
     put_u64(table, offsets[i]);
     put_u64(table, s.payload.size());
-    put_u64(table, fnv1a(s.payload.data(), s.payload.size()));
+    put_u64(table,
+            util::Fnv1a().bytes(s.payload.data(), s.payload.size()).digest());
   }
 
   std::string out;
@@ -194,7 +187,7 @@ std::string ArtifactWriter::serialize() const {
   put_u32(out, static_cast<std::uint32_t>(sections_.size()));
   put_u32(out, 0);  // flags, reserved
   put_u64(out, file_bytes);
-  put_u64(out, fnv1a(table.data(), table.size()));
+  put_u64(out, util::Fnv1a().bytes(table.data(), table.size()).digest());
   out.resize(kHeaderBytes, '\0');
   out += table;
   for (std::size_t i = 0; i < sections_.size(); ++i) {
@@ -363,7 +356,9 @@ void Artifact::parse_and_verify() {
   }
   const std::uint64_t table_digest = get_u64(data_, 24);
   const std::uint64_t actual_table_digest =
-      fnv1a(data_ + kHeaderBytes, static_cast<std::size_t>(table_bytes));
+      util::Fnv1a()
+          .bytes(data_ + kHeaderBytes, static_cast<std::size_t>(table_bytes))
+          .digest();
   if (table_digest != actual_table_digest) {
     throw ArtifactError(path_, "section table digest mismatch (corrupt "
                                "header or table)");
@@ -395,7 +390,9 @@ void Artifact::parse_and_verify() {
                                      ") falls outside the file");
     }
     const std::uint64_t digest =
-        fnv1a(data_ + s.offset, static_cast<std::size_t>(s.bytes));
+        util::Fnv1a()
+            .bytes(data_ + s.offset, static_cast<std::size_t>(s.bytes))
+            .digest();
     if (digest != s.digest) {
       throw ArtifactError(path_, label + ": payload digest mismatch "
                                          "(corrupt section)");

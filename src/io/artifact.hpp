@@ -80,10 +80,6 @@ class ArtifactError : public std::runtime_error {
   std::string detail_;
 };
 
-/// FNV-1a over a byte range (the digest used for the table and sections).
-std::uint64_t fnv1a(const void* data, std::size_t n,
-                    std::uint64_t seed = 0xcbf29ce484222325ull);
-
 /// One decoded section-table entry.
 struct SectionInfo {
   std::uint32_t kind = 0;

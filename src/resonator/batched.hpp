@@ -1,70 +1,12 @@
 #pragma once
-// Batched factorization front-end: drives many concurrent
-// FactorizationProblems through ONE MvmEngine in lockstep, so every
-// similarity/projection MVM is issued as a single batched engine pass per
-// factor instead of one engine call per problem. This amortizes codebook
-// traversal (ExactMvmEngine's blocked XOR+popcount tiles) and macro passes
-// (CimMvmEngine) across the batch — the hot path of every figure/table
-// bench sweep.
-//
-// Both update schedules batch: problems are mutually independent, so at
-// step (iteration t, factor f) the MVMs of all problems are issuable as one
-// engine pass regardless of schedule. kSynchronous reads every factor
-// against the previous iteration's snapshot; kAsynchronous reads the
-// freshest per-problem state, exactly like a standalone run. On an engine
-// without per-call randomness (ExactMvmEngine) each problem's trajectory is
-// bit-for-bit identical to running ResonatorNetwork::run in the same update
-// mode with the same per-problem RNG — which is what lets run_trials and
-// the sweep runner drive their trial blocks through this front-end without
-// changing a single reported statistic.
-
-#include <cstdint>
-#include <memory>
-#include <span>
-#include <vector>
+// The batched factorizer is the resonator network itself: its batch run()
+// steps many problems in lockstep through one MVM engine (see
+// ResonatorNetwork). The name stays for the callers that drive batches.
 
 #include "resonator/resonator.hpp"
 
 namespace h3dfact::resonator {
 
-/// Runs a batch of factorization problems (sharing one codebook set) in
-/// lockstep through a single MVM engine. Problems retire from the batch as
-/// they solve / cycle / hit the cap, so a long-tail problem never pays for
-/// finished neighbours.
-class BatchedFactorizer {
- public:
-  /// Software-exact engine over the given codebooks.
-  BatchedFactorizer(std::shared_ptr<const hdc::CodebookSet> set,
-                    ResonatorOptions options);
-
-  /// Custom MVM engine (e.g. the modelled H3DFact chip).
-  BatchedFactorizer(std::shared_ptr<const hdc::CodebookSet> set,
-                    std::shared_ptr<MvmEngine> engine,
-                    ResonatorOptions options);
-
-  /// Options after construction (the update mode is honored as given).
-  [[nodiscard]] const ResonatorOptions& options() const { return options_; }
-  [[nodiscard]] const hdc::CodebookSet& codebooks() const { return *set_; }
-
-  /// Factorize `problems` concurrently. `rngs` holds one generator per
-  /// problem driving that problem's stochastic elements (initial state,
-  /// similarity channel, sign tie-breaks) — seeding rngs[b] like a
-  /// standalone run reproduces that run exactly on a deterministic engine.
-  /// `device_rng` drives engine-level randomness (CIM device noise).
-  [[nodiscard]] std::vector<ResonatorResult> run(
-      std::span<const FactorizationProblem> problems,
-      std::span<util::Rng> rngs, util::Rng& device_rng) const;
-
-  /// Convenience: derive the per-problem and device generators from `seed`
-  /// (per-problem streams match run_trials' per-trial derivation).
-  [[nodiscard]] std::vector<ResonatorResult> run(
-      std::span<const FactorizationProblem> problems,
-      std::uint64_t seed) const;
-
- private:
-  std::shared_ptr<const hdc::CodebookSet> set_;
-  std::shared_ptr<MvmEngine> engine_;
-  ResonatorOptions options_;
-};
+using BatchedFactorizer = ResonatorNetwork;
 
 }  // namespace h3dfact::resonator

@@ -16,7 +16,9 @@ const char* phase_name(Phase p) {
 }
 
 PhaseProfiler::Scope::Scope(PhaseProfiler* profiler, Phase phase)
-    : profiler_(profiler), phase_(phase), start_(std::chrono::steady_clock::now()) {}
+    : profiler_(profiler), phase_(phase) {
+  if (profiler_ != nullptr) start_ = std::chrono::steady_clock::now();
+}
 
 PhaseProfiler::Scope::~Scope() {
   if (profiler_ == nullptr) return;

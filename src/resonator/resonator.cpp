@@ -4,12 +4,14 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hdc/kernels/backend.hpp"
-#include "resonator/detail.hpp"
+#include "util/hash.hpp"
 
 namespace h3dfact::resonator {
 
@@ -91,57 +93,283 @@ ResonatorNetwork::ResonatorNetwork(std::shared_ptr<const hdc::CodebookSet> set,
   if (!engine_) throw std::invalid_argument("null MVM engine");
 }
 
-using detail::argmax;
-using detail::joint_hash;
+namespace {
 
-ResonatorResult ResonatorNetwork::run(const FactorizationProblem& problem,
-                                      util::Rng& rng) const {
-  return run(problem, rng, SnapshotPolicy{});
+std::size_t argmax(const std::vector<int>& xs) {
+  return static_cast<std::size_t>(
+      std::max_element(xs.begin(), xs.end()) - xs.begin());
 }
+
+std::uint64_t joint_hash(const std::vector<hdc::BipolarVector>& estimates) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (const auto& e : estimates) {
+    h ^= e.hash() + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  }
+  return h;
+}
+
+bool deterministic(const ResonatorOptions& options) {
+  return !options.channel || options.channel->deterministic();
+}
+
+void check_compatible(const hdc::CodebookSet& set,
+                      const FactorizationProblem& problem) {
+  if (problem.codebooks.get() != &set &&
+      (problem.factors() != set.factors() || problem.dim() != set.dim())) {
+    throw std::invalid_argument("problem incompatible with resonator codebooks");
+  }
+}
+
+/// One problem's state in the lockstep loop.
+struct Lane {
+  Lane(const FactorizationProblem& p, util::Rng& r,
+       std::vector<hdc::BipolarVector> estimates)
+      : problem(&p), rng(&r), est(std::move(estimates)), P(p.query) {
+    // Running product P = s ⊙ x̂_1 ⊙ ... ⊙ x̂_F, so that u_f = P ⊙ x̂_f.
+    // Rebuilt from the estimates, so a resumed run recomputes the identical
+    // bits (bind is XOR — exact, order-free).
+    for (const auto& v : est) P.bind_inplace(v);
+  }
+
+  const FactorizationProblem* problem;
+  util::Rng* rng;  ///< initial state, channel noise, sign tie-breaks
+  std::vector<hdc::BipolarVector> est;
+  hdc::BipolarVector P;
+  hdc::BipolarVector P_read;  ///< P at iteration start (synchronous mode)
+  ResonatorResult result;
+  LimitCycleDetector cycles;
+};
+
+/// Initial estimates (superposition of each codebook, or random), the
+/// pre-iteration trace entry and the first cycle-detector observation.
+Lane start_lane(const hdc::CodebookSet& set, const ResonatorOptions& options,
+                const FactorizationProblem& problem, util::Rng& rng) {
+  const std::size_t F = set.factors();
+  std::vector<hdc::BipolarVector> est(F);
+  for (std::size_t f = 0; f < F; ++f) {
+    if (options.random_init) {
+      est[f] = hdc::BipolarVector::random(set.dim(), rng);
+    } else {
+      est[f] = options.random_tie_break ? set.book(f).superposition(rng)
+                                        : set.book(f).superposition();
+    }
+  }
+  Lane lane(problem, rng, std::move(est));
+  lane.result.decoded.assign(F, 0);
+  if (options.record_correct_trace) {
+    // trace[0]: pre-iteration decode of the initial estimates. Uses the
+    // ideal readout (exact nearest-neighbour), so it is a property of the
+    // state alone and consumes no engine randomness.
+    std::vector<std::size_t> decoded0(F);
+    for (std::size_t f = 0; f < F; ++f) {
+      decoded0[f] = set.book(f).nearest(lane.P.bind(lane.est[f]));
+    }
+    lane.result.correct_trace.push_back(problem.is_correct(decoded0) ? 1 : 0);
+  }
+  if (options.detect_limit_cycles && deterministic(options)) {
+    lane.cycles.observe(joint_hash(lane.est), 0);
+  }
+  return lane;
+}
+
+/// The resonator loop. Steps every lane from iteration `start` in lockstep
+/// until it solves, cycles (with stop_on_cycle) or reaches the cap. Each
+/// factor's MVMs run as one engine pass across the live lanes and draw
+/// engine randomness from `device_rng`; everything else draws from the
+/// lane's own generator, so a lane's trajectory does not depend on its
+/// neighbours on an engine without per-call randomness.
+void iterate(const hdc::CodebookSet& set, MvmEngine& engine,
+             const ResonatorOptions& options, std::span<Lane> lanes,
+             util::Rng& device_rng, std::size_t start,
+             const SnapshotPolicy& snapshots) {
+  const std::size_t F = set.factors();
+  const std::size_t D = set.dim();
+  const bool deterministic_run = deterministic(options);
+  // Ties break deterministically in deterministic runs to keep the dynamics
+  // a pure function of state; randomly otherwise.
+  const bool random_ties = options.random_tie_break || !deterministic_run;
+  const bool synchronous = options.update == UpdateMode::kSynchronous;
+  const auto success_dot = static_cast<long long>(
+      options.success_threshold * static_cast<double>(D));
+  PhaseProfiler* prof = options.profiler;
+
+  std::vector<Lane*> active;
+  for (Lane& lane : lanes) active.push_back(&lane);
+  std::vector<Lane*> still_active;
+  std::vector<hdc::BipolarVector> us;
+  std::vector<std::vector<int>> a, y;
+
+  for (std::size_t t = start; t <= options.max_iterations && !active.empty();
+       ++t) {
+    const std::size_t n = active.size();
+    us.resize(n);
+    a.resize(n);
+    y.resize(n);
+    // Synchronous mode reads every factor against the state at iteration
+    // start. Factor f's own estimate is untouched until its update, so only
+    // the running product needs freezing.
+    if (synchronous) {
+      for (Lane* lane : active) lane->P_read = lane->P;
+    }
+
+    for (std::size_t f = 0; f < F; ++f) {
+      const std::size_t M = set.book(f).size();
+
+      // Unbind: u_f = s ⊙ ⊙_{f'≠f} x̂_{f'} = P ⊙ x̂_f.
+      {
+        PhaseProfiler::Scope scope(prof, Phase::kUnbind);
+        for (std::size_t i = 0; i < n; ++i) {
+          const Lane& lane = *active[i];
+          us[i] = (synchronous ? lane.P_read : lane.P).bind(lane.est[f]);
+        }
+        if (prof) prof->add_ops(Phase::kUnbind, 2 * D * n);
+      }
+
+      // Similarity MVM. A lone problem takes the per-call kernel: a one-item
+      // block only adds block copies and kernel-pool fan-out.
+      {
+        PhaseProfiler::Scope scope(prof, Phase::kSimilarity);
+        if (n == 1) {
+          a[0] = engine.similarity(f, us[0], device_rng);
+        } else {
+          const hdc::CoeffBlock block =
+              engine.similarity_batch(f, us, device_rng);
+          for (std::size_t i = 0; i < n; ++i) a[i] = block.item(i);
+        }
+        if (prof) prof->add_ops(Phase::kSimilarity, M * D * n);
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        active[i]->result.decoded[f] = argmax(a[i]);
+        if (options.clip_negative_similarity) {
+          for (auto& v : a[i]) v = std::max(v, 0);
+        }
+      }
+
+      // Similarity channel (noise + ADC).
+      {
+        PhaseProfiler::Scope scope(prof, Phase::kChannel);
+        for (std::size_t i = 0; i < n; ++i) {
+          if (options.channel) {
+            a[i] = options.channel->apply(a[i], *active[i]->rng);
+          }
+          if (prof) prof->add_ops(Phase::kChannel, a[i].size());
+        }
+      }
+
+      // Projection MVM, issued like the similarity.
+      {
+        PhaseProfiler::Scope scope(prof, Phase::kProjection);
+        if (n == 1) {
+          y[0] = engine.project(f, a[0], device_rng);
+        } else {
+          hdc::CoeffBlock coeffs(M, n);
+          for (std::size_t i = 0; i < n; ++i) coeffs.set_item(i, a[i]);
+          const hdc::CoeffBlock block =
+              engine.project_batch(f, coeffs, device_rng);
+          for (std::size_t i = 0; i < n; ++i) y[i] = block.item(i);
+        }
+        if (prof) prof->add_ops(Phase::kProjection, M * D * n);
+      }
+
+      // Activation, then the running product: P ⊙ old_f ⊙ new_f.
+      {
+        PhaseProfiler::Scope scope(prof, Phase::kActivation);
+        for (std::size_t i = 0; i < n; ++i) {
+          Lane& lane = *active[i];
+          hdc::BipolarVector next = random_ties
+                                        ? hdc::sign_of(y[i], *lane.rng)
+                                        : hdc::sign_of(y[i]);
+          lane.P.bind_inplace(lane.est[f]);
+          lane.P.bind_inplace(next);
+          lane.est[f] = std::move(next);
+        }
+        if (prof) prof->add_ops(Phase::kActivation, D * n);
+      }
+    }
+
+    // Decode + convergence check.
+    {
+      PhaseProfiler::Scope scope(prof, Phase::kDecode);
+      for (Lane* lane : active) {
+        ResonatorResult& result = lane->result;
+        result.iterations = t;
+        const long long d =
+            set.compose(result.decoded).dot(lane->problem->query);
+        if (options.record_correct_trace) {
+          result.correct_trace.push_back(
+              lane->problem->is_correct(result.decoded) ? 1 : 0);
+        }
+        result.solved = d >= success_dot;
+      }
+      if (prof) prof->add_ops(Phase::kDecode, (F + 1) * D * n);
+    }
+
+    // Solved and cycled problems retire from the batch.
+    still_active.clear();
+    for (Lane* lane : active) {
+      if (lane->result.solved) continue;
+      if (options.detect_limit_cycles && deterministic_run) {
+        if (auto info = lane->cycles.observe(joint_hash(lane->est), t)) {
+          lane->result.cycle = info;
+          if (options.stop_on_cycle) continue;
+        }
+      }
+      if (snapshots.enabled() && t % snapshots.every == 0) {
+        ResonatorSnapshot snap;
+        snap.iteration = t;
+        snap.query = lane->problem->query;
+        snap.ground_truth = lane->problem->ground_truth;
+        snap.ground_truth_known = !lane->problem->ground_truth.empty();
+        snap.query_noise = lane->problem->query_noise;
+        snap.estimates = lane->est;
+        snap.decoded = lane->result.decoded;
+        snap.correct_trace = lane->result.correct_trace;
+        snap.rng = lane->rng->save_state();
+        snap.cycle_seen = lane->cycles.entries();
+        snap.cycle_found = lane->cycles.info();
+        snap.codebook_fingerprint = hdc::set_fingerprint(set);
+        snap.options_digest = options_fingerprint(options);
+        snapshots.sink(snap, snapshots.ctx);
+      }
+      still_active.push_back(lane);
+    }
+    active.swap(still_active);
+  }
+
+  for (Lane* lane : active) lane->result.hit_iteration_cap = true;
+}
+
+}  // namespace
 
 ResonatorResult ResonatorNetwork::run(const FactorizationProblem& problem,
                                       util::Rng& rng,
                                       const SnapshotPolicy& snapshots) const {
-  if (problem.codebooks.get() != set_.get() &&
-      (problem.factors() != set_->factors() || problem.dim() != set_->dim())) {
-    throw std::invalid_argument("problem incompatible with resonator codebooks");
-  }
-  const std::size_t F = set_->factors();
-  const std::size_t D = set_->dim();
-  const bool deterministic_run =
-      !options_.channel || options_.channel->deterministic();
+  check_compatible(*set_, problem);
+  Lane lane = start_lane(*set_, options_, problem, rng);
+  iterate(*set_, *engine_, options_, std::span<Lane>(&lane, 1), rng, 1,
+          snapshots);
+  return std::move(lane.result);
+}
 
-  // Initial estimates: superposition of each codebook (or random).
-  std::vector<hdc::BipolarVector> est(F);
-  for (std::size_t f = 0; f < F; ++f) {
-    if (options_.random_init) {
-      est[f] = hdc::BipolarVector::random(D, rng);
-    } else {
-      est[f] = options_.random_tie_break ? set_->book(f).superposition(rng)
-                                         : set_->book(f).superposition();
-    }
+std::vector<ResonatorResult> ResonatorNetwork::run(
+    std::span<const FactorizationProblem> problems, std::span<util::Rng> rngs,
+    util::Rng& device_rng) const {
+  if (rngs.size() != problems.size()) {
+    throw std::invalid_argument("one RNG per problem required");
   }
-
-  ResonatorResult result;
-  result.decoded.assign(F, 0);
-  if (options_.record_correct_trace) {
-    // trace[0]: pre-iteration decode of the initial estimates. Uses the
-    // ideal readout (exact nearest-neighbour), so it is a property of the
-    // state alone and consumes no engine randomness.
-    hdc::BipolarVector P0 = problem.query;
-    for (const auto& v : est) P0.bind_inplace(v);
-    std::vector<std::size_t> decoded0(F);
-    for (std::size_t f = 0; f < F; ++f) {
-      decoded0[f] = set_->book(f).nearest(P0.bind(est[f]));
-    }
-    result.correct_trace.push_back(problem.is_correct(decoded0) ? 1 : 0);
+  for (const auto& problem : problems) check_compatible(*set_, problem);
+  // Per-problem init in batch order, so every generator's stream lines up
+  // draw for draw with a standalone run.
+  std::vector<Lane> lanes;
+  lanes.reserve(problems.size());
+  for (std::size_t b = 0; b < problems.size(); ++b) {
+    lanes.push_back(start_lane(*set_, options_, problems[b], rngs[b]));
   }
-  LimitCycleDetector cycles;
-  if (options_.detect_limit_cycles && deterministic_run) {
-    cycles.observe(joint_hash(est), 0);
-  }
-
-  return iterate(problem, rng, est, std::move(result), cycles, 1, snapshots);
+  iterate(*set_, *engine_, options_, lanes, device_rng, 1, {});
+  std::vector<ResonatorResult> results;
+  results.reserve(lanes.size());
+  for (Lane& lane : lanes) results.push_back(std::move(lane.result));
+  return results;
 }
 
 ResonatorResult ResonatorNetwork::resume(const ResonatorSnapshot& snapshot,
@@ -174,171 +402,15 @@ ResonatorResult ResonatorNetwork::resume(const ResonatorSnapshot& snapshot,
 
   rng.restore_state(snapshot.rng);
 
-  ResonatorResult result;
-  result.decoded = snapshot.decoded;
-  result.correct_trace = snapshot.correct_trace;
-  result.iterations = static_cast<std::size_t>(snapshot.iteration);
+  Lane lane(problem, rng, snapshot.estimates);
+  lane.result.decoded = snapshot.decoded;
+  lane.result.correct_trace = snapshot.correct_trace;
+  lane.result.iterations = static_cast<std::size_t>(snapshot.iteration);
+  lane.cycles.restore(snapshot.cycle_seen, snapshot.cycle_found);
 
-  LimitCycleDetector cycles;
-  cycles.restore(snapshot.cycle_seen, snapshot.cycle_found);
-
-  std::vector<hdc::BipolarVector> est = snapshot.estimates;
-  return iterate(problem, rng, est, std::move(result), cycles,
-                 static_cast<std::size_t>(snapshot.iteration) + 1, snapshots);
-}
-
-ResonatorResult ResonatorNetwork::iterate(const FactorizationProblem& problem,
-                                          util::Rng& rng,
-                                          std::vector<hdc::BipolarVector>& est,
-                                          ResonatorResult result,
-                                          LimitCycleDetector& cycles,
-                                          std::size_t start_iteration,
-                                          const SnapshotPolicy& snapshots) const {
-  const std::size_t F = set_->factors();
-  const std::size_t D = set_->dim();
-  const bool deterministic_run =
-      !options_.channel || options_.channel->deterministic();
-  PhaseProfiler* prof = options_.profiler;
-
-  // Running product P = s ⊙ x̂_1 ⊙ ... ⊙ x̂_F, so that u_f = P ⊙ x̂_f.
-  // Recomputed from scratch here so a resumed run rebuilds the identical
-  // bits (bind is XOR — exact, order-free).
-  hdc::BipolarVector P = problem.query;
-  for (const auto& v : est) P.bind_inplace(v);
-
-  const auto success_dot = static_cast<long long>(
-      options_.success_threshold * static_cast<double>(D));
-
-  // Synchronous mode routes every factor's MVMs through the engine's
-  // batched entry points (batch of one problem here): all F factors read the
-  // same previous state, so the schedule is exactly the one BatchedFactorizer
-  // fans many concurrent problems into.
-  const bool batched_path = options_.update == UpdateMode::kSynchronous;
-
-  for (std::size_t t = start_iteration; t <= options_.max_iterations; ++t) {
-    // Synchronous mode reads every factor against the previous state.
-    const std::vector<hdc::BipolarVector>* read_state = &est;
-    std::vector<hdc::BipolarVector> prev;
-    hdc::BipolarVector P_read = P;
-    if (options_.update == UpdateMode::kSynchronous) {
-      prev = est;
-      read_state = &prev;
-    }
-
-    for (std::size_t f = 0; f < F; ++f) {
-      // Unbind: u_f = s ⊙ ⊙_{f'≠f} x̂_{f'} = P ⊙ x̂_f.
-      hdc::BipolarVector u;
-      {
-        PhaseProfiler::Scope scope(prof, Phase::kUnbind);
-        u = (options_.update == UpdateMode::kSynchronous ? P_read : P)
-                .bind((*read_state)[f]);
-        if (prof) prof->add_ops(Phase::kUnbind, 2 * D);
-      }
-
-      // Similarity MVM.
-      std::vector<int> a;
-      {
-        PhaseProfiler::Scope scope(prof, Phase::kSimilarity);
-        if (batched_path) {
-          a = engine_
-                  ->similarity_batch(
-                      f, std::span<const hdc::BipolarVector>(&u, 1), rng)
-                  .item(0);
-        } else {
-          a = engine_->similarity(f, u, rng);
-        }
-        if (prof) prof->add_ops(Phase::kSimilarity, set_->book(f).size() * D);
-      }
-      result.decoded[f] = argmax(a);
-      if (options_.clip_negative_similarity) {
-        for (auto& v : a) v = std::max(v, 0);
-      }
-
-      // Similarity channel (noise + ADC).
-      {
-        PhaseProfiler::Scope scope(prof, Phase::kChannel);
-        if (options_.channel) a = options_.channel->apply(a, rng);
-        if (prof) prof->add_ops(Phase::kChannel, a.size());
-      }
-
-      // Projection MVM.
-      std::vector<int> y;
-      {
-        PhaseProfiler::Scope scope(prof, Phase::kProjection);
-        if (batched_path) {
-          hdc::CoeffBlock block;
-          block.size = a.size();
-          block.batch = 1;
-          block.data = a;
-          y = engine_->project_batch(f, block, rng).item(0);
-        } else {
-          y = engine_->project(f, a, rng);
-        }
-        if (prof) prof->add_ops(Phase::kProjection, set_->book(f).size() * D);
-      }
-
-      // Activation. Ties break deterministically in deterministic runs to
-      // keep the dynamics a pure function of state; randomly otherwise.
-      hdc::BipolarVector next;
-      {
-        PhaseProfiler::Scope scope(prof, Phase::kActivation);
-        const bool random_ties = options_.random_tie_break || !deterministic_run;
-        next = random_ties ? hdc::sign_of(y, rng) : hdc::sign_of(y);
-        if (prof) prof->add_ops(Phase::kActivation, D);
-      }
-
-      // Maintain the running product: P ⊙ old_f ⊙ new_f.
-      P.bind_inplace(est[f]);
-      P.bind_inplace(next);
-      est[f] = std::move(next);
-    }
-
-    result.iterations = t;
-
-    // Decode + convergence check.
-    {
-      PhaseProfiler::Scope scope(prof, Phase::kDecode);
-      hdc::BipolarVector composed = set_->compose(result.decoded);
-      const long long d = composed.dot(problem.query);
-      if (prof) prof->add_ops(Phase::kDecode, (F + 1) * D);
-      if (options_.record_correct_trace) {
-        result.correct_trace.push_back(
-            problem.is_correct(result.decoded) ? 1 : 0);
-      }
-      if (d >= success_dot) {
-        result.solved = true;
-        return result;
-      }
-    }
-
-    if (options_.detect_limit_cycles && deterministic_run) {
-      if (auto info = cycles.observe(joint_hash(est), t)) {
-        result.cycle = info;
-        if (options_.stop_on_cycle) return result;
-      }
-    }
-
-    if (snapshots.enabled() && t % snapshots.every == 0) {
-      ResonatorSnapshot snap;
-      snap.iteration = t;
-      snap.query = problem.query;
-      snap.ground_truth = problem.ground_truth;
-      snap.ground_truth_known = !problem.ground_truth.empty();
-      snap.query_noise = problem.query_noise;
-      snap.estimates = est;
-      snap.decoded = result.decoded;
-      snap.correct_trace = result.correct_trace;
-      snap.rng = rng.save_state();
-      snap.cycle_seen = cycles.entries();
-      snap.cycle_found = cycles.info();
-      snap.codebook_fingerprint = hdc::set_fingerprint(*set_);
-      snap.options_digest = options_fingerprint(options_);
-      snapshots.sink(snap, snapshots.ctx);
-    }
-  }
-
-  result.hit_iteration_cap = true;
-  return result;
+  iterate(*set_, *engine_, options_, std::span<Lane>(&lane, 1), rng,
+          static_cast<std::size_t>(snapshot.iteration) + 1, snapshots);
+  return std::move(lane.result);
 }
 
 std::uint64_t options_fingerprint(const ResonatorOptions& options) {
@@ -346,28 +418,22 @@ std::uint64_t options_fingerprint(const ResonatorOptions& options) {
   // parameters are not reachable generically; its presence and determinism
   // class are (they decide tie-break + cycle-detection behavior). The
   // profiler pointer is observability only and excluded.
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  auto mix64 = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ull;
-    }
-  };
-  mix64(static_cast<std::uint64_t>(options.update));
-  mix64(options.max_iterations);
-  mix64(options.channel ? (options.channel->deterministic() ? 1 : 2) : 0);
-  mix64(options.random_init ? 1 : 0);
-  mix64(options.random_tie_break ? 1 : 0);
-  mix64(options.clip_negative_similarity ? 1 : 0);
+  util::Fnv1a h;
+  h.u64(static_cast<std::uint64_t>(options.update));
+  h.u64(options.max_iterations);
+  h.u64(options.channel ? (options.channel->deterministic() ? 1 : 2) : 0);
+  h.u64(options.random_init ? 1 : 0);
+  h.u64(options.random_tie_break ? 1 : 0);
+  h.u64(options.clip_negative_similarity ? 1 : 0);
   std::uint64_t threshold_bits = 0;
   static_assert(sizeof threshold_bits == sizeof options.success_threshold);
   std::memcpy(&threshold_bits, &options.success_threshold,
               sizeof threshold_bits);
-  mix64(threshold_bits);
-  mix64(options.detect_limit_cycles ? 1 : 0);
-  mix64(options.stop_on_cycle ? 1 : 0);
-  mix64(options.record_correct_trace ? 1 : 0);
-  return h;
+  h.u64(threshold_bits);
+  h.u64(options.detect_limit_cycles ? 1 : 0);
+  h.u64(options.stop_on_cycle ? 1 : 0);
+  h.u64(options.record_correct_trace ? 1 : 0);
+  return h.digest();
 }
 
 ResonatorNetwork make_baseline(std::shared_ptr<const hdc::CodebookSet> set,

@@ -122,7 +122,10 @@ struct ResonatorOptions {
   bool stop_on_cycle = true;
   /// Record, per iteration, whether the decode matched the ground truth.
   bool record_correct_trace = false;
-  /// Optional phase profiler (Fig. 1c).
+  /// Optional phase profiler (Fig. 1c), fed by single and batched runs
+  /// alike. A profiler belongs to one thread: run_trial_block builds one
+  /// network per worker thread, so a factory that hands every worker the
+  /// same profiler races.
   PhaseProfiler* profiler = nullptr;
 };
 
@@ -140,6 +143,15 @@ struct ResonatorResult {
 };
 
 /// The factorizer. Reusable across problems that share its codebook set.
+///
+/// One loop serves every entry point: it steps a batch of problems in
+/// lockstep, issuing each factor's similarity and projection as one batched
+/// engine pass across the live problems (a lone problem takes the per-call
+/// kernels instead, which a one-item block would only slow down). Problems
+/// retire as they solve, cycle or hit the cap, so a long-tail problem never
+/// pays for finished neighbours. Single-problem run() and resume() are
+/// batches of one whose device generator is the problem's own, which
+/// replays the per-call draw order of every engine.
 class ResonatorNetwork {
  public:
   /// Software-exact engine over the given codebooks.
@@ -152,22 +164,23 @@ class ResonatorNetwork {
 
   [[nodiscard]] const ResonatorOptions& options() const { return options_; }
   [[nodiscard]] const hdc::CodebookSet& codebooks() const { return *set_; }
-  /// The MVM engine this network drives (shared so a BatchedFactorizer can
-  /// fan a whole trial block through the same engine in lockstep).
-  [[nodiscard]] const std::shared_ptr<MvmEngine>& engine() const {
-    return engine_;
-  }
 
   /// Factorize one problem instance. `rng` drives all stochastic elements.
-  [[nodiscard]] ResonatorResult run(const FactorizationProblem& problem,
-                                    util::Rng& rng) const;
-
-  /// run() with periodic state capture: every `snapshots.every` completed
+  /// With an enabled `snapshots` policy, every `snapshots.every` completed
   /// iterations the sink receives a ResonatorSnapshot from which resume()
-  /// continues bit-identically. Disabled policy == plain run().
+  /// continues bit-identically.
   [[nodiscard]] ResonatorResult run(const FactorizationProblem& problem,
                                     util::Rng& rng,
-                                    const SnapshotPolicy& snapshots) const;
+                                    const SnapshotPolicy& snapshots = {}) const;
+
+  /// Factorize `problems` concurrently. `rngs` holds one generator per
+  /// problem driving that problem's stochastic elements (initial state,
+  /// similarity channel, sign tie-breaks) — seeding rngs[b] like a
+  /// standalone run reproduces that run exactly on a deterministic engine.
+  /// `device_rng` drives engine-level randomness (CIM device noise).
+  [[nodiscard]] std::vector<ResonatorResult> run(
+      std::span<const FactorizationProblem> problems,
+      std::span<util::Rng> rngs, util::Rng& device_rng) const;
 
   /// Continue an interrupted solve from a snapshot. `rng` is overwritten
   /// with the snapshot's generator state, then drives the remaining
@@ -180,14 +193,6 @@ class ResonatorNetwork {
                                        const SnapshotPolicy& snapshots = {}) const;
 
  private:
-  [[nodiscard]] ResonatorResult iterate(const FactorizationProblem& problem,
-                                        util::Rng& rng,
-                                        std::vector<hdc::BipolarVector>& est,
-                                        ResonatorResult result,
-                                        LimitCycleDetector& cycles,
-                                        std::size_t start_iteration,
-                                        const SnapshotPolicy& snapshots) const;
-
   std::shared_ptr<const hdc::CodebookSet> set_;
   std::shared_ptr<MvmEngine> engine_;
   ResonatorOptions options_;

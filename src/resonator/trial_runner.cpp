@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "resonator/batched.hpp"
 #include "util/sync.hpp"
 
 namespace h3dfact::resonator {
@@ -240,11 +239,6 @@ TrialStats run_trial_block(const TrialConfig& config, std::size_t begin,
           "without ResonatorOptions::record_correct_trace");
     }
     const bool batched = cfg.execution == TrialExecution::kBatched;
-    std::unique_ptr<BatchedFactorizer> block_runner;
-    if (batched) {
-      block_runner = std::make_unique<BatchedFactorizer>(set, net.engine(),
-                                                         net.options());
-    }
 
     for (;;) {
       const std::size_t slot = next_chunk.fetch_add(1);
@@ -269,7 +263,7 @@ TrialStats run_trial_block(const TrialConfig& config, std::size_t begin,
       TrialStats local;
       if (batched) {
         util::Rng device_rng = device_rng_for(c);
-        auto results = block_runner->run(problems, rngs, device_rng);
+        auto results = net.run(problems, rngs, device_rng);
         for (std::size_t i = 0; i < results.size(); ++i) {
           local.accumulate(results[i],
                            problems[i].is_correct(results[i].decoded),

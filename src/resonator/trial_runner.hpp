@@ -22,15 +22,18 @@ struct TrialConfig;
 
 /// How the trial block is driven through the MVM engine.
 enum class TrialExecution {
-  /// Default: trials run in lockstep blocks through a BatchedFactorizer
-  /// sharing one engine, so every similarity/projection is a batched engine
-  /// pass. Bit-identical to kPerTrial on engines without per-call
-  /// randomness (ExactMvmEngine — all channel/tie-break draws come from the
-  /// per-trial generator either way).
+  /// Default: each chunk of trials runs as one batch through
+  /// ResonatorNetwork::run, so every similarity/projection is one engine
+  /// pass across the chunk's live trials (per-call once one is left), with
+  /// engine randomness drawn from a per-chunk device stream. Bit-identical
+  /// to kPerTrial on engines without per-call randomness (ExactMvmEngine —
+  /// all channel/tie-break draws come from the per-trial generator either
+  /// way).
   kBatched,
-  /// One ResonatorNetwork::run per trial. Use for engines whose per-call
-  /// RNG draw order matters (e.g. cim::CimMvmEngine device noise replayed
-  /// draw-for-draw); statistically equivalent to kBatched.
+  /// Each trial runs as a batch of one whose device stream is its own
+  /// generator. Use for engines whose per-call RNG draw order matters (e.g.
+  /// cim::CimMvmEngine device noise replayed draw-for-draw); statistically
+  /// equivalent to kBatched.
   kPerTrial,
 };
 

@@ -134,7 +134,7 @@ struct ServeCoordinator::Impl {
                                       master);
       set = gen.codebooks_ptr();
     }
-    fingerprint = codebook_fingerprint(*set);
+    fingerprint = hdc::set_fingerprint(*set);
     if (!cfg.save_artifact.empty()) {
       io::ArtifactWriter writer;
       io::add_codebook_set(writer, *set);

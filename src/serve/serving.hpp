@@ -3,7 +3,7 @@
 //
 // The sweep subsystem runs fixed offline grids; this layer turns the same
 // two halves — the framed TCP transport (sweep/transport.hpp) and the
-// lockstep BatchedFactorizer (resonator/batched.hpp) — into a long-lived
+// lockstep batch run of resonator::ResonatorNetwork — into a long-lived
 // request/reply daemon, so serving throughput and tail latency become
 // measured numbers the way ns/op already is:
 //
@@ -29,7 +29,7 @@
 // worker binds the codebooks deterministically — warm-started from a
 // ServeInit artifact reference (src/io/) when one is given and reachable,
 // rebuilt from the ServeInit seed otherwise — and proves the binding with
-// codebook_fingerprint() before receiving work.
+// hdc::set_fingerprint() before receiving work.
 
 #include <cstdint>
 #include <memory>
@@ -42,11 +42,6 @@
 #include "sweep/protocol.hpp"
 
 namespace h3dfact::serve {
-
-/// Order-independent digest of a codebook set (FNV-1a over dimensions and
-/// every codevector's packed words). A coordinator and worker that agree on
-/// the fingerprint solve over bit-identical codebooks.
-std::uint64_t codebook_fingerprint(const hdc::CodebookSet& set);
 
 /// The per-trial stream seed run_trial_block derives for trial `t` of a
 /// config seeded with `seed` — pass it as FactorRequestFrame::trial_seed to
@@ -149,7 +144,7 @@ struct WorkerSpace {
   std::shared_ptr<resonator::ProblemGenerator> generator;
   std::shared_ptr<resonator::BatchedFactorizer> factorizer;
   std::size_t dim = 0;
-  std::uint64_t fingerprint = 0;   ///< codebook_fingerprint of the binding
+  std::uint64_t fingerprint = 0;   ///< hdc::set_fingerprint of the binding
   bool from_artifact = false;      ///< true when warm-started from a file
 };
 

@@ -107,7 +107,7 @@ const WorkerSpace& WorkerSpaceCache::bind(const sweep::ServeInitFrame& init) {
       generator->codebooks_ptr(), opts);
   next->generator = std::move(generator);
   next->dim = static_cast<std::size_t>(init.dim);
-  next->fingerprint = codebook_fingerprint(next->generator->codebooks());
+  next->fingerprint = hdc::set_fingerprint(next->generator->codebooks());
 
   if (next->from_artifact) {
     ++artifact_loads_;

@@ -3,6 +3,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "util/hash.hpp"
+
 namespace h3dfact::sweep {
 
 // --- primitive codecs -------------------------------------------------------
@@ -549,18 +551,12 @@ std::uint64_t spec_fingerprint(const SweepSpec& spec) {
   // FNV-1a over the protocol encoding of every cell's observable fields:
   // any divergence in config, parameters, coordinates or metadata between
   // two processes' resolutions of "the same" grid changes the digest.
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&h](const std::string& bytes) {
-    for (unsigned char c : bytes) {
-      h ^= c;
-      h *= 0x100000001b3ull;
-    }
-  };
+  util::Fnv1a h;
   std::string enc;
   put_str(enc, spec.name);
   const std::size_t total = spec.cell_count();
   put_u64(enc, total);
-  mix(enc);
+  h.bytes(enc.data(), enc.size());
   for (std::size_t i = 0; i < total; ++i) {
     const Cell cell = spec.cell(i);
     enc.clear();
@@ -589,9 +585,9 @@ std::uint64_t spec_fingerprint(const SweepSpec& spec) {
       put_str(enc, k);
       put_str(enc, v);
     }
-    mix(enc);
+    h.bytes(enc.data(), enc.size());
   }
-  return h;
+  return h.digest();
 }
 
 }  // namespace h3dfact::sweep

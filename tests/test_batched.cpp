@@ -17,6 +17,7 @@
 #include "hdc/kernels/thread_pool.hpp"
 #include "resonator/batched.hpp"
 #include "resonator/channels.hpp"
+#include "resonator/profiler.hpp"
 #include "resonator/resonator.hpp"
 #include "resonator/trial_runner.hpp"
 #include "util/rng.hpp"
@@ -406,9 +407,52 @@ TEST(BatchedFactorizer, ValidatesInputs) {
   util::Rng device_rng(3);
   EXPECT_THROW((void)batched.run(problems, rngs, device_rng),
                std::invalid_argument);
-  EXPECT_TRUE(
-      batched.run(std::span<const resonator::FactorizationProblem>{}, 1)
-          .empty());
+  EXPECT_TRUE(batched
+                  .run(std::span<const resonator::FactorizationProblem>{},
+                       std::span<util::Rng>{}, device_rng)
+                  .empty());
+}
+
+// The profiler sees the batched path: a six-problem batch books exactly the
+// element ops of the six standalone runs, phase by phase.
+TEST(BatchedFactorizer, ProfilesBatchedRuns) {
+  util::Rng rng(1300);
+  auto set = std::make_shared<hdc::CodebookSet>(512, 3, 8, rng);
+  resonator::ProblemGenerator gen(set);
+
+  resonator::ResonatorOptions opts;
+  opts.max_iterations = 80;
+  opts.channel = resonator::make_h3dfact_channel(512);
+  opts.detect_limit_cycles = false;
+
+  std::vector<resonator::FactorizationProblem> problems;
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    util::Rng prng(1400 + i);
+    problems.push_back(gen.sample(prng));
+  }
+
+  resonator::PhaseProfiler solo_prof;
+  opts.profiler = &solo_prof;
+  resonator::ResonatorNetwork net(set, opts);
+  std::vector<util::Rng> rngs;
+  for (std::size_t i = 0; i < problems.size(); ++i) {
+    util::Rng run_rng(5200 + 11 * i);
+    (void)net.run(problems[i], run_rng);
+    rngs.emplace_back(5200 + 11 * i);
+  }
+
+  resonator::PhaseProfiler batch_prof;
+  opts.profiler = &batch_prof;
+  resonator::BatchedFactorizer batched(set, opts);
+  util::Rng device_rng(6);
+  (void)batched.run(problems, rngs, device_rng);
+
+  EXPECT_GT(solo_prof.total_ops(), 0u);
+  for (int p = 0; p < resonator::kNumPhases; ++p) {
+    const auto phase = static_cast<resonator::Phase>(p);
+    EXPECT_EQ(batch_prof.ops(phase), solo_prof.ops(phase))
+        << resonator::phase_name(phase);
+  }
 }
 
 cim::MacroConfig small_macro_config() {
