@@ -15,8 +15,8 @@ using namespace h3dfact;
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const std::size_t F = static_cast<std::size_t>(cli.i64("f", 4));
-  const std::size_t M = static_cast<std::size_t>(cli.i64("m", 256));
+  const std::size_t F = static_cast<std::size_t>(cli.u64("f", 4));
+  const std::size_t M = static_cast<std::size_t>(cli.u64("m", 256));
 
   auto design = arch::make_design(arch::DesignKind::kH3dThreeTier);
 

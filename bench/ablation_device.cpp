@@ -23,7 +23,7 @@ using namespace h3dfact;
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   bench::grids::register_all();
-  const std::size_t M = static_cast<std::size_t>(cli.i64("m", 128));
+  const std::size_t M = static_cast<std::size_t>(cli.u64("m", 128));
 
   const sweep::GridRef ref = bench::grid_ref_from_cli(
       bench::grids::kAblationDevice, cli,

@@ -24,7 +24,7 @@ using namespace h3dfact;
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   bench::grids::register_all();
-  const std::size_t M = static_cast<std::size_t>(cli.i64("m", 128));
+  const std::size_t M = static_cast<std::size_t>(cli.u64("m", 128));
   const auto transport = bench::transport_from_cli(cli);
 
   // Build both grids up front so a --filter invalid for EITHER fails

@@ -31,6 +31,7 @@
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -114,7 +115,8 @@ inline std::shared_ptr<sweep::Transport> transport_from_cli(
     if (workers.find(':') != std::string::npos) {
       dial = split_list(workers, ",");
     } else {
-      accept = static_cast<unsigned>(cli.i64("workers", 1));
+      accept = static_cast<unsigned>(
+          cli.u64("workers", 1, std::numeric_limits<unsigned>::max()));
       if (listen.empty()) {
         // Never drop a distributed request silently — an hours-long --full
         // run quietly going local is far worse than an error.
@@ -161,8 +163,10 @@ inline sweep::SweepOptions sweep_options_from_cli(
     const sweep::SweepSpec* spec = nullptr, sweep::GridRef ref = {},
     std::shared_ptr<sweep::Transport> transport = nullptr) {
   sweep::SweepOptions opt;
-  opt.shards = static_cast<unsigned>(cli.i64("shards", 1));
-  opt.threads_per_cell = static_cast<unsigned>(cli.i64("cell-threads", 0));
+  opt.shards = static_cast<unsigned>(
+      cli.u64("shards", 1, std::numeric_limits<unsigned>::max()));
+  opt.threads_per_cell = static_cast<unsigned>(
+      cli.u64("cell-threads", 0, std::numeric_limits<unsigned>::max()));
   opt.block_deadline_ms = static_cast<int>(cli.i64("block-deadline-ms", 0));
   opt.progress = [label = std::move(label)](const sweep::CellResult& r,
                                             std::size_t done,

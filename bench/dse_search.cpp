@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
        "seed", "sigma", "theta", "clip", "thermal"});
 
   dse::SearchOptions options;
-  options.rungs = static_cast<std::size_t>(cli.i64("rungs", 2));
+  options.rungs = static_cast<std::size_t>(cli.u64("rungs", 2));
   options.eta = cli.f64("eta", 2.0);
   options.checkpoint_base = cli.str("checkpoint", "");
   // The scheduler owns cells/grid/checkpoint per rung; only the execution

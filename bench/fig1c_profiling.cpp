@@ -15,9 +15,9 @@ using namespace h3dfact;
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const std::size_t dim = static_cast<std::size_t>(cli.i64("dim", 1024));
-  const std::size_t trials = static_cast<std::size_t>(cli.i64("trials", 10));
-  const std::uint64_t seed = static_cast<std::uint64_t>(cli.i64("seed", 7));
+  const std::size_t dim = static_cast<std::size_t>(cli.u64("dim", 1024));
+  const std::size_t trials = static_cast<std::size_t>(cli.u64("trials", 10));
+  const std::uint64_t seed = cli.u64("seed", 7);
 
   // --- Part 1: per-phase time/op breakdown while factorizing ---
   util::Table t1("Fig. 1c (left) -- Compute breakdown of factorization");

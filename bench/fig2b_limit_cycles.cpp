@@ -58,9 +58,9 @@ CycleStats run(std::size_t dim, std::size_t F, std::size_t M, std::size_t trials
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const std::size_t trials = static_cast<std::size_t>(cli.i64("trials", 40));
-  const std::size_t cap = static_cast<std::size_t>(cli.i64("cap", 500));
-  const std::uint64_t seed = static_cast<std::uint64_t>(cli.i64("seed", 11));
+  const std::size_t trials = static_cast<std::size_t>(cli.u64("trials", 40));
+  const std::size_t cap = static_cast<std::size_t>(cli.u64("cap", 500));
+  const std::uint64_t seed = cli.u64("seed", 11);
 
   util::Table t("Fig. 2b -- Limit cycles: deterministic vs stochastic factorizer");
   t.set_header({"F", "M", "variant", "limit cycles", "solved", "cycle entry (mean it)"});

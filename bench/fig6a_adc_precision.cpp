@@ -20,7 +20,7 @@ using namespace h3dfact;
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   bench::grids::register_all();
-  const std::size_t cap = static_cast<std::size_t>(cli.i64("cap", 300));
+  const std::size_t cap = static_cast<std::size_t>(cli.u64("cap", 300));
 
   const sweep::GridRef ref = bench::grid_ref_from_cli(
       bench::grids::kFig6a, cli, {"dim", "f", "m", "trials", "cap", "seed"});

@@ -26,8 +26,8 @@ using namespace h3dfact;
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   bench::grids::register_all();
-  const std::size_t cap = static_cast<std::size_t>(cli.i64("cap", 60));
-  const std::uint64_t seed = static_cast<std::uint64_t>(cli.i64("seed", 66));
+  const std::size_t cap = static_cast<std::size_t>(cli.u64("cap", 60));
+  const std::uint64_t seed = cli.u64("seed", 66);
 
   // --- Step 1: "measure" the testchip -------------------------------------
   // (The registered grid builder repeats this reconstruction from the seed;

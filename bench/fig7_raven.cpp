@@ -14,13 +14,13 @@ using namespace h3dfact;
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const std::size_t scenes = static_cast<std::size_t>(cli.i64("scenes", 300));
+  const std::size_t scenes = static_cast<std::size_t>(cli.u64("scenes", 300));
   const double cosine = cli.f64("cosine", 0.6);
-  const std::uint64_t seed = static_cast<std::uint64_t>(cli.i64("seed", 77));
+  const std::uint64_t seed = cli.u64("seed", 77);
 
   perception::PipelineConfig cfg;
   cfg.frontend.feature_cosine = cosine;
-  cfg.max_iterations = static_cast<std::size_t>(cli.i64("cap", 1000));
+  cfg.max_iterations = static_cast<std::size_t>(cli.u64("cap", 1000));
   cfg.seed = seed;
   perception::PerceptionPipeline pipe(cfg);
 

@@ -61,10 +61,10 @@ int cmd_pack(const util::Cli& cli) {
     return 64;
   }
   const std::string kind = cli.str("kind", "codebooks");
-  const auto dim = static_cast<std::size_t>(cli.i64("dim", 1024));
-  const auto factors = static_cast<std::size_t>(cli.i64("factors", 3));
-  const auto M = static_cast<std::size_t>(cli.i64("M", 16));
-  const auto seed = static_cast<std::uint64_t>(cli.i64("seed", 1));
+  const auto dim = static_cast<std::size_t>(cli.u64("dim", 1024));
+  const auto factors = static_cast<std::size_t>(cli.u64("factors", 3));
+  const auto M = static_cast<std::size_t>(cli.u64("M", 16));
+  const auto seed = cli.u64("seed", 1);
 
   io::ArtifactWriter writer;
   std::uint64_t fingerprint = 0;
@@ -77,8 +77,8 @@ int cmd_pack(const util::Cli& cli) {
     fingerprint = hdc::set_fingerprint(gen.codebooks());
 
     if (kind == "resonator-state") {
-      const auto at = static_cast<std::size_t>(cli.i64("at", 2));
-      const auto cap = static_cast<std::size_t>(cli.i64("cap", 100));
+      const auto at = static_cast<std::size_t>(cli.u64("at", 2));
+      const auto cap = static_cast<std::size_t>(cli.u64("cap", 100));
       if (at == 0) {
         std::fprintf(stderr, "pack: --at must be >= 1\n");
         return 64;
@@ -108,7 +108,7 @@ int cmd_pack(const util::Cli& cli) {
       io::add_resonator_snapshot(writer, *snap);
     }
   } else if (kind == "item-memory") {
-    const auto items = static_cast<std::size_t>(cli.i64("items", 16));
+    const auto items = static_cast<std::size_t>(cli.u64("items", 16));
     util::Rng rng(seed);
     hdc::ItemMemory memory(dim);
     for (std::size_t i = 0; i < items; ++i) {

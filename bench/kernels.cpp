@@ -3,20 +3,16 @@
 // crossbar MVM, and the batched-vs-per-call MVM paths of the batched
 // engine. These quantify why MVMs dominate (Fig. 1c), track kernel
 // regressions, and show the batched amortization (compare the *PerCall /
-// *Batch pairs at equal {M, B} arguments). Runs under google-benchmark
-// when the system library is present, else under the internal minibench
-// harness — kernel timings always build and run.
+// *Batch pairs at equal {M, B} arguments). Built only when google-benchmark
+// is installed; configure skips this target otherwise.
 //
-// `--json=FILE` writes the same machine-readable artifact from either
-// harness (see docs/kernels.md for the schema): benchmark names, ns/op,
-// items/s and the active kernel backend id. CI's kernel-baseline job diffs
-// that artifact against bench/baselines/ to gate kernel regressions.
+// `--json=FILE` writes a machine-readable artifact (see docs/kernels.md for
+// the schema): benchmark names, ns/op, items/s and the active kernel
+// backend id. CI's kernel-baseline job diffs that artifact against
+// bench/baselines/ to gate kernel regressions.
 
-#if defined(H3DFACT_HAVE_GBENCH)
 #include <benchmark/benchmark.h>
-#else
-#include "minibench.hpp"
-#endif
+
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -302,7 +298,7 @@ void BM_CrossbarMvm(benchmark::State& state) {
 }
 BENCHMARK(BM_CrossbarMvm)->Arg(64)->Arg(256);
 
-// --- --json artifact (shared schema across both harnesses) ----------------
+// --- --json artifact --------------------------------------------------------
 
 struct KernelTiming {
   std::string name;
@@ -314,8 +310,9 @@ struct KernelTiming {
 // Hand-rolled writer (matching the sweep emitters' style): a flat object
 // with provenance fields plus one row per timed benchmark. The `backend`
 // field is the kernel backend every hdc-layer bench ran through, which is
-// what makes two artifacts comparable.
-void write_json(const std::string& path, const char* harness,
+// what makes two artifacts comparable. `harness` stays in the schema so the
+// checked-in baselines keep validating.
+void write_json(const std::string& path,
                 const std::vector<KernelTiming>& rows) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -325,7 +322,7 @@ void write_json(const std::string& path, const char* harness,
   std::fprintf(f, "  \"schema_version\": 1,\n");
   std::fprintf(f, "  \"backend\": \"%s\",\n",
                h3dfact::hdc::kernels::active().name);
-  std::fprintf(f, "  \"harness\": \"%s\",\n", harness);
+  std::fprintf(f, "  \"harness\": \"google-benchmark\",\n");
   std::fprintf(f, "  \"benchmarks\": [");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const KernelTiming& r = rows[i];
@@ -342,8 +339,8 @@ void write_json(const std::string& path, const char* harness,
               h3dfact::hdc::kernels::active().name);
 }
 
-// Pull our own flags out of argv (both harnesses reject flags they don't
-// know) and return the remaining argc.
+// Pull our own flags out of argv (google-benchmark rejects flags it does
+// not know) and return the remaining argc.
 int extract_own_flags(int argc, char** argv, std::string* json_path,
                       bool* list_backends) {
   int out = 1;
@@ -370,12 +367,6 @@ int print_backends() {
               h3dfact::hdc::kernels::probe().to_string().c_str());
   return 0;
 }
-
-}  // namespace
-
-#if defined(H3DFACT_HAVE_GBENCH)
-
-namespace {
 
 // Collects every run for the --json artifact while delegating the normal
 // console output to the base reporter.
@@ -414,36 +405,7 @@ int main(int argc, char** argv) {
   std::printf("kernel backend: %s\n", h3dfact::hdc::kernels::active().name);
   CollectingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
-  if (!json_path.empty()) write_json(json_path, "google-benchmark", reporter.rows);
+  if (!json_path.empty()) write_json(json_path, reporter.rows);
   benchmark::Shutdown();
   return 0;
 }
-
-#else  // minibench harness
-
-int main(int argc, char** argv) {
-  std::string json_path;
-  bool list_backends = false;
-  argc = extract_own_flags(argc, argv, &json_path, &list_backends);
-  if (list_backends) return print_backends();
-  if (argc > 1) {
-    std::fprintf(stderr, "unrecognized argument: %s (minibench harness only "
-                 "accepts --json=FILE and --list-backends)\n", argv[1]);
-    return 1;
-  }
-  std::printf("kernel backend: %s\n", h3dfact::hdc::kernels::active().name);
-  const std::vector<benchmark::internal::Result> results =
-      benchmark::internal::run_all();
-  if (!json_path.empty()) {
-    std::vector<KernelTiming> rows;
-    rows.reserve(results.size());
-    for (const auto& r : results) {
-      rows.push_back(KernelTiming{r.name, r.iterations, r.ns_per_op,
-                                  r.items_per_sec});
-    }
-    write_json(json_path, "minibench", rows);
-  }
-  return 0;
-}
-
-#endif

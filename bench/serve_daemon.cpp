@@ -49,14 +49,14 @@ int main(int argc, char** argv) {
   try {
     serve::ServeConfig cfg;
     cfg.listen = cli.str("listen", "127.0.0.1:0");
-    cfg.dim = static_cast<std::size_t>(cli.i64("dim", 1024));
-    cfg.factors = static_cast<std::size_t>(cli.i64("factors", 3));
-    cfg.codebook_size = static_cast<std::size_t>(cli.i64("M", 16));
-    cfg.max_iterations = static_cast<std::size_t>(cli.i64("cap", 100));
-    cfg.seed = static_cast<std::uint64_t>(cli.i64("seed", 1));
-    cfg.max_batch = static_cast<std::size_t>(cli.i64("max-batch", 8));
+    cfg.dim = static_cast<std::size_t>(cli.u64("dim", 1024));
+    cfg.factors = static_cast<std::size_t>(cli.u64("factors", 3));
+    cfg.codebook_size = static_cast<std::size_t>(cli.u64("M", 16));
+    cfg.max_iterations = static_cast<std::size_t>(cli.u64("cap", 100));
+    cfg.seed = cli.u64("seed", 1);
+    cfg.max_batch = static_cast<std::size_t>(cli.u64("max-batch", 8));
     cfg.max_delay_us = cli.i64("max-delay-us", 2000);
-    cfg.max_queue = static_cast<std::size_t>(cli.i64("max-queue", 1024));
+    cfg.max_queue = static_cast<std::size_t>(cli.u64("max-queue", 1024));
     cfg.worker_deadline_ms = static_cast<int>(cli.i64("deadline-ms", 10000));
     cfg.artifact = cli.str("artifact", "");
     cfg.save_artifact = cli.str("save-artifact", "");

@@ -76,11 +76,10 @@ int main(int argc, char** argv) {
     }
     const double qps = cli.f64("qps", 200.0);
     const double duration_s = cli.f64("duration-s", 5.0);
-    const auto seed = static_cast<std::uint64_t>(cli.i64("seed", 1));
+    const auto seed = cli.u64("seed", 1);
     const double flip = cli.f64("flip", 0.05);
     const double noisy_frac = cli.f64("noisy-frac", 0.5);
-    const auto deadline_us =
-        static_cast<std::uint64_t>(cli.i64("deadline-us", 0));
+    const auto deadline_us = cli.u64("deadline-us", 0);
     const int tail_ms = static_cast<int>(cli.i64("tail-ms", 10000));
     if (qps <= 0.0 || duration_s <= 0.0) {
       throw std::invalid_argument("--qps and --duration-s must be positive");

@@ -34,6 +34,7 @@
 // never changes the statistics — byte-identical JSON against --shards=1.
 
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <unistd.h>
 
@@ -57,8 +58,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto cell_threads =
-      static_cast<unsigned>(cli.i64("cell-threads", 0));
+  const auto cell_threads = static_cast<unsigned>(
+      cli.u64("cell-threads", 0, std::numeric_limits<unsigned>::max()));
   const std::string connect = cli.str("connect", "");
   const std::string listen = cli.str("listen", "");
   const std::string serve = cli.str("serve", "");

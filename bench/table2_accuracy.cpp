@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
       bench::grids::kTable2, cli, {"full", "dim", "seed", "rows"});
   const sweep::SweepSpec spec = sweep::build_grid(ref);
   const std::vector<bench::grids::Table2Row> rows = bench::grids::table2_rows(
-      cli.flag("full"), static_cast<std::size_t>(cli.i64("rows", 0)));
+      cli.flag("full"), static_cast<std::size_t>(cli.u64("rows", 0)));
 
   // --- execution -----------------------------------------------------------
   const auto transport = bench::transport_from_cli(cli);

@@ -15,8 +15,8 @@ using namespace h3dfact;
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const std::size_t trials = static_cast<std::size_t>(cli.i64("trials", 40));
-  const std::uint64_t seed = static_cast<std::uint64_t>(cli.i64("seed", 99));
+  const std::size_t trials = static_cast<std::size_t>(cli.u64("trials", 40));
+  const std::uint64_t seed = cli.u64("seed", 99);
 
   // Measure the accuracy column at a mid-scale problem where the stochastic
   // benefit shows (F=3, M=96): deterministic digital vs stochastic RRAM.

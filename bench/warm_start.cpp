@@ -48,10 +48,10 @@ double min_us(int repeats, Fn&& fn) {
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const auto dim = static_cast<std::size_t>(cli.i64("dim", 1024));
-  const auto factors = static_cast<std::size_t>(cli.i64("factors", 3));
-  const auto M = static_cast<std::size_t>(cli.i64("M", 16));
-  const auto seed = static_cast<std::uint64_t>(cli.i64("seed", 1));
+  const auto dim = static_cast<std::size_t>(cli.u64("dim", 1024));
+  const auto factors = static_cast<std::size_t>(cli.u64("factors", 3));
+  const auto M = static_cast<std::size_t>(cli.u64("M", 16));
+  const auto seed = cli.u64("seed", 1);
   const int repeats = static_cast<int>(cli.i64("repeats", 5));
   const std::string artifact = cli.str("artifact", "warm_start.h3da");
   const std::string out = cli.str("out", "-");

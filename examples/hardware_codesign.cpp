@@ -21,7 +21,7 @@ using namespace h3dfact;
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const std::size_t batch = static_cast<std::size_t>(cli.i64("batch", 8));
+  const std::size_t batch = static_cast<std::size_t>(cli.u64("batch", 8));
 
   util::Rng rng(4242);
 

@@ -18,9 +18,9 @@ using namespace h3dfact;
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const std::size_t depth = static_cast<std::size_t>(cli.i64("depth", 4));
-  const std::size_t branch = static_cast<std::size_t>(cli.i64("branch", 16));
-  const std::size_t dim = static_cast<std::size_t>(cli.i64("dim", 1024));
+  const std::size_t depth = static_cast<std::size_t>(cli.u64("depth", 4));
+  const std::size_t branch = static_cast<std::size_t>(cli.u64("branch", 16));
+  const std::size_t dim = static_cast<std::size_t>(cli.u64("dim", 1024));
 
   util::Rng rng(31337);
   auto set = std::make_shared<hdc::CodebookSet>(dim, depth, branch, rng);

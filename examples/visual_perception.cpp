@@ -15,7 +15,7 @@ using namespace h3dfact;
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const std::size_t scenes = static_cast<std::size_t>(cli.i64("scenes", 50));
+  const std::size_t scenes = static_cast<std::size_t>(cli.u64("scenes", 50));
   const double cosine = cli.f64("cosine", 0.6);
 
   perception::PipelineConfig cfg;

@@ -60,14 +60,6 @@ def main(argv: list[str]) -> int:
             "baseline for this backend"
         )
 
-    if fresh.get("harness") != baseline.get("harness"):
-        fail(
-            f"harness mismatch: fresh ran under '{fresh.get('harness')}' but "
-            f"the baseline was timed under '{baseline.get('harness')}' — the "
-            "two timing loops are not comparable; rebuild with the matching "
-            "harness or refresh the baseline"
-        )
-
     fresh_by_name = {row["name"]: row for row in fresh["benchmarks"]}
     failures = []
     print(

@@ -1,59 +1,16 @@
 #include "dse/frontier.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "dse/pareto.hpp"
+#include "sweep/emit.hpp"
 
 namespace h3dfact::dse {
 
-namespace {
-
-// Same fixed formats as the sweep emitters (sweep/emit.cpp): %g for the
-// human-scale summaries, exact round-trip text for anything a downstream
-// gate compares numerically. Locale- and platform-independent.
-std::string fmt_g(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
-
-std::string fmt_exact(double v) {
-  char buf[64];
-  if (std::nearbyint(v) == v && std::fabs(v) < 9.007199254740992e15) {
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-  }
-  return buf;
-}
-
-std::string json_quote(const std::string& s) {
-  std::string out = "\"";
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
+using sweep::fmt_exact;
+using sweep::fmt_g;
+using sweep::json_quote;
 
 void write_frontier_json(std::ostream& os, const std::string& space_name,
                          const sweep::GridRef& ref,

@@ -204,37 +204,23 @@ CoeffBlock Codebook::project_batch(
   // Batch-major scratch keeps each item's accumulator contiguous for the
   // row-axpy kernel; a dense row services the whole batch while L1-hot.
   std::vector<int> scratch(kB * dim_, 0);
-  const kernels::KernelPolicy& policy = kernels::active_policy();
   const std::size_t kM = vectors_.size();
-  if (kM * kB * dim_ >= policy.parallel_min_work && kB >= 2) {
-    // Batch sub-ranges own disjoint batch-major scratch regions; within a
-    // range the m-loop order is the sequential one, so accumulation order
-    // per element is unchanged at any thread count.
-    kernels::KernelPool::instance().parallel_for(
-        kB, [&](std::size_t b0, std::size_t b1) {
-          for (std::size_t m = 0; m < kM; ++m) {
-            backend.project_tile(dense_.data() + m * dim_, dim_,
-                                 coeffs.data.data() + m * kB + b0, b1 - b0,
-                                 scratch.data() + b0 * dim_);
-          }
-        });
-  } else if (kM * kB * dim_ >= policy.parallel_min_work) {
-    // Single-item batch: slice the accumulator dimension instead, each
-    // chunk running the same row-axpy sequence over its own span.
-    kernels::KernelPool::instance().parallel_for(
-        dim_, [&](std::size_t d0, std::size_t d1) {
-          for (std::size_t m = 0; m < kM; ++m) {
-            const int c = coeffs.data[m * kB];
-            if (c == 0) continue;
-            backend.axpy_row(c, dense_.data() + m * dim_ + d0,
-                             scratch.data() + d0, d1 - d0);
-          }
-        });
-  } else {
+  // Batch sub-ranges own disjoint batch-major scratch regions; within a
+  // range the m-loop order is the sequential one, so accumulation order
+  // per element is unchanged at any thread count.
+  auto accumulate = [&](std::size_t b0, std::size_t b1) {
     for (std::size_t m = 0; m < kM; ++m) {
-      backend.project_tile(dense_.data() + m * dim_, dim_,
-                           coeffs.data.data() + m * kB, kB, scratch.data());
+      const std::int8_t* row = dense_.data() + m * dim_;
+      for (std::size_t b = b0; b < b1; ++b) {
+        const int c = coeffs.at(m, b);
+        if (c != 0) backend.axpy_row(c, row, scratch.data() + b * dim_, dim_);
+      }
     }
+  };
+  if (kM * kB * dim_ >= kernels::active_policy().parallel_min_work) {
+    kernels::KernelPool::instance().parallel_for(kB, accumulate);
+  } else {
+    accumulate(0, kB);
   }
   for (std::size_t d = 0; d < dim_; ++d) {
     for (std::size_t b = 0; b < kB; ++b) {

@@ -116,9 +116,9 @@ class Codebook {
 
   /// Batched y_b = X a_b: each dense codebook row is streamed once and
   /// applied to all batch accumulators; large passes fan batch sub-ranges
-  /// (or dimension slices when B == 1) across the KernelPool, bit-identical
-  /// at any thread count. `coeffs.size == size()`. Returns a D×B block;
-  /// item b is bit-for-bit equal to project(coeffs.item(b)).
+  /// across the KernelPool, bit-identical at any thread count.
+  /// `coeffs.size == size()`. Returns a D×B block; item b is bit-for-bit
+  /// equal to project(coeffs.item(b)).
   [[nodiscard]] CoeffBlock project_batch(const CoeffBlock& coeffs) const;
 
   /// project_batch() pinned to one kernel backend.

@@ -66,8 +66,8 @@ __attribute__((target("avx2"))) void axpy_row_avx2(int a,
   for (; d < n; ++d) y[d] += a * row[d];
 }
 
-// The tile loops carry the same target attribute so the primitive calls
-// inline into them instead of bouncing through the portable-ISA boundary.
+// The tile loop carries the same target attribute so the popcount inlines
+// into it instead of bouncing through the portable-ISA boundary.
 __attribute__((target("avx2"))) void similarity_tile_avx2(
     const std::uint64_t* rows, std::size_t row_stride, std::size_t nrows,
     const std::uint64_t* const* queries, std::size_t nq, std::size_t nw,
@@ -81,22 +81,7 @@ __attribute__((target("avx2"))) void similarity_tile_avx2(
   }
 }
 
-__attribute__((target("avx2"))) void project_tile_avx2(const std::int8_t* row,
-                                                       std::size_t dim,
-                                                       const int* coeffs,
-                                                       std::size_t batch,
-                                                       int* scratch) {
-  for (std::size_t b = 0; b < batch; ++b) {
-    const int c = coeffs[b];
-    if (c == 0) continue;
-    axpy_row_avx2(c, row, scratch + b * dim, dim);
-  }
-}
-
-constexpr KernelBackend kAvx2{
-    "avx2",          xor_popcount_avx2, axpy_row_avx2,
-    similarity_tile_avx2, project_tile_avx2,
-};
+constexpr KernelBackend kAvx2{"avx2", axpy_row_avx2, similarity_tile_avx2};
 
 }  // namespace
 

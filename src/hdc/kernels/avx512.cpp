@@ -83,7 +83,7 @@ __attribute__((target("avx512f"))) void axpy_row_avx512(int a,
   for (; d < n; ++d) y[d] += a * row[d];
 }
 
-// Tile loops carry the matching target attributes so the primitives inline.
+// Tile loops carry the matching target attributes so the popcounts inline.
 __attribute__((target("avx512f,avx512vpopcntdq"))) void
 similarity_tile_avx512pop(const std::uint64_t* rows, std::size_t row_stride,
                           std::size_t nrows,
@@ -112,25 +112,11 @@ __attribute__((target("avx512f,avx512bw"))) void similarity_tile_avx512lut(
   }
 }
 
-__attribute__((target("avx512f"))) void project_tile_avx512(
-    const std::int8_t* row, std::size_t dim, const int* coeffs,
-    std::size_t batch, int* scratch) {
-  for (std::size_t b = 0; b < batch; ++b) {
-    const int c = coeffs[b];
-    if (c == 0) continue;
-    axpy_row_avx512(c, row, scratch + b * dim, dim);
-  }
-}
+constexpr KernelBackend kAvx512Pop{"avx512", axpy_row_avx512,
+                                   similarity_tile_avx512pop};
 
-constexpr KernelBackend kAvx512Pop{
-    "avx512",          xor_popcount_avx512pop, axpy_row_avx512,
-    similarity_tile_avx512pop, project_tile_avx512,
-};
-
-constexpr KernelBackend kAvx512Lut{
-    "avx512",          xor_popcount_avx512lut, axpy_row_avx512,
-    similarity_tile_avx512lut, project_tile_avx512,
-};
+constexpr KernelBackend kAvx512Lut{"avx512", axpy_row_avx512,
+                                   similarity_tile_avx512lut};
 
 }  // namespace
 

@@ -1,7 +1,7 @@
 #pragma once
-// Multi-ISA kernel backend layer for the two MVM hot-path primitives
-// (XOR+popcount similarity, ±1-row axpy projection) and their batched tile
-// variants. Each backend is one translation unit compiled for its ISA
+// Multi-ISA kernel backend layer for the two MVM hot-path primitives the
+// codebook calls: the XOR+popcount similarity tile and the ±1-row axpy
+// projection. Each backend is one translation unit compiled for its ISA
 // (scalar always; SSE2 at the x86-64 baseline; AVX2 and AVX-512 via
 // function-level target attributes on x86_64; NEON on aarch64 where
 // Advanced SIMD is baseline). Selection happens once at runtime by scoring
@@ -33,32 +33,21 @@ struct KernelBackend {
   /// `backend` field of the bench/kernels --json artifact.
   const char* name;
 
-  /// popcount(a XOR b) over nw 64-bit words (the disagree count behind the
-  /// similarity dot product a·b = dim − 2·disagree).
-  long long (*xor_popcount)(const std::uint64_t* a, const std::uint64_t* b,
-                            std::size_t nw);
-
   /// y[0..n) += a * row[0..n) with ±1 int8 rows widened to i32.
   void (*axpy_row)(int a, const std::int8_t* row, int* y, std::size_t n);
 
   /// Batched similarity tile: for every query q and tile row i,
   ///   sims[i * sim_stride + q] = dim − 2·popcount(queries[q] XOR row_i)
-  /// where row_i = rows[i * row_stride .. i * row_stride + nw). Queries
-  /// iterate outermost so a tile of rows stays L1-hot across the whole
-  /// batch (the blocked layout the batched codebook path relies on). With
-  /// nq == 1 and sim_stride == 1 this is the per-call similarity loop.
+  /// where row_i = rows[i * row_stride .. i * row_stride + nw): the ±1 dot
+  /// product from the disagree count. Queries iterate outermost so a tile
+  /// of rows stays L1-hot across the whole batch (the blocked layout the
+  /// batched codebook path relies on). With nq == 1 and sim_stride == 1
+  /// this is the per-call similarity loop.
   void (*similarity_tile)(const std::uint64_t* rows, std::size_t row_stride,
                           std::size_t nrows,
                           const std::uint64_t* const* queries, std::size_t nq,
                           std::size_t nw, long long dim, int* sims,
                           std::size_t sim_stride);
-
-  /// Batched projection pass of one dense ±1 row against every batch item:
-  ///   scratch[b*dim .. b*dim+dim) += coeffs[b] * row[0..dim)
-  /// for each b in [0, batch) with coeffs[b] != 0. `coeffs` is one SoA row
-  /// of a CoeffBlock (B contiguous coefficients), `scratch` batch-major.
-  void (*project_tile)(const std::int8_t* row, std::size_t dim,
-                       const int* coeffs, std::size_t batch, int* scratch);
 };
 
 /// Every backend compiled into this binary that can run on this CPU, scalar

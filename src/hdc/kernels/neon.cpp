@@ -72,19 +72,7 @@ void similarity_tile_neon(const std::uint64_t* rows, std::size_t row_stride,
   }
 }
 
-void project_tile_neon(const std::int8_t* row, std::size_t dim,
-                       const int* coeffs, std::size_t batch, int* scratch) {
-  for (std::size_t b = 0; b < batch; ++b) {
-    const int c = coeffs[b];
-    if (c == 0) continue;
-    axpy_row_neon(c, row, scratch + b * dim, dim);
-  }
-}
-
-constexpr KernelBackend kNeon{
-    "neon",          xor_popcount_neon, axpy_row_neon,
-    similarity_tile_neon, project_tile_neon,
-};
+constexpr KernelBackend kNeon{"neon", axpy_row_neon, similarity_tile_neon};
 
 }  // namespace
 

@@ -1,14 +1,9 @@
-// Policy resolution: the capability scoring table, the tile-mode env seam,
-// and the cached H3DFACT_KERNEL_POLICY resolution. Mirrors dispatch.cpp's
-// backend seam shape (atomic override pointer, lazy env resolution that
-// throws on garbage) so the two knobs behave identically.
+// Policy resolution: the capability scoring table, the tile crossover rule
+// and the force_policy() override.
 
 #include "hdc/kernels/policy.hpp"
 
 #include <atomic>
-#include <cstdlib>
-#include <stdexcept>
-#include <string>
 
 #include "hdc/kernels/backend.hpp"
 
@@ -24,34 +19,10 @@ std::atomic<bool> g_policy_forced{false};
 
 }  // namespace
 
-KernelPolicy parse_policy(std::string_view spec) {
-  KernelPolicy policy;
-  if (spec == "auto") {
-    policy.tile_mode = TileMode::kAuto;
-  } else if (spec == "percall") {
-    policy.tile_mode = TileMode::kPerCall;
-  } else if (spec == "tiled") {
-    policy.tile_mode = TileMode::kTiled;
-  } else {
-    std::string msg = "H3DFACT_KERNEL_POLICY names an unknown policy: \"";
-    msg += spec;
-    msg += "\" (known: auto percall tiled)";
-    throw std::runtime_error(msg);
-  }
-  return policy;
-}
-
 const KernelPolicy& active_policy() {
-  if (g_policy_forced.load(std::memory_order_acquire)) return g_forced_policy;
-  // Resolved once; an unknown env value throws out of every call rather
-  // than silently running the defaults (the static stays uninitialized on
-  // throw, so the error repeats until the typo is fixed).
-  static const KernelPolicy resolved = [] {
-    const char* env = std::getenv("H3DFACT_KERNEL_POLICY");
-    return (env != nullptr && *env != '\0') ? parse_policy(env)
-                                            : KernelPolicy{};
-  }();
-  return resolved;
+  static const KernelPolicy defaults;
+  return g_policy_forced.load(std::memory_order_acquire) ? g_forced_policy
+                                                          : defaults;
 }
 
 void force_policy(const KernelPolicy& policy) {

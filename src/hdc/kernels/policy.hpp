@@ -7,16 +7,12 @@
 // faster) with an explicit, unit-testable scoring function over
 // CpuCapabilities.
 //
-// Override seams, in precedence order:
-//   1. force_policy(p)          — programmatic, wins until reset_policy();
-//   2. H3DFACT_KERNEL_POLICY=   — environment: "auto" | "percall" | "tiled".
-//      Unknown values throw by name (a typo must not silently become auto);
-//   3. the built-in measured defaults (the crossover table in
-//      docs/kernels.md).
+// force_policy() overrides the built-in measured defaults (the crossover
+// table in docs/kernels.md) until reset_policy().
 //
 // The policy never affects results — every backend and both tile shapes
-// are bit-identical by contract — only which code runs. That is what makes
-// the override seams safe to flip in CI matrices.
+// are bit-identical by contract — only which code runs. That is what lets
+// the fuzz suite pin both tile shapes against each other.
 
 #include <cstddef>
 #include <string_view>
@@ -50,20 +46,14 @@ struct KernelPolicy {
 };
 
 /// The policy every kernel call consults: a force_policy() override if one
-/// is set, else the H3DFACT_KERNEL_POLICY resolution (cached on first use;
-/// an unknown value throws out of every call rather than falling back).
+/// is set, else the built-in defaults.
 [[nodiscard]] const KernelPolicy& active_policy();
 
 /// Programmatic override of active_policy() (crossover sweeps, tests).
 void force_policy(const KernelPolicy& policy);
 
-/// Drop the force_policy() override; env/default resolution applies again.
+/// Drop the force_policy() override; the defaults apply again.
 void reset_policy();
-
-/// Parse an H3DFACT_KERNEL_POLICY value ("auto" | "percall" | "tiled").
-/// Throws std::runtime_error naming the value on anything else. Exposed so
-/// tests cover the resolution rules without mutating the environment.
-[[nodiscard]] KernelPolicy parse_policy(std::string_view spec);
 
 /// Whether a batched similarity call over `batch` queries takes the tiled
 /// path under `policy` (the kAuto crossover rule made testable).

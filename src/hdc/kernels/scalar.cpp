@@ -37,19 +37,8 @@ void similarity_tile_scalar(const std::uint64_t* rows, std::size_t row_stride,
   }
 }
 
-void project_tile_scalar(const std::int8_t* row, std::size_t dim,
-                         const int* coeffs, std::size_t batch, int* scratch) {
-  for (std::size_t b = 0; b < batch; ++b) {
-    const int c = coeffs[b];
-    if (c == 0) continue;
-    axpy_row_scalar(c, row, scratch + b * dim, dim);
-  }
-}
-
-constexpr KernelBackend kScalar{
-    "scalar",          xor_popcount_scalar, axpy_row_scalar,
-    similarity_tile_scalar, project_tile_scalar,
-};
+constexpr KernelBackend kScalar{"scalar", axpy_row_scalar,
+                                 similarity_tile_scalar};
 
 }  // namespace
 

@@ -102,19 +102,7 @@ void similarity_tile_sse2(const std::uint64_t* rows, std::size_t row_stride,
   }
 }
 
-void project_tile_sse2(const std::int8_t* row, std::size_t dim,
-                       const int* coeffs, std::size_t batch, int* scratch) {
-  for (std::size_t b = 0; b < batch; ++b) {
-    const int c = coeffs[b];
-    if (c == 0) continue;
-    axpy_row_sse2(c, row, scratch + b * dim, dim);
-  }
-}
-
-constexpr KernelBackend kSse2{
-    "sse2",          xor_popcount_sse2, axpy_row_sse2,
-    similarity_tile_sse2, project_tile_sse2,
-};
+constexpr KernelBackend kSse2{"sse2", axpy_row_sse2, similarity_tile_sse2};
 
 }  // namespace
 

@@ -217,12 +217,9 @@ TrialStats run_trial_block(const TrialConfig& config, std::size_t begin,
     std::exception_ptr error GUARDED_BY(mutex);
   } worker_error;
 
-  // Per-trial streams derive from (seed, trial index) alone; the chunk's
-  // engine-randomness stream derives from (seed, chunk index) alone.
-  auto trial_rng = [&](std::size_t t) {
-    return util::Rng(cfg.seed ^
-                     (0xabcdef12345ULL + t * 0x9e3779b97f4a7c15ULL));
-  };
+  // Per-trial streams derive from (seed, trial index) alone
+  // (trial_stream_seed); the chunk's engine-randomness stream derives from
+  // (seed, chunk index) alone.
   auto device_rng_for = [&](std::size_t c) {
     std::uint64_t stream =
         cfg.seed ^ (0xd1ceb004c0ffee11ULL + c * 0x9e3779b97f4a7c15ULL);
@@ -253,7 +250,7 @@ TrialStats run_trial_block(const TrialConfig& config, std::size_t begin,
       problems.reserve(t1 - t0);
       rngs.reserve(t1 - t0);
       for (std::size_t t = t0; t < t1; ++t) {
-        util::Rng r = trial_rng(t);
+        util::Rng r(trial_stream_seed(cfg.seed, t));
         problems.push_back(cfg.query_flip_prob > 0.0
                                ? generator->sample_noisy(cfg.query_flip_prob, r)
                                : generator->sample(r));

@@ -130,6 +130,15 @@ struct TrialStats {
 /// not a knob.
 inline constexpr std::size_t kTrialBlockAlign = 4;
 
+/// The per-trial stream seed of trial `t` under master seed `seed`: trial t
+/// samples its problem from util::Rng(trial_stream_seed(seed, t)) and then
+/// solves on the same generator. Serving passes it as a request's
+/// trial_seed to reproduce trial t bit for bit.
+[[nodiscard]] constexpr std::uint64_t trial_stream_seed(std::uint64_t seed,
+                                                        std::uint64_t t) {
+  return seed ^ (0xabcdef12345ULL + t * 0x9e3779b97f4a7c15ULL);
+}
+
 /// Run the experiment described by `config`. When traces are requested the
 /// factory must build a network that records them (std::invalid_argument
 /// otherwise — the runner never rebuilds networks behind the factory's

@@ -39,6 +39,7 @@
 #include "hdc/codebook.hpp"
 #include "resonator/batched.hpp"
 #include "resonator/problem.hpp"
+#include "resonator/trial_runner.hpp"
 #include "sweep/protocol.hpp"
 
 namespace h3dfact::serve {
@@ -46,9 +47,7 @@ namespace h3dfact::serve {
 /// The per-trial stream seed run_trial_block derives for trial `t` of a
 /// config seeded with `seed` — pass it as FactorRequestFrame::trial_seed to
 /// make a served solve bit-identical to that run_trials trial.
-inline std::uint64_t trial_stream_seed(std::uint64_t seed, std::uint64_t t) {
-  return seed ^ (0xabcdef12345ULL + t * 0x9e3779b97f4a7c15ULL);
-}
+using resonator::trial_stream_seed;
 
 /// Daemon configuration: the problem space every worker materializes plus
 /// the admission/batching policy.

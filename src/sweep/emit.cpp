@@ -17,8 +17,6 @@
 
 namespace h3dfact::sweep {
 
-namespace {
-
 // %g keeps integers clean ("40", not "40.000000") while preserving enough
 // digits for the statistics; the emitters are golden-file-tested, so the
 // format must never depend on locale or platform printf quirks.
@@ -41,17 +39,6 @@ std::string fmt_exact(double v) {
   return buf;
 }
 
-std::string csv_quote(const std::string& s) {
-  if (s.find_first_of(",\"\n\r") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"') out += "\"\"";
-    else out += c;
-  }
-  out += '"';
-  return out;
-}
-
 std::string json_quote(const std::string& s) {
   std::string out = "\"";
   for (unsigned char c : s) {
@@ -70,6 +57,19 @@ std::string json_quote(const std::string& s) {
           out += static_cast<char>(c);
         }
     }
+  }
+  out += '"';
+  return out;
+}
+
+namespace {
+
+std::string csv_quote(const std::string& s) {
+  if (s.find_first_of(",\"\n\r") == std::string::npos) return s;
+  std::string out = "\"";
+  for (char c : s) {
+    if (c == '"') out += "\"\"";
+    else out += c;
   }
   out += '"';
   return out;

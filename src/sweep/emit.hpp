@@ -32,6 +32,16 @@ void write_csv(std::ostream& os, std::span<const CellResult> results);
 void write_json(std::ostream& os, const std::string& sweep_name,
                 std::span<const CellResult> results);
 
+/// The emitters' number and string renderings, shared by every JSON writer
+/// (dse/frontier.cpp) and the checkpoint comparison so all artifacts format
+/// alike, independent of locale and platform. fmt_g is %.6g for the
+/// human-scale summaries; fmt_exact round-trips a double exactly (integral
+/// values without exponent, anything else at 17 significant digits);
+/// json_quote renders a JSON string literal with escapes.
+std::string fmt_g(double v);
+std::string fmt_exact(double v);
+std::string json_quote(const std::string& s);
+
 /// String conveniences (tests, logging).
 std::string csv_string(std::span<const CellResult> results);
 std::string json_string(const std::string& sweep_name,

@@ -5,7 +5,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <exception>
 #include <fstream>
@@ -20,6 +19,7 @@
 #include "sweep/emit.hpp"
 #include "sweep/protocol.hpp"
 #include "sweep/transport.hpp"
+#include "util/parse.hpp"
 #include "util/sync.hpp"
 
 #if !defined(_WIN32)
@@ -244,13 +244,7 @@ unsigned effective_cell_threads(const SweepOptions& options,
 
 // %.6g equality: the checkpoint crossed the JSON emitter, so compare floats
 // the way the emitter rounds them.
-bool g6_equal(double a, double b) {
-  char ba[64];
-  char bb[64];
-  std::snprintf(ba, sizeof ba, "%.6g", a);
-  std::snprintf(bb, sizeof bb, "%.6g", b);
-  return std::strcmp(ba, bb) == 0;
-}
+bool g6_equal(double a, double b) { return fmt_g(a) == fmt_g(b); }
 
 // Load completed cells from a checkpoint file, validating every one
 // against the spec; absent file -> empty.
@@ -641,17 +635,20 @@ std::vector<std::size_t> parse_cell_filter(const std::string& expr,
   std::set<std::size_t> picked;
   std::size_t pos = 0;
   auto parse_number = [&]() {
-    if (pos >= expr.size() || expr[pos] < '0' || expr[pos] > '9') {
+    const std::size_t start = pos;
+    while (pos < expr.size() && expr[pos] >= '0' && expr[pos] <= '9') ++pos;
+    if (pos == start) {
       throw std::invalid_argument("bad cell filter '" + expr +
                                   "': expected a cell index at position " +
-                                  std::to_string(pos));
+                                  std::to_string(start));
     }
-    std::size_t v = 0;
-    while (pos < expr.size() && expr[pos] >= '0' && expr[pos] <= '9') {
-      v = v * 10 + static_cast<std::size_t>(expr[pos] - '0');
-      ++pos;
+    const std::string digits = expr.substr(start, pos - start);
+    const auto v = util::parse_u64(digits);
+    if (!v) {
+      throw std::out_of_range("cell filter '" + expr + "' has cell index " +
+                              digits + ", which overflows 64 bits");
     }
-    return v;
+    return static_cast<std::size_t>(*v);
   };
   while (pos < expr.size()) {
     const std::size_t lo = parse_number();

@@ -11,7 +11,7 @@ namespace h3dfact::util {
 namespace {
 
 [[noreturn]] void bad_value(const std::string& key, const std::string& value,
-                            const char* expected) {
+                            const std::string& expected) {
   throw std::invalid_argument("flag --" + key + "=\"" + value +
                               "\" is not a valid " + expected);
 }
@@ -52,6 +52,18 @@ std::int64_t Cli::i64(const std::string& key, std::int64_t def) const {
   if (it == kv_.end()) return def;
   const auto parsed = parse_i64(it->second);
   if (!parsed) bad_value(key, it->second, "integer");
+  return *parsed;
+}
+
+std::uint64_t Cli::u64(const std::string& key, std::uint64_t def,
+                       std::uint64_t max) const {
+  auto it = kv_.find(key);
+  if (it == kv_.end()) return def;
+  const auto parsed = parse_u64(it->second);
+  if (!parsed || *parsed > max) {
+    bad_value(key, it->second,
+              "unsigned integer up to " + std::to_string(max));
+  }
   return *parsed;
 }
 

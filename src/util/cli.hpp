@@ -4,6 +4,7 @@
 // Supported forms: --flag (bool), --key=value, --key value.
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -18,6 +19,11 @@ class Cli {
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] bool flag(const std::string& key, bool def = false) const;
   [[nodiscard]] std::int64_t i64(const std::string& key, std::int64_t def) const;
+  /// Unsigned flag: rejects a leading '-', overflow and values above `max`
+  /// (pass the target type's maximum before narrowing) by flag name.
+  [[nodiscard]] std::uint64_t u64(
+      const std::string& key, std::uint64_t def,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
   [[nodiscard]] double f64(const std::string& key, double def) const;
   [[nodiscard]] std::string str(const std::string& key, std::string def) const;
 

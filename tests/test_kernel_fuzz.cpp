@@ -7,15 +7,16 @@
 // bump the rep counts locally to fuzz harder, the shapes stay covered.
 //
 // What "adversarial" means per primitive:
-//   xor_popcount     word counts straddling every backend step (SSE2: 2,
+//   similarity_tile  one row × one query (the XOR+popcount helper alone) at
+//                    word counts straddling every backend step (SSE2: 2,
 //                    AVX2: 4, AVX-512: 8 words) plus alignment offsets 0..3
 //                    words into an overallocated pool — backends use
-//                    unaligned loads, and this proves it.
+//                    unaligned loads, and this proves it; then nrows ∈
+//                    {0, 1, tile±1}, nq ∈ {0, 1, many}, strides larger than
+//                    the row width (padded layouts).
 //   axpy_row         element counts straddling 8/16-lane steps, coefficient
 //                    extremes (int8 saturating values, 0 skip).
-//   similarity_tile  nrows ∈ {0, 1, tile±1}, nq ∈ {0, 1, many}, strides
-//                    larger than the row width (padded layouts).
-//   project_tile     batch ∈ {0, 1, many}, all-zero coefficient rows.
+//   project_batch    batch ∈ {0, 1, many}, all-zero coefficient rows.
 //   codebook paths   per-call vs tiled policy × 1/2/8 pool threads: the
 //                    engine-level fan-out must be bit-identical to the
 //                    sequential pass under every combination.
@@ -66,6 +67,16 @@ std::vector<std::int8_t> random_row(std::size_t n, Rng& rng) {
   return r;
 }
 
+// One row against one query through similarity_tile: dim − 2·popcount(a^b),
+// which isolates each backend's XOR+popcount helper.
+int one_row_similarity(const KernelBackend& backend, const std::uint64_t* a,
+                       const std::uint64_t* b, std::size_t nw) {
+  int sim = 0;
+  backend.similarity_tile(b, nw, 1, &a, 1, nw, static_cast<long long>(nw) * 64,
+                          &sim, 1);
+  return sim;
+}
+
 // Restore live dispatch / policy / pool sizing even when an assert fires.
 struct FuzzEnvGuard {
   ~FuzzEnvGuard() {
@@ -81,7 +92,7 @@ std::vector<const KernelBackend*> fuzz_backends() {
   return kernels::available();
 }
 
-TEST(KernelFuzz, XorPopcountBitIdenticalAcrossTailsAndAlignments) {
+TEST(KernelFuzz, OneRowSimilarityBitIdenticalAcrossTailsAndAlignments) {
   const KernelBackend* scalar = kernels::scalar_backend();
   Rng rng(0xF0220001);
   // One over-allocated pool; offsets slide the base pointers so every
@@ -94,15 +105,15 @@ TEST(KernelFuzz, XorPopcountBitIdenticalAcrossTailsAndAlignments) {
       for (std::size_t off = 0; off < 4; ++off) {
         const std::uint64_t* a = pool_a.data() + off;
         const std::uint64_t* b = pool_b.data() + (3 - off);
-        ASSERT_EQ(backend->xor_popcount(a, b, nw),
-                  scalar->xor_popcount(a, b, nw))
+        ASSERT_EQ(one_row_similarity(*backend, a, b, nw),
+                  one_row_similarity(*scalar, a, b, nw))
             << backend->name << " nw=" << nw << " off=" << off;
       }
     }
   }
 }
 
-TEST(KernelFuzz, XorPopcountRandomizedShapes) {
+TEST(KernelFuzz, OneRowSimilarityRandomizedShapes) {
   const KernelBackend* scalar = kernels::scalar_backend();
   for (const KernelBackend* backend : fuzz_backends()) {
     Rng rng(0xF0220002);  // same stream per backend: same shapes fuzzed
@@ -110,8 +121,8 @@ TEST(KernelFuzz, XorPopcountRandomizedShapes) {
       const std::size_t nw = static_cast<std::size_t>(rng.range(0, 64));
       const auto a = random_words(nw, rng);
       const auto b = random_words(nw, rng);
-      ASSERT_EQ(backend->xor_popcount(a.data(), b.data(), nw),
-                scalar->xor_popcount(a.data(), b.data(), nw))
+      ASSERT_EQ(one_row_similarity(*backend, a.data(), b.data(), nw),
+                one_row_similarity(*scalar, a.data(), b.data(), nw))
           << backend->name << " rep=" << rep << " nw=" << nw;
     }
   }
@@ -175,31 +186,28 @@ TEST(KernelFuzz, SimilarityTileDegenerateAndPaddedShapes) {
   }
 }
 
-TEST(KernelFuzz, ProjectTileDegenerateBatches) {
+TEST(KernelFuzz, ProjectBatchDegenerateBatches) {
   const KernelBackend* scalar = kernels::scalar_backend();
   Rng rng(0xF0220005);
   for (const KernelBackend* backend : fuzz_backends()) {
     for (std::size_t dim : {1u, 8u, 15u, 16u, 17u, 100u}) {
-      const auto row = random_row(dim, rng);
+      const Codebook cb(dim, 3, rng);
       for (std::size_t batch : {0u, 1u, 2u, 5u}) {
-        std::vector<int> coeffs(batch);
-        for (auto& c : coeffs) c = static_cast<int>(rng.range(-127, 127));
-        std::vector<int> scratch0(batch * dim + 1);
-        for (auto& v : scratch0) v = static_cast<int>(rng.range(-50, 50));
-        std::vector<int> got = scratch0;
-        std::vector<int> want = scratch0;
-        backend->project_tile(row.data(), dim, coeffs.data(), batch,
-                              got.data());
-        scalar->project_tile(row.data(), dim, coeffs.data(), batch,
-                             want.data());
-        ASSERT_EQ(got, want)
+        CoeffBlock coeffs(cb.size(), batch);
+        for (auto& c : coeffs.data) c = static_cast<int>(rng.range(-127, 127));
+        const CoeffBlock got = cb.project_batch(coeffs, *backend);
+        ASSERT_EQ(got.data, cb.project_batch(coeffs, *scalar).data)
             << backend->name << " dim=" << dim << " batch=" << batch;
-        // All-zero coefficients: the whole tile must be a no-op.
-        std::fill(coeffs.begin(), coeffs.end(), 0);
-        got = scratch0;
-        backend->project_tile(row.data(), dim, coeffs.data(), batch,
-                              got.data());
-        ASSERT_EQ(got, scratch0) << backend->name << " zero-coeff dim=" << dim;
+        for (std::size_t b = 0; b < batch; ++b) {
+          ASSERT_EQ(got.item(b), cb.project(coeffs.item(b), *scalar))
+              << backend->name << " dim=" << dim << " item=" << b;
+        }
+        // All-zero coefficients: every accumulator must stay zero.
+        std::fill(coeffs.data.begin(), coeffs.data.end(), 0);
+        const CoeffBlock zero = cb.project_batch(coeffs, *backend);
+        ASSERT_TRUE(std::all_of(zero.data.begin(), zero.data.end(),
+                                [](int v) { return v == 0; }))
+            << backend->name << " zero-coeff dim=" << dim;
       }
     }
   }

@@ -270,6 +270,16 @@ TEST(ServeEndToEnd, BatchedRepliesBitIdenticalToSequentialSolves) {
   Daemon daemon(cfg);
   std::thread w1 = launch_serve_worker(daemon.addr());
   std::thread w2 = launch_serve_worker(daemon.addr());
+  // Both workers must have said Hello before any work exists: otherwise a
+  // loaded host can let the first worker finish every request and the
+  // drain before the second one connects.
+  const auto hello_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (daemon.coord->stats().workers_seen < 2) {
+    ASSERT_LT(std::chrono::steady_clock::now(), hello_deadline)
+        << "second serve worker never handshook";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   constexpr std::uint64_t kRequests = 16;
   serve::ServeClient client(daemon.addr());

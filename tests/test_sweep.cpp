@@ -407,6 +407,12 @@ TEST(SweepRunner, CellFilterRunsOnlySelectedCells) {
   EXPECT_THROW((void)sweep::parse_cell_filter("a-b", 4),
                std::invalid_argument);
   EXPECT_THROW((void)sweep::parse_cell_filter("", 4), std::invalid_argument);
+  // Indices past 2^64 - 1 are rejected, not wrapped onto small cells.
+  EXPECT_THROW((void)sweep::parse_cell_filter("18446744073709551617", 4),
+               std::out_of_range);
+  EXPECT_THROW((void)sweep::parse_cell_filter(
+                   "18446744073709551616-18446744073709551617", 4),
+               std::out_of_range);
 
   sweep::SweepSpec spec = small_grid();
   const auto reference = sweep::run_sweep(spec, {});

@@ -9,6 +9,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "resonator/problem.hpp"
+
 namespace {
 
 using namespace h3dfact;
@@ -79,6 +81,38 @@ TEST(TrialRunner, AccuracyDegradesWithQueryNoise) {
 
   EXPECT_GT(clean.accuracy(), 0.8);
   EXPECT_LT(noisy.accuracy(), clean.accuracy());
+}
+
+// trial_stream_seed is the one definition of trial t's stream: sampling and
+// solving on util::Rng(trial_stream_seed(seed, t)) by hand must replay trial
+// t of run_trials exactly — the contract serving's seeded requests rely on.
+TEST(TrialRunner, TrialStreamSeedReplaysEachTrial) {
+  resonator::TrialConfig config = small_config();
+  config.trials = 12;
+  config.threads = 1;
+  config.query_flip_prob = 0.2;  // some trials fail: outcomes differ per t
+  const resonator::TrialStats want = resonator::run_trials(config);
+
+  util::Rng master(config.seed);
+  resonator::ProblemGenerator gen(config.dim, config.factors,
+                                  config.codebook_size, master);
+  resonator::ResonatorNetwork net =
+      resonator::make_baseline(gen.codebooks_ptr(), config);
+  resonator::TrialStats got;
+  for (std::size_t t = 0; t < config.trials; ++t) {
+    util::Rng r(resonator::trial_stream_seed(config.seed, t));
+    const resonator::FactorizationProblem problem =
+        gen.sample_noisy(config.query_flip_prob, r);
+    const resonator::ResonatorResult result = net.run(problem, r);
+    got.accumulate(result, problem.is_correct(result.decoded),
+                   config.max_iterations);
+  }
+  EXPECT_EQ(got.trials, want.trials);
+  EXPECT_EQ(got.solved, want.solved);
+  EXPECT_EQ(got.correct, want.correct);
+  EXPECT_EQ(got.cycles, want.cycles);
+  // Chunks merge in trial order, so the samples line up trial by trial.
+  EXPECT_EQ(got.iteration_samples, want.iteration_samples);
 }
 
 TEST(TrialRunner, ZeroTrialsThrows) {

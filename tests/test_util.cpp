@@ -304,6 +304,22 @@ TEST(Cli, RejectsNonNumericValuesByFlagName) {
   const char* argv2[] = {"prog", "--n=99999999999999999999999999"};
   Cli big(2, const_cast<char**>(argv2));
   EXPECT_THROW((void)big.i64("n", 0), std::invalid_argument);
+  // Unsigned counts must not wrap: --shards=-1 used to become 4294967295
+  // shards, and 2^32 narrowed to 0.
+  const char* argv3[] = {"prog", "--shards=-1", "--workers=4294967296",
+                         "--seed=18446744073709551615"};
+  Cli counts(4, const_cast<char**>(argv3));
+  for (const char* key : {"shards", "workers"}) {
+    try {
+      (void)counts.u64(key, 1, std::numeric_limits<unsigned>::max());
+      FAIL() << "expected rejection of --" << key;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(counts.u64("seed", 0), 18446744073709551615ULL);
+  EXPECT_EQ(counts.u64("absent", 7), 7u);
 }
 
 TEST(Logging, LevelFilters) {
