@@ -167,7 +167,8 @@ inline sweep::SweepOptions sweep_options_from_cli(
       cli.u64("shards", 1, std::numeric_limits<unsigned>::max()));
   opt.threads_per_cell = static_cast<unsigned>(
       cli.u64("cell-threads", 0, std::numeric_limits<unsigned>::max()));
-  opt.block_deadline_ms = static_cast<int>(cli.i64("block-deadline-ms", 0));
+  opt.block_deadline_ms = static_cast<int>(
+      cli.u64("block-deadline-ms", 0, std::numeric_limits<int>::max()));
   opt.progress = [label = std::move(label)](const sweep::CellResult& r,
                                             std::size_t done,
                                             std::size_t total) {
@@ -220,22 +221,6 @@ inline void emit_results(const util::Cli& cli, const sweep::SweepSpec& spec,
     sweep::write_json(os, spec.name, *out);
     std::fprintf(stderr, "[%s] wrote %s\n", spec.name.c_str(), path.c_str());
   }
-}
-
-/// CellFactory for grids parameterized by the standard H3DFact channel
-/// knobs in Cell::params — "adc_bits", "sigma", "clip", "theta" — with the
-/// paper's operating point as the default for any knob the grid omits.
-inline resonator::ResonatorNetwork make_h3dfact_cell(
-    std::shared_ptr<const hdc::CodebookSet> set, const sweep::Cell& cell) {
-  resonator::ResonatorOptions opts;
-  opts.max_iterations = cell.config.max_iterations;
-  opts.detect_limit_cycles = false;
-  opts.record_correct_trace = cell.config.record_correct_trace;
-  opts.channel = resonator::make_h3dfact_channel(
-      cell.config.dim, static_cast<int>(cell.param("adc_bits", 4)),
-      cell.param("sigma", 0.5), cell.param("clip", 4.0),
-      cell.param("theta", 1.5));
-  return resonator::ResonatorNetwork(std::move(set), opts);
 }
 
 /// Format an iteration count with the paper's "Fail" convention: a cell

@@ -108,7 +108,7 @@ sweep::SweepSpec build_table2(const GridParams& p) {
     if (cell.param("stochastic", 0) < 0.5) {
       return resonator::make_baseline(std::move(s), cell.config);
     }
-    return bench::make_h3dfact_cell(std::move(s), cell);
+    return sweep::make_h3dfact_cell(std::move(s), cell);
   };
   return spec;
 }
@@ -126,7 +126,7 @@ sweep::SweepSpec build_fig6a(const GridParams& p) {
   spec.base.seed = static_cast<std::uint64_t>(param_i64(p, "seed", 606));
   spec.base.record_correct_trace = true;
   spec.axes.push_back(sweep::Axis::param("adc_bits", {4, 8}));
-  spec.factory = bench::make_h3dfact_cell;
+  spec.factory = sweep::make_h3dfact_cell;
   return spec;
 }
 
@@ -189,7 +189,7 @@ sweep::SweepSpec noise_base(const GridParams& p) {
   spec.base.max_iterations =
       static_cast<std::size_t>(param_i64(p, "cap", 6000));
   spec.base.seed = static_cast<std::uint64_t>(param_i64(p, "seed", 321));
-  spec.factory = bench::make_h3dfact_cell;
+  spec.factory = sweep::make_h3dfact_cell;
   return spec;
 }
 
@@ -268,7 +268,7 @@ sweep::SweepSpec build_device(const GridParams& p) {
     points.push_back(std::move(pt));
   }
   spec.axes.push_back(sweep::Axis::custom("technology", std::move(points)));
-  spec.factory = bench::make_h3dfact_cell;
+  spec.factory = sweep::make_h3dfact_cell;
   return spec;
 }
 

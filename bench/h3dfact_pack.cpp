@@ -24,12 +24,14 @@
 #include <cstdio>
 #include <exception>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "io/codec.hpp"
 #include "resonator/problem.hpp"
 #include "resonator/resonator.hpp"
 #include "util/cli.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 using namespace h3dfact;
@@ -194,7 +196,12 @@ int cmd_verify(const util::Cli& cli, const std::string& path) {
   const std::uint64_t fingerprint = decode_all(artifact, /*print=*/false);
   const std::string expect = cli.str("expect-fingerprint", "");
   if (!expect.empty()) {
-    const std::uint64_t want = std::stoull(expect, nullptr, 0);
+    const auto parsed = util::parse_u64_dec_or_hex(expect);
+    if (!parsed) {
+      throw std::invalid_argument("flag --expect-fingerprint=\"" + expect +
+                                  "\" is not a decimal or 0x-hex number");
+    }
+    const std::uint64_t want = *parsed;
     if (fingerprint != want) {
       std::fprintf(stderr,
                    "verify: codebook fingerprint 0x%016llx does not match "

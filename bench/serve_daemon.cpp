@@ -28,6 +28,7 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -57,7 +58,8 @@ int main(int argc, char** argv) {
     cfg.max_batch = static_cast<std::size_t>(cli.u64("max-batch", 8));
     cfg.max_delay_us = cli.i64("max-delay-us", 2000);
     cfg.max_queue = static_cast<std::size_t>(cli.u64("max-queue", 1024));
-    cfg.worker_deadline_ms = static_cast<int>(cli.i64("deadline-ms", 10000));
+    cfg.worker_deadline_ms = static_cast<int>(
+        cli.u64("deadline-ms", 10000, std::numeric_limits<int>::max()));
     cfg.artifact = cli.str("artifact", "");
     cfg.save_artifact = cli.str("save-artifact", "");
 

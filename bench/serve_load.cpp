@@ -33,6 +33,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -80,7 +81,8 @@ int main(int argc, char** argv) {
     const double flip = cli.f64("flip", 0.05);
     const double noisy_frac = cli.f64("noisy-frac", 0.5);
     const auto deadline_us = cli.u64("deadline-us", 0);
-    const int tail_ms = static_cast<int>(cli.i64("tail-ms", 10000));
+    const int tail_ms = static_cast<int>(
+        cli.u64("tail-ms", 10000, std::numeric_limits<int>::max()));
     if (qps <= 0.0 || duration_s <= 0.0) {
       throw std::invalid_argument("--qps and --duration-s must be positive");
     }

@@ -33,6 +33,7 @@
 // block merges are partition-invariant, so WHICH worker computes a block
 // never changes the statistics — byte-identical JSON against --shards=1.
 
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <string>
@@ -76,9 +77,10 @@ int main(int argc, char** argv) {
   }
 
   try {
+    constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
+    const int retries = static_cast<int>(cli.u64("retries", 120, kIntMax));
+    const int retry_ms = static_cast<int>(cli.u64("retry-ms", 250, kIntMax));
     if (!serve.empty()) {
-      const int retries = static_cast<int>(cli.i64("retries", 120));
-      const int retry_ms = static_cast<int>(cli.i64("retry-ms", 250));
       const int fd = sweep::tcp_connect(serve, retries, retry_ms);
       std::fprintf(stderr, "[sweep_worker] serving batches from %s\n",
                    serve.c_str());
@@ -89,8 +91,6 @@ int main(int argc, char** argv) {
                                         cell_threads);
     }
     if (!connect.empty()) {
-      const int retries = static_cast<int>(cli.i64("retries", 120));
-      const int retry_ms = static_cast<int>(cli.i64("retry-ms", 250));
       const int fd = sweep::tcp_connect(connect, retries, retry_ms);
       std::fprintf(stderr, "[sweep_worker] connected to %s\n",
                    connect.c_str());
@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "[sweep_worker] listening on port %u\n",
                  sweep::tcp_local_port(listen_fd));
     const int timeout_ms =
-        static_cast<int>(cli.i64("accept-timeout-ms", 600000));
+        static_cast<int>(cli.u64("accept-timeout-ms", 600000, kIntMax));
     const int fd = sweep::tcp_accept(listen_fd, timeout_ms);
     if (fd < 0) {
       std::fprintf(stderr, "[sweep_worker] no coordinator connected\n");

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
+#include <limits>
 #include <string>
 
 #include "io/codec.hpp"
@@ -52,7 +53,8 @@ int main(int argc, char** argv) {
   const auto factors = static_cast<std::size_t>(cli.u64("factors", 3));
   const auto M = static_cast<std::size_t>(cli.u64("M", 16));
   const auto seed = cli.u64("seed", 1);
-  const int repeats = static_cast<int>(cli.i64("repeats", 5));
+  const int repeats = static_cast<int>(
+      cli.u64("repeats", 5, std::numeric_limits<int>::max()));
   const std::string artifact = cli.str("artifact", "warm_start.h3da");
   const std::string out = cli.str("out", "-");
 

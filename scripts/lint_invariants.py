@@ -2,7 +2,8 @@
 """Repo-invariant linter: rung 3 of the static-analysis ladder.
 
 Enforces textual invariants that neither the compiler nor clang-tidy can
-express (docs/static-analysis.md):
+express (docs/static-analysis.md) over src/, bench/ and examples/ (not
+perfbench/, the benchmark harness):
 
   raw-poll     ::poll() may appear only in the deadline-bounded event-loop
                consumers (sweep transport/runner, serve coordinator/client).
@@ -13,7 +14,7 @@ express (docs/static-analysis.md):
                Raw use silently accepts " 14", "1e4"-as-int and partial
                tokens (the PR 6 misparse class).
   determinism  std::random_device, mt19937, rand()/srand()/drand48() are
-               banned in src/: every stochastic path seeds util::Rng
+               banned: every stochastic path seeds util::Rng
                (xoshiro256**) so runs replay bit-identically.
   raw-mutex    std::mutex / std::condition_variable / lock_guard /
                unique_lock / scoped_lock may appear only inside
@@ -29,8 +30,8 @@ express (docs/static-analysis.md):
                in src/util/hash.hpp. Every digest hashes through
                util::Fnv1a (or its kFnvOffset/kFnvPrime constants), so
                the repo keeps one FNV-1a instead of hand-rolled copies.
-  pragma-once  Every header under src/ opens with #pragma once as its
-               first non-comment line.
+  pragma-once  Every header opens with #pragma once as its first
+               non-comment line.
 
 Comments and string/char literals are stripped before matching, so prose
 mentioning a banned identifier does not trip a rule. Violations print as
@@ -111,7 +112,7 @@ RULES = [
             r"(?:random_device|mt19937(?:_64)?|s?rand|drand48)\s*(?:\(|\{|\b)"
         ),
         "allow": set(),
-        "message": "non-deterministic RNG in src/; seed util::Rng "
+        "message": "non-deterministic RNG; seed util::Rng "
                    "(xoshiro256**) so runs replay bit-identically",
     },
     {
@@ -220,13 +221,17 @@ def lint_file(path: Path, rel: str) -> list[tuple[str, int, str, str]]:
     return violations
 
 
+LINT_DIRS = ("src", "bench", "examples")
+
+
 def lint_tree(root: Path) -> list[tuple[str, int, str, str]]:
     violations = []
-    for path in sorted((root / "src").rglob("*")):
-        if path.suffix not in {".hpp", ".cpp"}:
-            continue
-        rel = path.relative_to(root).as_posix()
-        violations.extend(lint_file(path, rel))
+    for top in LINT_DIRS:
+        for path in sorted((root / top).rglob("*")):
+            if path.suffix not in {".hpp", ".cpp"}:
+                continue
+            rel = path.relative_to(root).as_posix()
+            violations.extend(lint_file(path, rel))
     return violations
 
 

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "dse/evaluate.hpp"
-#include "resonator/channels.hpp"
 #include "resonator/trial_runner.hpp"
 #include "util/parse.hpp"
 
@@ -175,15 +174,7 @@ sweep::SweepSpec build_design_space(const GridParams& p) {
     if (cell.param(kParamDesign, 2) < 0.5) {
       return resonator::make_baseline(std::move(set), cell.config);
     }
-    resonator::ResonatorOptions opts;
-    opts.max_iterations = cell.config.max_iterations;
-    opts.detect_limit_cycles = false;
-    opts.record_correct_trace = cell.config.record_correct_trace;
-    opts.channel = resonator::make_h3dfact_channel(
-        cell.config.dim, static_cast<int>(cell.param(kParamAdcBits, 4)),
-        cell.param("sigma", 0.5), cell.param("clip", 4.0),
-        cell.param("theta", 1.5));
-    return resonator::ResonatorNetwork(std::move(set), std::move(opts));
+    return sweep::make_h3dfact_cell(std::move(set), cell);
   };
   return spec;
 }

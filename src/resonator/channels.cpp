@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -11,155 +10,50 @@
 
 namespace h3dfact::resonator {
 
-std::vector<int> ExactChannel::apply(const std::vector<int>& exact,
-                                     util::Rng&) const {
-  return exact;
-}
-
-GaussianChannel::GaussianChannel(double sigma) : sigma_(sigma) {
+H3dfactChannel::H3dfactChannel(double sigma, double threshold, int adc_bits,
+                               double clip)
+    : sigma_(sigma), threshold_(threshold), bits_(adc_bits), clip_(clip) {
   if (sigma < 0.0) throw std::invalid_argument("negative noise sigma");
+  if (threshold < 0.0) throw std::invalid_argument("negative threshold");
+  if (adc_bits < 1 || adc_bits > 16) {
+    throw std::invalid_argument("ADC bits out of range");
+  }
+  if (clip <= 0.0) throw std::invalid_argument("ADC clip must be positive");
+  max_code_ = (1 << adc_bits) - 1;  // e.g. 15 for 4 bits
+  step_ = clip_ / max_code_;
 }
 
-std::vector<int> GaussianChannel::apply(const std::vector<int>& exact,
-                                        util::Rng& rng) const {
+std::vector<int> H3dfactChannel::apply(const std::vector<int>& exact,
+                                       util::Rng& rng) const {
+  // Two passes: the noise pass is bound by the generator, and keeping the
+  // threshold + ADC pass free of branches lets it run at full speed (one
+  // fused loop with an early exit for sub-threshold entries was slower).
   std::vector<int> out(exact.size());
   for (std::size_t m = 0; m < exact.size(); ++m) {
     out[m] = static_cast<int>(std::lround(exact[m] + rng.gaussian(0.0, sigma_)));
   }
+  for (int& v : out) {
+    const double sensed =
+        std::abs(static_cast<double>(v)) < threshold_ ? 0.0 : v;
+    v = static_cast<int>(std::clamp(std::round(sensed / step_), 0.0, max_code_));
+  }
   return out;
 }
 
-std::string GaussianChannel::describe() const {
+std::string H3dfactChannel::describe() const {
   std::ostringstream ss;
-  ss << "gaussian(sigma=" << sigma_ << ")";
+  ss << "gaussian(sigma=" << sigma_ << ") -> threshold(theta=" << threshold_
+     << ") -> adc(bits=" << bits_ << ", clip=" << clip_ << ", unsigned)";
   return ss.str();
-}
-
-AdcChannel::AdcChannel(int bits, double clip, bool signed_range)
-    : bits_(bits), clip_(clip), signed_(signed_range) {
-  if (bits < 1 || bits > 16) throw std::invalid_argument("ADC bits out of range");
-  if (clip <= 0.0) throw std::invalid_argument("ADC clip must be positive");
-  max_code_ = signed_ ? (1 << (bits - 1)) - 1   // e.g. 7 for 4-bit signed
-                      : (1 << bits) - 1;        // e.g. 15 for 4-bit unsigned
-  step_ = clip_ / static_cast<double>(max_code_);
-}
-
-int AdcChannel::quantize(double v) const {
-  const double code = std::round(v / step_);
-  const double lo = signed_ ? -max_code_ : 0;
-  return static_cast<int>(std::clamp<double>(code, lo, max_code_));
-}
-
-std::vector<int> AdcChannel::apply(const std::vector<int>& exact,
-                                   util::Rng&) const {
-  std::vector<int> out(exact.size());
-  for (std::size_t m = 0; m < exact.size(); ++m) out[m] = quantize(exact[m]);
-  return out;
-}
-
-std::string AdcChannel::describe() const {
-  std::ostringstream ss;
-  ss << "adc(bits=" << bits_ << ", clip=" << clip_
-     << (signed_ ? ", signed" : ", unsigned") << ")";
-  return ss.str();
-}
-
-ThresholdChannel::ThresholdChannel(double threshold) : threshold_(threshold) {
-  if (threshold < 0.0) throw std::invalid_argument("negative threshold");
-}
-
-std::vector<int> ThresholdChannel::apply(const std::vector<int>& exact,
-                                         util::Rng&) const {
-  std::vector<int> out(exact.size());
-  for (std::size_t m = 0; m < exact.size(); ++m) {
-    out[m] = std::abs(static_cast<double>(exact[m])) < threshold_ ? 0 : exact[m];
-  }
-  return out;
-}
-
-std::string ThresholdChannel::describe() const {
-  std::ostringstream ss;
-  ss << "threshold(theta=" << threshold_ << ")";
-  return ss.str();
-}
-
-TopKChannel::TopKChannel(std::size_t k) : k_(k) {
-  if (k == 0) throw std::invalid_argument("top-k channel needs k >= 1");
-}
-
-std::vector<int> TopKChannel::apply(const std::vector<int>& exact,
-                                    util::Rng&) const {
-  if (exact.size() <= k_) return exact;
-  // Find the k-th largest value via a partial copy (M is small).
-  std::vector<int> sorted = exact;
-  std::nth_element(sorted.begin(),
-                   sorted.begin() + static_cast<std::ptrdiff_t>(k_ - 1),
-                   sorted.end(), std::greater<int>());
-  const int kth = sorted[k_ - 1];
-  std::vector<int> out(exact.size(), 0);
-  std::size_t kept = 0;
-  for (std::size_t m = 0; m < exact.size() && kept < k_; ++m) {
-    if (exact[m] > kth) {
-      out[m] = exact[m];
-      ++kept;
-    }
-  }
-  for (std::size_t m = 0; m < exact.size() && kept < k_; ++m) {
-    if (exact[m] == kth && out[m] == 0) {
-      out[m] = exact[m];
-      ++kept;
-    }
-  }
-  return out;
-}
-
-std::string TopKChannel::describe() const {
-  std::ostringstream ss;
-  ss << "topk(k=" << k_ << ")";
-  return ss.str();
-}
-
-CompositeChannel::CompositeChannel(
-    std::vector<std::shared_ptr<const SimilarityChannel>> stages)
-    : stages_(std::move(stages)) {
-  if (stages_.empty()) throw std::invalid_argument("empty composite channel");
-  for (const auto& s : stages_) {
-    if (!s) throw std::invalid_argument("null stage in composite channel");
-  }
-}
-
-std::vector<int> CompositeChannel::apply(const std::vector<int>& exact,
-                                         util::Rng& rng) const {
-  std::vector<int> v = exact;
-  for (const auto& s : stages_) v = s->apply(v, rng);
-  return v;
-}
-
-bool CompositeChannel::deterministic() const {
-  return std::all_of(stages_.begin(), stages_.end(),
-                     [](const auto& s) { return s->deterministic(); });
-}
-
-std::string CompositeChannel::describe() const {
-  std::string out;
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    if (i) out += " -> ";
-    out += stages_[i]->describe();
-  }
-  return out;
 }
 
 std::shared_ptr<const SimilarityChannel> make_h3dfact_channel(
     std::size_t dim, int adc_bits, double sigma_frac, double clip_sigmas,
     double threshold_sigmas) {
   const double crosstalk = std::sqrt(static_cast<double>(dim));
-  std::vector<std::shared_ptr<const SimilarityChannel>> stages;
-  stages.push_back(std::make_shared<GaussianChannel>(sigma_frac * crosstalk));
-  stages.push_back(std::make_shared<ThresholdChannel>(threshold_sigmas * crosstalk));
-  // Rectified similarity path → unsigned ADC codes (Sec. IV-B).
-  stages.push_back(std::make_shared<AdcChannel>(adc_bits, clip_sigmas * crosstalk,
-                                                /*signed_range=*/false));
-  return std::make_shared<CompositeChannel>(std::move(stages));
+  return std::make_shared<H3dfactChannel>(sigma_frac * crosstalk,
+                                          threshold_sigmas * crosstalk,
+                                          adc_bits, clip_sigmas * crosstalk);
 }
 
 }  // namespace h3dfact::resonator

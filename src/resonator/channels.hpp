@@ -1,5 +1,5 @@
 #pragma once
-// Similarity-path channels (Sec. III-C, Sec. IV-B).
+// Similarity-path channel (Sec. III-C, Sec. IV-B).
 //
 // In hardware the similarity vector a = Xᵀu is read out of the RRAM crossbar
 // as an analog current and digitized by a SAR ADC. That path is noisy
@@ -34,102 +34,27 @@ class SimilarityChannel {
   [[nodiscard]] virtual std::string describe() const = 0;
 };
 
-/// Pass-through (ideal digital readout) — the deterministic baseline [9].
-class ExactChannel final : public SimilarityChannel {
+/// The H3DFact analog similarity path, in similarity counts: i.i.d.
+/// Gaussian read noise of stddev `sigma` (RRAM read noise / PVT, Fig. 2b)
+/// rounded to counts; a sense threshold zeroing |a| < `threshold` (the VTGT
+/// decision, sparsifying like [15]); then an `adc_bits`-bit unsigned
+/// mid-tread ADC over [0, clip] with 2^bits − 1 codes. Values within half a
+/// step of zero read as 0, so a coarse ADC sparsifies too (Fig. 6a). Each
+/// entry draws one gaussian, in entry order, even at sigma = 0.
+class H3dfactChannel final : public SimilarityChannel {
  public:
-  [[nodiscard]] std::vector<int> apply(const std::vector<int>& exact,
-                                       util::Rng& rng) const override;
-  [[nodiscard]] bool deterministic() const override { return true; }
-  [[nodiscard]] std::string describe() const override { return "exact"; }
-};
-
-/// Additive i.i.d. Gaussian noise with stddev `sigma` (in similarity counts):
-/// models aggregated RRAM read noise / PVT variation (Fig. 2b).
-class GaussianChannel final : public SimilarityChannel {
- public:
-  explicit GaussianChannel(double sigma);
+  H3dfactChannel(double sigma, double threshold, int adc_bits, double clip);
   [[nodiscard]] std::vector<int> apply(const std::vector<int>& exact,
                                        util::Rng& rng) const override;
   [[nodiscard]] std::string describe() const override;
-  [[nodiscard]] double sigma() const { return sigma_; }
 
  private:
   double sigma_;
-};
-
-/// Mid-tread uniform quantizer emulating a `bits`-bit SAR ADC. In signed
-/// mode the full scale covers ±clip; in unsigned mode (the H3DFact
-/// similarity path, whose activations are rectified) it covers [0, clip]
-/// with 2^bits − 1 positive codes. Values inside one step of zero quantize
-/// to 0 — coarse ADCs therefore *sparsify* the similarity vector, which is
-/// the quantization stochasticity exploited in Fig. 6a.
-class AdcChannel final : public SimilarityChannel {
- public:
-  AdcChannel(int bits, double clip, bool signed_range = true);
-  [[nodiscard]] std::vector<int> apply(const std::vector<int>& exact,
-                                       util::Rng& rng) const override;
-  [[nodiscard]] bool deterministic() const override { return true; }
-  [[nodiscard]] std::string describe() const override;
-
-  [[nodiscard]] int bits() const { return bits_; }
-  [[nodiscard]] double clip() const { return clip_; }
-  [[nodiscard]] int max_code() const { return max_code_; }
-  [[nodiscard]] bool signed_range() const { return signed_; }
-
-  /// Quantize one value to a code in [−max_code, max_code] (signed mode)
-  /// or [0, max_code] (unsigned mode).
-  [[nodiscard]] int quantize(double v) const;
-
- private:
+  double threshold_;
   int bits_;
   double clip_;
-  bool signed_;
-  int max_code_;
+  double max_code_;  ///< 2^bits − 1, the top ADC code
   double step_;
-};
-
-/// Zero out entries with |a| below `threshold` counts (sense-amp VTGT
-/// thresholding; sparsifies like [15]'s in-memory factorizer).
-class ThresholdChannel final : public SimilarityChannel {
- public:
-  explicit ThresholdChannel(double threshold);
-  [[nodiscard]] std::vector<int> apply(const std::vector<int>& exact,
-                                       util::Rng& rng) const override;
-  [[nodiscard]] bool deterministic() const override { return true; }
-  [[nodiscard]] std::string describe() const override;
-
- private:
-  double threshold_;
-};
-
-/// Keep only the k largest entries (winner-take-all sensing, an alternative
-/// sparsifying nonlinearity to the VTGT threshold; implementable with a
-/// current-mode WTA circuit instead of a fixed reference). Ties at the k-th
-/// value keep the lower index.
-class TopKChannel final : public SimilarityChannel {
- public:
-  explicit TopKChannel(std::size_t k);
-  [[nodiscard]] std::vector<int> apply(const std::vector<int>& exact,
-                                       util::Rng& rng) const override;
-  [[nodiscard]] bool deterministic() const override { return true; }
-  [[nodiscard]] std::string describe() const override;
-  [[nodiscard]] std::size_t k() const { return k_; }
-
- private:
-  std::size_t k_;
-};
-
-/// Applies a sequence of channels in order (e.g. Gaussian → ADC).
-class CompositeChannel final : public SimilarityChannel {
- public:
-  explicit CompositeChannel(std::vector<std::shared_ptr<const SimilarityChannel>> stages);
-  [[nodiscard]] std::vector<int> apply(const std::vector<int>& exact,
-                                       util::Rng& rng) const override;
-  [[nodiscard]] bool deterministic() const override;
-  [[nodiscard]] std::string describe() const override;
-
- private:
-  std::vector<std::shared_ptr<const SimilarityChannel>> stages_;
 };
 
 /// The H3DFact analog similarity path for dimension D: Gaussian read noise

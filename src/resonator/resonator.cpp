@@ -173,11 +173,11 @@ Lane start_lane(const hdc::CodebookSet& set, const ResonatorOptions& options,
 }
 
 /// The resonator loop. Steps every lane from iteration `start` in lockstep
-/// until it solves, cycles (with stop_on_cycle) or reaches the cap. Each
-/// factor's MVMs run as one engine pass across the live lanes and draw
-/// engine randomness from `device_rng`; everything else draws from the
-/// lane's own generator, so a lane's trajectory does not depend on its
-/// neighbours on an engine without per-call randomness.
+/// until it solves, cycles or reaches the cap. Each factor's MVMs run as
+/// one engine pass across the live lanes and draw engine randomness from
+/// `device_rng`; everything else draws from the lane's own generator, so a
+/// lane's trajectory does not depend on its neighbours on an engine without
+/// per-call randomness.
 void iterate(const hdc::CodebookSet& set, MvmEngine& engine,
              const ResonatorOptions& options, std::span<Lane> lanes,
              util::Rng& device_rng, std::size_t start,
@@ -311,7 +311,7 @@ void iterate(const hdc::CodebookSet& set, MvmEngine& engine,
       if (options.detect_limit_cycles && deterministic_run) {
         if (auto info = lane->cycles.observe(joint_hash(lane->est), t)) {
           lane->result.cycle = info;
-          if (options.stop_on_cycle) continue;
+          continue;
         }
       }
       if (snapshots.enabled() && t % snapshots.every == 0) {
@@ -431,7 +431,7 @@ std::uint64_t options_fingerprint(const ResonatorOptions& options) {
               sizeof threshold_bits);
   h.u64(threshold_bits);
   h.u64(options.detect_limit_cycles ? 1 : 0);
-  h.u64(options.stop_on_cycle ? 1 : 0);
+  h.u64(1);  // a cycle always stops the run; keeps stored digests valid
   h.u64(options.record_correct_trace ? 1 : 0);
   return h.digest();
 }

@@ -116,10 +116,9 @@ struct ResonatorOptions {
   bool clip_negative_similarity = true;
   /// Cosine(compose(decode), query) required to declare success.
   double success_threshold = 1.0;
-  /// Detect state revisits (meaningful only for deterministic dynamics).
+  /// Detect state revisits (meaningful only for deterministic dynamics) and
+  /// stop a run at the first limit cycle.
   bool detect_limit_cycles = true;
-  /// Stop as soon as a limit cycle is found (otherwise keep iterating).
-  bool stop_on_cycle = true;
   /// Record, per iteration, whether the decode matched the ground truth.
   bool record_correct_trace = false;
   /// Optional phase profiler (Fig. 1c), fed by single and batched runs

@@ -18,10 +18,6 @@ using sweep::Frame;
 using sweep::FrameKind;
 using sweep::WorkerChannel;
 
-namespace {
-constexpr int kClientHandshakeTimeoutMs = 60000;
-}  // namespace
-
 struct ServeClient::Impl {
   std::unique_ptr<WorkerChannel> ch;
   std::deque<sweep::FactorReplyFrame> buffered;
@@ -33,27 +29,7 @@ ServeClient::ServeClient(const std::string& addr, int retries, int retry_ms)
   const int fd = sweep::tcp_connect(addr, retries, retry_ms);
   impl_->ch = std::make_unique<WorkerChannel>(WorkerChannel::Kind::kTcp, fd,
                                               fd, -1, "serve:" + addr);
-  sweep::HelloFrame hello;
-  hello.role = static_cast<std::uint32_t>(sweep::PeerRole::kServeClient);
-  if (!impl_->ch->send(FrameKind::kHello, sweep::encode_hello(hello))) {
-    throw std::runtime_error("serve client: coordinator closed during hello");
-  }
-  std::optional<Frame> ack = impl_->ch->await_frame(kClientHandshakeTimeoutMs);
-  if (!ack) {
-    throw std::runtime_error("serve client: coordinator closed during hello");
-  }
-  if (ack->kind == FrameKind::kError) {
-    throw std::runtime_error("serve client: rejected: " + ack->payload);
-  }
-  if (ack->kind != FrameKind::kHelloAck) {
-    throw std::runtime_error("serve client: expected HelloAck, got frame " +
-                             std::to_string(static_cast<int>(ack->kind)));
-  }
-  const sweep::HelloFrame echoed = sweep::decode_hello(ack->payload);
-  if (echoed.magic != sweep::kProtocolMagic ||
-      echoed.version != sweep::kProtocolVersion) {
-    throw std::runtime_error("serve client: protocol mismatch in HelloAck");
-  }
+  sweep::dial_handshake(*impl_->ch, sweep::PeerRole::kServeClient);
 }
 
 ServeClient::~ServeClient() = default;

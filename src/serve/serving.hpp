@@ -193,7 +193,8 @@ sweep::BatchResultFrame solve_serve_batch(const WorkerSpace& space,
 /// then solve BatchTask frames until Shutdown/Drain/EOF. A non-empty
 /// `artifact_override` replaces the ServeInit's advertised artifact path —
 /// for hosts where the coordinator's path does not resolve. Returns the
-/// process exit code (0 success, nonzero protocol error).
+/// process exit code: 0 success, 2 on a failed handshake (a coordinator of
+/// another protocol version included), nonzero on other protocol errors.
 int serve_factor_worker(int in_fd, int out_fd,
                         const std::string& artifact_override = "");
 

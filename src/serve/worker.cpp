@@ -200,34 +200,14 @@ sweep::BatchResultFrame solve_serve_batch(const WorkerSpace& space,
 
 #if !defined(_WIN32)
 
-namespace {
-constexpr int kHandshakeTimeoutMs = 60000;
-}  // namespace
-
 int serve_factor_worker(int in_fd, int out_fd,
                         const std::string& artifact_override) {
   WorkerChannel ch(WorkerChannel::Kind::kStdio, in_fd, out_fd, -1,
                    "serve-coordinator");
-  sweep::HelloFrame hello;
-  hello.role = static_cast<std::uint32_t>(sweep::PeerRole::kServeWorker);
-  if (!ch.send(FrameKind::kHello, sweep::encode_hello(hello))) return 2;
-
-  std::optional<Frame> ack;
   try {
-    ack = ch.await_frame(kHandshakeTimeoutMs);
+    sweep::dial_handshake(ch, sweep::PeerRole::kServeWorker);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "[serve_worker] handshake failed: %s\n", e.what());
-    return 2;
-  }
-  if (!ack) return 2;
-  if (ack->kind == FrameKind::kError) {
-    std::fprintf(stderr, "[serve_worker] rejected by coordinator: %s\n",
-                 ack->payload.c_str());
-    return 2;
-  }
-  if (ack->kind != FrameKind::kHelloAck) {
-    std::fprintf(stderr, "[serve_worker] expected HelloAck, got frame %d\n",
-                 static_cast<int>(ack->kind));
     return 2;
   }
 

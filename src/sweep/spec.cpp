@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "resonator/channels.hpp"
+#include "resonator/resonator.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -76,6 +78,19 @@ Axis Axis::custom(std::string name, std::vector<AxisPoint> pts) {
   axis.name = std::move(name);
   axis.points = std::move(pts);
   return axis;
+}
+
+resonator::ResonatorNetwork make_h3dfact_cell(
+    std::shared_ptr<const hdc::CodebookSet> set, const Cell& cell) {
+  resonator::ResonatorOptions opts;
+  opts.max_iterations = cell.config.max_iterations;
+  opts.detect_limit_cycles = false;
+  opts.record_correct_trace = cell.config.record_correct_trace;
+  opts.channel = resonator::make_h3dfact_channel(
+      cell.config.dim, static_cast<int>(cell.param("adc_bits", 4)),
+      cell.param("sigma", 0.5), cell.param("clip", 4.0),
+      cell.param("theta", 1.5));
+  return resonator::ResonatorNetwork(std::move(set), std::move(opts));
 }
 
 std::uint64_t cell_seed(std::uint64_t master_seed, std::size_t cell_index) {

@@ -80,6 +80,12 @@ struct Axis {
 using CellFactory = std::function<resonator::ResonatorNetwork(
     std::shared_ptr<const hdc::CodebookSet>, const Cell&)>;
 
+/// CellFactory for grids parameterized by the standard H3DFact channel
+/// knobs in Cell::params — "adc_bits", "sigma", "clip", "theta" — with the
+/// paper's operating point as the default for any knob the grid omits.
+[[nodiscard]] resonator::ResonatorNetwork make_h3dfact_cell(
+    std::shared_ptr<const hdc::CodebookSet> set, const Cell& cell);
+
 /// The declarative grid: base config × axes (+ optional hooks).
 struct SweepSpec {
   /// Sweep name: labels emitted artifacts, and for registered grids it IS

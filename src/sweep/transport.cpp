@@ -327,41 +327,42 @@ void serve_pipe_worker(const SweepSpec& spec, unsigned cell_threads,
   }
 }
 
+void dial_handshake(WorkerChannel& ch, PeerRole role) {
+  HelloFrame hello;
+  hello.role = static_cast<std::uint32_t>(role);
+  if (!ch.send(FrameKind::kHello, encode_hello(hello))) {
+    throw std::runtime_error("'" + ch.label() + "' closed before Hello");
+  }
+  const std::optional<Frame> ack = ch.await_frame(kHelloTimeoutMs);
+  if (!ack) {
+    throw std::runtime_error("'" + ch.label() + "' closed before HelloAck");
+  }
+  if (ack->kind == FrameKind::kError) {
+    throw std::runtime_error("rejected by '" + ch.label() +
+                             "': " + ack->payload);
+  }
+  if (ack->kind != FrameKind::kHelloAck) {
+    throw std::runtime_error(
+        "expected HelloAck from '" + ch.label() + "', got frame " +
+        std::to_string(static_cast<int>(ack->kind)));
+  }
+  const HelloFrame peer = decode_hello(ack->payload);
+  if (peer.magic != kProtocolMagic || peer.version != kProtocolVersion) {
+    throw std::runtime_error(
+        "'" + ch.label() + "' speaks another protocol (coordinator v" +
+        std::to_string(peer.version) + ", this peer v" +
+        std::to_string(kProtocolVersion) + ")");
+  }
+}
+
 int serve_remote_worker(int in_fd, int out_fd,
                         unsigned cell_threads_override) {
   WorkerChannel ch(WorkerChannel::Kind::kStdio, in_fd, out_fd, -1,
                    "coordinator");
-  HelloFrame hello;
-  if (!ch.send(FrameKind::kHello, encode_hello(hello))) return 2;
-
-  // First inbound frame must be the coordinator's HelloAck.
-  std::optional<Frame> ack;
   try {
-    ack = ch.await_frame(kHelloTimeoutMs);
+    dial_handshake(ch, PeerRole::kSweepWorker);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "[sweep_worker] handshake failed: %s\n", e.what());
-    return 2;
-  }
-  if (!ack) return 2;
-  if (ack->kind == FrameKind::kError) {
-    std::fprintf(stderr, "[sweep_worker] rejected by coordinator: %s\n",
-                 ack->payload.c_str());
-    return 2;
-  }
-  if (ack->kind != FrameKind::kHelloAck) {
-    std::fprintf(stderr, "[sweep_worker] expected HelloAck, got frame %d\n",
-                 static_cast<int>(ack->kind));
-    return 2;
-  }
-  try {
-    const HelloFrame peer = decode_hello(ack->payload);
-    if (peer.magic != kProtocolMagic || peer.version != kProtocolVersion) {
-      std::fprintf(stderr, "[sweep_worker] coordinator protocol v%u != v%u\n",
-                   peer.version, kProtocolVersion);
-      return 2;
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "[sweep_worker] bad HelloAck: %s\n", e.what());
     return 2;
   }
 
@@ -769,7 +770,8 @@ int tcp_connect(const std::string& addr, int retries, int retry_ms) {
   addrinfo hints{};
   hints.ai_family = AF_UNSPEC;
   hints.ai_socktype = SOCK_STREAM;
-  for (int attempt = 0; attempt <= retries; ++attempt) {
+  // 64-bit count: retries may be INT_MAX.
+  for (long long attempt = 0; attempt <= retries; ++attempt) {
     addrinfo* res = nullptr;
     if (::getaddrinfo(host.c_str(), port.c_str(), &hints, &res) != 0) {
       res = nullptr;
@@ -792,7 +794,8 @@ int tcp_connect(const std::string& addr, int retries, int retry_ms) {
     }
   }
   throw std::runtime_error("cannot connect to sweep coordinator/worker at '" +
-                           addr + "' after " + std::to_string(retries + 1) +
+                           addr + "' after " +
+                           std::to_string(static_cast<long long>(retries) + 1) +
                            " attempts");
 }
 
@@ -816,6 +819,7 @@ namespace {
 }
 }  // namespace
 
+void dial_handshake(WorkerChannel&, PeerRole) { unsupported(); }
 void serve_pipe_worker(const SweepSpec&, unsigned, int, int) { unsupported(); }
 int serve_remote_worker(int, int, unsigned) { return 2; }
 

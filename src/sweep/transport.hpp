@@ -238,6 +238,14 @@ class CompositeTransport : public Transport {
 
 // --- worker side ------------------------------------------------------------
 
+/// Dial side of the version handshake, shared by sweep workers, serve
+/// workers and serve clients: send a Hello declaring `role`, then require
+/// the coordinator's HelloAck carrying this build's protocol magic and
+/// version. Throws std::runtime_error naming the reason: the peer closed or
+/// timed out, rejected the Hello, answered with another frame, or speaks
+/// another protocol.
+void dial_handshake(WorkerChannel& ch, PeerRole role);
+
 /// Serve loop for fork-pipe shards: execute Task frames against the
 /// in-memory `spec`, answer with Result/Error frames, exit on EOF. Never
 /// returns (calls _exit, keeping the forked child off the parent's

@@ -3,16 +3,15 @@
 //
 // Every user-supplied numeric token — CLI flags (util::Cli), sweep grid
 // params (sweep::param_i64/param_f64), JSON checkpoint numbers
-// (sweep/emit.cpp) — parses through these two functions. They accept a
+// (sweep/emit.cpp) — parses through these functions. They accept a
 // token if and only if the ENTIRE token is one number: no leading
 // whitespace (strtoll/strtod silently skip it), no trailing garbage
 // ("--trials=1e4" must not parse as 1), no empty tokens, no overflow.
 // Callers turn nullopt into a loud, context-named error.
 //
 // scripts/lint_invariants.py bans the raw strto*/ato*/sto* families
-// everywhere else in src/ so a new parse site cannot quietly reintroduce
-// the lenient behavior this file exists to kill (PR 6's silent-misparse
-// bug sweep).
+// everywhere else in src/, bench/ and examples/ so a new parse site cannot
+// quietly reintroduce the silent misparses this file exists to kill.
 
 #include <cctype>
 #include <cerrno>
@@ -51,6 +50,25 @@ inline std::optional<std::uint64_t> parse_u64(const std::string& token) {
   if (errno == ERANGE || end != token.c_str() + token.size()) {
     return std::nullopt;
   }
+  return parsed;
+}
+
+/// Strict parse of a whole decimal token, or of a whole hexadecimal one
+/// behind a "0x"/"0X" prefix (fingerprints print as hex).
+inline std::optional<std::uint64_t> parse_u64_dec_or_hex(
+    const std::string& token) {
+  if (token.rfind("0x", 0) != 0 && token.rfind("0X", 0) != 0) {
+    return parse_u64(token);
+  }
+  // Hex digits only: strtoull would also take a sign or a second "0x".
+  constexpr const char* kHexDigits = "0123456789abcdefABCDEF";
+  if (token.size() == 2 ||
+      token.find_first_not_of(kHexDigits, 2) != std::string::npos) {
+    return std::nullopt;
+  }
+  errno = 0;
+  const std::uint64_t parsed = std::strtoull(token.c_str() + 2, nullptr, 16);
+  if (errno == ERANGE) return std::nullopt;
   return parsed;
 }
 

@@ -20,152 +20,104 @@
 namespace {
 
 using namespace h3dfact;
-using resonator::AdcChannel;
-using resonator::ExactChannel;
 using resonator::FactorizationProblem;
-using resonator::GaussianChannel;
+using resonator::H3dfactChannel;
 using resonator::ProblemGenerator;
 using resonator::ResonatorNetwork;
 using resonator::ResonatorOptions;
-using resonator::ThresholdChannel;
 using util::Rng;
 
-TEST(Channels, ExactIsIdentity) {
-  Rng rng(1);
-  ExactChannel ch;
-  std::vector<int> a{3, -7, 0, 100};
-  EXPECT_EQ(ch.apply(a, rng), a);
-  EXPECT_TRUE(ch.deterministic());
+// The channel in one-count units: a 16-bit ADC clipped at 65535 has a step
+// of exactly one count, so with no threshold it passes nonnegative values
+// through and isolates the noise stage.
+H3dfactChannel noise_only(double sigma) {
+  return H3dfactChannel(sigma, 0.0, 16, 65535.0);
 }
 
 TEST(Channels, GaussianAddsCalibratedNoise) {
   Rng rng(2);
-  GaussianChannel ch(10.0);
-  std::vector<int> zeros(20000, 0);
-  auto out = ch.apply(zeros, rng);
+  const H3dfactChannel ch = noise_only(10.0);
+  std::vector<int> level(20000, 1000);  // far from the ADC's rails
+  auto out = ch.apply(level, rng);
   double mean = 0, var = 0;
   for (int v : out) mean += v;
   mean /= static_cast<double>(out.size());
   for (int v : out) var += (v - mean) * (v - mean);
   var /= static_cast<double>(out.size());
-  EXPECT_NEAR(mean, 0.0, 0.5);
+  EXPECT_NEAR(mean, 1000.0, 0.5);
   EXPECT_NEAR(std::sqrt(var), 10.0, 0.5);
   EXPECT_FALSE(ch.deterministic());
 }
 
 TEST(Channels, GaussianZeroSigmaIsExact) {
   Rng rng(3);
-  GaussianChannel ch(0.0);
-  std::vector<int> a{5, -3, 2};
-  EXPECT_EQ(ch.apply(a, rng), a);
+  std::vector<int> a{5, 3, 2, 0, 65535};
+  EXPECT_EQ(noise_only(0.0).apply(a, rng), a);
 }
 
-TEST(Channels, GaussianRejectsNegativeSigma) {
-  EXPECT_THROW(GaussianChannel(-1.0), std::invalid_argument);
+TEST(Channels, RejectsInvalidParams) {
+  EXPECT_THROW(H3dfactChannel(-1.0, 0.0, 4, 10.0), std::invalid_argument);
+  EXPECT_THROW(H3dfactChannel(0.0, -1.0, 4, 10.0), std::invalid_argument);
+  EXPECT_THROW(H3dfactChannel(0.0, 0.0, 0, 10.0), std::invalid_argument);
+  EXPECT_THROW(H3dfactChannel(0.0, 0.0, 17, 10.0), std::invalid_argument);
+  EXPECT_THROW(H3dfactChannel(0.0, 0.0, 4, 0.0), std::invalid_argument);
+}
+
+// At sigma = 0 the channel is threshold + ADC alone.
+TEST(Channels, ThresholdZeroesSmallEntries) {
+  Rng rng(4);
+  const H3dfactChannel ch(0.0, 10.0, 16, 65535.0);
+  std::vector<int> a{3, -9, 10, -11, 100};
+  // Negative survivors of the threshold rectify to code 0.
+  EXPECT_EQ(ch.apply(a, rng), (std::vector<int>{0, 0, 10, 0, 100}));
 }
 
 TEST(Channels, AdcQuantizesAndSaturates) {
-  AdcChannel adc(4, 70.0);  // max code 7, step 10
-  EXPECT_EQ(adc.max_code(), 7);
-  EXPECT_EQ(adc.quantize(0.0), 0);
-  EXPECT_EQ(adc.quantize(4.9), 0);   // below half step
-  EXPECT_EQ(adc.quantize(5.1), 1);
-  EXPECT_EQ(adc.quantize(-23.0), -2);
-  EXPECT_EQ(adc.quantize(1000.0), 7);   // saturation
-  EXPECT_EQ(adc.quantize(-1000.0), -7);
+  Rng rng(5);
+  const H3dfactChannel adc(0.0, 0.0, 4, 150.0);  // max code 15, step 10
+  std::vector<int> a{0, 4, 6, 23, 149, 1000, -1000};
+  EXPECT_EQ(adc.apply(a, rng), (std::vector<int>{0, 0, 1, 2, 15, 15, 0}));
+}
+
+TEST(Channels, ThresholdAppliesBeforeQuantization) {
+  Rng rng(5);
+  const H3dfactChannel ch(0.0, 20.0, 4, 150.0);  // step 10
+  // 15 alone would quantize to code 2; 40 / step 10 = 4 survives.
+  EXPECT_EQ(ch.apply({15, 40}, rng), (std::vector<int>{0, 4}));
 }
 
 TEST(Channels, AdcHigherBitsFinerSteps) {
-  AdcChannel a4(4, 128.0), a8(8, 128.0);
+  Rng rng(6);
+  const H3dfactChannel a4(0.0, 0.0, 4, 128.0), a8(0.0, 0.0, 8, 128.0);
   // 8-bit resolves a value that 4-bit flattens to zero.
-  EXPECT_EQ(a4.quantize(6.0), 0);
-  EXPECT_GT(a8.quantize(6.0), 0);
-}
-
-TEST(Channels, AdcInvalidParamsThrow) {
-  EXPECT_THROW(AdcChannel(0, 10.0), std::invalid_argument);
-  EXPECT_THROW(AdcChannel(17, 10.0), std::invalid_argument);
-  EXPECT_THROW(AdcChannel(4, 0.0), std::invalid_argument);
-}
-
-TEST(Channels, ThresholdZeroesSmallEntries) {
-  Rng rng(4);
-  ThresholdChannel ch(10.0);
-  std::vector<int> a{3, -9, 10, -11, 100};
-  auto out = ch.apply(a, rng);
-  EXPECT_EQ(out, (std::vector<int>{0, 0, 10, -11, 100}));
-}
-
-TEST(Channels, CompositeAppliesInOrder) {
-  Rng rng(5);
-  std::vector<std::shared_ptr<const resonator::SimilarityChannel>> stages;
-  stages.push_back(std::make_shared<ThresholdChannel>(5.0));
-  stages.push_back(std::make_shared<AdcChannel>(4, 70.0));
-  resonator::CompositeChannel comp(stages);
-  std::vector<int> a{3, 40};
-  auto out = comp.apply(a, rng);
-  EXPECT_EQ(out[0], 0);  // thresholded before quantization
-  EXPECT_EQ(out[1], 4);  // 40 / step10 = 4
-  EXPECT_TRUE(comp.deterministic());
+  EXPECT_EQ(a4.apply({4}, rng).front(), 0);
+  EXPECT_GT(a8.apply({4}, rng).front(), 0);
 }
 
 TEST(Channels, H3dfactFactoryComposition) {
   auto ch = resonator::make_h3dfact_channel(1024, 4, 1.0, 4.0);
   ASSERT_NE(ch, nullptr);
   EXPECT_FALSE(ch->deterministic());
-  EXPECT_NE(ch->describe().find("adc"), std::string::npos);
-  EXPECT_NE(ch->describe().find("gaussian"), std::string::npos);
+  EXPECT_EQ(ch->describe(),
+            "gaussian(sigma=32) -> threshold(theta=48) -> "
+            "adc(bits=4, clip=128, unsigned)");
 }
 
-TEST(Channels, TopKKeepsLargestEntries) {
-  Rng rng(6);
-  resonator::TopKChannel ch(2);
-  std::vector<int> a{5, -3, 9, 1, 9};
-  auto out = ch.apply(a, rng);
-  EXPECT_EQ(out, (std::vector<int>{0, 0, 9, 0, 9}));
-  EXPECT_TRUE(ch.deterministic());
-}
-
-TEST(Channels, TopKTieAtBoundaryKeepsExactlyK) {
+// Pins the channel's output stream: the paper-default channel at D = 1024
+// (sigma 16, threshold 48, 4-bit ADC over [0, 128]) on a fixed input and
+// generator must give these codes and consume exactly one gaussian per
+// entry. Any rewrite of the channel must keep both.
+TEST(Channels, H3dfactChannelOutputIsPinned) {
+  const std::vector<int> exact{-300, -48, 0,   12,  30,  47,  48,  60,
+                               75,   90,  110, 128, 140, 200, 512, 1024};
   Rng rng(7);
-  resonator::TopKChannel ch(2);
-  std::vector<int> a{4, 4, 4, 1};
-  auto out = ch.apply(a, rng);
-  int kept = 0;
-  for (int v : out) kept += (v != 0);
-  EXPECT_EQ(kept, 2);
-  EXPECT_EQ(out[0], 4);  // lower index wins the tie
-  EXPECT_EQ(out[1], 4);
-}
-
-TEST(Channels, TopKPassThroughWhenSmall) {
-  Rng rng(8);
-  resonator::TopKChannel ch(10);
-  std::vector<int> a{1, 2, 3};
-  EXPECT_EQ(ch.apply(a, rng), a);
-  EXPECT_THROW(resonator::TopKChannel(0), std::invalid_argument);
-}
-
-TEST(Channels, TopKSolvesAsAlternativeSparsifier) {
-  // WTA sensing is a drop-in alternative to the VTGT threshold.
-  Rng rng(9);
-  ProblemGenerator gen(1024, 3, 64, rng);
-  ResonatorOptions opts;
-  opts.max_iterations = 3000;
-  opts.detect_limit_cycles = false;
-  std::vector<std::shared_ptr<const resonator::SimilarityChannel>> stages;
-  stages.push_back(std::make_shared<GaussianChannel>(16.0));
-  stages.push_back(std::make_shared<resonator::TopKChannel>(4));
-  opts.channel = std::make_shared<resonator::CompositeChannel>(std::move(stages));
-  ResonatorNetwork net(gen.codebooks_ptr(), opts);
-  int ok = 0;
-  for (int i = 0; i < 10; ++i) {
-    Rng trial(7000 + i);
-    auto p = gen.sample(trial);
-    auto r = net.run(p, trial);
-    ok += (r.solved && p.is_correct(r.decoded));
-  }
-  EXPECT_GE(ok, 8);
+  const auto ch = resonator::make_h3dfact_channel(1024);
+  EXPECT_EQ(ch->apply(exact, rng),
+            (std::vector<int>{0, 0, 0, 0, 8, 0, 6, 7, 10, 12, 13, 13, 15, 15,
+                              15, 15}));
+  Rng fresh(7);
+  for (std::size_t i = 0; i < exact.size(); ++i) (void)fresh.gaussian();
+  EXPECT_EQ(rng.save_state(), fresh.save_state());
 }
 
 TEST(LimitCycleDetector, DetectsRevisit) {
@@ -466,28 +418,30 @@ TEST(TrialRunner, ZeroTrialsThrows) {
 class AdcMonotoneSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(AdcMonotoneSweep, CodesMonotoneInInput) {
-  AdcChannel adc(GetParam(), 128.0, /*signed_range=*/false);
-  int prev = 0;
-  for (int v = 0; v <= 200; v += 3) {
-    const int code = adc.quantize(v);
-    EXPECT_GE(code, prev);
-    prev = code;
+  const H3dfactChannel adc(0.0, 0.0, GetParam(), 128.0);
+  Rng rng(800 + GetParam());
+  std::vector<int> ramp;
+  for (int v = 0; v <= 200; v += 3) ramp.push_back(v);
+  const std::vector<int> codes = adc.apply(ramp, rng);
+  for (std::size_t i = 1; i < codes.size(); ++i) {
+    EXPECT_GE(codes[i], codes[i - 1]);
   }
-  EXPECT_EQ(adc.quantize(1000.0), adc.max_code());
+  EXPECT_EQ(adc.apply({1000}, rng).front(), (1 << GetParam()) - 1);
 }
 
 TEST_P(AdcMonotoneSweep, ScaleInvarianceOfArgmax) {
   // The resonator decode relies on argmax; quantization must never promote
   // a smaller similarity above a larger one.
-  AdcChannel adc(GetParam(), 96.0, /*signed_range=*/false);
+  const H3dfactChannel adc(0.0, 0.0, GetParam(), 96.0);
   Rng rng(900 + GetParam());
   for (int trial = 0; trial < 200; ++trial) {
-    const double a = rng.uniform(0.0, 150.0);
-    const double b = rng.uniform(0.0, 150.0);
+    const int a = static_cast<int>(rng.below(151));
+    const int b = static_cast<int>(rng.below(151));
+    const std::vector<int> codes = adc.apply({a, b}, rng);
     if (a >= b) {
-      EXPECT_GE(adc.quantize(a), adc.quantize(b));
+      EXPECT_GE(codes[0], codes[1]);
     } else {
-      EXPECT_LE(adc.quantize(a), adc.quantize(b));
+      EXPECT_LE(codes[0], codes[1]);
     }
   }
 }

@@ -1,6 +1,7 @@
 // Serving-layer tests (docs/serving.md): the serve wire frames round-trip
 // and reject truncation, the encode side enforces the same frame cap the
-// parser does, and a real ServeCoordinator + serve-worker fleet on TCP
+// parser does, a serve worker refuses a coordinator of another protocol
+// version, and a real ServeCoordinator + serve-worker fleet on TCP
 // loopback serves requests bit-identically to sequential solves, absorbs
 // late-joining workers, requeues batches off wedged workers within the
 // configured deadline, drops malformed clients without dying, and drains
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -24,6 +26,10 @@
 #include "sweep/protocol.hpp"
 #include "sweep/transport.hpp"
 #include "util/rng.hpp"
+
+#if !defined(_WIN32)
+#include <sys/socket.h>
+#endif
 
 namespace {
 
@@ -257,6 +263,32 @@ SequentialRef sequential_solve(const serve::ServeConfig& cfg, std::uint64_t t,
   ref.result = net.run(problem, r);
   ref.correct = problem.is_correct(ref.result.decoded);
   return ref;
+}
+
+// --- handshake --------------------------------------------------------------
+
+// A serve worker refuses a coordinator of another protocol version instead
+// of binding to it: a fake coordinator answers the Hello with a HelloAck
+// one version ahead, and the worker exits with the handshake failure code.
+TEST(ServeWorker, RejectsCoordinatorOfAnotherProtocolVersion) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  int exit_code = -1;
+  std::thread worker([&exit_code, fd = fds[0]]() {
+    exit_code = serve::serve_factor_worker(fd, fd);
+  });
+  {
+    sweep::WorkerChannel fake(sweep::WorkerChannel::Kind::kTcp, fds[1],
+                              fds[1], -1, "fake-coordinator");
+    const std::optional<sweep::Frame> hello = fake.await_frame(30000);
+    EXPECT_TRUE(hello && hello->kind == sweep::FrameKind::kHello);
+    sweep::HelloFrame ack;
+    ack.version = sweep::kProtocolVersion + 1;
+    EXPECT_TRUE(
+        fake.send(sweep::FrameKind::kHelloAck, sweep::encode_hello(ack)));
+  }  // closing the fake ends a worker that accepted the ack
+  worker.join();
+  EXPECT_EQ(exit_code, 2);
 }
 
 // --- end to end -------------------------------------------------------------

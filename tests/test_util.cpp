@@ -375,6 +375,23 @@ TEST(Parse, RejectsPartialEmptyAndOverflowTokens) {
   EXPECT_FALSE(parse_u64(" 14"));
 }
 
+// Fingerprints print as hex; `std::stoull(s, nullptr, 0)` used to accept a
+// correct one with trailing garbage.
+TEST(Parse, DecOrHexAcceptsOnlyWholeTokens) {
+  using h3dfact::util::parse_u64_dec_or_hex;
+  EXPECT_EQ(parse_u64_dec_or_hex("42").value(), 42u);
+  EXPECT_EQ(parse_u64_dec_or_hex("0x2A").value(), 42u);
+  EXPECT_EQ(parse_u64_dec_or_hex("0Xffffffffffffffff").value(),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_FALSE(parse_u64_dec_or_hex("0x2AZZZ"));
+  EXPECT_FALSE(parse_u64_dec_or_hex("0x"));
+  EXPECT_FALSE(parse_u64_dec_or_hex("0x0x2A"));
+  EXPECT_FALSE(parse_u64_dec_or_hex("0x-1"));
+  EXPECT_FALSE(parse_u64_dec_or_hex("0x10000000000000000"));  // overflow
+  EXPECT_FALSE(parse_u64_dec_or_hex("2A"));  // hex needs the prefix
+  EXPECT_FALSE(parse_u64_dec_or_hex("-1"));
+}
+
 // strtoll/strtod silently skip leading whitespace, so " 14" used to parse
 // as 14 through both Cli and the grid params; the choke point rejects it.
 TEST(Parse, RejectsLeadingWhitespaceThatStrtollAccepts) {
