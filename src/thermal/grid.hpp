@@ -44,7 +44,7 @@ struct LayerTemps {
 /// Solution of one solve() call.
 struct ThermalSolution {
   std::vector<LayerTemps> layers;
-  std::size_t sweeps = 0;
+  std::size_t sweeps = 0;  ///< SOR sweeps that ran (at most max_sweeps)
   double residual_C = 0.0;
   bool converged = false;
 
@@ -55,12 +55,18 @@ struct ThermalSolution {
 /// The solver.
 class ThermalGrid {
  public:
+  /// Throws std::invalid_argument for an empty stack or grid, a layer
+  /// without positive thickness and conductivity or with a power map of the
+  /// wrong size, and a config the solver cannot solve (the message names
+  /// the field).
   ThermalGrid(GridConfig config, std::vector<Layer> layers);
 
   [[nodiscard]] const GridConfig& config() const { return config_; }
   [[nodiscard]] std::size_t layer_count() const { return layers_.size(); }
 
-  /// Steady-state solve; deterministic for a given configuration.
+  /// Steady-state solve: Gauss-Seidel SOR, swept in wavefront order and
+  /// bit-identical to the lexicographic sweep; deterministic for a given
+  /// configuration.
   [[nodiscard]] ThermalSolution solve() const;
 
   /// Total injected power (W) — sanity check against the design's budget.
