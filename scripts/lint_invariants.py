@@ -30,6 +30,15 @@ perfbench/, the benchmark harness):
                in src/util/hash.hpp. Every digest hashes through
                util::Fnv1a (or its kFnvOffset/kFnvPrime constants), so
                the repo keeps one FNV-1a instead of hand-rolled copies.
+  raw-le       Byte-shift codec loops (`<< (8 * i)` / `>> (8 * i)`) may
+               appear only in src/util/bytes.hpp and src/util/hash.hpp.
+               The wire protocol and the artifact payloads read and write
+               through the one util::ByteReader / put_* codec, which
+               bounds every read.
+  raw-thread   std::thread / std::jthread may appear only in
+               src/util/sync.hpp (util::run_workers) and the kernel pool
+               (src/hdc/kernels/thread_pool.*); std::thread::
+               hardware_concurrency stays allowed everywhere.
   pragma-once  Every header opens with #pragma once as its first
                non-comment line.
 
@@ -81,6 +90,16 @@ RAW_IO_ALLOW_PREFIXES = ("src/io/",)
 
 # The one file where the FNV-1a constants may be spelled out.
 FNV_ALLOWLIST = {"src/util/hash.hpp"}
+
+# The byte codec and the hash that folds u64s byte by byte.
+LE_ALLOWLIST = {"src/util/bytes.hpp", "src/util/hash.hpp"}
+
+# The scoped spawn (util::run_workers) and the persistent kernel pool.
+THREAD_ALLOWLIST = {
+    "src/hdc/kernels/thread_pool.cpp",
+    "src/hdc/kernels/thread_pool.hpp",
+    "src/util/sync.hpp",
+}
 
 RULES = [
     {
@@ -149,6 +168,24 @@ RULES = [
         "allow": FNV_ALLOWLIST,
         "message": "FNV-1a constant outside src/util/hash.hpp; hash through "
                    "util::Fnv1a (or util::kFnvOffset/kFnvPrime)",
+    },
+    {
+        "id": "raw-le",
+        "pattern": re.compile(
+            r"(?:<<|>>)\s*\(\s*(?:8\s*\*\s*\w+|\w+\s*\*\s*8)\s*\)"),
+        "allow": LE_ALLOWLIST,
+        "message": "byte-shift codec loop outside src/util/bytes.hpp; encode "
+                   "with util::put_* and decode with util::ByteReader or "
+                   "util::load_u32/load_u64",
+    },
+    {
+        "id": "raw-thread",
+        "pattern": re.compile(
+            r"(?<![\w:])std\s*::\s*j?thread\b"
+            r"(?!\s*::\s*hardware_concurrency)"),
+        "allow": THREAD_ALLOWLIST,
+        "message": "raw std::thread outside src/util/sync.hpp; spawn scoped "
+                   "workers with util::run_workers",
     },
 ]
 

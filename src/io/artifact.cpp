@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <utility>
 
@@ -28,124 +27,8 @@ std::string section_kind_name(std::uint32_t kind) {
   return "unknown(" + std::to_string(kind) + ")";
 }
 
-// --- payload scalar codecs --------------------------------------------------
-
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_f64(std::string& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  put_u64(out, bits);
-}
-
-void put_str(std::string& out, std::string_view s) {
-  put_u64(out, s.size());
-  out.append(s);
-}
-
-namespace {
-
-std::uint32_t get_u32(const char* data, std::size_t pos) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(
-             data[pos + static_cast<std::size_t>(i)]))
-         << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(const char* data, std::size_t pos) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(
-             data[pos + static_cast<std::size_t>(i)]))
-         << (8 * i);
-  }
-  return v;
-}
-
-}  // namespace
-
-void PayloadReader::need(std::size_t n) const {
-  if (pos_ + n > len_) {
-    throw ArtifactError(path_, section_ + ": truncated payload (need " +
-                                    std::to_string(n) + " bytes at offset " +
-                                    std::to_string(pos_) + " of " +
-                                    std::to_string(len_) + ")");
-  }
-}
-
-std::uint8_t PayloadReader::u8() {
-  need(1);
-  return static_cast<std::uint8_t>(data_[pos_++]);
-}
-
-std::uint32_t PayloadReader::u32() {
-  need(4);
-  const std::uint32_t v = get_u32(data_, pos_);
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t PayloadReader::u64() {
-  need(8);
-  const std::uint64_t v = get_u64(data_, pos_);
-  pos_ += 8;
-  return v;
-}
-
-double PayloadReader::f64() {
-  const std::uint64_t bits = u64();
-  double v;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
-}
-
-std::string PayloadReader::str() {
-  const std::uint64_t n = u64();
-  if (n > len_) {
-    throw ArtifactError(path_, section_ + ": string length " +
-                                    std::to_string(n) +
-                                    " exceeds the section payload");
-  }
-  need(static_cast<std::size_t>(n));
-  std::string s(data_ + pos_, static_cast<std::size_t>(n));
-  pos_ += static_cast<std::size_t>(n);
-  return s;
-}
-
-std::vector<std::uint64_t> PayloadReader::words(std::size_t n) {
-  need(n * 8);
-  std::vector<std::uint64_t> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(get_u64(data_, pos_));
-    pos_ += 8;
-  }
-  return out;
-}
-
-void PayloadReader::expect_exhausted() {
-  if (!exhausted()) {
-    throw ArtifactError(path_, section_ + ": " +
-                                    std::to_string(len_ - pos_) +
-                                    " trailing payload byte(s)");
-  }
+void PayloadReader::fail(const std::string& detail) const {
+  throw ArtifactError(path_, section_ + ": " + detail);
 }
 
 // --- writing ----------------------------------------------------------------
@@ -172,22 +55,23 @@ std::string ArtifactWriter::serialize() const {
   table.reserve(table_bytes);
   for (std::size_t i = 0; i < sections_.size(); ++i) {
     const Pending& s = sections_[i];
-    put_u32(table, static_cast<std::uint32_t>(s.kind));
-    put_u32(table, s.version);
-    put_u64(table, offsets[i]);
-    put_u64(table, s.payload.size());
-    put_u64(table,
-            util::Fnv1a().bytes(s.payload.data(), s.payload.size()).digest());
+    util::put_u32(table, static_cast<std::uint32_t>(s.kind));
+    util::put_u32(table, s.version);
+    util::put_u64(table, offsets[i]);
+    util::put_u64(table, s.payload.size());
+    const std::uint64_t digest =
+        util::Fnv1a().bytes(s.payload.data(), s.payload.size()).digest();
+    util::put_u64(table, digest);
   }
 
   std::string out;
   out.reserve(static_cast<std::size_t>(file_bytes));
-  put_u32(out, kArtifactMagic);
-  put_u32(out, kFormatVersion);
-  put_u32(out, static_cast<std::uint32_t>(sections_.size()));
-  put_u32(out, 0);  // flags, reserved
-  put_u64(out, file_bytes);
-  put_u64(out, util::Fnv1a().bytes(table.data(), table.size()).digest());
+  util::put_u32(out, kArtifactMagic);
+  util::put_u32(out, kFormatVersion);
+  util::put_u32(out, static_cast<std::uint32_t>(sections_.size()));
+  util::put_u32(out, 0);  // flags, reserved
+  util::put_u64(out, file_bytes);
+  util::put_u64(out, util::Fnv1a().bytes(table.data(), table.size()).digest());
   out.resize(kHeaderBytes, '\0');
   out += table;
   for (std::size_t i = 0; i < sections_.size(); ++i) {
@@ -321,22 +205,22 @@ void Artifact::parse_and_verify() {
     throw ArtifactError(path_, "file too small for the 64-byte header (" +
                                    std::to_string(len_) + " bytes)");
   }
-  const std::uint32_t magic = get_u32(data_, 0);
+  const std::uint32_t magic = util::load_u32(data_);
   if (magic != kArtifactMagic) {
     throw ArtifactError(path_, "bad magic (not an H3DA artifact)");
   }
-  const std::uint32_t version = get_u32(data_, 4);
+  const std::uint32_t version = util::load_u32(data_ + 4);
   if (version != kFormatVersion) {
     throw ArtifactError(path_, "unsupported format version " +
                                    std::to_string(version) + " (reader is v" +
                                    std::to_string(kFormatVersion) + ")");
   }
-  const std::uint32_t count = get_u32(data_, 8);
-  const std::uint32_t flags = get_u32(data_, 12);
+  const std::uint32_t count = util::load_u32(data_ + 8);
+  const std::uint32_t flags = util::load_u32(data_ + 12);
   if (flags != 0) {
     throw ArtifactError(path_, "nonzero reserved flags field");
   }
-  const std::uint64_t file_bytes = get_u64(data_, 16);
+  const std::uint64_t file_bytes = util::load_u64(data_ + 16);
   if (file_bytes != len_) {
     throw ArtifactError(path_, "header says " + std::to_string(file_bytes) +
                                    " bytes, file has " + std::to_string(len_) +
@@ -354,7 +238,7 @@ void Artifact::parse_and_verify() {
     throw ArtifactError(path_, "section table (" + std::to_string(count) +
                                    " entries) exceeds the file");
   }
-  const std::uint64_t table_digest = get_u64(data_, 24);
+  const std::uint64_t table_digest = util::load_u64(data_ + 24);
   const std::uint64_t actual_table_digest =
       util::Fnv1a()
           .bytes(data_ + kHeaderBytes, static_cast<std::size_t>(table_bytes))
@@ -370,11 +254,11 @@ void Artifact::parse_and_verify() {
     const std::size_t base =
         kHeaderBytes + static_cast<std::size_t>(i) * kSectionEntryBytes;
     SectionInfo s;
-    s.kind = get_u32(data_, base);
-    s.version = get_u32(data_, base + 4);
-    s.offset = get_u64(data_, base + 8);
-    s.bytes = get_u64(data_, base + 16);
-    s.digest = get_u64(data_, base + 24);
+    s.kind = util::load_u32(data_ + base);
+    s.version = util::load_u32(data_ + base + 4);
+    s.offset = util::load_u64(data_ + base + 8);
+    s.bytes = util::load_u64(data_ + base + 16);
+    s.digest = util::load_u64(data_ + base + 24);
     const std::string label =
         "section " + std::to_string(i) + " (" + section_kind_name(s.kind) + ")";
     if (s.offset % kSectionAlign != 0) {
@@ -428,8 +312,18 @@ std::string_view Artifact::section_bytes(const SectionInfo& s) const {
   return std::string_view(data_ + s.offset, static_cast<std::size_t>(s.bytes));
 }
 
+void Artifact::require_known_version(const SectionInfo& s) const {
+  if (s.version != kSectionVersion) {
+    throw ArtifactError(path_, "section " + section_kind_name(s.kind) +
+                                   ": unsupported section version " +
+                                   std::to_string(s.version) + " (reader is v" +
+                                   std::to_string(kSectionVersion) + ")");
+  }
+}
+
 const std::uint64_t* Artifact::section_words(const SectionInfo& s,
                                              std::size_t* n_words) const {
+  require_known_version(s);
   if constexpr (std::endian::native != std::endian::little) {
     throw ArtifactError(path_, "direct word views need a little-endian host "
                                "(artifacts are little-endian on disk)");
@@ -448,6 +342,7 @@ const std::uint64_t* Artifact::section_words(const SectionInfo& s,
 }
 
 PayloadReader Artifact::reader(const SectionInfo& s) const {
+  require_known_version(s);
   return PayloadReader(section_bytes(s), path_, section_kind_name(s.kind));
 }
 

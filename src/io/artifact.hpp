@@ -32,7 +32,10 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
+
+#include "util/bytes.hpp"
 
 namespace h3dfact::io {
 
@@ -43,6 +46,10 @@ inline constexpr std::uint32_t kArtifactMagic = 0x41443348u;
 /// layout changes; section payload layouts version independently through
 /// each section's `version` field (see docs/serialization.md).
 inline constexpr std::uint32_t kFormatVersion = 1;
+
+/// Payload layout version of every section kind this reader decodes; a
+/// section carrying any other version is refused (docs/serialization.md).
+inline constexpr std::uint32_t kSectionVersion = 1;
 
 /// Every section payload starts at a multiple of this (zero-copy mmap).
 inline constexpr std::size_t kSectionAlign = 64;
@@ -89,43 +96,18 @@ struct SectionInfo {
   std::uint64_t digest = 0;
 };
 
-// --- payload scalar codecs --------------------------------------------------
-// Byte-wise little-endian, so encode/decode are endian-correct on any host.
-
-void put_u8(std::string& out, std::uint8_t v);
-void put_u32(std::string& out, std::uint32_t v);
-void put_u64(std::string& out, std::uint64_t v);
-void put_f64(std::string& out, double v);
-void put_str(std::string& out, std::string_view s);
-
-/// Sequential reader over a section payload. Every accessor throws
-/// ArtifactError past the end, so truncated payloads surface as typed
-/// errors rather than out-of-bounds reads.
-class PayloadReader {
+/// util::ByteReader over one section payload whose failures throw
+/// ArtifactError naming the file and the section.
+class PayloadReader : public util::ByteReader {
  public:
   PayloadReader(std::string_view bytes, std::string path, std::string section)
-      : data_(bytes.data()),
-        len_(bytes.size()),
+      : ByteReader(bytes, ""),
         path_(std::move(path)),
         section_(std::move(section)) {}
 
-  std::uint8_t u8();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  double f64();
-  std::string str();
-  /// Copy `n` u64 words out of the payload.
-  std::vector<std::uint64_t> words(std::size_t n);
-  [[nodiscard]] bool exhausted() const { return pos_ == len_; }
-  /// Throw unless every byte was consumed (strict decoders call this last).
-  void expect_exhausted();
-
  private:
-  void need(std::size_t n) const;
+  [[noreturn]] void fail(const std::string& detail) const override;
 
-  const char* data_;
-  std::size_t len_;
-  std::size_t pos_ = 0;
   std::string path_;
   std::string section_;
 };
@@ -140,7 +122,7 @@ class ArtifactWriter {
  public:
   /// Append one section. Payload bytes are taken verbatim.
   void add_section(SectionKind kind, std::string payload,
-                   std::uint32_t version = 1);
+                   std::uint32_t version = kSectionVersion);
 
   /// Serialize the container to a byte string (the exact file contents).
   [[nodiscard]] std::string serialize() const;
@@ -199,18 +181,21 @@ class Artifact {
   /// Raw payload bytes of a section (borrowed from this artifact).
   [[nodiscard]] std::string_view section_bytes(const SectionInfo& s) const;
 
-  /// Payload as aligned u64 words; ArtifactError unless bytes % 8 == 0.
-  /// For mmap-backed loads the pointer aims straight into the mapping.
+  /// Payload as aligned u64 words; ArtifactError unless bytes % 8 == 0 and
+  /// the version is kSectionVersion. For mmap-backed loads the pointer aims
+  /// straight into the mapping.
   [[nodiscard]] const std::uint64_t* section_words(const SectionInfo& s,
                                                   std::size_t* n_words) const;
 
   /// A PayloadReader over a section, pre-labelled with path + kind for
-  /// field-named truncation errors.
+  /// field-named truncation errors; ArtifactError unless the section
+  /// version is kSectionVersion.
   [[nodiscard]] PayloadReader reader(const SectionInfo& s) const;
 
  private:
   Artifact() = default;
   void parse_and_verify();
+  void require_known_version(const SectionInfo& s) const;
 
   std::string path_;
   // Heap backing is a u64 vector (not a string) so the byte image is

@@ -1,8 +1,11 @@
 #include "io/codec.hpp"
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
+
+#include "util/bytes.hpp"
 
 namespace h3dfact::io {
 
@@ -10,23 +13,21 @@ namespace h3dfact::io {
 
 void add_codebook_set(ArtifactWriter& writer, const hdc::CodebookSet& set) {
   std::string meta;
-  put_u64(meta, set.dim());
-  put_u64(meta, set.factors());
-  put_u64(meta, hdc::set_fingerprint(set));
+  util::put_u64(meta, set.dim());
+  util::put_u64(meta, set.factors());
+  util::put_u64(meta, hdc::set_fingerprint(set));
   for (std::size_t f = 0; f < set.factors(); ++f) {
     const hdc::Codebook& book = set.book(f);
-    put_u64(meta, book.size());
-    put_str(meta, book.name());
+    util::put_u64(meta, book.size());
+    util::put_str(meta, book.name());
   }
   writer.add_section(SectionKind::kCodebookSetMeta, std::move(meta));
 
   for (std::size_t f = 0; f < set.factors(); ++f) {
     const hdc::Codebook& book = set.book(f);
     std::string words;
-    const std::size_t n = book.size() * book.words_per_row();
-    words.reserve(n * 8);
-    const std::uint64_t* rows = book.packed_data();
-    for (std::size_t w = 0; w < n; ++w) put_u64(words, rows[w]);
+    util::put_words(words, book.packed_data(),
+                    book.size() * book.words_per_row());
     writer.add_section(SectionKind::kCodebookWords, std::move(words));
   }
 }
@@ -49,7 +50,8 @@ LoadedCodebookSet load_codebook_set(Artifact artifact) {
       artifact.require_one(SectionKind::kCodebookSetMeta);
   PayloadReader meta = artifact.reader(meta_info);
   const std::uint64_t dim = meta.u64();
-  const std::uint64_t factors = meta.u64();
+  // Each factor's entry is a u64 size and a u64-prefixed name.
+  const std::size_t factors = meta.count(16);
   const std::uint64_t fingerprint = meta.u64();
   if (dim == 0 || factors == 0) {
     throw ArtifactError(path, "codebook-set-meta: zero dim or factor count");
@@ -59,8 +61,8 @@ LoadedCodebookSet load_codebook_set(Artifact artifact) {
     std::string name;
   };
   std::vector<BookMeta> book_meta;
-  book_meta.reserve(static_cast<std::size_t>(factors));
-  for (std::uint64_t f = 0; f < factors; ++f) {
+  book_meta.reserve(factors);
+  for (std::size_t f = 0; f < factors; ++f) {
     BookMeta bm;
     bm.size = meta.u64();
     bm.name = meta.str();
@@ -83,8 +85,8 @@ LoadedCodebookSet load_codebook_set(Artifact artifact) {
   const std::size_t per_row = (static_cast<std::size_t>(dim) + 63) / 64;
   auto holder = std::make_shared<CodebookHolder>(std::move(artifact));
   std::vector<hdc::Codebook> books;
-  books.reserve(static_cast<std::size_t>(factors));
-  for (std::uint64_t f = 0; f < factors; ++f) {
+  books.reserve(factors);
+  for (std::size_t f = 0; f < factors; ++f) {
     std::size_t n_words = 0;
     const std::uint64_t* words =
         holder->artifact.section_words(*word_sections[f], &n_words);
@@ -129,17 +131,17 @@ LoadedCodebookSet load_codebook_set(const std::string& path, LoadMode mode) {
 
 void add_item_memory(ArtifactWriter& writer, const hdc::ItemMemory& memory) {
   std::string meta;
-  put_u64(meta, memory.dim());
-  put_u64(meta, memory.size());
+  util::put_u64(meta, memory.dim());
+  util::put_u64(meta, memory.size());
   for (std::size_t i = 0; i < memory.size(); ++i) {
-    put_str(meta, memory.label(i));
+    util::put_str(meta, memory.label(i));
   }
   writer.add_section(SectionKind::kItemMemoryMeta, std::move(meta));
 
   std::string words;
   for (std::size_t i = 0; i < memory.size(); ++i) {
     const hdc::BipolarVector& v = memory.vector(i);
-    for (std::size_t w = 0; w < v.words(); ++w) put_u64(words, v.data()[w]);
+    util::put_words(words, v.data(), v.words());
   }
   writer.add_section(SectionKind::kItemMemoryWords, std::move(words));
 }
@@ -149,10 +151,10 @@ hdc::ItemMemory load_item_memory(const Artifact& artifact) {
   PayloadReader meta =
       artifact.reader(artifact.require_one(SectionKind::kItemMemoryMeta));
   const std::uint64_t dim = meta.u64();
-  const std::uint64_t n_items = meta.u64();
+  const std::size_t n_items = meta.count(8);  // u64-prefixed labels
   std::vector<std::string> labels;
-  labels.reserve(static_cast<std::size_t>(n_items));
-  for (std::uint64_t i = 0; i < n_items; ++i) labels.push_back(meta.str());
+  labels.reserve(n_items);
+  for (std::size_t i = 0; i < n_items; ++i) labels.push_back(meta.str());
   meta.expect_exhausted();
 
   const SectionInfo& words_info =
@@ -160,7 +162,7 @@ hdc::ItemMemory load_item_memory(const Artifact& artifact) {
   std::size_t n_words = 0;
   const std::uint64_t* words = artifact.section_words(words_info, &n_words);
   const std::size_t per_item = (static_cast<std::size_t>(dim) + 63) / 64;
-  if (n_words != static_cast<std::size_t>(n_items) * per_item) {
+  if (n_words != n_items * per_item) {
     throw ArtifactError(path, "item-memory-words holds " +
                                   std::to_string(n_words) +
                                   " words, expected " +
@@ -168,8 +170,8 @@ hdc::ItemMemory load_item_memory(const Artifact& artifact) {
   }
 
   hdc::ItemMemory memory(static_cast<std::size_t>(dim));
-  for (std::uint64_t i = 0; i < n_items; ++i) {
-    memory.add(labels[static_cast<std::size_t>(i)],
+  for (std::size_t i = 0; i < n_items; ++i) {
+    memory.add(labels[i],
                hdc::BipolarVector::from_words(
                    static_cast<std::size_t>(dim), words + i * per_item,
                    per_item));
@@ -184,38 +186,34 @@ void add_resonator_snapshot(ArtifactWriter& writer,
   const std::size_t dim = snapshot.query.dim();
   const std::size_t factors = snapshot.estimates.size();
   std::string out;
-  put_u64(out, dim);
-  put_u64(out, factors);
-  put_u64(out, snapshot.codebook_fingerprint);
-  put_u64(out, snapshot.options_digest);
-  put_u64(out, snapshot.iteration);
-  put_u8(out, snapshot.ground_truth_known ? 1 : 0);
-  put_u64(out, snapshot.ground_truth.size());
-  for (std::size_t idx : snapshot.ground_truth) put_u64(out, idx);
-  put_f64(out, snapshot.query_noise);
-  for (std::size_t w = 0; w < snapshot.query.words(); ++w) {
-    put_u64(out, snapshot.query.data()[w]);
-  }
+  util::put_u64(out, dim);
+  util::put_u64(out, factors);
+  util::put_u64(out, snapshot.codebook_fingerprint);
+  util::put_u64(out, snapshot.options_digest);
+  util::put_u64(out, snapshot.iteration);
+  util::put_u8(out, snapshot.ground_truth_known ? 1 : 0);
+  util::put_u64(out, snapshot.ground_truth.size());
+  for (std::size_t idx : snapshot.ground_truth) util::put_u64(out, idx);
+  util::put_f64(out, snapshot.query_noise);
+  util::put_words(out, snapshot.query.data(), snapshot.query.words());
   for (const hdc::BipolarVector& est : snapshot.estimates) {
-    for (std::size_t w = 0; w < est.words(); ++w) put_u64(out, est.data()[w]);
+    util::put_words(out, est.data(), est.words());
   }
-  for (std::size_t d : snapshot.decoded) put_u64(out, d);
-  put_u64(out, snapshot.correct_trace.size());
-  for (char c : snapshot.correct_trace) {
-    put_u8(out, static_cast<std::uint8_t>(c));
-  }
-  for (std::uint64_t s : snapshot.rng.s) put_u64(out, s);
-  put_f64(out, snapshot.rng.cached_gauss);
-  put_u8(out, snapshot.rng.has_cached_gauss ? 1 : 0);
-  put_u64(out, snapshot.cycle_seen.size());
+  for (std::size_t d : snapshot.decoded) util::put_u64(out, d);
+  util::put_str(out, std::string_view(snapshot.correct_trace.data(),
+                                      snapshot.correct_trace.size()));
+  for (std::uint64_t s : snapshot.rng.s) util::put_u64(out, s);
+  util::put_f64(out, snapshot.rng.cached_gauss);
+  util::put_u8(out, snapshot.rng.has_cached_gauss ? 1 : 0);
+  util::put_u64(out, snapshot.cycle_seen.size());
   for (const auto& [hash, t] : snapshot.cycle_seen) {
-    put_u64(out, hash);
-    put_u64(out, t);
+    util::put_u64(out, hash);
+    util::put_u64(out, t);
   }
-  put_u8(out, snapshot.cycle_found.has_value() ? 1 : 0);
+  util::put_u8(out, snapshot.cycle_found.has_value() ? 1 : 0);
   if (snapshot.cycle_found) {
-    put_u64(out, snapshot.cycle_found->first_seen);
-    put_u64(out, snapshot.cycle_found->revisit);
+    util::put_u64(out, snapshot.cycle_found->first_seen);
+    util::put_u64(out, snapshot.cycle_found->revisit);
   }
   writer.add_section(SectionKind::kResonatorState, std::move(out));
 }
@@ -227,7 +225,8 @@ resonator::ResonatorSnapshot load_resonator_snapshot(
       artifact.reader(artifact.require_one(SectionKind::kResonatorState));
   resonator::ResonatorSnapshot snap;
   const std::uint64_t dim = in.u64();
-  const std::uint64_t factors = in.u64();
+  // Each factor carries at least its decoded index (a u64) further on.
+  const std::size_t factors = in.count(8);
   if (dim == 0 || factors == 0) {
     throw ArtifactError(path, "resonator-state: zero dim or factor count");
   }
@@ -235,17 +234,15 @@ resonator::ResonatorSnapshot load_resonator_snapshot(
   snap.options_digest = in.u64();
   snap.iteration = in.u64();
   snap.ground_truth_known = in.u8() != 0;
-  const std::uint64_t n_gt = in.u64();
+  const std::size_t n_gt = in.count(8);
   if (n_gt != 0 && n_gt != factors) {
     throw ArtifactError(path, "resonator-state: ground-truth count " +
                                   std::to_string(n_gt) +
                                   " does not match factor count " +
                                   std::to_string(factors));
   }
-  snap.ground_truth.reserve(static_cast<std::size_t>(n_gt));
-  for (std::uint64_t i = 0; i < n_gt; ++i) {
-    snap.ground_truth.push_back(static_cast<std::size_t>(in.u64()));
-  }
+  const std::vector<std::uint64_t> truth = in.words(n_gt);
+  snap.ground_truth.assign(truth.begin(), truth.end());
   snap.query_noise = in.f64();
   const std::size_t per_vec = (static_cast<std::size_t>(dim) + 63) / 64;
   {
@@ -253,27 +250,22 @@ resonator::ResonatorSnapshot load_resonator_snapshot(
     snap.query = hdc::BipolarVector::from_words(
         static_cast<std::size_t>(dim), qw.data(), qw.size());
   }
-  snap.estimates.reserve(static_cast<std::size_t>(factors));
-  for (std::uint64_t f = 0; f < factors; ++f) {
+  snap.estimates.reserve(factors);
+  for (std::size_t f = 0; f < factors; ++f) {
     const std::vector<std::uint64_t> ew = in.words(per_vec);
     snap.estimates.push_back(hdc::BipolarVector::from_words(
         static_cast<std::size_t>(dim), ew.data(), ew.size()));
   }
-  snap.decoded.reserve(static_cast<std::size_t>(factors));
-  for (std::uint64_t f = 0; f < factors; ++f) {
-    snap.decoded.push_back(static_cast<std::size_t>(in.u64()));
-  }
-  const std::uint64_t trace_len = in.u64();
-  snap.correct_trace.reserve(static_cast<std::size_t>(trace_len));
-  for (std::uint64_t i = 0; i < trace_len; ++i) {
-    snap.correct_trace.push_back(static_cast<char>(in.u8()));
-  }
+  const std::vector<std::uint64_t> decoded = in.words(factors);
+  snap.decoded.assign(decoded.begin(), decoded.end());
+  const std::string trace = in.str();  // u64 length, one byte per entry
+  snap.correct_trace.assign(trace.begin(), trace.end());
   for (auto& s : snap.rng.s) s = in.u64();
   snap.rng.cached_gauss = in.f64();
   snap.rng.has_cached_gauss = in.u8() != 0;
-  const std::uint64_t n_cycle = in.u64();
-  snap.cycle_seen.reserve(static_cast<std::size_t>(n_cycle));
-  for (std::uint64_t i = 0; i < n_cycle; ++i) {
+  const std::size_t n_cycle = in.count(16);  // (hash, t) u64 pairs
+  snap.cycle_seen.reserve(n_cycle);
+  for (std::size_t i = 0; i < n_cycle; ++i) {
     const std::uint64_t hash = in.u64();
     const std::uint64_t t = in.u64();
     snap.cycle_seen.emplace_back(hash, static_cast<std::size_t>(t));

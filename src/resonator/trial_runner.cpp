@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <exception>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -210,12 +209,6 @@ TrialStats run_trial_block(const TrialConfig& config, std::size_t begin,
   // the aggregate is a pure function of (config, block range).
   std::vector<TrialStats> chunk_stats(nchunks);
   std::atomic<std::size_t> next_chunk{0};
-  // First worker exception wins; GUARDED_BY makes the Clang CI legs prove
-  // every access happens under the mutex.
-  struct ErrorSlot {
-    util::Mutex mutex;
-    std::exception_ptr error GUARDED_BY(mutex);
-  } worker_error;
 
   // Per-trial streams derive from (seed, trial index) alone
   // (trial_stream_seed); the chunk's engine-randomness stream derives from
@@ -277,25 +270,7 @@ TrialStats run_trial_block(const TrialConfig& config, std::size_t begin,
     }
   };
 
-  auto guarded_worker = [&]() {
-    try {
-      worker();
-    } catch (...) {
-      util::MutexLock lock(worker_error.mutex);
-      if (!worker_error.error) worker_error.error = std::current_exception();
-    }
-  };
-
-  if (nthreads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(nthreads);
-    for (unsigned i = 0; i < nthreads; ++i) pool.emplace_back(guarded_worker);
-    for (auto& th : pool) th.join();
-    util::MutexLock lock(worker_error.mutex);
-    if (worker_error.error) std::rethrow_exception(worker_error.error);
-  }
+  util::run_workers(nthreads, worker);
 
   TrialStats total;
   if (traces) {

@@ -9,7 +9,10 @@
 //
 // The payload codecs below are flat field dumps (no self-description): both
 // ends agree on the layout through kProtocolVersion, which the Hello/
-// HelloAck handshake verifies before any task flows. Remote workers rebuild
+// HelloAck handshake verifies before any task flows. Scalars go through the
+// shared util/bytes.hpp codec. Every decode_* throws std::runtime_error
+// naming the frame when a payload is truncated, has trailing bytes, or holds
+// a count whose elements cannot fit in the bytes left. Remote workers rebuild
 // the SweepSpec from a registered grid name + parameters (see registry.hpp)
 // and prove they resolved the *same* grid by echoing spec_fingerprint().
 //
@@ -81,45 +84,6 @@ enum class PeerRole : std::uint32_t {
 struct Frame {
   FrameKind kind = FrameKind::kError;
   std::string payload;
-};
-
-// --- primitive codecs -------------------------------------------------------
-
-/// Append a little-endian u64 to `out`.
-void put_u64(std::string& out, std::uint64_t v);
-/// Append a little-endian u32 to `out`.
-void put_u32(std::string& out, std::uint32_t v);
-/// Append the IEEE-754 bit pattern of `v` as a little-endian u64.
-void put_f64(std::string& out, double v);
-/// Append a u64 length prefix followed by the string bytes.
-void put_str(std::string& out, std::string_view s);
-
-/// Sequential reader over an encoded payload. Every accessor throws
-/// std::runtime_error("truncated sweep protocol message") past the end, so
-/// a truncated or corrupted payload surfaces as a typed error instead of an
-/// out-of-bounds read.
-struct WireReader {
-  const char* data = nullptr;
-  std::size_t len = 0;
-  std::size_t pos = 0;
-
-  explicit WireReader(std::string_view payload)
-      : data(payload.data()), len(payload.size()) {}
-
-  /// Throw unless `n` more bytes are available.
-  void need(std::size_t n) const;
-  /// Read one byte.
-  std::uint8_t u8();
-  /// Read one little-endian u64.
-  std::uint64_t u64();
-  /// Read one little-endian u32.
-  std::uint32_t u32();
-  /// Read one IEEE-754 double (u64 bit pattern).
-  double f64();
-  /// Read one length-prefixed string.
-  std::string str();
-  /// True once every byte has been consumed (strict decoders check this).
-  [[nodiscard]] bool exhausted() const { return pos == len; }
 };
 
 // --- framing ----------------------------------------------------------------

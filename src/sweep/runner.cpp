@@ -13,7 +13,6 @@
 #include <optional>
 #include <set>
 #include <stdexcept>
-#include <thread>
 
 #include "sweep/deadline.hpp"
 #include "sweep/emit.hpp"
@@ -300,7 +299,6 @@ struct ThreadPoolShared {
   util::Mutex mutex;
   CellAssembler assembler GUARDED_BY(mutex);
   CompletionLog& log GUARDED_BY(mutex);
-  std::exception_ptr error GUARDED_BY(mutex);
   std::atomic<std::size_t> next{0};
 
   ThreadPoolShared(const SweepSpec& spec, const std::vector<std::size_t>& cells,
@@ -318,47 +316,32 @@ std::vector<CellResult> run_with_threads(const SweepSpec& spec,
 
   ThreadPoolShared shared(spec, cells, log);
 
-  auto worker = [&]() {
-    for (;;) {
-      const std::size_t t = shared.next.fetch_add(1);
-      if (t >= tasks.size()) break;
-      CellResult partial;
-      try {
-        partial = run_block(spec, tasks[t].cell, tasks[t].begin, tasks[t].end,
-                            cell_threads);
-      } catch (const std::exception& e) {
-        // Same failure shape as the process pool: the cell index and reason.
-        throw std::runtime_error("sweep shard failed: cell " +
-                                 std::to_string(tasks[t].cell) + ": " +
-                                 e.what());
-      }
-      util::MutexLock lock(shared.mutex);
-      if (auto done = shared.assembler.add(tasks[t].begin,
-                                           std::move(partial))) {
-        shared.log.complete(std::move(*done));
-      }
-    }
-  };
-  auto guarded = [&]() {
+  util::run_workers(shards, [&]() {
     try {
-      worker();
+      for (;;) {
+        const std::size_t t = shared.next.fetch_add(1);
+        if (t >= tasks.size()) break;
+        CellResult partial;
+        try {
+          partial = run_block(spec, tasks[t].cell, tasks[t].begin,
+                              tasks[t].end, cell_threads);
+        } catch (const std::exception& e) {
+          // Same failure shape as the process pool: the cell index and reason.
+          throw std::runtime_error("sweep shard failed: cell " +
+                                   std::to_string(tasks[t].cell) + ": " +
+                                   e.what());
+        }
+        util::MutexLock lock(shared.mutex);
+        if (auto done = shared.assembler.add(tasks[t].begin,
+                                             std::move(partial))) {
+          shared.log.complete(std::move(*done));
+        }
+      }
     } catch (...) {
-      util::MutexLock lock(shared.mutex);
-      if (!shared.error) shared.error = std::current_exception();
       shared.next.store(tasks.size());  // drain the queue so peers stop early
+      throw;
     }
-  };
-
-  if (shards <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(shards);
-    for (unsigned i = 0; i < shards; ++i) pool.emplace_back(guarded);
-    for (auto& th : pool) th.join();
-    util::MutexLock lock(shared.mutex);
-    if (shared.error) std::rethrow_exception(shared.error);
-  }
+  });
   util::MutexLock lock(shared.mutex);
   return shared.log.take();
 }

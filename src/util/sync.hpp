@@ -1,5 +1,6 @@
 #pragma once
-// Thread-safety-annotated synchronization primitives.
+// Thread-safety-annotated synchronization primitives, and run_workers, the
+// one scoped thread spawn outside the kernel pool (lint rule raw-thread).
 //
 // The ONLY sanctioned mutex/condvar types in src/ (enforced by
 // scripts/lint_invariants.py): thin zero-overhead wrappers over std::mutex /
@@ -17,7 +18,11 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <exception>
+#include <functional>
 #include <mutex>
+#include <thread>
+#include <vector>
 
 #include "util/thread_annotations.hpp"
 
@@ -93,5 +98,37 @@ class CondVar {
  private:
   std::condition_variable cv_;
 };
+
+/// Run `worker` on `n` fresh threads and join them all; with n <= 1 it runs
+/// inline on the calling thread. After the join, the first exception any
+/// worker threw is rethrown. The threads are fresh, not pooled, so state a
+/// thread keeps (thread_local totals) is complete when this returns.
+inline void run_workers(unsigned n, const std::function<void()>& worker) {
+  if (n <= 1) {
+    worker();
+    return;
+  }
+  struct {
+    Mutex mutex;
+    std::exception_ptr error GUARDED_BY(mutex);
+  } first;
+  {
+    // jthread joins on destruction, also when a later spawn throws.
+    std::vector<std::jthread> threads;
+    threads.reserve(n);
+    for (unsigned i = 0; i < n; ++i) {
+      threads.emplace_back([&] {
+        try {
+          worker();
+        } catch (...) {
+          MutexLock lock(first.mutex);
+          if (!first.error) first.error = std::current_exception();
+        }
+      });
+    }
+  }
+  MutexLock lock(first.mutex);
+  if (first.error) std::rethrow_exception(first.error);
+}
 
 }  // namespace h3dfact::util

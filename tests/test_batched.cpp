@@ -7,8 +7,11 @@
 #include <cstdint>
 #include <gtest/gtest.h>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <span>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "cim/engine.hpp"
@@ -569,20 +572,32 @@ TEST(TrialStatsRegression, FactoryIgnoringTraceOptInThrows) {
   cfg.dim = 256;
   cfg.factors = 2;
   cfg.codebook_size = 4;
-  cfg.trials = 4;
+  cfg.trials = 3 * resonator::kTrialBlockAlign;  // three chunks
   cfg.max_iterations = 10;
   cfg.threads = 1;
   cfg.record_correct_trace = true;
-  cfg.factory = [](std::shared_ptr<const hdc::CodebookSet> s,
-                   const resonator::TrialConfig& c) {
+  // Every worker builds its network first, so the builder threads are the
+  // worker threads.
+  std::mutex mutex;
+  std::set<std::thread::id> builders;
+  cfg.factory = [&](std::shared_ptr<const hdc::CodebookSet> s,
+                    const resonator::TrialConfig& c) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex);
+      builders.insert(std::this_thread::get_id());
+    }
     resonator::ResonatorOptions opts;
     opts.max_iterations = c.max_iterations;  // forgets record_correct_trace
     return resonator::ResonatorNetwork(std::move(s), opts);
   };
   EXPECT_THROW((void)resonator::run_trials(cfg), std::invalid_argument);
+  EXPECT_EQ(builders, std::set<std::thread::id>{std::this_thread::get_id()});
   // The multi-threaded path surfaces the same error instead of terminating.
+  builders.clear();
   cfg.threads = 3;
   EXPECT_THROW((void)resonator::run_trials(cfg), std::invalid_argument);
+  EXPECT_EQ(builders.size(), 3u);
+  EXPECT_EQ(builders.count(std::this_thread::get_id()), 0u);
 }
 
 }  // namespace

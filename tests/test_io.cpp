@@ -22,6 +22,7 @@
 #include "resonator/resonator.hpp"
 #include "serve/serving.hpp"
 #include "sweep/protocol.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -355,11 +356,117 @@ TEST(IoFuzz, WrongKindAndShortPayloadsFailTyped) {
   // fail in the payload reader with a typed error, not read past the end.
   io::ArtifactWriter bad;
   std::string meta;
-  io::put_u64(meta, 64);  // dim only; factors and fingerprint missing
+  util::put_u64(meta, 64);  // dim only; factors and fingerprint missing
   bad.add_section(io::SectionKind::kCodebookSetMeta, std::move(meta));
   const std::string bad_path = temp_path("fuzz_short_meta.h3da");
   bad.write(bad_path);
   EXPECT_THROW((void)io::load_codebook_set(bad_path), io::ArtifactError);
+}
+
+/// A digest-valid artifact holding one section of `kind` with `payload`.
+std::string write_one_section(const std::string& name, io::SectionKind kind,
+                              std::string payload) {
+  const std::string path = temp_path(name);
+  io::ArtifactWriter writer;
+  writer.add_section(kind, std::move(payload));
+  writer.write(path);
+  return path;
+}
+
+// A count that claims more elements than its section holds fails as a
+// typed ArtifactError before it sizes any allocation, never as the
+// std::length_error or std::bad_alloc of an oversized reserve.
+TEST(IoFuzz, HostileCountsFailTyped) {
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 58;
+  std::string books;
+  util::put_u64(books, 64);     // dim
+  util::put_u64(books, kHuge);  // factors
+  util::put_u64(books, 0);      // fingerprint
+  books.append(64, '\0');
+  EXPECT_THROW((void)io::load_codebook_set(write_one_section(
+                   "hostile_books.h3da", io::SectionKind::kCodebookSetMeta,
+                   books)),
+               io::ArtifactError);
+
+  std::string items;
+  util::put_u64(items, 64);     // dim
+  util::put_u64(items, kHuge);  // item count
+  items.append(64, '\0');
+  EXPECT_THROW((void)io::load_item_memory(io::Artifact::load(
+                   write_one_section("hostile_items.h3da",
+                                     io::SectionKind::kItemMemoryMeta,
+                                     items))),
+               io::ArtifactError);
+
+  std::string state;
+  util::put_u64(state, 64);     // dim
+  util::put_u64(state, kHuge);  // factors
+  for (int i = 0; i < 3; ++i) util::put_u64(state, 0);  // pins, iteration
+  util::put_u8(state, 0);       // ground truth unknown
+  util::put_u64(state, 0);      // no ground-truth indices
+  util::put_f64(state, 0.0);    // query noise
+  util::put_u64(state, 0);      // the query's one word
+  state.append(64, '\0');
+  EXPECT_THROW((void)io::load_resonator_snapshot(io::Artifact::load(
+                   write_one_section("hostile_factors.h3da",
+                                     io::SectionKind::kResonatorState,
+                                     state))),
+               io::ArtifactError);
+
+  // A well-formed snapshot whose limit-cycle table count says 2^40.
+  resonator::ResonatorSnapshot snap;
+  snap.query = hdc::BipolarVector(64);
+  snap.estimates = {hdc::BipolarVector(64)};
+  snap.decoded = {0};
+  io::ArtifactWriter writer;
+  io::add_resonator_snapshot(writer, snap);
+  const std::string src_path = temp_path("hostile_cycles_src.h3da");
+  writer.write(src_path);
+  const io::Artifact src = io::Artifact::load(src_path);
+  std::string cycles(src.section_bytes(src.sections().front()));
+  // The payload ends with the cycle-table count and the cycle-found flag.
+  std::string count;
+  util::put_u64(count, std::uint64_t{1} << 40);
+  cycles.replace(cycles.size() - 9, 8, count);
+  EXPECT_THROW((void)io::load_resonator_snapshot(io::Artifact::load(
+                   write_one_section("hostile_cycles.h3da",
+                                     io::SectionKind::kResonatorState,
+                                     cycles))),
+               io::ArtifactError);
+}
+
+// docs/serialization.md: decoders reject unknown section versions. A
+// codebook artifact whose sections all carry version 2 is refused at the
+// meta reader; one whose word sections alone do is refused at the word view.
+TEST(IoFuzz, UnknownSectionVersionFailsTyped) {
+  const resonator::ProblemGenerator gen = make_generator(64, 2, 2, 9);
+  const std::string good_path = temp_path("version_src.h3da");
+  io::ArtifactWriter good;
+  io::add_codebook_set(good, gen.codebooks());
+  good.write(good_path);
+  const io::Artifact src = io::Artifact::load(good_path);
+
+  for (const bool meta_too : {true, false}) {
+    io::ArtifactWriter relabelled;
+    for (const io::SectionInfo& s : src.sections()) {
+      const auto kind = static_cast<io::SectionKind>(s.kind);
+      const bool meta = kind == io::SectionKind::kCodebookSetMeta;
+      relabelled.add_section(kind, std::string(src.section_bytes(s)),
+                             meta && !meta_too ? 1 : 2);
+    }
+    const std::string path = temp_path("version2.h3da");
+    relabelled.write(path);
+    try {
+      (void)io::load_codebook_set(path);
+      ADD_FAILURE() << "expected ArtifactError, meta_too=" << meta_too;
+    } catch (const io::ArtifactError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(meta_too ? "codebook-set-meta" : "codebook-words"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("version 2"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(IoFuzz, ErrorMessagesNamePathAndDetail) {

@@ -28,6 +28,7 @@
 #include "sweep/registry.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/transport.hpp"
+#include "util/bytes.hpp"
 
 namespace {
 
@@ -103,7 +104,7 @@ TEST(FrameParser, RejectsUnknownKind) {
 TEST(FrameParser, RejectsOversizedPayloadLength) {
   std::string bogus;
   bogus.push_back(static_cast<char>(sweep::FrameKind::kResult));
-  sweep::put_u64(bogus, sweep::kMaxFramePayload + 1);
+  util::put_u64(bogus, sweep::kMaxFramePayload + 1);
   sweep::FrameParser parser;
   parser.feed(bogus.data(), bogus.size());
   // The length field alone condemns the stream: no need to wait for 1 GiB.
@@ -128,6 +129,45 @@ TEST(Protocol, TruncatedPayloadsThrowTyped) {
   EXPECT_THROW((void)sweep::decode_hello("abc"), std::runtime_error);
   EXPECT_THROW((void)sweep::decode_task("abc"), std::runtime_error);
   EXPECT_THROW((void)sweep::decode_spec_init("ab"), std::runtime_error);
+}
+
+// A count that claims more elements than the payload holds fails as the
+// documented std::runtime_error before it sizes any allocation, never as the
+// std::length_error of an oversized reserve.
+TEST(Protocol, HostileCountsFailAsRuntimeError) {
+  for (const std::uint64_t n :
+       {std::uint64_t{1} << 27, std::uint64_t{1} << 62}) {
+    std::string result;
+    util::put_u64(result, 0);  // block_begin
+    util::put_u64(result, 0);  // index
+    util::put_u64(result, n);  // coordinate count
+    result.append(64, '\0');
+    EXPECT_THROW((void)sweep::decode_result(result), std::runtime_error) << n;
+
+    std::string init;
+    util::put_str(init, "grid");
+    util::put_u64(init, n);  // parameter count
+    init.append(64, '\0');
+    EXPECT_THROW((void)sweep::decode_spec_init(init), std::runtime_error)
+        << n;
+
+    std::string reply;
+    util::put_u64(reply, 1);  // id
+    util::put_u8(reply, 0);   // status kOk
+    util::put_str(reply, "");
+    for (int i = 0; i < 3; ++i) util::put_u8(reply, 0);  // outcome flags
+    util::put_u64(reply, n);  // decoded count
+    reply.append(64, '\0');
+    EXPECT_THROW((void)sweep::decode_factor_reply(reply), std::runtime_error)
+        << n;
+
+    std::string task;
+    util::put_u64(task, 1);  // batch_id
+    util::put_u64(task, n);  // request count
+    task.append(64, '\0');
+    EXPECT_THROW((void)sweep::decode_batch_task(task), std::runtime_error)
+        << n;
+  }
 }
 
 TEST(Protocol, ResultRoundTripPreservesEveryField) {
@@ -178,6 +218,158 @@ TEST(Protocol, SpecInitRoundTrip) {
   EXPECT_EQ(d.cell_threads, init.cell_threads);
   EXPECT_EQ(d.cell_count, init.cell_count);
   EXPECT_EQ(d.fingerprint, init.fingerprint);
+}
+
+// --- pinned wire bytes ------------------------------------------------------
+
+std::string to_hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xf]);
+  }
+  return out;
+}
+
+sweep::FactorRequestFrame pinned_request() {
+  sweep::FactorRequestFrame req;
+  req.id = 5;
+  req.deadline_us = 1000;
+  req.encoding = sweep::QueryEncoding::kExplicit;
+  req.trial_seed = 9;
+  req.flip_prob = 0.25;
+  req.solve_seed = 11;
+  req.query_words = {0xdeadbeefULL, 1};
+  return req;
+}
+
+sweep::FactorReplyFrame pinned_reply() {
+  sweep::FactorReplyFrame reply;
+  reply.id = 5;
+  reply.status = sweep::ReplyStatus::kFailed;
+  reply.error = "lost";
+  reply.solved = 1;
+  reply.correct_known = 1;
+  reply.decoded = {1, 2, 3};
+  reply.iterations = 40;
+  reply.queue_us = 12;
+  reply.solve_us = 34;
+  reply.batch = 2;
+  return reply;
+}
+
+// One fixed instance of every payload against literal bytes: any change to
+// a frame's layout (field order, widths, endianness, length prefixes) fails
+// here, and such a change must bump kProtocolVersion.
+TEST(Protocol, EncodingIsPinned) {
+  EXPECT_EQ(to_hex(sweep::encode_hello({sweep::kProtocolMagic, 3, 2})),
+            "575333480300000002000000");
+
+  sweep::SpecInitFrame init;
+  init.grid.name = "table2";
+  init.grid.params = {{"rows", "2"}, {"seed", "99"}};
+  init.cell_threads = 3;
+  init.cell_count = 4;
+  init.fingerprint = 0x1234abcd5678ULL;
+  init.artifact_path = "/a.h3da";
+  init.artifact_fingerprint = 0x0102030405060708ULL;
+  EXPECT_EQ(to_hex(sweep::encode_spec_init(init)),
+            "06000000000000007461626c653202000000000000000400000000000000726f"
+            "7773010000000000000032040000000000000073656564020000000000000039"
+            "39030000000000000004000000000000007856cdab3412000007000000000000"
+            "002f612e683364610807060504030201");
+
+  EXPECT_EQ(to_hex(sweep::encode_spec_ready({18, 0xfeedfaceULL})),
+            "1200000000000000cefaedfe00000000");
+  EXPECT_EQ(to_hex(sweep::encode_task({3, 4, 8})),
+            "030000000000000004000000000000000800000000000000");
+
+  sweep::CellResult r;
+  r.index = 7;
+  r.coordinates = {{"M", "16"}};
+  r.params["s"] = 0.5;
+  r.meta["t"] = "x";
+  r.dim = 1024;
+  r.factors = 3;
+  r.codebook_size = 16;
+  r.trials = 12;
+  r.max_iterations = 100;
+  r.query_flip_prob = 0.05;
+  r.seed = 42;
+  r.stats.trials = 12;
+  r.stats.solved = 9;
+  r.stats.correct = 10;
+  r.stats.cycles = 1;
+  r.stats.iteration_samples = {1.0, 17.0};
+  r.stats.correct_by_iteration = {1, 2};
+  r.stats.correct_raw_by_iteration = {3};
+  r.wall_seconds = 1.25;
+  EXPECT_EQ(to_hex(sweep::encode_result(16, r)),
+            "1000000000000000070000000000000001000000000000000100000000000000"
+            "4d02000000000000003136010000000000000001000000000000007300000000"
+            "0000e03f01000000000000000100000000000000740100000000000000780004"
+            "000000000000030000000000000010000000000000000c000000000000006400"
+            "0000000000009a9999999999a93f2a000000000000000c000000000000000900"
+            "0000000000000a00000000000000010000000000000002000000000000000000"
+            "00000000f03f0000000000003140020000000000000001000000000000000200"
+            "00000000000001000000000000000300000000000000000000000000f43f");
+
+  sweep::ServeInitFrame serve;
+  serve.dim = 1024;
+  serve.factors = 3;
+  serve.codebook_size = 16;
+  serve.max_iterations = 500;
+  serve.seed = 7;
+  serve.artifact_path = "cb.h3da";
+  serve.artifact_fingerprint = 0xabcULL;
+  EXPECT_EQ(to_hex(sweep::encode_serve_init(serve)),
+            "000400000000000003000000000000001000000000000000f401000000000000"
+            "0700000000000000070000000000000063622e68336461bc0a000000000000");
+  EXPECT_EQ(to_hex(sweep::encode_serve_ready({0x1122334455667788ULL})),
+            "8877665544332211");
+
+  EXPECT_EQ(to_hex(sweep::encode_factor_request(pinned_request())),
+            "0500000000000000e803000000000000010900000000000000000000000000d0"
+            "3f0b000000000000000200000000000000efbeadde0000000001000000000000"
+            "00");
+  EXPECT_EQ(to_hex(sweep::encode_factor_reply(pinned_reply())),
+            "05000000000000000204000000000000006c6f73740101000300000000000000"
+            "0100000000000000020000000000000003000000000000002800000000000000"
+            "0c0000000000000022000000000000000200000000000000");
+
+  sweep::BatchTaskFrame task;
+  task.batch_id = 77;
+  task.requests = {sweep::FactorRequestFrame{}, pinned_request()};
+  task.requests[0].id = 1;
+  task.requests[0].trial_seed = 2;
+  EXPECT_EQ(to_hex(sweep::encode_batch_task(task)),
+            "4d00000000000000020000000000000001000000000000000000000000000000"
+            "0002000000000000000000000000000000000000000000000000000000000000"
+            "000500000000000000e803000000000000010900000000000000000000000000"
+            "d03f0b000000000000000200000000000000efbeadde00000000010000000000"
+            "0000");
+
+  sweep::BatchResultFrame batch;
+  batch.batch_id = 77;
+  batch.replies = {pinned_reply(), sweep::FactorReplyFrame{}};
+  EXPECT_EQ(to_hex(sweep::encode_batch_result(batch)),
+            "4d00000000000000020000000000000005000000000000000204000000000000"
+            "006c6f7374010100030000000000000001000000000000000200000000000000"
+            "030000000000000028000000000000000c000000000000002200000000000000"
+            "0200000000000000000000000000000000000000000000000000000000000000"
+            "0000000000000000000000000000000000000000000000000000000000000000"
+            "00000000");
+
+  EXPECT_EQ(to_hex(sweep::encode_frame(sweep::FrameKind::kTask,
+                                       sweep::encode_task({3, 4, 8}))),
+            "0518000000000000000300000000000000040000000000000008000000000000"
+            "00");
+
+  register_unit_grid();
+  EXPECT_EQ(sweep::spec_fingerprint(sweep::build_grid({kUnitGrid, {}})),
+            2461937933229881901ull);
 }
 
 // --- registry + fingerprint -------------------------------------------------
