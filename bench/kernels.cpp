@@ -1,10 +1,11 @@
 // Microbenches of the hot kernels: packed binding, codebook similarity
-// (XOR+popcount), integer projection, sign activation, the device-level
-// crossbar MVM, and the batched-vs-per-call MVM paths of the batched
-// engine. These quantify why MVMs dominate (Fig. 1c), track kernel
-// regressions, and show the batched amortization (compare the *PerCall /
-// *Batch pairs at equal {M, B} arguments). Built only when google-benchmark
-// is installed; configure skips this target otherwise.
+// (XOR+popcount), integer projection, sign activation (tie-free and with
+// random tie-breaks), the device-level crossbar MVM, and the
+// batched-vs-per-call MVM paths of the batched engine. These quantify why
+// MVMs dominate (Fig. 1c), track kernel regressions, and show the batched
+// amortization (compare the *PerCall / *Batch pairs at equal {M, B}
+// arguments). Built only when google-benchmark is installed; configure
+// skips this target otherwise.
 //
 // `--json=FILE` writes a machine-readable artifact (see docs/kernels.md for
 // the schema): benchmark names, ns/op, items/s and the active kernel
@@ -13,6 +14,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -268,6 +270,33 @@ void BM_SignActivation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SignActivation);
+
+// The random tie-break overload on projections with the tie mix measured
+// on solve_m16's loop (D=1024 F=3 M=16): 87 % of projections have no zero
+// count, ~9 % have 1–599 and 4.4 % are all zero. A pool of 128 seeded
+// vectors is cycled, so each timing-loop iteration is one sign_of call.
+void BM_SignActivationTies(benchmark::State& state) {
+  util::Rng rng(13);
+  std::vector<std::vector<int>> pool(128, std::vector<int>(1024));
+  for (auto& y : pool) {
+    const double kind = rng.uniform();
+    for (auto& v : y) {
+      v = static_cast<int>(rng.range(1, 100)) * rng.bipolar();
+    }
+    if (kind < 0.044) {
+      std::fill(y.begin(), y.end(), 0);
+    } else if (kind < 0.13) {
+      const auto ties = static_cast<std::size_t>(rng.range(1, 599));
+      for (std::size_t t = 0; t < ties; ++t) y[rng.below(y.size())] = 0;
+    }
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hdc::sign_of(pool[next], rng));
+    next = (next + 1) % pool.size();
+  }
+}
+BENCHMARK(BM_SignActivationTies);
 
 void BM_H3dChannel(benchmark::State& state) {
   util::Rng rng(5);

@@ -39,6 +39,11 @@ perfbench/, the benchmark harness):
                src/util/sync.hpp (util::run_workers) and the kernel pool
                (src/hdc/kernels/thread_pool.*); std::thread::
                hardware_concurrency stays allowed everywhere.
+  raw-simd     Intrinsic headers (<immintrin.h>, <arm_neon.h>, ...) and
+               x86 intrinsic tokens (_mm*_, __m128/__m256/__m512 types)
+               may appear only in the kernel backends
+               (src/hdc/kernels/*.cpp), so every SIMD path sits under the
+               backend parity and fuzz suites.
   pragma-once  Every header opens with #pragma once as its first
                non-comment line.
 
@@ -100,6 +105,9 @@ THREAD_ALLOWLIST = {
     "src/hdc/kernels/thread_pool.hpp",
     "src/util/sync.hpp",
 }
+
+# The kernel backends: one translation unit per ISA (docs/kernels.md).
+SIMD_ALLOW_RE = re.compile(r"src/hdc/kernels/[^/]+\.cpp")
 
 RULES = [
     {
@@ -187,6 +195,17 @@ RULES = [
         "message": "raw std::thread outside src/util/sync.hpp; spawn scoped "
                    "workers with util::run_workers",
     },
+    {
+        "id": "raw-simd",
+        "pattern": re.compile(
+            r"#\s*include\s*<\s*(?:\w*intrin|arm_neon|arm_sve)\.h\s*>|"
+            r"(?<![\w])(?:_mm\d*_\w+|__m(?:128|256|512)\w*)"),
+        "allow": set(),
+        "allow_re": SIMD_ALLOW_RE,
+        "message": "SIMD intrinsics outside src/hdc/kernels/*.cpp; add the "
+                   "ISA path as a KernelBackend primitive so the parity and "
+                   "fuzz suites cover it",
+    },
 ]
 
 
@@ -246,6 +265,8 @@ def lint_file(path: Path, rel: str) -> list[tuple[str, int, str, str]]:
         if rel in rule["allow"]:
             continue
         if any(rel.startswith(p) for p in rule.get("allow_prefixes", ())):
+            continue
+        if "allow_re" in rule and rule["allow_re"].fullmatch(rel):
             continue
         for lineno, line in enumerate(code.splitlines(), start=1):
             if rule["pattern"].search(line):

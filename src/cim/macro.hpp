@@ -67,8 +67,9 @@ class CimMacro {
   [[nodiscard]] hdc::CoeffBlock similarity_batch(
       std::span<const hdc::BipolarVector> us, util::Rng& rng) const;
 
-  /// Batched projection over an M×B SoA coefficient block; D×B ±1 block out.
-  /// Same single-macro-pass schedule and noise contract as similarity_batch.
+  /// Batched projection over an M×B item-major coefficient block; D×B ±1
+  /// block out. Same single-macro-pass schedule and noise contract as
+  /// similarity_batch.
   [[nodiscard]] hdc::CoeffBlock project_batch(const hdc::CoeffBlock& coeffs,
                                               util::Rng& rng) const;
 

@@ -21,16 +21,16 @@
 namespace h3dfact::hdc {
 
 std::vector<int> CoeffBlock::item(std::size_t b) const {
-  std::vector<int> out(size);
-  for (std::size_t i = 0; i < size; ++i) out[i] = data[i * batch + b];
-  return out;
+  const std::span<const int> v = item_span(b);
+  return {v.begin(), v.end()};
 }
 
 void CoeffBlock::set_item(std::size_t b, const std::vector<int>& values) {
   if (values.size() != size) {
     throw std::invalid_argument("CoeffBlock item length mismatch");
   }
-  for (std::size_t i = 0; i < size; ++i) data[i * batch + b] = values[i];
+  std::copy(values.begin(), values.end(),
+            data.begin() + static_cast<std::ptrdiff_t>(b * size));
 }
 
 CoeffBlock CoeffBlock::from_items(const std::vector<std::vector<int>>& items) {
@@ -65,11 +65,14 @@ Codebook::Codebook(std::vector<BipolarVector> vectors, std::string name)
 Codebook Codebook::from_packed(std::size_t dim, std::size_t size,
                                const std::uint64_t* words, std::size_t n_words,
                                std::string name, bool borrow) {
-  const std::size_t per_row = (dim + 63) / 64;
-  if (n_words != size * per_row) {
+  // ceil(dim / 64), and the count checked by division: neither can wrap.
+  const std::size_t per_row = dim / 64 + (dim % 64 != 0);
+  if (per_row == 0 ? n_words != 0
+                   : n_words % per_row != 0 || n_words / per_row != size) {
     throw std::invalid_argument("from_packed: word count " +
-                                std::to_string(n_words) + " != size*words " +
-                                std::to_string(size * per_row));
+                                std::to_string(n_words) + " is not " +
+                                std::to_string(size) + " rows of " +
+                                std::to_string(per_row) + " words");
   }
   Codebook book;
   book.dim_ = dim;
@@ -91,12 +94,22 @@ Codebook Codebook::from_packed(std::size_t dim, std::size_t size,
 }
 
 void Codebook::build_dense() {
-  dense_.resize(vectors_.size() * dim_);
-  for (std::size_t m = 0; m < vectors_.size(); ++m) {
-    auto row = vectors_[m].to_i8();
-    std::copy(row.begin(), row.end(), dense_.begin() + static_cast<std::ptrdiff_t>(m * dim_));
-  }
   words_ = vectors_.empty() ? 0 : vectors_.front().words();
+  dense_.resize(vectors_.size() * dim_);
+  counts_.assign(dim_, 0);
+  for (std::size_t m = 0; m < vectors_.size(); ++m) {
+    // Unpack word by word (bit 1 encodes −1) and add the row's votes.
+    const std::uint64_t* src = vectors_[m].data();
+    std::int8_t* row = dense_.data() + m * dim_;
+    for (std::size_t w = 0; w < words_; ++w) {
+      const std::size_t end = std::min(dim_ - w * 64, std::size_t{64});
+      for (std::size_t j = 0; j < end; ++j) {
+        const int v = 1 - 2 * static_cast<int>((src[w] >> j) & 1u);
+        row[w * 64 + j] = static_cast<std::int8_t>(v);
+        counts_[w * 64 + j] += v;
+      }
+    }
+  }
   packed_.resize(vectors_.size() * words_);
   for (std::size_t m = 0; m < vectors_.size(); ++m) {
     std::copy(vectors_[m].data(), vectors_[m].data() + words_,
@@ -162,12 +175,14 @@ CoeffBlock Codebook::similarity_batch(
   // arithmetic, so the choice never changes results.
   const kernels::KernelPolicy& policy = kernels::active_policy();
   const bool tiled = kernels::use_tiled(policy, kB);
+  // sims for rows [m0, m1) of query b land at a.data[b*M + m0 ..): the
+  // block is item-major, so the tile writes each query's item in place.
   auto score_rows = [&](std::size_t m_begin, std::size_t m_end) {
     if (!tiled) {
       backend.similarity_tile(packed_data() + m_begin * words_, words_,
                               m_end - m_begin, queries.data(), kB, words_,
                               static_cast<long long>(dim_),
-                              a.data.data() + m_begin * kB, kB);
+                              a.data.data() + m_begin, kM);
       return;
     }
     constexpr std::size_t kRowTile = 8;
@@ -176,11 +191,12 @@ CoeffBlock Codebook::similarity_batch(
       backend.similarity_tile(packed_data() + m0 * words_, words_, m1 - m0,
                               queries.data(), kB, words_,
                               static_cast<long long>(dim_),
-                              a.data.data() + m0 * kB, kB);
+                              a.data.data() + m0, kM);
     }
   };
-  // Row ranges write disjoint sims rows, so the pool's determinism contract
-  // applies directly; small passes stay inline to skip the wake-up cost.
+  // Row ranges write disjoint entries of every item, so the pool's
+  // determinism contract applies directly; small passes stay inline to
+  // skip the wake-up cost.
   if (kM * kB * words_ >= policy.parallel_min_work) {
     kernels::KernelPool::instance().parallel_for(kM, score_rows);
   } else {
@@ -201,19 +217,18 @@ CoeffBlock Codebook::project_batch(
   const std::size_t kB = coeffs.batch;
   CoeffBlock y(dim_, kB);
   if (kB == 0) return y;
-  // Batch-major scratch keeps each item's accumulator contiguous for the
-  // row-axpy kernel; a dense row services the whole batch while L1-hot.
-  std::vector<int> scratch(kB * dim_, 0);
   const std::size_t kM = vectors_.size();
-  // Batch sub-ranges own disjoint batch-major scratch regions; within a
-  // range the m-loop order is the sequential one, so accumulation order
-  // per element is unchanged at any thread count.
+  // Each item of the item-major block is one contiguous accumulator for
+  // the row-axpy kernel; a dense row services the whole batch while
+  // L1-hot. Batch sub-ranges own disjoint items; within a range the m-loop
+  // order is the sequential one, so accumulation order per element is
+  // unchanged at any thread count.
   auto accumulate = [&](std::size_t b0, std::size_t b1) {
     for (std::size_t m = 0; m < kM; ++m) {
       const std::int8_t* row = dense_.data() + m * dim_;
       for (std::size_t b = b0; b < b1; ++b) {
         const int c = coeffs.at(m, b);
-        if (c != 0) backend.axpy_row(c, row, scratch.data() + b * dim_, dim_);
+        if (c != 0) backend.axpy_row(c, row, y.data.data() + b * dim_, dim_);
       }
     }
   };
@@ -221,11 +236,6 @@ CoeffBlock Codebook::project_batch(
     kernels::KernelPool::instance().parallel_for(kB, accumulate);
   } else {
     accumulate(0, kB);
-  }
-  for (std::size_t d = 0; d < dim_; ++d) {
-    for (std::size_t b = 0; b < kB; ++b) {
-      y.at(d, b) = scratch[b * dim_ + d];
-    }
   }
   return y;
 }
@@ -244,23 +254,10 @@ std::size_t Codebook::nearest(const BipolarVector& u) const {
   return best;
 }
 
-namespace {
-std::vector<int> member_counts(const std::vector<BipolarVector>& vectors,
-                               std::size_t dim) {
-  std::vector<int> counts(dim, 0);
-  for (const auto& v : vectors) {
-    for (std::size_t d = 0; d < dim; ++d) counts[d] += v.get(d);
-  }
-  return counts;
-}
-}  // namespace
-
-BipolarVector Codebook::superposition() const {
-  return sign_of(member_counts(vectors_, dim_));
-}
+BipolarVector Codebook::superposition() const { return sign_of(counts_); }
 
 BipolarVector Codebook::superposition(util::Rng& rng) const {
-  return sign_of(member_counts(vectors_, dim_), rng);
+  return sign_of(counts_, rng);
 }
 
 CodebookSet::CodebookSet(std::size_t dim, std::size_t factors, std::size_t size,

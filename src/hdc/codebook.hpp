@@ -25,29 +25,34 @@ namespace kernels {
 struct KernelBackend;
 }  // namespace kernels
 
-/// Structure-of-arrays block of integer coefficients for B batch items of
-/// `size` entries each: entry i of item b lives at data[i*batch + b], so a
-/// kernel that walks entries (codebook rows, output dimensions) touches the
-/// whole batch contiguously — the layout the batched MVM kernels and the
-/// CIM macro batch pass consume directly.
+/// Item-major block of integer coefficients for B batch items of `size`
+/// entries each: entry i of item b lives at data[b*size + i], so each
+/// item is one contiguous run. The similarity tile writes a query's scores
+/// straight into its item, the projection accumulates each item in place
+/// with the row-axpy kernel, and the activation reads an item as a span.
 struct CoeffBlock {
   std::size_t size = 0;   ///< entries per batch item (M or D)
   std::size_t batch = 0;  ///< number of batch items B
-  std::vector<int> data;  ///< size*batch values, SoA (entry-major)
+  std::vector<int> data;  ///< size*batch values, item-major
 
   CoeffBlock() = default;
   CoeffBlock(std::size_t size_, std::size_t batch_)
       : size(size_), batch(batch_), data(size_ * batch_, 0) {}
 
   [[nodiscard]] int at(std::size_t i, std::size_t b) const {
-    return data[i * batch + b];
+    return data[b * size + i];
   }
-  int& at(std::size_t i, std::size_t b) { return data[i * batch + b]; }
+  int& at(std::size_t i, std::size_t b) { return data[b * size + i]; }
 
-  /// Gather batch item b into a contiguous vector (per-item channel/argmax).
+  /// Batch item b in place.
+  [[nodiscard]] std::span<const int> item_span(std::size_t b) const {
+    return {data.data() + b * size, size};
+  }
+
+  /// Copy batch item b out (per-item channel/argmax).
   [[nodiscard]] std::vector<int> item(std::size_t b) const;
 
-  /// Scatter a contiguous vector into batch item b. `values.size() == size`.
+  /// Copy a vector into batch item b. `values.size() == size`.
   void set_item(std::size_t b, const std::vector<int>& values);
 
   /// Pack per-item vectors (all of equal length) into a block.
@@ -115,8 +120,9 @@ class Codebook {
       const kernels::KernelBackend& backend) const;
 
   /// Batched y_b = X a_b: each dense codebook row is streamed once and
-  /// applied to all batch accumulators; large passes fan batch sub-ranges
-  /// across the KernelPool, bit-identical at any thread count.
+  /// applied to all batch items, accumulated in place in the returned
+  /// block; large passes fan batch sub-ranges across the KernelPool,
+  /// bit-identical at any thread count.
   /// `coeffs.size == size()`. Returns a D×B block; item b is bit-for-bit
   /// equal to project(coeffs.item(b)).
   [[nodiscard]] CoeffBlock project_batch(const CoeffBlock& coeffs) const;
@@ -133,6 +139,7 @@ class Codebook {
 
   /// Superposition (majority bundle) of all codevectors — the standard
   /// resonator initial state x̂(0). Ties break deterministically to +1.
+  /// The member votes Σ_m x_m are counted once, at construction.
   [[nodiscard]] BipolarVector superposition() const;
 
   /// Superposition with random tie-break (preferred for even codebook sizes,
@@ -163,6 +170,7 @@ class Codebook {
   std::string name_;
   std::vector<BipolarVector> vectors_;
   std::vector<std::int8_t> dense_;  // size() rows × dim() cols, ±1
+  std::vector<int> counts_;         // Σ_m x_m[d]: the superposition votes
   // Row-major copy of the packed codevector words (size() rows × words_
   // words), so the similarity tile kernels stream rows contiguously.
   std::vector<std::uint64_t> packed_;

@@ -1,16 +1,20 @@
 #include "hdc/hypervector.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
+#include "hdc/kernels/backend.hpp"
 #include "util/hash.hpp"
 
 namespace h3dfact::hdc {
 
 namespace {
-std::size_t words_for(std::size_t dim) { return (dim + 63) / 64; }
+// ceil(dim / 64) without the wrap of (dim + 63) / 64 near SIZE_MAX.
+std::size_t words_for(std::size_t dim) { return dim / 64 + (dim % 64 != 0); }
 }  // namespace
 
 BipolarVector::BipolarVector(std::size_t dim)
@@ -175,41 +179,70 @@ void BipolarVector::mask_tail() {
   }
 }
 
-BipolarVector sign_of(const std::vector<int>& counts) {
+namespace {
+
+// Elements per sign_bits call: the tie masks of one chunk live on the stack.
+constexpr std::size_t kSignChunkWords = 64;
+
+// Sign of counts (bit 1 encodes −1, ties left at +1), chunk by chunk
+// through the active backend; on_ties(word, tie mask) then sees every
+// output word that holds a zero count, in element order.
+template <typename OnTies>
+BipolarVector sign_words(std::span<const int> counts, OnTies&& on_ties) {
+  const kernels::KernelBackend& backend = kernels::active();
   BipolarVector v(counts.size());
   std::uint64_t* words = v.data();
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    // bit 1 encodes −1; ties (zero) break to +1 (bit 0).
-    words[i / 64] |= static_cast<std::uint64_t>(counts[i] < 0) << (i % 64);
+  std::uint64_t zero[kSignChunkWords] = {};
+  for (std::size_t i = 0; i < counts.size(); i += kSignChunkWords * 64) {
+    const std::size_t len =
+        std::min(counts.size() - i, kSignChunkWords * 64);
+    backend.sign_bits(counts.data() + i, len, words + i / 64, zero);
+    for (std::size_t w = 0; w < words_for(len); ++w) {
+      if (zero[w] != 0) on_ties(words[i / 64 + w], zero[w]);
+    }
   }
   return v;
 }
 
-BipolarVector sign_of(const std::vector<int>& counts, util::Rng& rng) {
-  BipolarVector v(counts.size());
-  std::uint64_t* words = v.data();
+}  // namespace
+
+BipolarVector sign_of(std::span<const int> counts) {
+  // Ties (zero) break to +1, which is bit 0: the negative mask is the word.
+  return sign_words(counts, [](std::uint64_t&, std::uint64_t) {});
+}
+
+BipolarVector sign_of(std::span<const int> counts, util::Rng& rng) {
   // Random bits for tie-breaks are drawn 64 at a time: early resonator
   // iterations can produce all-zero projections (every element tied), and a
-  // per-element generator call would dominate the activation phase.
+  // per-element generator call would dominate the activation phase. `rnd`
+  // holds the rnd_left unused bits of the last draw in its low bits.
   std::uint64_t rnd = 0;
   int rnd_left = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    const int c = counts[i];
-    std::uint64_t bit;
-    if (c != 0) {
-      bit = static_cast<std::uint64_t>(c < 0);
-    } else {
+  return sign_words(counts, [&](std::uint64_t& word, std::uint64_t ties) {
+    if (ties == ~std::uint64_t{0}) {
+      // A whole tied word takes the next 64 bits of the stream at once.
+      if (rnd_left == 0) {
+        word = rng.bits64();
+      } else if (rnd_left == 64) {
+        word = rnd;
+        rnd_left = 0;
+      } else {
+        const std::uint64_t next = rng.bits64();
+        word = rnd | (next << rnd_left);
+        rnd = next >> (64 - rnd_left);
+      }
+      return;
+    }
+    for (; ties != 0; ties &= ties - 1) {
       if (rnd_left == 0) {
         rnd = rng.bits64();
         rnd_left = 64;
       }
-      bit = rnd & 1u;
+      word |= (rnd & 1u) << std::countr_zero(ties);
       rnd >>= 1;
       --rnd_left;
     }
-    words[i / 64] |= bit << (i % 64);
-  }
-  return v;
+  });
 }
 
 }  // namespace h3dfact::hdc

@@ -8,6 +8,7 @@
 // (Sec. III-A). All hot loops in the resonator run on this representation.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -89,9 +90,13 @@ class BipolarVector {
 };
 
 /// Element-wise sign of integer counts with deterministic +1 tie-break.
-BipolarVector sign_of(const std::vector<int>& counts);
+/// The sign masks come from the active kernel backend's sign_bits.
+BipolarVector sign_of(std::span<const int> counts);
 
-/// Element-wise sign with random tie-break (used when counts can be 0).
-BipolarVector sign_of(const std::vector<int>& counts, util::Rng& rng);
+/// Element-wise sign with random tie-break (used when counts can be 0):
+/// each zero count, in element order, takes the next bit of a stream of
+/// rng.bits64() words, least significant bit first, and a word is drawn
+/// only when the previous one is used up.
+BipolarVector sign_of(std::span<const int> counts, util::Rng& rng);
 
 }  // namespace h3dfact::hdc

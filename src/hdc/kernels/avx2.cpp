@@ -76,12 +76,42 @@ __attribute__((target("avx2"))) void similarity_tile_avx2(
     for (std::size_t i = 0; i < nrows; ++i) {
       const long long disagree =
           xor_popcount_avx2(queries[q], rows + i * row_stride, nw);
-      sims[i * sim_stride + q] = static_cast<int>(dim - 2 * disagree);
+      sims[q * sim_stride + i] = static_cast<int>(dim - 2 * disagree);
     }
   }
 }
 
-constexpr KernelBackend kAvx2{"avx2", axpy_row_avx2, similarity_tile_avx2};
+// Whole 64-element words, 8 lanes per compare, one MOVMSKPS per compare;
+// a partial last word goes to the scalar reference.
+__attribute__((target("avx2"))) void sign_bits_avx2(const int* y,
+                                                    std::size_t n,
+                                                    std::uint64_t* neg,
+                                                    std::uint64_t* zero) {
+  const __m256i zv = _mm256_setzero_si256();
+  std::size_t i = 0;
+  for (; i + 64 <= n; i += 64) {
+    std::uint64_t neg_w = 0;
+    std::uint64_t zero_w = 0;
+    for (std::size_t j = 0; j < 64; j += 8) {
+      const __m256i v =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + i + j));
+      const auto lt = static_cast<unsigned>(
+          _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(zv, v))));
+      const auto eq = static_cast<unsigned>(
+          _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(v, zv))));
+      neg_w |= static_cast<std::uint64_t>(lt) << j;
+      zero_w |= static_cast<std::uint64_t>(eq) << j;
+    }
+    neg[i / 64] = neg_w;
+    zero[i / 64] = zero_w;
+  }
+  if (i < n) {
+    scalar_backend()->sign_bits(y + i, n - i, neg + i / 64, zero + i / 64);
+  }
+}
+
+constexpr KernelBackend kAvx2{"avx2", axpy_row_avx2, similarity_tile_avx2,
+                              sign_bits_avx2};
 
 }  // namespace
 

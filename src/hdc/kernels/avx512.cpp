@@ -94,7 +94,7 @@ similarity_tile_avx512pop(const std::uint64_t* rows, std::size_t row_stride,
     for (std::size_t i = 0; i < nrows; ++i) {
       const long long disagree =
           xor_popcount_avx512pop(queries[q], rows + i * row_stride, nw);
-      sims[i * sim_stride + q] = static_cast<int>(dim - 2 * disagree);
+      sims[q * sim_stride + i] = static_cast<int>(dim - 2 * disagree);
     }
   }
 }
@@ -107,16 +107,44 @@ __attribute__((target("avx512f,avx512bw"))) void similarity_tile_avx512lut(
     for (std::size_t i = 0; i < nrows; ++i) {
       const long long disagree =
           xor_popcount_avx512lut(queries[q], rows + i * row_stride, nw);
-      sims[i * sim_stride + q] = static_cast<int>(dim - 2 * disagree);
+      sims[q * sim_stride + i] = static_cast<int>(dim - 2 * disagree);
     }
   }
 }
 
+// Whole 64-element words, 16 lanes per compare straight into mask
+// registers; a partial last word goes to the scalar reference. Both
+// variants share it (it needs only avx512f).
+__attribute__((target("avx512f"))) void sign_bits_avx512(const int* y,
+                                                         std::size_t n,
+                                                         std::uint64_t* neg,
+                                                         std::uint64_t* zero) {
+  const __m512i zv = _mm512_setzero_si512();
+  std::size_t i = 0;
+  for (; i + 64 <= n; i += 64) {
+    std::uint64_t neg_w = 0;
+    std::uint64_t zero_w = 0;
+    for (std::size_t j = 0; j < 64; j += 16) {
+      const __m512i v = _mm512_loadu_si512(y + i + j);
+      neg_w |= static_cast<std::uint64_t>(_mm512_cmplt_epi32_mask(v, zv)) << j;
+      zero_w |= static_cast<std::uint64_t>(_mm512_cmpeq_epi32_mask(v, zv))
+                << j;
+    }
+    neg[i / 64] = neg_w;
+    zero[i / 64] = zero_w;
+  }
+  if (i < n) {
+    scalar_backend()->sign_bits(y + i, n - i, neg + i / 64, zero + i / 64);
+  }
+}
+
 constexpr KernelBackend kAvx512Pop{"avx512", axpy_row_avx512,
-                                   similarity_tile_avx512pop};
+                                   similarity_tile_avx512pop,
+                                   sign_bits_avx512};
 
 constexpr KernelBackend kAvx512Lut{"avx512", axpy_row_avx512,
-                                   similarity_tile_avx512lut};
+                                   similarity_tile_avx512lut,
+                                   sign_bits_avx512};
 
 }  // namespace
 

@@ -1,8 +1,9 @@
 #pragma once
-// Multi-ISA kernel backend layer for the two MVM hot-path primitives the
-// codebook calls: the XOR+popcount similarity tile and the ±1-row axpy
-// projection. Each backend is one translation unit compiled for its ISA
-// (scalar always; SSE2 at the x86-64 baseline; AVX2 and AVX-512 via
+// Multi-ISA kernel backend layer for the three hot-path primitives of a
+// resonator step: the XOR+popcount similarity tile and the ±1-row axpy
+// projection the codebook calls, and the sign masks the activation
+// (hdc::sign_of) packs. Each backend is one translation unit compiled for
+// its ISA (scalar always; SSE2 at the x86-64 baseline; AVX2 and AVX-512 via
 // function-level target attributes on x86_64; NEON on aarch64 where
 // Advanced SIMD is baseline). Selection happens once at runtime by scoring
 // every compiled-in backend against the probed CPU capabilities
@@ -23,7 +24,7 @@
 
 namespace h3dfact::hdc::kernels {
 
-/// One ISA-specific implementation of the MVM kernel primitives. Plain
+/// One ISA-specific implementation of the kernel primitives. Plain
 /// function-pointer table so per-ISA translation units stay free of
 /// virtual-dispatch plumbing and the active table is one pointer load.
 struct KernelBackend {
@@ -37,17 +38,24 @@ struct KernelBackend {
   void (*axpy_row)(int a, const std::int8_t* row, int* y, std::size_t n);
 
   /// Batched similarity tile: for every query q and tile row i,
-  ///   sims[i * sim_stride + q] = dim − 2·popcount(queries[q] XOR row_i)
+  ///   sims[q * sim_stride + i] = dim − 2·popcount(queries[q] XOR row_i)
   /// where row_i = rows[i * row_stride .. i * row_stride + nw): the ±1 dot
   /// product from the disagree count. Queries iterate outermost so a tile
   /// of rows stays L1-hot across the whole batch (the blocked layout the
-  /// batched codebook path relies on). With nq == 1 and sim_stride == 1
-  /// this is the per-call similarity loop.
+  /// batched codebook path relies on), and each query's scores land in
+  /// its own item of an item-major hdc::CoeffBlock. With nq == 1 this is
+  /// the per-call similarity loop.
   void (*similarity_tile)(const std::uint64_t* rows, std::size_t row_stride,
                           std::size_t nrows,
                           const std::uint64_t* const* queries, std::size_t nq,
                           std::size_t nw, long long dim, int* sims,
                           std::size_t sim_stride);
+
+  /// Sign masks of y[0..n): for every 64-element word w, bit j of neg[w]
+  /// is y[64w + j] < 0 and bit j of zero[w] is y[64w + j] == 0. Writes
+  /// ceil(n/64) words to each; bits past n are 0.
+  void (*sign_bits)(const int* y, std::size_t n, std::uint64_t* neg,
+                    std::uint64_t* zero);
 };
 
 /// Every backend compiled into this binary that can run on this CPU, scalar

@@ -67,12 +67,56 @@ void similarity_tile_neon(const std::uint64_t* rows, std::size_t row_stride,
     for (std::size_t i = 0; i < nrows; ++i) {
       const long long disagree =
           xor_popcount_neon(queries[q], rows + i * row_stride, nw);
-      sims[i * sim_stride + q] = static_cast<int>(dim - 2 * disagree);
+      sims[q * sim_stride + i] = static_cast<int>(dim - 2 * disagree);
     }
   }
 }
 
-constexpr KernelBackend kNeon{"neon", axpy_row_neon, similarity_tile_neon};
+// 16 lane masks (0 or all ones per 32-bit lane) to 16 bits, lane k at
+// bit k: narrow to bytes, keep one weight bit per byte and add each
+// half's eight bytes.
+inline std::uint64_t bits16_neon(uint32x4_t m0, uint32x4_t m1, uint32x4_t m2,
+                                 uint32x4_t m3) {
+  static const std::uint8_t kWeights[16] = {1, 2, 4,  8,  16, 32, 64, 128,
+                                            1, 2, 4,  8,  16, 32, 64, 128};
+  const uint16x8_t lo = vcombine_u16(vmovn_u32(m0), vmovn_u32(m1));
+  const uint16x8_t hi = vcombine_u16(vmovn_u32(m2), vmovn_u32(m3));
+  const uint8x16_t bits = vandq_u8(vcombine_u8(vmovn_u16(lo), vmovn_u16(hi)),
+                                   vld1q_u8(kWeights));
+  return static_cast<std::uint64_t>(vaddv_u8(vget_low_u8(bits))) |
+         (static_cast<std::uint64_t>(vaddv_u8(vget_high_u8(bits))) << 8);
+}
+
+// Whole 64-element words, 16 lanes per step; a partial last word goes to
+// the scalar reference.
+void sign_bits_neon(const int* y, std::size_t n, std::uint64_t* neg,
+                    std::uint64_t* zero) {
+  std::size_t i = 0;
+  for (; i + 64 <= n; i += 64) {
+    std::uint64_t neg_w = 0;
+    std::uint64_t zero_w = 0;
+    for (std::size_t j = 0; j < 64; j += 16) {
+      const int32x4_t v0 = vld1q_s32(y + i + j);
+      const int32x4_t v1 = vld1q_s32(y + i + j + 4);
+      const int32x4_t v2 = vld1q_s32(y + i + j + 8);
+      const int32x4_t v3 = vld1q_s32(y + i + j + 12);
+      neg_w |= bits16_neon(vcltzq_s32(v0), vcltzq_s32(v1), vcltzq_s32(v2),
+                           vcltzq_s32(v3))
+               << j;
+      zero_w |= bits16_neon(vceqzq_s32(v0), vceqzq_s32(v1), vceqzq_s32(v2),
+                            vceqzq_s32(v3))
+                << j;
+    }
+    neg[i / 64] = neg_w;
+    zero[i / 64] = zero_w;
+  }
+  if (i < n) {
+    scalar_backend()->sign_bits(y + i, n - i, neg + i / 64, zero + i / 64);
+  }
+}
+
+constexpr KernelBackend kNeon{"neon", axpy_row_neon, similarity_tile_neon,
+                              sign_bits_neon};
 
 }  // namespace
 

@@ -3,8 +3,10 @@
 // fallback on ISAs without a SIMD backend and the H3DFACT_KERNEL_BACKEND=
 // scalar override target for A/B timing.
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 
 #include "hdc/kernels/backend.hpp"
 
@@ -32,13 +34,51 @@ void similarity_tile_scalar(const std::uint64_t* rows, std::size_t row_stride,
     for (std::size_t i = 0; i < nrows; ++i) {
       const long long disagree =
           xor_popcount_scalar(queries[q], rows + i * row_stride, nw);
-      sims[i * sim_stride + q] = static_cast<int>(dim - 2 * disagree);
+      sims[q * sim_stride + i] = static_cast<int>(dim - 2 * disagree);
     }
   }
 }
 
+// Eight 0/1 byte flags to eight bits, flag k (byte k in memory) at bit k.
+// Loaded as one word, the multiply moves flag k's partial product to bit
+// 56 + k, and every other partial product lands on a distinct bit below 56
+// or past 63, so nothing carries into the top byte. A big-endian load puts
+// byte k at the other end of the word, hence the mirrored multiplier.
+std::uint64_t pack8(const unsigned char* flags) {
+  constexpr std::uint64_t kMul = std::endian::native == std::endian::little
+                                     ? 0x0102040810204080ULL
+                                     : 0x8040201008040201ULL;
+  std::uint64_t word = 0;
+  std::memcpy(&word, flags, sizeof word);
+  return (word * kMul) >> 56;
+}
+
+// One byte flag per element (a loop GCC vectorizes), then 8 flags per
+// multiply. Flags past n stay 0, so the last word's tail bits are 0.
+void sign_bits_scalar(const int* y, std::size_t n, std::uint64_t* neg,
+                      std::uint64_t* zero) {
+  for (std::size_t w = 0; w * 64 < n; ++w) {
+    const int* v = y + w * 64;
+    const std::size_t len = std::min<std::size_t>(64, n - w * 64);
+    unsigned char neg_f[64] = {};
+    unsigned char zero_f[64] = {};
+    for (std::size_t j = 0; j < len; ++j) {
+      neg_f[j] = v[j] < 0;
+      zero_f[j] = v[j] == 0;
+    }
+    std::uint64_t neg_w = 0;
+    std::uint64_t zero_w = 0;
+    for (std::size_t j = 0; j < 64; j += 8) {
+      neg_w |= pack8(neg_f + j) << j;
+      zero_w |= pack8(zero_f + j) << j;
+    }
+    neg[w] = neg_w;
+    zero[w] = zero_w;
+  }
+}
+
 constexpr KernelBackend kScalar{"scalar", axpy_row_scalar,
-                                 similarity_tile_scalar};
+                                 similarity_tile_scalar, sign_bits_scalar};
 
 }  // namespace
 

@@ -97,12 +97,53 @@ void similarity_tile_sse2(const std::uint64_t* rows, std::size_t row_stride,
     for (std::size_t i = 0; i < nrows; ++i) {
       const long long disagree =
           xor_popcount_sse2(queries[q], rows + i * row_stride, nw);
-      sims[i * sim_stride + q] = static_cast<int>(dim - 2 * disagree);
+      sims[q * sim_stride + i] = static_cast<int>(dim - 2 * disagree);
     }
   }
 }
 
-constexpr KernelBackend kSse2{"sse2", axpy_row_sse2, similarity_tile_sse2};
+// 16 lane masks (0 or −1 per 32-bit lane) to 16 bits, lane k at bit k:
+// saturating packs keep each lane's sign through i16 to i8, and PMOVMSKB
+// gathers the byte signs.
+inline std::uint64_t bits16_sse2(__m128i m0, __m128i m1, __m128i m2,
+                                 __m128i m3) {
+  const __m128i bytes =
+      _mm_packs_epi16(_mm_packs_epi32(m0, m1), _mm_packs_epi32(m2, m3));
+  return static_cast<unsigned>(_mm_movemask_epi8(bytes));
+}
+
+// Whole 64-element words, 16 lanes per step; a partial last word goes to
+// the scalar reference.
+void sign_bits_sse2(const int* y, std::size_t n, std::uint64_t* neg,
+                    std::uint64_t* zero) {
+  const __m128i zv = _mm_setzero_si128();
+  std::size_t i = 0;
+  for (; i + 64 <= n; i += 64) {
+    std::uint64_t neg_w = 0;
+    std::uint64_t zero_w = 0;
+    for (std::size_t j = 0; j < 64; j += 16) {
+      const __m128i* p = reinterpret_cast<const __m128i*>(y + i + j);
+      const __m128i v0 = _mm_loadu_si128(p);
+      const __m128i v1 = _mm_loadu_si128(p + 1);
+      const __m128i v2 = _mm_loadu_si128(p + 2);
+      const __m128i v3 = _mm_loadu_si128(p + 3);
+      neg_w |= bits16_sse2(_mm_cmplt_epi32(v0, zv), _mm_cmplt_epi32(v1, zv),
+                           _mm_cmplt_epi32(v2, zv), _mm_cmplt_epi32(v3, zv))
+               << j;
+      zero_w |= bits16_sse2(_mm_cmpeq_epi32(v0, zv), _mm_cmpeq_epi32(v1, zv),
+                            _mm_cmpeq_epi32(v2, zv), _mm_cmpeq_epi32(v3, zv))
+                << j;
+    }
+    neg[i / 64] = neg_w;
+    zero[i / 64] = zero_w;
+  }
+  if (i < n) {
+    scalar_backend()->sign_bits(y + i, n - i, neg + i / 64, zero + i / 64);
+  }
+}
+
+constexpr KernelBackend kSse2{"sse2", axpy_row_sse2, similarity_tile_sse2,
+                              sign_bits_sse2};
 
 }  // namespace
 

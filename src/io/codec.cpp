@@ -34,6 +34,20 @@ void add_codebook_set(ArtifactWriter& writer, const hdc::CodebookSet& set) {
 
 namespace {
 
+/// Packed words per vector of `dim` elements: ceil(dim / 64) without the
+/// wrap of (dim + 63) / 64 near 2^64.
+std::size_t words_per_vector(std::uint64_t dim) {
+  return static_cast<std::size_t>(dim / 64 + (dim % 64 != 0));
+}
+
+/// True when `n_words` is exactly `count` vectors of `per_vec` words,
+/// checked by division so that count * per_vec cannot wrap.
+bool holds_vectors(std::size_t n_words, std::uint64_t count,
+                   std::size_t per_vec) {
+  if (per_vec == 0) return n_words == 0;
+  return n_words % per_vec == 0 && n_words / per_vec == count;
+}
+
 /// Ties the artifact's backing bytes to the set borrowing from them.
 struct CodebookHolder {
   Artifact artifact;
@@ -82,7 +96,7 @@ LoadedCodebookSet load_codebook_set(Artifact artifact) {
                   std::to_string(word_sections.size()));
   }
 
-  const std::size_t per_row = (static_cast<std::size_t>(dim) + 63) / 64;
+  const std::size_t per_row = words_per_vector(dim);
   auto holder = std::make_shared<CodebookHolder>(std::move(artifact));
   std::vector<hdc::Codebook> books;
   books.reserve(factors);
@@ -90,14 +104,13 @@ LoadedCodebookSet load_codebook_set(Artifact artifact) {
     std::size_t n_words = 0;
     const std::uint64_t* words =
         holder->artifact.section_words(*word_sections[f], &n_words);
-    const std::size_t want =
-        static_cast<std::size_t>(book_meta[f].size) * per_row;
-    if (n_words != want) {
+    if (!holds_vectors(n_words, book_meta[f].size, per_row)) {
       throw ArtifactError(path, "codebook-words section for factor " +
                                     std::to_string(f) + " holds " +
                                     std::to_string(n_words) +
                                     " words, expected " +
-                                    std::to_string(want));
+                                    std::to_string(book_meta[f].size) +
+                                    " rows of " + std::to_string(per_row));
     }
     // Borrow the rows in place: the holder owns the backing bytes (mmap or
     // heap image) for as long as any copy of the set lives.
@@ -161,12 +174,13 @@ hdc::ItemMemory load_item_memory(const Artifact& artifact) {
       artifact.require_one(SectionKind::kItemMemoryWords);
   std::size_t n_words = 0;
   const std::uint64_t* words = artifact.section_words(words_info, &n_words);
-  const std::size_t per_item = (static_cast<std::size_t>(dim) + 63) / 64;
-  if (n_words != n_items * per_item) {
+  const std::size_t per_item = words_per_vector(dim);
+  if (!holds_vectors(n_words, n_items, per_item)) {
     throw ArtifactError(path, "item-memory-words holds " +
                                   std::to_string(n_words) +
                                   " words, expected " +
-                                  std::to_string(n_items * per_item));
+                                  std::to_string(n_items) + " items of " +
+                                  std::to_string(per_item));
   }
 
   hdc::ItemMemory memory(static_cast<std::size_t>(dim));
@@ -244,7 +258,7 @@ resonator::ResonatorSnapshot load_resonator_snapshot(
   const std::vector<std::uint64_t> truth = in.words(n_gt);
   snap.ground_truth.assign(truth.begin(), truth.end());
   snap.query_noise = in.f64();
-  const std::size_t per_vec = (static_cast<std::size_t>(dim) + 63) / 64;
+  const std::size_t per_vec = words_per_vector(dim);
   {
     const std::vector<std::uint64_t> qw = in.words(per_vec);
     snap.query = hdc::BipolarVector::from_words(

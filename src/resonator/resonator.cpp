@@ -197,14 +197,15 @@ void iterate(const hdc::CodebookSet& set, MvmEngine& engine,
   for (Lane& lane : lanes) active.push_back(&lane);
   std::vector<Lane*> still_active;
   std::vector<hdc::BipolarVector> us;
-  std::vector<std::vector<int>> a, y;
+  std::vector<std::vector<int>> a;
+  std::vector<int> y_one;  // a lone problem's projection
+  hdc::CoeffBlock y_block;  // the batch's projections, item by item
 
   for (std::size_t t = start; t <= options.max_iterations && !active.empty();
        ++t) {
     const std::size_t n = active.size();
     us.resize(n);
     a.resize(n);
-    y.resize(n);
     // Synchronous mode reads every factor against the state at iteration
     // start. Factor f's own estimate is untouched until its update, so only
     // the running product needs freezing.
@@ -260,13 +261,11 @@ void iterate(const hdc::CodebookSet& set, MvmEngine& engine,
       {
         PhaseProfiler::Scope scope(prof, Phase::kProjection);
         if (n == 1) {
-          y[0] = engine.project(f, a[0], device_rng);
+          y_one = engine.project(f, a[0], device_rng);
         } else {
           hdc::CoeffBlock coeffs(M, n);
           for (std::size_t i = 0; i < n; ++i) coeffs.set_item(i, a[i]);
-          const hdc::CoeffBlock block =
-              engine.project_batch(f, coeffs, device_rng);
-          for (std::size_t i = 0; i < n; ++i) y[i] = block.item(i);
+          y_block = engine.project_batch(f, coeffs, device_rng);
         }
         if (prof) prof->add_ops(Phase::kProjection, M * D * n);
       }
@@ -276,9 +275,10 @@ void iterate(const hdc::CodebookSet& set, MvmEngine& engine,
         PhaseProfiler::Scope scope(prof, Phase::kActivation);
         for (std::size_t i = 0; i < n; ++i) {
           Lane& lane = *active[i];
-          hdc::BipolarVector next = random_ties
-                                        ? hdc::sign_of(y[i], *lane.rng)
-                                        : hdc::sign_of(y[i]);
+          const std::span<const int> y =
+              n == 1 ? std::span<const int>(y_one) : y_block.item_span(i);
+          hdc::BipolarVector next = random_ties ? hdc::sign_of(y, *lane.rng)
+                                                : hdc::sign_of(y);
           lane.P.bind_inplace(lane.est[f]);
           lane.P.bind_inplace(next);
           lane.est[f] = std::move(next);

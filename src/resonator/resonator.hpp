@@ -52,9 +52,9 @@ class MvmEngine {
       std::size_t factor, std::span<const hdc::BipolarVector> us,
       util::Rng& rng);
 
-  /// Batched projection over an M×B SoA coefficient block (D×B block out).
-  /// Same contract as similarity_batch: item b must be distributed like a
-  /// per-call project(factor, coeffs.item(b)).
+  /// Batched projection over an M×B item-major coefficient block (D×B
+  /// block out). Same contract as similarity_batch: item b must be
+  /// distributed like a per-call project(factor, coeffs.item(b)).
   [[nodiscard]] virtual hdc::CoeffBlock project_batch(
       std::size_t factor, const hdc::CoeffBlock& coeffs, util::Rng& rng);
 };

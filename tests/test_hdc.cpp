@@ -11,11 +11,13 @@
 #include "hdc/encoding.hpp"
 #include "hdc/hypervector.hpp"
 #include "hdc/item_memory.hpp"
+#include "hdc/kernels/backend.hpp"
 #include "hdc/vsa.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
+namespace kernels = h3dfact::hdc::kernels;
 using h3dfact::hdc::BipolarVector;
 using h3dfact::hdc::Codebook;
 using h3dfact::hdc::CodebookSet;
@@ -190,6 +192,88 @@ TEST(BipolarVector, NonMultipleOf64TailStaysMasked) {
   EXPECT_EQ(n.negate().dot(a), 70);
 }
 
+// The element loop sign_of ran before the word-parallel sign masks, kept
+// as the reference: one bit per element (bit 1 encodes −1), ties to +1, or
+// in the random overload to the next bit of a 64-bit stream drawn lazily.
+BipolarVector sign_of_element_loop(const std::vector<int>& counts) {
+  BipolarVector v(counts.size());
+  std::uint64_t* words = v.data();
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    words[i / 64] |= static_cast<std::uint64_t>(counts[i] < 0) << (i % 64);
+  }
+  return v;
+}
+
+BipolarVector sign_of_element_loop(const std::vector<int>& counts, Rng& rng) {
+  BipolarVector v(counts.size());
+  std::uint64_t* words = v.data();
+  std::uint64_t rnd = 0;
+  int rnd_left = 0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    const int c = counts[i];
+    std::uint64_t bit;
+    if (c != 0) {
+      bit = static_cast<std::uint64_t>(c < 0);
+    } else {
+      if (rnd_left == 0) {
+        rnd = rng.bits64();
+        rnd_left = 64;
+      }
+      bit = rnd & 1u;
+      rnd >>= 1;
+      --rnd_left;
+    }
+    words[i / 64] |= bit << (i % 64);
+  }
+  return v;
+}
+
+// Restores live backend dispatch even when an assertion fails.
+struct BackendGuard {
+  ~BackendGuard() { kernels::reset_backend(); }
+};
+
+// Tie-free, tie-heavy, all-zero and mixed counts. The mixed input cycles
+// 64-element blocks of no ties, all ties and sparse ties, so whole tied
+// words meet the tie-break stream at every fill level.
+std::vector<std::vector<int>> sign_inputs(std::size_t n, Rng& rng) {
+  std::vector<int> tie_free(n), tie_heavy(n), zeros(n, 0), mixed(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    tie_free[i] = static_cast<int>(rng.range(1, 100)) * rng.bipolar();
+    tie_heavy[i] = rng.bernoulli(0.7) ? 0 : static_cast<int>(rng.range(-9, 9));
+    switch ((i / 64) % 4) {
+      case 0: mixed[i] = tie_free[i]; break;
+      case 2: mixed[i] = rng.bernoulli(0.1) ? 0 : tie_free[i]; break;
+      default: mixed[i] = 0; break;
+    }
+  }
+  return {tie_free, tie_heavy, zeros, mixed};
+}
+
+TEST(SignOf, MatchesElementLoopBitForBit) {
+  BackendGuard guard;
+  for (const kernels::KernelBackend* backend : kernels::available()) {
+    kernels::force_backend(backend->name);
+    Rng input_rng(19);
+    for (std::size_t n : {1u, 63u, 64u, 65u, 127u, 1000u, 1024u, 4096u,
+                          4161u, 10000u}) {
+      Rng got_rng(n);
+      Rng want_rng(n);
+      for (const auto& counts : sign_inputs(n, input_rng)) {
+        ASSERT_EQ(h3dfact::hdc::sign_of(counts), sign_of_element_loop(counts))
+            << backend->name << " n=" << n;
+        // One generator carried across calls: the tie stream must leave it
+        // exactly where the element loop leaves it, call after call.
+        ASSERT_EQ(h3dfact::hdc::sign_of(counts, got_rng),
+                  sign_of_element_loop(counts, want_rng))
+            << backend->name << " n=" << n;
+        ASSERT_EQ(got_rng.save_state(), want_rng.save_state())
+            << backend->name << " n=" << n;
+      }
+    }
+  }
+}
+
 TEST(SignOf, DeterministicTieBreakIsPlusOne) {
   auto v = h3dfact::hdc::sign_of(std::vector<int>{5, 0, -3});
   EXPECT_EQ(v.get(0), 1);
@@ -275,6 +359,41 @@ TEST(Codebook, SuperpositionCorrelatesWithAllMembers) {
   auto sup = cb.superposition();
   for (std::size_t m = 0; m < 9; ++m) {
     EXPECT_GT(sup.cosine(cb.vector(m)), 0.1);
+  }
+}
+
+// The votes behind superposition() are counted once per codebook; the
+// bundle must still be the sign of Σ_m x_m[d] with the same tie draws, for
+// owned rows and for rows borrowed from a packed block (the mmap path).
+TEST(Codebook, SuperpositionMatchesMemberMajority) {
+  Rng rng(28);
+  for (std::size_t M : {7u, 16u}) {
+    const std::size_t dim = 1000;
+    const Codebook owned(dim, M, rng);
+    const std::vector<std::uint64_t> packed(
+        owned.packed_data(),
+        owned.packed_data() + owned.size() * owned.words_per_row());
+    const Codebook borrowed = Codebook::from_packed(
+        dim, M, packed.data(), packed.size(), "borrowed", /*borrow=*/true);
+    for (const Codebook* cb : {&owned, &borrowed}) {
+      std::vector<int> votes(dim, 0);
+      for (std::size_t m = 0; m < M; ++m) {
+        for (std::size_t d = 0; d < dim; ++d) votes[d] += cb->vector(m).get(d);
+      }
+      EXPECT_EQ(cb->superposition(), sign_of_element_loop(votes)) << M;
+      Rng got_rng(M);
+      Rng want_rng(M);
+      EXPECT_EQ(cb->superposition(got_rng),
+                sign_of_element_loop(votes, want_rng))
+          << M;
+      EXPECT_EQ(got_rng.save_state(), want_rng.save_state()) << M;
+      for (std::size_t m = 0; m < M; ++m) {
+        const std::vector<std::int8_t> row(
+            cb->dense().begin() + static_cast<std::ptrdiff_t>(m * dim),
+            cb->dense().begin() + static_cast<std::ptrdiff_t>((m + 1) * dim));
+        EXPECT_EQ(row, cb->vector(m).to_i8()) << M << " row " << m;
+      }
+    }
   }
 }
 

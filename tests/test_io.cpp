@@ -435,6 +435,78 @@ TEST(IoFuzz, HostileCountsFailTyped) {
                io::ArtifactError);
 }
 
+// A dim whose word count wraps: (dim + 63) / 64 is 0 at dim = 2^64 − 1 and
+// 2^64 − 63, and 128 vectors of 2^57 words (dim = 2^63) are 2^64 words, 0
+// after the wrap. Each artifact below is digest-valid and holds no vector
+// words, which the wrapped count would accept; every loader must refuse it
+// with a typed ArtifactError instead of a zero-word vector of that dim,
+// std::length_error or std::bad_alloc.
+TEST(IoFuzz, HugeDimFailsTyped) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  auto books = [](std::uint64_t dim, std::uint64_t rows) {
+    std::string meta;
+    util::put_u64(meta, dim);
+    util::put_u64(meta, 1);  // factors
+    util::put_u64(meta, 0);  // fingerprint
+    util::put_u64(meta, rows);
+    util::put_str(meta, "f0");
+    io::ArtifactWriter writer;
+    writer.add_section(io::SectionKind::kCodebookSetMeta, std::move(meta));
+    writer.add_section(io::SectionKind::kCodebookWords, std::string());
+    const std::string path = temp_path("huge_dim_books.h3da");
+    writer.write(path);
+    return path;
+  };
+  auto items = [](std::uint64_t dim, std::uint64_t n_items) {
+    std::string meta;
+    util::put_u64(meta, dim);
+    util::put_u64(meta, n_items);
+    for (std::uint64_t i = 0; i < n_items; ++i) util::put_str(meta, "item");
+    io::ArtifactWriter writer;
+    writer.add_section(io::SectionKind::kItemMemoryMeta, std::move(meta));
+    writer.add_section(io::SectionKind::kItemMemoryWords, std::string());
+    const std::string path = temp_path("huge_dim_items.h3da");
+    writer.write(path);
+    return path;
+  };
+  auto state = [](std::uint64_t dim) {
+    std::string out;
+    util::put_u64(out, dim);
+    util::put_u64(out, 1);  // factors
+    for (int i = 0; i < 3; ++i) util::put_u64(out, 0);  // pins, iteration
+    util::put_u8(out, 0);      // ground truth unknown
+    util::put_u64(out, 0);     // no ground-truth indices
+    util::put_f64(out, 0.0);   // query noise
+    util::put_u64(out, 0);     // decoded index (no query/estimate words)
+    util::put_str(out, "");    // correct trace
+    for (int i = 0; i < 4; ++i) util::put_u64(out, 1);  // rng words
+    util::put_f64(out, 0.0);   // cached gaussian
+    util::put_u8(out, 0);      // none cached
+    util::put_u64(out, 0);     // no cycle table
+    util::put_u8(out, 0);      // no cycle found
+    return write_one_section("huge_dim_state.h3da",
+                             io::SectionKind::kResonatorState, out);
+  };
+
+  for (const std::uint64_t dim : {kMax, kMax - 62}) {
+    SCOPED_TRACE(dim);
+    EXPECT_THROW((void)io::load_codebook_set(books(dim, 1)),
+                 io::ArtifactError);
+    EXPECT_THROW(
+        (void)io::load_item_memory(io::Artifact::load(items(dim, 1))),
+        io::ArtifactError);
+    EXPECT_THROW(
+        (void)io::load_resonator_snapshot(io::Artifact::load(state(dim))),
+        io::ArtifactError);
+  }
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
+  EXPECT_THROW((void)io::load_codebook_set(books(kHalf, 128)),
+               io::ArtifactError);
+  EXPECT_THROW(
+      (void)io::load_item_memory(io::Artifact::load(items(kHalf, 128))),
+      io::ArtifactError);
+}
+
 // docs/serialization.md: decoders reject unknown section versions. A
 // codebook artifact whose sections all carry version 2 is refused at the
 // meta reader; one whose word sections alone do is refused at the word view.

@@ -16,6 +16,9 @@
 //                    the row width (padded layouts).
 //   axpy_row         element counts straddling 8/16-lane steps, coefficient
 //                    extremes (int8 saturating values, 0 skip).
+//   sign_bits        whole words plus every tail length 0..63, from
+//                    unaligned starts, over int extremes; no write past
+//                    the last word.
 //   project_batch    batch ∈ {0, 1, many}, all-zero coefficient rows.
 //   codebook paths   per-call vs tiled policy × 1/2/8 pool threads: the
 //                    engine-level fan-out must be bit-identical to the
@@ -26,6 +29,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -167,8 +171,9 @@ TEST(KernelFuzz, SimilarityTileDegenerateAndPaddedShapes) {
           for (std::size_t q = 0; q < nq; ++q) {
             queries.push_back(qstore[q].data());
           }
-          const std::size_t sim_stride = nq + 1;
-          std::vector<int> got(nrows * sim_stride + 1, -777);
+          // One padding slot between query items of the item-major output.
+          const std::size_t sim_stride = nrows + 1;
+          std::vector<int> got(nq * sim_stride + 1, -777);
           std::vector<int> want = got;
           backend->similarity_tile(rows.data(), row_stride, nrows,
                                    queries.data(), nq, nw, dim, got.data(),
@@ -177,9 +182,47 @@ TEST(KernelFuzz, SimilarityTileDegenerateAndPaddedShapes) {
                                   queries.data(), nq, nw, dim, want.data(),
                                   sim_stride);
           // Bit-identity includes the padding: untouched slots must keep
-          // their sentinel (a backend writing past nq is a real bug).
+          // their sentinel (a backend writing past nrows is a real bug).
           ASSERT_EQ(got, want) << backend->name << " nw=" << nw
                                << " nrows=" << nrows << " nq=" << nq;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelFuzz, SignBitsBitIdenticalAcrossTailsAndAlignments) {
+  const KernelBackend* scalar = kernels::scalar_backend();
+  Rng rng(0xF0220008);
+  // Extremes catch a compare done unsigned or on narrowed lanes.
+  const int kExtremes[] = {std::numeric_limits<int>::min(), -1, 0, 1,
+                           std::numeric_limits<int>::max()};
+  std::vector<int> pool(3 * 64 + 64 + 4);
+  for (auto& v : pool) {
+    v = rng.bernoulli(0.2) ? kExtremes[rng.below(5)]
+                           : static_cast<int>(rng.range(-2, 2));
+  }
+  constexpr std::uint64_t kSentinel = 0x5A5A5A5A5A5A5A5AULL;
+  for (const KernelBackend* backend : fuzz_backends()) {
+    for (std::size_t whole : {0u, 1u, 3u}) {
+      for (std::size_t tail = 0; tail < 64; ++tail) {
+        for (std::size_t off = 0; off < 4; ++off) {
+          const std::size_t n = whole * 64 + tail;
+          const std::size_t nw = whole + (tail != 0);
+          std::vector<std::uint64_t> got_neg(nw + 1, kSentinel);
+          std::vector<std::uint64_t> got_zero = got_neg;
+          std::vector<std::uint64_t> want_neg = got_neg;
+          std::vector<std::uint64_t> want_zero = got_neg;
+          backend->sign_bits(pool.data() + off, n, got_neg.data(),
+                             got_zero.data());
+          scalar->sign_bits(pool.data() + off, n, want_neg.data(),
+                            want_zero.data());
+          ASSERT_EQ(got_neg, want_neg)
+              << backend->name << " n=" << n << " off=" << off;
+          ASSERT_EQ(got_zero, want_zero)
+              << backend->name << " n=" << n << " off=" << off;
+          ASSERT_EQ(got_neg[nw], kSentinel) << backend->name << " n=" << n;
+          ASSERT_EQ(got_zero[nw], kSentinel) << backend->name << " n=" << n;
         }
       }
     }

@@ -284,10 +284,29 @@ TEST(KernelParity, SimilarityTileMatchesScalar) {
       std::vector<int> got(nrows * nq, -1);
       std::vector<int> want(nrows * nq, -1);
       backend->similarity_tile(rows.data(), nw, nrows, queries.data(), nq, nw,
-                               dim, got.data(), nq);
+                               dim, got.data(), nrows);
       scalar->similarity_tile(rows.data(), nw, nrows, queries.data(), nq, nw,
-                              dim, want.data(), nq);
+                              dim, want.data(), nrows);
       EXPECT_EQ(got, want) << backend->name << " nw=" << nw;
+    }
+  }
+}
+
+TEST(KernelParity, SignBitsMatchesScalar) {
+  const KernelBackend* scalar = kernels::scalar_backend();
+  Rng rng(2027);
+  for (const KernelBackend* backend : kernels::available()) {
+    for (std::size_t base : kElemCounts) {
+      const std::size_t n = base + static_cast<std::size_t>(rng.range(0, 5));
+      std::vector<int> y(n);
+      for (auto& v : y) v = static_cast<int>(rng.range(-3, 3));
+      const std::size_t nw = (n + 63) / 64;
+      std::vector<std::uint64_t> got_neg(nw), got_zero(nw);
+      std::vector<std::uint64_t> want_neg(nw), want_zero(nw);
+      backend->sign_bits(y.data(), n, got_neg.data(), got_zero.data());
+      scalar->sign_bits(y.data(), n, want_neg.data(), want_zero.data());
+      EXPECT_EQ(got_neg, want_neg) << backend->name << " n=" << n;
+      EXPECT_EQ(got_zero, want_zero) << backend->name << " n=" << n;
     }
   }
 }
