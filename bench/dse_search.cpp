@@ -25,6 +25,11 @@
 //   --shards=N --cell-threads=N --listen=[host:]port --workers=N|h:p,...
 //   --worker-cmd="CMD" --block-deadline-ms=N
 //   --checkpoint=BASE  rung k checkpoints to BASE.rung<k> (resumable)
+// After each rung's sweep this process evaluates the hardware models (ppa +
+// thermal solve) of the rung's new cells side by side on
+// max(1, --shards, --cell-threads) threads (--cell-threads 0 = the hardware
+// concurrency), capped at the number of new cells. The frontier does not
+// depend on the thread count.
 
 #include <cstdio>
 #include <fstream>

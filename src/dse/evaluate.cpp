@@ -53,8 +53,10 @@ arch::DesignSpec design_from_params(
   return arch::make_design(kind, dims);
 }
 
-HardwareMetrics evaluate_hardware(const arch::DesignSpec& design,
-                                  std::size_t thermal_n) {
+HardwareMetrics evaluate_hardware(const std::map<std::string, double>& params) {
+  const arch::DesignSpec design = design_from_params(params);
+  const auto thermal_n =
+      static_cast<std::size_t>(param_or(params, kParamThermalN, 0));
   HardwareMetrics hw;
   const ppa::AreaBreakdown area = ppa::compute_area(design);
   const ppa::TimingResult timing = ppa::compute_timing(design);
@@ -99,10 +101,7 @@ DesignPoint join_design_point(const sweep::CellResult& cell,
 }
 
 DesignPoint join_design_point(const sweep::CellResult& cell) {
-  const auto thermal_n =
-      static_cast<std::size_t>(param_or(cell.params, kParamThermalN, 0));
-  return join_design_point(
-      cell, evaluate_hardware(design_from_params(cell.params), thermal_n));
+  return join_design_point(cell, evaluate_hardware(cell.params));
 }
 
 const std::vector<Objective>& design_objectives() {

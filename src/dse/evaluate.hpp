@@ -6,10 +6,11 @@
 // for the same hardware coordinates: ppa::compute_area / compute_timing /
 // compute_energy over an arch::DesignSpec, and a thermal::build_stack solve
 // of the design's floorplan for the peak die temperature. The hardware side
-// is a pure function of the cell's design parameters — no trials, no RNG —
-// so it is evaluated wherever convenient (the search coordinator, after the
-// distributed fleet returns the accuracy stats) and is bit-reproducible
-// within a build.
+// is a pure function of the cell's design parameters — no trials, no RNG,
+// no shared state — so any thread may evaluate any cell and the metrics are
+// bit-reproducible within a build. The search (dse/halving.hpp) fans each
+// rung's new cells out over the rung's own thread budget; its results do
+// not depend on the thread count.
 
 #include <cstddef>
 #include <map>
@@ -72,16 +73,18 @@ struct DesignPoint {
 [[nodiscard]] arch::DesignSpec design_from_params(
     const std::map<std::string, double>& params);
 
-/// Evaluate the analytic hardware models for one design. `thermal_n` is the
-/// lateral thermal grid resolution (0 = the StackParams default, 24).
-[[nodiscard]] HardwareMetrics evaluate_hardware(const arch::DesignSpec& design,
-                                                std::size_t thermal_n = 0);
+/// Evaluate the analytic hardware models for a cell's design parameters:
+/// design_from_params, with "thermal_n" as the lateral thermal grid
+/// (absent or 0 = the StackParams default, 24). Throws what
+/// design_from_params throws.
+[[nodiscard]] HardwareMetrics evaluate_hardware(
+    const std::map<std::string, double>& params);
 
 /// Join one executed accuracy cell with its hardware evaluation.
 [[nodiscard]] DesignPoint join_design_point(const sweep::CellResult& cell);
 
 /// Join against an already-evaluated hardware model (the search scheduler
-/// caches per-cell hardware metrics across rungs — they depend only on the
+/// keeps per-cell hardware metrics across rungs — they depend only on the
 /// design axes, not on the trial budget).
 [[nodiscard]] DesignPoint join_design_point(const sweep::CellResult& cell,
                                             const HardwareMetrics& hw);

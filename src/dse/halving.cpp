@@ -1,41 +1,64 @@
 #include "dse/halving.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "dse/pareto.hpp"
+#include "util/sync.hpp"
 
 namespace h3dfact::dse {
 
 namespace {
 
+using HardwareSlots = std::vector<std::optional<HardwareMetrics>>;
+
 // Hardware metrics depend only on the design axes, never on the trial
 // budget, so each cell's models (including the thermal solve) run once per
-// search, not once per rung.
-const HardwareMetrics& cached_hardware(
-    std::map<std::size_t, HardwareMetrics>& cache,
-    const sweep::CellResult& cell) {
-  auto it = cache.find(cell.index);
-  if (it != cache.end()) return it->second;
-  const auto thermal_n = static_cast<std::size_t>(
-      cell.params.count(kParamThermalN) != 0
-          ? cell.params.at(kParamThermalN)
-          : 0.0);
-  HardwareMetrics hw =
-      evaluate_hardware(design_from_params(cell.params), thermal_n);
-  return cache.emplace(cell.index, std::move(hw)).first->second;
+// search, not once per rung. After a rung's sweep, the entrants with no
+// metrics yet are evaluated in one pass: workers claim cells from an atomic
+// counter and each result lands in its cell's own slot, so the metrics do
+// not depend on the thread count. The first model error is rethrown.
+void evaluate_new_cells(HardwareSlots& hw,
+                        const std::vector<sweep::CellResult>& cells,
+                        const sweep::SweepOptions& sweep) {
+  std::vector<const sweep::CellResult*> todo;
+  for (const sweep::CellResult& c : cells) {
+    if (!hw[c.index]) todo.push_back(&c);
+  }
+  // The thread rule of SearchOptions::sweep; threads_per_cell = 0 reads as
+  // the hardware concurrency, as the trial runner reads it.
+  const unsigned per_cell = sweep.threads_per_cell != 0
+                                ? sweep.threads_per_cell
+                                : std::thread::hardware_concurrency();
+  const auto threads = static_cast<unsigned>(std::min<std::size_t>(
+      std::max({1u, sweep.shards, per_cell}), todo.size()));
+  std::atomic<std::size_t> next{0};
+  util::run_workers(threads, [&]() {
+    try {
+      for (;;) {
+        const std::size_t i = next.fetch_add(1);
+        if (i >= todo.size()) break;
+        hw[todo[i]->index] = evaluate_hardware(todo[i]->params);
+      }
+    } catch (...) {
+      next.store(todo.size());  // drain the queue so peers stop early
+      throw;
+    }
+  });
 }
 
-std::vector<DesignPoint> join_all(
-    std::map<std::size_t, HardwareMetrics>& cache,
-    const std::vector<sweep::CellResult>& cells) {
+std::vector<DesignPoint> join_all(const HardwareSlots& hw,
+                                  const std::vector<sweep::CellResult>& cells) {
   std::vector<DesignPoint> points;
   points.reserve(cells.size());
   for (const sweep::CellResult& c : cells) {
-    points.push_back(join_design_point(c, cached_hardware(cache, c)));
+    points.push_back(join_design_point(c, *hw[c.index]));
   }
   return points;
 }
@@ -131,7 +154,7 @@ SearchResult run_search(const sweep::GridRef& ref,
   }
 
   SearchResult out;
-  std::map<std::size_t, HardwareMetrics> hw_cache;
+  HardwareSlots hw(total);
   std::vector<std::size_t> survivors(total);
   for (std::size_t i = 0; i < total; ++i) survivors[i] = i;
 
@@ -153,7 +176,8 @@ SearchResult run_search(const sweep::GridRef& ref,
     const std::vector<sweep::CellResult> cells =
         sweep::SweepRunner(rung_spec, rung_opts).run();
     out.cell_runs += cells.size();
-    const std::vector<DesignPoint> points = join_all(hw_cache, cells);
+    evaluate_new_cells(hw, cells, rung_opts);
+    const std::vector<DesignPoint> points = join_all(hw, cells);
 
     RungReport report;
     report.rung = k;

@@ -53,7 +53,11 @@ struct SearchOptions {
   Scalarization score;    ///< within-layer promotion tie-break
   /// Sweep execution (shards, transport, deadlines, progress). The `cells`,
   /// `grid` and `checkpoint_path` fields are managed per rung by the
-  /// scheduler and must be left empty.
+  /// scheduler and must be left empty. The same settings size the hardware
+  /// pass after each rung's sweep, which evaluates the rung's new cells
+  /// side by side on max(1, shards, threads_per_cell) threads (0 threads
+  /// per cell = the hardware concurrency), capped at the number of new
+  /// cells; the results do not depend on the thread count.
   sweep::SweepOptions sweep;
   /// Checkpoint base path; rung k persists to "<base>.rung<k>" in the
   /// standard sweep JSON format ("" = no checkpointing). An interrupted

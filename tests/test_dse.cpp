@@ -1,8 +1,9 @@
 // Design-space exploration tests: Pareto frontier algebra (idempotence,
 // dominance transitivity, permutation/duplicate/NaN handling), the joined
-// accuracy × hardware evaluator, shard-count invariance and checkpoint
-// resume of the successive-halving scheduler, frontier-artifact byte
-// stability, and strict rejection of malformed design-axis parameters.
+// accuracy × hardware evaluator, shard- and thread-count invariance, model
+// error propagation and checkpoint resume of the successive-halving
+// scheduler, frontier-artifact byte stability, and strict rejection of
+// malformed design-axis parameters.
 
 #include <cmath>
 #include <cstdio>
@@ -10,6 +11,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dse/evaluate.hpp"
@@ -241,8 +243,17 @@ void expect_same_points(const std::vector<dse::DesignPoint>& a,
     EXPECT_EQ(a[i].trials, b[i].trials) << context;
     EXPECT_EQ(a[i].accuracy, b[i].accuracy) << context;
     EXPECT_EQ(a[i].median_iterations, b[i].median_iterations) << context;
-    EXPECT_EQ(a[i].hw.area_mm2, b[i].hw.area_mm2) << context;
-    EXPECT_EQ(a[i].hw.peak_C, b[i].hw.peak_C) << context;
+    const dse::HardwareMetrics& x = a[i].hw;
+    const dse::HardwareMetrics& y = b[i].hw;
+    EXPECT_EQ(x.area_mm2, y.area_mm2) << context;
+    EXPECT_EQ(x.footprint_mm2, y.footprint_mm2) << context;
+    EXPECT_EQ(x.energy_per_op_fJ, y.energy_per_op_fJ) << context;
+    EXPECT_EQ(x.tops_per_watt, y.tops_per_watt) << context;
+    EXPECT_EQ(x.tops, y.tops) << context;
+    EXPECT_EQ(x.frequency_MHz, y.frequency_MHz) << context;
+    EXPECT_EQ(x.power_mW, y.power_mW) << context;
+    EXPECT_EQ(x.peak_C, y.peak_C) << context;
+    EXPECT_EQ(x.thermal_converged, y.thermal_converged) << context;
   }
 }
 
@@ -274,6 +285,74 @@ TEST(Halving, ShardCountInvariance) {
   // The artifact byte-level view of the same statement.
   EXPECT_EQ(dse::frontier_json_string("dse", unit_ref(), r1.frontier),
             dse::frontier_json_string("dse", unit_ref(), r4.frontier));
+}
+
+// The hardware pass after each rung runs on max(1, shards, threads_per_cell)
+// threads; each cell's metrics land in the cell's own slot, so promotion,
+// points and frontier bytes are the same at every thread count.
+TEST(Halving, HardwarePassIsThreadCountInvariant) {
+  dse::register_design_spaces();
+  dse::SearchOptions base;
+  base.rungs = 2;
+  base.eta = 1.5;
+  base.sweep.use_processes = false;
+  base.sweep.threads_per_cell = 1;
+  const dse::SearchResult serial = dse::run_search(unit_ref(), base);
+  const std::string serial_bytes =
+      dse::frontier_json_string("dse", unit_ref(), serial.frontier);
+
+  std::vector<std::pair<std::string, dse::SearchOptions>> variants;
+  for (unsigned threads : {2u, 3u, 8u}) {
+    dse::SearchOptions opt = base;
+    opt.sweep.threads_per_cell = threads;
+    variants.emplace_back(std::to_string(threads) + " threads per cell", opt);
+  }
+  dse::SearchOptions sharded = base;
+  sharded.sweep.threads_per_cell = 0;
+  sharded.sweep.shards = 4;
+  variants.emplace_back("4 shards", sharded);
+
+  for (const auto& [context, opt] : variants) {
+    const dse::SearchResult r = dse::run_search(unit_ref(), opt);
+    ASSERT_EQ(r.rungs.size(), serial.rungs.size()) << context;
+    for (std::size_t k = 0; k < r.rungs.size(); ++k) {
+      EXPECT_EQ(r.rungs[k].promoted, serial.rungs[k].promoted) << context;
+    }
+    expect_same_points(r.points, serial.points, context);
+    expect_same_points(r.frontier, serial.frontier, context);
+    EXPECT_EQ(dse::frontier_json_string("dse", unit_ref(), r.frontier),
+              serial_bytes)
+        << context;
+  }
+}
+
+// A model error inside the hardware pass (here an unknown design kind that
+// the trials never read) surfaces from run_search as the evaluator's own
+// exception at any thread count, not as std::terminate in a worker.
+TEST(Halving, HardwarePassRethrowsModelErrors) {
+  dse::register_design_spaces();
+  sweep::register_grid("dse_bad_design", [](const sweep::GridParams& p) {
+    sweep::SweepSpec spec = dse::build_design_space(p);
+    spec.finalize = [inner = spec.finalize](sweep::Cell& c) {
+      inner(c);
+      if (c.index == 1) c.params[dse::kParamDesign] = 7;
+    };
+    return spec;
+  });
+  sweep::GridRef ref = unit_ref();
+  ref.name = "dse_bad_design";
+  for (unsigned threads : {1u, 4u}) {
+    dse::SearchOptions opt;
+    opt.sweep.use_processes = false;
+    opt.sweep.threads_per_cell = threads;
+    try {
+      (void)dse::run_search(ref, opt);
+      FAIL() << "design 7 was accepted at " << threads << " threads";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'design' = 7"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // An exhaustive sweep (rungs=1) and a halving search whose promotion kept
