@@ -279,14 +279,20 @@ CodebookSet::CodebookSet(std::vector<Codebook> books) : books_(std::move(books))
 }
 
 BipolarVector CodebookSet::compose(const std::vector<std::size_t>& indices) const {
+  BipolarVector s;
+  compose(indices, s);
+  return s;
+}
+
+void CodebookSet::compose(const std::vector<std::size_t>& indices,
+                          BipolarVector& out) const {
   if (indices.size() != books_.size()) {
     throw std::invalid_argument("index count must equal factor count");
   }
-  BipolarVector s = books_[0].vector(indices[0]);
+  out = books_[0].vector(indices[0]);
   for (std::size_t f = 1; f < books_.size(); ++f) {
-    s.bind_inplace(books_[f].vector(indices[f]));
+    out.bind_inplace(books_[f].vector(indices[f]));
   }
-  return s;
 }
 
 double CodebookSet::search_space() const {

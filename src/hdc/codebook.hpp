@@ -198,6 +198,11 @@ class CodebookSet {
   /// Compose a product vector s = x_{i1} ⊙ x_{i2} ⊙ ... from indices.
   [[nodiscard]] BipolarVector compose(const std::vector<std::size_t>& indices) const;
 
+  /// compose() written into `out`, reusing its storage (the resonator's
+  /// per-iteration decode check).
+  void compose(const std::vector<std::size_t>& indices,
+               BipolarVector& out) const;
+
   /// Total search-space size ∏ M_f as double (can exceed 2^64).
   [[nodiscard]] double search_space() const;
 

@@ -184,13 +184,15 @@ namespace {
 // Elements per sign_bits call: the tie masks of one chunk live on the stack.
 constexpr std::size_t kSignChunkWords = 64;
 
-// Sign of counts (bit 1 encodes −1, ties left at +1), chunk by chunk
-// through the active backend; on_ties(word, tie mask) then sees every
-// output word that holds a zero count, in element order.
+// Sign of counts into v (bit 1 encodes −1, ties left at +1), chunk by
+// chunk through the active backend, which writes every word; on_ties(word,
+// tie mask) then sees every output word that holds a zero count, in
+// element order.
 template <typename OnTies>
-BipolarVector sign_words(std::span<const int> counts, OnTies&& on_ties) {
+void sign_words(std::span<const int> counts, BipolarVector& v,
+                OnTies&& on_ties) {
   const kernels::KernelBackend& backend = kernels::active();
-  BipolarVector v(counts.size());
+  if (v.dim() != counts.size()) v = BipolarVector(counts.size());
   std::uint64_t* words = v.data();
   std::uint64_t zero[kSignChunkWords] = {};
   for (std::size_t i = 0; i < counts.size(); i += kSignChunkWords * 64) {
@@ -201,24 +203,35 @@ BipolarVector sign_words(std::span<const int> counts, OnTies&& on_ties) {
       if (zero[w] != 0) on_ties(words[i / 64 + w], zero[w]);
     }
   }
-  return v;
 }
 
 }  // namespace
 
 BipolarVector sign_of(std::span<const int> counts) {
-  // Ties (zero) break to +1, which is bit 0: the negative mask is the word.
-  return sign_words(counts, [](std::uint64_t&, std::uint64_t) {});
+  BipolarVector v;
+  sign_of(counts, v);
+  return v;
 }
 
 BipolarVector sign_of(std::span<const int> counts, util::Rng& rng) {
+  BipolarVector v;
+  sign_of(counts, rng, v);
+  return v;
+}
+
+void sign_of(std::span<const int> counts, BipolarVector& out) {
+  // Ties (zero) break to +1, which is bit 0: the negative mask is the word.
+  sign_words(counts, out, [](std::uint64_t&, std::uint64_t) {});
+}
+
+void sign_of(std::span<const int> counts, util::Rng& rng, BipolarVector& out) {
   // Random bits for tie-breaks are drawn 64 at a time: early resonator
   // iterations can produce all-zero projections (every element tied), and a
   // per-element generator call would dominate the activation phase. `rnd`
   // holds the rnd_left unused bits of the last draw in its low bits.
   std::uint64_t rnd = 0;
   int rnd_left = 0;
-  return sign_words(counts, [&](std::uint64_t& word, std::uint64_t ties) {
+  sign_words(counts, out, [&](std::uint64_t& word, std::uint64_t ties) {
     if (ties == ~std::uint64_t{0}) {
       // A whole tied word takes the next 64 bits of the stream at once.
       if (rnd_left == 0) {

@@ -99,4 +99,9 @@ BipolarVector sign_of(std::span<const int> counts);
 /// only when the previous one is used up.
 BipolarVector sign_of(std::span<const int> counts, util::Rng& rng);
 
+/// The two sign_of forms written into `out`, reusing its storage when its
+/// dimension already equals counts.size() (the resonator's scratch vector).
+void sign_of(std::span<const int> counts, BipolarVector& out);
+void sign_of(std::span<const int> counts, util::Rng& rng, BipolarVector& out);
+
 }  // namespace h3dfact::hdc

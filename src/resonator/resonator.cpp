@@ -196,10 +196,16 @@ void iterate(const hdc::CodebookSet& set, MvmEngine& engine,
   std::vector<Lane*> active;
   for (Lane& lane : lanes) active.push_back(&lane);
   std::vector<Lane*> still_active;
+  // Scratch reused across factors and iterations: once it has grown to the
+  // batch, only the engine and channel calls, which return by value,
+  // allocate.
   std::vector<hdc::BipolarVector> us;
   std::vector<std::vector<int>> a;
   std::vector<int> y_one;  // a lone problem's projection
+  hdc::CoeffBlock coeffs;   // the batch's channel outputs, item by item
   hdc::CoeffBlock y_block;  // the batch's projections, item by item
+  hdc::BipolarVector next;  // a new estimate, swapped in for the old one
+  hdc::BipolarVector composed;  // the decoded product, for the success check
 
   for (std::size_t t = start; t <= options.max_iterations && !active.empty();
        ++t) {
@@ -221,7 +227,8 @@ void iterate(const hdc::CodebookSet& set, MvmEngine& engine,
         PhaseProfiler::Scope scope(prof, Phase::kUnbind);
         for (std::size_t i = 0; i < n; ++i) {
           const Lane& lane = *active[i];
-          us[i] = (synchronous ? lane.P_read : lane.P).bind(lane.est[f]);
+          us[i] = synchronous ? lane.P_read : lane.P;
+          us[i].bind_inplace(lane.est[f]);
         }
         if (prof) prof->add_ops(Phase::kUnbind, 2 * D * n);
       }
@@ -235,7 +242,10 @@ void iterate(const hdc::CodebookSet& set, MvmEngine& engine,
         } else {
           const hdc::CoeffBlock block =
               engine.similarity_batch(f, us, device_rng);
-          for (std::size_t i = 0; i < n; ++i) a[i] = block.item(i);
+          for (std::size_t i = 0; i < n; ++i) {
+            const std::span<const int> item = block.item_span(i);
+            a[i].assign(item.begin(), item.end());
+          }
         }
         if (prof) prof->add_ops(Phase::kSimilarity, M * D * n);
       }
@@ -263,7 +273,9 @@ void iterate(const hdc::CodebookSet& set, MvmEngine& engine,
         if (n == 1) {
           y_one = engine.project(f, a[0], device_rng);
         } else {
-          hdc::CoeffBlock coeffs(M, n);
+          coeffs.size = M;
+          coeffs.batch = n;
+          coeffs.data.resize(M * n);
           for (std::size_t i = 0; i < n; ++i) coeffs.set_item(i, a[i]);
           y_block = engine.project_batch(f, coeffs, device_rng);
         }
@@ -277,11 +289,14 @@ void iterate(const hdc::CodebookSet& set, MvmEngine& engine,
           Lane& lane = *active[i];
           const std::span<const int> y =
               n == 1 ? std::span<const int>(y_one) : y_block.item_span(i);
-          hdc::BipolarVector next = random_ties ? hdc::sign_of(y, *lane.rng)
-                                                : hdc::sign_of(y);
+          if (random_ties) {
+            hdc::sign_of(y, *lane.rng, next);
+          } else {
+            hdc::sign_of(y, next);
+          }
           lane.P.bind_inplace(lane.est[f]);
           lane.P.bind_inplace(next);
-          lane.est[f] = std::move(next);
+          std::swap(lane.est[f], next);
         }
         if (prof) prof->add_ops(Phase::kActivation, D * n);
       }
@@ -293,8 +308,8 @@ void iterate(const hdc::CodebookSet& set, MvmEngine& engine,
       for (Lane* lane : active) {
         ResonatorResult& result = lane->result;
         result.iterations = t;
-        const long long d =
-            set.compose(result.decoded).dot(lane->problem->query);
+        set.compose(result.decoded, composed);
+        const long long d = composed.dot(lane->problem->query);
         if (options.record_correct_trace) {
           result.correct_trace.push_back(
               lane->problem->is_correct(result.decoded) ? 1 : 0);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -17,7 +18,9 @@ const LayerTemps& ThermalSolution::layer(const std::string& name) const {
 
 double ThermalSolution::hottest_C() const {
   double t = -1e30;
-  for (const auto& l : layers) t = std::max(t, l.max_C);
+  for (const auto& l : layers) {
+    if (l.max_C > t || std::isnan(l.max_C)) t = l.max_C;  // NaN sticks
+  }
   return t;
 }
 
@@ -154,6 +157,13 @@ ThermalSolution ThermalGrid::solve() const {
       }
     }
     if (residual < config_.tolerance_C) break;
+  }
+  // std::max drops a NaN change, so a field gone NaN (a lone cell with no
+  // path to ambient divides by a zero conductance sum) can meet the
+  // tolerance. A NaN temperature never recovers, so one left anywhere in
+  // the field makes the stop value NaN and the solve unconverged.
+  if (std::any_of(T.begin(), T.end(), [](double t) { return std::isnan(t); })) {
+    residual = std::numeric_limits<double>::quiet_NaN();
   }
 
   ThermalSolution sol;

@@ -45,10 +45,11 @@ struct LayerTemps {
 struct ThermalSolution {
   std::vector<LayerTemps> layers;
   std::size_t sweeps = 0;  ///< SOR sweeps that ran (at most max_sweeps)
-  double residual_C = 0.0;
-  bool converged = false;
+  double residual_C = 0.0;  ///< last sweep's largest update; NaN if any was
+  bool converged = false;   ///< residual_C < tolerance_C (never for NaN)
 
   [[nodiscard]] const LayerTemps& layer(const std::string& name) const;
+  /// The largest layer max_C, NaN if any layer's is NaN.
   [[nodiscard]] double hottest_C() const;
 };
 

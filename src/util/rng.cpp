@@ -26,14 +26,16 @@ double Rng::gaussian() {
     has_cached_gauss_ = false;
     return cached_gauss_;
   }
-  // Box-Muller; u1 in (0,1] to avoid log(0).
-  double u1 = 1.0 - uniform();
-  double u2 = uniform();
-  double r = std::sqrt(-2.0 * std::log(u1));
-  double theta = 2.0 * M_PI * u2;
-  cached_gauss_ = r * std::sin(theta);
+  const GaussianPair z = box_muller(gaussian_uniforms());
+  cached_gauss_ = z.sin;
   has_cached_gauss_ = true;
-  return r * std::cos(theta);
+  return z.cos;
+}
+
+Rng::GaussianPair Rng::box_muller(PairUniforms u) {
+  const double r = std::sqrt(-2.0 * std::log(u.u1));
+  const double theta = 2.0 * M_PI * u.u2;
+  return {r * std::cos(theta), r * std::sin(theta)};
 }
 
 double Rng::lognormal(double mu, double sigma) {

@@ -22,6 +22,10 @@ constexpr std::uint64_t splitmix64(std::uint64_t& state) {
 /// Complete serializable state of an Rng: the four xoshiro256** words plus
 /// the Box-Muller pair cache. restore_state() of a save_state() resumes the
 /// stream bit-identically, including a pending cached gaussian draw.
+/// `cached_gauss` keeps the last pair's sine even after it has been
+/// consumed (`has_cached_gauss` false), and resonator snapshots serialize
+/// it: anything that draws Box-Muller pairs must leave it exactly as
+/// gaussian() does.
 struct RngState {
   std::array<std::uint64_t, 4> s{};
   double cached_gauss = 0.0;
@@ -87,11 +91,36 @@ class Rng {
   /// 64 independent random bits.
   std::uint64_t bits64() { return next(); }
 
-  /// Standard normal via Box-Muller (cached pair).
+  /// Standard normal via Box-Muller (cached pair): the pending sine if a
+  /// pair's sine is cached, else a new pair from gaussian_uniforms() and
+  /// box_muller(), whose cosine it returns and whose sine it caches. The
+  /// sine stays in the state after it is consumed (see RngState), so code
+  /// that draws pairs itself must leave `cached_gauss` exactly where
+  /// draw-by-draw calls would.
   double gaussian();
 
   /// Normal with mean mu, stddev sigma.
   double gaussian(double mu, double sigma) { return mu + sigma * gaussian(); }
+
+  /// True when the next gaussian() returns the cached sine of a pair.
+  [[nodiscard]] bool gaussian_cached() const { return has_cached_gauss_; }
+
+  /// The uniforms of one Box-Muller pair, drawn as gaussian() draws them:
+  /// u1 in (0, 1] (so log(u1) is finite), then u2 in [0, 1).
+  struct PairUniforms {
+    double u1, u2;
+  };
+  PairUniforms gaussian_uniforms() {
+    const double u1 = 1.0 - uniform();
+    return {u1, uniform()};
+  }
+
+  /// The pair of standard normals gaussian() makes of `u`: r·cos and r·sin
+  /// of 2π·u2, r = √(−2 ln u1). The one transform every gaussian uses.
+  struct GaussianPair {
+    double cos, sin;
+  };
+  [[nodiscard]] static GaussianPair box_muller(PairUniforms u);
 
   /// Lognormal with given parameters of the underlying normal.
   double lognormal(double mu, double sigma);

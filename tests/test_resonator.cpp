@@ -2,8 +2,12 @@
 // baseline on small problems, stochastic escape from limit cycles, trial
 // runner statistics, and profiling.
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <gtest/gtest.h>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -56,11 +60,31 @@ TEST(Channels, GaussianZeroSigmaIsExact) {
 }
 
 TEST(Channels, RejectsInvalidParams) {
-  EXPECT_THROW(H3dfactChannel(-1.0, 0.0, 4, 10.0), std::invalid_argument);
-  EXPECT_THROW(H3dfactChannel(0.0, -1.0, 4, 10.0), std::invalid_argument);
   EXPECT_THROW(H3dfactChannel(0.0, 0.0, 0, 10.0), std::invalid_argument);
   EXPECT_THROW(H3dfactChannel(0.0, 0.0, 17, 10.0), std::invalid_argument);
-  EXPECT_THROW(H3dfactChannel(0.0, 0.0, 4, 0.0), std::invalid_argument);
+  // Out-of-range and non-finite values fail, naming the parameter.
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  struct Bad {
+    const char* param;
+    double sigma, threshold, clip;
+  };
+  const Bad bad[] = {
+      {"sigma", -1.0, 0.0, 10.0},     {"sigma", nan, 0.0, 10.0},
+      {"sigma", inf, 0.0, 10.0},      {"sigma", -inf, 0.0, 10.0},
+      {"threshold", 0.0, -1.0, 10.0}, {"threshold", 0.0, nan, 10.0},
+      {"threshold", 0.0, inf, 10.0},  {"clip", 0.0, 0.0, 0.0},
+      {"clip", 0.0, 0.0, -1.0},       {"clip", 0.0, 0.0, nan},
+      {"clip", 0.0, 0.0, inf}};
+  for (const Bad& b : bad) {
+    try {
+      const H3dfactChannel ch(b.sigma, b.threshold, 4, b.clip);
+      ADD_FAILURE() << "accepted " << ch.describe();
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(b.param), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // At sigma = 0 the channel is threshold + ADC alone.
@@ -118,6 +142,162 @@ TEST(Channels, H3dfactChannelOutputIsPinned) {
   Rng fresh(7);
   for (std::size_t i = 0; i < exact.size(); ++i) (void)fresh.gaussian();
   EXPECT_EQ(rng.save_state(), fresh.save_state());
+}
+
+// The channel as a draw-by-draw two-pass loop: one Rng::gaussian() per
+// entry, libm rounding, then threshold and ADC. apply() must match it bit
+// for bit, generator state included.
+std::vector<int> two_pass_channel(const std::vector<int>& exact, double sigma,
+                                  double threshold, int bits, double clip,
+                                  Rng& rng) {
+  const double max_code = (1 << bits) - 1;
+  const double step = clip / max_code;
+  std::vector<int> out(exact.size());
+  for (std::size_t m = 0; m < exact.size(); ++m) {
+    out[m] = static_cast<int>(std::lround(exact[m] + rng.gaussian(0.0, sigma)));
+  }
+  for (int& v : out) {
+    const double sensed =
+        std::abs(static_cast<double>(v)) < threshold ? 0.0 : v;
+    v = static_cast<int>(std::clamp(std::round(sensed / step), 0.0, max_code));
+  }
+  return out;
+}
+
+// One exact similarity: next to θ − ½ (where the skip bound is tight), far
+// below it (where pairs skip), negative, above θ, or anywhere in between.
+int channel_entry(Rng& pick, double sigma, double threshold) {
+  const auto edge = static_cast<long long>(std::floor(threshold - 0.5));
+  const auto top = static_cast<long long>(threshold);
+  long long e = 0;
+  switch (pick.below(5)) {
+    case 0: e = edge + pick.range(-2, 2); break;
+    case 1:
+      e = edge - static_cast<long long>(pick.uniform(3.0, 12.0) * sigma) -
+          pick.range(0, 3);
+      break;
+    case 2: e = -pick.range(0, 2000); break;
+    case 3: e = top + pick.range(0, 300); break;
+    default: e = pick.range(-10, 10 + 3 * top); break;
+  }
+  return static_cast<int>(e);
+}
+
+TEST(Channels, MatchesTwoPassLoopBitForBit) {
+  Rng pick(23);
+  for (std::uint64_t config = 0; config < 400; ++config) {
+    // Every fourth config puts all entries one or two counts below an
+    // integer θ with R = ½/σ or 3/(2σ) near 1, where a skip bound that is
+    // only a little too loose would skip draws that cross θ.
+    const bool at_edge = config % 4 == 3;
+    const double sigma = at_edge           ? pick.uniform(0.3, 3.0)
+                         : config % 4 == 0 ? 0.0
+                         : config % 4 == 1 ? pick.uniform(0.0, 0.5)
+                                           : pick.uniform(0.0, 40.0);
+    double threshold = 0.0;
+    switch (at_edge ? 2 : pick.below(5)) {
+      case 0: break;
+      case 1: threshold = pick.uniform(0.0, 0.5); break;
+      case 2: threshold = static_cast<double>(pick.range(1, 100)); break;
+      case 3: threshold = static_cast<double>(pick.below(100)) + 0.5; break;
+      default: threshold = pick.uniform(0.0, 100.0); break;
+    }
+    const int bits = static_cast<int>(pick.range(1, 16));
+    const double clip = pick.uniform(0.1, 4.0 * threshold + 20.0);
+    const H3dfactChannel ch(sigma, threshold, bits, clip);
+    SCOPED_TRACE(ch.describe());
+    // One generator pair carried across calls, so every call starts where
+    // the previous one left the state, sometimes with a cached gaussian.
+    Rng got(config);
+    Rng want(config);
+    for (int call = 0; call < 40; ++call) {
+      if (pick.bernoulli(0.4)) {
+        (void)got.gaussian();
+        (void)want.gaussian();
+      }
+      std::vector<int> exact(pick.below(41));
+      for (int& e : exact) {
+        e = at_edge ? static_cast<int>(threshold - 1.0 - pick.range(0, 1))
+                    : channel_entry(pick, sigma, threshold);
+      }
+      ASSERT_EQ(ch.apply(exact, got),
+                two_pass_channel(exact, sigma, threshold, bits, clip, want))
+          << "call " << call << ", " << exact.size() << " entries";
+      ASSERT_EQ(got.save_state(), want.save_state()) << "call " << call;
+    }
+  }
+}
+
+// A generator whose next two outputs are `first` and `second`. xoshiro256**
+// returns rotl(s1·5, 7)·9 and then sets s1 ^= s2 ^ s0, so with s0 = 0 the
+// two outputs fix s1 and s2 (5 and 9 are odd, hence invertible mod 2^64).
+Rng rng_with_outputs(std::uint64_t first, std::uint64_t second) {
+  auto inverse = [](std::uint64_t a) {
+    std::uint64_t x = a;  // Newton's iteration doubles the correct bits
+    for (int i = 0; i < 6; ++i) x *= 2 - a * x;
+    return x;
+  };
+  auto s1_for = [&](std::uint64_t out) {
+    return std::rotr(out * inverse(9), 7) * inverse(5);
+  };
+  util::RngState st;
+  st.s = {0, s1_for(first), s1_for(first) ^ s1_for(second), 0};
+  Rng rng;
+  rng.restore_state(st);
+  return rng;
+}
+
+// The skip bound's margin. A pair drawn exactly at the unshrunk bound
+// u1 = exp(−R²/2), R = (θ − ½ − e)/σ, whose angle puts all of r on one
+// entry (u2 = 0: cos 1; u2 = ¼: sin 1), lifts e = 47 to 47.5 exactly, which
+// rounds to θ = 48 and reads as a nonzero code: the pair must be evaluated.
+TEST(Channels, EvaluatesAPairAtTheUnshrunkSkipBound) {
+  const Rng probe = rng_with_outputs(0x0123456789abcdefULL, 42);
+  Rng copy = probe;
+  ASSERT_EQ(copy.next(), 0x0123456789abcdefULL);
+  ASSERT_EQ(copy.next(), 42u);
+
+  const double sigma = 1.0;
+  const double threshold = 48.0;
+  const H3dfactChannel ch(sigma, threshold, 4, 128.0);
+  const double r = (threshold - 0.5 - 47) / sigma;
+  const double u1 = std::exp(-0.5 * r * r);  // in [0.5, 1), so 1 − u1 is k·2^-53
+  const auto first = static_cast<std::uint64_t>((1.0 - u1) * 0x1p53) << 11;
+  for (const bool on_sine : {false, true}) {
+    SCOPED_TRACE(on_sine ? "sine" : "cosine");
+    const std::uint64_t second = on_sine ? std::uint64_t{1} << 62 : 0;
+    const std::vector<int> exact =
+        on_sine ? std::vector<int>{0, 47, 0, 0} : std::vector<int>{47, 0, 0, 0};
+    Rng got = rng_with_outputs(first, second);
+    Rng want = got;
+    const std::vector<int> codes =
+        two_pass_channel(exact, sigma, threshold, 4, 128.0, want);
+    ASSERT_NE(codes[on_sine ? 1 : 0], 0);  // the draw does reach θ
+    EXPECT_EQ(ch.apply(exact, got), codes);
+    EXPECT_EQ(got.save_state(), want.save_state());
+  }
+}
+
+TEST(Channels, RoundHalfAwayMatchesLibm) {
+  using resonator::round_half_away;
+  std::vector<double> xs{0.0,   -0.0, 0.5,  -0.5, 1.5, -1.5, 2.5, -2.5,
+                         0.49999999999999994, -0.49999999999999994,
+                         0x1p52 - 0.5, -(0x1p52 - 0.5), 0x1p52 + 1.0,
+                         -(0x1p53 + 2.0), 1e300, -1e300};
+  Rng rng(29);
+  for (int i = 0; i < 50000; ++i) {
+    // Magnitudes from 2^-10 to 2^62, and the half-integers among them.
+    const double mag =
+        std::ldexp(rng.uniform(), static_cast<int>(rng.below(73)) - 10);
+    xs.push_back(rng.bipolar() * mag);
+    xs.push_back(rng.bipolar() * (std::floor(mag) + 0.5));
+  }
+  for (const double x : xs) {
+    ASSERT_EQ(round_half_away(x), std::round(x)) << x;
+    if (std::abs(x) < 0x1p62) {
+      ASSERT_EQ(static_cast<long>(round_half_away(x)), std::lround(x)) << x;
+    }
+  }
 }
 
 TEST(LimitCycleDetector, DetectsRevisit) {

@@ -301,6 +301,26 @@ TEST(ThermalGrid, SweepCountStopsAtTheCap) {
   EXPECT_EQ(short_run.sweeps, free_run.sweeps - 1);
 }
 
+// A lone cell with no path to ambient divides by a zero conductance sum:
+// 0/0 without power, p/0 = inf and then inf − inf with it. The constructor
+// accepts the config, and the NaN must reach the stop value, so the solve
+// ends unconverged instead of reporting a converged NaN field.
+TEST(ThermalGrid, NanFieldNeverReportsConverged) {
+  GridConfig cfg;
+  cfg.nx = 1;
+  cfg.ny = 1;
+  cfg.h_top_W_m2K = 0.0;
+  cfg.h_bottom_W_m2K = 0.0;
+  for (const auto& power : {std::vector<double>{}, std::vector<double>{1e-3}}) {
+    SCOPED_TRACE(power.empty() ? "unpowered" : "powered");
+    const ThermalSolution sol =
+        ThermalGrid(cfg, {{"die", 100.0, 120.0, power}}).solve();
+    EXPECT_FALSE(sol.converged);
+    EXPECT_TRUE(std::isnan(sol.residual_C)) << sol.residual_C;
+    EXPECT_TRUE(std::isnan(sol.hottest_C())) << sol.hottest_C();
+  }
+}
+
 TEST(ThermalGrid, WavefrontSweepMatchesLexicographicSor) {
   struct Case {
     std::string name;
