@@ -9,7 +9,7 @@
 //   --cap=N       iteration cap
 //   --seed=N      master seed
 //   --full        lift the scaled-down defaults to paper-scale settings
-//   --shards=N    local worker processes for the sweep grid (default 1)
+//   --shards=N    local worker threads for the sweep grid (default 1)
 //   --cell-threads=N  threads inside each cell (default: auto)
 //   --csv=PATH / --json=PATH  dump the structured cell results
 //   --strip-wall  zero wall_seconds in the dumps (byte-stable artifacts)
@@ -24,7 +24,9 @@
 //                         e.g. "ssh host sweep_worker --stdio")
 //   --block-deadline-ms=N drop a remote worker that holds one trial block
 //                         longer than N ms and requeue the block (0 = wait
-//                         forever; forked local shards are exempt)
+//                         forever)
+// --shards=N above 1 does not combine with the distributed flags: start
+// local `sweep_worker --connect` processes to add this host's cores.
 
 #include <algorithm>
 #include <cstdint>

@@ -4,8 +4,8 @@
 // getting stuck, so it converges in fewer iterations at equal accuracy.
 //
 // The registered "fig6a" grid (bench/grids) is a one-axis sweep over the
-// ADC precision; --shards=2 runs the two curves in parallel worker
-// processes, and --listen/--workers spreads them over TCP sweep workers.
+// ADC precision; --shards=2 runs the two curves on parallel worker
+// threads, and --listen/--workers spreads them over TCP sweep workers.
 
 #include <cstdint>
 #include <iostream>

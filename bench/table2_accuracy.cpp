@@ -6,9 +6,10 @@
 // The table is the registered "table2" sweep grid (bench/grids) — a
 // factorizer axis × problem-size axis with per-cell trial budgets and the
 // paper's published values attached as cell metadata — executed through the
-// sharded SweepRunner. --shards=N forks N local workers; --listen/--workers
-// spread the grid over TCP `sweep_worker` processes (per-cell stats are
-// bit-identical for every worker mix; see docs/sweeps.md). Scaled-down
+// sharded SweepRunner. --shards=N runs N local worker threads;
+// --listen/--workers spread the grid over TCP `sweep_worker` processes
+// (per-cell stats are bit-identical for every worker mix; see
+// docs/sweeps.md). Scaled-down
 // defaults reproduce the table's *shape* in minutes; --full extends the
 // sweep to the largest paper sizes (hours) — use --checkpoint to survive
 // interruptions and --filter to re-run cell ranges. --rows=N trims the

@@ -39,6 +39,11 @@ perfbench/, the benchmark harness):
                src/util/sync.hpp (util::run_workers) and the kernel pool
                (src/hdc/kernels/thread_pool.*); std::thread::
                hardware_concurrency stays allowed everywhere.
+  raw-fork     A zero-argument fork(), ::fork() or vfork() may appear only
+               in src/sweep/transport.cpp, where StdioTransport spawns a
+               worker command and execs it at once. Local sweep shards are
+               threads; a second local process pool would duplicate them.
+               Rng::fork(stream_id) takes an argument and is not matched.
   raw-simd     Intrinsic headers (<immintrin.h>, <arm_neon.h>, ...) and
                x86 intrinsic tokens (_mm*_, __m128/__m256/__m512 types)
                may appear only in the kernel backends
@@ -105,6 +110,9 @@ THREAD_ALLOWLIST = {
     "src/hdc/kernels/thread_pool.hpp",
     "src/util/sync.hpp",
 }
+
+# StdioTransport's spawn-and-exec: the one process fork.
+FORK_ALLOWLIST = {"src/sweep/transport.cpp"}
 
 # The kernel backends: one translation unit per ISA (docs/kernels.md).
 SIMD_ALLOW_RE = re.compile(r"src/hdc/kernels/[^/]+\.cpp")
@@ -194,6 +202,13 @@ RULES = [
         "allow": THREAD_ALLOWLIST,
         "message": "raw std::thread outside src/util/sync.hpp; spawn scoped "
                    "workers with util::run_workers",
+    },
+    {
+        "id": "raw-fork",
+        "pattern": re.compile(r"(?<![\w.>:])(?:::\s*)?v?fork\s*\(\s*\)"),
+        "allow": FORK_ALLOWLIST,
+        "message": "process fork outside StdioTransport's spawn-and-exec; "
+                   "run local work on util::run_workers threads",
     },
     {
         "id": "raw-simd",

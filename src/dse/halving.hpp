@@ -17,8 +17,8 @@
 // bit-identical to an exhaustive sweep of those cells — which is what lets
 // CI byte-diff the halving frontier against the exhaustive frontier.
 //
-// Every rung executes through the ordinary SweepRunner: local shards,
-// remote fleets and the JSON checkpoint format all apply per rung (rung k
+// Every rung executes through the ordinary SweepRunner: local shards or a
+// remote fleet, and the JSON checkpoint format, all apply per rung (rung k
 // checkpoints to "<base>.rung<k>"), so an interrupted search resumes
 // bit-identically from the completed cells of the rung it died in.
 

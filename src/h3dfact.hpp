@@ -17,7 +17,6 @@
 //   perception  — RAVEN scenes, neural-frontend surrogate, pipeline (Fig. 7)
 
 #include "util/cli.hpp"
-#include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"

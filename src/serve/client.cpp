@@ -27,8 +27,7 @@ struct ServeClient::Impl {
 ServeClient::ServeClient(const std::string& addr, int retries, int retry_ms)
     : impl_(std::make_unique<Impl>()) {
   const int fd = sweep::tcp_connect(addr, retries, retry_ms);
-  impl_->ch = std::make_unique<WorkerChannel>(WorkerChannel::Kind::kTcp, fd,
-                                              fd, -1, "serve:" + addr);
+  impl_->ch = std::make_unique<WorkerChannel>(fd, fd, -1, "serve:" + addr);
   sweep::dial_handshake(*impl_->ch, sweep::PeerRole::kServeClient);
 }
 

@@ -506,8 +506,7 @@ struct ServeCoordinator::Impl {
     Peer peer;
     peer.id = next_peer_id++;
     peer.ch = std::make_unique<WorkerChannel>(
-        WorkerChannel::Kind::kTcp, fd, fd, -1,
-        "serve-peer" + std::to_string(peer.id));
+        fd, fd, -1, "serve-peer" + std::to_string(peer.id));
     peers.push_back(std::move(peer));
   }
 

@@ -202,8 +202,7 @@ sweep::BatchResultFrame solve_serve_batch(const WorkerSpace& space,
 
 int serve_factor_worker(int in_fd, int out_fd,
                         const std::string& artifact_override) {
-  WorkerChannel ch(WorkerChannel::Kind::kStdio, in_fd, out_fd, -1,
-                   "serve-coordinator");
+  WorkerChannel ch(in_fd, out_fd, -1, "serve-coordinator");
   try {
     sweep::dial_handshake(ch, sweep::PeerRole::kServeWorker);
   } catch (const std::exception& e) {

@@ -2,8 +2,8 @@
 // Wire protocol for sweep task distribution (the sweep subsystem's transport
 // seam, part 1: framing and payload codecs).
 //
-// Every byte that crosses a worker boundary — fork pipe, subprocess
-// stdin/stdout, or TCP socket — is a length-framed little-endian record:
+// Every byte that crosses a worker boundary — subprocess stdin/stdout or
+// TCP socket — is a length-framed little-endian record:
 //
 //     [u8 kind][u64 payload bytes][payload]
 //
@@ -15,10 +15,6 @@
 // a count whose elements cannot fit in the bytes left. Remote workers rebuild
 // the SweepSpec from a registered grid name + parameters (see registry.hpp)
 // and prove they resolved the *same* grid by echoing spec_fingerprint().
-//
-// Fork-pipe workers share the coordinator's memory image, so they skip the
-// handshake and speak only Task/Result/Error frames — the exact frames the
-// remote transports use, so one scheduler drives every transport.
 
 #include <cstdint>
 #include <optional>

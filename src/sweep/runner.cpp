@@ -22,10 +22,8 @@
 #include "util/sync.hpp"
 
 #if !defined(_WIN32)
-#define H3DFACT_SWEEP_HAS_FORK 1
+#define H3DFACT_SWEEP_HAS_POLL 1
 #include <poll.h>
-#include <signal.h>  // NOLINT(modernize-deprecated-headers) — POSIX kill()
-#include <unistd.h>
 #endif
 
 namespace h3dfact::sweep {
@@ -290,7 +288,7 @@ std::vector<CellResult> load_checkpoint(const SweepSpec& spec,
   return doc.cells;
 }
 
-// --- in-process execution (1 worker, fallback, and non-POSIX) ---------------
+// --- local execution: one thread per shard ----------------------------------
 
 // State shared by the whole worker pool. The queue head is a lock-free
 // atomic; everything else is written only under `mutex`, and GUARDED_BY
@@ -313,10 +311,15 @@ std::vector<CellResult> run_with_threads(const SweepSpec& spec,
                                          CompletionLog& log) {
   const unsigned cell_threads = effective_cell_threads(options, shards);
   const std::vector<Task> tasks = build_tasks(spec, cells, shards);
+  const auto workers =
+      static_cast<unsigned>(std::min<std::size_t>(shards, tasks.size()));
 
   ThreadPoolShared shared(spec, cells, log);
 
-  util::run_workers(shards, [&]() {
+  util::run_workers(workers, [&]() {
+    // Several shards are the parallelism: each runs its kernels, and the
+    // kernels of any trial threads it starts, inline on the calling thread.
+    const util::InlineKernels inline_kernels(workers > 1);
     try {
       for (;;) {
         const std::size_t t = shared.next.fetch_add(1);
@@ -326,7 +329,7 @@ std::vector<CellResult> run_with_threads(const SweepSpec& spec,
           partial = run_block(spec, tasks[t].cell, tasks[t].begin,
                               tasks[t].end, cell_threads);
         } catch (const std::exception& e) {
-          // Same failure shape as the process pool: the cell index and reason.
+          // Same failure shape as a remote worker's: the cell and reason.
           throw std::runtime_error("sweep shard failed: cell " +
                                    std::to_string(tasks[t].cell) + ": " +
                                    e.what());
@@ -348,15 +351,14 @@ std::vector<CellResult> run_with_threads(const SweepSpec& spec,
 
 // --- transport-generic scheduler -------------------------------------------
 
-#if defined(H3DFACT_SWEEP_HAS_FORK)
+#if defined(H3DFACT_SWEEP_HAS_POLL)
 
-// Drives any mix of WorkerChannels (forked shards, stdio subprocesses, TCP
-// workers) from one dynamic queue. One task in flight per channel: the next
-// block is assigned the moment a result lands, so fast workers naturally
-// take more of the queue. Remote disconnects requeue; shard disconnects and
-// worker-reported errors abort. A remote channel that holds a block past
-// `block_deadline_ms` without answering is treated as disconnected (see
-// DeadlineTracker); 0 disables the deadline.
+// Drives any mix of WorkerChannels (stdio subprocesses, TCP workers) from
+// one dynamic queue. One task in flight per channel: the next block is
+// assigned the moment a result lands, so fast workers naturally take more
+// of the queue. Disconnects requeue; worker-reported errors abort. A
+// channel that holds a block past `block_deadline_ms` without answering is
+// treated as disconnected (see DeadlineTracker); 0 disables the deadline.
 std::vector<CellResult> run_with_channels(
     const SweepSpec& spec, const std::vector<std::size_t>& cells,
     const std::vector<WorkerChannel*>& channels, CompletionLog& log,
@@ -385,18 +387,12 @@ std::vector<CellResult> run_with_channels(
     return n;
   };
 
-  // First failure wins; stop assigning and terminate local children
-  // promptly — one may be hours into a block whose sweep is already doomed.
+  // First failure wins; stop assigning.
   auto fail = [&](std::string msg) {
     if (failure.empty()) failure = std::move(msg);
     next = tasks.size();
     requeued.clear();
-    for (WorkerChannel* ch : channels) {
-      ch->task_open = false;
-      if (ch->kind() == WorkerChannel::Kind::kForkPipe && ch->pid() > 0) {
-        ::kill(ch->pid(), SIGTERM);
-      }
-    }
+    for (WorkerChannel* ch : channels) ch->task_open = false;
   };
 
   std::function<void(WorkerChannel&)> send_next_task;
@@ -407,13 +403,6 @@ std::vector<CellResult> run_with_channels(
     ch.task_open = false;
     deadlines.disarm(&ch);
     ch.close_all();
-    if (!ch.requeue_on_disconnect()) {
-      if (!lost.empty() || failure.empty()) {
-        fail("sweep shard exited before finishing its cells" +
-             (why.empty() ? "" : " (" + why + ")"));
-      }
-      return;
-    }
     for (std::size_t t : lost) {
       if (attempts[t] >= kMaxAttempts) {
         fail("sweep block for cell " + std::to_string(tasks[t].cell) +
@@ -439,8 +428,7 @@ std::vector<CellResult> run_with_channels(
     // Wake idle survivors for the requeued blocks. A survivor that went
     // idle when the queue drained had task_open cleared — reopen it, or a
     // tail-of-sweep disconnect would strand the requeued blocks while the
-    // scheduler polls idle workers forever. Forked shards whose write side
-    // was already closed (EOF sent, child exiting) cannot be revived.
+    // scheduler polls idle workers forever.
     if (!failure.empty()) return;
     for (WorkerChannel* other : channels) {
       if (other->read_fd() >= 0 && other->writable() &&
@@ -461,19 +449,15 @@ std::vector<CellResult> run_with_channels(
       t = next++;
     }
     if (!t) {
-      // Queue drained. Forked shards exit on EOF (their lifetime is this
-      // run); remote channels stay open for the next sweep.
+      // Queue drained; the channel stays open for the next sweep.
       ch.task_open = false;
-      if (ch.kind() == WorkerChannel::Kind::kForkPipe) ch.close_write();
       return;
     }
     TaskFrame frame{tasks[*t].cell, tasks[*t].begin, tasks[*t].end};
     if (ch.send(FrameKind::kTask, encode_task(frame))) {
       ch.inflight.push_back(*t);
       ++attempts[*t];
-      // The deadline clock runs only on channels whose loss the scheduler
-      // survives; a wedged forked shard is a bug the hang would expose.
-      if (ch.requeue_on_disconnect()) deadlines.arm(&ch);
+      deadlines.arm(&ch);
     } else {
       requeued.push_front(*t);
       handle_disconnect(ch, "task send failed");
@@ -583,7 +567,7 @@ std::vector<CellResult> run_with_channels(
   return log.take();
 }
 
-#endif  // H3DFACT_SWEEP_HAS_FORK
+#endif  // H3DFACT_SWEEP_HAS_POLL
 
 std::vector<std::size_t> all_cells(std::size_t total) {
   std::vector<std::size_t> cells(total);
@@ -673,6 +657,13 @@ std::vector<CellResult> SweepRunner::run() const {
   const std::size_t total = spec_.cell_count();
   const unsigned nshards =
       std::max(1u, options_.shards == 0 ? 1u : options_.shards);
+  if (options_.transport != nullptr && nshards > 1) {
+    throw std::invalid_argument(
+        "sweep shards=" + std::to_string(nshards) +
+        " cannot be combined with a remote worker transport; to add this "
+        "host's cores to a distributed run, start local `sweep_worker "
+        "--connect` processes instead of local shards");
+  }
 
   // Resolve the cell selection (filter minus checkpoint-resumed cells).
   std::vector<std::size_t> selected =
@@ -704,57 +695,26 @@ std::vector<CellResult> SweepRunner::run() const {
                     selected.size());
   if (selected.empty()) return log.take();
 
-#if defined(H3DFACT_SWEEP_HAS_FORK)
-  const bool want_remote = options_.transport != nullptr;
-  const bool want_processes = options_.use_processes && nshards > 1;
-  if (want_remote || want_processes) {
-    // Bind remote workers first so the forked shards can close the remote
-    // fds they inherit.
-    std::vector<WorkerChannel*> channels;
-    std::unique_ptr<PipeTransport> pipe;
-    struct Unbinder {
-      Transport* remote = nullptr;
-      PipeTransport* local = nullptr;
-      ~Unbinder() {
-        if (local != nullptr) local->unbind();
-        if (remote != nullptr) remote->unbind();
-      }
-    } unbinder;
-
-    if (want_remote) {
-      SpecBinding binding;
-      binding.spec = &spec_;
-      binding.ref = options_.grid;
-      binding.cell_threads = options_.threads_per_cell;
-      binding.cell_count = total;
-      binding.fingerprint = spec_fingerprint(spec_);
-      channels = options_.transport->bind(binding);
-      unbinder.remote = options_.transport.get();
-    }
-    if (want_processes) {
-      SpecBinding binding;
-      binding.spec = &spec_;
-      binding.cell_threads = effective_cell_threads(options_, nshards);
-      for (WorkerChannel* ch : channels) {
-        binding.close_in_child.push_back(ch->read_fd());
-      }
-      pipe = std::make_unique<PipeTransport>(nshards);
-      auto local = pipe->bind(binding);
-      channels.insert(channels.end(), local.begin(), local.end());
-      unbinder.local = pipe.get();
-    }
-    if (!channels.empty()) {
-      return run_with_channels(spec_, selected, channels, log,
-                               options_.block_deadline_ms);
-    }
-    // fork unavailable (resource limits, sandbox): same queue on threads.
+  if (options_.transport == nullptr) {
+    return run_with_threads(spec_, options_, selected, nshards, log);
   }
+#if defined(H3DFACT_SWEEP_HAS_POLL)
+  SpecBinding binding;
+  binding.ref = options_.grid;
+  binding.cell_threads = options_.threads_per_cell;
+  binding.cell_count = total;
+  binding.fingerprint = spec_fingerprint(spec_);
+  const std::vector<WorkerChannel*> channels =
+      options_.transport->bind(binding);
+  struct Unbinder {
+    Transport& transport;
+    ~Unbinder() { transport.unbind(); }
+  } const unbinder{*options_.transport};
+  return run_with_channels(spec_, selected, channels, log,
+                           options_.block_deadline_ms);
 #else
-  if (options_.transport != nullptr) {
-    throw std::runtime_error("remote sweep transports require POSIX");
-  }
+  throw std::runtime_error("remote sweep transports require POSIX");
 #endif
-  return run_with_threads(spec_, options_, selected, nshards, log);
 }
 
 std::vector<CellResult> run_sweep(const SweepSpec& spec,

@@ -6,21 +6,23 @@
 // from a dynamic longest-first queue to whichever worker finishes first and
 // merged with the partition-invariant TrialStats::merge_block, so the
 // statistics are bit-identical for every worker count and schedule — only
-// the wall clock changes. Workers reach the queue through a Transport
-// (transport.hpp):
+// the wall clock changes. The workers are one of:
 //
-//   * default           — forked shard processes over pipes (PipeTransport),
-//                         falling back to in-process threads where fork is
-//                         unavailable or SweepOptions::use_processes is off;
+//   * default           — SweepOptions::shards threads in this process. While
+//                         several run, each runs its kernel calls inline
+//                         (util::InlineKernels): the shards are the
+//                         parallelism.
 //   * SweepOptions::transport — remote workers over TCP sockets or
 //                         subprocess stdin/stdout (`sweep_worker` binary,
-//                         reachable over ssh), mixable with local shards.
+//                         reachable over ssh; transport.hpp). They do not
+//                         mix with local shards: this host's cores join a
+//                         distributed run as local `sweep_worker --connect`
+//                         processes.
 //
 // Remote workers rebuild the spec from SweepOptions::grid through the grid
 // registry and prove the rebuild with a spec fingerprint before any task
 // flows. A remote worker lost mid-cell has its blocks requeued onto the
-// surviving workers; a forked shard lost mid-cell aborts the sweep (it
-// shares this binary, so its death is a bug, not weather).
+// surviving workers.
 //
 // Long runs can record a JSON checkpoint (SweepOptions::checkpoint_path):
 // completed cells are reloaded on restart and only the remainder executes.
@@ -68,16 +70,17 @@ struct CellResult {
 
 /// Execution knobs, orthogonal to the grid declaration.
 struct SweepOptions {
-  /// Local worker shards. 1 runs cells inline in this process (unless a
-  /// remote transport supplies the workers).
+  /// Local worker shards, one thread each; 1 runs cells on the calling
+  /// thread. Must stay 1 when `transport` is set (run() throws
+  /// std::invalid_argument otherwise).
   unsigned shards = 1;
   /// Worker threads inside each cell's trial blocks. 0 = auto: single-
   /// threaded cells when local shards > 1 (the shards are the parallelism),
   /// otherwise the config's own setting. Remote workers receive this value
   /// verbatim (their machines have their own cores).
   unsigned threads_per_cell = 0;
-  /// Fork local worker processes (POSIX). Off — or unsupported platform —
-  /// runs the same work queue over in-process threads.
+  /// Ignored: local shards are always threads. Kept only so existing
+  /// callers that assign it still compile; new code must not use it.
   bool use_processes = true;
   /// Invoked in the coordinator as each cell completes (any order): the
   /// result, cells done so far (checkpoint-resumed cells included), total
@@ -108,8 +111,7 @@ struct SweepOptions {
   /// disconnect: dropped, its block requeued through the usual 3-strike
   /// retry path. 0 (default) disables the deadline, restoring the
   /// block-forever poll. Set it comfortably above the worst-case block
-  /// compute time; forked local shards are exempt (their death is a bug,
-  /// not weather, and they share this machine's clock anyway).
+  /// compute time.
   int block_deadline_ms = 0;
 };
 
@@ -125,7 +127,8 @@ class SweepRunner {
   [[nodiscard]] const SweepOptions& options() const { return options_; }
 
   /// Run every selected cell; results are returned sorted by cell index
-  /// (checkpoint-resumed cells included). Throws std::runtime_error when
+  /// (checkpoint-resumed cells included). Throws std::invalid_argument when
+  /// both `shards` > 1 and a transport are set, and std::runtime_error when
   /// the sweep cannot complete: a worker failed, every remote worker
   /// disconnected, or a checkpoint mismatches the spec.
   [[nodiscard]] std::vector<CellResult> run() const;

@@ -1,7 +1,6 @@
 #include "sweep/transport.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -19,7 +18,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
-#include <signal.h>  // NOLINT(modernize-deprecated-headers) — POSIX kill()
+#include <signal.h>  // NOLINT(modernize-deprecated-headers) — POSIX sigaction()
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -218,10 +217,9 @@ void shutdown_and_reap(std::vector<std::unique_ptr<WorkerChannel>>& channels) {
 
 // --- WorkerChannel ----------------------------------------------------------
 
-WorkerChannel::WorkerChannel(Kind kind, int read_fd, int write_fd, pid_t pid,
+WorkerChannel::WorkerChannel(int read_fd, int write_fd, pid_t pid,
                              std::string label)
-    : kind_(kind),
-      read_fd_(read_fd),
+    : read_fd_(read_fd),
       write_fd_(write_fd),
       pid_(pid),
       label_(std::move(label)) {
@@ -293,40 +291,6 @@ std::optional<Frame> WorkerChannel::await_frame(int timeout_ms) {
 
 // --- worker serve loops -----------------------------------------------------
 
-void serve_pipe_worker(const SweepSpec& spec, unsigned cell_threads,
-                       int in_fd, int out_fd) {
-  WorkerChannel ch(WorkerChannel::Kind::kForkPipe, in_fd, out_fd, -1, "shard");
-  for (;;) {
-    std::optional<Frame> frame;
-    try {
-      frame = ch.await_frame(-1);
-    } catch (const std::exception&) {
-      ::_exit(1);  // malformed parent stream: nothing sane left to do
-    }
-    if (!frame) ::_exit(0);  // parent closed the queue: done
-    if (frame->kind == FrameKind::kShutdown) ::_exit(0);
-    if (frame->kind != FrameKind::kTask) continue;  // pipes carry tasks only
-    TaskFrame task{};
-    try {
-      task = decode_task(frame->payload);
-      const CellResult r =
-          run_cell_block(spec, static_cast<std::size_t>(task.cell),
-                         static_cast<std::size_t>(task.begin),
-                         static_cast<std::size_t>(task.end), cell_threads);
-      ch.send(FrameKind::kResult,
-              encode_result(static_cast<std::size_t>(task.begin), r));
-    } catch (const std::exception& e) {
-      ch.send(FrameKind::kError,
-              "cell " + std::to_string(task.cell) + ": " + e.what());
-      ::_exit(1);
-    } catch (...) {
-      ch.send(FrameKind::kError,
-              "cell " + std::to_string(task.cell) + ": unknown error");
-      ::_exit(1);
-    }
-  }
-}
-
 void dial_handshake(WorkerChannel& ch, PeerRole role) {
   HelloFrame hello;
   hello.role = static_cast<std::uint32_t>(role);
@@ -357,8 +321,7 @@ void dial_handshake(WorkerChannel& ch, PeerRole role) {
 
 int serve_remote_worker(int in_fd, int out_fd,
                         unsigned cell_threads_override) {
-  WorkerChannel ch(WorkerChannel::Kind::kStdio, in_fd, out_fd, -1,
-                   "coordinator");
+  WorkerChannel ch(in_fd, out_fd, -1, "coordinator");
   try {
     dial_handshake(ch, PeerRole::kSweepWorker);
   } catch (const std::exception& e) {
@@ -458,82 +421,6 @@ int serve_remote_worker(int in_fd, int out_fd,
   }
 }
 
-// --- PipeTransport ----------------------------------------------------------
-
-PipeTransport::PipeTransport(unsigned shards) : shards_(shards) {}
-
-PipeTransport::~PipeTransport() { unbind(); }
-
-std::string PipeTransport::describe() const {
-  return "pipe(" + std::to_string(shards_) + " forked shards)";
-}
-
-std::vector<WorkerChannel*> PipeTransport::bind(const SpecBinding& binding) {
-  ignore_sigpipe();
-  unbind();
-  if (binding.spec == nullptr) {
-    throw std::logic_error("PipeTransport::bind requires an in-memory spec");
-  }
-  std::vector<std::array<int, 4>> opened;  // task r/w, result r/w per shard
-  for (unsigned i = 0; i < shards_; ++i) {
-    int task_pipe[2];
-    int result_pipe[2];
-    if (::pipe(task_pipe) != 0) break;
-    if (::pipe(result_pipe) != 0) {
-      ::close(task_pipe[0]);
-      ::close(task_pipe[1]);
-      break;
-    }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(task_pipe[0]);
-      ::close(task_pipe[1]);
-      ::close(result_pipe[0]);
-      ::close(result_pipe[1]);
-      break;
-    }
-    if (pid == 0) {
-      // Child: keep only its two pipe ends. Close the parent-side ends of
-      // every earlier shard and the remote channels bound before the fork,
-      // so EOFs propagate correctly everywhere.
-      ::close(task_pipe[1]);
-      ::close(result_pipe[0]);
-      for (const auto& fds : opened) {
-        ::close(fds[1]);  // sibling task write end
-        ::close(fds[2]);  // sibling result read end
-      }
-      for (int fd : binding.close_in_child) {
-        if (fd >= 0) ::close(fd);
-      }
-      serve_pipe_worker(*binding.spec, binding.cell_threads, task_pipe[0],
-                        result_pipe[1]);
-    }
-    ::close(task_pipe[0]);
-    ::close(result_pipe[1]);
-    opened.push_back({task_pipe[0], task_pipe[1], result_pipe[0],
-                      result_pipe[1]});
-    channels_.push_back(std::make_unique<WorkerChannel>(
-        WorkerChannel::Kind::kForkPipe, result_pipe[0], task_pipe[1], pid,
-        "shard" + std::to_string(i)));
-  }
-  std::vector<WorkerChannel*> out;
-  out.reserve(channels_.size());
-  for (auto& ch : channels_) out.push_back(ch.get());
-  return out;
-}
-
-void PipeTransport::unbind() {
-  for (auto& ch : channels_) ch->close_write();
-  for (auto& ch : channels_) {
-    if (ch->pid() > 0) {
-      int status = 0;
-      ::waitpid(ch->pid(), &status, 0);
-    }
-    ch->close_all();
-  }
-  channels_.clear();
-}
-
 // --- StdioTransport ---------------------------------------------------------
 
 StdioTransport::StdioTransport(std::vector<std::string> commands) {
@@ -568,7 +455,7 @@ StdioTransport::StdioTransport(std::vector<std::string> commands) {
     // reaps every process already spawned (the destructor won't run for a
     // throwing constructor).
     channels_.push_back(std::make_unique<WorkerChannel>(
-        WorkerChannel::Kind::kStdio, from_child[0], to_child[1], pid, cmd));
+        from_child[0], to_child[1], pid, cmd));
     try {
       coordinator_handshake(*channels_.back());
     } catch (...) {
@@ -602,8 +489,7 @@ TcpTransport::TcpTransport(TcpConfig config) : config_(std::move(config)) {
     for (const std::string& addr : config_.connect) {
       const int fd = tcp_connect(addr, config_.connect_retries,
                                  config_.connect_retry_ms);
-      channels_.push_back(std::make_unique<WorkerChannel>(
-          WorkerChannel::Kind::kTcp, fd, fd, -1, addr));
+      channels_.push_back(std::make_unique<WorkerChannel>(fd, fd, -1, addr));
       coordinator_handshake(*channels_.back());
     }
   } catch (...) {
@@ -640,8 +526,7 @@ void TcpTransport::accept_pending() {
           std::to_string(listen_port_));
     }
     auto ch = std::make_unique<WorkerChannel>(
-        WorkerChannel::Kind::kTcp, fd, fd, -1,
-        "tcp-worker" + std::to_string(channels_.size()));
+        fd, fd, -1, "tcp-worker" + std::to_string(channels_.size()));
     coordinator_handshake(*ch);
     channels_.push_back(std::move(ch));
   }
@@ -801,9 +686,9 @@ int tcp_connect(const std::string& addr, int retries, int retry_ms) {
 
 #else  // !H3DFACT_POSIX_TRANSPORT — declaration-satisfying stubs.
 
-WorkerChannel::WorkerChannel(Kind kind, int read_fd, int write_fd, pid_t pid,
+WorkerChannel::WorkerChannel(int read_fd, int write_fd, pid_t pid,
                              std::string label)
-    : kind_(kind), read_fd_(read_fd), write_fd_(write_fd), pid_(pid),
+    : read_fd_(read_fd), write_fd_(write_fd), pid_(pid),
       label_(std::move(label)) {}
 WorkerChannel::~WorkerChannel() = default;
 bool WorkerChannel::send(FrameKind, std::string_view) { return false; }
@@ -820,16 +705,7 @@ namespace {
 }  // namespace
 
 void dial_handshake(WorkerChannel&, PeerRole) { unsupported(); }
-void serve_pipe_worker(const SweepSpec&, unsigned, int, int) { unsupported(); }
 int serve_remote_worker(int, int, unsigned) { return 2; }
-
-PipeTransport::PipeTransport(unsigned shards) : shards_(shards) {}
-PipeTransport::~PipeTransport() = default;
-std::vector<WorkerChannel*> PipeTransport::bind(const SpecBinding&) {
-  return {};
-}
-void PipeTransport::unbind() {}
-std::string PipeTransport::describe() const { return "pipe(unsupported)"; }
 
 StdioTransport::StdioTransport(std::vector<std::string>) { unsupported(); }
 StdioTransport::~StdioTransport() = default;

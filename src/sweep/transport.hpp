@@ -4,14 +4,10 @@
 //
 // The sweep scheduler is transport-agnostic: it drives a set of
 // WorkerChannels, each a bidirectional framed byte stream to one worker,
-// and never cares whether the bytes cross a fork pipe, a subprocess's
-// stdin/stdout, or a TCP socket. A Transport owns channels and knows how to
-// bind them to one sweep run:
+// and never cares whether the bytes cross a subprocess's stdin/stdout or a
+// TCP socket. A Transport owns channels and knows how to bind them to one
+// sweep run. Local shards need none: they are threads (runner.hpp).
 //
-//   * PipeTransport  — today's fork+pipe pool. Children share the
-//     coordinator's memory image (the SweepSpec closures included), so no
-//     handshake is needed and behavior matches the pre-seam runner
-//     bit-for-bit. A shard death is a hard sweep failure, as before.
 //   * StdioTransport — spawns worker commands (`sh -c`) speaking the framed
 //     protocol on stdin/stdout; `ssh host sweep_worker --stdio` makes this
 //     the zero-infrastructure cross-machine transport.
@@ -42,30 +38,19 @@ using pid_t = int;
 
 namespace h3dfact::sweep {
 
-struct SweepSpec;
-
 /// One bidirectional framed connection to a worker. Owns its file
 /// descriptors (closed on destruction); child processes are reaped by the
 /// owning Transport, not the channel.
 class WorkerChannel {
  public:
-  /// Which transport produced the channel (drives disconnect policy).
-  enum class Kind {
-    kForkPipe,  ///< forked shard sharing this process's memory image
-    kStdio,     ///< spawned subprocess speaking frames on stdin/stdout
-    kTcp,       ///< TCP socket to a sweep_worker process
-  };
-
   /// Wrap `read_fd`/`write_fd` (equal for sockets) as a channel. `label`
   /// names the peer in diagnostics; `pid` is the child process (-1 when the
   /// peer is not our child, e.g. an inbound TCP worker).
-  WorkerChannel(Kind kind, int read_fd, int write_fd, pid_t pid,
-                std::string label);
+  WorkerChannel(int read_fd, int write_fd, pid_t pid, std::string label);
   ~WorkerChannel();
   WorkerChannel(const WorkerChannel&) = delete;
   WorkerChannel& operator=(const WorkerChannel&) = delete;
 
-  [[nodiscard]] Kind kind() const { return kind_; }
   [[nodiscard]] const std::string& label() const { return label_; }
   [[nodiscard]] pid_t pid() const { return pid_; }
   /// Fd to poll for inbound frames (-1 once closed).
@@ -73,16 +58,9 @@ class WorkerChannel {
   /// True while frames can still be sent.
   [[nodiscard]] bool writable() const { return write_fd_ >= 0; }
 
-  /// A lost fork shard invalidates the sweep (it shares our binary and
-  /// spec, so its death is a bug); a lost remote worker only requeues its
-  /// in-flight blocks onto the survivors.
-  [[nodiscard]] bool requeue_on_disconnect() const {
-    return kind_ != Kind::kForkPipe;
-  }
-
   /// Frame-and-send; false when the peer is gone (EPIPE/closed).
   bool send(FrameKind kind, std::string_view payload);
-  /// Half-close the write side (EOF to pipe children; SHUT_WR on sockets).
+  /// Half-close the write side (EOF to stdio children; SHUT_WR on sockets).
   void close_write();
   /// Close both directions.
   void close_all();
@@ -104,7 +82,6 @@ class WorkerChannel {
   bool task_open = true;
 
  private:
-  Kind kind_;
   int read_fd_;
   int write_fd_;
   pid_t pid_;
@@ -112,23 +89,17 @@ class WorkerChannel {
   FrameParser parser_;
 };
 
-/// What a transport binds its workers to for one sweep run: the in-memory
-/// spec (fork workers), the registry recipe + expected resolution (remote
-/// workers), and the per-cell thread count to apply.
+/// What a transport binds its workers to for one sweep run: the registry
+/// recipe, the expected resolution and the per-cell thread count to apply.
 struct SpecBinding {
-  const SweepSpec* spec = nullptr;  ///< coordinator's resolved spec
-  GridRef ref;                      ///< registry recipe (remote rebuild)
-  unsigned cell_threads = 0;        ///< worker threads per cell (0 = auto)
-  std::uint64_t cell_count = 0;     ///< expected cell count (cross-check)
-  std::uint64_t fingerprint = 0;    ///< expected spec fingerprint
-  /// Fds a forked shard must close so peer transports see clean EOFs
-  /// (remote channel fds already bound when the fork happens).
-  std::vector<int> close_in_child;
+  GridRef ref;                    ///< registry recipe (remote rebuild)
+  unsigned cell_threads = 0;      ///< worker threads per cell (0 = auto)
+  std::uint64_t cell_count = 0;   ///< expected cell count (cross-check)
+  std::uint64_t fingerprint = 0;  ///< expected spec fingerprint
 };
 
-/// A source of bound worker channels. Transports may be persistent (remote
-/// connections survive across bind/unbind cycles, so multi-grid benches
-/// reuse one worker fleet) or per-run (fork shards).
+/// A source of bound worker channels. Connections survive across
+/// bind/unbind cycles, so multi-grid benches reuse one worker fleet.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -136,29 +107,11 @@ class Transport {
   /// ready for Task frames. Throws std::runtime_error when a worker cannot
   /// be bound (handshake failure, fingerprint mismatch, unknown grid).
   virtual std::vector<WorkerChannel*> bind(const SpecBinding& binding) = 0;
-  /// Release per-run resources (reap fork shards); persistent connections
-  /// stay open for the next bind().
+  /// Release per-run resources; persistent connections stay open for the
+  /// next bind().
   virtual void unbind() = 0;
   /// Human-readable description for logs and errors.
   [[nodiscard]] virtual std::string describe() const = 0;
-};
-
-/// Today's fork+pipe worker pool behind the Transport seam. bind() forks
-/// `shards` children that execute Task frames against the shared in-memory
-/// spec; unbind() reaps them. bind() returns an empty vector when fork is
-/// unavailable (sandbox, resource limits) — the runner then falls back to
-/// in-process threads, as before.
-class PipeTransport : public Transport {
- public:
-  explicit PipeTransport(unsigned shards);
-  ~PipeTransport() override;
-  std::vector<WorkerChannel*> bind(const SpecBinding& binding) override;
-  void unbind() override;
-  [[nodiscard]] std::string describe() const override;
-
- private:
-  unsigned shards_;
-  std::vector<std::unique_ptr<WorkerChannel>> channels_;
 };
 
 /// Spawned-subprocess transport: each command runs under `sh -c` with the
@@ -223,8 +176,8 @@ class TcpTransport : public Transport {
   std::vector<std::unique_ptr<WorkerChannel>> channels_;
 };
 
-/// Aggregates several transports into one (e.g. TCP workers + stdio
-/// workers + local fork shards all feeding the same queue).
+/// Aggregates several transports into one (e.g. TCP workers and stdio
+/// workers feeding the same queue).
 class CompositeTransport : public Transport {
  public:
   explicit CompositeTransport(std::vector<std::shared_ptr<Transport>> parts);
@@ -245,14 +198,6 @@ class CompositeTransport : public Transport {
 /// timed out, rejected the Hello, answered with another frame, or speaks
 /// another protocol.
 void dial_handshake(WorkerChannel& ch, PeerRole role);
-
-/// Serve loop for fork-pipe shards: execute Task frames against the
-/// in-memory `spec`, answer with Result/Error frames, exit on EOF. Never
-/// returns (calls _exit, keeping the forked child off the parent's
-/// destructors).
-[[noreturn]] void serve_pipe_worker(const SweepSpec& spec,
-                                    unsigned cell_threads, int in_fd,
-                                    int out_fd);
 
 /// Serve loop for remote workers (`sweep_worker`): send Hello, verify the
 /// HelloAck, rebuild specs from SpecInit frames through the grid registry,

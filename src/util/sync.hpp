@@ -1,6 +1,7 @@
 #pragma once
 // Thread-safety-annotated synchronization primitives, and run_workers, the
-// one scoped thread spawn outside the kernel pool (lint rule raw-thread).
+// one scoped thread spawn outside the kernel pool (lint rule raw-thread),
+// with the InlineKernels flag its threads inherit.
 //
 // The ONLY sanctioned mutex/condvar types in src/ (enforced by
 // scripts/lint_invariants.py): thin zero-overhead wrappers over std::mutex /
@@ -99,15 +100,42 @@ class CondVar {
   std::condition_variable cv_;
 };
 
+/// While one lives with `on` set, kernel calls on this thread run inline:
+/// hdc::kernels::KernelPool::parallel_for reads active() and runs its whole
+/// range on the caller, which the pool's determinism contract makes
+/// bit-identical. run_workers carries the flag into the threads it spawns.
+/// The sweep runner sets it on each local shard while several run, so no
+/// shard fans a kernel out onto cores that other shards hold. A scope only
+/// ever adds the flag: a nested `on = false` keeps an outer scope's.
+class InlineKernels {
+ public:
+  explicit InlineKernels(bool on) : saved_(flag()) { flag() = saved_ || on; }
+  ~InlineKernels() { flag() = saved_; }
+  InlineKernels(const InlineKernels&) = delete;
+  InlineKernels& operator=(const InlineKernels&) = delete;
+
+  /// True on a thread inside a scope constructed with `on` set.
+  [[nodiscard]] static bool active() { return flag(); }
+
+ private:
+  static bool& flag() {
+    static thread_local bool on = false;
+    return on;
+  }
+  bool saved_;
+};
+
 /// Run `worker` on `n` fresh threads and join them all; with n <= 1 it runs
 /// inline on the calling thread. After the join, the first exception any
 /// worker threw is rethrown. The threads are fresh, not pooled, so state a
-/// thread keeps (thread_local totals) is complete when this returns.
+/// thread keeps (thread_local totals) is complete when this returns. Each
+/// thread inherits the caller's InlineKernels flag.
 inline void run_workers(unsigned n, const std::function<void()>& worker) {
   if (n <= 1) {
     worker();
     return;
   }
+  const bool inline_kernels = InlineKernels::active();
   struct {
     Mutex mutex;
     std::exception_ptr error GUARDED_BY(mutex);
@@ -118,6 +146,7 @@ inline void run_workers(unsigned n, const std::function<void()>& worker) {
     threads.reserve(n);
     for (unsigned i = 0; i < n; ++i) {
       threads.emplace_back([&] {
+        const InlineKernels scope(inline_kernels);
         try {
           worker();
         } catch (...) {

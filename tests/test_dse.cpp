@@ -295,7 +295,6 @@ TEST(Halving, HardwarePassIsThreadCountInvariant) {
   dse::SearchOptions base;
   base.rungs = 2;
   base.eta = 1.5;
-  base.sweep.use_processes = false;
   base.sweep.threads_per_cell = 1;
   const dse::SearchResult serial = dse::run_search(unit_ref(), base);
   const std::string serial_bytes =
@@ -343,7 +342,6 @@ TEST(Halving, HardwarePassRethrowsModelErrors) {
   ref.name = "dse_bad_design";
   for (unsigned threads : {1u, 4u}) {
     dse::SearchOptions opt;
-    opt.sweep.use_processes = false;
     opt.sweep.threads_per_cell = threads;
     try {
       (void)dse::run_search(ref, opt);

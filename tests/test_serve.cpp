@@ -278,8 +278,7 @@ TEST(ServeWorker, RejectsCoordinatorOfAnotherProtocolVersion) {
     exit_code = serve::serve_factor_worker(fd, fd);
   });
   {
-    sweep::WorkerChannel fake(sweep::WorkerChannel::Kind::kTcp, fds[1],
-                              fds[1], -1, "fake-coordinator");
+    sweep::WorkerChannel fake(fds[1], fds[1], -1, "fake-coordinator");
     const std::optional<sweep::Frame> hello = fake.await_frame(30000);
     EXPECT_TRUE(hello && hello->kind == sweep::FrameKind::kHello);
     sweep::HelloFrame ack;
@@ -449,8 +448,7 @@ TEST(ServeEndToEnd, WedgedWorkerBatchRequeuedWithinDeadline) {
   std::atomic<bool> release{false};
   std::thread wedged([&daemon, fingerprint, &wedged_got_batch, &release]() {
     const int fd = sweep::tcp_connect(daemon.addr(), 40, 50);
-    sweep::WorkerChannel ch(sweep::WorkerChannel::Kind::kTcp, fd, fd, -1,
-                            "wedged");
+    sweep::WorkerChannel ch(fd, fd, -1, "wedged");
     sweep::HelloFrame hello;
     hello.role = static_cast<std::uint32_t>(sweep::PeerRole::kServeWorker);
     ch.send(sweep::FrameKind::kHello, sweep::encode_hello(hello));
@@ -515,8 +513,7 @@ TEST(ServeEndToEnd, MalformedRequestDropsOnlyThatClient) {
 
   {
     const int fd = sweep::tcp_connect(daemon.addr(), 40, 50);
-    sweep::WorkerChannel vandal(sweep::WorkerChannel::Kind::kTcp, fd, fd, -1,
-                                "vandal");
+    sweep::WorkerChannel vandal(fd, fd, -1, "vandal");
     sweep::HelloFrame hello;
     hello.role = static_cast<std::uint32_t>(sweep::PeerRole::kServeClient);
     vandal.send(sweep::FrameKind::kHello, sweep::encode_hello(hello));
@@ -531,8 +528,7 @@ TEST(ServeEndToEnd, MalformedRequestDropsOnlyThatClient) {
   {
     // A sweep worker (default Hello role) is rejected with an Error frame.
     const int fd = sweep::tcp_connect(daemon.addr(), 40, 50);
-    sweep::WorkerChannel lost(sweep::WorkerChannel::Kind::kTcp, fd, fd, -1,
-                              "lost-sweep-worker");
+    sweep::WorkerChannel lost(fd, fd, -1, "lost-sweep-worker");
     lost.send(sweep::FrameKind::kHello, sweep::encode_hello({}));
     auto frame = lost.await_frame(10000);
     ASSERT_TRUE(frame.has_value());

@@ -1,19 +1,22 @@
 // Sweep subsystem tests: declarative grid resolution, deterministic cell
-// seeding, shard-count invariance of the sharded runner (process pool and
-// thread fallback), execution-mode equivalence of the trial runner,
-// emitter golden files, and worker-failure propagation.
+// seeding, shard-count invariance of the sharded runner, inline kernels on
+// local shards, execution-mode equivalence of the trial runner, emitter
+// golden files, and worker-failure propagation.
 
 #include <cstdint>
 #include <cstdio>
 #include <gtest/gtest.h>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "hdc/kernels/thread_pool.hpp"
 #include "sweep/emit.hpp"
 #include "sweep/registry.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/spec.hpp"
+#include "util/sync.hpp"
 
 namespace {
 
@@ -150,8 +153,7 @@ TEST(SweepSpec, ParamAxisFeedsTheCellFactory) {
 }
 
 // The acceptance property: per-cell statistics are bit-identical for every
-// shard count and for the in-process thread fallback, because each cell is
-// a pure function of (spec, cell index).
+// shard count, because each cell is a pure function of (spec, cell index).
 TEST(SweepRunner, ShardCountInvariance) {
   sweep::SweepSpec spec = small_grid();
 
@@ -160,7 +162,7 @@ TEST(SweepRunner, ShardCountInvariance) {
   const auto reference = sweep::run_sweep(spec, seq);
   ASSERT_EQ(reference.size(), 4u);
 
-  for (unsigned shards : {2u, 4u}) {
+  for (unsigned shards : {2u, 4u, 8u}) {
     sweep::SweepOptions opt;
     opt.shards = shards;
     const auto sharded = sweep::run_sweep(spec, opt);
@@ -174,16 +176,6 @@ TEST(SweepRunner, ShardCountInvariance) {
                          "shards=" + std::to_string(shards) + " cell " +
                              std::to_string(i));
     }
-  }
-
-  sweep::SweepOptions threads;
-  threads.shards = 3;
-  threads.use_processes = false;
-  const auto threaded = sweep::run_sweep(spec, threads);
-  ASSERT_EQ(threaded.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    expect_stats_equal(threaded[i].stats, reference[i].stats,
-                       "thread fallback cell " + std::to_string(i));
   }
 
   // And every cell equals a direct single-cell execution (run_trials is the
@@ -221,21 +213,74 @@ TEST(SweepRunner, WorkerFailurePropagates) {
     if (cell.index == 2) cell.config.trials = 0;
   };
 
-  sweep::SweepOptions processes;
-  processes.shards = 2;
-  EXPECT_THROW((void)sweep::run_sweep(spec, processes), std::runtime_error);
-
-  // The thread fallback wraps failures the same way: runtime_error naming
-  // the failing cell.
-  sweep::SweepOptions threads;
-  threads.shards = 2;
-  threads.use_processes = false;
-  try {
-    (void)sweep::run_sweep(spec, threads);
-    FAIL() << "expected a sweep failure";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("cell 2"), std::string::npos);
+  // Every shard count fails the same way: runtime_error naming the cell.
+  for (unsigned shards : {1u, 2u, 4u, 8u}) {
+    sweep::SweepOptions opt;
+    opt.shards = shards;
+    try {
+      (void)sweep::run_sweep(spec, opt);
+      FAIL() << "expected a sweep failure at shards=" << shards;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("cell 2"), std::string::npos)
+          << "shards=" << shards << ": " << e.what();
+    }
   }
+}
+
+// While several local shards run, every kernel call a shard makes runs
+// inline on the thread that makes it — also from trial threads the shard
+// starts — so shards never push kernel work onto cores other shards hold.
+// One shard keeps the pool's fan-out.
+TEST(SweepRunner, LocalShardsRunKernelsInline) {
+  struct RestoreKernelThreads {
+    unsigned saved = hdc::kernels::kernel_threads();
+    ~RestoreKernelThreads() { hdc::kernels::set_kernel_threads(saved); }
+  } const restore;
+  hdc::kernels::set_kernel_threads(4);
+
+  struct Call {
+    std::thread::id caller;
+    std::thread::id runner;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+  };
+  util::Mutex mutex;
+  std::vector<Call> calls;  // guarded by mutex
+  sweep::SweepSpec spec = small_grid();
+  spec.base.trials = 4 * resonator::kTrialBlockAlign;  // 2 blocks of 2 chunks
+  spec.factory = [&](std::shared_ptr<const hdc::CodebookSet> set,
+                     const sweep::Cell& cell) {
+    const std::thread::id caller = std::this_thread::get_id();
+    hdc::kernels::KernelPool::instance().parallel_for(
+        64, [&](std::size_t begin, std::size_t end) {
+          util::MutexLock lock(mutex);
+          calls.push_back({caller, std::this_thread::get_id(), begin, end});
+        });
+    return resonator::make_baseline(std::move(set), cell.config);
+  };
+
+  for (unsigned cell_threads : {0u, 2u}) {
+    calls.clear();
+    sweep::SweepOptions opt;
+    opt.shards = 2;
+    opt.threads_per_cell = cell_threads;
+    (void)sweep::run_sweep(spec, opt);
+    ASSERT_FALSE(calls.empty());
+    for (const Call& c : calls) {
+      EXPECT_EQ(c.runner, c.caller) << "threads_per_cell=" << cell_threads;
+      EXPECT_EQ(c.begin, 0u) << "threads_per_cell=" << cell_threads;
+      EXPECT_EQ(c.end, 64u) << "threads_per_cell=" << cell_threads;
+    }
+  }
+
+  calls.clear();
+  sweep::SweepOptions one;
+  one.shards = 1;
+  one.threads_per_cell = 1;
+  (void)sweep::run_sweep(spec, one);
+  const std::size_t factories = spec.cell_count();  // one trial thread each
+  EXPECT_EQ(calls.size(), 4 * factories);  // four chunks per call
+  for (const Call& c : calls) EXPECT_EQ(c.end - c.begin, 16u);
 }
 
 // run_trials execution modes: the lockstep-batched default must reproduce

@@ -467,29 +467,25 @@ TEST(TcpTransport, LoopbackSweepBitIdenticalToInProcess) {
   for (auto& w : workers) w.join();
 }
 
-TEST(TcpTransport, MixedLocalShardsAndRemoteWorkers) {
+// Local shards do not mix with remote workers: the coordinator's own cores
+// join a distributed run as local `sweep_worker --connect` processes. The
+// sweep refuses before it binds, so it never waits for a worker to connect.
+TEST(TcpTransport, RejectsLocalShardsBesideRemoteWorkers) {
   register_unit_grid();
-  const sweep::GridRef ref{kUnitGrid, {{"trials", "12"}}};
+  const sweep::GridRef ref{kUnitGrid, {}};
   const sweep::SweepSpec spec = sweep::build_grid(ref);
-  const auto reference = sweep::run_sweep(spec, {});
-
-  auto transport = std::make_shared<sweep::TcpTransport>(loopback_listen(1));
-  auto workers = launch_tcp_workers(transport->listen_port(), 1);
 
   sweep::SweepOptions opt;
-  opt.transport = transport;
+  opt.transport = std::make_shared<sweep::TcpTransport>(loopback_listen(1));
   opt.grid = ref;
-  opt.shards = 2;  // forked local shards pull from the same queue
-  const auto mixed = sweep::run_sweep(spec, opt);
-  ASSERT_EQ(mixed.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    expect_stats_equal(mixed[i].stats, reference[i].stats,
-                       "mixed cell " + std::to_string(i));
+  opt.shards = 2;
+  try {
+    (void)sweep::run_sweep(spec, opt);
+    FAIL() << "expected shards=2 beside a transport to be refused";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("shards"), std::string::npos)
+        << e.what();
   }
-
-  transport.reset();
-  opt.transport.reset();
-  for (auto& w : workers) w.join();
 }
 
 // --- handshake rejection ----------------------------------------------------
@@ -534,8 +530,7 @@ TEST(TcpTransport, RejectsFingerprintMismatch) {
   std::thread liar([port = transport->listen_port()]() {
     const int fd = sweep::tcp_connect("127.0.0.1:" + std::to_string(port),
                                       40, 50);
-    sweep::WorkerChannel ch(sweep::WorkerChannel::Kind::kTcp, fd, fd, -1,
-                            "liar");
+    sweep::WorkerChannel ch(fd, fd, -1, "liar");
     ch.send(sweep::FrameKind::kHello, sweep::encode_hello({}));
     auto ack = ch.await_frame(10000);
     ASSERT_TRUE(ack && ack->kind == sweep::FrameKind::kHelloAck);
@@ -582,8 +577,7 @@ TEST(TcpTransport, DisconnectMidCellRequeuesOntoSurvivors) {
   std::thread deserter([port]() {
     const int fd = sweep::tcp_connect("127.0.0.1:" + std::to_string(port),
                                       40, 50);
-    sweep::WorkerChannel ch(sweep::WorkerChannel::Kind::kTcp, fd, fd, -1,
-                            "deserter");
+    sweep::WorkerChannel ch(fd, fd, -1, "deserter");
     ch.send(sweep::FrameKind::kHello, sweep::encode_hello({}));
     auto ack = ch.await_frame(10000);
     ASSERT_TRUE(ack && ack->kind == sweep::FrameKind::kHelloAck);
@@ -639,8 +633,7 @@ TEST(TcpTransport, TailDisconnectReassignsToIdleSurvivor) {
   std::thread deserter([port, &others_done]() {
     const int fd = sweep::tcp_connect("127.0.0.1:" + std::to_string(port),
                                       40, 50);
-    sweep::WorkerChannel ch(sweep::WorkerChannel::Kind::kTcp, fd, fd, -1,
-                            "tail-deserter");
+    sweep::WorkerChannel ch(fd, fd, -1, "tail-deserter");
     ch.send(sweep::FrameKind::kHello, sweep::encode_hello({}));
     auto ack = ch.await_frame(10000);
     ASSERT_TRUE(ack && ack->kind == sweep::FrameKind::kHelloAck);
@@ -702,8 +695,7 @@ TEST(TcpTransport, WedgedWorkerFailsOverWithinDeadline) {
   std::thread wedged([port, &release]() {
     const int fd = sweep::tcp_connect("127.0.0.1:" + std::to_string(port),
                                       40, 50);
-    sweep::WorkerChannel ch(sweep::WorkerChannel::Kind::kTcp, fd, fd, -1,
-                            "wedged");
+    sweep::WorkerChannel ch(fd, fd, -1, "wedged");
     ch.send(sweep::FrameKind::kHello, sweep::encode_hello({}));
     auto ack = ch.await_frame(10000);
     ASSERT_TRUE(ack && ack->kind == sweep::FrameKind::kHelloAck);

@@ -1,6 +1,7 @@
 // Unit tests for util: PRNG determinism and distribution sanity, streaming
 // statistics, table formatting, CLI parsing.
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -14,7 +15,6 @@
 #include <vector>
 
 #include "util/cli.hpp"
-#include "util/logging.hpp"
 #include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -322,16 +322,6 @@ TEST(Cli, RejectsNonNumericValuesByFlagName) {
   EXPECT_EQ(counts.u64("absent", 7), 7u);
 }
 
-TEST(Logging, LevelFilters) {
-  using namespace h3dfact::util;
-  set_log_level(LogLevel::kWarn);
-  EXPECT_EQ(log_level(), LogLevel::kWarn);
-  // Only checks that the calls are safe; output goes to stderr.
-  log_debug("dropped");
-  log_warn("kept");
-  set_log_level(LogLevel::kInfo);
-}
-
 TEST(SplitMix, KnownSequenceIsStable) {
   std::uint64_t s = 0;
   auto a = h3dfact::util::splitmix64(s);
@@ -491,6 +481,28 @@ TEST(Sync, CondVarPredicateWaitSeesNotifiedState) {
     EXPECT_EQ(stage, 3);
   }
   producer.join();
+}
+
+// run_workers threads inherit the caller's InlineKernels flag, and a scope
+// only ever adds the flag, restoring the thread's own on exit.
+TEST(Sync, RunWorkersCarriesInlineKernels) {
+  using h3dfact::util::InlineKernels;
+  EXPECT_FALSE(InlineKernels::active());
+  std::atomic<int> inline_threads{0};
+  {
+    const InlineKernels outer(true);
+    const InlineKernels nested(false);
+    EXPECT_TRUE(InlineKernels::active());
+    h3dfact::util::run_workers(3, [&]() {
+      if (InlineKernels::active()) ++inline_threads;
+    });
+  }
+  EXPECT_EQ(inline_threads.load(), 3);
+  EXPECT_FALSE(InlineKernels::active());
+  h3dfact::util::run_workers(2, [&]() {
+    if (InlineKernels::active()) ++inline_threads;
+  });
+  EXPECT_EQ(inline_threads.load(), 3);
 }
 
 }  // namespace
