@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -48,7 +49,7 @@ Codebook::Codebook(std::size_t dim, std::size_t size, util::Rng& rng,
   for (std::size_t m = 0; m < size; ++m) {
     vectors_.push_back(BipolarVector::random(dim, rng));
   }
-  build_dense();
+  build_rows();
 }
 
 Codebook::Codebook(std::vector<BipolarVector> vectors, std::string name)
@@ -59,7 +60,7 @@ Codebook::Codebook(std::vector<BipolarVector> vectors, std::string name)
       if (v.dim() != dim_) throw std::invalid_argument("codebook dim mismatch");
     }
   }
-  build_dense();
+  build_rows();
 }
 
 Codebook Codebook::from_packed(std::size_t dim, std::size_t size,
@@ -82,7 +83,7 @@ Codebook Codebook::from_packed(std::size_t dim, std::size_t size,
     book.vectors_.push_back(
         BipolarVector::from_words(dim, words + m * per_row, per_row));
   }
-  book.build_dense();
+  book.build_rows();
   if (borrow) {
     // The kernels stream rows straight from the caller's block (mmap pages
     // shared read-only across workers); drop the just-built owned copy.
@@ -93,29 +94,45 @@ Codebook Codebook::from_packed(std::size_t dim, std::size_t size,
   return book;
 }
 
-void Codebook::build_dense() {
+void Codebook::build_rows() {
   words_ = vectors_.empty() ? 0 : vectors_.front().words();
-  dense_.resize(vectors_.size() * dim_);
-  counts_.assign(dim_, 0);
-  for (std::size_t m = 0; m < vectors_.size(); ++m) {
-    // Unpack word by word (bit 1 encodes −1) and add the row's votes.
-    const std::uint64_t* src = vectors_[m].data();
-    std::int8_t* row = dense_.data() + m * dim_;
-    for (std::size_t w = 0; w < words_; ++w) {
-      const std::size_t end = std::min(dim_ - w * 64, std::size_t{64});
-      for (std::size_t j = 0; j < end; ++j) {
-        const int v = 1 - 2 * static_cast<int>((src[w] >> j) & 1u);
-        row[w * 64 + j] = static_cast<std::int8_t>(v);
-        counts_[w * 64 + j] += v;
-      }
-    }
-  }
   packed_.resize(vectors_.size() * words_);
   for (std::size_t m = 0; m < vectors_.size(); ++m) {
     std::copy(vectors_[m].data(), vectors_[m].data() + words_,
               packed_.begin() + static_cast<std::ptrdiff_t>(m * words_));
   }
+  // The superposition votes Σ_m x_m[d] are the projection with every
+  // coefficient 1.
+  counts_ = project(std::vector<int>(vectors_.size(), 1));
 }
+
+namespace {
+
+// The rows of one item's nonzero coefficients (pointers to their first
+// packed word) and those coefficients: the list project_rows walks per
+// word. Per-thread scratch, so a warm thread projects without allocating.
+struct RowList {
+  std::vector<const std::uint64_t*> rows;
+  std::vector<int> coeffs;
+};
+
+RowList& nonzero_rows(const std::uint64_t* packed, std::size_t words,
+                      std::span<const int> coeffs) {
+  thread_local RowList list;
+  list.rows.clear();
+  list.coeffs.clear();
+  for (std::size_t m = 0; m < coeffs.size(); ++m) {
+    if (coeffs[m] == 0) continue;
+    list.rows.push_back(packed + m * words);
+    list.coeffs.push_back(coeffs[m]);
+  }
+  return list;
+}
+
+// Elements per fused projection chunk: the chunk's sums live on the stack.
+constexpr std::size_t kSignChunk = 4096;
+
+}  // namespace
 
 std::vector<int> Codebook::similarity(const BipolarVector& u) const {
   return similarity(u, kernels::active());
@@ -141,12 +158,10 @@ std::vector<int> Codebook::project(
   if (coeffs.size() != vectors_.size()) {
     throw std::invalid_argument("coefficient count mismatch in project");
   }
-  std::vector<int> y(dim_, 0);
-  for (std::size_t m = 0; m < vectors_.size(); ++m) {
-    const int a = coeffs[m];
-    if (a == 0) continue;
-    backend.axpy_row(a, dense_.data() + m * dim_, y.data(), dim_);
-  }
+  std::vector<int> y(dim_);
+  const RowList& list = nonzero_rows(packed_data(), words_, coeffs);
+  backend.project_rows(list.rows.data(), list.coeffs.data(), list.rows.size(),
+                       dim_, y.data());
   return y;
 }
 
@@ -218,26 +233,65 @@ CoeffBlock Codebook::project_batch(
   CoeffBlock y(dim_, kB);
   if (kB == 0) return y;
   const std::size_t kM = vectors_.size();
-  // Each item of the item-major block is one contiguous accumulator for
-  // the row-axpy kernel; a dense row services the whole batch while
-  // L1-hot. Batch sub-ranges own disjoint items; within a range the m-loop
-  // order is the sequential one, so accumulation order per element is
-  // unchanged at any thread count.
-  auto accumulate = [&](std::size_t b0, std::size_t b1) {
-    for (std::size_t m = 0; m < kM; ++m) {
-      const std::int8_t* row = dense_.data() + m * dim_;
-      for (std::size_t b = b0; b < b1; ++b) {
-        const int c = coeffs.at(m, b);
-        if (c != 0) backend.axpy_row(c, row, y.data.data() + b * dim_, dim_);
-      }
+  // Each item of the item-major block is written in place from its own
+  // coefficients, so batch sub-ranges own disjoint items at any thread
+  // count.
+  auto project_items = [&](std::size_t b0, std::size_t b1) {
+    for (std::size_t b = b0; b < b1; ++b) {
+      const RowList& list =
+          nonzero_rows(packed_data(), words_, coeffs.item_span(b));
+      backend.project_rows(list.rows.data(), list.coeffs.data(),
+                           list.rows.size(), dim_, y.data.data() + b * dim_);
     }
   };
   if (kM * kB * dim_ >= kernels::active_policy().parallel_min_work) {
-    kernels::KernelPool::instance().parallel_for(kB, accumulate);
+    kernels::KernelPool::instance().parallel_for(kB, project_items);
   } else {
-    accumulate(0, kB);
+    project_items(0, kB);
   }
   return y;
+}
+
+void Codebook::project_sign(std::span<const std::vector<int>> coeffs,
+                            std::span<util::Rng* const> rngs,
+                            std::span<BipolarVector> out,
+                            const kernels::KernelBackend& backend) const {
+  if (rngs.size() != coeffs.size() || out.size() != coeffs.size()) {
+    throw std::invalid_argument("batch size mismatch in project_sign");
+  }
+  for (const auto& c : coeffs) {
+    if (c.size() != vectors_.size()) {
+      throw std::invalid_argument("coefficient count mismatch in project_sign");
+    }
+  }
+  const std::size_t kB = coeffs.size();
+  // One item: the nonzero rows' sums for a chunk of elements go straight
+  // from project_rows into stack scratch and out through the comparator;
+  // the row pointers then step to the next chunk's words.
+  auto sign_items = [&](std::size_t b0, std::size_t b1) {
+    // Left uninitialized: project_rows writes every element put() reads,
+    // and zeroing 16 KB per call would cost about as much as the pass.
+    alignas(64) int chunk[kSignChunk];
+    for (std::size_t b = b0; b < b1; ++b) {
+      RowList& list = nonzero_rows(packed_data(), words_, coeffs[b]);
+      SignWriter writer(dim_, rngs[b], out[b], backend);
+      for (std::size_t i = 0; i < dim_; i += kSignChunk) {
+        if (i != 0) {
+          for (auto& row : list.rows) row += kSignChunk / 64;
+        }
+        const std::size_t len = std::min(dim_ - i, kSignChunk);
+        backend.project_rows(list.rows.data(), list.coeffs.data(),
+                             list.rows.size(), len, chunk);
+        writer.put(chunk, len);
+      }
+    }
+  };
+  if (vectors_.size() * kB * dim_ >=
+      kernels::active_policy().parallel_min_work) {
+    kernels::KernelPool::instance().parallel_for(kB, sign_items);
+  } else {
+    sign_items(0, kB);
+  }
 }
 
 BipolarVector Codebook::resonate(const BipolarVector& u) const {

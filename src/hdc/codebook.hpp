@@ -5,11 +5,15 @@
 // The resonator network needs two kernels per codebook per iteration:
 //   similarity  a = Xᵀ u   (M integer dot products — RRAM tier-3 in hardware)
 //   projection  y = X a    (D integer accumulations — RRAM tier-2 in hardware)
-// Both are provided here as exact software kernels; the cim/arch layers model
-// the same computation through the noisy analog path. The arithmetic itself
-// lives in the multi-ISA backend layer (hdc/kernels/backend.hpp): every
-// per-call and batched entry point routes through the runtime-selected
-// KernelBackend, with an overload to pin a specific backend explicitly.
+// Both are provided here as exact software kernels, computed straight from
+// the packed codevector bits; the cim/arch layers model the same
+// computation through the noisy analog path. project_sign fuses the
+// projection with the comparator that ends the projection tier (x̂ = sign(X a),
+// one bit per dimension), so the resonator step keeps no integer vector.
+// The arithmetic itself lives in the multi-ISA backend layer
+// (hdc/kernels/backend.hpp): every per-call and batched entry point routes
+// through the runtime-selected KernelBackend, with an overload to pin a
+// specific backend explicitly.
 
 #include <cstdint>
 #include <span>
@@ -28,8 +32,8 @@ struct KernelBackend;
 /// Item-major block of integer coefficients for B batch items of `size`
 /// entries each: entry i of item b lives at data[b*size + i], so each
 /// item is one contiguous run. The similarity tile writes a query's scores
-/// straight into its item, the projection accumulates each item in place
-/// with the row-axpy kernel, and the activation reads an item as a span.
+/// straight into its item, the projection writes each item in place, and
+/// the activation reads an item as a span.
 struct CoeffBlock {
   std::size_t size = 0;   ///< entries per batch item (M or D)
   std::size_t batch = 0;  ///< number of batch items B
@@ -75,7 +79,7 @@ class Codebook {
   /// Rebuild from a row-major block of packed codevector words (`size` rows
   /// of ceil(dim/64) words each) — the deserialization path of src/io/.
   /// With `borrow == false` the words are copied. With `borrow == true` the
-  /// similarity kernels stream rows straight out of `words` (the mmap
+  /// kernels stream rows straight out of `words` (the mmap
   /// zero-copy path): the caller must keep the block alive and unchanged
   /// for the lifetime of the codebook and every copy of it (io::codec ties
   /// the mapping's lifetime to the set with an aliasing shared_ptr).
@@ -119,8 +123,7 @@ class Codebook {
       std::span<const BipolarVector> us,
       const kernels::KernelBackend& backend) const;
 
-  /// Batched y_b = X a_b: each dense codebook row is streamed once and
-  /// applied to all batch items, accumulated in place in the returned
+  /// Batched y_b = X a_b, each item written in place in the returned
   /// block; large passes fan batch sub-ranges across the KernelPool,
   /// bit-identical at any thread count.
   /// `coeffs.size == size()`. Returns a D×B block; item b is bit-for-bit
@@ -130,6 +133,20 @@ class Codebook {
   /// project_batch() pinned to one kernel backend.
   [[nodiscard]] CoeffBlock project_batch(
       const CoeffBlock& coeffs, const kernels::KernelBackend& backend) const;
+
+  /// Projection and comparator in one pass: out[b] = sign(X c_b) for every
+  /// item b, ties broken by rngs[b] as sign_of(counts, rng) breaks them, or
+  /// to +1 where rngs[b] is null. Bit for bit sign_of(project(c_b)) with
+  /// the same draws, but each 4096-element chunk of the projection lives
+  /// in stack scratch only, so no integer vector is written and nothing is
+  /// allocated once the calling thread is warm. Passes above the policy's
+  /// work threshold fan items across the KernelPool like project_batch;
+  /// each item draws only from its own generator, so items must not share
+  /// one. Every c_b has size() entries, and rngs and out match coeffs.
+  void project_sign(std::span<const std::vector<int>> coeffs,
+                    std::span<util::Rng* const> rngs,
+                    std::span<BipolarVector> out,
+                    const kernels::KernelBackend& backend) const;
 
   /// Fused resonator step: sign(X (Xᵀ u)) with deterministic tie-break.
   [[nodiscard]] BipolarVector resonate(const BipolarVector& u) const;
@@ -146,14 +163,12 @@ class Codebook {
   /// where exact count ties are common).
   [[nodiscard]] BipolarVector superposition(util::Rng& rng) const;
 
-  /// Row-major ±1 int8 matrix view (size() × dim()), for external kernels.
-  [[nodiscard]] const std::vector<std::int8_t>& dense() const { return dense_; }
-
   /// Packed words per codevector row (= ceil(dim/64)).
   [[nodiscard]] std::size_t words_per_row() const { return words_; }
 
   /// Row-major packed codevector words (size() rows × words_per_row()):
-  /// the exact bytes the similarity kernels stream and src/io/ serializes.
+  /// the exact bytes the similarity and projection kernels stream and
+  /// src/io/ serializes.
   /// Points into the owned copy, or into a borrowed block (mmap) for
   /// codebooks built with from_packed(..., borrow = true).
   [[nodiscard]] const std::uint64_t* packed_data() const {
@@ -164,15 +179,14 @@ class Codebook {
   [[nodiscard]] bool packed_borrowed() const { return packed_view_ != nullptr; }
 
  private:
-  void build_dense();
+  void build_rows();
 
   std::size_t dim_ = 0;
   std::string name_;
   std::vector<BipolarVector> vectors_;
-  std::vector<std::int8_t> dense_;  // size() rows × dim() cols, ±1
-  std::vector<int> counts_;         // Σ_m x_m[d]: the superposition votes
+  std::vector<int> counts_;  // Σ_m x_m[d]: the superposition votes
   // Row-major copy of the packed codevector words (size() rows × words_
-  // words), so the similarity tile kernels stream rows contiguously.
+  // words), so the kernels stream rows contiguously.
   std::vector<std::uint64_t> packed_;
   // Borrowed packed rows (from_packed with borrow=true): when set, the
   // kernels read from here and packed_ stays empty.

@@ -179,33 +179,60 @@ void BipolarVector::mask_tail() {
   }
 }
 
-namespace {
+SignWriter::SignWriter(std::size_t dim, util::Rng* rng, BipolarVector& out,
+                       const kernels::KernelBackend& backend)
+    : backend_(backend), rng_(rng) {
+  if (out.dim() != dim) out = BipolarVector(dim);
+  words_ = out.data();
+}
 
-// Elements per sign_bits call: the tie masks of one chunk live on the stack.
-constexpr std::size_t kSignChunkWords = 64;
-
-// Sign of counts into v (bit 1 encodes −1, ties left at +1), chunk by
-// chunk through the active backend, which writes every word; on_ties(word,
-// tie mask) then sees every output word that holds a zero count, in
-// element order.
-template <typename OnTies>
-void sign_words(std::span<const int> counts, BipolarVector& v,
-                OnTies&& on_ties) {
-  const kernels::KernelBackend& backend = kernels::active();
-  if (v.dim() != counts.size()) v = BipolarVector(counts.size());
-  std::uint64_t* words = v.data();
-  std::uint64_t zero[kSignChunkWords] = {};
-  for (std::size_t i = 0; i < counts.size(); i += kSignChunkWords * 64) {
-    const std::size_t len =
-        std::min(counts.size() - i, kSignChunkWords * 64);
-    backend.sign_bits(counts.data() + i, len, words + i / 64, zero);
-    for (std::size_t w = 0; w < words_for(len); ++w) {
-      if (zero[w] != 0) on_ties(words[i / 64 + w], zero[w]);
+void SignWriter::put(const int* values, std::size_t len) {
+  // Elements per sign_bits call: the tie masks of one chunk live on the
+  // stack. sign_bits writes every word (bit 1 encodes −1, ties left at +1),
+  // and the tied words then draw in element order.
+  constexpr std::size_t kChunkWords = 64;
+  std::uint64_t zero[kChunkWords] = {};
+  for (std::size_t i = 0; i < len; i += kChunkWords * 64) {
+    const std::size_t n = std::min(len - i, kChunkWords * 64);
+    const std::size_t nw = words_for(n);
+    backend_.sign_bits(values + i, n, words_, zero);
+    if (rng_ != nullptr) {
+      for (std::size_t w = 0; w < nw; ++w) {
+        if (zero[w] != 0) break_ties(words_[w], zero[w]);
+      }
     }
+    words_ += nw;
   }
 }
 
-}  // namespace
+void SignWriter::break_ties(std::uint64_t& word, std::uint64_t ties) {
+  // Random bits for tie-breaks are drawn 64 at a time: early resonator
+  // iterations can produce all-zero projections (every element tied), and
+  // a per-element generator call would dominate the activation phase.
+  if (ties == ~std::uint64_t{0}) {
+    // A whole tied word takes the next 64 bits of the stream at once.
+    if (rnd_left_ == 0) {
+      word = rng_->bits64();
+    } else if (rnd_left_ == 64) {
+      word = rnd_;
+      rnd_left_ = 0;
+    } else {
+      const std::uint64_t next = rng_->bits64();
+      word = rnd_ | (next << rnd_left_);
+      rnd_ = next >> (64 - rnd_left_);
+    }
+    return;
+  }
+  for (; ties != 0; ties &= ties - 1) {
+    if (rnd_left_ == 0) {
+      rnd_ = rng_->bits64();
+      rnd_left_ = 64;
+    }
+    word |= (rnd_ & 1u) << std::countr_zero(ties);
+    rnd_ >>= 1;
+    --rnd_left_;
+  }
+}
 
 BipolarVector sign_of(std::span<const int> counts) {
   BipolarVector v;
@@ -220,42 +247,13 @@ BipolarVector sign_of(std::span<const int> counts, util::Rng& rng) {
 }
 
 void sign_of(std::span<const int> counts, BipolarVector& out) {
-  // Ties (zero) break to +1, which is bit 0: the negative mask is the word.
-  sign_words(counts, out, [](std::uint64_t&, std::uint64_t) {});
+  SignWriter(counts.size(), nullptr, out, kernels::active())
+      .put(counts.data(), counts.size());
 }
 
 void sign_of(std::span<const int> counts, util::Rng& rng, BipolarVector& out) {
-  // Random bits for tie-breaks are drawn 64 at a time: early resonator
-  // iterations can produce all-zero projections (every element tied), and a
-  // per-element generator call would dominate the activation phase. `rnd`
-  // holds the rnd_left unused bits of the last draw in its low bits.
-  std::uint64_t rnd = 0;
-  int rnd_left = 0;
-  sign_words(counts, out, [&](std::uint64_t& word, std::uint64_t ties) {
-    if (ties == ~std::uint64_t{0}) {
-      // A whole tied word takes the next 64 bits of the stream at once.
-      if (rnd_left == 0) {
-        word = rng.bits64();
-      } else if (rnd_left == 64) {
-        word = rnd;
-        rnd_left = 0;
-      } else {
-        const std::uint64_t next = rng.bits64();
-        word = rnd | (next << rnd_left);
-        rnd = next >> (64 - rnd_left);
-      }
-      return;
-    }
-    for (; ties != 0; ties &= ties - 1) {
-      if (rnd_left == 0) {
-        rnd = rng.bits64();
-        rnd_left = 64;
-      }
-      word |= (rnd & 1u) << std::countr_zero(ties);
-      rnd >>= 1;
-      --rnd_left;
-    }
-  });
+  SignWriter(counts.size(), &rng, out, kernels::active())
+      .put(counts.data(), counts.size());
 }
 
 }  // namespace h3dfact::hdc

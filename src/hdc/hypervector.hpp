@@ -15,6 +15,10 @@
 
 namespace h3dfact::hdc {
 
+namespace kernels {
+struct KernelBackend;
+}  // namespace kernels
+
 /// Dense bipolar hypervector with bit-packed storage.
 class BipolarVector {
  public:
@@ -74,7 +78,7 @@ class BipolarVector {
   /// Unpack to a ±1 integer vector.
   [[nodiscard]] std::vector<int> to_values() const;
 
-  /// Unpack to ±1 int8 (row format used by the projection kernel).
+  /// Unpack to ±1 int8 (the CIM macro's crossbar input format).
   [[nodiscard]] std::vector<std::int8_t> to_i8() const;
 
   /// 64-bit content hash (used by the limit-cycle detector).
@@ -103,5 +107,33 @@ BipolarVector sign_of(std::span<const int> counts, util::Rng& rng);
 /// dimension already equals counts.size() (the resonator's scratch vector).
 void sign_of(std::span<const int> counts, BipolarVector& out);
 void sign_of(std::span<const int> counts, util::Rng& rng, BipolarVector& out);
+
+/// The sign_of comparator over values that arrive a chunk at a time, so a
+/// producer can hand them over from stack scratch (Codebook::project_sign)
+/// instead of a whole integer vector. Any split of the values gives the
+/// same bits and the same tie draws as one sign_of call over all of them.
+class SignWriter {
+ public:
+  /// Signs of `dim` values into `out` (resized unless its dimension is
+  /// already `dim`). Ties break as in sign_of: randomly from `rng`, or to +1
+  /// when `rng` is null. The sign masks come from `backend`'s sign_bits.
+  SignWriter(std::size_t dim, util::Rng* rng, BipolarVector& out,
+             const kernels::KernelBackend& backend);
+
+  /// The next `len` values. Every call but the last must pass a multiple
+  /// of 64 values.
+  void put(const int* values, std::size_t len);
+
+ private:
+  void break_ties(std::uint64_t& word, std::uint64_t ties);
+
+  const kernels::KernelBackend& backend_;
+  util::Rng* rng_;
+  std::uint64_t* words_;  // the next output word
+  // The tie-break stream: rnd_left unused bits of the last draw, in the
+  // low bits of rnd_.
+  std::uint64_t rnd_ = 0;
+  int rnd_left_ = 0;
+};
 
 }  // namespace h3dfact::hdc

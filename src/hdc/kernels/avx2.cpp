@@ -9,6 +9,7 @@
 #define H3DFACT_KERNELS_AVX2 1
 #include <immintrin.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #endif
@@ -49,21 +50,53 @@ __attribute__((target("avx2"))) long long xor_popcount_avx2(
   return total;
 }
 
-// y[0..n) += a * row[0..n) with ±1 int8 rows widened to i32.
-__attribute__((target("avx2"))) void axpy_row_avx2(int a,
-                                                   const std::int8_t* row,
-                                                   int* y, std::size_t n) {
-  const __m256i va = _mm256_set1_epi32(a);
-  std::size_t d = 0;
-  for (; d + 8 <= n; d += 8) {
-    const __m128i r8 =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(row + d));
-    const __m256i r32 = _mm256_cvtepi8_epi32(r8);
-    __m256i yv = _mm256_loadu_si256(reinterpret_cast<__m256i*>(y + d));
-    yv = _mm256_add_epi32(yv, _mm256_mullo_epi32(va, r32));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(y + d), yv);
+// y = C − Σ_j 2c_j·bit_j with a word's 64 sums in eight registers. AVX2
+// has no mask registers, so each lane shifts its bit of the word's 32-bit
+// half up to bit 31 and an arithmetic shift spreads it into the lane's add
+// mask. A partial last word goes through a stack copy.
+__attribute__((target("avx2"))) void project_rows_avx2(
+    const std::uint64_t* const* rows, const int* coeffs, std::size_t k,
+    std::size_t n, int* y) {
+  std::uint32_t total = 0;  // C, wrapping like the sums
+  for (std::size_t j = 0; j < k; ++j) {
+    total += static_cast<std::uint32_t>(coeffs[j]);
   }
-  for (; d < n; ++d) y[d] += a * row[d];
+  const __m256i vtotal = _mm256_set1_epi32(static_cast<int>(total));
+  // Group g of a half holds bits 8g..8g+7; its lane i shifts by 31 − 8g − i.
+  __m256i shifts[4];
+  for (int g = 0; g < 4; ++g) {
+    shifts[g] = _mm256_sub_epi32(
+        _mm256_setr_epi32(31, 30, 29, 28, 27, 26, 25, 24),
+        _mm256_set1_epi32(8 * g));
+  }
+  alignas(32) int tail[64] = {};  // a partial last word's sums
+  for (std::size_t w = 0; w * 64 < n; ++w) {
+    __m256i acc[8];
+    for (auto& a : acc) a = _mm256_setzero_si256();
+    for (std::size_t j = 0; j < k; ++j) {
+      if (coeffs[j] == 0) continue;
+      const __m256i c2 = _mm256_set1_epi32(
+          static_cast<int>(2u * static_cast<std::uint32_t>(coeffs[j])));
+      const std::uint64_t bits = rows[j][w];
+      for (int h = 0; h < 2; ++h) {
+        const __m256i half = _mm256_set1_epi32(
+            static_cast<int>(static_cast<std::uint32_t>(bits >> (32 * h))));
+        for (int g = 0; g < 4; ++g) {
+          const __m256i mask =
+              _mm256_srai_epi32(_mm256_sllv_epi32(half, shifts[g]), 31);
+          acc[4 * h + g] =
+              _mm256_add_epi32(acc[4 * h + g], _mm256_and_si256(mask, c2));
+        }
+      }
+    }
+    const std::size_t len = std::min<std::size_t>(64, n - w * 64);
+    int* out = len == 64 ? y + w * 64 : tail;
+    for (int g = 0; g < 8; ++g) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8 * g),
+                          _mm256_sub_epi32(vtotal, acc[g]));
+    }
+    if (len < 64) std::copy_n(tail, len, y + w * 64);
+  }
 }
 
 // The tile loop carries the same target attribute so the popcount inlines
@@ -110,7 +143,7 @@ __attribute__((target("avx2"))) void sign_bits_avx2(const int* y,
   }
 }
 
-constexpr KernelBackend kAvx2{"avx2", axpy_row_avx2, similarity_tile_avx2,
+constexpr KernelBackend kAvx2{"avx2", project_rows_avx2, similarity_tile_avx2,
                               sign_bits_avx2};
 
 }  // namespace

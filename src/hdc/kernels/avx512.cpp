@@ -65,22 +65,44 @@ __attribute__((target("avx512f,avx512bw"))) long long xor_popcount_avx512lut(
   return total;
 }
 
-// y[0..n) += a * row[0..n): 16 int8 lanes sign-extended to i32 per step.
-__attribute__((target("avx512f"))) void axpy_row_avx512(int a,
-                                                        const std::int8_t* row,
-                                                        int* y,
-                                                        std::size_t n) {
-  const __m512i va = _mm512_set1_epi32(a);
-  std::size_t d = 0;
-  for (; d + 16 <= n; d += 16) {
-    const __m128i r8 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + d));
-    const __m512i r32 = _mm512_cvtepi8_epi32(r8);
-    __m512i yv = _mm512_loadu_si512(y + d);
-    yv = _mm512_add_epi32(yv, _mm512_mullo_epi32(va, r32));
-    _mm512_storeu_si512(y + d, yv);
+// y = C − Σ_j 2c_j·bit_j: a word's 64 sums live in four registers, and
+// each 16-bit slice of a row word is the add mask of 16 lanes. A partial
+// last word is written under a store mask.
+__attribute__((target("avx512f"))) void project_rows_avx512(
+    const std::uint64_t* const* rows, const int* coeffs, std::size_t k,
+    std::size_t n, int* y) {
+  std::uint32_t total = 0;  // C, wrapping like the sums
+  for (std::size_t j = 0; j < k; ++j) {
+    total += static_cast<std::uint32_t>(coeffs[j]);
   }
-  for (; d < n; ++d) y[d] += a * row[d];
+  const __m512i vtotal = _mm512_set1_epi32(static_cast<int>(total));
+  for (std::size_t w = 0; w * 64 < n; ++w) {
+    __m512i acc[4];
+    for (auto& a : acc) a = _mm512_setzero_si512();
+    for (std::size_t j = 0; j < k; ++j) {
+      if (coeffs[j] == 0) continue;
+      const __m512i c2 = _mm512_set1_epi32(
+          static_cast<int>(2u * static_cast<std::uint32_t>(coeffs[j])));
+      const std::uint64_t bits = rows[j][w];
+      for (int q = 0; q < 4; ++q) {
+        acc[q] = _mm512_mask_add_epi32(
+            acc[q], static_cast<__mmask16>(bits >> (16 * q)), acc[q], c2);
+      }
+    }
+    int* out = y + w * 64;
+    const std::size_t len = n - w * 64;
+    const std::uint64_t live =
+        len >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << len) - 1;
+    for (int q = 0; q < 4; ++q) {
+      const auto mask = static_cast<__mmask16>(live >> (16 * q));
+      const __m512i sums = _mm512_sub_epi32(vtotal, acc[q]);
+      if (mask == 0xFFFF) {
+        _mm512_storeu_si512(out + 16 * q, sums);
+      } else if (mask != 0) {
+        _mm512_mask_storeu_epi32(out + 16 * q, mask, sums);
+      }
+    }
+  }
 }
 
 // Tile loops carry the matching target attributes so the popcounts inline.
@@ -138,11 +160,11 @@ __attribute__((target("avx512f"))) void sign_bits_avx512(const int* y,
   }
 }
 
-constexpr KernelBackend kAvx512Pop{"avx512", axpy_row_avx512,
+constexpr KernelBackend kAvx512Pop{"avx512", project_rows_avx512,
                                    similarity_tile_avx512pop,
                                    sign_bits_avx512};
 
-constexpr KernelBackend kAvx512Lut{"avx512", axpy_row_avx512,
+constexpr KernelBackend kAvx512Lut{"avx512", project_rows_avx512,
                                    similarity_tile_avx512lut,
                                    sign_bits_avx512};
 

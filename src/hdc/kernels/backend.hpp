@@ -1,22 +1,22 @@
 #pragma once
 // Multi-ISA kernel backend layer for the three hot-path primitives of a
-// resonator step: the XOR+popcount similarity tile and the ±1-row axpy
-// projection the codebook calls, and the sign masks the activation
-// (hdc::sign_of) packs. Each backend is one translation unit compiled for
-// its ISA (scalar always; SSE2 at the x86-64 baseline; AVX2 and AVX-512 via
-// function-level target attributes on x86_64; NEON on aarch64 where
-// Advanced SIMD is baseline). Selection happens once at runtime by scoring
-// every compiled-in backend against the probed CPU capabilities
-// (capability.hpp + policy.hpp — not first-match order), overridable by the
-// H3DFACT_KERNEL_BACKEND environment variable or programmatically via
-// force_backend() — so any compiled-in backend can be exercised on any host
-// that supports it, and the parity/fuzz suites can pin every backend
-// against scalar bit for bit.
+// resonator step: the XOR+popcount similarity tile, the projection the
+// codebook computes straight from its packed ±1 rows, and the sign masks
+// the comparator (hdc::sign_of, Codebook::project_sign) packs. Each backend
+// is one translation unit compiled for its ISA (scalar always; SSE2 at the
+// x86-64 baseline; AVX2 and AVX-512 via function-level target attributes on
+// x86_64; NEON on aarch64 where Advanced SIMD is baseline). Selection
+// happens once at runtime by scoring every compiled-in backend against the
+// probed CPU capabilities (capability.hpp + policy.hpp — not first-match
+// order), overridable by the H3DFACT_KERNEL_BACKEND environment variable or
+// programmatically via force_backend() — so any compiled-in backend can be
+// exercised on any host that supports it, and the parity/fuzz suites can pin
+// every backend against scalar bit for bit.
 //
 // The contract for every entry point is exact integer arithmetic: all
 // backends must produce bit-identical results for identical inputs. The
-// tail elements past the widest vector width are always handled (scalar
-// loops), so arbitrary dims/word counts are valid.
+// tail elements past the widest vector width are always handled, so
+// arbitrary dims/word counts are valid.
 
 #include <cstdint>
 #include <string_view>
@@ -34,8 +34,17 @@ struct KernelBackend {
   /// `backend` field of the bench/kernels --json artifact.
   const char* name;
 
-  /// y[0..n) += a * row[0..n) with ±1 int8 rows widened to i32.
-  void (*axpy_row)(int a, const std::int8_t* row, int* y, std::size_t n);
+  /// y[0..n) = Σ_{j<k} coeffs[j]·x_j, where x_j is the ±1 row packed at
+  /// rows[j] (bit 1 encodes −1, as in hdc::BipolarVector; ceil(n/64) words
+  /// are read from each row, and a row may be listed more than once).
+  /// Computed straight from the bits as C − Σ_j 2·coeffs[j]·bit_j with
+  /// C = Σ_j coeffs[j], one 64-element word at a time (the SIMD backends
+  /// keep a word's sums in registers); rows with a zero coefficient are
+  /// skipped, and k = 0 writes zeros. The arithmetic wraps at 32 bits, so the result is exact
+  /// whenever the true sum fits in an int, and every backend returns the
+  /// same bits for any input.
+  void (*project_rows)(const std::uint64_t* const* rows, const int* coeffs,
+                       std::size_t k, std::size_t n, int* y);
 
   /// Batched similarity tile: for every query q and tile row i,
   ///   sims[q * sim_stride + i] = dim − 2·popcount(queries[q] XOR row_i)

@@ -9,6 +9,7 @@
 #define H3DFACT_KERNELS_NEON 1
 #include <arm_neon.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #endif
@@ -39,23 +40,48 @@ long long xor_popcount_neon(const std::uint64_t* a, const std::uint64_t* b,
   return total;
 }
 
-// y[0..n) += a * row[0..n): ±1 int8 rows widened s8→s16→s32, two
-// multiply-accumulate lanes of four per step.
-void axpy_row_neon(int a, const std::int8_t* row, int* y, std::size_t n) {
-  const int32x4_t va = vdupq_n_s32(a);
-  std::size_t d = 0;
-  for (; d + 8 <= n; d += 8) {
-    const int16x8_t r16 = vmovl_s8(vld1_s8(row + d));
-    const int32x4_t r_lo = vmovl_s16(vget_low_s16(r16));
-    const int32x4_t r_hi = vmovl_s16(vget_high_s16(r16));
-    int32x4_t y_lo = vld1q_s32(y + d);
-    int32x4_t y_hi = vld1q_s32(y + d + 4);
-    y_lo = vmlaq_s32(y_lo, va, r_lo);
-    y_hi = vmlaq_s32(y_hi, va, r_hi);
-    vst1q_s32(y + d, y_lo);
-    vst1q_s32(y + d + 4, y_hi);
+// y = C − Σ_j 2c_j·bit_j with a word's 64 sums in sixteen registers:
+// VTST sets lane i of a group to all ones when its bit of the word's
+// 32-bit half is set, which masks 2c_j into the lane's sum. A partial last
+// word goes through a stack copy.
+void project_rows_neon(const std::uint64_t* const* rows, const int* coeffs,
+                       std::size_t k, std::size_t n, int* y) {
+  std::uint32_t total = 0;  // C, wrapping like the sums
+  for (std::size_t j = 0; j < k; ++j) {
+    total += static_cast<std::uint32_t>(coeffs[j]);
   }
-  for (; d < n; ++d) y[d] += a * row[d];
+  const int32x4_t vtotal = vdupq_n_s32(static_cast<int>(total));
+  // Group g holds bits 4g..4g+3 of a half: lane i tests bit 4g + i.
+  static const std::uint32_t kBit0[4] = {1, 2, 4, 8};
+  uint32x4_t bit[8];
+  for (int g = 0; g < 8; ++g) {
+    bit[g] = vshlq_u32(vld1q_u32(kBit0), vdupq_n_s32(4 * g));
+  }
+  int tail[64] = {};  // a partial last word's sums
+  for (std::size_t w = 0; w * 64 < n; ++w) {
+    int32x4_t acc[16];
+    for (auto& a : acc) a = vdupq_n_s32(0);
+    for (std::size_t j = 0; j < k; ++j) {
+      if (coeffs[j] == 0) continue;
+      const int32x4_t c2 = vdupq_n_s32(
+          static_cast<int>(2u * static_cast<std::uint32_t>(coeffs[j])));
+      const std::uint64_t bits = rows[j][w];
+      for (int h = 0; h < 2; ++h) {
+        const uint32x4_t half =
+            vdupq_n_u32(static_cast<std::uint32_t>(bits >> (32 * h)));
+        for (int g = 0; g < 8; ++g) {
+          const int32x4_t mask = vreinterpretq_s32_u32(vtstq_u32(half, bit[g]));
+          acc[8 * h + g] = vaddq_s32(acc[8 * h + g], vandq_s32(mask, c2));
+        }
+      }
+    }
+    const std::size_t len = std::min<std::size_t>(64, n - w * 64);
+    int* out = len == 64 ? y + w * 64 : tail;
+    for (int g = 0; g < 16; ++g) {
+      vst1q_s32(out + 4 * g, vsubq_s32(vtotal, acc[g]));
+    }
+    if (len < 64) std::copy_n(tail, len, y + w * 64);
+  }
 }
 
 void similarity_tile_neon(const std::uint64_t* rows, std::size_t row_stride,
@@ -115,7 +141,7 @@ void sign_bits_neon(const int* y, std::size_t n, std::uint64_t* neg,
   }
 }
 
-constexpr KernelBackend kNeon{"neon", axpy_row_neon, similarity_tile_neon,
+constexpr KernelBackend kNeon{"neon", project_rows_neon, similarity_tile_neon,
                               sign_bits_neon};
 
 }  // namespace

@@ -4,6 +4,7 @@
 // scalar override target for A/B timing.
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -21,8 +22,38 @@ long long xor_popcount_scalar(const std::uint64_t* a, const std::uint64_t* b,
   return disagree;
 }
 
-void axpy_row_scalar(int a, const std::int8_t* row, int* y, std::size_t n) {
-  for (std::size_t d = 0; d < n; ++d) y[d] += a * row[d];
+// y = C − Σ_j 2c_j·bit_j, one word of 64 sums at a time: a set bit adds
+// 2c_j to its element's sum. Each 32-bit half of the word is tested
+// against a table of single-bit masks rather than shifted per element, so
+// the compiler vectorizes the element loop at the baseline ISA.
+void project_rows_scalar(const std::uint64_t* const* rows, const int* coeffs,
+                         std::size_t k, std::size_t n, int* y) {
+  static constexpr auto kBit = [] {
+    std::array<std::uint32_t, 32> bit{};
+    for (std::size_t d = 0; d < 32; ++d) bit[d] = std::uint32_t{1} << d;
+    return bit;
+  }();
+  std::uint32_t total = 0;  // C, wrapping like the sums
+  for (std::size_t j = 0; j < k; ++j) {
+    total += static_cast<std::uint32_t>(coeffs[j]);
+  }
+  for (std::size_t w = 0; w * 64 < n; ++w) {
+    std::uint32_t acc[64] = {};
+    for (std::size_t j = 0; j < k; ++j) {
+      if (coeffs[j] == 0) continue;
+      const std::uint32_t c2 = 2u * static_cast<std::uint32_t>(coeffs[j]);
+      for (std::size_t h = 0; h < 2; ++h) {
+        const auto half = static_cast<std::uint32_t>(rows[j][w] >> (32 * h));
+        for (std::size_t d = 0; d < 32; ++d) {
+          acc[32 * h + d] += (half & kBit[d]) != 0 ? c2 : 0u;
+        }
+      }
+    }
+    const std::size_t len = std::min<std::size_t>(64, n - w * 64);
+    for (std::size_t d = 0; d < len; ++d) {
+      y[w * 64 + d] = static_cast<int>(total - acc[d]);
+    }
+  }
 }
 
 void similarity_tile_scalar(const std::uint64_t* rows, std::size_t row_stride,
@@ -77,7 +108,7 @@ void sign_bits_scalar(const int* y, std::size_t n, std::uint64_t* neg,
   }
 }
 
-constexpr KernelBackend kScalar{"scalar", axpy_row_scalar,
+constexpr KernelBackend kScalar{"scalar", project_rows_scalar,
                                  similarity_tile_scalar, sign_bits_scalar};
 
 }  // namespace

@@ -14,8 +14,9 @@ enum class Phase : int {
   kUnbind = 0,      ///< s ⊙ x̂ ⊙ ... (XNOR tier-1)
   kSimilarity = 1,  ///< a = Xᵀu  (RRAM tier-3 MVM)
   kChannel = 2,     ///< noise/ADC on the similarity path
-  kProjection = 3,  ///< y = X a  (RRAM tier-2 MVM)
-  kActivation = 4,  ///< sign()
+  kProjection = 3,  ///< y = X a  (RRAM tier-2 MVM), plus sign()'s time
+  kActivation = 4,  ///< sign(): ops only, since the comparator ends the
+                    ///< projection pass (MvmEngine::project_sign)
   kDecode = 5,      ///< argmax decode + convergence check
 };
 inline constexpr int kNumPhases = 6;

@@ -35,6 +35,31 @@ hdc::CoeffBlock MvmEngine::project_batch(std::size_t factor,
   return hdc::CoeffBlock::from_items(items);
 }
 
+void MvmEngine::project_sign(std::size_t factor,
+                             std::span<const std::vector<int>> coeffs,
+                             std::span<util::Rng* const> tie_rngs,
+                             util::Rng& rng,
+                             std::span<hdc::BipolarVector> out) {
+  const auto sign = [&](std::size_t b, std::span<const int> y) {
+    if (tie_rngs[b] != nullptr) {
+      hdc::sign_of(y, *tie_rngs[b], out[b]);
+    } else {
+      hdc::sign_of(y, out[b]);
+    }
+  };
+  if (coeffs.empty()) return;
+  if (coeffs.size() == 1) {
+    sign(0, project(factor, coeffs[0], rng));
+    return;
+  }
+  hdc::CoeffBlock block(coeffs[0].size(), coeffs.size());
+  for (std::size_t b = 0; b < coeffs.size(); ++b) {
+    block.set_item(b, coeffs[b]);
+  }
+  const hdc::CoeffBlock y = project_batch(factor, block, rng);
+  for (std::size_t b = 0; b < coeffs.size(); ++b) sign(b, y.item_span(b));
+}
+
 ExactMvmEngine::ExactMvmEngine(std::shared_ptr<const hdc::CodebookSet> set)
     : set_(std::move(set)) {
   if (!set_) throw std::invalid_argument("null codebook set");
@@ -71,6 +96,15 @@ hdc::CoeffBlock ExactMvmEngine::project_batch(std::size_t factor,
                                               util::Rng&) {
   const auto& k = backend_ ? *backend_ : hdc::kernels::active();
   return set_->book(factor).project_batch(coeffs, k);
+}
+
+void ExactMvmEngine::project_sign(std::size_t factor,
+                                  std::span<const std::vector<int>> coeffs,
+                                  std::span<util::Rng* const> tie_rngs,
+                                  util::Rng&,
+                                  std::span<hdc::BipolarVector> out) {
+  const auto& k = backend_ ? *backend_ : hdc::kernels::active();
+  set_->book(factor).project_sign(coeffs, tie_rngs, out, k);
 }
 
 ResonatorNetwork::ResonatorNetwork(std::shared_ptr<const hdc::CodebookSet> set,
@@ -197,14 +231,11 @@ void iterate(const hdc::CodebookSet& set, MvmEngine& engine,
   for (Lane& lane : lanes) active.push_back(&lane);
   std::vector<Lane*> still_active;
   // Scratch reused across factors and iterations: once it has grown to the
-  // batch, only the engine and channel calls, which return by value,
-  // allocate.
+  // batch, only the engine and channel calls that return by value allocate.
   std::vector<hdc::BipolarVector> us;
   std::vector<std::vector<int>> a;
-  std::vector<int> y_one;  // a lone problem's projection
-  hdc::CoeffBlock coeffs;   // the batch's channel outputs, item by item
-  hdc::CoeffBlock y_block;  // the batch's projections, item by item
-  hdc::BipolarVector next;  // a new estimate, swapped in for the old one
+  std::vector<util::Rng*> tie_rngs;  // a lane's generator, or null: +1 ties
+  std::vector<hdc::BipolarVector> next;  // new estimates, swapped in
   hdc::BipolarVector composed;  // the decoded product, for the success check
 
   for (std::size_t t = start; t <= options.max_iterations && !active.empty();
@@ -212,6 +243,11 @@ void iterate(const hdc::CodebookSet& set, MvmEngine& engine,
     const std::size_t n = active.size();
     us.resize(n);
     a.resize(n);
+    next.resize(n);
+    tie_rngs.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      tie_rngs[i] = random_ties ? active[i]->rng : nullptr;
+    }
     // Synchronous mode reads every factor against the state at iteration
     // start. Factor f's own estimate is untouched until its update, so only
     // the running product needs freezing.
@@ -267,38 +303,22 @@ void iterate(const hdc::CodebookSet& set, MvmEngine& engine,
         }
       }
 
-      // Projection MVM, issued like the similarity.
+      // Projection MVM and comparator in one engine pass across the live
+      // lanes (its time is booked as projection), then the running
+      // product: P ⊙ old_f ⊙ new_f.
       {
         PhaseProfiler::Scope scope(prof, Phase::kProjection);
-        if (n == 1) {
-          y_one = engine.project(f, a[0], device_rng);
-        } else {
-          coeffs.size = M;
-          coeffs.batch = n;
-          coeffs.data.resize(M * n);
-          for (std::size_t i = 0; i < n; ++i) coeffs.set_item(i, a[i]);
-          y_block = engine.project_batch(f, coeffs, device_rng);
-        }
-        if (prof) prof->add_ops(Phase::kProjection, M * D * n);
-      }
-
-      // Activation, then the running product: P ⊙ old_f ⊙ new_f.
-      {
-        PhaseProfiler::Scope scope(prof, Phase::kActivation);
+        engine.project_sign(f, a, tie_rngs, device_rng, next);
         for (std::size_t i = 0; i < n; ++i) {
           Lane& lane = *active[i];
-          const std::span<const int> y =
-              n == 1 ? std::span<const int>(y_one) : y_block.item_span(i);
-          if (random_ties) {
-            hdc::sign_of(y, *lane.rng, next);
-          } else {
-            hdc::sign_of(y, next);
-          }
           lane.P.bind_inplace(lane.est[f]);
-          lane.P.bind_inplace(next);
-          std::swap(lane.est[f], next);
+          lane.P.bind_inplace(next[i]);
+          std::swap(lane.est[f], next[i]);
         }
-        if (prof) prof->add_ops(Phase::kActivation, D * n);
+        if (prof) {
+          prof->add_ops(Phase::kProjection, M * D * n);
+          prof->add_ops(Phase::kActivation, D * n);
+        }
       }
     }
 

@@ -30,6 +30,10 @@ namespace h3dfact::resonator {
 
 /// Abstraction of the two MVM kernels so the same loop can run on exact
 /// software kernels or through a modelled hardware path (cim/arch layers).
+/// The loop issues the projection through project_sign, which ends in the
+/// comparator: an engine that can fuse the two (ExactMvmEngine) overrides
+/// it; every other engine inherits the default, which composes its
+/// project/project_batch with hdc::sign_of.
 class MvmEngine {
  public:
   virtual ~MvmEngine() = default;
@@ -57,6 +61,18 @@ class MvmEngine {
   /// distributed like a per-call project(factor, coeffs.item(b)).
   [[nodiscard]] virtual hdc::CoeffBlock project_batch(
       std::size_t factor, const hdc::CoeffBlock& coeffs, util::Rng& rng);
+
+  /// Projection plus comparator over the live batch (step IV):
+  /// out[b] = sign(X_f ã_b), ties broken by tie_rngs[b] as
+  /// hdc::sign_of(counts, rng) breaks them, or to +1 where tie_rngs[b] is
+  /// null. `rng` drives engine randomness. The default projects a lone item
+  /// with project() and a larger batch with project_batch(), then applies
+  /// sign_of item by item, so engines that only override those keep every
+  /// draw. Distinct items must not share a tie generator.
+  virtual void project_sign(std::size_t factor,
+                            std::span<const std::vector<int>> coeffs,
+                            std::span<util::Rng* const> tie_rngs,
+                            util::Rng& rng, std::span<hdc::BipolarVector> out);
 };
 
 /// Exact software kernels over a codebook set. All per-call and batched
@@ -83,6 +99,12 @@ class ExactMvmEngine final : public MvmEngine {
   [[nodiscard]] hdc::CoeffBlock project_batch(std::size_t factor,
                                               const hdc::CoeffBlock& coeffs,
                                               util::Rng& rng) override;
+  /// hdc::Codebook::project_sign: no integer vector, same bits and draws
+  /// as the default.
+  void project_sign(std::size_t factor,
+                    std::span<const std::vector<int>> coeffs,
+                    std::span<util::Rng* const> tie_rngs, util::Rng& rng,
+                    std::span<hdc::BipolarVector> out) override;
 
  private:
   std::shared_ptr<const hdc::CodebookSet> set_;

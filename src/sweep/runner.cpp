@@ -706,10 +706,6 @@ std::vector<CellResult> SweepRunner::run() const {
   binding.fingerprint = spec_fingerprint(spec_);
   const std::vector<WorkerChannel*> channels =
       options_.transport->bind(binding);
-  struct Unbinder {
-    Transport& transport;
-    ~Unbinder() { transport.unbind(); }
-  } const unbinder{*options_.transport};
   return run_with_channels(spec_, selected, channels, log,
                            options_.block_deadline_ms);
 #else

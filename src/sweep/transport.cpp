@@ -475,8 +475,6 @@ std::vector<WorkerChannel*> StdioTransport::bind(const SpecBinding& binding) {
   return bind_remote_channels(channels_, binding);
 }
 
-void StdioTransport::unbind() {}
-
 // --- TcpTransport -----------------------------------------------------------
 
 TcpTransport::TcpTransport(TcpConfig config) : config_(std::move(config)) {
@@ -537,8 +535,6 @@ std::vector<WorkerChannel*> TcpTransport::bind(const SpecBinding& binding) {
   return bind_remote_channels(channels_, binding);
 }
 
-void TcpTransport::unbind() {}
-
 // --- CompositeTransport -----------------------------------------------------
 
 CompositeTransport::CompositeTransport(
@@ -553,10 +549,6 @@ std::vector<WorkerChannel*> CompositeTransport::bind(
     out.insert(out.end(), chans.begin(), chans.end());
   }
   return out;
-}
-
-void CompositeTransport::unbind() {
-  for (auto& part : parts_) part->unbind();
 }
 
 std::string CompositeTransport::describe() const {
@@ -712,7 +704,6 @@ StdioTransport::~StdioTransport() = default;
 std::vector<WorkerChannel*> StdioTransport::bind(const SpecBinding&) {
   return {};
 }
-void StdioTransport::unbind() {}
 std::string StdioTransport::describe() const { return "stdio(unsupported)"; }
 
 TcpTransport::TcpTransport(TcpConfig config) : config_(std::move(config)) {
@@ -722,7 +713,6 @@ TcpTransport::~TcpTransport() = default;
 std::vector<WorkerChannel*> TcpTransport::bind(const SpecBinding&) {
   return {};
 }
-void TcpTransport::unbind() {}
 std::string TcpTransport::describe() const { return "tcp(unsupported)"; }
 void TcpTransport::accept_pending() {}
 
@@ -732,7 +722,6 @@ CompositeTransport::CompositeTransport(
 std::vector<WorkerChannel*> CompositeTransport::bind(const SpecBinding&) {
   return {};
 }
-void CompositeTransport::unbind() {}
 std::string CompositeTransport::describe() const {
   return "composite(unsupported)";
 }

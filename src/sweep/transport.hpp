@@ -98,8 +98,8 @@ struct SpecBinding {
   std::uint64_t fingerprint = 0;  ///< expected spec fingerprint
 };
 
-/// A source of bound worker channels. Connections survive across
-/// bind/unbind cycles, so multi-grid benches reuse one worker fleet.
+/// A source of bound worker channels. Connections persist from one bind()
+/// to the next, so multi-grid benches reuse one worker fleet.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -107,9 +107,6 @@ class Transport {
   /// ready for Task frames. Throws std::runtime_error when a worker cannot
   /// be bound (handshake failure, fingerprint mismatch, unknown grid).
   virtual std::vector<WorkerChannel*> bind(const SpecBinding& binding) = 0;
-  /// Release per-run resources; persistent connections stay open for the
-  /// next bind().
-  virtual void unbind() = 0;
   /// Human-readable description for logs and errors.
   [[nodiscard]] virtual std::string describe() const = 0;
 };
@@ -125,7 +122,6 @@ class StdioTransport : public Transport {
   explicit StdioTransport(std::vector<std::string> commands);
   ~StdioTransport() override;
   std::vector<WorkerChannel*> bind(const SpecBinding& binding) override;
-  void unbind() override;
   [[nodiscard]] std::string describe() const override;
 
  private:
@@ -160,7 +156,6 @@ class TcpTransport : public Transport {
   explicit TcpTransport(TcpConfig config);
   ~TcpTransport() override;
   std::vector<WorkerChannel*> bind(const SpecBinding& binding) override;
-  void unbind() override;
   [[nodiscard]] std::string describe() const override;
 
   /// The bound listen port (valid once constructed with a listen address;
@@ -182,7 +177,6 @@ class CompositeTransport : public Transport {
  public:
   explicit CompositeTransport(std::vector<std::shared_ptr<Transport>> parts);
   std::vector<WorkerChannel*> bind(const SpecBinding& binding) override;
-  void unbind() override;
   [[nodiscard]] std::string describe() const override;
 
  private:

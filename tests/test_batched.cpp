@@ -11,11 +11,13 @@
 #include <set>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "cim/engine.hpp"
 #include "hdc/codebook.hpp"
+#include "hdc/kernels/backend.hpp"
 #include "hdc/kernels/policy.hpp"
 #include "hdc/kernels/thread_pool.hpp"
 #include "resonator/batched.hpp"
@@ -350,6 +352,103 @@ TEST(ThreadedEngine, ExactEngineBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// The coefficient patterns that decide the comparator's tie draws.
+enum class Coeffs { kZero, kOneCode, kEqualCodes, kDenseNegative, kPlusMinusD };
+
+std::vector<int> pattern_coeffs(Coeffs kind, std::size_t m, std::size_t dim,
+                                util::Rng& rng) {
+  std::vector<int> c(m, 0);
+  const auto d = static_cast<int>(dim);
+  const auto pick = [&] { return static_cast<std::size_t>(rng.below(m)); };
+  switch (kind) {
+    case Coeffs::kZero:  // every element tied: whole-word draws
+      break;
+    case Coeffs::kOneCode:
+      c[pick()] = static_cast<int>(rng.range(1, 15));
+      break;
+    case Coeffs::kEqualCodes: {  // x_a + x_b is 0 where they differ
+      const int code = static_cast<int>(rng.range(1, 15));
+      c[0] = code;
+      c[m - 1] = code;
+      break;
+    }
+    case Coeffs::kDenseNegative:
+      for (auto& v : c) v = static_cast<int>(rng.range(-15, 15));
+      break;
+    case Coeffs::kPlusMinusD:
+      for (auto& v : c) v = rng.bernoulli(0.5) ? d : -d;
+      break;
+  }
+  return c;
+}
+
+// ExactMvmEngine::project_sign against the composition it replaces,
+// sign_of(project(c)) with the projection on the scalar reference backend:
+// the same words for every item, every tie generator left in the same
+// state, the device generator untouched, at kernel threads 1, 2 and 8 with
+// the fan-out forced on.
+TEST(FusedProjection, MatchesSignOfProject) {
+  PoolGuard guard;
+  namespace kernels = h3dfact::hdc::kernels;
+  kernels::KernelPolicy policy;
+  policy.parallel_min_work = 1;
+  kernels::force_policy(policy);
+  util::Rng rng(2301);
+  constexpr std::size_t kM = 7;
+  for (const std::size_t dim : {1u, 63u, 64u, 1000u, 1024u, 4161u, 10000u}) {
+    auto set = std::make_shared<hdc::CodebookSet>(dim, 1, kM, rng);
+    const hdc::Codebook& book = set->book(0);
+    resonator::ExactMvmEngine engine(set);
+    for (const Coeffs kind :
+         {Coeffs::kZero, Coeffs::kOneCode, Coeffs::kEqualCodes,
+          Coeffs::kDenseNegative, Coeffs::kPlusMinusD}) {
+      for (std::size_t batch = 1; batch <= 5; ++batch) {
+        std::vector<std::vector<int>> coeffs;
+        for (std::size_t b = 0; b < batch; ++b) {
+          coeffs.push_back(pattern_coeffs(kind, kM, dim, rng));
+        }
+        const std::uint64_t seed = rng.next();
+        for (const bool random_ties : {true, false}) {
+          std::vector<util::Rng> want_rngs;
+          std::vector<hdc::BipolarVector> want;
+          for (std::size_t b = 0; b < batch; ++b) {
+            want_rngs.emplace_back(seed + b);
+            const std::vector<int> y =
+                book.project(coeffs[b], *kernels::scalar_backend());
+            want.push_back(random_ties ? hdc::sign_of(y, want_rngs[b])
+                                       : hdc::sign_of(y));
+          }
+          for (const unsigned threads : {1u, 2u, 8u}) {
+            kernels::set_kernel_threads(threads);
+            std::vector<util::Rng> rngs;
+            std::vector<util::Rng*> tie_rngs;
+            for (std::size_t b = 0; b < batch; ++b) rngs.emplace_back(seed + b);
+            for (auto& r : rngs) tie_rngs.push_back(random_ties ? &r : nullptr);
+            // Stale outputs: one of the right size, the rest resized.
+            std::vector<hdc::BipolarVector> out(batch);
+            out[0] = hdc::BipolarVector::random(dim, rng);
+            util::Rng device(seed);
+            engine.project_sign(0, coeffs, tie_rngs, device, out);
+            const std::string where =
+                "dim=" + std::to_string(dim) +
+                " kind=" + std::to_string(static_cast<int>(kind)) +
+                " batch=" + std::to_string(batch) +
+                " random_ties=" + std::to_string(random_ties) +
+                " threads=" + std::to_string(threads);
+            EXPECT_EQ(device.save_state(), util::Rng(seed).save_state())
+                << where;
+            for (std::size_t b = 0; b < batch; ++b) {
+              ASSERT_EQ(out[b], want[b]) << where << " item " << b;
+              EXPECT_EQ(rngs[b].save_state(), want_rngs[b].save_state())
+                  << where << " item " << b;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // Full factorization through the batched front-end: thread count must not
 // perturb a single bit of any trajectory (solved flags, iteration counts,
 // decoded indices all replay).
@@ -516,6 +615,35 @@ TEST(CimBatch, BatchedNoiseIsDistributionCompatible) {
   batch_mean /= static_cast<double>(kB * 4);
   // Same signal + same noise model: means agree to well under one ADC code.
   EXPECT_NEAR(per_call_mean, batch_mean, 0.5);
+}
+
+// The CIM engine takes MvmEngine's default project_sign: project_batch and
+// sign_of per lane while several lanes live, per-call project once one is
+// left. A kBatched trial run through it is pinned to the values the
+// unfused loop produced, draw for draw (fig6b-small.json gates the same
+// path at grid scale).
+TEST(CimBatch, BatchedTrialsArePinned) {
+  resonator::TrialConfig cfg;
+  cfg.dim = 256;
+  cfg.factors = 3;
+  cfg.codebook_size = 20;
+  cfg.trials = 24;
+  cfg.max_iterations = 60;
+  cfg.seed = 909;
+  cfg.threads = 1;
+  cfg.execution = resonator::TrialExecution::kBatched;
+  cfg.factory = [](std::shared_ptr<const hdc::CodebookSet> set,
+                   const resonator::TrialConfig& c) {
+    util::Rng chip(77);
+    return cim::CimMvmEngine::make_resonator(
+        std::move(set), small_macro_config(), c.max_iterations, chip);
+  };
+  const resonator::TrialStats stats = resonator::run_trials(cfg);
+  EXPECT_EQ(stats.solved, 19u);
+  EXPECT_EQ(stats.correct, 19u);
+  EXPECT_EQ(stats.iteration_samples,
+            (std::vector<double>{5, 7, 25, 5, 9, 13, 14, 3, 3, 9, 3, 23, 14, 2,
+                                 2, 2, 8, 4, 52}));
 }
 
 // --- trial-stat regression tests -----------------------------------------

@@ -387,24 +387,6 @@ TEST(Codebook, SuperpositionMatchesMemberMajority) {
                 sign_of_element_loop(votes, want_rng))
           << M;
       EXPECT_EQ(got_rng.save_state(), want_rng.save_state()) << M;
-      for (std::size_t m = 0; m < M; ++m) {
-        const std::vector<std::int8_t> row(
-            cb->dense().begin() + static_cast<std::ptrdiff_t>(m * dim),
-            cb->dense().begin() + static_cast<std::ptrdiff_t>((m + 1) * dim));
-        EXPECT_EQ(row, cb->vector(m).to_i8()) << M << " row " << m;
-      }
-    }
-  }
-}
-
-TEST(Codebook, DenseMatrixMatchesVectors) {
-  Rng rng(27);
-  Codebook cb(96, 4, rng);
-  const auto& d = cb.dense();
-  ASSERT_EQ(d.size(), 96u * 4u);
-  for (std::size_t m = 0; m < 4; ++m) {
-    for (std::size_t i = 0; i < 96; ++i) {
-      EXPECT_EQ(static_cast<int>(d[m * 96 + i]), cb.vector(m).get(i));
     }
   }
 }

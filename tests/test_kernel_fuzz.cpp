@@ -14,8 +14,11 @@
 //                    unaligned loads, and this proves it; then nrows ∈
 //                    {0, 1, tile±1}, nq ∈ {0, 1, many}, strides larger than
 //                    the row width (padded layouts).
-//   axpy_row         element counts straddling 8/16-lane steps, coefficient
-//                    extremes (int8 saturating values, 0 skip).
+//   project_rows     every tail 0..63 past 0, 1 and 2 whole words (so past
+//                    every 4-, 8- and 16-lane step), rows at misaligned
+//                    starts with padded strides, k = 0..9, zero
+//                    coefficients, ±D and the 32-bit wrapping extremes; no
+//                    write past element n.
 //   sign_bits        whole words plus every tail length 0..63, from
 //                    unaligned starts, over int extremes; no write past
 //                    the last word.
@@ -52,12 +55,10 @@ using h3dfact::util::Rng;
 using kernels::KernelBackend;
 
 // Widths straddling every backend's vector step: SSE2 popcount consumes 2
-// words, AVX2 4, AVX-512 8; axpy lanes go 8 (SSE2) / 8 (AVX2/NEON) / 16
-// (AVX-512). 64 words = a 4096-bit row, the widest dim the repo sweeps.
+// words, AVX2 4, AVX-512 8. 64 words = a 4096-bit row, the widest dim the
+// repo sweeps.
 const std::size_t kFuzzWordCounts[] = {0, 1, 2,  3,  4,  5,  7,  8, 9,
                                        15, 16, 17, 31, 33, 63, 64};
-const std::size_t kFuzzElemCounts[] = {0,  1,  7,  8,  9,  15, 16, 17,
-                                       31, 33, 100, 1027, 4096};
 
 std::vector<std::uint64_t> random_words(std::size_t n, Rng& rng) {
   std::vector<std::uint64_t> w(n);
@@ -65,11 +66,6 @@ std::vector<std::uint64_t> random_words(std::size_t n, Rng& rng) {
   return w;
 }
 
-std::vector<std::int8_t> random_row(std::size_t n, Rng& rng) {
-  std::vector<std::int8_t> r(n);
-  for (auto& x : r) x = static_cast<std::int8_t>(rng.bipolar());
-  return r;
-}
 
 // One row against one query through similarity_tile: dim − 2·popcount(a^b),
 // which isolates each backend's XOR+popcount helper.
@@ -132,21 +128,51 @@ TEST(KernelFuzz, OneRowSimilarityRandomizedShapes) {
   }
 }
 
-TEST(KernelFuzz, AxpyRowBitIdenticalAcrossLaneTails) {
+TEST(KernelFuzz, ProjectRowsBitIdenticalAcrossTailsAndAlignments) {
   const KernelBackend* scalar = kernels::scalar_backend();
   Rng rng(0xF0220003);
+  constexpr int kMax = std::numeric_limits<int>::max();
+  constexpr int kMin = std::numeric_limits<int>::min();
+  constexpr int kSentinel = 0x5A5A5A5A;
   for (const KernelBackend* backend : fuzz_backends()) {
-    for (std::size_t n : kFuzzElemCounts) {
-      const auto row = random_row(n, rng);
-      std::vector<int> y0(n);
-      for (auto& v : y0) v = static_cast<int>(rng.range(-100000, 100000));
-      // Coefficient extremes: int8-era saturating values, zero, ±1.
-      for (int a : {-128, -127, -7, -1, 0, 1, 7, 127}) {
-        std::vector<int> got = y0;
-        std::vector<int> want = y0;
-        backend->axpy_row(a, row.data(), got.data(), n);
-        scalar->axpy_row(a, row.data(), want.data(), n);
-        ASSERT_EQ(got, want) << backend->name << " n=" << n << " a=" << a;
+    for (std::size_t whole : {0u, 1u, 2u}) {
+      for (std::size_t tail = 0; tail < 64; ++tail) {
+        const std::size_t n = whole * 64 + tail;
+        const std::size_t nw = whole + (tail != 0);
+        const auto dim = static_cast<int>(n);
+        // Rows carved from an overallocated pool: a misaligned start (0..3
+        // words in) and a padded stride (1..2 spare words per row).
+        const auto off = static_cast<std::size_t>(rng.range(0, 3));
+        const std::size_t stride =
+            nw + static_cast<std::size_t>(rng.range(1, 2));
+        const std::size_t k = static_cast<std::size_t>(rng.range(0, 9));
+        const auto pool = random_words(off + k * stride + 1, rng);
+        std::vector<const std::uint64_t*> rows;
+        for (std::size_t j = 0; j < k; ++j) {
+          rows.push_back(pool.data() + off + j * stride);
+        }
+        // Coefficients −D…D with zeros mixed in, then the wrapping
+        // extremes: sums far outside int must still agree bit for bit.
+        for (const bool extremes : {false, true}) {
+          std::vector<int> coeffs(k);
+          for (auto& c : coeffs) {
+            if (rng.bernoulli(0.25)) {
+              c = 0;
+            } else if (extremes) {
+              const int pick[] = {kMin, kMin + 1, kMax, kMax - 1, -1, 1};
+              c = pick[rng.below(6)];
+            } else {
+              c = static_cast<int>(rng.range(-dim, dim));
+            }
+          }
+          std::vector<int> got(n + 1, kSentinel);
+          std::vector<int> want = got;
+          backend->project_rows(rows.data(), coeffs.data(), k, n, got.data());
+          scalar->project_rows(rows.data(), coeffs.data(), k, n, want.data());
+          ASSERT_EQ(got, want) << backend->name << " n=" << n << " k=" << k
+                               << " off=" << off << " extremes=" << extremes;
+          ASSERT_EQ(got[n], kSentinel) << backend->name << " n=" << n;
+        }
       }
     }
   }

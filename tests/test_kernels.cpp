@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -33,7 +34,8 @@ using h3dfact::util::Rng;
 using kernels::KernelBackend;
 
 // Widths that straddle every backend's vector step (SSE2/NEON popcount: 2
-// words; AVX2: 4; AVX-512: 8; axpy: 8 lanes), plus randomized sizes on top.
+// words; AVX2: 4; AVX-512: 8; projection and sign: 64-element words of
+// 4-, 8- and 16-lane steps), plus randomized sizes on top.
 const std::size_t kWordCounts[] = {0, 1, 2, 3, 4, 5, 7, 8, 13, 16, 31, 33};
 const std::size_t kElemCounts[] = {0, 1, 3, 7, 8, 9, 15, 16, 17, 63, 100, 1027};
 
@@ -43,10 +45,22 @@ std::vector<std::uint64_t> random_words(std::size_t n, Rng& rng) {
   return w;
 }
 
-std::vector<std::int8_t> random_row(std::size_t n, Rng& rng) {
-  std::vector<std::int8_t> r(n);
-  for (auto& x : r) x = static_cast<std::int8_t>(rng.bipolar());
-  return r;
+// The projection spelled out element by element: y[d] = Σ_j c_j·x_j[d]
+// with x_j[d] = ±1 read from the packed bits, wrapping at 32 bits like the
+// kernels.
+std::vector<int> naive_project(const std::vector<const std::uint64_t*>& rows,
+                               const std::vector<int>& coeffs, std::size_t n) {
+  std::vector<int> y(n);
+  for (std::size_t d = 0; d < n; ++d) {
+    std::uint32_t sum = 0;
+    for (std::size_t j = 0; j < rows.size(); ++j) {
+      const bool neg = (rows[j][d / 64] >> (d % 64)) & 1u;
+      const auto c = static_cast<std::uint32_t>(coeffs[j]);
+      sum += neg ? 0u - c : c;
+    }
+    y[d] = static_cast<int>(sum);
+  }
+  return y;
 }
 
 // One row against one query through similarity_tile: dim − 2·popcount(a^b),
@@ -246,21 +260,36 @@ TEST(KernelParity, OneRowSimilarityMatchesScalar) {
   }
 }
 
-TEST(KernelParity, AxpyRowMatchesScalar) {
+// project_rows over k = 0…M rows of an M-row block (a row listed twice
+// among them), every element count of kElemCounts, and coefficients from
+// all zero through ±D: scalar against the element loop, every backend
+// against scalar.
+TEST(KernelParity, ProjectRowsMatchesScalar) {
   const KernelBackend* scalar = kernels::scalar_backend();
   Rng rng(2025);
-  for (const KernelBackend* backend : kernels::available()) {
-    for (std::size_t base : kElemCounts) {
-      const std::size_t n = base + static_cast<std::size_t>(rng.range(0, 5));
-      const auto row = random_row(n, rng);
-      std::vector<int> y0(n);
-      for (auto& v : y0) v = static_cast<int>(rng.range(-1000, 1000));
-      for (int a : {-7, -1, 0, 1, 3, 15}) {
-        std::vector<int> got = y0;
-        std::vector<int> want = y0;
-        backend->axpy_row(a, row.data(), got.data(), n);
-        scalar->axpy_row(a, row.data(), want.data(), n);
-        EXPECT_EQ(got, want) << backend->name << " n=" << n << " a=" << a;
+  constexpr std::size_t kM = 6;
+  for (std::size_t base : kElemCounts) {
+    const std::size_t n = base + static_cast<std::size_t>(rng.range(0, 5));
+    const std::size_t nw = (n + 63) / 64;
+    const auto block = random_words(kM * nw, rng);
+    const auto dim = static_cast<int>(n);
+    for (std::size_t k = 0; k <= kM; ++k) {
+      std::vector<const std::uint64_t*> rows;
+      for (std::size_t j = 0; j < k; ++j) rows.push_back(block.data() + j * nw);
+      if (k >= 2) rows[k - 1] = rows[0];  // the first row, listed twice
+      for (const int span : {0, 1, 7, dim}) {
+        std::vector<int> coeffs(k);
+        for (auto& c : coeffs) c = static_cast<int>(rng.range(-span, span));
+        const auto want = naive_project(rows, coeffs, n);
+        std::vector<int> got(n, -1);
+        scalar->project_rows(rows.data(), coeffs.data(), k, n, got.data());
+        ASSERT_EQ(got, want) << "scalar n=" << n << " k=" << k;
+        for (const KernelBackend* backend : kernels::available()) {
+          std::fill(got.begin(), got.end(), -1);
+          backend->project_rows(rows.data(), coeffs.data(), k, n, got.data());
+          EXPECT_EQ(got, want)
+              << backend->name << " n=" << n << " k=" << k << " span=" << span;
+        }
       }
     }
   }
