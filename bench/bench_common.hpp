@@ -14,7 +14,7 @@
 //   --csv=PATH / --json=PATH  dump the structured cell results
 //   --strip-wall  zero wall_seconds in the dumps (byte-stable artifacts)
 //   --filter=A-B,C  run only the named grid cells
-//   --checkpoint=PATH  resume from / keep a JSON checkpoint of done cells
+//   --checkpoint=PATH  resume from / keep a checkpoint of done cells
 // Distributed execution (all grid benches):
 //   --listen=[host:]port  accept TCP sweep workers (`sweep_worker
 //                         --connect=host:port`) before running

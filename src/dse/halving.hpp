@@ -18,7 +18,7 @@
 // CI byte-diff the halving frontier against the exhaustive frontier.
 //
 // Every rung executes through the ordinary SweepRunner: local shards or a
-// remote fleet, and the JSON checkpoint format, all apply per rung (rung k
+// remote fleet, and the sweep checkpoint, all apply per rung (rung k
 // checkpoints to "<base>.rung<k>"), so an interrupted search resumes
 // bit-identically from the completed cells of the rung it died in.
 
@@ -59,9 +59,9 @@ struct SearchOptions {
   /// per cell = the hardware concurrency), capped at the number of new
   /// cells; the results do not depend on the thread count.
   sweep::SweepOptions sweep;
-  /// Checkpoint base path; rung k persists to "<base>.rung<k>" in the
-  /// standard sweep JSON format ("" = no checkpointing). An interrupted
-  /// search rerun with identical options resumes from the completed cells.
+  /// Checkpoint base path; rung k persists to "<base>.rung<k>" as a sweep
+  /// checkpoint ("" = no checkpointing). An interrupted search rerun with
+  /// identical options resumes from the completed cells.
   std::string checkpoint_base;
 };
 

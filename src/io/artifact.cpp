@@ -5,12 +5,10 @@
 #include <fstream>
 #include <utility>
 
-#if !defined(_WIN32)
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 #include "util/hash.hpp"
 
@@ -23,6 +21,7 @@ std::string section_kind_name(std::uint32_t kind) {
     case SectionKind::kItemMemoryMeta: return "item-memory-meta";
     case SectionKind::kItemMemoryWords: return "item-memory-words";
     case SectionKind::kResonatorState: return "resonator-state";
+    case SectionKind::kSweepCells: return "sweep-cells";
   }
   return "unknown(" + std::to_string(kind) + ")";
 }
@@ -109,9 +108,7 @@ Artifact::Artifact(Artifact&& other) noexcept { *this = std::move(other); }
 
 Artifact& Artifact::operator=(Artifact&& other) noexcept {
   if (this == &other) return *this;
-#if !defined(_WIN32)
   if (map_base_ != nullptr) ::munmap(map_base_, map_len_);
-#endif
   path_ = std::move(other.path_);
   heap_ = std::move(other.heap_);
   map_base_ = std::exchange(other.map_base_, nullptr);
@@ -127,9 +124,7 @@ Artifact& Artifact::operator=(Artifact&& other) noexcept {
 }
 
 Artifact::~Artifact() {
-#if !defined(_WIN32)
   if (map_base_ != nullptr) ::munmap(map_base_, map_len_);
-#endif
 }
 
 namespace {
@@ -161,7 +156,6 @@ Artifact Artifact::load(const std::string& path, LoadMode mode) {
   Artifact a;
   a.path_ = path;
 
-#if !defined(_WIN32)
   if (mode != LoadMode::kHeap) {
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) {
@@ -186,11 +180,6 @@ Artifact Artifact::load(const std::string& path, LoadMode mode) {
       }
     }
   }
-#else
-  if (mode == LoadMode::kMmap) {
-    throw ArtifactError(path, "mmap loads are not available on this platform");
-  }
-#endif
 
   if (a.map_base_ == nullptr) {
     a.len_ = read_whole_file(path, a.heap_);

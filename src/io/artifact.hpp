@@ -65,6 +65,7 @@ enum class SectionKind : std::uint32_t {
   kItemMemoryMeta = 3,   ///< dim + labels of an ItemMemory
   kItemMemoryWords = 4,  ///< raw packed u64 rows, one per stored item
   kResonatorState = 5,   ///< mid-solve resonator::ResonatorSnapshot
+  kSweepCells = 6,       ///< sweep checkpoint: completed cells (sweep/emit.hpp)
 };
 
 /// Human-readable section-kind name ("codebook-words", ... ; "unknown(k)").

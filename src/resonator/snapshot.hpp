@@ -1,7 +1,7 @@
 #pragma once
 // Mid-solve resonator state: everything ResonatorNetwork::resume() needs to
 // continue a run bit-identically from iteration `iteration + 1`, the way
-// sweeps already resume per cell from JSON checkpoints. src/io/ serializes
+// sweeps already resume per cell from checkpoints. src/io/ serializes
 // this struct as the kResonatorState artifact section.
 //
 // The snapshot deliberately does NOT carry the codebooks (they are large and

@@ -6,9 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
-#if !defined(_WIN32)
 #include <poll.h>
-#endif
 
 #include "sweep/transport.hpp"
 
@@ -66,11 +64,6 @@ std::optional<sweep::FactorReplyFrame> ServeClient::await_reply(
 std::optional<sweep::FactorReplyFrame> ServeClient::poll_reply(
     int timeout_ms, bool* disconnected) {
   if (disconnected != nullptr) *disconnected = false;
-#if defined(_WIN32)
-  (void)timeout_ms;
-  if (disconnected != nullptr) *disconnected = true;
-  return std::nullopt;
-#else
   using Clock = std::chrono::steady_clock;
   const Clock::time_point until =
       Clock::now() + std::chrono::milliseconds(timeout_ms < 0 ? 0 : timeout_ms);
@@ -107,7 +100,6 @@ std::optional<sweep::FactorReplyFrame> ServeClient::poll_reply(
     }
     if (Clock::now() >= until) return std::nullopt;
   }
-#endif
 }
 
 sweep::FactorReplyFrame ServeClient::call(const sweep::FactorRequestFrame& req,

@@ -18,11 +18,8 @@
 #include "util/rng.hpp"
 #include "util/sync.hpp"
 
-#if !defined(_WIN32)
-#define H3DFACT_POSIX_SERVE 1
 #include <poll.h>
 #include <unistd.h>
-#endif
 
 namespace h3dfact::serve {
 
@@ -30,8 +27,6 @@ using sweep::Frame;
 using sweep::FrameKind;
 using sweep::PeerRole;
 using sweep::WorkerChannel;
-
-#if defined(H3DFACT_POSIX_SERVE)
 
 namespace {
 
@@ -661,24 +656,5 @@ void ServeCoordinator::request_stop() {
     (void)!::write(impl_->stop_pipe[1], &byte, 1);
   }
 }
-
-#else  // !H3DFACT_POSIX_SERVE — declaration-satisfying stubs.
-
-struct ServeCoordinator::Impl {
-  ServeConfig cfg;
-};
-
-ServeCoordinator::ServeCoordinator(ServeConfig) {
-  throw std::runtime_error("factorization serving requires POSIX");
-}
-ServeCoordinator::~ServeCoordinator() = default;
-const ServeConfig& ServeCoordinator::config() const { return impl_->cfg; }
-std::uint16_t ServeCoordinator::listen_port() const { return 0; }
-std::uint64_t ServeCoordinator::fingerprint() const { return 0; }
-ServeStats ServeCoordinator::run() { return {}; }
-ServeStats ServeCoordinator::stats() const { return {}; }
-void ServeCoordinator::request_stop() {}
-
-#endif  // H3DFACT_POSIX_SERVE
 
 }  // namespace h3dfact::serve

@@ -198,8 +198,6 @@ sweep::BatchResultFrame solve_serve_batch(const WorkerSpace& space,
   return out;
 }
 
-#if !defined(_WIN32)
-
 int serve_factor_worker(int in_fd, int out_fd,
                         const std::string& artifact_override) {
   WorkerChannel ch(in_fd, out_fd, -1, "serve-coordinator");
@@ -279,14 +277,5 @@ int serve_factor_worker(int in_fd, int out_fd,
     }
   }
 }
-
-#else  // _WIN32
-
-int serve_factor_worker(int, int, const std::string&) {
-  std::fprintf(stderr, "factorization serving requires POSIX\n");
-  return 2;
-}
-
-#endif
 
 }  // namespace h3dfact::serve

@@ -1,19 +1,19 @@
 #include "sweep/emit.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <istream>
-#include <map>
+#include <filesystem>
 #include <ostream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
+#include <utility>
 #include <vector>
 
-#include "util/parse.hpp"
+#include "io/artifact.hpp"
+#include "sweep/protocol.hpp"
+#include "util/bytes.hpp"
 
 namespace h3dfact::sweep {
 
@@ -26,9 +26,8 @@ std::string fmt_g(double v) {
   return buf;
 }
 
-// Sample values must survive a JSON round trip exactly (the artifact is
-// the sweep checkpoint): integral doubles — iteration counts in practice —
-// print without exponent truncation, anything else at full precision.
+// Sample values print exactly: integral doubles — iteration counts in
+// practice — without exponent truncation, anything else at full precision.
 std::string fmt_exact(double v) {
   char buf[64];
   if (std::nearbyint(v) == v && std::fabs(v) < 9.007199254740992e15) {
@@ -192,8 +191,7 @@ void write_json(std::ostream& os, const std::string& sweep_name,
        << fmt_g(r.stats.iterations_quantile(0.99))
        << ", \"mean_iterations_solved\": "
        << fmt_g(r.stats.iterations_solved.mean()) << "},\n";
-    // The raw per-trial record (exact round-trip fields): everything a
-    // resumed run needs to reconstruct TrialStats bit-for-bit.
+    // The raw per-trial record, printed exactly.
     os << "      \"iteration_samples\": [";
     first = true;
     for (double x : r.stats.iteration_samples) {
@@ -231,318 +229,70 @@ std::string json_string(const std::string& sweep_name,
   return os.str();
 }
 
-// --- JSON reader ------------------------------------------------------------
-// A minimal recursive-descent JSON parser, sufficient for anything the
-// emitter above writes (and general enough for hand-edited artifacts).
-// Object member order is preserved so coordinate axes keep their
-// declaration order through a round trip.
+// --- checkpoint -------------------------------------------------------------
 
-namespace {
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string text;
-  std::vector<JsonValue> items;
-  std::vector<std::pair<std::string, JsonValue>> members;
-
-  [[nodiscard]] const JsonValue* find(const std::string& key) const {
-    for (const auto& [k, v] : members) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-  // Accessor errors are bare ("missing field 'x'"); read_json_string
-  // prefixes the artifact source and the cell position, so the surfaced
-  // message names file, cell and field without double labels.
-  [[nodiscard]] const JsonValue& at(const std::string& key) const {
-    const JsonValue* v = find(key);
-    if (v == nullptr) {
-      throw std::runtime_error("missing field '" + key + "'");
-    }
-    return *v;
-  }
-  [[nodiscard]] double num() const {
-    if (kind != Kind::kNumber) {
-      throw std::runtime_error("expected a number");
-    }
-    return number;
-  }
-  [[nodiscard]] std::size_t uint() const {
-    return static_cast<std::size_t>(num());
-  }
-  [[nodiscard]] const std::string& str() const {
-    if (kind != Kind::kString) {
-      throw std::runtime_error("expected a string");
-    }
-    return text;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    if (pos_ != text_.size()) {
-      throw std::runtime_error("trailing content at byte " +
-                               std::to_string(pos_));
-    }
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error(what + " at byte " + std::to_string(pos_));
-  }
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-  bool consume(char c) {
-    if (pos_ < text_.size() && peek() == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  bool literal(const char* word) {
-    const std::size_t n = std::strlen(word);
-    if (text_.compare(pos_, n, word) == 0) {
-      pos_ += n;
-      return true;
-    }
-    return false;
-  }
-
-  JsonValue value() {
-    const char c = peek();
-    JsonValue v;
-    switch (c) {
-      case '{': {
-        v.kind = JsonValue::Kind::kObject;
-        ++pos_;
-        if (consume('}')) return v;
-        do {
-          std::string key = string_token();
-          expect(':');
-          v.members.emplace_back(std::move(key), value());
-        } while (consume(','));
-        expect('}');
-        return v;
-      }
-      case '[': {
-        v.kind = JsonValue::Kind::kArray;
-        ++pos_;
-        if (consume(']')) return v;
-        do {
-          v.items.push_back(value());
-        } while (consume(','));
-        expect(']');
-        return v;
-      }
-      case '"':
-        v.kind = JsonValue::Kind::kString;
-        v.text = string_token();
-        return v;
-      case 't':
-        if (!literal("true")) fail("bad literal");
-        v.kind = JsonValue::Kind::kBool;
-        v.boolean = true;
-        return v;
-      case 'f':
-        if (!literal("false")) fail("bad literal");
-        v.kind = JsonValue::Kind::kBool;
-        return v;
-      case 'n':
-        if (!literal("null")) fail("bad literal");
-        return v;
-      default: {
-        const std::size_t start = pos_;
-        if (consume('-')) {
-        }
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' || text_[pos_] == '+' ||
-                text_[pos_] == '-')) {
-          ++pos_;
-        }
-        if (pos_ == start) fail("unexpected character");
-        v.kind = JsonValue::Kind::kNumber;
-        // The scanner bounded the token; the strict parse rejects malformed
-        // tails inside it ("1e+" used to read as 1.0 here).
-        const auto parsed = util::parse_f64(text_.substr(start, pos_ - start));
-        if (!parsed) fail("bad number");
-        v.number = *parsed;
-        return v;
-      }
-    }
-  }
-
-  std::string string_token() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad \\u escape");
-          }
-          // The emitter only escapes control characters; decode the BMP
-          // codepoint as UTF-8 for generality.
-          if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xc0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
-          } else {
-            out.push_back(static_cast<char>(0xe0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
-          }
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-    if (pos_ >= text_.size()) fail("unterminated string");
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-CellResult cell_from_json(const JsonValue& v) {
-  CellResult r;
-  r.index = v.at("index").uint();
-  for (const auto& [axis, label] : v.at("coordinates").members) {
-    r.coordinates.emplace_back(axis, label.str());
-  }
-  for (const auto& [k, val] : v.at("params").members) {
-    r.params[k] = val.num();
-  }
-  for (const auto& [k, val] : v.at("meta").members) {
-    r.meta[k] = val.str();
-  }
-  const JsonValue& config = v.at("config");
-  r.dim = config.at("dim").uint();
-  r.factors = config.at("factors").uint();
-  r.codebook_size = config.at("codebook_size").uint();
-  r.trials = config.at("trials").uint();
-  r.max_iterations = config.at("max_iterations").uint();
-  r.query_flip_prob = config.at("query_flip_prob").num();
-  // The seed is emitted as a string to protect its 64-bit range from
-  // double-precision JSON consumers.
-  const std::string& seed_text = config.at("seed").str();
-  const auto seed = util::parse_u64(seed_text);
-  if (!seed) {
-    throw std::runtime_error("config.seed: bad u64 token '" + seed_text +
-                             "'");
-  }
-  r.seed = *seed;
-
-  const JsonValue& stats = v.at("stats");
-  r.stats.trials = stats.at("trials").uint();
-  r.stats.solved = stats.at("solved").uint();
-  r.stats.correct = stats.at("correct").uint();
-  r.stats.cycles = stats.at("cycles").uint();
-  for (const JsonValue& x : v.at("iteration_samples").items) {
-    r.stats.iteration_samples.push_back(x.num());
-  }
-  // Rebuild the Welford accumulator in sample order, matching the emitting
-  // run's own construction (bit-identical merge downstream).
-  for (double x : r.stats.iteration_samples) r.stats.iterations_solved.add(x);
-  for (const JsonValue& x : v.at("correct_by_iteration").items) {
-    r.stats.correct_by_iteration.push_back(x.uint());
-  }
-  for (const JsonValue& x : v.at("correct_raw_by_iteration").items) {
-    r.stats.correct_raw_by_iteration.push_back(x.uint());
-  }
-  r.wall_seconds = v.at("wall_seconds").num();
-  return r;
+void write_checkpoint(const std::string& path, const std::string& sweep_name,
+                      std::uint64_t fingerprint,
+                      std::span<const CellResult> cells) {
+  std::string payload;
+  util::put_str(payload, sweep_name);
+  util::put_u64(payload, fingerprint);
+  util::put_u64(payload, cells.size());
+  for (const CellResult& r : cells) util::put_str(payload, encode_result(0, r));
+  io::ArtifactWriter writer;
+  writer.add_section(io::SectionKind::kSweepCells, std::move(payload));
+  writer.write(path);
 }
 
-}  // namespace
-
-SweepDocument read_json_string(const std::string& text,
-                               const std::string& source) {
-  JsonParser parser(text);
-  JsonValue root;
+std::vector<CellResult> read_checkpoint(const std::string& path,
+                                        const SweepSpec& spec,
+                                        std::uint64_t fingerprint) {
+  std::error_code ignored;  // an unreachable path reads as no checkpoint
+  if (!std::filesystem::exists(path, ignored)) return {};
+  std::string problem;
   try {
-    root = parser.parse();
-  } catch (const std::exception& e) {
-    throw std::runtime_error(source + ": " + e.what());
-  }
-  if (root.kind != JsonValue::Kind::kObject) {
-    throw std::runtime_error(source + ": top level must be an object");
-  }
-  SweepDocument doc;
-  try {
-    doc.sweep = root.at("sweep").str();
-  } catch (const std::exception& e) {
-    throw std::runtime_error(source + ": 'sweep': " + e.what());
-  }
-  const JsonValue* cells = root.find("cells");
-  if (cells == nullptr || cells->kind != JsonValue::Kind::kArray) {
-    throw std::runtime_error(source + ": 'cells' must be an array");
-  }
-  doc.cells.reserve(cells->items.size());
-  for (std::size_t i = 0; i < cells->items.size(); ++i) {
-    try {
-      doc.cells.push_back(cell_from_json(cells->items[i]));
-    } catch (const std::exception& e) {
-      throw std::runtime_error(source + ": cells[" + std::to_string(i) +
-                               "]: " + e.what());
+    const io::Artifact artifact = io::Artifact::load(path, io::LoadMode::kHeap);
+    io::PayloadReader in =
+        artifact.reader(artifact.require_one(io::SectionKind::kSweepCells));
+    const std::string name = in.str();
+    if (name != spec.name) {
+      throw std::runtime_error("it belongs to sweep '" + name +
+                               "' (use a distinct --checkpoint path per grid)");
     }
+    if (in.u64() != fingerprint) {
+      throw std::runtime_error("it was written for another grid (the spec "
+                               "fingerprint differs)");
+    }
+    const std::size_t n = in.count(8);  // each cell has a u64 length prefix
+    const std::size_t total = spec.cell_count();
+    std::vector<CellResult> cells;
+    for (std::size_t i = 0; i < n; ++i) {
+      auto [block_begin, r] = decode_result(in.str());
+      const char* fault = nullptr;
+      if (block_begin != 0) {
+        fault = " is a trial block, not a whole cell";
+      } else if (r.index >= total) {
+        fault = " is outside the grid";
+      } else if (!cells.empty() && r.index <= cells.back().index) {
+        fault = " is repeated or out of order";
+      } else if (r.stats.trials != spec.cell(r.index).config.trials) {
+        fault = " is incomplete";
+      }
+      if (fault != nullptr) {
+        throw std::runtime_error("cell " + std::to_string(r.index) + fault);
+      }
+      cells.push_back(std::move(r));
+    }
+    in.expect_exhausted();
+    return cells;
+  } catch (const io::ArtifactError& e) {
+    problem = e.detail();
+  } catch (const std::runtime_error& e) {
+    problem = e.what();
   }
-  return doc;
-}
-
-SweepDocument read_json(std::istream& is, const std::string& source) {
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  return read_json_string(buffer.str(), source);
+  throw std::runtime_error("checkpoint '" + path + "' cannot resume sweep '" +
+                           spec.name + "': " + problem +
+                           "; delete it to start over");
 }
 
 }  // namespace h3dfact::sweep

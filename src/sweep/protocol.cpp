@@ -94,8 +94,6 @@ std::string encode_spec_init(const SpecInitFrame& init) {
   util::put_u64(out, init.cell_threads);
   util::put_u64(out, init.cell_count);
   util::put_u64(out, init.fingerprint);
-  util::put_str(out, init.artifact_path);
-  util::put_u64(out, init.artifact_fingerprint);
   return out;
 }
 
@@ -111,8 +109,6 @@ SpecInitFrame decode_spec_init(std::string_view payload) {
   init.cell_threads = in.u64();
   init.cell_count = in.u64();
   init.fingerprint = in.u64();
-  init.artifact_path = in.str();
-  init.artifact_fingerprint = in.u64();
   in.expect_exhausted();
   return init;
 }

@@ -38,7 +38,9 @@ inline constexpr std::uint32_t kProtocolMagic = 0x48335357u;
 /// v3: SpecInit/ServeInit carry an optional artifact reference (path +
 ///     fingerprint) so workers warm-start from a serialized codebook
 ///     artifact (src/io/) instead of rebuilding from seed.
-inline constexpr std::uint32_t kProtocolVersion = 3;
+/// v4: SpecInit drops the artifact reference again (sweep cells build their
+///     codebooks per cell seed, so no coordinator ever set it).
+inline constexpr std::uint32_t kProtocolVersion = 4;
 
 /// Upper bound on a frame payload (1 GiB). Enforced symmetrically: a length
 /// field beyond this is treated as a malformed stream on decode, and
@@ -129,14 +131,6 @@ struct SpecInitFrame {
   std::uint64_t cell_threads = 0;
   std::uint64_t cell_count = 0;
   std::uint64_t fingerprint = 0;
-  /// Optional warm-start artifact reference (v3): a path to an H3DA
-  /// artifact the worker may preflight-verify (empty = none) and the
-  /// codebook fingerprint it must carry (0 = unpinned). Sweep cells build
-  /// their codebooks per cell seed, so for sweep workers this is a
-  /// verify-only preflight; a failed preflight logs and falls back to the
-  /// normal per-cell rebuild.
-  std::string artifact_path;
-  std::uint64_t artifact_fingerprint = 0;
 };
 
 std::string encode_spec_init(const SpecInitFrame& init);

@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <deque>
 #include <exception>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
@@ -21,10 +20,7 @@
 #include "util/parse.hpp"
 #include "util/sync.hpp"
 
-#if !defined(_WIN32)
-#define H3DFACT_SWEEP_HAS_POLL 1
 #include <poll.h>
-#endif
 
 namespace h3dfact::sweep {
 
@@ -124,19 +120,15 @@ class CellAssembler {
 // mutex; the channel scheduler is single-threaded.
 class CompletionLog {
  public:
+  /// `resumed` must be sorted by cell index (read_checkpoint's order).
   CompletionLog(const SweepOptions& options, std::string sweep_name,
-                std::vector<CellResult> resumed, std::size_t selected_count)
+                std::uint64_t fingerprint, std::vector<CellResult> resumed,
+                std::size_t selected_count)
       : options_(options),
         sweep_name_(std::move(sweep_name)),
+        fingerprint_(fingerprint),
         results_(std::move(resumed)),
-        total_(results_.size() + selected_count) {
-    // Checkpoints we emitted are sorted already; a hand-edited one may not
-    // be, and complete() relies on the sorted invariant.
-    std::sort(results_.begin(), results_.end(),
-              [](const CellResult& a, const CellResult& b) {
-                return a.index < b.index;
-              });
-  }
+        total_(results_.size() + selected_count) {}
 
   void complete(CellResult result) {
     // Keep results_ sorted by cell index as they land, so checkpoint
@@ -147,7 +139,7 @@ class CompletionLog {
                                   return a.index < b.index;
                                 });
     pos = results_.insert(pos, std::move(result));
-    if (!options_.checkpoint_path.empty()) write_checkpoint();
+    if (!options_.checkpoint_path.empty()) save_checkpoint();
     if (options_.progress) {
       options_.progress(*pos, results_.size(), total_);
     }
@@ -160,30 +152,22 @@ class CompletionLog {
   std::vector<CellResult> take() { return std::move(results_); }
 
  private:
-  // Atomic full-file rewrite per completed cell: the grids are tens of
-  // cells finishing at multi-second cadence, so a JSON pass over results_
-  // is noise next to one trial block — and the checkpoint is always a
-  // complete, valid artifact.
-  void write_checkpoint() {
-    const std::string tmp = options_.checkpoint_path + ".tmp";
-    bool ok = false;
-    {
-      std::ofstream os(tmp);
-      if (!os) return;  // checkpointing is best-effort; the sweep goes on
-      write_json(os, sweep_name_, results_);
-      os.flush();
-      ok = os.good();  // a failed write (ENOSPC) must NOT clobber the
-                       // last valid checkpoint via the rename below
-    }
-    if (ok) {
-      std::rename(tmp.c_str(), options_.checkpoint_path.c_str());
-    } else {
-      std::remove(tmp.c_str());
+  // Full rewrite per completed cell: the grids are tens of cells finishing
+  // at multi-second cadence, so encoding results_ is noise next to one
+  // trial block. Best-effort: a failed write keeps the last good file and
+  // the sweep goes on.
+  void save_checkpoint() const {
+    try {
+      write_checkpoint(options_.checkpoint_path, sweep_name_, fingerprint_,
+                       results_);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "[sweep] checkpoint not updated: %s\n", e.what());
     }
   }
 
   const SweepOptions& options_;
   std::string sweep_name_;
+  std::uint64_t fingerprint_;
   std::vector<CellResult> results_;
   std::size_t total_;
 };
@@ -235,57 +219,6 @@ unsigned effective_cell_threads(const SweepOptions& options,
   // With several local workers the workers ARE the parallelism; nested
   // thread pools would only oversubscribe the cores.
   return local_workers > 1 ? 1u : 0u;
-}
-
-// --- checkpoint resume ------------------------------------------------------
-
-// %.6g equality: the checkpoint crossed the JSON emitter, so compare floats
-// the way the emitter rounds them.
-bool g6_equal(double a, double b) { return fmt_g(a) == fmt_g(b); }
-
-// Load completed cells from a checkpoint file, validating every one
-// against the spec; absent file -> empty.
-std::vector<CellResult> load_checkpoint(const SweepSpec& spec,
-                                        const std::string& path,
-                                        std::size_t total) {
-  std::ifstream is(path);
-  if (!is) return {};
-  // read_json errors already lead with this label (and name the cell and
-  // field), so parse failures surface as e.g.
-  //   checkpoint '/tmp/g.json': cells[3]: config.seed: bad u64 token 'x'
-  SweepDocument doc = read_json(is, "checkpoint '" + path + "'");
-  if (doc.sweep != spec.name) {
-    throw std::runtime_error("checkpoint '" + path + "' belongs to sweep '" +
-                             doc.sweep + "', not '" + spec.name +
-                             "'; use a distinct --checkpoint path per grid");
-  }
-  std::set<std::size_t> seen;
-  for (const CellResult& r : doc.cells) {
-    if (r.index >= total) {
-      throw std::runtime_error("checkpoint '" + path + "' has cell " +
-                               std::to_string(r.index) +
-                               " outside the current grid");
-    }
-    if (!seen.insert(r.index).second) {
-      throw std::runtime_error("checkpoint '" + path + "' repeats cell " +
-                               std::to_string(r.index));
-    }
-    const Cell cell = spec.cell(r.index);
-    const bool config_matches =
-        r.dim == cell.config.dim && r.factors == cell.config.factors &&
-        r.codebook_size == cell.config.codebook_size &&
-        r.trials == cell.config.trials &&
-        r.max_iterations == cell.config.max_iterations &&
-        r.seed == cell.config.seed &&
-        g6_equal(r.query_flip_prob, cell.config.query_flip_prob);
-    if (!config_matches || r.stats.trials != cell.config.trials) {
-      throw std::runtime_error(
-          "checkpoint '" + path + "' cell " + std::to_string(r.index) +
-          " does not match the current spec (different parameters or an "
-          "incomplete cell); delete the checkpoint to start over");
-    }
-  }
-  return doc.cells;
 }
 
 // --- local execution: one thread per shard ----------------------------------
@@ -350,8 +283,6 @@ std::vector<CellResult> run_with_threads(const SweepSpec& spec,
 }
 
 // --- transport-generic scheduler -------------------------------------------
-
-#if defined(H3DFACT_SWEEP_HAS_POLL)
 
 // Drives any mix of WorkerChannels (stdio subprocesses, TCP workers) from
 // one dynamic queue. One task in flight per channel: the next block is
@@ -567,8 +498,6 @@ std::vector<CellResult> run_with_channels(
   return log.take();
 }
 
-#endif  // H3DFACT_SWEEP_HAS_POLL
-
 std::vector<std::size_t> all_cells(std::size_t total) {
   std::vector<std::size_t> cells(total);
   for (std::size_t i = 0; i < total; ++i) cells[i] = i;
@@ -677,40 +606,37 @@ std::vector<CellResult> SweepRunner::run() const {
                             " but the grid has " + std::to_string(total) +
                             " cells");
   }
+  // The spec fingerprint keys the checkpoint and proves remote rebuilds. It
+  // resolves every cell, so a plain local run (perhaps of one filtered
+  // cell out of thousands) skips it.
+  const bool fingerprinted =
+      !options_.checkpoint_path.empty() || options_.transport != nullptr;
+  const std::uint64_t fingerprint =
+      fingerprinted ? spec_fingerprint(spec_) : 0;
   std::vector<CellResult> resumed;
   if (!options_.checkpoint_path.empty()) {
-    std::vector<CellResult> loaded =
-        load_checkpoint(spec_, options_.checkpoint_path, total);
+    resumed = read_checkpoint(options_.checkpoint_path, spec_, fingerprint);
     std::set<std::size_t> done;
-    for (CellResult& r : loaded) done.insert(r.index);
-    std::vector<std::size_t> remaining;
-    for (std::size_t i : selected) {
-      if (done.count(i) == 0) remaining.push_back(i);
-    }
-    selected.swap(remaining);
-    resumed = std::move(loaded);
+    for (const CellResult& r : resumed) done.insert(r.index);
+    std::erase_if(selected, [&](std::size_t i) { return done.count(i) != 0; });
   }
 
-  CompletionLog log(options_, spec_.name, std::move(resumed),
+  CompletionLog log(options_, spec_.name, fingerprint, std::move(resumed),
                     selected.size());
   if (selected.empty()) return log.take();
 
   if (options_.transport == nullptr) {
     return run_with_threads(spec_, options_, selected, nshards, log);
   }
-#if defined(H3DFACT_SWEEP_HAS_POLL)
   SpecBinding binding;
   binding.ref = options_.grid;
   binding.cell_threads = options_.threads_per_cell;
   binding.cell_count = total;
-  binding.fingerprint = spec_fingerprint(spec_);
+  binding.fingerprint = fingerprint;
   const std::vector<WorkerChannel*> channels =
       options_.transport->bind(binding);
   return run_with_channels(spec_, selected, channels, log,
                            options_.block_deadline_ms);
-#else
-  throw std::runtime_error("remote sweep transports require POSIX");
-#endif
 }
 
 std::vector<CellResult> run_sweep(const SweepSpec& spec,

@@ -24,8 +24,9 @@
 // flows. A remote worker lost mid-cell has its blocks requeued onto the
 // surviving workers.
 //
-// Long runs can record a JSON checkpoint (SweepOptions::checkpoint_path):
-// completed cells are reloaded on restart and only the remainder executes.
+// Long runs can keep a checkpoint (SweepOptions::checkpoint_path, an H3DA
+// artifact written by emit.hpp's write_checkpoint): completed cells are
+// reloaded on restart and only the remainder executes.
 
 #include <cstdint>
 #include <functional>
@@ -98,11 +99,13 @@ struct SweepOptions {
 
   /// Cell indices to execute (see parse_cell_filter); empty = whole grid.
   std::vector<std::size_t> cells;
-  /// Path of a JSON checkpoint (the emitter format): completed cells found
-  /// here are reused instead of re-run, and the file is atomically
-  /// rewritten as each new cell completes, so an interrupted sweep resumes
-  /// where it stopped. The file must match the spec (name + per-cell
-  /// config) or the run aborts.
+  /// Path of a checkpoint (an H3DA artifact, see write_checkpoint in
+  /// emit.hpp): completed cells found here are reused instead of re-run,
+  /// and the file is atomically rewritten as each new cell completes, so an
+  /// interrupted sweep resumes where it stopped. A file that is not a
+  /// checkpoint of this spec (name + spec_fingerprint) aborts the run
+  /// before any cell runs and is left untouched; a failed rewrite keeps the
+  /// last good file, prints one line to stderr, and the sweep goes on.
   std::string checkpoint_path;
 
   /// Per-block answer deadline for remote workers, in milliseconds. A
@@ -130,7 +133,7 @@ class SweepRunner {
   /// (checkpoint-resumed cells included). Throws std::invalid_argument when
   /// both `shards` > 1 and a transport are set, and std::runtime_error when
   /// the sweep cannot complete: a worker failed, every remote worker
-  /// disconnected, or a checkpoint mismatches the spec.
+  /// disconnected, or the checkpoint file is not one of this spec.
   [[nodiscard]] std::vector<CellResult> run() const;
 
  private:

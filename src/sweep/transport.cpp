@@ -7,11 +7,8 @@
 #include <stdexcept>
 #include <utility>
 
-#include "io/codec.hpp"
 #include "sweep/runner.hpp"
 
-#if !defined(_WIN32)
-#define H3DFACT_POSIX_TRANSPORT 1
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netdb.h>
@@ -22,11 +19,8 @@
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 namespace h3dfact::sweep {
-
-#if defined(H3DFACT_POSIX_TRANSPORT)
 
 namespace {
 
@@ -344,32 +338,6 @@ int serve_remote_worker(int in_fd, int out_fd,
       case FrameKind::kSpecInit: {
         try {
           const SpecInitFrame init = decode_spec_init(frame->payload);
-          if (!init.artifact_path.empty()) {
-            // Verify-only preflight (protocol v3): sweep cells rebuild
-            // their codebooks per cell seed, so the artifact cannot stand
-            // in for them — but a coordinator that pins one wants to know
-            // up front whether this host can read the matching bytes. A
-            // failed preflight logs and falls back to per-cell rebuilds.
-            try {
-              io::LoadedCodebookSet loaded =
-                  io::load_codebook_set(init.artifact_path);
-              if (init.artifact_fingerprint != 0 &&
-                  loaded.fingerprint != init.artifact_fingerprint) {
-                throw std::runtime_error(
-                    "fingerprint " + std::to_string(loaded.fingerprint) +
-                    " does not match the SpecInit pin " +
-                    std::to_string(init.artifact_fingerprint));
-              }
-              std::fprintf(stderr,
-                           "[sweep_worker] artifact preflight ok: %s\n",
-                           init.artifact_path.c_str());
-            } catch (const std::exception& pe) {
-              std::fprintf(stderr,
-                           "[sweep_worker] artifact preflight failed (%s); "
-                           "using per-cell rebuilds\n",
-                           pe.what());
-            }
-          }
           SweepSpec rebuilt = build_grid(init.grid);
           SpecReadyFrame ready;
           ready.cell_count = rebuilt.cell_count();
@@ -675,62 +643,5 @@ int tcp_connect(const std::string& addr, int retries, int retry_ms) {
                            std::to_string(static_cast<long long>(retries) + 1) +
                            " attempts");
 }
-
-#else  // !H3DFACT_POSIX_TRANSPORT — declaration-satisfying stubs.
-
-WorkerChannel::WorkerChannel(int read_fd, int write_fd, pid_t pid,
-                             std::string label)
-    : read_fd_(read_fd), write_fd_(write_fd), pid_(pid),
-      label_(std::move(label)) {}
-WorkerChannel::~WorkerChannel() = default;
-bool WorkerChannel::send(FrameKind, std::string_view) { return false; }
-void WorkerChannel::close_write() {}
-void WorkerChannel::close_all() {}
-long WorkerChannel::pump() { return -1; }
-std::optional<Frame> WorkerChannel::next_frame() { return std::nullopt; }
-std::optional<Frame> WorkerChannel::await_frame(int) { return std::nullopt; }
-
-namespace {
-[[noreturn]] void unsupported() {
-  throw std::runtime_error("sweep worker transports require POSIX");
-}
-}  // namespace
-
-void dial_handshake(WorkerChannel&, PeerRole) { unsupported(); }
-int serve_remote_worker(int, int, unsigned) { return 2; }
-
-StdioTransport::StdioTransport(std::vector<std::string>) { unsupported(); }
-StdioTransport::~StdioTransport() = default;
-std::vector<WorkerChannel*> StdioTransport::bind(const SpecBinding&) {
-  return {};
-}
-std::string StdioTransport::describe() const { return "stdio(unsupported)"; }
-
-TcpTransport::TcpTransport(TcpConfig config) : config_(std::move(config)) {
-  unsupported();
-}
-TcpTransport::~TcpTransport() = default;
-std::vector<WorkerChannel*> TcpTransport::bind(const SpecBinding&) {
-  return {};
-}
-std::string TcpTransport::describe() const { return "tcp(unsupported)"; }
-void TcpTransport::accept_pending() {}
-
-CompositeTransport::CompositeTransport(
-    std::vector<std::shared_ptr<Transport>> parts)
-    : parts_(std::move(parts)) {}
-std::vector<WorkerChannel*> CompositeTransport::bind(const SpecBinding&) {
-  return {};
-}
-std::string CompositeTransport::describe() const {
-  return "composite(unsupported)";
-}
-
-int tcp_listen(const std::string&) { unsupported(); }
-std::uint16_t tcp_local_port(int) { return 0; }
-int tcp_accept(int, int) { return -1; }
-int tcp_connect(const std::string&, int, int) { unsupported(); }
-
-#endif  // H3DFACT_POSIX_TRANSPORT
 
 }  // namespace h3dfact::sweep

@@ -30,11 +30,7 @@
 #include "sweep/protocol.hpp"
 #include "sweep/registry.hpp"
 
-#if !defined(_WIN32)
 #include <sys/types.h>
-#else
-using pid_t = int;
-#endif
 
 namespace h3dfact::sweep {
 

@@ -2,8 +2,8 @@
 // The repository's single strict number-parse choke point.
 //
 // Every user-supplied numeric token — CLI flags (util::Cli), sweep grid
-// params (sweep::param_i64/param_f64), JSON checkpoint numbers
-// (sweep/emit.cpp) — parses through these functions. They accept a
+// params (sweep::param_i64/param_f64), design-space tokens, cell filters
+// (sweep/runner.cpp) — parses through these functions. They accept a
 // token if and only if the ENTIRE token is one number: no leading
 // whitespace (strtoll/strtod silently skip it), no trailing garbage
 // ("--trials=1e4" must not parse as 1), no empty tokens, no overflow.

@@ -3,7 +3,7 @@
 //
 // These expand to Clang's `capability`/`guarded_by`/... attributes under a
 // compiler that implements -Wthread-safety and to nothing everywhere else,
-// so GCC and MSVC builds see plain C++. Annotate shared state with
+// so GCC builds see plain C++. Annotate shared state with
 // GUARDED_BY(mutex) and lock-taking APIs with ACQUIRE/RELEASE/REQUIRES and
 // the Clang CI legs (which build with -Wthread-safety -Werror) reject any
 // access to the state without the lock — locking discipline becomes a

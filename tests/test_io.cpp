@@ -808,20 +808,6 @@ TEST(ProtocolV3, ServeInitCarriesArtifactReference) {
       sweep::decode_serve_init(sweep::encode_serve_init(init));
   EXPECT_TRUE(back == init);
 
-  sweep::SpecInitFrame spec;
-  spec.grid.name = "noise";
-  spec.grid.params["dim"] = "1024";
-  spec.cell_threads = 2;
-  spec.cell_count = 9;
-  spec.fingerprint = 0x42;
-  spec.artifact_path = "cb.h3da";
-  spec.artifact_fingerprint = 7;
-  const sweep::SpecInitFrame spec_back =
-      sweep::decode_spec_init(sweep::encode_spec_init(spec));
-  EXPECT_EQ(spec_back.artifact_path, spec.artifact_path);
-  EXPECT_EQ(spec_back.artifact_fingerprint, spec.artifact_fingerprint);
-  EXPECT_EQ(spec_back.grid.name, spec.grid.name);
-
   // Truncating the artifact fields off the payload must fail, not decode
   // as v2 — the version handshake is the compatibility gate.
   const std::string payload = sweep::encode_serve_init(init);

@@ -239,8 +239,6 @@ TEST(KernelPoolStress, NestedCallsAndResizesStayDeadlockFree) {
   kernels::set_kernel_threads(0);
 }
 
-#if !defined(_WIN32)
-
 // --- coordinator cross-thread paths -----------------------------------------
 
 serve::ServeConfig stress_config() {
@@ -419,7 +417,5 @@ TEST(ServeRaceStress, DrainRacesStatsReaders) {
   EXPECT_EQ(final_stats.completed + final_stats.failed + final_stats.rejected,
             kRequests);
 }
-
-#endif  // !_WIN32
 
 }  // namespace

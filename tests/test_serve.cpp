@@ -27,9 +27,7 @@
 #include "sweep/transport.hpp"
 #include "util/rng.hpp"
 
-#if !defined(_WIN32)
 #include <sys/socket.h>
-#endif
 
 namespace {
 
@@ -189,8 +187,6 @@ TEST(ServeProtocol, HelloCarriesPeerRole) {
   EXPECT_EQ(d.version, sweep::kProtocolVersion);
   EXPECT_EQ(d.role, static_cast<std::uint32_t>(sweep::PeerRole::kServeClient));
 }
-
-#if !defined(_WIN32)
 
 // --- live coordinator fixtures ----------------------------------------------
 
@@ -572,7 +568,5 @@ TEST(ServeEndToEnd, AdmissionRejectsBeyondQueueBound) {
   daemon.join();
   EXPECT_EQ(daemon.stats.rejected, 3u);  // +2 pending killed by the stop
 }
-
-#endif  // !_WIN32
 
 }  // namespace

@@ -1,21 +1,26 @@
 // Sweep subsystem tests: declarative grid resolution, deterministic cell
 // seeding, shard-count invariance of the sharded runner, inline kernels on
 // local shards, execution-mode equivalence of the trial runner, emitter
-// golden files, and worker-failure propagation.
+// golden files, the checkpoint file, and worker-failure propagation.
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <gtest/gtest.h>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "hdc/kernels/thread_pool.hpp"
+#include "io/artifact.hpp"
 #include "sweep/emit.hpp"
+#include "sweep/protocol.hpp"
 #include "sweep/registry.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/spec.hpp"
+#include "util/bytes.hpp"
 #include "util/sync.hpp"
 
 namespace {
@@ -400,14 +405,29 @@ TEST(SweepEmit, JsonGolden) {
   EXPECT_EQ(sweep::json_string("golden", results), expected);
 }
 
-// The JSON artifact is the sweep checkpoint: reading our own emitter output
-// back must reconstruct every cell losslessly — re-emitting the parsed
-// document reproduces the original bytes.
-TEST(SweepEmit, JsonRoundTripsThroughReader) {
+// --- checkpoint -------------------------------------------------------------
+
+std::string read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << is.rdbuf();
+  return buf.str();
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os << bytes;
+  ASSERT_TRUE(os.good()) << path;
+}
+
+// The checkpoint holds each cell in the wire encoding, so every field reads
+// back bit for bit: a full-range 64-bit seed, a sample far past %.6g, both
+// trace histograms, and quotes, backslashes, newlines and tabs in meta.
+TEST(SweepEmit, CheckpointRoundTripsThroughReader) {
   auto results = golden_results();
   results[0].stats.correct_by_iteration = {0, 1, 3, 4};
   results[0].stats.correct_raw_by_iteration = {2, 3, 3, 4};
-  results[1].seed = 0xfffffffffffffff0ULL & ~0ULL;  // full 64-bit range
+  results[1].seed = 0xfffffffffffffff0ULL;
   results[1].stats.iteration_samples = {2824079.0, 6.0};
   results[1].stats.iterations_solved = {};
   for (double x : results[1].stats.iteration_samples) {
@@ -415,29 +435,34 @@ TEST(SweepEmit, JsonRoundTripsThroughReader) {
   }
   results[1].meta["note"] = "quote \" backslash \\ newline \n tab \t";
 
-  const std::string emitted = sweep::json_string("golden", results);
-  const sweep::SweepDocument doc = sweep::read_json_string(emitted);
-  EXPECT_EQ(doc.sweep, "golden");
-  ASSERT_EQ(doc.cells.size(), results.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(doc.cells[i].index, results[i].index);
-    EXPECT_EQ(doc.cells[i].coordinates, results[i].coordinates);
-    EXPECT_EQ(doc.cells[i].params, results[i].params);
-    EXPECT_EQ(doc.cells[i].meta, results[i].meta);
-    EXPECT_EQ(doc.cells[i].seed, results[i].seed);
-    EXPECT_EQ(doc.cells[i].max_iterations, results[i].max_iterations);
-    expect_stats_equal(doc.cells[i].stats, results[i].stats,
-                       "json round trip cell " + std::to_string(i));
-  }
-  EXPECT_EQ(sweep::json_string("golden", doc.cells), emitted);
+  sweep::SweepSpec spec = small_grid();
+  spec.name = "golden";
+  spec.base.trials = 4;  // the golden cells are whole 4-trial cells
+  const std::uint64_t fingerprint = sweep::spec_fingerprint(spec);
+  const std::string path = ::testing::TempDir() + "/sweep_roundtrip.ckpt";
+  sweep::write_checkpoint(path, spec.name, fingerprint, results);
+  const auto back = sweep::read_checkpoint(path, spec, fingerprint);
+  std::remove(path.c_str());
 
-  EXPECT_THROW((void)sweep::read_json_string("{\"sweep\": \"x\"}"),
-               std::runtime_error);
-  EXPECT_THROW((void)sweep::read_json_string("not json"),
-               std::runtime_error);
-  EXPECT_THROW((void)sweep::read_json_string(
-                   emitted.substr(0, emitted.size() / 2)),
-               std::runtime_error);
+  ASSERT_EQ(back.size(), results.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(back[i].index, results[i].index);
+    EXPECT_EQ(back[i].coordinates, results[i].coordinates);
+    EXPECT_EQ(back[i].params, results[i].params);
+    EXPECT_EQ(back[i].meta, results[i].meta);
+    EXPECT_EQ(back[i].dim, results[i].dim);
+    EXPECT_EQ(back[i].factors, results[i].factors);
+    EXPECT_EQ(back[i].codebook_size, results[i].codebook_size);
+    EXPECT_EQ(back[i].trials, results[i].trials);
+    EXPECT_EQ(back[i].max_iterations, results[i].max_iterations);
+    EXPECT_EQ(back[i].query_flip_prob, results[i].query_flip_prob);
+    EXPECT_EQ(back[i].seed, results[i].seed);
+    EXPECT_EQ(back[i].wall_seconds, results[i].wall_seconds);
+    expect_stats_equal(back[i].stats, results[i].stats,
+                       "checkpoint round trip cell " + std::to_string(i));
+  }
+  EXPECT_EQ(sweep::json_string("golden", back),
+            sweep::json_string("golden", results));
 }
 
 // --- cell filter + checkpoint resume ----------------------------------------
@@ -478,7 +503,7 @@ TEST(SweepRunner, CheckpointResumeSkipsCompletedCells) {
   const auto reference = sweep::run_sweep(spec, {});
 
   const std::string path =
-      ::testing::TempDir() + "/sweep_checkpoint_test.json";
+      ::testing::TempDir() + "/sweep_checkpoint_test.ckpt";
   std::remove(path.c_str());
 
   // Phase 1: an "interrupted" run that only finished cells 0 and 2.
@@ -517,6 +542,116 @@ TEST(SweepRunner, CheckpointResumeSkipsCompletedCells) {
   EXPECT_THROW((void)sweep::run_sweep(other, mismatch), std::runtime_error);
 
   std::remove(path.c_str());
+}
+
+// A file that is not a checkpoint of this very spec stops the run before any
+// cell runs, names the file, and is left byte for byte as it was.
+TEST(SweepRunner, CheckpointRefusesForeignOrCorruptFiles) {
+  const sweep::SweepSpec spec = small_grid();
+  const std::uint64_t fingerprint = sweep::spec_fingerprint(spec);
+  const std::string path = ::testing::TempDir() + "/sweep_refusal.ckpt";
+  std::remove(path.c_str());
+  sweep::SweepOptions filtered;
+  filtered.cells = {0, 2};
+  filtered.checkpoint_path = path;
+  const auto done = sweep::run_sweep(spec, filtered);
+  ASSERT_EQ(done.size(), 2u);
+  const std::string good = read_file(path);
+
+  // The layout spelled out: name, fingerprint, count, length-prefixed cells.
+  const auto checkpoint = [](const std::string& name, std::uint64_t fp,
+                             std::uint64_t count,
+                             const std::vector<std::string>& cells,
+                             const std::string& tail = "") {
+    std::string payload;
+    util::put_str(payload, name);
+    util::put_u64(payload, fp);
+    util::put_u64(payload, count);
+    for (const std::string& c : cells) util::put_str(payload, c);
+    io::ArtifactWriter writer;
+    writer.add_section(io::SectionKind::kSweepCells, payload + tail);
+    return writer.serialize();
+  };
+  const std::string c0 = sweep::encode_result(0, done[0]);
+  const std::string c2 = sweep::encode_result(0, done[1]);
+  ASSERT_EQ(checkpoint(spec.name, fingerprint, 2, {c0, c2}), good);
+
+  sweep::CellResult past = done[1];
+  past.index = spec.cell_count();
+  sweep::CellResult partial = done[1];
+  partial.stats.trials -= 1;
+  std::string flipped = good;
+  flipped.back() = static_cast<char>(flipped.back() ^ 0x01);
+  sweep::SweepSpec renamed = small_grid();
+  renamed.name = "a-different-grid";
+  // Same name and the same first cells, but another grid shape.
+  sweep::SweepSpec reshaped = small_grid();
+  reshaped.axes[0] = sweep::Axis::codebook_size({4, 8, 16});
+
+  struct Case {
+    const char* what;
+    const sweep::SweepSpec* spec;
+    std::string bytes;
+  };
+  const std::vector<Case> cases = {
+      {"a JSON checkpoint", &spec, sweep::json_string(spec.name, done)},
+      {"a truncated file", &spec, good.substr(0, good.size() / 2)},
+      {"a flipped payload byte", &spec, flipped},
+      {"another sweep's name", &renamed, good},
+      {"another grid of the same name", &reshaped, good},
+      {"2^64-1 cells", &spec, checkpoint(spec.name, fingerprint, ~0ULL, {c0})},
+      {"a cell past the grid", &spec,
+       checkpoint(spec.name, fingerprint, 1, {sweep::encode_result(0, past)})},
+      {"a repeated cell", &spec,
+       checkpoint(spec.name, fingerprint, 2, {c0, c0})},
+      {"cells out of order", &spec,
+       checkpoint(spec.name, fingerprint, 2, {c2, c0})},
+      {"a trial block", &spec,
+       checkpoint(spec.name, fingerprint, 1,
+                  {sweep::encode_result(16, done[0])})},
+      {"an incomplete cell", &spec,
+       checkpoint(spec.name, fingerprint, 1,
+                  {sweep::encode_result(0, partial)})},
+      {"trailing payload bytes", &spec,
+       checkpoint(spec.name, fingerprint, 2, {c0, c2}, "x")},
+      {"trailing cell bytes", &spec,
+       checkpoint(spec.name, fingerprint, 1, {c0 + "x"})},
+  };
+  for (const Case& c : cases) {
+    write_file(path, c.bytes);
+    std::size_t ran = 0;
+    sweep::SweepOptions resume;
+    resume.checkpoint_path = path;
+    resume.progress = [&ran](const sweep::CellResult&, std::size_t,
+                             std::size_t) { ++ran; };
+    try {
+      (void)sweep::run_sweep(*c.spec, resume);
+      ADD_FAILURE() << c.what << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << c.what << ": " << e.what();
+    }
+    EXPECT_EQ(ran, 0u) << c.what;
+    EXPECT_EQ(read_file(path), c.bytes) << c.what;
+  }
+  std::remove(path.c_str());
+}
+
+// Checkpoint writes are best-effort: a path that cannot be written (here,
+// in a missing directory) costs the resume, never the sweep.
+TEST(SweepRunner, UnwritableCheckpointStillFinishesTheSweep) {
+  const sweep::SweepSpec spec = small_grid();
+  const auto reference = sweep::run_sweep(spec, {});
+  sweep::SweepOptions opt;
+  opt.shards = 2;
+  opt.checkpoint_path = ::testing::TempDir() + "/no-such-dir/sweep.ckpt";
+  const auto results = sweep::run_sweep(spec, opt);
+  ASSERT_EQ(results.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(results[i].index, reference[i].index);
+    expect_stats_equal(results[i].stats, reference[i].stats,
+                       "unwritable checkpoint cell " + std::to_string(i));
+  }
 }
 
 // Round-trip through the shard pipe serialization is exercised implicitly

@@ -19,9 +19,7 @@
 #include <thread>
 #include <vector>
 
-#if !defined(_WIN32)
 #include <unistd.h>
-#endif
 
 #include "sweep/emit.hpp"
 #include "sweep/protocol.hpp"
@@ -273,13 +271,10 @@ TEST(Protocol, EncodingIsPinned) {
   init.cell_threads = 3;
   init.cell_count = 4;
   init.fingerprint = 0x1234abcd5678ULL;
-  init.artifact_path = "/a.h3da";
-  init.artifact_fingerprint = 0x0102030405060708ULL;
   EXPECT_EQ(to_hex(sweep::encode_spec_init(init)),
             "06000000000000007461626c653202000000000000000400000000000000726f"
             "7773010000000000000032040000000000000073656564020000000000000039"
-            "39030000000000000004000000000000007856cdab3412000007000000000000"
-            "002f612e683364610807060504030201");
+            "39030000000000000004000000000000007856cdab34120000");
 
   EXPECT_EQ(to_hex(sweep::encode_spec_ready({18, 0xfeedfaceULL})),
             "1200000000000000cefaedfe00000000");
@@ -393,8 +388,6 @@ TEST(GridRegistry, FingerprintSeparatesParamsAndMatchesRebuild) {
   EXPECT_EQ(a, a2);
   EXPECT_NE(a, b);
 }
-
-#if !defined(_WIN32)
 
 // --- TCP loopback -----------------------------------------------------------
 
@@ -768,8 +761,6 @@ TEST(StdioTransport, SpawnedWorkerSweepBitIdentical) {
   }
 }
 
-#endif  // !_WIN32
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -781,7 +772,6 @@ int main(int argc, char** argv) {
       return h3dfact::sweep::serve_remote_worker(0, 1);
     }
   }
-#if !defined(_WIN32)
   char buf[4096];
   const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
   if (n > 0) {
@@ -790,7 +780,6 @@ int main(int argc, char** argv) {
   } else if (argc > 0) {
     g_self_exe = argv[0];
   }
-#endif
   ::testing::InitGoogleTest(&argc, argv);
   return RUN_ALL_TESTS();
 }
