@@ -13,7 +13,7 @@
 
 using namespace h3dfact;
 
-int main(int argc, char** argv) {
+static int body(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const std::size_t F = static_cast<std::size_t>(cli.u64("f", 4));
   const std::size_t M = static_cast<std::size_t>(cli.u64("m", 256));
@@ -49,3 +49,5 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, body); }

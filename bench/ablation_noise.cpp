@@ -21,7 +21,7 @@
 
 using namespace h3dfact;
 
-int main(int argc, char** argv) {
+static int body(int argc, char** argv) {
   util::Cli cli(argc, argv);
   bench::grids::register_all();
   const std::size_t M = static_cast<std::size_t>(cli.u64("m", 128));
@@ -88,3 +88,5 @@ int main(int argc, char** argv) {
   bench::emit_results(cli, combined, all_results);
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, body); }

@@ -44,7 +44,7 @@
 
 using namespace h3dfact;
 
-int main(int argc, char** argv) {
+static int body(int argc, char** argv) {
   util::Cli cli(argc, argv);
   bench::grids::register_all();
   dse::register_design_spaces();
@@ -139,3 +139,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, body); }

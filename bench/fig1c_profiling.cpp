@@ -13,7 +13,7 @@
 
 using namespace h3dfact;
 
-int main(int argc, char** argv) {
+static int body(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const std::size_t dim = static_cast<std::size_t>(cli.u64("dim", 1024));
   const std::size_t trials = static_cast<std::size_t>(cli.u64("trials", 10));
@@ -70,3 +70,5 @@ int main(int argc, char** argv) {
   t2.print(std::cout);
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, body); }

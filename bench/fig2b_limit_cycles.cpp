@@ -56,7 +56,7 @@ CycleStats run(std::size_t dim, std::size_t F, std::size_t M, std::size_t trials
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int body(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const std::size_t trials = static_cast<std::size_t>(cli.u64("trials", 40));
   const std::size_t cap = static_cast<std::size_t>(cli.u64("cap", 500));
@@ -83,3 +83,5 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, body); }

@@ -35,7 +35,7 @@ void print_map(const thermal::LayerTemps& layer, std::size_t nx, std::size_t ny)
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int body(int argc, char** argv) {
   util::Cli cli(argc, argv);
   (void)cli;
   thermal::StackParams params;
@@ -86,3 +86,5 @@ int main(int argc, char** argv) {
                "where the ADC/driver bands sit (Fig. 5).\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, body); }

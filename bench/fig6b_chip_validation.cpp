@@ -23,7 +23,7 @@
 
 using namespace h3dfact;
 
-int main(int argc, char** argv) {
+static int body(int argc, char** argv) {
   util::Cli cli(argc, argv);
   bench::grids::register_all();
   const std::size_t cap = static_cast<std::size_t>(cli.u64("cap", 60));
@@ -78,3 +78,5 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, body); }

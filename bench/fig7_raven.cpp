@@ -12,7 +12,7 @@
 
 using namespace h3dfact;
 
-int main(int argc, char** argv) {
+static int body(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const std::size_t scenes = static_cast<std::size_t>(cli.u64("scenes", 300));
   const double cosine = cli.f64("cosine", 0.6);
@@ -48,3 +48,5 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, body); }

@@ -7,11 +7,6 @@
 //                            (the exact set `serve_daemon --seed=N` pins)
 //     --kind=item-memory     item memory of --items random atoms labelled
 //                            item0..itemN-1 from --dim/--seed
-//     --kind=resonator-state codebooks + a mid-solve resonator snapshot:
-//                            sample one problem from --seed, run the
-//                            baseline solver, capture state after
-//                            iteration --at (cap --cap) so `verify` and
-//                            the resume tests have a self-contained input
 //   info PATH                print the section table and decoded summaries
 //   verify PATH              full structural + digest + codec verification
 //     --expect-fingerprint=N require this codebook fingerprint (0x.. ok)
@@ -19,17 +14,15 @@
 //
 // pack prints the codebook fingerprint on stdout so scripts can pin it:
 //   FP=$(h3dfact_pack pack --out=cb.h3da --dim=1024 ... | tail -1)
-// All failures exit 1 with the typed io::ArtifactError message on stderr.
+// Usage errors exit 64; every other failure exits 1 with the typed
+// io::ArtifactError message on stderr.
 
 #include <cstdio>
-#include <exception>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
 #include "io/codec.hpp"
 #include "resonator/problem.hpp"
-#include "resonator/resonator.hpp"
 #include "util/cli.hpp"
 #include "util/parse.hpp"
 #include "util/rng.hpp"
@@ -41,8 +34,8 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: h3dfact_pack pack --out=PATH [--kind=codebooks|"
-               "item-memory|resonator-state] [--dim=D] [--factors=F] [--M=M] "
-               "[--seed=N] [--items=N] [--at=K] [--cap=N]\n"
+               "item-memory] [--dim=D] [--factors=F] [--M=M] [--seed=N] "
+               "[--items=N]\n"
                "       h3dfact_pack info PATH [--mode=auto|heap|mmap]\n"
                "       h3dfact_pack verify PATH [--mode=auto|heap|mmap] "
                "[--expect-fingerprint=N]\n");
@@ -70,45 +63,13 @@ int cmd_pack(const util::Cli& cli) {
 
   io::ArtifactWriter writer;
   std::uint64_t fingerprint = 0;
-  if (kind == "codebooks" || kind == "resonator-state") {
+  if (kind == "codebooks") {
     // Exactly the serve/run_trials derivation: the master rng seeds the
     // codebooks, so this artifact warm-starts `serve_daemon --seed=N`.
     util::Rng master(seed);
     resonator::ProblemGenerator gen(dim, factors, M, master);
     io::add_codebook_set(writer, gen.codebooks());
     fingerprint = hdc::set_fingerprint(gen.codebooks());
-
-    if (kind == "resonator-state") {
-      const auto at = static_cast<std::size_t>(cli.u64("at", 2));
-      const auto cap = static_cast<std::size_t>(cli.u64("cap", 100));
-      if (at == 0) {
-        std::fprintf(stderr, "pack: --at must be >= 1\n");
-        return 64;
-      }
-      resonator::FactorizationProblem problem = gen.sample(master);
-      resonator::ResonatorOptions opts;
-      opts.max_iterations = cap;
-      resonator::ResonatorNetwork net(gen.codebooks_ptr(), opts);
-      // Keep the first snapshot only: state as of end of iteration --at.
-      std::optional<resonator::ResonatorSnapshot> snap;
-      resonator::SnapshotPolicy policy;
-      policy.every = at;
-      policy.ctx = &snap;
-      policy.sink = [](const resonator::ResonatorSnapshot& s, void* ctx) {
-        auto* slot =
-            static_cast<std::optional<resonator::ResonatorSnapshot>*>(ctx);
-        if (!slot->has_value()) *slot = s;
-      };
-      (void)net.run(problem, master, policy);
-      if (!snap) {
-        std::fprintf(stderr,
-                     "pack: solve finished before iteration %zu — lower "
-                     "--at (or raise --dim/--M to slow convergence)\n",
-                     at);
-        return 1;
-      }
-      io::add_resonator_snapshot(writer, *snap);
-    }
   } else if (kind == "item-memory") {
     const auto items = static_cast<std::size_t>(cli.u64("items", 16));
     util::Rng rng(seed);
@@ -153,18 +114,6 @@ std::uint64_t decode_all(const io::Artifact& artifact, bool print) {
     if (print) {
       std::printf("item memory: D=%zu items=%zu\n", memory.dim(),
                   memory.size());
-    }
-  }
-  if (!artifact.find(io::SectionKind::kResonatorState).empty()) {
-    const resonator::ResonatorSnapshot snap =
-        io::load_resonator_snapshot(artifact);
-    if (print) {
-      std::printf("resonator state: D=%zu F=%zu iteration=%llu "
-                  "codebooks=0x%016llx options=0x%016llx\n",
-                  snap.query.dim(), snap.estimates.size(),
-                  static_cast<unsigned long long>(snap.iteration),
-                  static_cast<unsigned long long>(snap.codebook_fingerprint),
-                  static_cast<unsigned long long>(snap.options_digest));
     }
   }
   return fingerprint;
@@ -218,17 +167,14 @@ int cmd_verify(const util::Cli& cli, const std::string& path) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int body(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const auto& pos = cli.positional();
   if (pos.empty()) return usage();
-  try {
-    if (pos[0] == "pack") return cmd_pack(cli);
-    if (pos[0] == "info" && pos.size() == 2) return cmd_info(cli, pos[1]);
-    if (pos[0] == "verify" && pos.size() == 2) return cmd_verify(cli, pos[1]);
-    return usage();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "[h3dfact_pack] %s\n", e.what());
-    return 1;
-  }
+  if (pos[0] == "pack") return cmd_pack(cli);
+  if (pos[0] == "info" && pos.size() == 2) return cmd_info(cli, pos[1]);
+  if (pos[0] == "verify" && pos.size() == 2) return cmd_verify(cli, pos[1]);
+  return usage();
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, body); }

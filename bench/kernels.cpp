@@ -31,6 +31,7 @@
 #include "hdc/kernels/thread_pool.hpp"
 #include "resonator/channels.hpp"
 #include "resonator/resonator.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 
 using namespace h3dfact;
@@ -422,7 +423,7 @@ class CollectingReporter : public benchmark::ConsoleReporter {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int body(int argc, char** argv) {
   std::string json_path;
   bool list_backends = false;
   argc = extract_own_flags(argc, argv, &json_path, &list_backends);
@@ -438,3 +439,5 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, body); }

@@ -45,58 +45,55 @@ void on_signal(int) {
 }
 }  // namespace
 
-int main(int argc, char** argv) {
+static int body(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  try {
-    serve::ServeConfig cfg;
-    cfg.listen = cli.str("listen", "127.0.0.1:0");
-    cfg.dim = static_cast<std::size_t>(cli.u64("dim", 1024));
-    cfg.factors = static_cast<std::size_t>(cli.u64("factors", 3));
-    cfg.codebook_size = static_cast<std::size_t>(cli.u64("M", 16));
-    cfg.max_iterations = static_cast<std::size_t>(cli.u64("cap", 100));
-    cfg.seed = cli.u64("seed", 1);
-    cfg.max_batch = static_cast<std::size_t>(cli.u64("max-batch", 8));
-    cfg.max_delay_us = cli.i64("max-delay-us", 2000);
-    cfg.max_queue = static_cast<std::size_t>(cli.u64("max-queue", 1024));
-    cfg.worker_deadline_ms = static_cast<int>(
-        cli.u64("deadline-ms", 10000, std::numeric_limits<int>::max()));
-    cfg.artifact = cli.str("artifact", "");
-    cfg.save_artifact = cli.str("save-artifact", "");
+  serve::ServeConfig cfg;
+  cfg.listen = cli.str("listen", "127.0.0.1:0");
+  cfg.dim = static_cast<std::size_t>(cli.u64("dim", 1024));
+  cfg.factors = static_cast<std::size_t>(cli.u64("factors", 3));
+  cfg.codebook_size = static_cast<std::size_t>(cli.u64("M", 16));
+  cfg.max_iterations = static_cast<std::size_t>(cli.u64("cap", 100));
+  cfg.seed = cli.u64("seed", 1);
+  cfg.max_batch = static_cast<std::size_t>(cli.u64("max-batch", 8));
+  cfg.max_delay_us = cli.i64("max-delay-us", 2000);
+  cfg.max_queue = static_cast<std::size_t>(cli.u64("max-queue", 1024));
+  cfg.worker_deadline_ms = static_cast<int>(
+      cli.u64("deadline-ms", 10000, std::numeric_limits<int>::max()));
+  cfg.artifact = cli.str("artifact", "");
+  cfg.save_artifact = cli.str("save-artifact", "");
 
-    serve::ServeCoordinator coordinator(std::move(cfg));
-    g_coordinator = &coordinator;
-    std::signal(SIGINT, on_signal);
-    std::signal(SIGTERM, on_signal);
+  serve::ServeCoordinator coordinator(std::move(cfg));
+  g_coordinator = &coordinator;
+  std::signal(SIGINT, on_signal);
+  std::signal(SIGTERM, on_signal);
 
-    std::fprintf(stderr,
-                 "[serve_daemon] listening on port %u "
-                 "(D=%zu F=%zu M=%zu cap=%zu fingerprint=%016llx)\n",
-                 coordinator.listen_port(), coordinator.config().dim,
-                 coordinator.config().factors,
-                 coordinator.config().codebook_size,
-                 coordinator.config().max_iterations,
-                 static_cast<unsigned long long>(coordinator.fingerprint()));
+  std::fprintf(stderr,
+               "[serve_daemon] listening on port %u "
+               "(D=%zu F=%zu M=%zu cap=%zu fingerprint=%016llx)\n",
+               coordinator.listen_port(), coordinator.config().dim,
+               coordinator.config().factors,
+               coordinator.config().codebook_size,
+               coordinator.config().max_iterations,
+               static_cast<unsigned long long>(coordinator.fingerprint()));
 
-    const serve::ServeStats stats = coordinator.run();
-    g_coordinator = nullptr;
+  const serve::ServeStats stats = coordinator.run();
+  g_coordinator = nullptr;
 
-    std::printf(
-        "{\"accepted\":%llu,\"completed\":%llu,\"rejected\":%llu,"
-        "\"failed\":%llu,\"batches\":%llu,\"requeues\":%llu,"
-        "\"workers_seen\":%llu,\"workers_dropped\":%llu,"
-        "\"clients_seen\":%llu}\n",
-        static_cast<unsigned long long>(stats.accepted),
-        static_cast<unsigned long long>(stats.completed),
-        static_cast<unsigned long long>(stats.rejected),
-        static_cast<unsigned long long>(stats.failed),
-        static_cast<unsigned long long>(stats.batches),
-        static_cast<unsigned long long>(stats.requeues),
-        static_cast<unsigned long long>(stats.workers_seen),
-        static_cast<unsigned long long>(stats.workers_dropped),
-        static_cast<unsigned long long>(stats.clients_seen));
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "[serve_daemon] %s\n", e.what());
-    return 1;
-  }
+  std::printf(
+      "{\"accepted\":%llu,\"completed\":%llu,\"rejected\":%llu,"
+      "\"failed\":%llu,\"batches\":%llu,\"requeues\":%llu,"
+      "\"workers_seen\":%llu,\"workers_dropped\":%llu,"
+      "\"clients_seen\":%llu}\n",
+      static_cast<unsigned long long>(stats.accepted),
+      static_cast<unsigned long long>(stats.completed),
+      static_cast<unsigned long long>(stats.rejected),
+      static_cast<unsigned long long>(stats.failed),
+      static_cast<unsigned long long>(stats.batches),
+      static_cast<unsigned long long>(stats.requeues),
+      static_cast<unsigned long long>(stats.workers_seen),
+      static_cast<unsigned long long>(stats.workers_dropped),
+      static_cast<unsigned long long>(stats.clients_seen));
+  return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, body); }

@@ -47,7 +47,7 @@
 
 using namespace h3dfact;
 
-int main(int argc, char** argv) {
+static int body(int argc, char** argv) {
   util::Cli cli(argc, argv);
   bench::grids::register_all();
   dse::register_design_spaces();
@@ -76,40 +76,37 @@ int main(int argc, char** argv) {
     return 64;
   }
 
-  try {
-    constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
-    const int retries = static_cast<int>(cli.u64("retries", 120, kIntMax));
-    const int retry_ms = static_cast<int>(cli.u64("retry-ms", 250, kIntMax));
-    if (!serve.empty()) {
-      const int fd = sweep::tcp_connect(serve, retries, retry_ms);
-      std::fprintf(stderr, "[sweep_worker] serving batches from %s\n",
-                   serve.c_str());
-      return serve::serve_factor_worker(fd, fd, cli.str("artifact", ""));
-    }
-    if (stdio) {
-      return sweep::serve_remote_worker(STDIN_FILENO, STDOUT_FILENO,
-                                        cell_threads);
-    }
-    if (!connect.empty()) {
-      const int fd = sweep::tcp_connect(connect, retries, retry_ms);
-      std::fprintf(stderr, "[sweep_worker] connected to %s\n",
-                   connect.c_str());
-      return sweep::serve_remote_worker(fd, fd, cell_threads);
-    }
-    // --listen: accept one coordinator, serve it, exit.
-    const int listen_fd = sweep::tcp_listen(listen);
-    std::fprintf(stderr, "[sweep_worker] listening on port %u\n",
-                 sweep::tcp_local_port(listen_fd));
-    const int timeout_ms =
-        static_cast<int>(cli.u64("accept-timeout-ms", 600000, kIntMax));
-    const int fd = sweep::tcp_accept(listen_fd, timeout_ms);
-    if (fd < 0) {
-      std::fprintf(stderr, "[sweep_worker] no coordinator connected\n");
-      return 1;
-    }
+  constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
+  const int retries = static_cast<int>(cli.u64("retries", 120, kIntMax));
+  const int retry_ms = static_cast<int>(cli.u64("retry-ms", 250, kIntMax));
+  if (!serve.empty()) {
+    const int fd = sweep::tcp_connect(serve, retries, retry_ms);
+    std::fprintf(stderr, "[sweep_worker] serving batches from %s\n",
+                 serve.c_str());
+    return serve::serve_factor_worker(fd, fd, cli.str("artifact", ""));
+  }
+  if (stdio) {
+    return sweep::serve_remote_worker(STDIN_FILENO, STDOUT_FILENO,
+                                      cell_threads);
+  }
+  if (!connect.empty()) {
+    const int fd = sweep::tcp_connect(connect, retries, retry_ms);
+    std::fprintf(stderr, "[sweep_worker] connected to %s\n",
+                 connect.c_str());
     return sweep::serve_remote_worker(fd, fd, cell_threads);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "[sweep_worker] %s\n", e.what());
+  }
+  // --listen: accept one coordinator, serve it, exit.
+  const int listen_fd = sweep::tcp_listen(listen);
+  std::fprintf(stderr, "[sweep_worker] listening on port %u\n",
+               sweep::tcp_local_port(listen_fd));
+  const int timeout_ms =
+      static_cast<int>(cli.u64("accept-timeout-ms", 600000, kIntMax));
+  const int fd = sweep::tcp_accept(listen_fd, timeout_ms);
+  if (fd < 0) {
+    std::fprintf(stderr, "[sweep_worker] no coordinator connected\n");
     return 1;
   }
+  return sweep::serve_remote_worker(fd, fd, cell_threads);
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, body); }

@@ -11,7 +11,7 @@
 
 using namespace h3dfact;
 
-int main(int argc, char** argv) {
+static int body(int argc, char** argv) {
   util::Cli cli(argc, argv);
   (void)cli;
   arch::TsvModel tsv;
@@ -48,3 +48,5 @@ int main(int argc, char** argv) {
   t2.print(std::cout);
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, body); }

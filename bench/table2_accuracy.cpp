@@ -27,7 +27,7 @@
 
 using namespace h3dfact;
 
-int main(int argc, char** argv) {
+static int body(int argc, char** argv) {
   util::Cli cli(argc, argv);
   bench::grids::register_all();
 
@@ -101,3 +101,5 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, body); }

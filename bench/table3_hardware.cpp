@@ -13,7 +13,7 @@
 
 using namespace h3dfact;
 
-int main(int argc, char** argv) {
+static int body(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const std::size_t trials = static_cast<std::size_t>(cli.u64("trials", 40));
   const std::uint64_t seed = cli.u64("seed", 99);
@@ -95,3 +95,5 @@ int main(int argc, char** argv) {
   b.print(std::cout);
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, body); }

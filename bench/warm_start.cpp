@@ -15,7 +15,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <exception>
 #include <limits>
 #include <string>
 
@@ -47,7 +46,7 @@ double min_us(int repeats, Fn&& fn) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int body(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const auto dim = static_cast<std::size_t>(cli.u64("dim", 1024));
   const auto factors = static_cast<std::size_t>(cli.u64("factors", 3));
@@ -58,78 +57,75 @@ int main(int argc, char** argv) {
   const std::string artifact = cli.str("artifact", "warm_start.h3da");
   const std::string out = cli.str("out", "-");
 
-  try {
-    // Cold path: the deterministic seed rebuild every v2 worker ran on
-    // every ServeInit.
-    const double cold_us = min_us(repeats, [&] {
-      util::Rng master(seed);
-      resonator::ProblemGenerator gen(dim, factors, M, master);
-      (void)gen.codebooks().dim();
-    });
-
+  // Cold path: the deterministic seed rebuild every v2 worker ran on
+  // every ServeInit.
+  const double cold_us = min_us(repeats, [&] {
     util::Rng master(seed);
     resonator::ProblemGenerator gen(dim, factors, M, master);
-    const std::uint64_t fingerprint = hdc::set_fingerprint(gen.codebooks());
-    const double pack_us = min_us(repeats, [&] {
-      io::ArtifactWriter writer;
-      io::add_codebook_set(writer, gen.codebooks());
-      writer.write(artifact);
-    });
+    (void)gen.codebooks().dim();
+  });
 
-    const double heap_us = min_us(repeats, [&] {
-      (void)io::load_codebook_set(artifact, io::LoadMode::kHeap);
-    });
-    double mmap_us = -1.0;
-    try {
-      mmap_us = min_us(repeats, [&] {
-        (void)io::load_codebook_set(artifact, io::LoadMode::kMmap);
-      });
-    } catch (const io::ArtifactError&) {
-      // mmap unavailable on this platform; report -1 and keep going.
-    }
+  util::Rng master(seed);
+  resonator::ProblemGenerator gen(dim, factors, M, master);
+  const std::uint64_t fingerprint = hdc::set_fingerprint(gen.codebooks());
+  const double pack_us = min_us(repeats, [&] {
+    io::ArtifactWriter writer;
+    io::add_codebook_set(writer, gen.codebooks());
+    writer.write(artifact);
+  });
 
-    // Worker-level bind times: cold seed bind, artifact bind, and the
-    // memoized re-bind of an identical ServeInit (the satellite fix).
-    sweep::ServeInitFrame init;
-    init.dim = dim;
-    init.factors = factors;
-    init.codebook_size = M;
-    init.max_iterations = 100;
-    init.seed = seed;
-    const double bind_seed_us = min_us(repeats, [&] {
-      serve::WorkerSpaceCache cache;
-      (void)cache.bind(init);
+  const double heap_us = min_us(repeats, [&] {
+    (void)io::load_codebook_set(artifact, io::LoadMode::kHeap);
+  });
+  double mmap_us = -1.0;
+  try {
+    mmap_us = min_us(repeats, [&] {
+      (void)io::load_codebook_set(artifact, io::LoadMode::kMmap);
     });
-    init.artifact_path = artifact;
-    init.artifact_fingerprint = fingerprint;
-    const double bind_artifact_us = min_us(repeats, [&] {
-      serve::WorkerSpaceCache cache;
-      (void)cache.bind(init);
-    });
+  } catch (const io::ArtifactError&) {
+    // mmap unavailable on this platform; report -1 and keep going.
+  }
+
+  // Worker-level bind times: cold seed bind, artifact bind, and the
+  // memoized re-bind of an identical ServeInit (the satellite fix).
+  sweep::ServeInitFrame init;
+  init.dim = dim;
+  init.factors = factors;
+  init.codebook_size = M;
+  init.max_iterations = 100;
+  init.seed = seed;
+  const double bind_seed_us = min_us(repeats, [&] {
     serve::WorkerSpaceCache cache;
     (void)cache.bind(init);
-    const double rebind_us = min_us(repeats, [&] { (void)cache.bind(init); });
+  });
+  init.artifact_path = artifact;
+  init.artifact_fingerprint = fingerprint;
+  const double bind_artifact_us = min_us(repeats, [&] {
+    serve::WorkerSpaceCache cache;
+    (void)cache.bind(init);
+  });
+  serve::WorkerSpaceCache cache;
+  (void)cache.bind(init);
+  const double rebind_us = min_us(repeats, [&] { (void)cache.bind(init); });
 
-    std::FILE* f = out == "-" ? stdout : std::fopen(out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "[warm_start] cannot open %s\n", out.c_str());
-      return 1;
-    }
-    std::fprintf(
-        f,
-        "{\"dim\":%zu,\"factors\":%zu,\"M\":%zu,\"seed\":%llu,"
-        "\"repeats\":%d,\"fingerprint\":\"0x%016llx\","
-        "\"cold_build_us\":%.1f,\"pack_us\":%.1f,"
-        "\"artifact_heap_us\":%.1f,\"artifact_mmap_us\":%.1f,"
-        "\"bind_seed_us\":%.1f,\"bind_artifact_us\":%.1f,"
-        "\"memoized_rebind_us\":%.3f}\n",
-        dim, factors, M, static_cast<unsigned long long>(seed), repeats,
-        static_cast<unsigned long long>(fingerprint), cold_us, pack_us,
-        heap_us, mmap_us, bind_seed_us, bind_artifact_us, rebind_us);
-    if (f != stdout) std::fclose(f);
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "[warm_start] %s\n", e.what());
+  std::FILE* f = out == "-" ? stdout : std::fopen(out.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "[warm_start] cannot open %s\n", out.c_str());
     return 1;
   }
+  std::fprintf(
+      f,
+      "{\"dim\":%zu,\"factors\":%zu,\"M\":%zu,\"seed\":%llu,"
+      "\"repeats\":%d,\"fingerprint\":\"0x%016llx\","
+      "\"cold_build_us\":%.1f,\"pack_us\":%.1f,"
+      "\"artifact_heap_us\":%.1f,\"artifact_mmap_us\":%.1f,"
+      "\"bind_seed_us\":%.1f,\"bind_artifact_us\":%.1f,"
+      "\"memoized_rebind_us\":%.3f}\n",
+      dim, factors, M, static_cast<unsigned long long>(seed), repeats,
+      static_cast<unsigned long long>(fingerprint), cold_us, pack_us,
+      heap_us, mmap_us, bind_seed_us, bind_artifact_us, rebind_us);
+  if (f != stdout) std::fclose(f);
+  return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, body); }

@@ -8,7 +8,7 @@
 //   sweep       — declarative experiment grids, sharded runner, emitters
 //   serve       — request/reply factorization daemon on the sweep transport
 //   io          — versioned H3DA artifacts: codebooks, item memories,
-//                 resonator snapshots; warm-start + mmap zero-copy loads
+//                 sweep checkpoints; warm-start + mmap zero-copy loads
 //   device      — RRAM / PCM / ADC / sense-path / SRAM behavioural models
 //   cim         — crossbars, CIM macros, hardware-in-the-loop MVM engine
 //   arch        — tiers, TSVs, designs, batch scheduler, full-chip facade
@@ -33,7 +33,6 @@
 #include "resonator/problem.hpp"
 #include "resonator/profiler.hpp"
 #include "resonator/resonator.hpp"
-#include "resonator/snapshot.hpp"
 #include "resonator/trial_runner.hpp"
 
 #include "sweep/emit.hpp"

@@ -158,7 +158,8 @@ std::vector<std::int8_t> BipolarVector::to_i8() const {
 
 std::uint64_t BipolarVector::hash() const {
   // Word-wise FNV-style mix with an extra xorshift (not util::Fnv1a, which
-  // is byte-wise): snapshots and the cycle detector store these values.
+  // is byte-wise): the cycle detector compares these values, so a change
+  // can move where a deterministic run stops.
   std::uint64_t h = util::kFnvOffset ^ dim_;
   for (std::uint64_t w : words_) {
     h ^= w;

@@ -20,7 +20,6 @@ std::string section_kind_name(std::uint32_t kind) {
     case SectionKind::kCodebookWords: return "codebook-words";
     case SectionKind::kItemMemoryMeta: return "item-memory-meta";
     case SectionKind::kItemMemoryWords: return "item-memory-words";
-    case SectionKind::kResonatorState: return "resonator-state";
     case SectionKind::kSweepCells: return "sweep-cells";
   }
   return "unknown(" + std::to_string(kind) + ")";

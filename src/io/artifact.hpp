@@ -64,7 +64,8 @@ enum class SectionKind : std::uint32_t {
   kCodebookWords = 2,    ///< one per factor, in order: raw packed u64 rows
   kItemMemoryMeta = 3,   ///< dim + labels of an ItemMemory
   kItemMemoryWords = 4,  ///< raw packed u64 rows, one per stored item
-  kResonatorState = 5,   ///< mid-solve resonator::ResonatorSnapshot
+  // 5 is retired (was resonator-state) and must never be reused: decoders
+  // skip an old file's kind-5 section as an unknown kind.
   kSweepCells = 6,       ///< sweep checkpoint: completed cells (sweep/emit.hpp)
 };
 

@@ -1,7 +1,6 @@
 #include "io/codec.hpp"
 
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -191,107 +190,6 @@ hdc::ItemMemory load_item_memory(const Artifact& artifact) {
                    per_item));
   }
   return memory;
-}
-
-// --- resonator snapshots ----------------------------------------------------
-
-void add_resonator_snapshot(ArtifactWriter& writer,
-                            const resonator::ResonatorSnapshot& snapshot) {
-  const std::size_t dim = snapshot.query.dim();
-  const std::size_t factors = snapshot.estimates.size();
-  std::string out;
-  util::put_u64(out, dim);
-  util::put_u64(out, factors);
-  util::put_u64(out, snapshot.codebook_fingerprint);
-  util::put_u64(out, snapshot.options_digest);
-  util::put_u64(out, snapshot.iteration);
-  util::put_u8(out, snapshot.ground_truth_known ? 1 : 0);
-  util::put_u64(out, snapshot.ground_truth.size());
-  for (std::size_t idx : snapshot.ground_truth) util::put_u64(out, idx);
-  util::put_f64(out, snapshot.query_noise);
-  util::put_words(out, snapshot.query.data(), snapshot.query.words());
-  for (const hdc::BipolarVector& est : snapshot.estimates) {
-    util::put_words(out, est.data(), est.words());
-  }
-  for (std::size_t d : snapshot.decoded) util::put_u64(out, d);
-  util::put_str(out, std::string_view(snapshot.correct_trace.data(),
-                                      snapshot.correct_trace.size()));
-  for (std::uint64_t s : snapshot.rng.s) util::put_u64(out, s);
-  util::put_f64(out, snapshot.rng.cached_gauss);
-  util::put_u8(out, snapshot.rng.has_cached_gauss ? 1 : 0);
-  util::put_u64(out, snapshot.cycle_seen.size());
-  for (const auto& [hash, t] : snapshot.cycle_seen) {
-    util::put_u64(out, hash);
-    util::put_u64(out, t);
-  }
-  util::put_u8(out, snapshot.cycle_found.has_value() ? 1 : 0);
-  if (snapshot.cycle_found) {
-    util::put_u64(out, snapshot.cycle_found->first_seen);
-    util::put_u64(out, snapshot.cycle_found->revisit);
-  }
-  writer.add_section(SectionKind::kResonatorState, std::move(out));
-}
-
-resonator::ResonatorSnapshot load_resonator_snapshot(
-    const Artifact& artifact) {
-  const std::string& path = artifact.path();
-  PayloadReader in =
-      artifact.reader(artifact.require_one(SectionKind::kResonatorState));
-  resonator::ResonatorSnapshot snap;
-  const std::uint64_t dim = in.u64();
-  // Each factor carries at least its decoded index (a u64) further on.
-  const std::size_t factors = in.count(8);
-  if (dim == 0 || factors == 0) {
-    throw ArtifactError(path, "resonator-state: zero dim or factor count");
-  }
-  snap.codebook_fingerprint = in.u64();
-  snap.options_digest = in.u64();
-  snap.iteration = in.u64();
-  snap.ground_truth_known = in.u8() != 0;
-  const std::size_t n_gt = in.count(8);
-  if (n_gt != 0 && n_gt != factors) {
-    throw ArtifactError(path, "resonator-state: ground-truth count " +
-                                  std::to_string(n_gt) +
-                                  " does not match factor count " +
-                                  std::to_string(factors));
-  }
-  const std::vector<std::uint64_t> truth = in.words(n_gt);
-  snap.ground_truth.assign(truth.begin(), truth.end());
-  snap.query_noise = in.f64();
-  const std::size_t per_vec = words_per_vector(dim);
-  {
-    const std::vector<std::uint64_t> qw = in.words(per_vec);
-    snap.query = hdc::BipolarVector::from_words(
-        static_cast<std::size_t>(dim), qw.data(), qw.size());
-  }
-  snap.estimates.reserve(factors);
-  for (std::size_t f = 0; f < factors; ++f) {
-    const std::vector<std::uint64_t> ew = in.words(per_vec);
-    snap.estimates.push_back(hdc::BipolarVector::from_words(
-        static_cast<std::size_t>(dim), ew.data(), ew.size()));
-  }
-  const std::vector<std::uint64_t> decoded = in.words(factors);
-  snap.decoded.assign(decoded.begin(), decoded.end());
-  const std::string trace = in.str();  // u64 length, one byte per entry
-  snap.correct_trace.assign(trace.begin(), trace.end());
-  for (auto& s : snap.rng.s) s = in.u64();
-  snap.rng.cached_gauss = in.f64();
-  snap.rng.has_cached_gauss = in.u8() != 0;
-  const std::size_t n_cycle = in.count(16);  // (hash, t) u64 pairs
-  snap.cycle_seen.reserve(n_cycle);
-  for (std::size_t i = 0; i < n_cycle; ++i) {
-    const std::uint64_t hash = in.u64();
-    const std::uint64_t t = in.u64();
-    snap.cycle_seen.emplace_back(hash, static_cast<std::size_t>(t));
-  }
-  if (in.u8() != 0) {
-    resonator::CycleInfo info;
-    info.first_seen = static_cast<std::size_t>(in.u64());
-    info.revisit = static_cast<std::size_t>(in.u64());
-    snap.cycle_found = info;
-  }
-  in.expect_exhausted();
-  return snap;
 }
 
 }  // namespace h3dfact::io

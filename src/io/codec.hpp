@@ -1,6 +1,6 @@
 #pragma once
-// Typed codecs over the artifact container (io/artifact.hpp): codebook sets,
-// item memories and mid-solve resonator snapshots. Writers append sections
+// Typed codecs over the artifact container (io/artifact.hpp): codebook sets
+// and item memories. Writers append sections
 // to an ArtifactWriter (one artifact can carry any mix); loaders decode and
 // verify out of a loaded Artifact.
 //
@@ -19,7 +19,6 @@
 #include "hdc/codebook.hpp"
 #include "hdc/item_memory.hpp"
 #include "io/artifact.hpp"
-#include "resonator/snapshot.hpp"
 
 namespace h3dfact::io {
 
@@ -57,14 +56,5 @@ void add_item_memory(ArtifactWriter& writer, const hdc::ItemMemory& memory);
 /// Decode the item memory sections of `artifact` (owned copy; item vectors
 /// are value types, so no borrowing applies).
 hdc::ItemMemory load_item_memory(const Artifact& artifact);
-
-// --- resonator snapshots ----------------------------------------------------
-
-/// Append a mid-solve resonator state as one kResonatorState section.
-void add_resonator_snapshot(ArtifactWriter& writer,
-                            const resonator::ResonatorSnapshot& snapshot);
-
-/// Decode the kResonatorState section of `artifact`.
-resonator::ResonatorSnapshot load_resonator_snapshot(const Artifact& artifact);
 
 }  // namespace h3dfact::io

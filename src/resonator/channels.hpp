@@ -56,9 +56,10 @@ class SimilarityChannel {
 /// the final sum. Pairs with R < 1e-3 are always evaluated: they would
 /// almost never skip, and at that scale exp's rounding outgrows the margin.
 /// The uniforms of a skipped pair are still drawn, and the call's last
-/// draw always goes through util::Rng::gaussian(). The generator, and the
-/// consumed sine that util::RngState keeps, therefore end as a
-/// draw-by-draw loop leaves them, and the codes are the same bit for bit.
+/// draw always goes through util::Rng::gaussian(). The generator therefore
+/// ends as a draw-by-draw loop leaves it, down to the consumed sine that
+/// util::RngState keeps and tests compare, and the codes are the same bit
+/// for bit.
 class H3dfactChannel final : public SimilarityChannel {
  public:
   H3dfactChannel(double sigma, double threshold, int adc_bits, double clip);

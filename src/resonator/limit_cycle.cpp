@@ -1,46 +1,15 @@
 #include "resonator/limit_cycle.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <utility>
-#include <vector>
 
 namespace h3dfact::resonator {
 
 std::optional<CycleInfo> LimitCycleDetector::observe(std::uint64_t state_hash,
                                                      std::size_t t) {
-  auto [it, inserted] = seen_.emplace(state_hash, t);
+  const auto [it, inserted] = seen_.emplace(state_hash, t);
   if (inserted) return std::nullopt;
-  if (!found_) {
-    CycleInfo info;
-    info.first_seen = it->second;
-    info.revisit = t;
-    found_ = info;
-  }
-  return found_;
-}
-
-void LimitCycleDetector::reset() {
-  seen_.clear();
-  found_.reset();
-}
-
-std::vector<std::pair<std::uint64_t, std::size_t>> LimitCycleDetector::entries()
-    const {
-  std::vector<std::pair<std::uint64_t, std::size_t>> out(seen_.begin(),
-                                                         seen_.end());
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-void LimitCycleDetector::restore(
-    const std::vector<std::pair<std::uint64_t, std::size_t>>& entries,
-    std::optional<CycleInfo> found) {
-  seen_.clear();
-  seen_.reserve(entries.size());
-  for (const auto& [hash, t] : entries) seen_.emplace(hash, t);
-  found_ = found;
+  return CycleInfo{it->second, t};
 }
 
 }  // namespace h3dfact::resonator

@@ -9,8 +9,6 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 namespace h3dfact::resonator {
 
@@ -24,29 +22,12 @@ struct CycleInfo {
 /// Hash-based state-revisit detector.
 class LimitCycleDetector {
  public:
-  /// Record the joint-state hash for iteration `t`.
-  /// Returns cycle info the first time a previously-seen state recurs.
+  /// Record the joint-state hash for iteration `t`. Returns cycle info when
+  /// the state occurred before; the loop stops a run at its first revisit.
   std::optional<CycleInfo> observe(std::uint64_t state_hash, std::size_t t);
-
-  [[nodiscard]] bool cycle_found() const { return found_.has_value(); }
-  [[nodiscard]] const std::optional<CycleInfo>& info() const { return found_; }
-
-  void reset();
-
-  /// Every (state hash, first-seen iteration) pair observed so far, sorted
-  /// by hash so serialization is byte-deterministic (checkpointing).
-  [[nodiscard]] std::vector<std::pair<std::uint64_t, std::size_t>> entries()
-      const;
-
-  /// Rebuild from serialized entries + found state: the detector behaves
-  /// bit-identically to the one that produced entries()/info().
-  void restore(
-      const std::vector<std::pair<std::uint64_t, std::size_t>>& entries,
-      std::optional<CycleInfo> found);
 
  private:
   std::unordered_map<std::uint64_t, std::size_t> seen_;
-  std::optional<CycleInfo> found_;
 };
 
 }  // namespace h3dfact::resonator

@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <span>
 #include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "hdc/kernels/backend.hpp"
-#include "util/hash.hpp"
 
 namespace h3dfact::resonator {
 
@@ -159,9 +156,8 @@ struct Lane {
   Lane(const FactorizationProblem& p, util::Rng& r,
        std::vector<hdc::BipolarVector> estimates)
       : problem(&p), rng(&r), est(std::move(estimates)), P(p.query) {
-    // Running product P = s ⊙ x̂_1 ⊙ ... ⊙ x̂_F, so that u_f = P ⊙ x̂_f.
-    // Rebuilt from the estimates, so a resumed run recomputes the identical
-    // bits (bind is XOR — exact, order-free).
+    // Running product P = s ⊙ x̂_1 ⊙ ... ⊙ x̂_F, so that u_f = P ⊙ x̂_f
+    // (bind is XOR — exact, order-free).
     for (const auto& v : est) P.bind_inplace(v);
   }
 
@@ -206,16 +202,15 @@ Lane start_lane(const hdc::CodebookSet& set, const ResonatorOptions& options,
   return lane;
 }
 
-/// The resonator loop. Steps every lane from iteration `start` in lockstep
-/// until it solves, cycles or reaches the cap. Each factor's MVMs run as
+/// The resonator loop. Steps every lane from iteration 1 in lockstep until
+/// it solves, cycles or reaches the cap. Each factor's MVMs run as
 /// one engine pass across the live lanes and draw engine randomness from
 /// `device_rng`; everything else draws from the lane's own generator, so a
 /// lane's trajectory does not depend on its neighbours on an engine without
 /// per-call randomness.
 void iterate(const hdc::CodebookSet& set, MvmEngine& engine,
              const ResonatorOptions& options, std::span<Lane> lanes,
-             util::Rng& device_rng, std::size_t start,
-             const SnapshotPolicy& snapshots) {
+             util::Rng& device_rng) {
   const std::size_t F = set.factors();
   const std::size_t D = set.dim();
   const bool deterministic_run = deterministic(options);
@@ -238,7 +233,7 @@ void iterate(const hdc::CodebookSet& set, MvmEngine& engine,
   std::vector<hdc::BipolarVector> next;  // new estimates, swapped in
   hdc::BipolarVector composed;  // the decoded product, for the success check
 
-  for (std::size_t t = start; t <= options.max_iterations && !active.empty();
+  for (std::size_t t = 1; t <= options.max_iterations && !active.empty();
        ++t) {
     const std::size_t n = active.size();
     us.resize(n);
@@ -349,23 +344,6 @@ void iterate(const hdc::CodebookSet& set, MvmEngine& engine,
           continue;
         }
       }
-      if (snapshots.enabled() && t % snapshots.every == 0) {
-        ResonatorSnapshot snap;
-        snap.iteration = t;
-        snap.query = lane->problem->query;
-        snap.ground_truth = lane->problem->ground_truth;
-        snap.ground_truth_known = !lane->problem->ground_truth.empty();
-        snap.query_noise = lane->problem->query_noise;
-        snap.estimates = lane->est;
-        snap.decoded = lane->result.decoded;
-        snap.correct_trace = lane->result.correct_trace;
-        snap.rng = lane->rng->save_state();
-        snap.cycle_seen = lane->cycles.entries();
-        snap.cycle_found = lane->cycles.info();
-        snap.codebook_fingerprint = hdc::set_fingerprint(set);
-        snap.options_digest = options_fingerprint(options);
-        snapshots.sink(snap, snapshots.ctx);
-      }
       still_active.push_back(lane);
     }
     active.swap(still_active);
@@ -377,12 +355,10 @@ void iterate(const hdc::CodebookSet& set, MvmEngine& engine,
 }  // namespace
 
 ResonatorResult ResonatorNetwork::run(const FactorizationProblem& problem,
-                                      util::Rng& rng,
-                                      const SnapshotPolicy& snapshots) const {
+                                      util::Rng& rng) const {
   check_compatible(*set_, problem);
   Lane lane = start_lane(*set_, options_, problem, rng);
-  iterate(*set_, *engine_, options_, std::span<Lane>(&lane, 1), rng, 1,
-          snapshots);
+  iterate(*set_, *engine_, options_, std::span<Lane>(&lane, 1), rng);
   return std::move(lane.result);
 }
 
@@ -400,75 +376,11 @@ std::vector<ResonatorResult> ResonatorNetwork::run(
   for (std::size_t b = 0; b < problems.size(); ++b) {
     lanes.push_back(start_lane(*set_, options_, problems[b], rngs[b]));
   }
-  iterate(*set_, *engine_, options_, lanes, device_rng, 1, {});
+  iterate(*set_, *engine_, options_, lanes, device_rng);
   std::vector<ResonatorResult> results;
   results.reserve(lanes.size());
   for (Lane& lane : lanes) results.push_back(std::move(lane.result));
   return results;
-}
-
-ResonatorResult ResonatorNetwork::resume(const ResonatorSnapshot& snapshot,
-                                         util::Rng& rng,
-                                         const SnapshotPolicy& snapshots) const {
-  const std::uint64_t have = hdc::set_fingerprint(*set_);
-  if (snapshot.codebook_fingerprint != have) {
-    throw std::runtime_error(
-        "resonator snapshot was taken over a different codebook set "
-        "(snapshot fingerprint " + std::to_string(snapshot.codebook_fingerprint) +
-        ", network " + std::to_string(have) + ")");
-  }
-  if (snapshot.options_digest != options_fingerprint(options_)) {
-    throw std::runtime_error(
-        "resonator snapshot was taken under different resonator options; "
-        "resuming would diverge from the uninterrupted run");
-  }
-  if (snapshot.estimates.size() != set_->factors() ||
-      snapshot.decoded.size() != set_->factors() ||
-      snapshot.query.dim() != set_->dim()) {
-    throw std::runtime_error("resonator snapshot shape does not match the "
-                             "network's codebook set");
-  }
-
-  FactorizationProblem problem;
-  problem.codebooks = set_;
-  problem.query = snapshot.query;
-  problem.ground_truth = snapshot.ground_truth;
-  problem.query_noise = snapshot.query_noise;
-
-  rng.restore_state(snapshot.rng);
-
-  Lane lane(problem, rng, snapshot.estimates);
-  lane.result.decoded = snapshot.decoded;
-  lane.result.correct_trace = snapshot.correct_trace;
-  lane.result.iterations = static_cast<std::size_t>(snapshot.iteration);
-  lane.cycles.restore(snapshot.cycle_seen, snapshot.cycle_found);
-
-  iterate(*set_, *engine_, options_, std::span<Lane>(&lane, 1), rng,
-          static_cast<std::size_t>(snapshot.iteration) + 1, snapshots);
-  return std::move(lane.result);
-}
-
-std::uint64_t options_fingerprint(const ResonatorOptions& options) {
-  // FNV-1a over every dynamics-relevant field. The channel's internal
-  // parameters are not reachable generically; its presence and determinism
-  // class are (they decide tie-break + cycle-detection behavior). The
-  // profiler pointer is observability only and excluded.
-  util::Fnv1a h;
-  h.u64(static_cast<std::uint64_t>(options.update));
-  h.u64(options.max_iterations);
-  h.u64(options.channel ? (options.channel->deterministic() ? 1 : 2) : 0);
-  h.u64(options.random_init ? 1 : 0);
-  h.u64(options.random_tie_break ? 1 : 0);
-  h.u64(options.clip_negative_similarity ? 1 : 0);
-  std::uint64_t threshold_bits = 0;
-  static_assert(sizeof threshold_bits == sizeof options.success_threshold);
-  std::memcpy(&threshold_bits, &options.success_threshold,
-              sizeof threshold_bits);
-  h.u64(threshold_bits);
-  h.u64(options.detect_limit_cycles ? 1 : 0);
-  h.u64(1);  // a cycle always stops the run; keeps stored digests valid
-  h.u64(options.record_correct_trace ? 1 : 0);
-  return h.digest();
 }
 
 ResonatorNetwork make_baseline(std::shared_ptr<const hdc::CodebookSet> set,

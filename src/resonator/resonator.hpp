@@ -23,7 +23,6 @@
 #include "resonator/limit_cycle.hpp"
 #include "resonator/problem.hpp"
 #include "resonator/profiler.hpp"
-#include "resonator/snapshot.hpp"
 #include "util/rng.hpp"
 
 namespace h3dfact::resonator {
@@ -170,9 +169,9 @@ struct ResonatorResult {
 /// engine pass across the live problems (a lone problem takes the per-call
 /// kernels instead, which a one-item block would only slow down). Problems
 /// retire as they solve, cycle or hit the cap, so a long-tail problem never
-/// pays for finished neighbours. Single-problem run() and resume() are
-/// batches of one whose device generator is the problem's own, which
-/// replays the per-call draw order of every engine.
+/// pays for finished neighbours. Single-problem run() is a batch of one
+/// whose device generator is the problem's own, which replays the per-call
+/// draw order of every engine.
 class ResonatorNetwork {
  public:
   /// Software-exact engine over the given codebooks.
@@ -187,12 +186,8 @@ class ResonatorNetwork {
   [[nodiscard]] const hdc::CodebookSet& codebooks() const { return *set_; }
 
   /// Factorize one problem instance. `rng` drives all stochastic elements.
-  /// With an enabled `snapshots` policy, every `snapshots.every` completed
-  /// iterations the sink receives a ResonatorSnapshot from which resume()
-  /// continues bit-identically.
   [[nodiscard]] ResonatorResult run(const FactorizationProblem& problem,
-                                    util::Rng& rng,
-                                    const SnapshotPolicy& snapshots = {}) const;
+                                    util::Rng& rng) const;
 
   /// Factorize `problems` concurrently. `rngs` holds one generator per
   /// problem driving that problem's stochastic elements (initial state,
@@ -202,16 +197,6 @@ class ResonatorNetwork {
   [[nodiscard]] std::vector<ResonatorResult> run(
       std::span<const FactorizationProblem> problems,
       std::span<util::Rng> rngs, util::Rng& device_rng) const;
-
-  /// Continue an interrupted solve from a snapshot. `rng` is overwritten
-  /// with the snapshot's generator state, then drives the remaining
-  /// iterations — the combined interrupted + resumed run yields the same
-  /// ResonatorResult, bit for bit, as an uninterrupted run(). Throws
-  /// std::runtime_error when the snapshot's codebook fingerprint or options
-  /// digest does not match this network.
-  [[nodiscard]] ResonatorResult resume(const ResonatorSnapshot& snapshot,
-                                       util::Rng& rng,
-                                       const SnapshotPolicy& snapshots = {}) const;
 
  private:
   std::shared_ptr<const hdc::CodebookSet> set_;

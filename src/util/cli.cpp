@@ -1,6 +1,8 @@
 #include "util/cli.hpp"
 
 #include <cstdint>
+#include <cstdio>
+#include <exception>
 #include <stdexcept>
 #include <string>
 
@@ -78,6 +80,17 @@ double Cli::f64(const std::string& key, double def) const {
 std::string Cli::str(const std::string& key, std::string def) const {
   auto it = kv_.find(key);
   return it == kv_.end() ? def : it->second;
+}
+
+int run_main(int argc, char** argv, int (*body)(int argc, char** argv)) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    const std::string program = argc > 0 ? argv[0] : "";
+    const std::string name = program.substr(program.rfind('/') + 1);
+    std::fprintf(stderr, "[%s] %s\n", name.c_str(), e.what());
+    return 1;
+  }
 }
 
 }  // namespace h3dfact::util

@@ -38,4 +38,9 @@ class Cli {
   std::vector<std::string> positional_;
 };
 
+/// The one exit path of every bench and tool main: runs `body` and passes
+/// its status through, or prints "[<basename of argv[0]>] <what()>" on
+/// stderr and returns 1 when it throws a std::exception.
+int run_main(int argc, char** argv, int (*body)(int argc, char** argv));
+
 }  // namespace h3dfact::util

@@ -19,13 +19,13 @@ constexpr std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-/// Complete serializable state of an Rng: the four xoshiro256** words plus
-/// the Box-Muller pair cache. restore_state() of a save_state() resumes the
+/// Complete state of an Rng: the four xoshiro256** words plus the
+/// Box-Muller pair cache. restore_state() of a save_state() resumes the
 /// stream bit-identically, including a pending cached gaussian draw.
 /// `cached_gauss` keeps the last pair's sine even after it has been
-/// consumed (`has_cached_gauss` false), and resonator snapshots serialize
-/// it: anything that draws Box-Muller pairs must leave it exactly as
-/// gaussian() does.
+/// consumed (`has_cached_gauss` false), and tests compare whole states:
+/// anything that draws Box-Muller pairs must leave it exactly as gaussian()
+/// does.
 struct RngState {
   std::array<std::uint64_t, 4> s{};
   double cached_gauss = 0.0;
@@ -94,9 +94,9 @@ class Rng {
   /// Standard normal via Box-Muller (cached pair): the pending sine if a
   /// pair's sine is cached, else a new pair from gaussian_uniforms() and
   /// box_muller(), whose cosine it returns and whose sine it caches. The
-  /// sine stays in the state after it is consumed (see RngState), so code
-  /// that draws pairs itself must leave `cached_gauss` exactly where
-  /// draw-by-draw calls would.
+  /// sine stays in the state after it is consumed, and tests compare whole
+  /// states (see RngState), so code that draws pairs itself must leave
+  /// `cached_gauss` exactly where draw-by-draw calls would.
   double gaussian();
 
   /// Normal with mean mu, stddev sigma.
@@ -125,12 +125,12 @@ class Rng {
   /// Lognormal with given parameters of the underlying normal.
   double lognormal(double mu, double sigma);
 
-  /// Snapshot the full generator state (checkpointing / io::ResonatorSnapshot).
+  /// The full generator state; tests compare generator positions with it.
   [[nodiscard]] RngState save_state() const {
     return RngState{state_, cached_gauss_, has_cached_gauss_};
   }
 
-  /// Resume from a snapshot; the stream continues bit-identically.
+  /// Rewind to a saved state; the stream continues bit-identically.
   void restore_state(const RngState& st) {
     state_ = st.s;
     cached_gauss_ = st.cached_gauss;

@@ -4,9 +4,8 @@
 // reproducible, corrupt/truncated inputs fail with typed io::ArtifactError
 // on every fuzzed boundary (never UB — this suite runs under ASan in CI),
 // a worker bound from an artifact answers FactorReply streams bit-identical
-// to a seed-rebuilt worker, re-ServeInit with identical parameters is a
-// memoized no-op, and an interrupted + resumed resonator solve matches the
-// uninterrupted run bit for bit.
+// to a seed-rebuilt worker, and re-ServeInit with identical parameters is a
+// memoized no-op.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +18,6 @@
 #include "io/artifact.hpp"
 #include "io/codec.hpp"
 #include "resonator/problem.hpp"
-#include "resonator/resonator.hpp"
 #include "serve/serving.hpp"
 #include "sweep/protocol.hpp"
 #include "util/bytes.hpp"
@@ -157,57 +155,6 @@ TEST(IoItemMemory, RoundTrip) {
   }
 }
 
-TEST(IoSnapshot, RoundTripAllFields) {
-  const resonator::ProblemGenerator gen = make_generator(128, 3, 16, 21);
-  util::Rng rng(77);
-  resonator::FactorizationProblem problem = gen.sample_noisy(0.05, rng);
-
-  resonator::ResonatorOptions opts;
-  opts.max_iterations = 30;
-  opts.record_correct_trace = true;
-  const resonator::ResonatorNetwork net(gen.codebooks_ptr(), opts);
-
-  std::vector<resonator::ResonatorSnapshot> snaps;
-  resonator::SnapshotPolicy policy;
-  policy.every = 1;
-  policy.ctx = &snaps;
-  policy.sink = [](const resonator::ResonatorSnapshot& s, void* ctx) {
-    static_cast<std::vector<resonator::ResonatorSnapshot>*>(ctx)->push_back(s);
-  };
-  (void)net.run(problem, rng, policy);
-  ASSERT_FALSE(snaps.empty());
-  const resonator::ResonatorSnapshot& snap = snaps.back();
-
-  const std::string path = temp_path("snap_roundtrip.h3da");
-  io::ArtifactWriter writer;
-  io::add_resonator_snapshot(writer, snap);
-  writer.write(path);
-  const resonator::ResonatorSnapshot loaded =
-      io::load_resonator_snapshot(io::Artifact::load(path));
-
-  EXPECT_EQ(loaded.iteration, snap.iteration);
-  EXPECT_EQ(loaded.ground_truth, snap.ground_truth);
-  EXPECT_EQ(loaded.ground_truth_known, snap.ground_truth_known);
-  EXPECT_EQ(loaded.query_noise, snap.query_noise);
-  ASSERT_EQ(loaded.query.dim(), snap.query.dim());
-  for (std::size_t w = 0; w < snap.query.words(); ++w) {
-    EXPECT_EQ(loaded.query.data()[w], snap.query.data()[w]);
-  }
-  ASSERT_EQ(loaded.estimates.size(), snap.estimates.size());
-  for (std::size_t f = 0; f < snap.estimates.size(); ++f) {
-    for (std::size_t w = 0; w < snap.estimates[f].words(); ++w) {
-      EXPECT_EQ(loaded.estimates[f].data()[w], snap.estimates[f].data()[w]);
-    }
-  }
-  EXPECT_EQ(loaded.decoded, snap.decoded);
-  EXPECT_EQ(loaded.correct_trace, snap.correct_trace);
-  EXPECT_EQ(loaded.rng, snap.rng);
-  EXPECT_EQ(loaded.cycle_seen, snap.cycle_seen);
-  EXPECT_EQ(loaded.cycle_found.has_value(), snap.cycle_found.has_value());
-  EXPECT_EQ(loaded.codebook_fingerprint, snap.codebook_fingerprint);
-  EXPECT_EQ(loaded.options_digest, snap.options_digest);
-}
-
 // --- golden artifacts -------------------------------------------------------
 // Checked-in files regenerated by the recipe in docs/serialization.md (the
 // same derivations h3dfact_pack uses). The writer lays out offsets, digests
@@ -238,31 +185,6 @@ TEST(IoGolden, ItemMemoryByteIdentical) {
             read_bytes(golden_path("golden_item_memory.h3da")));
 }
 
-TEST(IoGolden, ResonatorStateByteIdentical) {
-  // h3dfact_pack pack --kind=resonator-state --dim=128 --factors=3 --M=16
-  //   --seed=42 --at=2 --cap=40
-  util::Rng master(42);
-  resonator::ProblemGenerator gen(128, 3, 16, master);
-  io::ArtifactWriter writer;
-  io::add_codebook_set(writer, gen.codebooks());
-  resonator::FactorizationProblem problem = gen.sample(master);
-  resonator::ResonatorOptions opts;
-  opts.max_iterations = 40;
-  const resonator::ResonatorNetwork net(gen.codebooks_ptr(), opts);
-  std::vector<resonator::ResonatorSnapshot> snaps;
-  resonator::SnapshotPolicy policy;
-  policy.every = 2;
-  policy.ctx = &snaps;
-  policy.sink = [](const resonator::ResonatorSnapshot& s, void* ctx) {
-    static_cast<std::vector<resonator::ResonatorSnapshot>*>(ctx)->push_back(s);
-  };
-  (void)net.run(problem, master, policy);
-  ASSERT_FALSE(snaps.empty());
-  io::add_resonator_snapshot(writer, snaps.front());
-  EXPECT_EQ(writer.serialize(),
-            read_bytes(golden_path("golden_resonator_state.h3da")));
-}
-
 TEST(IoGolden, AllGoldensLoadAndVerify) {
   const io::LoadedCodebookSet cb =
       io::load_codebook_set(golden_path("golden_codebooks.h3da"));
@@ -270,21 +192,27 @@ TEST(IoGolden, AllGoldensLoadAndVerify) {
   const hdc::ItemMemory im = io::load_item_memory(
       io::Artifact::load(golden_path("golden_item_memory.h3da")));
   EXPECT_EQ(im.size(), 3u);
-  const io::Artifact rs =
-      io::Artifact::load(golden_path("golden_resonator_state.h3da"));
-  const resonator::ResonatorSnapshot snap = io::load_resonator_snapshot(rs);
-  EXPECT_EQ(snap.iteration, 2u);
-  // The snapshot's fingerprint matches the codebooks packed beside it.
-  const io::LoadedCodebookSet beside = io::load_codebook_set(
-      io::Artifact::load(golden_path("golden_resonator_state.h3da")));
-  EXPECT_EQ(snap.codebook_fingerprint, beside.fingerprint);
 }
 
 // --- fuzzing: every corruption is a typed error, never UB -------------------
 
-TEST(IoFuzz, TruncationAtEveryLengthFailsTyped) {
+/// The truncation and flip subject: one artifact holding a codebook set and
+/// an item memory, so every section kind of src/io/'s codecs (1-4) is cut
+/// and flipped.
+std::string fuzz_subject() {
   const resonator::ProblemGenerator gen = make_generator(64, 2, 2, 9);
-  const std::string full = serialize_codebooks(gen.codebooks());
+  util::Rng rng(9);
+  hdc::ItemMemory memory(64);
+  memory.add("a", hdc::BipolarVector::random(64, rng));
+  memory.add("b", hdc::BipolarVector::random(64, rng));
+  io::ArtifactWriter writer;
+  io::add_codebook_set(writer, gen.codebooks());
+  io::add_item_memory(writer, memory);
+  return writer.serialize();
+}
+
+TEST(IoFuzz, TruncationAtEveryLengthFailsTyped) {
+  const std::string full = fuzz_subject();
   const std::string path = temp_path("fuzz_truncate.h3da");
   for (std::size_t len = 0; len < full.size(); ++len) {
     write_bytes(path, full.substr(0, len));
@@ -307,8 +235,7 @@ TEST(IoFuzz, TruncationAtEveryLengthFailsTyped) {
 }
 
 TEST(IoFuzz, FlippingAnyProtectedByteFailsTyped) {
-  const resonator::ProblemGenerator gen = make_generator(64, 2, 2, 9);
-  const std::string full = serialize_codebooks(gen.codebooks());
+  const std::string full = fuzz_subject();
   const std::string path = temp_path("fuzz_flip.h3da");
 
   // Protected bytes: the header, the section table (table digest) and every
@@ -348,9 +275,18 @@ TEST(IoFuzz, WrongKindAndShortPayloadsFailTyped) {
   // Asking a codebook artifact for sections it does not carry.
   EXPECT_THROW((void)io::load_item_memory(io::Artifact::load(cb_path)),
                io::ArtifactError);
-  EXPECT_THROW(
-      (void)io::load_resonator_snapshot(io::Artifact::load(cb_path)),
-      io::ArtifactError);
+
+  // Kind 5 is retired (it held mid-solve resonator state) and never
+  // reused: it names as an unknown kind, and a codebook artifact that still
+  // carries one loads its codebook set as if the section were not there.
+  EXPECT_EQ(io::section_kind_name(5), "unknown(5)");
+  io::ArtifactWriter retired;
+  io::add_codebook_set(retired, gen.codebooks());
+  retired.add_section(static_cast<io::SectionKind>(5), std::string(24, '\x5'));
+  const std::string retired_path = temp_path("fuzz_kind_retired.h3da");
+  retired.write(retired_path);
+  EXPECT_EQ(io::load_codebook_set(retired_path).fingerprint,
+            hdc::set_fingerprint(gen.codebooks()));
 
   // A structurally valid container whose meta payload is too short must
   // fail in the payload reader with a typed error, not read past the end.
@@ -398,41 +334,6 @@ TEST(IoFuzz, HostileCountsFailTyped) {
                                      items))),
                io::ArtifactError);
 
-  std::string state;
-  util::put_u64(state, 64);     // dim
-  util::put_u64(state, kHuge);  // factors
-  for (int i = 0; i < 3; ++i) util::put_u64(state, 0);  // pins, iteration
-  util::put_u8(state, 0);       // ground truth unknown
-  util::put_u64(state, 0);      // no ground-truth indices
-  util::put_f64(state, 0.0);    // query noise
-  util::put_u64(state, 0);      // the query's one word
-  state.append(64, '\0');
-  EXPECT_THROW((void)io::load_resonator_snapshot(io::Artifact::load(
-                   write_one_section("hostile_factors.h3da",
-                                     io::SectionKind::kResonatorState,
-                                     state))),
-               io::ArtifactError);
-
-  // A well-formed snapshot whose limit-cycle table count says 2^40.
-  resonator::ResonatorSnapshot snap;
-  snap.query = hdc::BipolarVector(64);
-  snap.estimates = {hdc::BipolarVector(64)};
-  snap.decoded = {0};
-  io::ArtifactWriter writer;
-  io::add_resonator_snapshot(writer, snap);
-  const std::string src_path = temp_path("hostile_cycles_src.h3da");
-  writer.write(src_path);
-  const io::Artifact src = io::Artifact::load(src_path);
-  std::string cycles(src.section_bytes(src.sections().front()));
-  // The payload ends with the cycle-table count and the cycle-found flag.
-  std::string count;
-  util::put_u64(count, std::uint64_t{1} << 40);
-  cycles.replace(cycles.size() - 9, 8, count);
-  EXPECT_THROW((void)io::load_resonator_snapshot(io::Artifact::load(
-                   write_one_section("hostile_cycles.h3da",
-                                     io::SectionKind::kResonatorState,
-                                     cycles))),
-               io::ArtifactError);
 }
 
 // A dim whose word count wraps: (dim + 63) / 64 is 0 at dim = 2^64 − 1 and
@@ -469,34 +370,12 @@ TEST(IoFuzz, HugeDimFailsTyped) {
     writer.write(path);
     return path;
   };
-  auto state = [](std::uint64_t dim) {
-    std::string out;
-    util::put_u64(out, dim);
-    util::put_u64(out, 1);  // factors
-    for (int i = 0; i < 3; ++i) util::put_u64(out, 0);  // pins, iteration
-    util::put_u8(out, 0);      // ground truth unknown
-    util::put_u64(out, 0);     // no ground-truth indices
-    util::put_f64(out, 0.0);   // query noise
-    util::put_u64(out, 0);     // decoded index (no query/estimate words)
-    util::put_str(out, "");    // correct trace
-    for (int i = 0; i < 4; ++i) util::put_u64(out, 1);  // rng words
-    util::put_f64(out, 0.0);   // cached gaussian
-    util::put_u8(out, 0);      // none cached
-    util::put_u64(out, 0);     // no cycle table
-    util::put_u8(out, 0);      // no cycle found
-    return write_one_section("huge_dim_state.h3da",
-                             io::SectionKind::kResonatorState, out);
-  };
-
   for (const std::uint64_t dim : {kMax, kMax - 62}) {
     SCOPED_TRACE(dim);
     EXPECT_THROW((void)io::load_codebook_set(books(dim, 1)),
                  io::ArtifactError);
     EXPECT_THROW(
         (void)io::load_item_memory(io::Artifact::load(items(dim, 1))),
-        io::ArtifactError);
-    EXPECT_THROW(
-        (void)io::load_resonator_snapshot(io::Artifact::load(state(dim))),
         io::ArtifactError);
   }
   constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
@@ -702,95 +581,6 @@ TEST(WorkerSpaceCache, PinnedFingerprintMismatchFallsBackToSeed) {
   EXPECT_FALSE(space.from_artifact);
   EXPECT_EQ(space.fingerprint,
             hdc::set_fingerprint(make_generator(128, 2, 4, 3).codebooks()));
-}
-
-// --- resumable solves -------------------------------------------------------
-
-TEST(ResonatorResume, InterruptedPlusResumedMatchesUninterrupted) {
-  const resonator::ProblemGenerator gen = make_generator(128, 3, 32, 17);
-  resonator::ResonatorOptions opts;
-  opts.max_iterations = 40;
-  opts.record_correct_trace = true;
-  const resonator::ResonatorNetwork net(gen.codebooks_ptr(), opts);
-
-  util::Rng sample_rng(400);
-  const resonator::FactorizationProblem problem =
-      gen.sample_noisy(0.08, sample_rng);
-
-  std::vector<resonator::ResonatorSnapshot> snaps;
-  resonator::SnapshotPolicy policy;
-  policy.every = 1;
-  policy.ctx = &snaps;
-  policy.sink = [](const resonator::ResonatorSnapshot& s, void* ctx) {
-    static_cast<std::vector<resonator::ResonatorSnapshot>*>(ctx)->push_back(s);
-  };
-  util::Rng full_rng(99);
-  const resonator::ResonatorResult full = net.run(problem, full_rng, policy);
-  ASSERT_FALSE(snaps.empty());
-  ASSERT_GE(full.iterations, 1u);
-
-  // Resume from every captured iteration — each one must reproduce the
-  // uninterrupted result bit for bit, including through an artifact
-  // round-trip of the snapshot.
-  for (const resonator::ResonatorSnapshot& snap : snaps) {
-    io::ArtifactWriter writer;
-    io::add_resonator_snapshot(writer, snap);
-    const std::string path = temp_path("resume.h3da");
-    writer.write(path);
-    const resonator::ResonatorSnapshot loaded =
-        io::load_resonator_snapshot(io::Artifact::load(path));
-
-    util::Rng resume_rng(1);  // overwritten by the snapshot's state
-    const resonator::ResonatorResult resumed =
-        net.resume(loaded, resume_rng);
-    EXPECT_EQ(resumed.solved, full.solved) << "from iter " << snap.iteration;
-    EXPECT_EQ(resumed.decoded, full.decoded) << "from iter " << snap.iteration;
-    EXPECT_EQ(resumed.iterations, full.iterations)
-        << "from iter " << snap.iteration;
-    EXPECT_EQ(resumed.hit_iteration_cap, full.hit_iteration_cap)
-        << "from iter " << snap.iteration;
-    ASSERT_EQ(resumed.cycle.has_value(), full.cycle.has_value())
-        << "from iter " << snap.iteration;
-    if (full.cycle) {
-      EXPECT_EQ(resumed.cycle->first_seen, full.cycle->first_seen);
-      EXPECT_EQ(resumed.cycle->revisit, full.cycle->revisit);
-    }
-    EXPECT_EQ(resumed.correct_trace, full.correct_trace)
-        << "from iter " << snap.iteration;
-  }
-}
-
-TEST(ResonatorResume, MismatchedNetworkIsRejected) {
-  const resonator::ProblemGenerator gen = make_generator(128, 3, 16, 17);
-  resonator::ResonatorOptions opts;
-  opts.max_iterations = 30;
-  const resonator::ResonatorNetwork net(gen.codebooks_ptr(), opts);
-
-  util::Rng rng(5);
-  resonator::FactorizationProblem problem = gen.sample(rng);
-  std::vector<resonator::ResonatorSnapshot> snaps;
-  resonator::SnapshotPolicy policy;
-  policy.every = 1;
-  policy.ctx = &snaps;
-  policy.sink = [](const resonator::ResonatorSnapshot& s, void* ctx) {
-    static_cast<std::vector<resonator::ResonatorSnapshot>*>(ctx)->push_back(s);
-  };
-  (void)net.run(problem, rng, policy);
-  ASSERT_FALSE(snaps.empty());
-
-  // Different codebooks: fingerprint mismatch.
-  const resonator::ProblemGenerator other = make_generator(128, 3, 16, 18);
-  const resonator::ResonatorNetwork wrong_set(other.codebooks_ptr(), opts);
-  util::Rng r2(1);
-  EXPECT_THROW((void)wrong_set.resume(snaps.front(), r2), std::runtime_error);
-
-  // Same codebooks, different dynamics: options digest mismatch.
-  resonator::ResonatorOptions other_opts = opts;
-  other_opts.max_iterations = 31;
-  const resonator::ResonatorNetwork wrong_opts(gen.codebooks_ptr(),
-                                               other_opts);
-  EXPECT_THROW((void)wrong_opts.resume(snaps.front(), r2),
-               std::runtime_error);
 }
 
 // --- protocol v3 ------------------------------------------------------------

@@ -311,13 +311,6 @@ TEST(LimitCycleDetector, DetectsRevisit) {
   EXPECT_EQ(info->length(), 2u);
 }
 
-TEST(LimitCycleDetector, ResetClearsState) {
-  resonator::LimitCycleDetector det;
-  det.observe(1, 0);
-  det.reset();
-  EXPECT_FALSE(det.observe(1, 0).has_value());
-}
-
 TEST(Problem, CleanQueryMatchesComposition) {
   Rng rng(10);
   ProblemGenerator gen(512, 3, 8, rng);
@@ -476,6 +469,77 @@ TEST(Resonator, NoisyQueryNeedsLowerThreshold) {
   auto r = net.run(p, rng);
   EXPECT_TRUE(r.solved);
   EXPECT_TRUE(p.is_correct(r.decoded));
+}
+
+// The exact engine's loop, pinned bit for bit: how each run stops, what it
+// decodes, its trace and where it leaves the trial generator. A change to
+// the iteration core that moves one draw, tie or stop shows here, on every
+// kernel backend and compiler.
+TEST(Resonator, RunsArePinned) {
+  Rng master(42);
+  const ProblemGenerator gen(256, 4, 16, master);
+  const ResonatorNetwork baseline =
+      resonator::make_baseline(gen.codebooks_ptr(), 300);
+  ResonatorOptions traced =
+      resonator::make_h3dfact(gen.codebooks_ptr(), 60).options();
+  traced.record_correct_trace = true;
+  const ResonatorNetwork h3dfact(gen.codebooks_ptr(), traced);
+
+  struct Pinned {
+    const ResonatorNetwork* net;
+    std::uint64_t seed;
+    bool solved;
+    std::size_t iterations;
+    bool hit_cap;
+    std::vector<std::size_t> decoded;
+    std::size_t cycle_first, cycle_revisit;  // both 0: no cycle
+    std::string trace;                       // one '0'/'1' per entry
+    util::RngState rng;
+  };
+  const Pinned runs[] = {
+      // Baseline: solves, then stops on a limit cycle.
+      {&baseline, 1, true, 56, false, {11, 8, 9, 6}, 0, 0, "",
+       {{0x0fc6574b3be32e3cULL, 0xd5fb5cf5cb21d018ULL, 0x4b98ee82b9ad7512ULL,
+         0xafae710f211f295aULL},
+        0.0,
+        false}},
+      {&baseline, 6, false, 111, false, {11, 14, 9, 7}, 109, 111, "",
+       {{0x514d05891b7c132dULL, 0x248c42b07c5026feULL, 0x9bd9c413651caa29ULL,
+         0x02aa85aa4adce148ULL},
+        0.0,
+        false}},
+      // H3DFact: solves, then reaches the cap.
+      {&h3dfact, 4, true, 37, false, {4, 14, 7, 15}, 0, 0,
+       std::string(37, '0') + "1",
+       {{0xbbe12aecb6d6a6e9ULL, 0xe683fbbdce0349feULL, 0x230f5e4ecaf0c2d9ULL,
+         0xb35a96dfd06423b7ULL},
+        -0x1.d40b4189ae466p-1,
+        false}},
+      {&h3dfact, 5, false, 60, true, {6, 6, 5, 7}, 0, 0, std::string(61, '0'),
+       {{0x011dbd98d50045bfULL, 0xdb01be061b6e305fULL, 0x643b65a15dda613fULL,
+         0xcdb0f7ac7cf5b221ULL},
+        0x1.4922ed7e57de5p-4,
+        false}},
+  };
+  for (const Pinned& want : runs) {
+    SCOPED_TRACE(want.seed);
+    Rng trial(want.seed);
+    const FactorizationProblem p = gen.sample(trial);
+    const resonator::ResonatorResult r = want.net->run(p, trial);
+    EXPECT_EQ(r.solved, want.solved);
+    EXPECT_EQ(r.iterations, want.iterations);
+    EXPECT_EQ(r.hit_iteration_cap, want.hit_cap);
+    EXPECT_EQ(r.decoded, want.decoded);
+    EXPECT_EQ(r.cycle.has_value(), want.cycle_revisit != 0);
+    if (r.cycle) {
+      EXPECT_EQ(r.cycle->first_seen, want.cycle_first);
+      EXPECT_EQ(r.cycle->revisit, want.cycle_revisit);
+    }
+    std::string trace;
+    for (const char c : r.correct_trace) trace += c != 0 ? '1' : '0';
+    EXPECT_EQ(trace, want.trace);
+    EXPECT_EQ(trial.save_state(), want.rng);
+  }
 }
 
 TEST(Resonator, ProfilerAccumulatesAllPhases) {

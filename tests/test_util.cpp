@@ -401,6 +401,24 @@ TEST(Cli, RejectsWhitespacePaddedNumbers) {
   EXPECT_THROW((void)cli.f64("sigma", 0), std::invalid_argument);
 }
 
+// The one exit path of the bench mains: a thrown exception becomes exit
+// status 1 and one stderr line tagged with the program's basename; any
+// status the body returns passes through.
+TEST(Cli, RunMainTurnsExceptionsIntoExitOne) {
+  const char* argv[] = {"build/bench/table2_accuracy", "--rows=2"};
+  char** args = const_cast<char**>(argv);
+  testing::internal::CaptureStderr();
+  const int status = h3dfact::util::run_main(2, args, [](int, char**) -> int {
+    throw std::runtime_error("checkpoint 'x.json' cannot resume");
+  });
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "[table2_accuracy] checkpoint 'x.json' cannot resume\n");
+  EXPECT_EQ(status, 1);
+  EXPECT_EQ(
+      h3dfact::util::run_main(2, args, [](int argc, char**) { return argc; }),
+      2);
+}
+
 // --- annotated sync wrappers (util/sync.hpp) --------------------------------
 // Semantics must match the std:: primitives exactly; the wrappers add only
 // the thread-safety-analysis attribute surface.
