@@ -1,6 +1,7 @@
 // Microbenches of the hot kernels: packed binding, codebook similarity
 // (XOR+popcount), integer projection, sign activation (tie-free and with
-// random tie-breaks), the device-level crossbar MVM, and the
+// random tie-breaks), the fused projection and comparator per coefficient
+// mix, the device-level crossbar MVM, and the
 // batched-vs-per-call MVM paths of the batched engine. These quantify why
 // MVMs dominate (Fig. 1c), track kernel regressions, and show the batched
 // amortization (compare the *PerCall / *Batch pairs at equal {M, B}
@@ -298,6 +299,62 @@ void BM_SignActivationTies(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SignActivationTies);
+
+// The fused comparator (Codebook::project_sign) on one item at D=1024 and
+// M=16, per coefficient mix: no code (every element ties), one code, two
+// equal codes (half the elements tie), codes 15, 6 and 9 (a quarter tie)
+// and five codes. The first three take the packed path and the last two
+// are summed by project_rows. A pool of 64 items, each with the mix's
+// codes at random positions and signs, is cycled; ties draw from one
+// generator.
+enum class SignMix { kZero, kOneCode, kTwoEqual, kThreeTies, kFiveCodes };
+
+void BM_ProjectSign(benchmark::State& state, SignMix mix) {
+  constexpr std::size_t kM = 16;
+  util::Rng rng(14);
+  hdc::Codebook cb(1024, kM, rng);
+  std::vector<int> codes;
+  switch (mix) {
+    case SignMix::kZero:
+      break;
+    case SignMix::kOneCode:
+      codes = {9};
+      break;
+    case SignMix::kTwoEqual:
+      codes = {7, 7};
+      break;
+    case SignMix::kThreeTies:
+      codes = {15, 6, 9};
+      break;
+    case SignMix::kFiveCodes:
+      codes = {12, 5, 9, 3, 7};
+      break;
+  }
+  std::vector<std::vector<int>> pool(64, std::vector<int>(kM, 0));
+  for (auto& c : pool) {
+    for (const int code : codes) {
+      std::size_t slot = rng.below(kM);
+      while (c[slot] != 0) slot = rng.below(kM);
+      c[slot] = code * rng.bipolar();
+    }
+  }
+  std::vector<hdc::BipolarVector> out(1, hdc::BipolarVector(1024));
+  util::Rng tie_rng(15);
+  util::Rng* const rngs[] = {&tie_rng};
+  const hdc::kernels::KernelBackend& backend = hdc::kernels::active();
+  std::size_t next = 0;
+  for (auto _ : state) {
+    cb.project_sign({&pool[next], 1}, rngs, out, backend);
+    benchmark::DoNotOptimize(out[0].data());
+    benchmark::ClobberMemory();
+    next = (next + 1) % pool.size();
+  }
+}
+BENCHMARK_CAPTURE(BM_ProjectSign, zero, SignMix::kZero);
+BENCHMARK_CAPTURE(BM_ProjectSign, one_code, SignMix::kOneCode);
+BENCHMARK_CAPTURE(BM_ProjectSign, two_equal, SignMix::kTwoEqual);
+BENCHMARK_CAPTURE(BM_ProjectSign, three_ties, SignMix::kThreeTies);
+BENCHMARK_CAPTURE(BM_ProjectSign, five_codes, SignMix::kFiveCodes);
 
 void BM_H3dChannel(benchmark::State& state) {
   util::Rng rng(5);

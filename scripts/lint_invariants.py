@@ -44,9 +44,11 @@ perfbench/, the benchmark harness):
                worker command and execs it at once. Local sweep shards are
                threads; a second local process pool would duplicate them.
                Rng::fork(stream_id) takes an argument and is not matched.
-  raw-simd     Intrinsic headers (<immintrin.h>, <arm_neon.h>, ...) and
+  raw-simd     Intrinsic headers (<immintrin.h>, <arm_neon.h>, ...),
                x86 intrinsic tokens (_mm*_, __m128/__m256/__m512 types)
-               may appear only in the kernel backends
+               and the BMI2 bit deposit/extract (_pdep_u32/64,
+               _pext_u32/64, __builtin_ia32_pdep*/pext*) may appear only
+               in the kernel backends
                (src/hdc/kernels/*.cpp), so every SIMD path sits under the
                backend parity and fuzz suites.
   pragma-once  Every header opens with #pragma once as its first
@@ -58,7 +60,9 @@ path:line: [rule] message, and the exit status is the violation count
 capped at 1.
 
 `--self-test` runs every rule against scripts/lint_fixtures/, where each
-fixture file is a minimal violating snippet named after its rule; the
+fixture file is a minimal violating snippet named after its rule (a
+suffix after a dot, as in raw_simd.pdep.cpp, gives a rule more than one
+fixture); the
 linter must flag every fixture (and find nothing in the clean fixture) or
 the self-test fails. CI runs `lint_invariants.py && lint_invariants.py
 --self-test` so a silently-dead rule fails the build just like a
@@ -214,7 +218,8 @@ RULES = [
         "id": "raw-simd",
         "pattern": re.compile(
             r"#\s*include\s*<\s*(?:\w*intrin|arm_neon|arm_sve)\.h\s*>|"
-            r"(?<![\w])(?:_mm\d*_\w+|__m(?:128|256|512)\w*)"),
+            r"(?<![\w])(?:_mm\d*_\w+|__m(?:128|256|512)\w*|"
+            r"_p(?:dep|ext)_u(?:32|64)|__builtin_ia32_p(?:dep|ext)\w*)"),
         "allow": set(),
         "allow_re": SIMD_ALLOW_RE,
         "message": "SIMD intrinsics outside src/hdc/kernels/*.cpp; add the "
@@ -323,8 +328,8 @@ def self_test() -> int:
         if fixture.suffix not in {".hpp", ".cpp"}:
             continue
         # clean.hpp is the negative control; everything else names a rule.
-        expected = (None if fixture.stem == "clean"
-                    else fixture.stem.replace("_", "-"))
+        rule = fixture.stem.split(".")[0]
+        expected = None if rule == "clean" else rule.replace("_", "-")
         # Lint the fixture as if it lived in src/ so allowlists (which are
         # src/-relative) cannot mask it.
         hits = lint_file(fixture, f"src/fixture/{fixture.name}")

@@ -1,7 +1,7 @@
 #pragma once
 // Umbrella header: the full public API of the H3DFact reproduction.
 //
-// Layers (bottom-up; each usable on its own):
+// Thirteen layers (bottom-up; each usable on its own):
 //   util        — PRNG, statistics, tables, CLI
 //   hdc         — bipolar hypervector algebra, codebooks, item memory
 //   resonator   — baseline + stochastic resonator networks, channels, trials
@@ -14,6 +14,8 @@
 //   arch        — tiers, TSVs, designs, batch scheduler, full-chip facade
 //   ppa         — area / energy / timing models, floorplans, Table III
 //   thermal     — finite-volume steady-state stack solver (Fig. 5)
+//   dse         — design-space search: accuracy × hardware design points,
+//                 Pareto frontiers, successive halving
 //   perception  — RAVEN scenes, neural-frontend surrogate, pipeline (Fig. 7)
 
 #include "util/cli.hpp"
@@ -71,6 +73,12 @@
 
 #include "thermal/grid.hpp"
 #include "thermal/stack.hpp"
+
+#include "dse/evaluate.hpp"
+#include "dse/frontier.hpp"
+#include "dse/halving.hpp"
+#include "dse/pareto.hpp"
+#include "dse/space.hpp"
 
 #include "perception/frontend.hpp"
 #include "perception/pipeline.hpp"

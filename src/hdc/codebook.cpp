@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -80,8 +81,15 @@ Codebook Codebook::from_packed(std::size_t dim, std::size_t size,
   book.name_ = std::move(name);
   book.vectors_.reserve(size);
   for (std::size_t m = 0; m < size; ++m) {
-    book.vectors_.push_back(
-        BipolarVector::from_words(dim, words + m * per_row, per_row));
+    const std::uint64_t* row = words + m * per_row;
+    // The kernels read borrowed rows as they are, so a set bit past dim
+    // would change sums that the masked vectors and fingerprint never see.
+    if (dim % 64 != 0 && (row[per_row - 1] >> (dim % 64)) != 0) {
+      throw std::invalid_argument("from_packed: row " + std::to_string(m) +
+                                  " has bits set past dim " +
+                                  std::to_string(dim));
+    }
+    book.vectors_.push_back(BipolarVector::from_words(dim, row, per_row));
   }
   book.build_rows();
   if (borrow) {
@@ -131,6 +139,101 @@ RowList& nonzero_rows(const std::uint64_t* packed, std::size_t words,
 
 // Elements per fused projection chunk: the chunk's sums live on the stack.
 constexpr std::size_t kSignChunk = 4096;
+
+// Hands an item's sign and tie masks to `writer` a stack chunk at a time:
+// masks(w, neg, tie) gives word w's. The bits past `dim` are cleared here,
+// since masks built from constants or complements set them.
+template <typename Masks>
+void put_mask_words(std::size_t dim, SignWriter& writer, Masks masks) {
+  constexpr std::size_t kChunkWords = kSignChunk / 64;
+  // Left uninitialized: masks() writes every word put_masks reads.
+  std::uint64_t neg[kChunkWords];
+  std::uint64_t tie[kChunkWords];
+  const std::size_t nw = dim / 64 + (dim % 64 != 0);
+  for (std::size_t w0 = 0; w0 < nw; w0 += kChunkWords) {
+    const std::size_t n = std::min(nw - w0, kChunkWords);
+    for (std::size_t i = 0; i < n; ++i) masks(w0 + i, neg[i], tie[i]);
+    if (w0 + n == nw && dim % 64 != 0) {
+      const std::uint64_t live = (std::uint64_t{1} << (dim % 64)) - 1;
+      neg[n - 1] &= live;
+      tie[n - 1] &= live;
+    }
+    writer.put_masks(neg, tie, n);
+  }
+}
+
+// The packed path of project_sign, for items whose signs follow from at
+// most two of their rows without summing:
+//  - no nonzero coefficient: every sum is 0, so every element ties;
+//  - one dominant coefficient, 2|c| > Σ|c| with Σ|c| < 2^31: no sum wraps
+//    and the other rows cannot cancel it, so the signs are its row (the
+//    complement for c < 0) and nothing ties;
+//  - two coefficients: each sum is one of four values, one per bit
+//    pattern of the two rows, in project_rows' wrapping arithmetic, so
+//    the masks are a truth table over the row words.
+// Returns false for any other item, which the caller sums.
+bool put_packed(const RowList& list, std::size_t dim, SignWriter& writer) {
+  constexpr std::uint64_t kAll = ~std::uint64_t{0};
+  const std::size_t k = list.rows.size();
+  if (k == 0) {
+    put_mask_words(dim, writer,
+                   [](std::size_t, std::uint64_t& neg, std::uint64_t& tie) {
+                     neg = 0;
+                     tie = kAll;
+                   });
+    return true;
+  }
+  std::uint64_t sum = 0;  // Σ|c|, each term at most 2^31
+  std::uint64_t top = 0;
+  std::size_t top_j = 0;
+  for (std::size_t j = 0; j < k; ++j) {
+    const auto mag = static_cast<std::uint64_t>(
+        std::abs(static_cast<long long>(list.coeffs[j])));
+    sum += mag;
+    if (mag > top) {
+      top = mag;
+      top_j = j;
+    }
+  }
+  if (2 * top > sum && sum < (std::uint64_t{1} << 31)) {
+    const std::uint64_t* row = list.rows[top_j];
+    const std::uint64_t flip = list.coeffs[top_j] < 0 ? kAll : 0;
+    put_mask_words(dim, writer,
+                   [&](std::size_t w, std::uint64_t& neg, std::uint64_t& tie) {
+                     neg = row[w] ^ flip;
+                     tie = 0;
+                   });
+    return true;
+  }
+  if (k != 2) return false;
+  // Pattern p = b0 + 2·b1 sums to C − 2c0·b0 − 2c1·b1 (mod 2^32).
+  const auto c0 = static_cast<std::uint32_t>(list.coeffs[0]);
+  const auto c1 = static_cast<std::uint32_t>(list.coeffs[1]);
+  const std::uint32_t total = c0 + c1;
+  const std::uint32_t y[4] = {total, total - 2u * c0, total - 2u * c1,
+                              total - 2u * c0 - 2u * c1};
+  std::uint64_t neg_of[4];
+  std::uint64_t tie_of[4];
+  for (int p = 0; p < 4; ++p) {
+    neg_of[p] = (y[p] >> 31) != 0 ? kAll : 0;
+    tie_of[p] = y[p] == 0 ? kAll : 0;
+  }
+  const std::uint64_t* r0 = list.rows[0];
+  const std::uint64_t* r1 = list.rows[1];
+  put_mask_words(
+      dim, writer, [&](std::size_t w, std::uint64_t& neg, std::uint64_t& tie) {
+        const std::uint64_t a = r0[w];
+        const std::uint64_t b = r1[w];
+        const std::uint64_t pattern[4] = {~a & ~b, a & ~b, ~a & b, a & b};
+        neg = 0;
+        tie = 0;
+        for (int p = 0; p < 4; ++p) {
+          neg |= pattern[p] & neg_of[p];
+          tie |= pattern[p] & tie_of[p];
+        }
+      });
+  return true;
+}
 
 }  // namespace
 
@@ -275,6 +378,7 @@ void Codebook::project_sign(std::span<const std::vector<int>> coeffs,
     for (std::size_t b = b0; b < b1; ++b) {
       RowList& list = nonzero_rows(packed_data(), words_, coeffs[b]);
       SignWriter writer(dim_, rngs[b], out[b], backend);
+      if (put_packed(list, dim_, writer)) continue;
       for (std::size_t i = 0; i < dim_; i += kSignChunk) {
         if (i != 0) {
           for (auto& row : list.rows) row += kSignChunk / 64;

@@ -78,11 +78,13 @@ class Codebook {
 
   /// Rebuild from a row-major block of packed codevector words (`size` rows
   /// of ceil(dim/64) words each) — the deserialization path of src/io/.
-  /// With `borrow == false` the words are copied. With `borrow == true` the
-  /// kernels stream rows straight out of `words` (the mmap
-  /// zero-copy path): the caller must keep the block alive and unchanged
-  /// for the lifetime of the codebook and every copy of it (io::codec ties
-  /// the mapping's lifetime to the set with an aliasing shared_ptr).
+  /// Throws std::invalid_argument naming the first row with a bit set past
+  /// `dim`, in both modes. With `borrow == false` the words are copied.
+  /// With `borrow == true` the kernels stream rows straight out of `words`
+  /// (the mmap zero-copy path): the caller must keep the block alive and
+  /// unchanged for the lifetime of the codebook and every copy of it
+  /// (io::codec ties the mapping's lifetime to the set with an aliasing
+  /// shared_ptr).
   static Codebook from_packed(std::size_t dim, std::size_t size,
                               const std::uint64_t* words, std::size_t n_words,
                               std::string name = "", bool borrow = false);
@@ -137,12 +139,15 @@ class Codebook {
   /// Projection and comparator in one pass: out[b] = sign(X c_b) for every
   /// item b, ties broken by rngs[b] as sign_of(counts, rng) breaks them, or
   /// to +1 where rngs[b] is null. Bit for bit sign_of(project(c_b)) with
-  /// the same draws, but each 4096-element chunk of the projection lives
-  /// in stack scratch only, so no integer vector is written and nothing is
-  /// allocated once the calling thread is warm. Passes above the policy's
-  /// work threshold fan items across the KernelPool like project_batch;
-  /// each item draws only from its own generator, so items must not share
-  /// one. Every c_b has size() entries, and rngs and out match coeffs.
+  /// the same draws, but no integer vector is written and nothing is
+  /// allocated once the calling thread is warm: an item with no nonzero
+  /// coefficient, one dominant coefficient or two nonzero coefficients
+  /// takes its sign and tie masks straight from the packed rows, and any
+  /// other item is summed a 4096-element stack chunk at a time. Passes
+  /// above the policy's work threshold fan items across the KernelPool like
+  /// project_batch; each item draws only from its own generator, so items
+  /// must not share one. Every c_b has size() entries, and rngs and out
+  /// match coeffs.
   void project_sign(std::span<const std::vector<int>> coeffs,
                     std::span<util::Rng* const> rngs,
                     std::span<BipolarVector> out,

@@ -188,51 +188,60 @@ SignWriter::SignWriter(std::size_t dim, util::Rng* rng, BipolarVector& out,
 }
 
 void SignWriter::put(const int* values, std::size_t len) {
-  // Elements per sign_bits call: the tie masks of one chunk live on the
-  // stack. sign_bits writes every word (bit 1 encodes −1, ties left at +1),
-  // and the tied words then draw in element order.
+  // Elements per sign_bits call: the masks of one chunk live on the stack,
+  // left uninitialized because sign_bits writes every word put_masks reads.
   constexpr std::size_t kChunkWords = 64;
-  std::uint64_t zero[kChunkWords] = {};
+  std::uint64_t neg[kChunkWords];
+  std::uint64_t zero[kChunkWords];
   for (std::size_t i = 0; i < len; i += kChunkWords * 64) {
     const std::size_t n = std::min(len - i, kChunkWords * 64);
-    const std::size_t nw = words_for(n);
-    backend_.sign_bits(values + i, n, words_, zero);
-    if (rng_ != nullptr) {
-      for (std::size_t w = 0; w < nw; ++w) {
-        if (zero[w] != 0) break_ties(words_[w], zero[w]);
-      }
-    }
-    words_ += nw;
+    backend_.sign_bits(values + i, n, neg, zero);
+    put_masks(neg, zero, words_for(n));
   }
 }
 
-void SignWriter::break_ties(std::uint64_t& word, std::uint64_t ties) {
-  // Random bits for tie-breaks are drawn 64 at a time: early resonator
-  // iterations can produce all-zero projections (every element tied), and
-  // a per-element generator call would dominate the activation phase.
-  if (ties == ~std::uint64_t{0}) {
-    // A whole tied word takes the next 64 bits of the stream at once.
-    if (rnd_left_ == 0) {
-      word = rng_->bits64();
-    } else if (rnd_left_ == 64) {
-      word = rnd_;
-      rnd_left_ = 0;
-    } else {
-      const std::uint64_t next = rng_->bits64();
-      word = rnd_ | (next << rnd_left_);
-      rnd_ = next >> (64 - rnd_left_);
-    }
+void SignWriter::put_masks(const std::uint64_t* neg,
+                           const std::uint64_t* ties, std::size_t nw) {
+  std::uint64_t* out = words_;
+  words_ += nw;
+  // A tie reads +1 (bit 0), so without a generator the negative mask is
+  // the output.
+  if (rng_ == nullptr) {
+    std::copy_n(neg, nw, out);
     return;
   }
-  for (; ties != 0; ties &= ties - 1) {
-    if (rnd_left_ == 0) {
-      rnd_ = rng_->bits64();
-      rnd_left_ = 64;
+  // Random bits for tie-breaks are drawn 64 at a time (early resonator
+  // iterations can tie every element, and a per-element generator call
+  // would dominate the activation), and a tied word takes its
+  // popcount(ties) stream bits in one deposit. The stream lives in locals:
+  // `out` may alias the members as far as the compiler can tell.
+  std::uint64_t rnd = rnd_;
+  int left = rnd_left_;
+  for (std::size_t w = 0; w < nw; ++w) {
+    std::uint64_t word = neg[w];
+    const std::uint64_t tied = ties[w];
+    if (tied != 0) {
+      // A whole tied word takes 64 stream bits as they are.
+      const bool whole = tied == ~std::uint64_t{0};
+      const int need = whole ? 64 : std::popcount(tied);
+      std::uint64_t bits = rnd;
+      if (need <= left) {
+        rnd = need == 64 ? 0 : rnd >> need;
+        left -= need;
+      } else {
+        // left < need <= 64: one draw covers the rest.
+        const std::uint64_t next = rng_->bits64();
+        bits |= next << left;
+        const int used = need - left;
+        rnd = used == 64 ? 0 : next >> used;
+        left = 64 - used;
+      }
+      word |= whole ? bits : backend_.deposit(bits, tied);
     }
-    word |= (rnd_ & 1u) << std::countr_zero(ties);
-    rnd_ >>= 1;
-    --rnd_left_;
+    out[w] = word;
   }
+  rnd_ = rnd;
+  rnd_left_ = left;
 }
 
 BipolarVector sign_of(std::span<const int> counts) {

@@ -116,7 +116,8 @@ class SignWriter {
  public:
   /// Signs of `dim` values into `out` (resized unless its dimension is
   /// already `dim`). Ties break as in sign_of: randomly from `rng`, or to +1
-  /// when `rng` is null. The sign masks come from `backend`'s sign_bits.
+  /// when `rng` is null. The sign masks come from `backend`'s sign_bits,
+  /// and each tied word takes its stream bits through `backend`'s deposit.
   SignWriter(std::size_t dim, util::Rng* rng, BipolarVector& out,
              const kernels::KernelBackend& backend);
 
@@ -124,9 +125,15 @@ class SignWriter {
   /// of 64 values.
   void put(const int* values, std::size_t len);
 
- private:
-  void break_ties(std::uint64_t& word, std::uint64_t ties);
+  /// The next `nw` output words given as masks, as sign_bits packs them:
+  /// bit j of neg[w] marks a negative element and bit j of ties[w] a zero
+  /// one, never both. Bits past the dimension must be 0 in both. put()
+  /// ends here, and Codebook::project_sign calls it with masks it builds
+  /// straight from the packed rows.
+  void put_masks(const std::uint64_t* neg, const std::uint64_t* ties,
+                 std::size_t nw);
 
+ private:
   const kernels::KernelBackend& backend_;
   util::Rng* rng_;
   std::uint64_t* words_;  // the next output word

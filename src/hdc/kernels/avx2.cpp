@@ -4,6 +4,7 @@
 // dispatch layer can list it only where it runs.
 
 #include "hdc/kernels/backend.hpp"
+#include "hdc/kernels/capability.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define H3DFACT_KERNELS_AVX2 1
@@ -143,14 +144,24 @@ __attribute__((target("avx2"))) void sign_bits_avx2(const int* y,
   }
 }
 
-constexpr KernelBackend kAvx2{"avx2", project_rows_avx2, similarity_tile_avx2,
-                              sign_bits_avx2};
+__attribute__((target("bmi2"))) std::uint64_t deposit_bmi2(
+    std::uint64_t src, std::uint64_t mask) {
+  return _pdep_u64(src, mask);
+}
 
 }  // namespace
 
+// PDEP where the probe reports BMI2, else the scalar loop.
 const KernelBackend* avx2_backend() {
-  static const bool ok = __builtin_cpu_supports("avx2");
-  return ok ? &kAvx2 : nullptr;
+  static const KernelBackend* selected = []() -> const KernelBackend* {
+    const CpuCapabilities& caps = probe();
+    if (!caps.avx2) return nullptr;
+    static const KernelBackend kAvx2{
+        "avx2", project_rows_avx2, similarity_tile_avx2, sign_bits_avx2,
+        caps.bmi2 ? deposit_bmi2 : scalar_backend()->deposit};
+    return &kAvx2;
+  }();
+  return selected;
 }
 
 #else  // !H3DFACT_KERNELS_AVX2

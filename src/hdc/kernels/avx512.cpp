@@ -9,6 +9,7 @@
 // the backend itself only reports what can run.
 
 #include "hdc/kernels/backend.hpp"
+#include "hdc/kernels/capability.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define H3DFACT_KERNELS_AVX512 1
@@ -160,24 +161,25 @@ __attribute__((target("avx512f"))) void sign_bits_avx512(const int* y,
   }
 }
 
-constexpr KernelBackend kAvx512Pop{"avx512", project_rows_avx512,
-                                   similarity_tile_avx512pop,
-                                   sign_bits_avx512};
-
-constexpr KernelBackend kAvx512Lut{"avx512", project_rows_avx512,
-                                   similarity_tile_avx512lut,
-                                   sign_bits_avx512};
+__attribute__((target("bmi2"))) std::uint64_t deposit_bmi2(
+    std::uint64_t src, std::uint64_t mask) {
+  return _pdep_u64(src, mask);
+}
 
 }  // namespace
 
+// The popcount variant by VPOPCNTDQ, and PDEP where the probe reports
+// BMI2, else the scalar loop.
 const KernelBackend* avx512_backend() {
   static const KernelBackend* selected = []() -> const KernelBackend* {
-    if (!__builtin_cpu_supports("avx512f") ||
-        !__builtin_cpu_supports("avx512bw")) {
-      return nullptr;
-    }
-    return __builtin_cpu_supports("avx512vpopcntdq") ? &kAvx512Pop
-                                                     : &kAvx512Lut;
+    const CpuCapabilities& caps = probe();
+    if (!caps.avx512f || !caps.avx512bw) return nullptr;
+    static const KernelBackend kAvx512{
+        "avx512", project_rows_avx512,
+        caps.avx512vpopcntdq ? similarity_tile_avx512pop
+                             : similarity_tile_avx512lut,
+        sign_bits_avx512, caps.bmi2 ? deposit_bmi2 : scalar_backend()->deposit};
+    return &kAvx512;
   }();
   return selected;
 }

@@ -1,17 +1,18 @@
 #pragma once
-// Multi-ISA kernel backend layer for the three hot-path primitives of a
+// Multi-ISA kernel backend layer for the hot-path primitives of a
 // resonator step: the XOR+popcount similarity tile, the projection the
 // codebook computes straight from its packed ±1 rows, and the sign masks
-// the comparator (hdc::sign_of, Codebook::project_sign) packs. Each backend
-// is one translation unit compiled for its ISA (scalar always; SSE2 at the
-// x86-64 baseline; AVX2 and AVX-512 via function-level target attributes on
-// x86_64; NEON on aarch64 where Advanced SIMD is baseline). Selection
-// happens once at runtime by scoring every compiled-in backend against the
-// probed CPU capabilities (capability.hpp + policy.hpp — not first-match
-// order), overridable by the H3DFACT_KERNEL_BACKEND environment variable or
-// programmatically via force_backend() — so any compiled-in backend can be
-// exercised on any host that supports it, and the parity/fuzz suites can pin
-// every backend against scalar bit for bit.
+// and tie deposit of the comparator (hdc::sign_of, Codebook::project_sign).
+// Each backend is one translation unit compiled for its ISA (scalar
+// always; SSE2 at the x86-64 baseline; AVX2 and AVX-512 via function-level
+// target attributes on x86_64; NEON on aarch64 where Advanced SIMD is
+// baseline). Selection happens once at runtime by scoring every
+// compiled-in backend against the probed CPU capabilities (capability.hpp +
+// policy.hpp — not first-match order), overridable by the
+// H3DFACT_KERNEL_BACKEND environment variable or programmatically via
+// force_backend() — so any compiled-in backend can be exercised on any host
+// that supports it, and the parity/fuzz suites can pin every backend
+// against scalar bit for bit.
 //
 // The contract for every entry point is exact integer arithmetic: all
 // backends must produce bit-identical results for identical inputs. The
@@ -65,6 +66,12 @@ struct KernelBackend {
   /// ceil(n/64) words to each; bits past n are 0.
   void (*sign_bits)(const int* y, std::size_t n, std::uint64_t* neg,
                     std::uint64_t* zero);
+
+  /// Bit deposit (BMI2 PDEP): the low popcount(mask) bits of src, lowest
+  /// first, placed at the set bits of mask, lowest first; every other bit
+  /// is 0. The comparator (hdc::SignWriter) fills a word's ties from its
+  /// random stream with one call.
+  std::uint64_t (*deposit)(std::uint64_t src, std::uint64_t mask);
 };
 
 /// Every backend compiled into this binary that can run on this CPU, scalar

@@ -14,6 +14,7 @@ std::string CpuCapabilities::to_string() const {
   add(avx512f, "avx512f");
   add(avx512bw, "avx512bw");
   add(avx512vpopcntdq, "avx512vpopcntdq");
+  add(bmi2, "bmi2");
   add(neon, "neon");
   if (out.empty()) out = "none";
   return out;
@@ -30,6 +31,7 @@ CpuCapabilities probe_once() {
   caps.avx512f = __builtin_cpu_supports("avx512f");
   caps.avx512bw = __builtin_cpu_supports("avx512bw");
   caps.avx512vpopcntdq = __builtin_cpu_supports("avx512vpopcntdq");
+  caps.bmi2 = __builtin_cpu_supports("bmi2");
 #elif defined(__aarch64__) || defined(_M_ARM64)
   // Advanced SIMD is mandatory in AArch64: no runtime probe needed.
   caps.neon = true;

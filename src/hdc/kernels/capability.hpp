@@ -20,6 +20,7 @@ struct CpuCapabilities {
   bool avx512f = false;          ///< 512-bit foundation
   bool avx512bw = false;         ///< 512-bit byte/word ops (the LUT popcount)
   bool avx512vpopcntdq = false;  ///< hardware 64-bit lane popcount
+  bool bmi2 = false;             ///< PDEP (the comparator's tie deposit)
   bool neon = false;             ///< aarch64 Advanced SIMD (baseline there)
 
   /// Human-readable feature list, e.g. "sse2 avx2 avx512f" ("none" when

@@ -108,8 +108,20 @@ void sign_bits_scalar(const int* y, std::size_t n, std::uint64_t* neg,
   }
 }
 
+// PDEP without BMI2: each set bit of the mask, lowest first, takes the
+// next bit shifted out of src; both stay in registers.
+std::uint64_t deposit_scalar(std::uint64_t src, std::uint64_t mask) {
+  std::uint64_t out = 0;
+  for (; mask != 0; mask &= mask - 1) {
+    out |= (src & 1u) << std::countr_zero(mask);
+    src >>= 1;
+  }
+  return out;
+}
+
 constexpr KernelBackend kScalar{"scalar", project_rows_scalar,
-                                 similarity_tile_scalar, sign_bits_scalar};
+                                 similarity_tile_scalar, sign_bits_scalar,
+                                 deposit_scalar};
 
 }  // namespace
 

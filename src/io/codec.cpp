@@ -1,5 +1,6 @@
 #include "io/codec.hpp"
 
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -113,10 +114,15 @@ LoadedCodebookSet load_codebook_set(Artifact artifact) {
     }
     // Borrow the rows in place: the holder owns the backing bytes (mmap or
     // heap image) for as long as any copy of the set lives.
-    books.push_back(hdc::Codebook::from_packed(
-        static_cast<std::size_t>(dim),
-        static_cast<std::size_t>(book_meta[f].size), words, n_words,
-        book_meta[f].name, /*borrow=*/true));
+    try {
+      books.push_back(hdc::Codebook::from_packed(
+          static_cast<std::size_t>(dim),
+          static_cast<std::size_t>(book_meta[f].size), words, n_words,
+          book_meta[f].name, /*borrow=*/true));
+    } catch (const std::invalid_argument& e) {
+      throw ArtifactError(path, "codebook-words section for factor " +
+                                    std::to_string(f) + ": " + e.what());
+    }
   }
   holder->set = hdc::CodebookSet(std::move(books));
 

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <gtest/gtest.h>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -13,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cim/engine.hpp"
@@ -352,24 +354,86 @@ TEST(ThreadedEngine, ExactEngineBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// The coefficient patterns that decide the comparator's tie draws.
-enum class Coeffs { kZero, kOneCode, kEqualCodes, kDenseNegative, kPlusMinusD };
+// The coefficient patterns that decide the comparator's path and its tie
+// draws: the packed path (no code, one dominant code, two codes) and the
+// summed one (three or more codes without a dominant one, or a dominant
+// one whose magnitudes reach 2^31).
+enum class Coeffs {
+  kZero,
+  kOneCode,
+  kEqualCodes,
+  kDominantNegative,
+  kOppositeEqual,
+  kSumOfTwo,
+  kBelowGuard,
+  kAtGuard,
+  kManyCodes,
+  kDenseNegative,
+  kPlusMinusD,
+};
 
 std::vector<int> pattern_coeffs(Coeffs kind, std::size_t m, std::size_t dim,
                                 util::Rng& rng) {
   std::vector<int> c(m, 0);
   const auto d = static_cast<int>(dim);
-  const auto pick = [&] { return static_cast<std::size_t>(rng.below(m)); };
+  // Distinct random positions, so codes never land on one coefficient.
+  std::vector<std::size_t> slots(m);
+  for (std::size_t i = 0; i < m; ++i) slots[i] = i;
+  for (std::size_t i = m - 1; i > 0; --i) {
+    std::swap(slots[i], slots[rng.below(i + 1)]);
+  }
+  const auto sign = [&] { return rng.bipolar(); };
   switch (kind) {
     case Coeffs::kZero:  // every element tied: whole-word draws
       break;
     case Coeffs::kOneCode:
-      c[pick()] = static_cast<int>(rng.range(1, 15));
+      c[slots[0]] = static_cast<int>(rng.range(1, 15));
       break;
     case Coeffs::kEqualCodes: {  // x_a + x_b is 0 where they differ
       const int code = static_cast<int>(rng.range(1, 15));
       c[0] = code;
       c[m - 1] = code;
+      break;
+    }
+    case Coeffs::kDominantNegative:  // −8..−15 against at most 6 in total
+      c[slots[0]] = -static_cast<int>(rng.range(8, 15));
+      c[slots[1]] = static_cast<int>(rng.range(0, 3)) * sign();
+      c[slots[2]] = static_cast<int>(rng.range(0, 3)) * sign();
+      break;
+    case Coeffs::kOppositeEqual: {  // x_a − x_b is 0 where they agree
+      const int code = static_cast<int>(rng.range(1, 15));
+      c[slots[0]] = code;
+      c[slots[1]] = -code;
+      break;
+    }
+    case Coeffs::kSumOfTwo: {  // c1 = c2 + c3: a quarter of the sums are 0
+      const int c2 = static_cast<int>(rng.range(1, 7));
+      const int c3 = static_cast<int>(rng.range(1, 7));
+      const int s = sign();
+      c[slots[0]] = s * (c2 + c3);
+      c[slots[1]] = s * c2;
+      c[slots[2]] = s * c3;
+      break;
+    }
+    case Coeffs::kBelowGuard:  // Σ|c| = 2^31 − 1: dominant, no sum wraps
+      c[slots[0]] = sign() * (std::numeric_limits<int>::max() - 3);
+      c[slots[1]] = sign();
+      c[slots[2]] = 2 * sign();
+      break;
+    case Coeffs::kAtGuard:  // Σ|c| = 2^31: dominant, but a sum can wrap
+      if (rng.bernoulli(0.5)) {
+        c[slots[0]] = sign() * (std::numeric_limits<int>::max() - 2);
+        c[slots[1]] = sign();
+        c[slots[2]] = 2 * sign();
+      } else {
+        c[slots[0]] = std::numeric_limits<int>::min();
+      }
+      break;
+    case Coeffs::kManyCodes: {  // k = 3..12 codes, mostly no dominant one
+      const auto k = static_cast<std::size_t>(rng.range(3, 12));
+      for (std::size_t j = 0; j < k && j < m; ++j) {
+        c[slots[j]] = static_cast<int>(rng.range(1, 15)) * sign();
+      }
       break;
     }
     case Coeffs::kDenseNegative:
@@ -386,7 +450,8 @@ std::vector<int> pattern_coeffs(Coeffs kind, std::size_t m, std::size_t dim,
 // sign_of(project(c)) with the projection on the scalar reference backend:
 // the same words for every item, every tie generator left in the same
 // state, the device generator untouched, at kernel threads 1, 2 and 8 with
-// the fan-out forced on.
+// the fan-out forced on, over owned rows and rows borrowed from a packed
+// block (the mmap path).
 TEST(FusedProjection, MatchesSignOfProject) {
   PoolGuard guard;
   namespace kernels = h3dfact::hdc::kernels;
@@ -394,14 +459,20 @@ TEST(FusedProjection, MatchesSignOfProject) {
   policy.parallel_min_work = 1;
   kernels::force_policy(policy);
   util::Rng rng(2301);
-  constexpr std::size_t kM = 7;
-  for (const std::size_t dim : {1u, 63u, 64u, 1000u, 1024u, 4161u, 10000u}) {
-    auto set = std::make_shared<hdc::CodebookSet>(dim, 1, kM, rng);
-    const hdc::Codebook& book = set->book(0);
-    resonator::ExactMvmEngine engine(set);
+  constexpr std::size_t kM = 13;
+  for (const std::size_t dim :
+       {1u, 63u, 64u, 65u, 1000u, 1024u, 4161u, 10000u}) {
+    auto owned = std::make_shared<hdc::CodebookSet>(dim, 1, kM, rng);
+    const hdc::Codebook& book = owned->book(0);
+    auto borrowed = std::make_shared<hdc::CodebookSet>(
+        std::vector<hdc::Codebook>{hdc::Codebook::from_packed(
+            dim, kM, book.packed_data(), kM * book.words_per_row(), "",
+            /*borrow=*/true)});
     for (const Coeffs kind :
          {Coeffs::kZero, Coeffs::kOneCode, Coeffs::kEqualCodes,
-          Coeffs::kDenseNegative, Coeffs::kPlusMinusD}) {
+          Coeffs::kDominantNegative, Coeffs::kOppositeEqual,
+          Coeffs::kSumOfTwo, Coeffs::kBelowGuard, Coeffs::kAtGuard,
+          Coeffs::kManyCodes, Coeffs::kDenseNegative, Coeffs::kPlusMinusD}) {
       for (std::size_t batch = 1; batch <= 5; ++batch) {
         std::vector<std::vector<int>> coeffs;
         for (std::size_t b = 0; b < batch; ++b) {
@@ -418,29 +489,37 @@ TEST(FusedProjection, MatchesSignOfProject) {
             want.push_back(random_ties ? hdc::sign_of(y, want_rngs[b])
                                        : hdc::sign_of(y));
           }
-          for (const unsigned threads : {1u, 2u, 8u}) {
-            kernels::set_kernel_threads(threads);
-            std::vector<util::Rng> rngs;
-            std::vector<util::Rng*> tie_rngs;
-            for (std::size_t b = 0; b < batch; ++b) rngs.emplace_back(seed + b);
-            for (auto& r : rngs) tie_rngs.push_back(random_ties ? &r : nullptr);
-            // Stale outputs: one of the right size, the rest resized.
-            std::vector<hdc::BipolarVector> out(batch);
-            out[0] = hdc::BipolarVector::random(dim, rng);
-            util::Rng device(seed);
-            engine.project_sign(0, coeffs, tie_rngs, device, out);
-            const std::string where =
-                "dim=" + std::to_string(dim) +
-                " kind=" + std::to_string(static_cast<int>(kind)) +
-                " batch=" + std::to_string(batch) +
-                " random_ties=" + std::to_string(random_ties) +
-                " threads=" + std::to_string(threads);
-            EXPECT_EQ(device.save_state(), util::Rng(seed).save_state())
-                << where;
-            for (std::size_t b = 0; b < batch; ++b) {
-              ASSERT_EQ(out[b], want[b]) << where << " item " << b;
-              EXPECT_EQ(rngs[b].save_state(), want_rngs[b].save_state())
-                  << where << " item " << b;
+          for (const auto& set : {owned, borrowed}) {
+            resonator::ExactMvmEngine engine(set);
+            for (const unsigned threads : {1u, 2u, 8u}) {
+              kernels::set_kernel_threads(threads);
+              std::vector<util::Rng> rngs;
+              std::vector<util::Rng*> tie_rngs;
+              for (std::size_t b = 0; b < batch; ++b) {
+                rngs.emplace_back(seed + b);
+              }
+              for (auto& r : rngs) {
+                tie_rngs.push_back(random_ties ? &r : nullptr);
+              }
+              // Stale outputs: one of the right size, the rest resized.
+              std::vector<hdc::BipolarVector> out(batch);
+              out[0] = hdc::BipolarVector::random(dim, rng);
+              util::Rng device(seed);
+              engine.project_sign(0, coeffs, tie_rngs, device, out);
+              const std::string where =
+                  "dim=" + std::to_string(dim) +
+                  " kind=" + std::to_string(static_cast<int>(kind)) +
+                  " batch=" + std::to_string(batch) +
+                  " random_ties=" + std::to_string(random_ties) +
+                  " borrowed=" + std::to_string(set == borrowed) +
+                  " threads=" + std::to_string(threads);
+              EXPECT_EQ(device.save_state(), util::Rng(seed).save_state())
+                  << where;
+              for (std::size_t b = 0; b < batch; ++b) {
+                ASSERT_EQ(out[b], want[b]) << where << " item " << b;
+                EXPECT_EQ(rngs[b].save_state(), want_rngs[b].save_state())
+                    << where << " item " << b;
+              }
             }
           }
         }

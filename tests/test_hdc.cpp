@@ -399,6 +399,46 @@ TEST(Codebook, WrongSizeArgumentsThrow) {
   EXPECT_THROW((void)cb.project({1, 2}), std::invalid_argument);
 }
 
+// A row with a bit set past dim is refused whether its words would be
+// copied or borrowed: borrowed rows reach the kernels as they are, while
+// the vectors and the set fingerprint only ever see masked copies.
+TEST(Codebook, FromPackedRefusesBitsPastDim) {
+  Rng rng(32);
+  for (const std::size_t dim : {1u, 63u, 1000u}) {
+    const Codebook owned(dim, 3, rng);
+    const std::size_t wpr = owned.words_per_row();
+    std::vector<std::uint64_t> packed(owned.packed_data(),
+                                      owned.packed_data() + 3 * wpr);
+    for (const bool borrow : {false, true}) {
+      EXPECT_EQ(Codebook::from_packed(dim, 3, packed.data(), packed.size(),
+                                      "", borrow)
+                    .vector(1),
+                owned.vector(1))
+          << dim;
+    }
+    for (const int bit : {static_cast<int>(dim % 64), 63}) {
+      std::vector<std::uint64_t> dirty = packed;
+      dirty[2 * wpr - 1] |= std::uint64_t{1} << bit;  // row 1's last word
+      for (const bool borrow : {false, true}) {
+        try {
+          (void)Codebook::from_packed(dim, 3, dirty.data(), dirty.size(), "",
+                                      borrow);
+          ADD_FAILURE() << "accepted: dim=" << dim << " bit=" << bit
+                        << " borrow=" << borrow;
+        } catch (const std::invalid_argument& e) {
+          EXPECT_NE(std::string(e.what()).find("row 1 "), std::string::npos)
+              << e.what();
+        }
+      }
+    }
+  }
+  // At a multiple of 64 every bit of the last word is inside dim.
+  std::vector<std::uint64_t> full(2, ~std::uint64_t{0});
+  EXPECT_EQ(Codebook::from_packed(64, 2, full.data(), full.size(), "", true)
+                .vector(0),
+            BipolarVector(64).negate());
+}
+
 TEST(CodebookSet, ComposeBindsMembers) {
   Rng rng(29);
   CodebookSet set(256, 3, 8, rng);

@@ -299,6 +299,58 @@ TEST(IoFuzz, WrongKindAndShortPayloadsFailTyped) {
   EXPECT_THROW((void)io::load_codebook_set(bad_path), io::ArtifactError);
 }
 
+// Codebook rows with a bit set past dim. The fingerprint hashes the masked
+// vectors, so such an artifact passes every digest and the fingerprint
+// check, but its borrowed rows would reach the kernels with the extra bit
+// and read wrong similarities. The load fails typed, naming the path, the
+// factor and the row, on both read paths.
+TEST(IoFuzz, CodebookBitsPastDimFailTyped) {
+  const resonator::ProblemGenerator gen = make_generator(1000, 2, 3, 17);
+  const hdc::CodebookSet& set = gen.codebooks();
+  // add_codebook_set's layout, with one word of factor 1, row 2 set to
+  // `extra` past dim.
+  const auto write = [&](const std::string& name, std::uint64_t extra) {
+    io::ArtifactWriter writer;
+    std::string meta;
+    util::put_u64(meta, set.dim());
+    util::put_u64(meta, set.factors());
+    util::put_u64(meta, hdc::set_fingerprint(set));
+    for (std::size_t f = 0; f < set.factors(); ++f) {
+      util::put_u64(meta, set.book(f).size());
+      util::put_str(meta, set.book(f).name());
+    }
+    writer.add_section(io::SectionKind::kCodebookSetMeta, std::move(meta));
+    for (std::size_t f = 0; f < set.factors(); ++f) {
+      const hdc::Codebook& book = set.book(f);
+      const std::size_t wpr = book.words_per_row();
+      std::vector<std::uint64_t> words(book.packed_data(),
+                                       book.packed_data() + book.size() * wpr);
+      if (f == 1) words[3 * wpr - 1] |= extra;
+      std::string payload;
+      util::put_words(payload, words.data(), words.size());
+      writer.add_section(io::SectionKind::kCodebookWords, std::move(payload));
+    }
+    const std::string path = temp_path(name);
+    writer.write(path);
+    return path;
+  };
+  const std::string clean = write("fuzz_tail_clean.h3da", 0);
+  EXPECT_EQ(io::load_codebook_set(clean).fingerprint,
+            hdc::set_fingerprint(set));
+  const std::string dirty =
+      write("fuzz_tail_dirty.h3da", std::uint64_t{1} << (1000 % 64));
+  for (const io::LoadMode mode : {io::LoadMode::kHeap, io::LoadMode::kAuto}) {
+    try {
+      (void)io::load_codebook_set(dirty, mode);
+      ADD_FAILURE() << "bits past dim were accepted";
+    } catch (const io::ArtifactError& e) {
+      EXPECT_EQ(e.path(), dirty);
+      EXPECT_NE(e.detail().find("factor 1"), std::string::npos) << e.what();
+      EXPECT_NE(e.detail().find("row 2"), std::string::npos) << e.what();
+    }
+  }
+}
+
 /// A digest-valid artifact holding one section of `kind` with `payload`.
 std::string write_one_section(const std::string& name, io::SectionKind kind,
                               std::string payload) {

@@ -22,6 +22,8 @@
 //   sign_bits        whole words plus every tail length 0..63, from
 //                    unaligned starts, over int extremes; no write past
 //                    the last word.
+//   deposit          single-bit, all-but-one, low and high runs,
+//                    alternating and random masks of every density.
 //   project_batch    batch ∈ {0, 1, many}, all-zero coefficient rows.
 //   codebook paths   per-call vs tiled policy × 1/2/8 pool threads: the
 //                    engine-level fan-out must be bit-identical to the
@@ -250,6 +252,42 @@ TEST(KernelFuzz, SignBitsBitIdenticalAcrossTailsAndAlignments) {
           ASSERT_EQ(got_neg[nw], kSentinel) << backend->name << " n=" << n;
           ASSERT_EQ(got_zero[nw], kSentinel) << backend->name << " n=" << n;
         }
+      }
+    }
+  }
+}
+
+// deposit differenced against scalar over every single-bit and all-but-one
+// mask, low and high runs of every length, both alternating phases and
+// random masks of every density, each with sources that are empty, full,
+// alternating and random.
+TEST(KernelFuzz, DepositBitIdenticalOverMaskShapes) {
+  const KernelBackend* scalar = kernels::scalar_backend();
+  Rng rng(0xF0220009);
+  constexpr std::uint64_t kAll = ~std::uint64_t{0};
+  std::vector<std::uint64_t> masks = {0, kAll, 0x5555555555555555ULL,
+                                      0xAAAAAAAAAAAAAAAAULL};
+  for (int b = 0; b < 64; ++b) {
+    const std::uint64_t bit = std::uint64_t{1} << b;
+    masks.push_back(bit);
+    masks.push_back(~bit);
+    masks.push_back(bit - 1);     // the low b bits
+    masks.push_back(~(bit - 1));  // all but the low b bits
+  }
+  for (int i = 0; i < 512; ++i) {
+    std::uint64_t mask = rng.next();
+    for (std::uint64_t d = rng.below(4); d > 0; --d) mask &= rng.next();
+    for (std::uint64_t d = rng.below(4); d > 0; --d) mask |= rng.next();
+    masks.push_back(mask);
+  }
+  for (const KernelBackend* backend : fuzz_backends()) {
+    for (const std::uint64_t mask : masks) {
+      const std::uint64_t srcs[] = {0, kAll, 0x5555555555555555ULL,
+                                    rng.next()};
+      for (const std::uint64_t src : srcs) {
+        ASSERT_EQ(backend->deposit(src, mask), scalar->deposit(src, mask))
+            << backend->name << std::hex << " src=" << src
+            << " mask=" << mask;
       }
     }
   }

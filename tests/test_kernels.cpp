@@ -63,6 +63,19 @@ std::vector<int> naive_project(const std::vector<const std::uint64_t*>& rows,
   return y;
 }
 
+// PDEP spelled out: bit i of src lands on the i-th lowest set bit of mask.
+std::uint64_t naive_deposit(std::uint64_t src, std::uint64_t mask) {
+  std::uint64_t out = 0;
+  int next = 0;
+  for (int pos = 0; pos < 64; ++pos) {
+    if (((mask >> pos) & 1u) != 0) {
+      out |= ((src >> next) & 1u) << pos;
+      ++next;
+    }
+  }
+  return out;
+}
+
 // One row against one query through similarity_tile: dim − 2·popcount(a^b),
 // which isolates each backend's XOR+popcount helper.
 int one_row_similarity(const KernelBackend& backend, const std::uint64_t* a,
@@ -160,6 +173,15 @@ TEST(KernelCapability, ProbeMatchesCompiledInBackends) {
   EXPECT_EQ(kernels::find("avx2") != nullptr, caps.avx2);
   EXPECT_EQ(kernels::find("avx512") != nullptr,
             caps.avx512f && caps.avx512bw);
+  // Their deposit is PDEP where the probe reports BMI2, else the scalar
+  // loop that sse2 always takes.
+  const KernelBackend* scalar = kernels::scalar_backend();
+  for (const char* name : {"avx2", "avx512"}) {
+    if (const KernelBackend* b = kernels::find(name)) {
+      EXPECT_EQ(b->deposit != scalar->deposit, caps.bmi2) << name;
+    }
+  }
+  EXPECT_EQ(kernels::find("sse2")->deposit, scalar->deposit);
 #elif defined(__aarch64__)
   EXPECT_TRUE(caps.neon);
   EXPECT_FALSE(caps.sse2);
@@ -336,6 +358,35 @@ TEST(KernelParity, SignBitsMatchesScalar) {
       scalar->sign_bits(y.data(), n, want_neg.data(), want_zero.data());
       EXPECT_EQ(got_neg, want_neg) << backend->name << " n=" << n;
       EXPECT_EQ(got_zero, want_zero) << backend->name << " n=" << n;
+    }
+  }
+}
+
+// deposit over the tie masks the comparator meets — none, one, all but
+// one, alternating, sparse and dense random — scalar against the bit loop,
+// every backend against scalar.
+TEST(KernelParity, DepositMatchesScalar) {
+  const KernelBackend* scalar = kernels::scalar_backend();
+  Rng rng(2030);
+  std::vector<std::uint64_t> masks = {0, ~std::uint64_t{0},
+                                      0x5555555555555555ULL,
+                                      0xAAAAAAAAAAAAAAAAULL};
+  for (int b = 0; b < 64; ++b) {
+    masks.push_back(std::uint64_t{1} << b);
+    masks.push_back(~(std::uint64_t{1} << b));
+  }
+  for (int i = 0; i < 64; ++i) {
+    masks.push_back(rng.next());
+    masks.push_back(rng.next() & rng.next() & rng.next());
+    masks.push_back(rng.next() | rng.next() | rng.next());
+  }
+  for (const std::uint64_t mask : masks) {
+    const std::uint64_t src = rng.next();
+    const std::uint64_t want = naive_deposit(src, mask);
+    ASSERT_EQ(scalar->deposit(src, mask), want) << std::hex << mask;
+    for (const KernelBackend* backend : kernels::available()) {
+      EXPECT_EQ(backend->deposit(src, mask), want)
+          << backend->name << " mask=" << std::hex << mask;
     }
   }
 }

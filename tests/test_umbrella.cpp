@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 #include <memory>
+#include <vector>
 
 namespace {
 
@@ -35,6 +36,10 @@ TEST(Umbrella, OneObjectPerLayerCoexists) {
 
   thermal::StackParams params;
   EXPECT_GT(params.h_top_W_m2K, 0.0);
+
+  const std::vector<dse::Objective> objectives = {
+      {"accuracy", dse::Direction::kMaximize}};
+  EXPECT_TRUE(dse::dominates({0, {0.9}}, {1, {0.5}}, objectives));
 
   auto schema = perception::raven_schema();
   EXPECT_EQ(schema.size(), 4u);
