@@ -17,6 +17,7 @@ static int body(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const std::size_t F = static_cast<std::size_t>(cli.u64("f", 4));
   const std::size_t M = static_cast<std::size_t>(cli.u64("m", 256));
+  cli.reject_unread();
 
   auto design = arch::make_design(arch::DesignKind::kH3dThreeTier);
 

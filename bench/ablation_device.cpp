@@ -33,8 +33,10 @@ static int body(int argc, char** argv) {
   const auto transport = bench::transport_from_cli(cli);
   const auto options = bench::sweep_options_from_cli(cli, "ablation_device",
                                                      &spec, ref, transport);
+  const auto emit = bench::emit_options_from_cli(cli);
+  cli.reject_unread();
   const auto results = sweep::run_sweep(spec, options);
-  bench::emit_results(cli, spec, results);
+  bench::emit_results(emit, spec, results);
 
   util::Table t("Ablation -- device statistics on the similarity path (F=3, M=" +
                 std::to_string(M) + ")");

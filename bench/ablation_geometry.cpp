@@ -38,6 +38,7 @@ static int body(int argc, char** argv) {
   } else {
     for (std::size_t i = 0; i < spec.cell_count(); ++i) cells.push_back(i);
   }
+  cli.reject_unread();
 
   util::Table t("Ablation -- array geometry at iso-dimension D = d*f = 1024");
   t.set_header({"d (rows)", "f (subarrays)", "TSVs", "area mm2", "TOPS",

@@ -37,21 +37,26 @@ static int body(int argc, char** argv) {
       {"dim", "m", "trials", "cap", "seed"});
   const sweep::SweepSpec sigma_spec = sweep::build_grid(sigma_ref);
   const sweep::SweepSpec theta_spec = sweep::build_grid(theta_ref);
-  if (const std::string expr = cli.str("filter", ""); !expr.empty()) {
-    (void)sweep::parse_cell_filter(expr, sigma_spec.cell_count());
-    (void)sweep::parse_cell_filter(expr, theta_spec.cell_count());
-  }
+  // Each grid's options validate --filter against its own cell count.
+  auto options_for = [&](const sweep::GridRef& ref, const sweep::SweepSpec& spec,
+                         const char* suffix) {
+    auto options =
+        bench::sweep_options_from_cli(cli, ref.name, &spec, ref, transport);
+    if (!options.checkpoint_path.empty()) options.checkpoint_path += suffix;
+    return options;
+  };
+  const auto sigma_options = options_for(sigma_ref, sigma_spec, ".sigma");
+  const auto theta_options = options_for(theta_ref, theta_spec, ".theta");
+  const auto emit = bench::emit_options_from_cli(cli);
+  cli.reject_unread();
 
   std::vector<sweep::CellResult> all_results;  // merged --csv/--json dump
   std::size_t index_base = 0;  // offset per grid so merged rows stay unique
-  auto run_grid = [&](const sweep::GridRef& ref,
-                      const sweep::SweepSpec& spec, const char* suffix,
+  auto run_grid = [&](const sweep::SweepSpec& spec,
+                      const sweep::SweepOptions& options,
                       const std::string& title,
                       const std::string& axis_header,
                       const std::string& note) {
-    auto options = bench::sweep_options_from_cli(cli, ref.name, &spec, ref,
-                                                 transport);
-    if (!options.checkpoint_path.empty()) options.checkpoint_path += suffix;
     auto results = sweep::run_sweep(spec, options);
     // Offset by the grid's CELL COUNT (not the result count — a --filter
     // run returns fewer rows and count-based offsets would collide).
@@ -70,14 +75,14 @@ static int body(int argc, char** argv) {
     t.print(std::cout);
   };
 
-  run_grid(sigma_ref, sigma_spec, ".sigma",
+  run_grid(sigma_spec, sigma_options,
            "Ablation -- similarity-path noise sigma (F=3, M=" +
                std::to_string(M) + ")",
            "sigma (x sqrt(D))",
            "Design point used by H3DFact: sigma = 0.5 sqrt(D) with a "
            "1.5 sqrt(D) sense threshold and 4-bit unsigned ADC.");
 
-  run_grid(theta_ref, theta_spec, ".theta",
+  run_grid(theta_spec, theta_options,
            "Ablation -- sense threshold (F=3, M=" + std::to_string(M) + ")",
            "threshold (x sqrt(D))",
            "The threshold sparsifies crosstalk out of the projection; "
@@ -85,7 +90,7 @@ static int body(int argc, char** argv) {
 
   sweep::SweepSpec combined;
   combined.name = "ablation_noise";
-  bench::emit_results(cli, combined, all_results);
+  bench::emit_results(emit, combined, all_results);
   return 0;
 }
 

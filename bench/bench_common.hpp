@@ -27,6 +27,7 @@
 //                         forever)
 // --shards=N above 1 does not combine with the distributed flags: start
 // local `sweep_worker --connect` processes to add this host's cores.
+// Every main refuses a flag it does not read (util::Cli::reject_unread).
 
 #include <algorithm>
 #include <cstdint>
@@ -199,29 +200,40 @@ inline const sweep::CellResult* find_cell(
   return nullptr;
 }
 
-/// Dump structured results to the paths named by --csv= / --json= (if
-/// any). --strip-wall zeroes the wall-clock column first, making the
-/// artifacts byte-comparable across runs, shard counts and transports.
-inline void emit_results(const util::Cli& cli, const sweep::SweepSpec& spec,
+/// The --csv= / --json= dump paths (empty: no dump) and --strip-wall,
+/// which zeroes the wall-clock column first, making the artifacts
+/// byte-comparable across runs, shard counts and transports. Read before
+/// the sweep, so Cli::reject_unread() knows these flags.
+struct EmitOptions {
+  bool strip_wall = false;
+  std::string csv, json;
+};
+
+inline EmitOptions emit_options_from_cli(const util::Cli& cli) {
+  return {cli.flag("strip-wall"), cli.str("csv", ""), cli.str("json", "")};
+}
+
+/// Dump structured results as `emit` says.
+inline void emit_results(const EmitOptions& emit, const sweep::SweepSpec& spec,
                          const std::vector<sweep::CellResult>& results) {
   const std::vector<sweep::CellResult>* out = &results;
   std::vector<sweep::CellResult> stripped;
-  if (cli.flag("strip-wall")) {
+  if (emit.strip_wall) {
     stripped = results;
     for (sweep::CellResult& r : stripped) r.wall_seconds = 0.0;
     out = &stripped;
   }
-  if (const std::string path = cli.str("csv", ""); !path.empty()) {
-    std::ofstream os(path);
-    if (!os) throw std::runtime_error("cannot write " + path);
+  if (!emit.csv.empty()) {
+    std::ofstream os(emit.csv);
+    if (!os) throw std::runtime_error("cannot write " + emit.csv);
     sweep::write_csv(os, *out);
-    std::fprintf(stderr, "[%s] wrote %s\n", spec.name.c_str(), path.c_str());
+    std::fprintf(stderr, "[%s] wrote %s\n", spec.name.c_str(), emit.csv.c_str());
   }
-  if (const std::string path = cli.str("json", ""); !path.empty()) {
-    std::ofstream os(path);
-    if (!os) throw std::runtime_error("cannot write " + path);
+  if (!emit.json.empty()) {
+    std::ofstream os(emit.json);
+    if (!os) throw std::runtime_error("cannot write " + emit.json);
     sweep::write_json(os, spec.name, *out);
-    std::fprintf(stderr, "[%s] wrote %s\n", spec.name.c_str(), path.c_str());
+    std::fprintf(stderr, "[%s] wrote %s\n", spec.name.c_str(), emit.json.c_str());
   }
 }
 

@@ -78,6 +78,8 @@ static int body(int argc, char** argv) {
                  "--frontier=PATH for the byte-stable artifact\n");
     return 2;
   }
+  const std::string frontier_path = cli.str("frontier", "");
+  cli.reject_unread();
 
   const dse::SearchResult result = dse::run_search(ref, options);
 
@@ -128,14 +130,15 @@ static int body(int argc, char** argv) {
              "(min), peak stack temperature (min).");
   t.print(std::cout);
 
-  if (const std::string path = cli.str("frontier", ""); !path.empty()) {
-    std::ofstream os(path);
+  if (!frontier_path.empty()) {
+    std::ofstream os(frontier_path);
     if (!os) {
-      std::fprintf(stderr, "dse_search: cannot write %s\n", path.c_str());
+      std::fprintf(stderr, "dse_search: cannot write %s\n",
+                   frontier_path.c_str());
       return 1;
     }
     dse::write_frontier_json(os, grid, ref, result.frontier);
-    std::fprintf(stderr, "[dse] wrote %s\n", path.c_str());
+    std::fprintf(stderr, "[dse] wrote %s\n", frontier_path.c_str());
   }
   return 0;
 }

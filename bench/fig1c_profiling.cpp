@@ -18,6 +18,7 @@ static int body(int argc, char** argv) {
   const std::size_t dim = static_cast<std::size_t>(cli.u64("dim", 1024));
   const std::size_t trials = static_cast<std::size_t>(cli.u64("trials", 10));
   const std::uint64_t seed = cli.u64("seed", 7);
+  cli.reject_unread();
 
   // --- Part 1: per-phase time/op breakdown while factorizing ---
   util::Table t1("Fig. 1c (left) -- Compute breakdown of factorization");

@@ -61,6 +61,7 @@ static int body(int argc, char** argv) {
   const std::size_t trials = static_cast<std::size_t>(cli.u64("trials", 40));
   const std::size_t cap = static_cast<std::size_t>(cli.u64("cap", 500));
   const std::uint64_t seed = cli.u64("seed", 11);
+  cli.reject_unread();
 
   util::Table t("Fig. 2b -- Limit cycles: deterministic vs stochastic factorizer");
   t.set_header({"F", "M", "variant", "limit cycles", "solved", "cycle entry (mean it)"});

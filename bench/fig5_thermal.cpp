@@ -36,8 +36,7 @@ void print_map(const thermal::LayerTemps& layer, std::size_t nx, std::size_t ny)
 }  // namespace
 
 static int body(int argc, char** argv) {
-  util::Cli cli(argc, argv);
-  (void)cli;
+  util::Cli(argc, argv).reject_unread();
   thermal::StackParams params;
 
   util::Table setup("Fig. 5 -- Thermal setup (paper parameters)");
@@ -69,7 +68,7 @@ static int body(int argc, char** argv) {
   }
   t.add_note("Paper: H3D tiers range 46.8-47.8 C; the 2D design sits at ~44 C.");
   t.add_note("Solver converged: h3d=" + std::string(h3d_sol.converged ? "yes" : "no") +
-             " (" + std::to_string(h3d_sol.sweeps) + " sweeps), 2d=" +
+             " (" + std::to_string(h3d_sol.sweeps) + " CG iterations), 2d=" +
              std::string(flat_sol.converged ? "yes" : "no"));
   t.print(std::cout);
 

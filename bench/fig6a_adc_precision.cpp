@@ -29,8 +29,10 @@ static int body(int argc, char** argv) {
   const auto transport = bench::transport_from_cli(cli);
   const auto options =
       bench::sweep_options_from_cli(cli, "fig6a", &spec, ref, transport);
+  const auto emit = bench::emit_options_from_cli(cli);
+  cli.reject_unread();
   const auto results = sweep::run_sweep(spec, options);
-  bench::emit_results(cli, spec, results);
+  bench::emit_results(emit, spec, results);
   const sweep::CellResult* low_cell = bench::find_cell(results, 0);
   const sweep::CellResult* high_cell = bench::find_cell(results, 1);
   if (low_cell == nullptr || high_cell == nullptr) {

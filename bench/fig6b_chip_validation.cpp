@@ -28,6 +28,15 @@ static int body(int argc, char** argv) {
   bench::grids::register_all();
   const std::size_t cap = static_cast<std::size_t>(cli.u64("cap", 60));
   const std::uint64_t seed = cli.u64("seed", 66);
+  const sweep::GridRef ref = bench::grid_ref_from_cli(
+      bench::grids::kFig6b, cli, {"f", "m", "trials", "cap", "seed"});
+  const sweep::SweepSpec spec = sweep::build_grid(ref);
+
+  const auto transport = bench::transport_from_cli(cli);
+  const auto options =
+      bench::sweep_options_from_cli(cli, "fig6b", &spec, ref, transport);
+  const auto emit = bench::emit_options_from_cli(cli);
+  cli.reject_unread();
 
   // --- Step 1: "measure" the testchip -------------------------------------
   // (The registered grid builder repeats this reconstruction from the seed;
@@ -49,15 +58,8 @@ static int body(int argc, char** argv) {
   m.print(std::cout);
 
   // --- Step 2: factorize through the device-level CIM path ---------------
-  const sweep::GridRef ref = bench::grid_ref_from_cli(
-      bench::grids::kFig6b, cli, {"f", "m", "trials", "cap", "seed"});
-  const sweep::SweepSpec spec = sweep::build_grid(ref);
-
-  const auto transport = bench::transport_from_cli(cli);
-  const auto options =
-      bench::sweep_options_from_cli(cli, "fig6b", &spec, ref, transport);
   const auto results = sweep::run_sweep(spec, options);
-  bench::emit_results(cli, spec, results);
+  bench::emit_results(emit, spec, results);
   const resonator::TrialStats& stats = results.at(0).stats;
 
   util::Table t("Fig. 6b -- Testchip-validated factorization accuracy");

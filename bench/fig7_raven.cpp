@@ -22,6 +22,7 @@ static int body(int argc, char** argv) {
   cfg.frontend.feature_cosine = cosine;
   cfg.max_iterations = static_cast<std::size_t>(cli.u64("cap", 1000));
   cfg.seed = seed;
+  cli.reject_unread();
   perception::PerceptionPipeline pipe(cfg);
 
   util::Rng rng(seed + 1);

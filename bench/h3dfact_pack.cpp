@@ -51,15 +51,17 @@ io::LoadMode parse_mode(const std::string& mode) {
 
 int cmd_pack(const util::Cli& cli) {
   const std::string out = cli.str("out", "");
-  if (out.empty()) {
-    std::fprintf(stderr, "pack: --out=PATH is required\n");
-    return 64;
-  }
   const std::string kind = cli.str("kind", "codebooks");
   const auto dim = static_cast<std::size_t>(cli.u64("dim", 1024));
   const auto factors = static_cast<std::size_t>(cli.u64("factors", 3));
   const auto M = static_cast<std::size_t>(cli.u64("M", 16));
   const auto seed = cli.u64("seed", 1);
+  const auto items = static_cast<std::size_t>(cli.u64("items", 16));
+  cli.reject_unread();
+  if (out.empty()) {
+    std::fprintf(stderr, "pack: --out=PATH is required\n");
+    return 64;
+  }
 
   io::ArtifactWriter writer;
   std::uint64_t fingerprint = 0;
@@ -71,7 +73,6 @@ int cmd_pack(const util::Cli& cli) {
     io::add_codebook_set(writer, gen.codebooks());
     fingerprint = hdc::set_fingerprint(gen.codebooks());
   } else if (kind == "item-memory") {
-    const auto items = static_cast<std::size_t>(cli.u64("items", 16));
     util::Rng rng(seed);
     hdc::ItemMemory memory(dim);
     for (std::size_t i = 0; i < items; ++i) {
@@ -120,8 +121,9 @@ std::uint64_t decode_all(const io::Artifact& artifact, bool print) {
 }
 
 int cmd_info(const util::Cli& cli, const std::string& path) {
-  const io::Artifact artifact =
-      io::Artifact::load(path, parse_mode(cli.str("mode", "auto")));
+  const io::LoadMode mode = parse_mode(cli.str("mode", "auto"));
+  cli.reject_unread();
+  const io::Artifact artifact = io::Artifact::load(path, mode);
   std::printf("%s: %zu bytes, %zu sections, %s-backed\n",
               artifact.path().c_str(), artifact.file_bytes(),
               artifact.sections().size(),
@@ -140,10 +142,11 @@ int cmd_info(const util::Cli& cli, const std::string& path) {
 }
 
 int cmd_verify(const util::Cli& cli, const std::string& path) {
-  const io::Artifact artifact =
-      io::Artifact::load(path, parse_mode(cli.str("mode", "auto")));
-  const std::uint64_t fingerprint = decode_all(artifact, /*print=*/false);
+  const io::LoadMode mode = parse_mode(cli.str("mode", "auto"));
   const std::string expect = cli.str("expect-fingerprint", "");
+  cli.reject_unread();
+  const io::Artifact artifact = io::Artifact::load(path, mode);
+  const std::uint64_t fingerprint = decode_all(artifact, /*print=*/false);
   if (!expect.empty()) {
     const auto parsed = util::parse_u64_dec_or_hex(expect);
     if (!parsed) {

@@ -421,9 +421,8 @@ void write_json(const std::string& path,
   }
   std::fprintf(f, "\n  ]\n}\n");
   std::fclose(f);
-  std::printf("wrote %zu benchmark timings to %s (backend: %s)\n",
-              rows.size(), path.c_str(),
-              h3dfact::hdc::kernels::active().name);
+  std::fprintf(stderr, "wrote %zu benchmark timings to %s (backend: %s)\n",
+               rows.size(), path.c_str(), h3dfact::hdc::kernels::active().name);
 }
 
 // Pull our own flags out of argv (google-benchmark rejects flags it does
@@ -455,10 +454,17 @@ int print_backends() {
   return 0;
 }
 
-// Collects every run for the --json artifact while delegating the normal
-// console output to the base reporter.
-class CollectingReporter : public benchmark::ConsoleReporter {
+// Collects every run for the --json artifact and forwards every call to the
+// display reporter that --benchmark_format and --benchmark_color select.
+class CollectingReporter : public benchmark::BenchmarkReporter {
  public:
+  explicit CollectingReporter(benchmark::BenchmarkReporter* display)
+      : display_(display) {}
+
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
+
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
       KernelTiming t;
@@ -472,10 +478,15 @@ class CollectingReporter : public benchmark::ConsoleReporter {
       if (it != run.counters.end()) t.items_per_sec = it->second;
       rows.push_back(std::move(t));
     }
-    benchmark::ConsoleReporter::ReportRuns(runs);
+    display_->ReportRuns(runs);
   }
 
+  void Finalize() override { display_->Finalize(); }
+
   std::vector<KernelTiming> rows;
+
+ private:
+  benchmark::BenchmarkReporter* display_;  // owned by google-benchmark
 };
 
 }  // namespace
@@ -489,8 +500,10 @@ static int body(int argc, char** argv) {
   // A typoed flag (e.g. --jsn=, or --json with a space) must fail up front,
   // not after a multi-minute run that silently writes no artifact.
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  std::printf("kernel backend: %s\n", h3dfact::hdc::kernels::active().name);
-  CollectingReporter reporter;
+  // Status lines go to stderr, so stdout holds only the selected format.
+  std::fprintf(stderr, "kernel backend: %s\n",
+               h3dfact::hdc::kernels::active().name);
+  CollectingReporter reporter(benchmark::CreateDefaultDisplayReporter());
   benchmark::RunSpecifiedBenchmarks(&reporter);
   if (!json_path.empty()) write_json(json_path, reporter.rows);
   benchmark::Shutdown();

@@ -61,6 +61,7 @@ static int body(int argc, char** argv) {
       cli.u64("deadline-ms", 10000, std::numeric_limits<int>::max()));
   cfg.artifact = cli.str("artifact", "");
   cfg.save_artifact = cli.str("save-artifact", "");
+  cli.reject_unread();
 
   serve::ServeCoordinator coordinator(std::move(cfg));
   g_coordinator = &coordinator;

@@ -82,6 +82,10 @@ static int body(int argc, char** argv) {
   const auto deadline_us = cli.u64("deadline-us", 0);
   const int tail_ms = static_cast<int>(
       cli.u64("tail-ms", 10000, std::numeric_limits<int>::max()));
+  const bool drain = cli.flag("drain");
+  const std::string out_path = cli.str("out", "");
+  const bool require_success = cli.flag("require-success");
+  cli.reject_unread();
   if (qps <= 0.0 || duration_s <= 0.0) {
     throw std::invalid_argument("--qps and --duration-s must be positive");
   }
@@ -163,7 +167,7 @@ static int body(int argc, char** argv) {
       std::chrono::duration<double>(Clock::now() - start).count();
   const auto lost = static_cast<std::uint64_t>(inflight.size());
 
-  if (cli.flag("drain") && !disconnected) {
+  if (drain && !disconnected) {
     if (!client.drain(tail_ms)) {
       std::fprintf(stderr, "[serve_load] daemon gone before drain ack\n");
     }
@@ -188,14 +192,14 @@ static int body(int argc, char** argv) {
       percentile_ms(latencies_ms, 0.50), percentile_ms(latencies_ms, 0.95),
       percentile_ms(latencies_ms, 0.99), wall_s);
   std::printf("%s\n", buf);
-  if (const std::string path = cli.str("out", ""); !path.empty()) {
-    std::ofstream os(path);
-    if (!os) throw std::runtime_error("cannot write " + path);
+  if (!out_path.empty()) {
+    std::ofstream os(out_path);
+    if (!os) throw std::runtime_error("cannot write " + out_path);
     os << buf << "\n";
-    std::fprintf(stderr, "[serve_load] wrote %s\n", path.c_str());
+    std::fprintf(stderr, "[serve_load] wrote %s\n", out_path.c_str());
   }
 
-  if (cli.flag("require-success") &&
+  if (require_success &&
       (rejected > 0 || failed > 0 || lost > 0 || disconnected ||
        completed != sent)) {
     std::fprintf(stderr,

@@ -52,19 +52,27 @@ static int body(int argc, char** argv) {
   bench::grids::register_all();
   dse::register_design_spaces();
 
-  if (cli.flag("list")) {
-    for (const std::string& name : sweep::registered_grids()) {
-      std::printf("%s\n", name.c_str());
-    }
-    return 0;
-  }
-
+  constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
+  const bool list = cli.flag("list");
   const auto cell_threads = static_cast<unsigned>(
       cli.u64("cell-threads", 0, std::numeric_limits<unsigned>::max()));
   const std::string connect = cli.str("connect", "");
   const std::string listen = cli.str("listen", "");
   const std::string serve = cli.str("serve", "");
   const bool stdio = cli.flag("stdio");
+  const int retries = static_cast<int>(cli.u64("retries", 120, kIntMax));
+  const int retry_ms = static_cast<int>(cli.u64("retry-ms", 250, kIntMax));
+  const std::string artifact = cli.str("artifact", "");
+  const int timeout_ms =
+      static_cast<int>(cli.u64("accept-timeout-ms", 600000, kIntMax));
+  cli.reject_unread();
+
+  if (list) {
+    for (const std::string& name : sweep::registered_grids()) {
+      std::printf("%s\n", name.c_str());
+    }
+    return 0;
+  }
 
   const int modes = (connect.empty() ? 0 : 1) + (listen.empty() ? 0 : 1) +
                     (serve.empty() ? 0 : 1) + (stdio ? 1 : 0);
@@ -76,14 +84,11 @@ static int body(int argc, char** argv) {
     return 64;
   }
 
-  constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
-  const int retries = static_cast<int>(cli.u64("retries", 120, kIntMax));
-  const int retry_ms = static_cast<int>(cli.u64("retry-ms", 250, kIntMax));
   if (!serve.empty()) {
     const int fd = sweep::tcp_connect(serve, retries, retry_ms);
     std::fprintf(stderr, "[sweep_worker] serving batches from %s\n",
                  serve.c_str());
-    return serve::serve_factor_worker(fd, fd, cli.str("artifact", ""));
+    return serve::serve_factor_worker(fd, fd, artifact);
   }
   if (stdio) {
     return sweep::serve_remote_worker(STDIN_FILENO, STDOUT_FILENO,
@@ -99,8 +104,6 @@ static int body(int argc, char** argv) {
   const int listen_fd = sweep::tcp_listen(listen);
   std::fprintf(stderr, "[sweep_worker] listening on port %u\n",
                sweep::tcp_local_port(listen_fd));
-  const int timeout_ms =
-      static_cast<int>(cli.u64("accept-timeout-ms", 600000, kIntMax));
   const int fd = sweep::tcp_accept(listen_fd, timeout_ms);
   if (fd < 0) {
     std::fprintf(stderr, "[sweep_worker] no coordinator connected\n");

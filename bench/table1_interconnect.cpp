@@ -12,8 +12,7 @@
 using namespace h3dfact;
 
 static int body(int argc, char** argv) {
-  util::Cli cli(argc, argv);
-  (void)cli;
+  util::Cli(argc, argv).reject_unread();
   arch::TsvModel tsv;
   const auto& s = tsv.spec();
 

@@ -41,8 +41,10 @@ static int body(int argc, char** argv) {
   const auto transport = bench::transport_from_cli(cli);
   const auto options =
       bench::sweep_options_from_cli(cli, "table2", &spec, ref, transport);
+  const auto emit = bench::emit_options_from_cli(cli);
+  cli.reject_unread();
   const auto results = sweep::run_sweep(spec, options);
-  bench::emit_results(cli, spec, results);
+  bench::emit_results(emit, spec, results);
 
   // --- report --------------------------------------------------------------
   util::Table t("Table II -- Accuracy & Operational Capacity (measured vs paper)");

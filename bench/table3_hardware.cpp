@@ -17,6 +17,7 @@ static int body(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const std::size_t trials = static_cast<std::size_t>(cli.u64("trials", 40));
   const std::uint64_t seed = cli.u64("seed", 99);
+  cli.reject_unread();
 
   // Measure the accuracy column at a mid-scale problem where the stochastic
   // benefit shows (F=3, M=96): deterministic digital vs stochastic RRAM.

@@ -56,6 +56,7 @@ static int body(int argc, char** argv) {
       cli.u64("repeats", 5, std::numeric_limits<int>::max()));
   const std::string artifact = cli.str("artifact", "warm_start.h3da");
   const std::string out = cli.str("out", "-");
+  cli.reject_unread();
 
   // Cold path: the deterministic seed rebuild every v2 worker ran on
   // every ServeInit.

@@ -22,10 +22,12 @@
 #include "hdc/item_memory.hpp"
 #include "hdc/vsa.hpp"
 #include "resonator/resonator.hpp"
+#include "util/cli.hpp"
 
 using namespace h3dfact;
 
-int main() {
+static int body(int argc, char** argv) {
+  util::Cli(argc, argv).reject_unread();  // takes no flags
   constexpr std::size_t kDim = 4096;
   util::Rng rng(1234);
 
@@ -105,3 +107,5 @@ int main() {
   std::cout << (ok ? "analogy resolved correctly\n" : "analogy FAILED\n");
   return ok ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, body); }

@@ -19,9 +19,10 @@
 
 using namespace h3dfact;
 
-int main(int argc, char** argv) {
+static int body(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const std::size_t batch = static_cast<std::size_t>(cli.u64("batch", 8));
+  cli.reject_unread();
 
   util::Rng rng(4242);
 
@@ -79,3 +80,5 @@ int main(int argc, char** argv) {
             << 100.0 * run.schedule.peak_buffer_occupancy << "%\n";
   return ok == problems.size() ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, body); }

@@ -11,10 +11,12 @@
 
 #include "hdc/encoding.hpp"
 #include "resonator/resonator.hpp"
+#include "util/cli.hpp"
 
 using namespace h3dfact;
 
-int main() {
+static int body(int argc, char** argv) {
+  util::Cli(argc, argv).reject_unread();  // takes no flags
   util::Rng rng(2024);
 
   // 1. Build one codebook per attribute (shape / color / vpos / hpos).
@@ -48,3 +50,5 @@ int main() {
   std::cout << (problem.is_correct(result.decoded) ? "correct!" : "WRONG") << '\n';
   return result.solved && problem.is_correct(result.decoded) ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, body); }

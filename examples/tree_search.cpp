@@ -16,11 +16,12 @@
 
 using namespace h3dfact;
 
-int main(int argc, char** argv) {
+static int body(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const std::size_t depth = static_cast<std::size_t>(cli.u64("depth", 4));
   const std::size_t branch = static_cast<std::size_t>(cli.u64("branch", 16));
   const std::size_t dim = static_cast<std::size_t>(cli.u64("dim", 1024));
+  cli.reject_unread();
 
   util::Rng rng(31337);
   auto set = std::make_shared<hdc::CodebookSet>(dim, depth, branch, rng);
@@ -53,3 +54,5 @@ int main(int argc, char** argv) {
             << leaves / 2.0 << " expected probes for linear search\n";
   return problem.is_correct(result.decoded) ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, body); }

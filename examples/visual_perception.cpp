@@ -13,10 +13,11 @@
 
 using namespace h3dfact;
 
-int main(int argc, char** argv) {
+static int body(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const std::size_t scenes = static_cast<std::size_t>(cli.u64("scenes", 50));
   const double cosine = cli.f64("cosine", 0.6);
+  cli.reject_unread();
 
   perception::PipelineConfig cfg;
   cfg.frontend.feature_cosine = cosine;
@@ -54,3 +55,5 @@ int main(int argc, char** argv) {
             << "  mean iterations/scene: " << res.mean_iterations << '\n';
   return res.attribute_accuracy() > 0.9 ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, body); }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -38,8 +37,6 @@ ThermalGrid::ThermalGrid(GridConfig config, std::vector<Layer> layers)
   require(config_.height_mm > 0.0, "height_mm must be positive");
   require(config_.h_top_W_m2K >= 0.0, "h_top_W_m2K must be non-negative");
   require(config_.h_bottom_W_m2K >= 0.0, "h_bottom_W_m2K must be non-negative");
-  require(config_.sor_omega > 0.0 && config_.sor_omega < 2.0,
-          "sor_omega must lie in (0, 2)");
   require(config_.tolerance_C > 0.0 && std::isfinite(config_.tolerance_C),
           "tolerance_C must be finite and positive");
   require(config_.max_sweeps > 0, "max_sweeps must be positive");
@@ -87,18 +84,19 @@ ThermalSolution ThermalGrid::solve() const {
     down[l] = up[l + 1] = 1.0 / (1.0 / gz_half[l] + 1.0 / gz_half[l + 1]);
   }
 
-  // Temperatures on a grid padded by one ghost cell on every side. The ghost
-  // planes above and below the stack hold ambient, so the convective faces
-  // are ordinary neighbours. The lateral ghosts hold 0.0: g * 0.0 adds +0.0
-  // to the flux, exactly what an adiabatic side wall adds. gsum sums only the
-  // faces that exist, in the order west, east, south, north, up, down.
+  // The solve runs on theta = T - ambient in an array padded by one ghost
+  // cell on every side. Every ghost holds 0.0 throughout: above and below
+  // the stack that is ambient, so the convective faces are ordinary
+  // neighbours; at the side walls g * 0.0 adds nothing, exactly what an
+  // adiabatic wall adds. gsum sums the conductances of the faces a cell
+  // has (convective faces included); the preconditioner is its inverse.
   const std::size_t sy = nx + 2, sz = (ny + 2) * sy;
   auto at = [&](std::size_t l, std::size_t iy, std::size_t ix) {
     return (l + 1) * sz + (iy + 1) * sy + ix + 1;
   };
-  std::vector<double> T((nl + 2) * sz, 0.0), gsum(T.size()), power(T.size());
-  std::fill_n(&T[0], sz, config_.ambient_C);
-  std::fill_n(&T[(nl + 1) * sz], sz, config_.ambient_C);
+  const std::size_t padded = (nl + 2) * sz;
+  std::vector<double> gsum(padded, 0.0), inv_gsum(padded, 0.0);
+  std::vector<double> power(padded, 0.0);
   for (std::size_t l = 0; l < nl; ++l) {
     const auto& pw = layers_[l].power_W;
     for (std::size_t iy = 0; iy < ny; ++iy) {
@@ -110,64 +108,85 @@ ThermalSolution ThermalGrid::solve() const {
         if (iy > 0) g += gy[l];
         if (iy + 1 < ny) g += gy[l];
         gsum[p] = g + up[l] + down[l];
+        inv_gsum[p] = 1.0 / gsum[p];
         power[p] = pw.empty() ? 0.0 : pw[iy * nx + ix];
-        T[p] = config_.ambient_C;
       }
     }
   }
 
-  // Gauss-Seidel SOR in wavefront order: sweep the hyperplanes k = l+iy+ix
-  // in ascending order. A cell's three lower neighbours lie on k-1 and are
-  // already updated, its three upper ones lie on k+1 and are not, and no two
-  // cells of one hyperplane are neighbours, so every cell sees exactly what
-  // it sees in the lexicographic (l, iy, ix) sweep and the result is the
-  // same bit for bit. The cells of one hyperplane are independent, which
-  // lets the core overlap their divides. The residual is a max, so the
-  // order does not change it.
-  const double omega = config_.sor_omega;
-  const std::size_t planes = nl + ny + nx - 2;
-  double residual = 0.0;
-  std::size_t sweeps = 0;
-  while (sweeps < config_.max_sweeps) {
-    ++sweeps;
-    residual = 0.0;
-    for (std::size_t k = 0; k < planes; ++k) {
-      const std::size_t l_hi = std::min(nl - 1, k);
-      for (std::size_t l = k + 2 > nx + ny ? k + 2 - nx - ny : 0; l <= l_hi; ++l) {
-        const double gxl = gx[l], gyl = gy[l], gu = up[l], gd = down[l];
-        // Cells (l, iy, r - iy) for iy = iy_lo..iy_hi: each is one row up and
-        // one column left of the one before.
-        const std::size_t r = k - l;
-        const std::size_t iy_lo = r + 1 > nx ? r + 1 - nx : 0;
-        const std::size_t iy_hi = std::min(ny - 1, r);
-        std::size_t p = at(l, iy_lo, r - iy_lo);
-        for (std::size_t iy = iy_lo; iy <= iy_hi; ++iy, p += sy - 1) {
-          const double t_old = T[p];
-          double flux = power[p];
-          flux += gxl * T[p - 1];
-          flux += gxl * T[p + 1];
-          flux += gyl * T[p - sy];
-          flux += gyl * T[p + sy];
-          flux += gu * T[p - sz];
-          flux += gd * T[p + sz];
-          const double t_sor = t_old + omega * (flux / gsum[p] - t_old);
-          residual = std::max(residual, std::abs(t_sor - t_old));
-          T[p] = t_sor;
-        }
+  // Visits every interior cell in (l, iy, ix) order; all reductions below
+  // run in this one fixed serial order, so a solve is deterministic.
+  auto for_cells = [&](auto&& body) {
+    for (std::size_t l = 0; l < nl; ++l) {
+      for (std::size_t iy = 0; iy < ny; ++iy) {
+        const std::size_t row = at(l, iy, 0);
+        for (std::size_t p = row; p < row + nx; ++p) body(l, p);
       }
     }
-    if (residual < config_.tolerance_C) break;
+  };
+  // out = A v, where (A v)_p = gsum_p v_p - sum of g * v over p's six
+  // neighbours; returns v . A v.
+  auto apply = [&](const std::vector<double>& v, std::vector<double>& out) {
+    double vav = 0.0;
+    for_cells([&](std::size_t l, std::size_t p) {
+      const double av = gsum[p] * v[p] - gx[l] * (v[p - 1] + v[p + 1]) -
+                        gy[l] * (v[p - sy] + v[p + sy]) - up[l] * v[p - sz] -
+                        down[l] * v[p + sz];
+      out[p] = av;
+      vav += v[p] * av;
+    });
+    return vav;
+  };
+  // The stop value max_p |r_p / gsum_p|. A NaN sticks, so it never meets
+  // the tolerance.
+  auto scaled_max = [](double m, double v) {
+    return v > m || std::isnan(v) ? v : m;
+  };
+
+  // Jacobi-preconditioned conjugate gradients on A theta = power, from
+  // theta = 0: r is the residual power - A theta, z = r / gsum, d the
+  // search direction. Zero power stops before the first iteration and
+  // returns exact ambient.
+  std::vector<double> theta(padded, 0.0), r = power;
+  std::vector<double> d(padded, 0.0), q(padded, 0.0);
+  double rz = 0.0, stop = 0.0;
+  for_cells([&](std::size_t, std::size_t p) {
+    const double z = r[p] * inv_gsum[p];
+    d[p] = z;
+    rz += r[p] * z;
+    stop = scaled_max(stop, std::abs(z));
+  });
+  std::size_t iterations = 0;
+  while (!(stop < config_.tolerance_C) && iterations < config_.max_sweeps) {
+    ++iterations;
+    const double alpha = rz / apply(d, q);
+    double rz_next = 0.0;
+    stop = 0.0;
+    for_cells([&](std::size_t, std::size_t p) {
+      theta[p] += alpha * d[p];
+      r[p] -= alpha * q[p];
+      const double z = r[p] * inv_gsum[p];
+      rz_next += r[p] * z;
+      stop = scaled_max(stop, std::abs(z));
+    });
+    const double beta = rz_next / rz;
+    rz = rz_next;
+    for_cells([&](std::size_t, std::size_t p) {
+      d[p] = r[p] * inv_gsum[p] + beta * d[p];
+    });
   }
-  // std::max drops a NaN change, so a field gone NaN (a lone cell with no
-  // path to ambient divides by a zero conductance sum) can meet the
-  // tolerance. A NaN temperature never recovers, so one left anywhere in
-  // the field makes the stop value NaN and the solve unconverged.
-  if (std::any_of(T.begin(), T.end(), [](double t) { return std::isnan(t); })) {
-    residual = std::numeric_limits<double>::quiet_NaN();
-  }
+
+  // The recursively updated r drifts from the true residual, so the
+  // reported residual and the converged flag come from r = power - A theta
+  // recomputed from scratch. A NaN anywhere in the field reaches it.
+  (void)apply(theta, q);
+  double residual = 0.0;
+  for_cells([&](std::size_t, std::size_t p) {
+    residual = scaled_max(residual, std::abs((power[p] - q[p]) * inv_gsum[p]));
+  });
 
   ThermalSolution sol;
-  sol.sweeps = sweeps;
+  sol.sweeps = iterations;
   sol.residual_C = residual;
   sol.converged = residual < config_.tolerance_C;
   for (std::size_t l = 0; l < nl; ++l) {
@@ -175,7 +194,9 @@ ThermalSolution ThermalGrid::solve() const {
     lt.name = layers_[l].name;
     lt.cells_C.resize(nc);
     for (std::size_t iy = 0; iy < ny; ++iy) {
-      std::copy_n(&T[at(l, iy, 0)], nx, &lt.cells_C[iy * nx]);
+      for (std::size_t ix = 0; ix < nx; ++ix) {
+        lt.cells_C[iy * nx + ix] = config_.ambient_C + theta[at(l, iy, ix)];
+      }
     }
     lt.min_C = *std::min_element(lt.cells_C.begin(), lt.cells_C.end());
     lt.max_C = *std::max_element(lt.cells_C.begin(), lt.cells_C.end());

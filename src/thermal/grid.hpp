@@ -5,8 +5,8 @@
 // exchanges heat laterally within its layer and vertically with the layers
 // above/below through series thermal conductances; the top (TIM → heat
 // transfer coefficient) and bottom (PCB → ambient) faces are convective
-// boundaries. Solved by successive over-relaxation on the conductance
-// network — the same physics HotSpot's grid model integrates.
+// boundaries. Solved by Jacobi-preconditioned conjugate gradients on the
+// conductance network — the same physics HotSpot's grid model integrates.
 
 #include <cstddef>
 #include <string>
@@ -29,9 +29,10 @@ struct GridConfig {
   double h_top_W_m2K = 1000.0;      ///< convective coefficient at the top face
   double h_bottom_W_m2K = 20.0;     ///< PCB underside
   double ambient_C = 25.0;
-  double sor_omega = 1.9;
-  double tolerance_C = 2e-6;
-  std::size_t max_sweeps = 80000;
+  /// Stop once every cell's residual heat flow divided by its conductance
+  /// sum (a Jacobi-scaled residual, in °C) is below this.
+  double tolerance_C = 1e-10;
+  std::size_t max_sweeps = 80000;  ///< cap on CG iterations
 };
 
 /// Per-layer temperature summary.
@@ -44,8 +45,10 @@ struct LayerTemps {
 /// Solution of one solve() call.
 struct ThermalSolution {
   std::vector<LayerTemps> layers;
-  std::size_t sweeps = 0;  ///< SOR sweeps that ran (at most max_sweeps)
-  double residual_C = 0.0;  ///< last sweep's largest update; NaN if any was
+  std::size_t sweeps = 0;  ///< CG iterations that ran (at most max_sweeps)
+  /// Largest Jacobi-scaled true residual |(power − A·θ)_p / gsum_p| of the
+  /// returned field, recomputed from scratch; NaN if the field holds one.
+  double residual_C = 0.0;
   bool converged = false;   ///< residual_C < tolerance_C (never for NaN)
 
   [[nodiscard]] const LayerTemps& layer(const std::string& name) const;
@@ -65,9 +68,11 @@ class ThermalGrid {
   [[nodiscard]] const GridConfig& config() const { return config_; }
   [[nodiscard]] std::size_t layer_count() const { return layers_.size(); }
 
-  /// Steady-state solve: Gauss-Seidel SOR, swept in wavefront order and
-  /// bit-identical to the lexicographic sweep; deterministic for a given
-  /// configuration.
+  /// Steady-state solve: Jacobi-preconditioned conjugate gradients on
+  /// θ = T − ambient from θ = 0, stopped once the scaled residual is below
+  /// tolerance_C or after max_sweeps iterations. Serial, with every
+  /// reduction in one fixed order, so a configuration always gives the
+  /// same bits. A stack with no path to ambient runs to the cap.
   [[nodiscard]] ThermalSolution solve() const;
 
   /// Total injected power (W) — sanity check against the design's budget.

@@ -41,45 +41,58 @@ Cli::Cli(int argc, char** argv) {
   }
 }
 
-bool Cli::has(const std::string& key) const { return kv_.count(key) > 0; }
+const std::string* Cli::find(const std::string& key) const {
+  read_.insert(key);
+  const auto it = kv_.find(key);
+  return it == kv_.end() ? nullptr : &it->second;
+}
+
+bool Cli::has(const std::string& key) const { return find(key) != nullptr; }
 
 bool Cli::flag(const std::string& key, bool def) const {
-  auto it = kv_.find(key);
-  if (it == kv_.end()) return def;
-  return it->second != "false" && it->second != "0";
+  const std::string* v = find(key);
+  if (v == nullptr) return def;
+  return *v != "false" && *v != "0";
 }
 
 std::int64_t Cli::i64(const std::string& key, std::int64_t def) const {
-  auto it = kv_.find(key);
-  if (it == kv_.end()) return def;
-  const auto parsed = parse_i64(it->second);
-  if (!parsed) bad_value(key, it->second, "integer");
+  const std::string* v = find(key);
+  if (v == nullptr) return def;
+  const auto parsed = parse_i64(*v);
+  if (!parsed) bad_value(key, *v, "integer");
   return *parsed;
 }
 
 std::uint64_t Cli::u64(const std::string& key, std::uint64_t def,
                        std::uint64_t max) const {
-  auto it = kv_.find(key);
-  if (it == kv_.end()) return def;
-  const auto parsed = parse_u64(it->second);
+  const std::string* v = find(key);
+  if (v == nullptr) return def;
+  const auto parsed = parse_u64(*v);
   if (!parsed || *parsed > max) {
-    bad_value(key, it->second,
-              "unsigned integer up to " + std::to_string(max));
+    bad_value(key, *v, "unsigned integer up to " + std::to_string(max));
   }
   return *parsed;
 }
 
 double Cli::f64(const std::string& key, double def) const {
-  auto it = kv_.find(key);
-  if (it == kv_.end()) return def;
-  const auto parsed = parse_f64(it->second);
-  if (!parsed) bad_value(key, it->second, "number");
+  const std::string* v = find(key);
+  if (v == nullptr) return def;
+  const auto parsed = parse_f64(*v);
+  if (!parsed) bad_value(key, *v, "number");
   return *parsed;
 }
 
 std::string Cli::str(const std::string& key, std::string def) const {
-  auto it = kv_.find(key);
-  return it == kv_.end() ? def : it->second;
+  const std::string* v = find(key);
+  return v == nullptr ? def : *v;
+}
+
+void Cli::reject_unread() const {
+  std::string unread;
+  for (const auto& [key, value] : kv_) {
+    if (read_.count(key) == 0) unread += (unread.empty() ? "--" : ", --") + key;
+  }
+  if (!unread.empty()) throw std::invalid_argument("unknown flag " + unread);
 }
 
 int run_main(int argc, char** argv, int (*body)(int argc, char** argv)) {

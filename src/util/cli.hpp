@@ -1,11 +1,14 @@
 #pragma once
 // Minimal command-line flag parser for bench and example binaries.
 //
-// Supported forms: --flag (bool), --key=value, --key value.
+// Supported forms: --flag (bool), --key=value. Every accessor records the
+// key it looks up, so once a main has read its flags reject_unread() can
+// refuse the ones it never will (a typo, or a flag that no longer exists).
 
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -27,14 +30,23 @@ class Cli {
   [[nodiscard]] double f64(const std::string& key, double def) const;
   [[nodiscard]] std::string str(const std::string& key, std::string def) const;
 
+  /// Throws std::invalid_argument naming every --key on the command line
+  /// that no accessor above has looked up. Call it after the last flag is
+  /// read and before the work starts.
+  void reject_unread() const;
+
   /// Positional (non-flag) arguments in order.
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
 
   [[nodiscard]] const std::string& program() const { return program_; }
 
  private:
+  /// The value of `key`, or nullptr; records the lookup either way.
+  [[nodiscard]] const std::string* find(const std::string& key) const;
+
   std::string program_;
   std::map<std::string, std::string> kv_;
+  mutable std::set<std::string> read_;  ///< every key an accessor looked up
   std::vector<std::string> positional_;
 };
 

@@ -401,6 +401,43 @@ TEST(Cli, RejectsWhitespacePaddedNumbers) {
   EXPECT_THROW((void)cli.f64("sigma", 0), std::invalid_argument);
 }
 
+// A flag no accessor looked up is refused by name: every accessor counts as
+// a read, whether the flag was set or not, and a read that throws on a bad
+// value counts too. Through run_main the refusal is exit status 1.
+TEST(Cli, RejectsFlagsNothingRead) {
+  const char* argv[] = {"build/bench/dse_search", "--trials=8", "--fast",
+                        "--thermal-grid=48", "--name=x", "--bogus", "--ratio=y",
+                        "pos"};
+  char** args = const_cast<char**>(argv);
+  Cli cli(8, args);
+  EXPECT_EQ(cli.u64("trials", 0), 8u);
+  EXPECT_TRUE(cli.has("fast"));
+  EXPECT_EQ(cli.str("name", ""), "x");
+  EXPECT_EQ(cli.i64("thermal", 0), 0);  // a default read of an absent flag
+  EXPECT_THROW((void)cli.f64("ratio", 0), std::invalid_argument);
+  try {
+    cli.reject_unread();
+    FAIL() << "accepted --bogus and --thermal-grid";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown flag --bogus, --thermal-grid");
+  }
+  (void)cli.flag("bogus");
+  (void)cli.flag("thermal-grid");
+  EXPECT_NO_THROW(cli.reject_unread());
+
+  testing::internal::CaptureStderr();
+  const int status = h3dfact::util::run_main(8, args, [](int n, char** v) {
+    Cli c(n, v);
+    (void)c.u64("trials", 0);
+    c.reject_unread();
+    return 0;
+  });
+  EXPECT_EQ(status, 1);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "[dse_search] unknown flag --bogus, --fast, --name, --ratio, "
+            "--thermal-grid\n");
+}
+
 // The one exit path of the bench mains: a thrown exception becomes exit
 // status 1 and one stderr line tagged with the program's basename; any
 // status the body returns passes through.
