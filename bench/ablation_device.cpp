@@ -23,26 +23,15 @@ using namespace h3dfact;
 static int body(int argc, char** argv) {
   util::Cli cli(argc, argv);
   bench::grids::register_all();
-  const std::size_t M = static_cast<std::size_t>(cli.u64("m", 128));
-
-  const sweep::GridRef ref = bench::grid_ref_from_cli(
-      bench::grids::kAblationDevice, cli,
-      {"dim", "m", "trials", "cap", "seed"});
-  const sweep::SweepSpec spec = sweep::build_grid(ref);
-
-  const auto transport = bench::transport_from_cli(cli);
-  const auto options = bench::sweep_options_from_cli(cli, "ablation_device",
-                                                     &spec, ref, transport);
-  const auto emit = bench::emit_options_from_cli(cli);
-  cli.reject_unread();
-  const auto results = sweep::run_sweep(spec, options);
-  bench::emit_results(emit, spec, results);
+  const bench::GridRun run =
+      bench::run_grid(cli, bench::grids::kAblationDevice,
+                      {"dim", "m", "trials", "cap", "seed"});
 
   util::Table t("Ablation -- device statistics on the similarity path (F=3, M=" +
-                std::to_string(M) + ")");
+                std::to_string(run.spec.base.codebook_size) + ")");
   t.set_header({"technology", "path sigma (counts)", "gain", "accuracy %",
                 "median iters", "p99 iters"});
-  for (const auto& r : results) {
+  for (const auto& r : run.results) {
     const double med = r.stats.median_iterations();
     t.add_row({r.coordinates[0].second, r.meta.at("path_sigma_counts"),
                r.meta.at("gain"), bench::acc_pct(r.stats),

@@ -1,10 +1,12 @@
 #pragma once
 // Shared helpers for the experiment benches: every bench prints the rows /
 // series the paper reports, with the paper's published value alongside the
-// measured one. The grid benches declare a sweep::SweepSpec and execute it
-// through the sharded SweepRunner — locally, or across machines when the
-// distributed flags name a worker fleet (see docs/sweeps.md). Common CLI
-// knobs:
+// measured one. A grid bench hands its registered grid(s) and the CLI keys
+// their builder takes to run_grid / run_grids, the one grid driver: it
+// builds each grid, reads every shared flag, refuses unread flags, runs the
+// grids on local shards or on a worker fleet (see docs/sweeps.md), writes
+// the --csv/--json dump and returns the results for the bench's report.
+// Common CLI knobs:
 //   --trials=N    trials per configuration (scaled-down defaults)
 //   --cap=N       iteration cap
 //   --seed=N      master seed
@@ -27,15 +29,20 @@
 //                         forever)
 // --shards=N above 1 does not combine with the distributed flags: start
 // local `sweep_worker --connect` processes to add this host's cores.
-// Every main refuses a flag it does not read (util::Cli::reject_unread).
+// Every main refuses a flag it does not read (util::Cli::reject_unread),
+// and a bad flag, --filter or output path is refused before any worker is
+// reached or any cell runs.
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
+#include <functional>
 #include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -90,37 +97,25 @@ inline std::vector<std::string> split_list(const std::string& text,
   return out;
 }
 
-/// A GridRef for `grid` carrying exactly the CLI keys the user set (both
-/// sides share the builder's defaults for the rest, so the ref stays
-/// minimal and the fingerprint check guards against default drift).
-inline sweep::GridRef grid_ref_from_cli(
-    const char* grid, const util::Cli& cli,
-    std::initializer_list<const char*> keys) {
-  sweep::GridRef ref;
-  ref.name = grid;
-  for (const char* key : keys) {
-    if (cli.has(key)) ref.params[key] = cli.str(key, "");
-  }
-  return ref;
-}
-
-/// Remote worker fleet from the distributed CLI flags (--listen /
-/// --workers / --worker-cmd); null when none are given. Construct ONCE per
-/// bench process and share across its sweeps — the connections persist.
-inline std::shared_ptr<sweep::Transport> transport_from_cli(
+/// The distributed CLI flags (--listen / --workers / --worker-cmd) as a
+/// fleet recipe; nullopt when none are given. This only reads flags:
+/// nothing listens, dials or spawns until a sweep::WorkerFleet is built
+/// from the result, which a main does after Cli::reject_unread(). Build ONE
+/// fleet per bench process and share it across its sweeps — the
+/// connections persist.
+inline std::optional<sweep::FleetConfig> transport_from_cli(
     const util::Cli& cli) {
-  std::vector<std::shared_ptr<sweep::Transport>> parts;
-  const std::string listen = cli.str("listen", "");
+  sweep::FleetConfig fleet;
+  fleet.listen = cli.str("listen", "");
   const std::string workers = cli.str("workers", "");
-  std::vector<std::string> dial;
   unsigned accept = 0;
   if (!workers.empty()) {
     if (workers.find(':') != std::string::npos) {
-      dial = split_list(workers, ",");
+      fleet.connect = split_list(workers, ",");
     } else {
       accept = static_cast<unsigned>(
           cli.u64("workers", 1, std::numeric_limits<unsigned>::max()));
-      if (listen.empty()) {
+      if (fleet.listen.empty()) {
         // Never drop a distributed request silently — an hours-long --full
         // run quietly going local is far worse than an error.
         throw std::invalid_argument(
@@ -129,42 +124,33 @@ inline std::shared_ptr<sweep::Transport> transport_from_cli(
       }
     }
   }
-  if (!listen.empty() || !dial.empty()) {
-    sweep::TcpConfig tcp;
-    tcp.listen = listen;
-    // Default to expecting one inbound worker only when --listen is the
-    // sole TCP request; --listen combined with a dial-out list must not
-    // block on inbound workers nobody asked for.
-    tcp.accept_workers =
-        listen.empty() ? 0 : (accept > 0 ? accept : (dial.empty() ? 1u : 0u));
-    tcp.connect = std::move(dial);
-    parts.push_back(std::make_shared<sweep::TcpTransport>(std::move(tcp)));
+  // Default to expecting one inbound worker only when --listen is the sole
+  // TCP request; --listen combined with a dial-out list must not block on
+  // inbound workers nobody asked for.
+  if (!fleet.listen.empty()) {
+    fleet.accept_workers =
+        accept > 0 ? accept : (fleet.connect.empty() ? 1u : 0u);
   }
   if (const std::string cmds = cli.str("worker-cmd", ""); !cmds.empty()) {
-    std::vector<std::string> commands = split_list(cmds, ";;");
-    if (commands.empty()) {
+    fleet.commands = split_list(cmds, ";;");
+    if (fleet.commands.empty()) {
       throw std::invalid_argument(
           "--worker-cmd given but no commands parsed; separate worker "
           "commands with ';;'");
     }
-    parts.push_back(
-        std::make_shared<sweep::StdioTransport>(std::move(commands)));
   }
-  if (parts.empty()) return nullptr;
-  if (parts.size() == 1) return parts.front();
-  return std::make_shared<sweep::CompositeTransport>(std::move(parts));
+  if (fleet.listen.empty() && fleet.connect.empty() && fleet.commands.empty()) {
+    return std::nullopt;
+  }
+  return fleet;
 }
 
-/// Sweep execution options from the shared CLI knobs, with a progress line
-/// per finished cell on stderr. `ref`/`transport` enable distributed
-/// execution; `spec` validates the --filter selector. The --checkpoint
-/// path is taken verbatim — a bench running SEVERAL grids must suffix it
-/// per grid itself (see ablation_noise: .sigma/.theta), or the second
-/// grid's run will reject the first grid's checkpoint.
-inline sweep::SweepOptions sweep_options_from_cli(
-    const util::Cli& cli, std::string label,
-    const sweep::SweepSpec* spec = nullptr, sweep::GridRef ref = {},
-    std::shared_ptr<sweep::Transport> transport = nullptr) {
+/// Sweep execution options from the shared CLI knobs (--shards,
+/// --cell-threads, --block-deadline-ms), with a progress line per finished
+/// cell on stderr. The caller sets the fleet (see transport_from_cli), the
+/// grid, the cell filter and the checkpoint path.
+inline sweep::SweepOptions sweep_options_from_cli(const util::Cli& cli,
+                                                  std::string label) {
   sweep::SweepOptions opt;
   opt.shards = static_cast<unsigned>(
       cli.u64("shards", 1, std::numeric_limits<unsigned>::max()));
@@ -178,16 +164,6 @@ inline sweep::SweepOptions sweep_options_from_cli(
     std::fprintf(stderr, "[%s] cell %zu done (%zu/%zu, %.2fs)\n",
                  label.c_str(), r.index, done, total, r.wall_seconds);
   };
-  opt.transport = std::move(transport);
-  opt.grid = std::move(ref);
-  if (spec != nullptr) {
-    if (const std::string expr = cli.str("filter", ""); !expr.empty()) {
-      opt.cells = sweep::parse_cell_filter(expr, spec->cell_count());
-    }
-    if (const std::string path = cli.str("checkpoint", ""); !path.empty()) {
-      opt.checkpoint_path = path;
-    }
-  }
   return opt;
 }
 
@@ -200,41 +176,115 @@ inline const sweep::CellResult* find_cell(
   return nullptr;
 }
 
-/// The --csv= / --json= dump paths (empty: no dump) and --strip-wall,
-/// which zeroes the wall-clock column first, making the artifacts
-/// byte-comparable across runs, shard counts and transports. Read before
-/// the sweep, so Cli::reject_unread() knows these flags.
-struct EmitOptions {
-  bool strip_wall = false;
-  std::string csv, json;
-};
-
-inline EmitOptions emit_options_from_cli(const util::Cli& cli) {
-  return {cli.flag("strip-wall"), cli.str("csv", ""), cli.str("json", "")};
+/// Throws std::runtime_error naming `path` unless it can be opened for
+/// writing. The probe appends nothing (a missing file is created empty),
+/// so a file already there keeps its bytes until the real write at the end
+/// of the run.
+inline void require_writable(const std::string& path) {
+  if (!std::ofstream(path, std::ios::app)) {
+    throw std::runtime_error("cannot write " + path);
+  }
 }
 
-/// Dump structured results as `emit` says.
-inline void emit_results(const EmitOptions& emit, const sweep::SweepSpec& spec,
-                         const std::vector<sweep::CellResult>& results) {
-  const std::vector<sweep::CellResult>* out = &results;
-  std::vector<sweep::CellResult> stripped;
-  if (emit.strip_wall) {
-    stripped = results;
-    for (sweep::CellResult& r : stripped) r.wall_seconds = 0.0;
-    out = &stripped;
+/// One grid of a bench: the registered name and the suffix that keeps its
+/// --checkpoint file apart from the other grids' ("" for a one-grid bench).
+struct GridJob {
+  const char* name;
+  const char* checkpoint_suffix = "";
+};
+
+/// One executed grid: the recipe built from the CLI, its spec and its
+/// results (sorted by cell index; a --filter run leaves holes).
+struct GridRun {
+  sweep::GridRef ref;
+  sweep::SweepSpec spec;
+  std::vector<sweep::CellResult> results;
+  bool filtered = false;  ///< --filter selected the cells
+};
+
+/// The grid bench driver. Builds every grid in `jobs` from the `keys` the
+/// user set on the command line (both sides of a distributed sweep share
+/// the builder's defaults for the rest, and the fingerprint check guards
+/// against default drift), reads the shared flags, checks --filter against
+/// each grid, refuses unread flags and unwritable --csv/--json paths, and
+/// only then builds the worker fleet. It calls `before_run` (if set), runs
+/// the grids back to back on the one fleet or on local shards, and writes
+/// one --csv/--json dump named `dump_name`, each grid's cell indices offset
+/// by the cell counts of the grids before it.
+inline std::vector<GridRun> run_grids(
+    const util::Cli& cli, const std::string& dump_name,
+    const std::vector<GridJob>& jobs, std::initializer_list<const char*> keys,
+    const std::function<void(const std::vector<GridRun>&)>& before_run = {}) {
+  std::optional<sweep::FleetConfig> fleet = transport_from_cli(cli);
+  const std::string filter = cli.str("filter", "");
+  const std::string checkpoint = cli.str("checkpoint", "");
+  const bool strip_wall = cli.flag("strip-wall");
+  const std::string csv = cli.str("csv", "");
+  const std::string json = cli.str("json", "");
+  std::vector<GridRun> runs;
+  std::vector<sweep::SweepOptions> options;
+  for (const GridJob& job : jobs) {
+    GridRun& run = runs.emplace_back();
+    run.ref.name = job.name;
+    for (const char* key : keys) {
+      if (cli.has(key)) run.ref.params[key] = cli.str(key, "");
+    }
+    run.spec = sweep::build_grid(run.ref);
+    sweep::SweepOptions& opt =
+        options.emplace_back(sweep_options_from_cli(cli, job.name));
+    opt.grid = run.ref;
+    if (!filter.empty()) {
+      opt.cells = sweep::parse_cell_filter(filter, run.spec.cell_count());
+    }
+    if (!checkpoint.empty()) {
+      opt.checkpoint_path = checkpoint + job.checkpoint_suffix;
+    }
+    run.filtered = !opt.cells.empty();
   }
-  if (!emit.csv.empty()) {
-    std::ofstream os(emit.csv);
-    if (!os) throw std::runtime_error("cannot write " + emit.csv);
-    sweep::write_csv(os, *out);
-    std::fprintf(stderr, "[%s] wrote %s\n", spec.name.c_str(), emit.csv.c_str());
+  cli.reject_unread();
+  for (const std::string& path : {csv, json}) {
+    if (!path.empty()) require_writable(path);
   }
-  if (!emit.json.empty()) {
-    std::ofstream os(emit.json);
-    if (!os) throw std::runtime_error("cannot write " + emit.json);
-    sweep::write_json(os, spec.name, *out);
-    std::fprintf(stderr, "[%s] wrote %s\n", spec.name.c_str(), emit.json.c_str());
+  if (fleet) {
+    auto workers = std::make_shared<sweep::WorkerFleet>(std::move(*fleet));
+    for (sweep::SweepOptions& opt : options) opt.transport = workers;
   }
+  if (before_run) before_run(runs);
+
+  std::vector<sweep::CellResult> dump;
+  std::size_t index_base = 0;
+  for (std::size_t g = 0; g < runs.size(); ++g) {
+    runs[g].results = sweep::run_sweep(runs[g].spec, options[g]);
+    for (sweep::CellResult r : runs[g].results) {
+      r.index += index_base;
+      if (strip_wall) r.wall_seconds = 0.0;
+      dump.push_back(std::move(r));
+    }
+    // Offset by the grid's CELL COUNT, not its result count: a --filter run
+    // returns fewer rows, and count-based offsets would collide.
+    index_base += runs[g].spec.cell_count();
+  }
+  if (!csv.empty()) {
+    std::ofstream os(csv);
+    if (!os) throw std::runtime_error("cannot write " + csv);
+    sweep::write_csv(os, dump);
+    std::fprintf(stderr, "[%s] wrote %s\n", dump_name.c_str(), csv.c_str());
+  }
+  if (!json.empty()) {
+    std::ofstream os(json);
+    if (!os) throw std::runtime_error("cannot write " + json);
+    sweep::write_json(os, dump_name, dump);
+    std::fprintf(stderr, "[%s] wrote %s\n", dump_name.c_str(), json.c_str());
+  }
+  return runs;
+}
+
+/// run_grids for a bench with one registered grid, dumped under its name.
+inline GridRun run_grid(
+    const util::Cli& cli, const char* name,
+    std::initializer_list<const char*> keys,
+    const std::function<void(const std::vector<GridRun>&)>& before_run = {}) {
+  return std::move(run_grids(cli, name, {{name}}, keys, before_run).front());
 }
 
 /// Format an iteration count with the paper's "Fail" convention: a cell

@@ -21,10 +21,12 @@
 //   --grid=NAME       registered design-space grid (default "dse")
 //   --rungs=K --eta=E successive-halving schedule (default 2, 2.0)
 //   --frontier=PATH   write the frontier JSON artifact (byte-stable)
-// Execution (the standard sweep transport flags; see docs/sweeps.md):
+// Execution (the standard sweep fleet flags; see docs/sweeps.md):
 //   --shards=N --cell-threads=N --listen=[host:]port --workers=N|h:p,...
 //   --worker-cmd="CMD" --block-deadline-ms=N
 //   --checkpoint=BASE  rung k checkpoints to BASE.rung<k> (resumable)
+// --filter, --csv and --json are refused as unknown flags: the halving
+// scheduler picks each rung's cells, and the frontier is the artifact.
 // After each rung's sweep this process evaluates the hardware models (ppa +
 // thermal solve) of the rung's new cells side by side on
 // max(1, --shards, --cell-threads) threads (--cell-threads 0 = the hardware
@@ -33,6 +35,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -50,41 +55,34 @@ static int body(int argc, char** argv) {
   dse::register_design_spaces();
 
   const std::string grid = cli.str("grid", dse::kDesignGrid);
-  const sweep::GridRef ref = bench::grid_ref_from_cli(
-      grid.c_str(), cli,
-      {"designs", "rows", "subarrays", "adc", "f", "m", "trials", "cap",
-       "seed", "sigma", "theta", "clip", "thermal"});
+  sweep::GridRef ref{grid, {}};
+  for (const char* key : {"designs", "rows", "subarrays", "adc", "f", "m",
+                          "trials", "cap", "seed", "sigma", "theta", "clip",
+                          "thermal"}) {
+    if (cli.has(key)) ref.params[key] = cli.str(key, "");
+  }
+  const sweep::SweepSpec spec = sweep::build_grid(ref);
 
   dse::SearchOptions options;
   options.rungs = static_cast<std::size_t>(cli.u64("rungs", 2));
   options.eta = cli.f64("eta", 2.0);
   options.checkpoint_base = cli.str("checkpoint", "");
   // The scheduler owns cells/grid/checkpoint per rung; only the execution
-  // knobs come from the CLI.
-  options.sweep =
-      bench::sweep_options_from_cli(cli, "dse", nullptr, {},
-                                    bench::transport_from_cli(cli));
-  if (cli.has("filter")) {
-    std::fprintf(stderr,
-                 "dse_search: --filter is not supported; the halving "
-                 "scheduler selects cells per rung\n");
-    return 2;
-  }
-  if (cli.has("csv") || cli.has("json")) {
-    // DesignPoint does not keep the raw TrialStats the sweep emitters need;
-    // the byte-stable artifact here is the frontier JSON.
-    std::fprintf(stderr,
-                 "dse_search: --csv/--json are not supported; use "
-                 "--frontier=PATH for the byte-stable artifact\n");
-    return 2;
-  }
+  // knobs come from the CLI. --filter, --csv and --json are never read, so
+  // reject_unread() refuses them (docs/dse.md says why).
+  options.sweep = bench::sweep_options_from_cli(cli, "dse");
+  std::optional<sweep::FleetConfig> fleet = bench::transport_from_cli(cli);
   const std::string frontier_path = cli.str("frontier", "");
   cli.reject_unread();
+  if (!frontier_path.empty()) bench::require_writable(frontier_path);
+  if (fleet) {
+    options.sweep.transport =
+        std::make_shared<sweep::WorkerFleet>(std::move(*fleet));
+  }
 
   const dse::SearchResult result = dse::run_search(ref, options);
 
   // --- report --------------------------------------------------------------
-  const sweep::SweepSpec spec = sweep::build_grid(ref);
   util::Table audit("DSE search -- successive-halving audit (grid '" + grid +
                     "', " + std::to_string(spec.cell_count()) + " cells)");
   audit.set_header({"rung", "trials/cell", "entrants", "promoted"});
@@ -132,11 +130,7 @@ static int body(int argc, char** argv) {
 
   if (!frontier_path.empty()) {
     std::ofstream os(frontier_path);
-    if (!os) {
-      std::fprintf(stderr, "dse_search: cannot write %s\n",
-                   frontier_path.c_str());
-      return 1;
-    }
+    if (!os) throw std::runtime_error("cannot write " + frontier_path);
     dse::write_frontier_json(os, grid, ref, result.frontier);
     std::fprintf(stderr, "[dse] wrote %s\n", frontier_path.c_str());
   }

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <iostream>
-#include <memory>
 #include <string>
 
 #include "bench_common.hpp"
@@ -20,21 +19,11 @@ using namespace h3dfact;
 static int body(int argc, char** argv) {
   util::Cli cli(argc, argv);
   bench::grids::register_all();
-  const std::size_t cap = static_cast<std::size_t>(cli.u64("cap", 300));
-
-  const sweep::GridRef ref = bench::grid_ref_from_cli(
-      bench::grids::kFig6a, cli, {"dim", "f", "m", "trials", "cap", "seed"});
-  const sweep::SweepSpec spec = sweep::build_grid(ref);
-
-  const auto transport = bench::transport_from_cli(cli);
-  const auto options =
-      bench::sweep_options_from_cli(cli, "fig6a", &spec, ref, transport);
-  const auto emit = bench::emit_options_from_cli(cli);
-  cli.reject_unread();
-  const auto results = sweep::run_sweep(spec, options);
-  bench::emit_results(emit, spec, results);
-  const sweep::CellResult* low_cell = bench::find_cell(results, 0);
-  const sweep::CellResult* high_cell = bench::find_cell(results, 1);
+  const bench::GridRun run = bench::run_grid(
+      cli, bench::grids::kFig6a, {"dim", "f", "m", "trials", "cap", "seed"});
+  const sweep::SweepSpec& spec = run.spec;
+  const sweep::CellResult* low_cell = bench::find_cell(run.results, 0);
+  const sweep::CellResult* high_cell = bench::find_cell(run.results, 1);
   if (low_cell == nullptr || high_cell == nullptr) {
     std::cout << "fig6a: partial run (--filter); both ADC cells are needed "
                  "for the report — see --csv/--json for the raw results.\n";
@@ -47,7 +36,7 @@ static int body(int argc, char** argv) {
   t.set_header({"iteration", "4-bit acc %", "8-bit acc %"});
   // k = 0 is the pre-iteration accuracy (decode of the initial state).
   for (std::size_t k : {0u, 1u, 2u, 5u, 10u, 15u, 20u, 30u, 50u, 80u, 120u, 200u, 300u}) {
-    if (k > cap) break;
+    if (k > spec.base.max_iterations) break;
     t.add_row({util::Table::fmt_int(static_cast<long long>(k)),
                util::Table::fmt_pct(low.accuracy_at(k)),
                util::Table::fmt_pct(high.accuracy_at(k))});

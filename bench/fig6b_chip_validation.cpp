@@ -11,10 +11,8 @@
 // the identical chip — and the trial loop, trace histograms and one-shot
 // readout all come from the shared trial runner.
 
-#include <algorithm>
 #include <cstdint>
 #include <iostream>
-#include <memory>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -23,28 +21,11 @@
 
 using namespace h3dfact;
 
-static int body(int argc, char** argv) {
-  util::Cli cli(argc, argv);
-  bench::grids::register_all();
-  const std::size_t cap = static_cast<std::size_t>(cli.u64("cap", 60));
-  const std::uint64_t seed = cli.u64("seed", 66);
-  const sweep::GridRef ref = bench::grid_ref_from_cli(
-      bench::grids::kFig6b, cli, {"f", "m", "trials", "cap", "seed"});
-  const sweep::SweepSpec spec = sweep::build_grid(ref);
-
-  const auto transport = bench::transport_from_cli(cli);
-  const auto options =
-      bench::sweep_options_from_cli(cli, "fig6b", &spec, ref, transport);
-  const auto emit = bench::emit_options_from_cli(cli);
-  cli.reject_unread();
-
-  // --- Step 1: "measure" the testchip -------------------------------------
-  // (The registered grid builder repeats this reconstruction from the seed;
-  // this pass only feeds the setup report.)
-  util::Rng rng(seed);
-  auto params = device::default_rram_40nm();
-  device::TestchipNoiseModel chip(256, params, 400, rng);
-
+// Step 1, printed before the sweep: "measure" the testchip. The grid
+// builder derives the VTGT retune from the same reconstruction.
+static void print_setup(const std::vector<bench::GridRun>& runs) {
+  const device::TestchipNoiseModel chip =
+      bench::grids::fig6b_testchip(runs.front().ref.params);
   util::Table m("Fig. 6b (setup) -- Extracted 40 nm testchip readout statistics");
   m.set_header({"nominal level", "measured mean", "measured sigma"});
   for (const auto& row : chip.table()) {
@@ -56,16 +37,22 @@ static int body(int argc, char** argv) {
              util::Table::fmt(chip.gain(), 3) + " -> VTGT retune factor " +
              util::Table::fmt(chip.vtgt_retune_factor(), 3) + ".");
   m.print(std::cout);
+}
 
-  // --- Step 2: factorize through the device-level CIM path ---------------
-  const auto results = sweep::run_sweep(spec, options);
-  bench::emit_results(emit, spec, results);
-  const resonator::TrialStats& stats = results.at(0).stats;
+static int body(int argc, char** argv) {
+  util::Cli cli(argc, argv);
+  bench::grids::register_all();
+  // Step 2, after run_grid has printed step 1: factorize through the
+  // device-level CIM path.
+  const bench::GridRun run =
+      bench::run_grid(cli, bench::grids::kFig6b,
+                      {"f", "m", "trials", "cap", "seed"}, print_setup);
+  const resonator::TrialStats& stats = run.results.at(0).stats;
 
   util::Table t("Fig. 6b -- Testchip-validated factorization accuracy");
   t.set_header({"iteration", "accuracy %"});
   for (std::size_t k : {1u, 2u, 5u, 10u, 15u, 20u, 25u, 30u, 40u, 60u}) {
-    if (k > cap) break;
+    if (k > run.spec.base.max_iterations) break;
     t.add_row({util::Table::fmt_int(static_cast<long long>(k)),
                util::Table::fmt_pct(stats.accuracy_at(k))});
   }

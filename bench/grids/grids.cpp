@@ -17,9 +17,51 @@ namespace {
 using sweep::GridParams;
 using sweep::param_f64;
 using sweep::param_flag;
-using sweep::param_i64;
+using sweep::param_u64;
 
 // --- table2 -----------------------------------------------------------------
+
+// One Table II row: the (F, M) size point with its trial budgets, caps
+// and channel operating point.
+struct Table2Row {
+  std::size_t F;            ///< factor count
+  std::size_t M;            ///< codebook size (the paper's "D" column)
+  std::size_t base_trials;  ///< baseline factorizer trial budget
+  std::size_t base_cap;     ///< baseline iteration cap
+  std::size_t h3d_trials;   ///< H3DFact trial budget
+  std::size_t h3d_cap;      ///< H3DFact iteration cap
+  double theta;             ///< VTGT sense threshold (crosstalk sigmas)
+  double sigma;             ///< device-noise sigma (crosstalk sigmas)
+};
+
+// The row list for a given scale (--full) and row trim (--rows).
+std::vector<Table2Row> table2_rows(bool full, std::size_t trim) {
+  // Scaled-down defaults (shape-preserving); --full lifts trials and caps.
+  // theta follows the VTGT tuning schedule: the sense threshold grows with
+  // codebook size (more crosstalk survivors to reject) and shrinks with
+  // factor count (weaker initial similarity signal).
+  std::vector<Table2Row> rows = {
+      {3, 16, 60, 500, 40, 1000, 1.5, 0.5},
+      {3, 32, 60, 1000, 40, 1000, 1.5, 0.5},
+      {3, 64, 40, 2000, 40, 2000, 1.5, 0.5},
+      {3, 128, 30, 2000, 25, 4000, 1.5, 0.5},
+      {3, 256, 15, 1000, 15, 8000, 2.0, 0.5},
+      {3, 512, 8, 500, 10, 50000, 3.0, 1.0},
+      {4, 16, 60, 1000, 40, 1000, 1.0, 0.5},
+      {4, 32, 40, 2000, 30, 4000, 1.5, 0.5},
+      {4, 64, 20, 2000, 12, 20000, 1.5, 0.5},
+  };
+  if (full) {
+    for (auto& r : rows) {
+      r.base_trials *= 3;
+      r.h3d_trials *= 3;
+      r.h3d_cap *= 4;
+    }
+    rows.push_back({4, 128, 20, 2000, 10, 200000, 1.75, 0.5});
+  }
+  if (trim > 0 && trim < rows.size()) rows.resize(trim);
+  return rows;
+}
 
 struct PaperCell {
   const char* acc_base;
@@ -56,9 +98,9 @@ PaperCell paper_cell(std::size_t F, std::size_t M) {
 
 sweep::SweepSpec build_table2(const GridParams& p) {
   const bool full = param_flag(p, "full");
-  const auto dim = static_cast<std::size_t>(param_i64(p, "dim", 1024));
-  const auto seed = static_cast<std::uint64_t>(param_i64(p, "seed", 20240404));
-  const auto trim = static_cast<std::size_t>(param_i64(p, "rows", 0));
+  const auto dim = static_cast<std::size_t>(param_u64(p, "dim", 1024));
+  const auto seed = param_u64(p, "seed", 20240404);
+  const auto trim = static_cast<std::size_t>(param_u64(p, "rows", 0));
   const std::vector<Table2Row> rows = table2_rows(full, trim);
 
   sweep::SweepSpec spec;
@@ -118,12 +160,12 @@ sweep::SweepSpec build_table2(const GridParams& p) {
 sweep::SweepSpec build_fig6a(const GridParams& p) {
   sweep::SweepSpec spec;
   spec.name = kFig6a;
-  spec.base.dim = static_cast<std::size_t>(param_i64(p, "dim", 1024));
-  spec.base.factors = static_cast<std::size_t>(param_i64(p, "f", 3));
-  spec.base.codebook_size = static_cast<std::size_t>(param_i64(p, "m", 32));
-  spec.base.trials = static_cast<std::size_t>(param_i64(p, "trials", 100));
-  spec.base.max_iterations = static_cast<std::size_t>(param_i64(p, "cap", 300));
-  spec.base.seed = static_cast<std::uint64_t>(param_i64(p, "seed", 606));
+  spec.base.dim = static_cast<std::size_t>(param_u64(p, "dim", 1024));
+  spec.base.factors = static_cast<std::size_t>(param_u64(p, "f", 3));
+  spec.base.codebook_size = static_cast<std::size_t>(param_u64(p, "m", 32));
+  spec.base.trials = static_cast<std::size_t>(param_u64(p, "trials", 100));
+  spec.base.max_iterations = static_cast<std::size_t>(param_u64(p, "cap", 300));
+  spec.base.seed = param_u64(p, "seed", 606);
   spec.base.record_correct_trace = true;
   spec.axes.push_back(sweep::Axis::param("adc_bits", {4, 8}));
   spec.factory = sweep::make_h3dfact_cell;
@@ -132,25 +174,24 @@ sweep::SweepSpec build_fig6a(const GridParams& p) {
 
 // --- fig6b ------------------------------------------------------------------
 
-sweep::SweepSpec build_fig6b(const GridParams& p) {
-  const auto seed = static_cast<std::uint64_t>(param_i64(p, "seed", 66));
+std::uint64_t fig6b_seed(const GridParams& p) {
+  return param_u64(p, "seed", 66);
+}
 
-  // Reconstruct the testchip measurement campaign deterministically from
-  // the seed, exactly as the bench's setup step does, so every worker
-  // derives the same VTGT retune factor.
-  util::Rng rng(seed);
-  auto params = device::default_rram_40nm();
-  device::TestchipNoiseModel chip(256, params, 400, rng);
-  const double retune = chip.vtgt_retune_factor();
+sweep::SweepSpec build_fig6b(const GridParams& p) {
+  // Every worker reconstructs the same testchip, so all derive the same
+  // VTGT retune factor.
+  const double retune = fig6b_testchip(p).vtgt_retune_factor();
+  const auto params = device::default_rram_40nm();
 
   sweep::SweepSpec spec;
   spec.name = kFig6b;
   spec.base.dim = 1024;
-  spec.base.factors = static_cast<std::size_t>(param_i64(p, "f", 3));
-  spec.base.codebook_size = static_cast<std::size_t>(param_i64(p, "m", 7));
-  spec.base.trials = static_cast<std::size_t>(param_i64(p, "trials", 50));
-  spec.base.max_iterations = static_cast<std::size_t>(param_i64(p, "cap", 60));
-  spec.base.seed = seed + 10;
+  spec.base.factors = static_cast<std::size_t>(param_u64(p, "f", 3));
+  spec.base.codebook_size = static_cast<std::size_t>(param_u64(p, "m", 7));
+  spec.base.trials = static_cast<std::size_t>(param_u64(p, "trials", 50));
+  spec.base.max_iterations = static_cast<std::size_t>(param_u64(p, "cap", 60));
+  spec.base.seed = fig6b_seed(p) + 10;
   spec.base.record_correct_trace = true;
   // The modelled macros draw device noise per call; keep the sequential
   // draw order (the batch-of-one replay guarantee applies per trial).
@@ -182,13 +223,13 @@ sweep::SweepSpec build_fig6b(const GridParams& p) {
 
 sweep::SweepSpec noise_base(const GridParams& p) {
   sweep::SweepSpec spec;
-  spec.base.dim = static_cast<std::size_t>(param_i64(p, "dim", 1024));
+  spec.base.dim = static_cast<std::size_t>(param_u64(p, "dim", 1024));
   spec.base.factors = 3;
-  spec.base.codebook_size = static_cast<std::size_t>(param_i64(p, "m", 128));
-  spec.base.trials = static_cast<std::size_t>(param_i64(p, "trials", 20));
+  spec.base.codebook_size = static_cast<std::size_t>(param_u64(p, "m", 128));
+  spec.base.trials = static_cast<std::size_t>(param_u64(p, "trials", 20));
   spec.base.max_iterations =
-      static_cast<std::size_t>(param_i64(p, "cap", 6000));
-  spec.base.seed = static_cast<std::uint64_t>(param_i64(p, "seed", 321));
+      static_cast<std::size_t>(param_u64(p, "cap", 6000));
+  spec.base.seed = param_u64(p, "seed", 321);
   spec.factory = sweep::make_h3dfact_cell;
   return spec;
 }
@@ -213,9 +254,9 @@ sweep::SweepSpec build_noise_theta(const GridParams& p) {
 // --- ablation_device --------------------------------------------------------
 
 sweep::SweepSpec build_device(const GridParams& p) {
-  const auto dim = static_cast<std::size_t>(param_i64(p, "dim", 1024));
-  const auto M = static_cast<std::size_t>(param_i64(p, "m", 128));
-  const auto seed = static_cast<std::uint64_t>(param_i64(p, "seed", 55));
+  const auto dim = static_cast<std::size_t>(param_u64(p, "dim", 1024));
+  const auto M = static_cast<std::size_t>(param_u64(p, "m", 128));
+  const auto seed = param_u64(p, "seed", 55);
 
   // Extract per-technology similarity-path statistics (256-row columns).
   util::Rng rng(seed);
@@ -244,9 +285,9 @@ sweep::SweepSpec build_device(const GridParams& p) {
   spec.base.dim = dim;
   spec.base.factors = 3;
   spec.base.codebook_size = M;
-  spec.base.trials = static_cast<std::size_t>(param_i64(p, "trials", 20));
+  spec.base.trials = static_cast<std::size_t>(param_u64(p, "trials", 20));
   spec.base.max_iterations =
-      static_cast<std::size_t>(param_i64(p, "cap", 6000));
+      static_cast<std::size_t>(param_u64(p, "cap", 6000));
   spec.base.seed = seed + 13;
 
   std::vector<sweep::AxisPoint> points;
@@ -297,32 +338,10 @@ sweep::SweepSpec build_geometry(const GridParams&) {
 
 }  // namespace
 
-std::vector<Table2Row> table2_rows(bool full, std::size_t trim) {
-  // Scaled-down defaults (shape-preserving); --full lifts trials and caps.
-  // theta follows the VTGT tuning schedule: the sense threshold grows with
-  // codebook size (more crosstalk survivors to reject) and shrinks with
-  // factor count (weaker initial similarity signal).
-  std::vector<Table2Row> rows = {
-      {3, 16, 60, 500, 40, 1000, 1.5, 0.5},
-      {3, 32, 60, 1000, 40, 1000, 1.5, 0.5},
-      {3, 64, 40, 2000, 40, 2000, 1.5, 0.5},
-      {3, 128, 30, 2000, 25, 4000, 1.5, 0.5},
-      {3, 256, 15, 1000, 15, 8000, 2.0, 0.5},
-      {3, 512, 8, 500, 10, 50000, 3.0, 1.0},
-      {4, 16, 60, 1000, 40, 1000, 1.0, 0.5},
-      {4, 32, 40, 2000, 30, 4000, 1.5, 0.5},
-      {4, 64, 20, 2000, 12, 20000, 1.5, 0.5},
-  };
-  if (full) {
-    for (auto& r : rows) {
-      r.base_trials *= 3;
-      r.h3d_trials *= 3;
-      r.h3d_cap *= 4;
-    }
-    rows.push_back({4, 128, 20, 2000, 10, 200000, 1.75, 0.5});
-  }
-  if (trim > 0 && trim < rows.size()) rows.resize(trim);
-  return rows;
+device::TestchipNoiseModel fig6b_testchip(const sweep::GridParams& p) {
+  util::Rng rng(fig6b_seed(p));
+  return device::TestchipNoiseModel(256, device::default_rram_40nm(), 400,
+                                    rng);
 }
 
 void register_all() {

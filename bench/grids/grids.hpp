@@ -17,10 +17,7 @@
 //   ablation_device       — dim=1024, m=128, trials=20, cap=6000, seed=55
 //   ablation_geometry     — (trial-free: cells are evaluated analytically)
 
-#include <cstddef>
-#include <string>
-#include <vector>
-
+#include "device/rram_chip_data.hpp"
 #include "sweep/registry.hpp"
 
 namespace h3dfact::bench::grids {
@@ -38,20 +35,9 @@ inline constexpr const char* kAblationGeometry = "ablation_geometry";
 /// the grid bench mains and by sweep_worker before serving.
 void register_all();
 
-/// One Table II row configuration (shared between the grid builder and the
-/// bench's report: the report needs the (F, M) layout of the size axis).
-struct Table2Row {
-  std::size_t F;            ///< factor count
-  std::size_t M;            ///< codebook size (the paper's "D" column)
-  std::size_t base_trials;  ///< baseline factorizer trial budget
-  std::size_t base_cap;     ///< baseline iteration cap
-  std::size_t h3d_trials;   ///< H3DFact trial budget
-  std::size_t h3d_cap;      ///< H3DFact iteration cap
-  double theta;             ///< VTGT sense threshold (crosstalk sigmas)
-  double sigma;             ///< device-noise sigma (crosstalk sigmas)
-};
-
-/// The Table II row list for a given scale (--full) and row trim (--rows).
-std::vector<Table2Row> table2_rows(bool full, std::size_t trim);
+/// The fig6b testchip measurement campaign, reconstructed from the grid's
+/// `seed` parameter: the fig6b builder derives its VTGT retune factor from
+/// it, and fig6b_chip_validation prints its readout table.
+device::TestchipNoiseModel fig6b_testchip(const sweep::GridParams& p);
 
 }  // namespace h3dfact::bench::grids

@@ -17,8 +17,6 @@
 // --csv= / --json= dump the structured results.
 
 #include <cstdint>
-#include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,21 +28,10 @@ using namespace h3dfact;
 static int body(int argc, char** argv) {
   util::Cli cli(argc, argv);
   bench::grids::register_all();
-
-  const sweep::GridRef ref = bench::grid_ref_from_cli(
-      bench::grids::kTable2, cli, {"full", "dim", "seed", "rows"});
-  const sweep::SweepSpec spec = sweep::build_grid(ref);
-  const std::vector<bench::grids::Table2Row> rows = bench::grids::table2_rows(
-      cli.flag("full"), static_cast<std::size_t>(cli.u64("rows", 0)));
-
-  // --- execution -----------------------------------------------------------
-  const auto transport = bench::transport_from_cli(cli);
-  const auto options =
-      bench::sweep_options_from_cli(cli, "table2", &spec, ref, transport);
-  const auto emit = bench::emit_options_from_cli(cli);
-  cli.reject_unread();
-  const auto results = sweep::run_sweep(spec, options);
-  bench::emit_results(emit, spec, results);
+  const bench::GridRun run = bench::run_grid(
+      cli, bench::grids::kTable2, {"full", "dim", "seed", "rows"});
+  const sweep::SweepSpec& spec = run.spec;
+  const std::vector<sweep::CellResult>& results = run.results;
 
   // --- report --------------------------------------------------------------
   util::Table t("Table II -- Accuracy & Operational Capacity (measured vs paper)");
@@ -52,13 +39,14 @@ static int body(int argc, char** argv) {
                 "iters base", "(paper)", "iters H3D", "(paper)"});
   // Cell index = factorizer * rows + row (the size axis varies fastest);
   // --filter runs may have holes, reported as "-".
-  const std::size_t stride = rows.size();
+  const std::size_t rows = spec.axes.at(1).size();
   double total_cell_seconds = 0.0;
   for (const auto& r : results) total_cell_seconds += r.wall_seconds;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
+  for (std::size_t i = 0; i < rows; ++i) {
     const sweep::CellResult* base = bench::find_cell(results, i);
-    const sweep::CellResult* h3d = bench::find_cell(results, stride + i);
+    const sweep::CellResult* h3d = bench::find_cell(results, rows + i);
     if (base == nullptr && h3d == nullptr) continue;
+    const sweep::CellResult& cell = base != nullptr ? *base : *h3d;
     auto acc = [](const sweep::CellResult* r) {
       return r ? bench::acc_pct(r->stats) : std::string("-");
     };
@@ -68,8 +56,8 @@ static int body(int argc, char** argv) {
     auto paper = [](const sweep::CellResult* r, const char* key) {
       return r ? r->meta.at(key) : std::string("-");
     };
-    t.add_row({util::Table::fmt_int(static_cast<long long>(rows[i].F)),
-               util::Table::fmt_int(static_cast<long long>(rows[i].M)),
+    t.add_row({util::Table::fmt_int(static_cast<long long>(cell.factors)),
+               util::Table::fmt_int(static_cast<long long>(cell.codebook_size)),
                acc(base), paper(base, "paper_acc"),
                acc(h3d), paper(h3d, "paper_acc"),
                iters(base), paper(base, "paper_iters"),
@@ -95,7 +83,7 @@ static int body(int argc, char** argv) {
              " cells; spread them with --shards=N (local workers) or "
              "--listen/--workers (TCP sweep_worker fleet) — per-cell stats "
              "are identical either way.");
-  if (!options.cells.empty()) {
+  if (run.filtered) {
     t.add_note("Partial run (--filter): " + std::to_string(results.size()) +
                " of " + std::to_string(spec.cell_count()) +
                " cells; missing cells print as '-'.");

@@ -1,4 +1,4 @@
-// Fixture: a process fork outside StdioTransport's spawn must trip the
+// Fixture: a process fork outside WorkerFleet's spawn must trip the
 // raw-fork rule; forking a generator stream must not.
 #include <unistd.h>
 

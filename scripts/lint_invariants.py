@@ -40,7 +40,7 @@ perfbench/, the benchmark harness):
                (src/hdc/kernels/thread_pool.*); std::thread::
                hardware_concurrency stays allowed everywhere.
   raw-fork     A zero-argument fork(), ::fork() or vfork() may appear only
-               in src/sweep/transport.cpp, where StdioTransport spawns a
+               in src/sweep/transport.cpp, where WorkerFleet spawns a
                worker command and execs it at once. Local sweep shards are
                threads; a second local process pool would duplicate them.
                Rng::fork(stream_id) takes an argument and is not matched.
@@ -115,7 +115,7 @@ THREAD_ALLOWLIST = {
     "src/util/sync.hpp",
 }
 
-# StdioTransport's spawn-and-exec: the one process fork.
+# WorkerFleet's spawn-and-exec: the one process fork.
 FORK_ALLOWLIST = {"src/sweep/transport.cpp"}
 
 # The kernel backends: one translation unit per ISA (docs/kernels.md).
@@ -127,7 +127,7 @@ RULES = [
         "pattern": re.compile(r"(?<![\w:])::poll\s*\("),
         "allow": POLL_ALLOWLIST,
         "message": "raw ::poll() outside the deadline-bounded consumers; "
-                   "route the wait through sweep::Transport or the serve "
+                   "route the wait through sweep::WorkerFleet or the serve "
                    "event loop",
     },
     {
@@ -211,7 +211,7 @@ RULES = [
         "id": "raw-fork",
         "pattern": re.compile(r"(?<![\w.>:])(?:::\s*)?v?fork\s*\(\s*\)"),
         "allow": FORK_ALLOWLIST,
-        "message": "process fork outside StdioTransport's spawn-and-exec; "
+        "message": "process fork outside WorkerFleet's spawn-and-exec; "
                    "run local work on util::run_workers threads",
     },
     {

@@ -79,6 +79,18 @@ std::int64_t param_i64(const GridParams& params, const std::string& key,
   return *parsed;
 }
 
+std::uint64_t param_u64(const GridParams& params, const std::string& key,
+                        std::uint64_t def) {
+  auto it = params.find(key);
+  if (it == params.end()) return def;
+  const auto parsed = util::parse_u64(it->second);
+  if (!parsed) {
+    throw std::invalid_argument("grid param " + key + "=\"" + it->second +
+                                "\" is not a valid unsigned integer");
+  }
+  return *parsed;
+}
+
 double param_f64(const GridParams& params, const std::string& key,
                  double def) {
   auto it = params.find(key);

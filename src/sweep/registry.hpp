@@ -56,6 +56,11 @@ void register_grid(const std::string& name, GridBuilder builder);
 [[nodiscard]] std::int64_t param_i64(const GridParams& params,
                                      const std::string& key,
                                      std::int64_t def);
+/// Unsigned integer parameter (a count or a seed) with a default when
+/// absent; a negative value is refused, never wrapped.
+[[nodiscard]] std::uint64_t param_u64(const GridParams& params,
+                                      const std::string& key,
+                                      std::uint64_t def);
 /// Floating-point parameter with a default when absent.
 [[nodiscard]] double param_f64(const GridParams& params,
                                const std::string& key, double def);

@@ -12,12 +12,12 @@
 //                         several run, each runs its kernel calls inline
 //                         (util::InlineKernels): the shards are the
 //                         parallelism.
-//   * SweepOptions::transport — remote workers over TCP sockets or
-//                         subprocess stdin/stdout (`sweep_worker` binary,
-//                         reachable over ssh; transport.hpp). They do not
-//                         mix with local shards: this host's cores join a
-//                         distributed run as local `sweep_worker --connect`
-//                         processes.
+//   * SweepOptions::transport — a WorkerFleet of remote workers over TCP
+//                         sockets and/or subprocess stdin/stdout
+//                         (`sweep_worker` binary, reachable over ssh;
+//                         transport.hpp). They do not mix with local
+//                         shards: this host's cores join a distributed run
+//                         as local `sweep_worker --connect` processes.
 //
 // Remote workers rebuild the spec from SweepOptions::grid through the grid
 // registry and prove the rebuild with a spec fingerprint before any task
@@ -41,7 +41,7 @@
 
 namespace h3dfact::sweep {
 
-class Transport;
+class WorkerFleet;
 
 /// One executed cell: the resolved coordinates/parameters/metadata, an echo
 /// of the key config fields (plain data — results cross process
@@ -89,10 +89,10 @@ struct SweepOptions {
   std::function<void(const CellResult&, std::size_t done, std::size_t total)>
       progress;
 
-  /// Remote worker transport (TcpTransport/StdioTransport or a composite);
-  /// null runs locally. Persistent transports may be reused across several
-  /// run() calls (multi-grid benches bind the same fleet repeatedly).
-  std::shared_ptr<Transport> transport;
+  /// Remote worker fleet; null runs locally. A fleet's connections persist
+  /// across run() calls (multi-grid benches bind the same fleet
+  /// repeatedly).
+  std::shared_ptr<WorkerFleet> transport;
   /// Registry recipe remote workers rebuild the spec from; required
   /// whenever `transport` is set (see sweep/registry.hpp).
   GridRef grid;
@@ -131,7 +131,7 @@ class SweepRunner {
 
   /// Run every selected cell; results are returned sorted by cell index
   /// (checkpoint-resumed cells included). Throws std::invalid_argument when
-  /// both `shards` > 1 and a transport are set, and std::runtime_error when
+  /// both `shards` > 1 and a fleet are set, and std::runtime_error when
   /// the sweep cannot complete: a worker failed, every remote worker
   /// disconnected, or the checkpoint file is not one of this spec.
   [[nodiscard]] std::vector<CellResult> run() const;

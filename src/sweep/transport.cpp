@@ -26,6 +26,10 @@ namespace {
 
 constexpr int kHelloTimeoutMs = 60000;
 constexpr int kSpecReadyTimeoutMs = 300000;  // spec builders may simulate chips
+// Dial-out budget: refused connections are retried for ~10 s while the
+// workers start.
+constexpr int kConnectRetries = 40;
+constexpr int kConnectRetryMs = 250;
 
 bool read_retry(int fd, char* buf, std::size_t cap, long& out) {
   for (;;) {
@@ -171,40 +175,6 @@ void await_spec_ready(WorkerChannel& ch, const SpecBinding& binding) {
         std::to_string(binding.fingerprint) +
         "); check that both binaries are the same build and parameters");
   }
-}
-
-// Bind every live channel: all SpecInits go out first, then the replies
-// are collected, so N workers rebuild the grid in parallel instead of one
-// at a time (spec builders can be expensive — fig6b simulates a testchip).
-std::vector<WorkerChannel*> bind_remote_channels(
-    std::vector<std::unique_ptr<WorkerChannel>>& channels,
-    const SpecBinding& binding) {
-  std::vector<WorkerChannel*> out;
-  for (auto& ch : channels) {
-    if (ch->read_fd() < 0) continue;  // lost in an earlier sweep
-    send_spec_init(*ch, binding);
-    out.push_back(ch.get());
-  }
-  for (WorkerChannel* ch : out) {
-    await_spec_ready(*ch, binding);
-    ch->task_open = true;
-  }
-  return out;
-}
-
-void shutdown_and_reap(std::vector<std::unique_ptr<WorkerChannel>>& channels) {
-  for (auto& ch : channels) {
-    if (ch->writable()) ch->send(FrameKind::kShutdown, "");
-    ch->close_write();
-  }
-  for (auto& ch : channels) {
-    if (ch->pid() > 0) {
-      int status = 0;
-      ::waitpid(ch->pid(), &status, 0);
-    }
-    ch->close_all();
-  }
-  channels.clear();
 }
 
 }  // namespace
@@ -389,105 +359,92 @@ int serve_remote_worker(int in_fd, int out_fd,
   }
 }
 
-// --- StdioTransport ---------------------------------------------------------
+// --- WorkerFleet ------------------------------------------------------------
 
-StdioTransport::StdioTransport(std::vector<std::string> commands) {
+WorkerFleet::WorkerFleet(FleetConfig config) : config_(std::move(config)) {
   ignore_sigpipe();
-  for (const std::string& cmd : commands) {
-    int to_child[2];   // parent writes -> child stdin
-    int from_child[2]; // child stdout -> parent reads
-    if (::pipe(to_child) != 0 || ::pipe(from_child) != 0) {
-      throw std::runtime_error("cannot create pipes for worker command '" +
-                               cmd + "'");
-    }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      throw std::runtime_error("cannot fork worker command '" + cmd + "'");
-    }
-    if (pid == 0) {
-      ::dup2(to_child[0], STDIN_FILENO);
-      ::dup2(from_child[1], STDOUT_FILENO);
-      ::close(to_child[0]);
-      ::close(to_child[1]);
-      ::close(from_child[0]);
-      ::close(from_child[1]);
-      ::execl("/bin/sh", "sh", "-c", cmd.c_str(), static_cast<char*>(nullptr));
-      std::perror("execl /bin/sh");
-      ::_exit(127);
-    }
-    ::close(to_child[0]);
-    ::close(from_child[1]);
-    set_cloexec(to_child[1]);
-    set_cloexec(from_child[0]);
-    // Register the child BEFORE handshaking so a failure mid-fleet still
-    // reaps every process already spawned (the destructor won't run for a
-    // throwing constructor).
-    channels_.push_back(std::make_unique<WorkerChannel>(
-        from_child[0], to_child[1], pid, cmd));
-    try {
-      coordinator_handshake(*channels_.back());
-    } catch (...) {
-      shutdown_and_reap(channels_);
-      throw;
-    }
-  }
-}
-
-StdioTransport::~StdioTransport() { shutdown_and_reap(channels_); }
-
-std::string StdioTransport::describe() const {
-  return "stdio(" + std::to_string(channels_.size()) + " workers)";
-}
-
-std::vector<WorkerChannel*> StdioTransport::bind(const SpecBinding& binding) {
-  return bind_remote_channels(channels_, binding);
-}
-
-// --- TcpTransport -----------------------------------------------------------
-
-TcpTransport::TcpTransport(TcpConfig config) : config_(std::move(config)) {
-  ignore_sigpipe();
-  if (!config_.listen.empty()) {
-    listen_fd_ = tcp_listen(config_.listen);
-    listen_port_ = tcp_local_port(listen_fd_);
-  }
+  // Every channel is registered BEFORE its handshake, so a failure
+  // mid-fleet still reaches every worker already dialed or spawned (the
+  // destructor won't run for a throwing constructor).
   try {
+    if (!config_.listen.empty()) {
+      listen_fd_ = tcp_listen(config_.listen);
+      listen_port_ = tcp_local_port(listen_fd_);
+    }
     for (const std::string& addr : config_.connect) {
-      const int fd = tcp_connect(addr, config_.connect_retries,
-                                 config_.connect_retry_ms);
+      const int fd = tcp_connect(addr, kConnectRetries, kConnectRetryMs);
       channels_.push_back(std::make_unique<WorkerChannel>(fd, fd, -1, addr));
       coordinator_handshake(*channels_.back());
     }
+    for (const std::string& cmd : config_.commands) {
+      spawn(cmd);
+      coordinator_handshake(*channels_.back());
+    }
   } catch (...) {
-    // The destructor won't run for a throwing constructor: shut down the
-    // workers already connected and release the listen socket.
-    shutdown_and_reap(channels_);
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    listen_fd_ = -1;
+    shutdown();
     throw;
   }
 }
 
-TcpTransport::~TcpTransport() {
-  shutdown_and_reap(channels_);
+WorkerFleet::~WorkerFleet() { shutdown(); }
+
+void WorkerFleet::spawn(const std::string& cmd) {
+  int to_child[2];    // parent writes -> child stdin
+  int from_child[2];  // child stdout -> parent reads
+  if (::pipe(to_child) != 0 || ::pipe(from_child) != 0) {
+    throw std::runtime_error("cannot create pipes for worker command '" + cmd +
+                             "'");
+  }
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    throw std::runtime_error("cannot fork worker command '" + cmd + "'");
+  }
+  if (pid == 0) {
+    ::dup2(to_child[0], STDIN_FILENO);
+    ::dup2(from_child[1], STDOUT_FILENO);
+    ::close(to_child[0]);
+    ::close(to_child[1]);
+    ::close(from_child[0]);
+    ::close(from_child[1]);
+    ::execl("/bin/sh", "sh", "-c", cmd.c_str(), static_cast<char*>(nullptr));
+    std::perror("execl /bin/sh");
+    ::_exit(127);
+  }
+  ::close(to_child[0]);
+  ::close(from_child[1]);
+  set_cloexec(to_child[1]);
+  set_cloexec(from_child[0]);
+  channels_.push_back(
+      std::make_unique<WorkerChannel>(from_child[0], to_child[1], pid, cmd));
+}
+
+void WorkerFleet::shutdown() {
+  for (auto& ch : channels_) {
+    if (ch->writable()) ch->send(FrameKind::kShutdown, "");
+    ch->close_write();
+  }
+  for (auto& ch : channels_) {
+    if (ch->pid() > 0) {
+      int status = 0;
+      ::waitpid(ch->pid(), &status, 0);
+    }
+    ch->close_all();
+  }
+  channels_.clear();
   if (listen_fd_ >= 0) ::close(listen_fd_);
+  listen_fd_ = -1;
 }
 
-std::string TcpTransport::describe() const {
-  std::string desc = "tcp(" + std::to_string(channels_.size()) + " workers";
-  if (listen_fd_ >= 0) desc += ", listening on :" + std::to_string(listen_port_);
-  return desc + ")";
-}
-
-void TcpTransport::accept_pending() {
-  while (listen_fd_ >= 0 &&
-         channels_.size() < config_.connect.size() + config_.accept_workers) {
+std::vector<WorkerChannel*> WorkerFleet::bind(const SpecBinding& binding) {
+  // Accept the inbound workers still pending: every dialed and spawned
+  // worker is already in the list.
+  const std::size_t want = config_.connect.size() + config_.commands.size() +
+                           config_.accept_workers;
+  while (listen_fd_ >= 0 && channels_.size() < want) {
     const int fd = tcp_accept(listen_fd_, config_.accept_timeout_ms);
     if (fd < 0) {
       throw std::runtime_error(
-          "timed out waiting for " +
-          std::to_string(config_.connect.size() + config_.accept_workers -
-                         channels_.size()) +
+          "timed out waiting for " + std::to_string(want - channels_.size()) +
           " more sweep worker(s) to connect to port " +
           std::to_string(listen_port_));
     }
@@ -496,36 +453,20 @@ void TcpTransport::accept_pending() {
     coordinator_handshake(*ch);
     channels_.push_back(std::move(ch));
   }
-}
-
-std::vector<WorkerChannel*> TcpTransport::bind(const SpecBinding& binding) {
-  accept_pending();
-  return bind_remote_channels(channels_, binding);
-}
-
-// --- CompositeTransport -----------------------------------------------------
-
-CompositeTransport::CompositeTransport(
-    std::vector<std::shared_ptr<Transport>> parts)
-    : parts_(std::move(parts)) {}
-
-std::vector<WorkerChannel*> CompositeTransport::bind(
-    const SpecBinding& binding) {
+  // All SpecInits go out first, then the replies are collected, so N
+  // workers rebuild the grid in parallel instead of one at a time (spec
+  // builders can be expensive — fig6b simulates a testchip).
   std::vector<WorkerChannel*> out;
-  for (auto& part : parts_) {
-    auto chans = part->bind(binding);
-    out.insert(out.end(), chans.begin(), chans.end());
+  for (auto& ch : channels_) {
+    if (ch->read_fd() < 0) continue;  // lost in an earlier sweep
+    send_spec_init(*ch, binding);
+    out.push_back(ch.get());
+  }
+  for (WorkerChannel* ch : out) {
+    await_spec_ready(*ch, binding);
+    ch->task_open = true;
   }
   return out;
-}
-
-std::string CompositeTransport::describe() const {
-  std::string desc = "composite(";
-  for (std::size_t i = 0; i < parts_.size(); ++i) {
-    if (i) desc += ", ";
-    desc += parts_[i]->describe();
-  }
-  return desc + ")";
 }
 
 // --- TCP plumbing -----------------------------------------------------------

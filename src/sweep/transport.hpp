@@ -1,24 +1,27 @@
 #pragma once
-// Worker transports (the sweep subsystem's transport seam, part 2: moving
+// The worker fleet (the sweep subsystem's transport seam, part 2: moving
 // frames).
 //
 // The sweep scheduler is transport-agnostic: it drives a set of
 // WorkerChannels, each a bidirectional framed byte stream to one worker,
 // and never cares whether the bytes cross a subprocess's stdin/stdout or a
-// TCP socket. A Transport owns channels and knows how to bind them to one
-// sweep run. Local shards need none: they are threads (runner.hpp).
+// TCP socket. A WorkerFleet owns the channels and binds them to one sweep
+// run at a time. Its one channel list mixes three ways of reaching a
+// worker:
 //
-//   * StdioTransport — spawns worker commands (`sh -c`) speaking the framed
-//     protocol on stdin/stdout; `ssh host sweep_worker --stdio` makes this
-//     the zero-infrastructure cross-machine transport.
-//   * TcpTransport   — `sweep_worker --connect` dials the coordinator's
-//     listen port (or the coordinator dials workers running `--listen`).
+//   * listen  — `sweep_worker --connect` dials the coordinator's port;
+//   * connect — the coordinator dials workers running `sweep_worker
+//     --listen`;
+//   * spawn   — worker commands (`sh -c`) speak the framed protocol on
+//     stdin/stdout; `ssh host sweep_worker --stdio` makes this the
+//     zero-infrastructure cross-machine route.
 //
-// Remote workers rebuild the spec from the GridRef (registry.hpp) and prove
-// it with the spec fingerprint; a remote disconnect mid-cell requeues the
-// lost blocks onto the surviving workers. Per-cell seeds and the
-// partition-invariant merge make the statistics bit-identical no matter
-// which transport — or mix of transports — computed each block.
+// Local shards need no fleet: they are threads (runner.hpp). Remote workers
+// rebuild the spec from the GridRef (registry.hpp) and prove it with the
+// spec fingerprint; a remote disconnect mid-cell requeues the lost blocks
+// onto the surviving workers. Per-cell seeds and the partition-invariant
+// merge make the statistics bit-identical no matter which route — or mix
+// of routes — computed each block.
 
 #include <cstdint>
 #include <memory>
@@ -36,7 +39,7 @@ namespace h3dfact::sweep {
 
 /// One bidirectional framed connection to a worker. Owns its file
 /// descriptors (closed on destruction); child processes are reaped by the
-/// owning Transport, not the channel.
+/// owning WorkerFleet, not the channel.
 class WorkerChannel {
  public:
   /// Wrap `read_fd`/`write_fd` (equal for sockets) as a channel. `label`
@@ -85,7 +88,7 @@ class WorkerChannel {
   FrameParser parser_;
 };
 
-/// What a transport binds its workers to for one sweep run: the registry
+/// What a fleet binds its workers to for one sweep run: the registry
 /// recipe, the expected resolution and the per-cell thread count to apply.
 struct SpecBinding {
   GridRef ref;                    ///< registry recipe (remote rebuild)
@@ -94,89 +97,56 @@ struct SpecBinding {
   std::uint64_t fingerprint = 0;  ///< expected spec fingerprint
 };
 
-/// A source of bound worker channels. Connections persist from one bind()
-/// to the next, so multi-grid benches reuse one worker fleet.
-class Transport {
- public:
-  virtual ~Transport() = default;
-  /// Bind the transport's workers to one sweep run and return the channels
-  /// ready for Task frames. Throws std::runtime_error when a worker cannot
-  /// be bound (handshake failure, fingerprint mismatch, unknown grid).
-  virtual std::vector<WorkerChannel*> bind(const SpecBinding& binding) = 0;
-  /// Human-readable description for logs and errors.
-  [[nodiscard]] virtual std::string describe() const = 0;
-};
-
-/// Spawned-subprocess transport: each command runs under `sh -c` with the
-/// framed protocol on its stdin/stdout (stderr passes through). Use
-/// `sweep_worker --stdio` locally or `ssh host sweep_worker --stdio` for a
-/// cross-machine worker with no listening port. Connections are
-/// established and version-checked at construction and persist across
-/// sweeps until destruction (which sends Shutdown and reaps).
-class StdioTransport : public Transport {
- public:
-  explicit StdioTransport(std::vector<std::string> commands);
-  ~StdioTransport() override;
-  std::vector<WorkerChannel*> bind(const SpecBinding& binding) override;
-  [[nodiscard]] std::string describe() const override;
-
- private:
-  std::vector<std::unique_ptr<WorkerChannel>> channels_;
-};
-
-/// TCP transport configuration (see TcpTransport).
-struct TcpConfig {
+/// The workers a WorkerFleet reaches, in any mix.
+struct FleetConfig {
   /// "[host:]port" to listen on for inbound `sweep_worker --connect`
-  /// workers ("0" picks an ephemeral port; see TcpTransport::listen_port).
+  /// workers ("0" picks an ephemeral port; see WorkerFleet::listen_port).
   std::string listen;
   /// How many inbound workers to wait for before the first bind returns.
   unsigned accept_workers = 0;
   /// Accept-phase timeout in milliseconds.
   int accept_timeout_ms = 120000;
   /// "host:port" addresses of workers running `sweep_worker --listen` to
-  /// dial out to.
+  /// dial out to (refused connections are retried for ~10 s).
   std::vector<std::string> connect;
-  /// Dial retry budget (connection refused is retried; other errors throw).
-  int connect_retries = 40;
-  /// Delay between dial retries in milliseconds.
-  int connect_retry_ms = 250;
+  /// Worker commands to spawn under `sh -c`, each speaking the framed
+  /// protocol on its stdin/stdout (stderr passes through).
+  std::vector<std::string> commands;
 };
 
-/// TCP socket transport. Outbound connections are dialed (with retry) and
-/// version-checked at construction; inbound workers are accepted and
-/// version-checked lazily on the first bind(), so tests can read
-/// listen_port() before starting their workers. Connections persist across
-/// sweeps until destruction (which sends Shutdown).
-class TcpTransport : public Transport {
+/// The remote workers of one or more sweeps. The constructor listens, dials
+/// and spawns, and version-checks every dialed and spawned worker; inbound
+/// workers are accepted and version-checked on the first bind(), so tests
+/// can read listen_port() before starting them. If any step throws, the
+/// workers already reached get Shutdown, spawned children are reaped and
+/// the listen socket closes. Connections persist from one bind() to the
+/// next, so multi-grid benches reuse one fleet; destruction sends Shutdown
+/// and reaps.
+class WorkerFleet {
  public:
-  explicit TcpTransport(TcpConfig config);
-  ~TcpTransport() override;
-  std::vector<WorkerChannel*> bind(const SpecBinding& binding) override;
-  [[nodiscard]] std::string describe() const override;
+  explicit WorkerFleet(FleetConfig config);
+  ~WorkerFleet();
+  WorkerFleet(const WorkerFleet&) = delete;
+  WorkerFleet& operator=(const WorkerFleet&) = delete;
 
-  /// The bound listen port (valid once constructed with a listen address;
-  /// resolves "0" to the kernel-assigned ephemeral port).
+  /// Bind the fleet's workers to one sweep run and return the channels
+  /// ready for Task frames. Throws std::runtime_error when a worker cannot
+  /// be bound (accept timeout, handshake failure, fingerprint mismatch,
+  /// unknown grid).
+  std::vector<WorkerChannel*> bind(const SpecBinding& binding);
+
+  /// The bound listen port (0 without a listen address; resolves "0" to
+  /// the kernel-assigned ephemeral port).
   [[nodiscard]] std::uint16_t listen_port() const { return listen_port_; }
 
  private:
-  void accept_pending();
+  void spawn(const std::string& command);
+  void shutdown();
 
-  TcpConfig config_;
+  FleetConfig config_;
   int listen_fd_ = -1;
   std::uint16_t listen_port_ = 0;
   std::vector<std::unique_ptr<WorkerChannel>> channels_;
-};
-
-/// Aggregates several transports into one (e.g. TCP workers and stdio
-/// workers feeding the same queue).
-class CompositeTransport : public Transport {
- public:
-  explicit CompositeTransport(std::vector<std::shared_ptr<Transport>> parts);
-  std::vector<WorkerChannel*> bind(const SpecBinding& binding) override;
-  [[nodiscard]] std::string describe() const override;
-
- private:
-  std::vector<std::shared_ptr<Transport>> parts_;
 };
 
 // --- worker side ------------------------------------------------------------
@@ -197,7 +167,7 @@ void dial_handshake(WorkerChannel& ch, PeerRole role);
 int serve_remote_worker(int in_fd, int out_fd,
                         unsigned cell_threads_override = 0);
 
-// --- TCP plumbing (shared by TcpTransport, sweep_worker and tests) ----------
+// --- TCP plumbing (shared by WorkerFleet, sweep_worker and tests) -----------
 
 /// Bind+listen on "[host:]port" (host defaults to 0.0.0.0). Returns the
 /// listening fd; throws std::runtime_error on failure.

@@ -27,10 +27,11 @@ namespace {
 
 using namespace h3dfact;
 
-// Regression for the raw-strtoll grid-param parse: param_i64/param_f64 now
-// route through the strict util::parse choke point, so "--param=1e4"-style
-// tokens (and the whitespace forms strtoll silently skips) fail loudly
-// with the param name instead of truncating to 1.
+// Regression for the raw-strtoll grid-param parse: param_i64/param_u64/
+// param_f64 route through the strict util::parse choke point, so
+// "--param=1e4"-style tokens (and the whitespace forms strtoll silently
+// skips) fail loudly with the param name instead of truncating to 1, and a
+// negative count such as cap=-1 is refused instead of wrapping to 2^64-1.
 TEST(GridParams, StrictParseRejectsPartialTokensByName) {
   sweep::GridParams params;
   params["trials"] = "1e4";
@@ -39,14 +40,26 @@ TEST(GridParams, StrictParseRejectsPartialTokensByName) {
   params["sigma"] = "0.5x";
   params["good"] = "250";
   params["rate"] = "2.5e-2";
+  params["cap"] = "-1";
 
   EXPECT_EQ(sweep::param_i64(params, "good", 0), 250);
+  EXPECT_EQ(sweep::param_u64(params, "good", 0), 250u);
   EXPECT_DOUBLE_EQ(sweep::param_f64(params, "rate", 0.0), 2.5e-2);
   EXPECT_EQ(sweep::param_i64(params, "absent", 77), 77);  // defaults intact
+  EXPECT_EQ(sweep::param_u64(params, "absent", 77), 77u);
 
   for (const char* key : {"trials", "pad", "tail"}) {
     try {
       (void)sweep::param_i64(params, key, 0);
+      FAIL() << "expected strict rejection of param " << key;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
+  for (const char* key : {"trials", "pad", "tail", "cap"}) {
+    try {
+      (void)sweep::param_u64(params, key, 0);
       FAIL() << "expected strict rejection of param " << key;
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(key), std::string::npos)

@@ -1,16 +1,18 @@
 // Transport-layer tests: frame parsing against malformed/truncated input,
-// the version handshake, TCP loopback sweeps bit-identical to in-process
-// execution, worker-disconnect requeueing, spec fingerprint cross-checks,
-// and the stdio (spawned subprocess) transport driving this very binary as
-// the worker.
+// the version handshake, worker-fleet sweeps bit-identical to in-process
+// execution over every route (inbound TCP, dial-out, spawned stdio
+// subprocesses driving this very binary as the worker, and a mix),
+// worker-disconnect requeueing, spec fingerprint cross-checks, and a fleet
+// that fails partway.
 //
 // This suite provides its own main: invoked with --serve-stdio it becomes a
 // sweep worker speaking the framed protocol on stdin/stdout, which is how
-// the StdioTransport test exercises the real exec path.
+// the StdioTransport tests exercise the real exec path.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -19,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "sweep/emit.hpp"
@@ -391,17 +394,17 @@ TEST(GridRegistry, FingerprintSeparatesParamsAndMatchesRebuild) {
 
 // --- TCP loopback -----------------------------------------------------------
 
-sweep::TcpConfig loopback_listen(unsigned workers) {
-  sweep::TcpConfig cfg;
+sweep::FleetConfig loopback_listen(unsigned workers) {
+  sweep::FleetConfig cfg;
   cfg.listen = "127.0.0.1:0";
   cfg.accept_workers = workers;
   cfg.accept_timeout_ms = 30000;
   return cfg;
 }
 
-// Launch `n` real serve loops, each dialing the transport's port from its
-// own thread (the serve loop only sees fds, so a thread is as good as a
-// remote process — the StdioTransport test covers the exec path).
+// Launch `n` real serve loops, each dialing the fleet's port from its own
+// thread (the serve loop only sees fds, so a thread is as good as a remote
+// process — the StdioTransport tests cover the exec path).
 std::vector<std::thread> launch_tcp_workers(std::uint16_t port, unsigned n) {
   std::vector<std::thread> workers;
   for (unsigned i = 0; i < n; ++i) {
@@ -421,7 +424,7 @@ TEST(TcpTransport, LoopbackSweepBitIdenticalToInProcess) {
 
   const auto reference = sweep::run_sweep(spec, {});  // inline, 1 worker
 
-  auto transport = std::make_shared<sweep::TcpTransport>(loopback_listen(2));
+  auto transport = std::make_shared<sweep::WorkerFleet>(loopback_listen(2));
   auto workers = launch_tcp_workers(transport->listen_port(), 2);
 
   sweep::SweepOptions opt;
@@ -469,7 +472,7 @@ TEST(TcpTransport, RejectsLocalShardsBesideRemoteWorkers) {
   const sweep::SweepSpec spec = sweep::build_grid(ref);
 
   sweep::SweepOptions opt;
-  opt.transport = std::make_shared<sweep::TcpTransport>(loopback_listen(1));
+  opt.transport = std::make_shared<sweep::WorkerFleet>(loopback_listen(1));
   opt.grid = ref;
   opt.shards = 2;
   try {
@@ -484,7 +487,7 @@ TEST(TcpTransport, RejectsLocalShardsBesideRemoteWorkers) {
 // --- handshake rejection ----------------------------------------------------
 
 TEST(TcpTransport, RejectsProtocolVersionMismatch) {
-  auto transport = std::make_shared<sweep::TcpTransport>(loopback_listen(1));
+  auto transport = std::make_shared<sweep::WorkerFleet>(loopback_listen(1));
   std::thread impostor([port = transport->listen_port()]() {
     const int fd = sweep::tcp_connect("127.0.0.1:" + std::to_string(port),
                                       40, 50);
@@ -517,7 +520,7 @@ TEST(TcpTransport, RejectsProtocolVersionMismatch) {
 }
 
 TEST(TcpTransport, RejectsFingerprintMismatch) {
-  auto transport = std::make_shared<sweep::TcpTransport>(loopback_listen(1));
+  auto transport = std::make_shared<sweep::WorkerFleet>(loopback_listen(1));
   // A well-spoken worker that resolved "a different grid": it handshakes
   // correctly but echoes a corrupted fingerprint.
   std::thread liar([port = transport->listen_port()]() {
@@ -563,7 +566,7 @@ TEST(TcpTransport, DisconnectMidCellRequeuesOntoSurvivors) {
   const sweep::SweepSpec spec = sweep::build_grid(ref);
   const auto reference = sweep::run_sweep(spec, {});
 
-  auto transport = std::make_shared<sweep::TcpTransport>(loopback_listen(2));
+  auto transport = std::make_shared<sweep::WorkerFleet>(loopback_listen(2));
   const std::uint16_t port = transport->listen_port();
 
   // Worker 1: handshakes, accepts its first task, then dies mid-cell.
@@ -616,7 +619,7 @@ TEST(TcpTransport, TailDisconnectReassignsToIdleSurvivor) {
   const auto reference = sweep::run_sweep(spec, {});
   ASSERT_EQ(reference.size(), 4u);
 
-  auto transport = std::make_shared<sweep::TcpTransport>(loopback_listen(2));
+  auto transport = std::make_shared<sweep::WorkerFleet>(loopback_listen(2));
   const std::uint16_t port = transport->listen_port();
 
   std::atomic<bool> others_done{false};
@@ -681,7 +684,7 @@ TEST(TcpTransport, WedgedWorkerFailsOverWithinDeadline) {
   const sweep::SweepSpec spec = sweep::build_grid(ref);
   const auto reference = sweep::run_sweep(spec, {});
 
-  auto transport = std::make_shared<sweep::TcpTransport>(loopback_listen(2));
+  auto transport = std::make_shared<sweep::WorkerFleet>(loopback_listen(2));
   const std::uint16_t port = transport->listen_port();
 
   std::atomic<bool> release{false};
@@ -740,6 +743,12 @@ TEST(TcpTransport, WedgedWorkerFailsOverWithinDeadline) {
 
 // --- stdio transport (real exec path) ---------------------------------------
 
+sweep::FleetConfig self_spawning(unsigned workers) {
+  sweep::FleetConfig cfg;
+  cfg.commands.assign(workers, g_self_exe + " --serve-stdio");
+  return cfg;
+}
+
 TEST(StdioTransport, SpawnedWorkerSweepBitIdentical) {
   ASSERT_FALSE(g_self_exe.empty());
   register_unit_grid();
@@ -747,11 +756,8 @@ TEST(StdioTransport, SpawnedWorkerSweepBitIdentical) {
   const sweep::SweepSpec spec = sweep::build_grid(ref);
   const auto reference = sweep::run_sweep(spec, {});
 
-  auto transport = std::make_shared<sweep::StdioTransport>(
-      std::vector<std::string>{g_self_exe + " --serve-stdio",
-                               g_self_exe + " --serve-stdio"});
   sweep::SweepOptions opt;
-  opt.transport = transport;
+  opt.transport = std::make_shared<sweep::WorkerFleet>(self_spawning(2));
   opt.grid = ref;
   const auto remote = sweep::run_sweep(spec, opt);
   ASSERT_EQ(remote.size(), reference.size());
@@ -761,12 +767,92 @@ TEST(StdioTransport, SpawnedWorkerSweepBitIdentical) {
   }
 }
 
+// A fleet whose second command fails its handshake throws from the
+// constructor, and by then it has shut down the first worker and reaped
+// both children: this process is left with no child at all.
+TEST(StdioTransport, FailedHandshakeReapsEverySpawnedChild) {
+  ASSERT_FALSE(g_self_exe.empty());
+  sweep::FleetConfig cfg = self_spawning(1);
+  cfg.commands.push_back("exit 3");  // closes its stdout before any Hello
+  try {
+    sweep::WorkerFleet fleet(cfg);
+    FAIL() << "expected the second worker's handshake to fail";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("exit 3"), std::string::npos)
+        << e.what();
+  }
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD) << "a spawned worker was left unreaped";
+}
+
+// --- dial-out and mixed fleets ----------------------------------------------
+
+// The coordinator dials two workers that listen (`sweep_worker --listen`),
+// each served on its own thread.
+TEST(TcpTransport, DialOutSweepBitIdenticalToInProcess) {
+  register_unit_grid();
+  const sweep::GridRef ref{kUnitGrid, {{"trials", "12"}}};
+  const sweep::SweepSpec spec = sweep::build_grid(ref);
+  const auto reference = sweep::run_sweep(spec, {});
+
+  sweep::FleetConfig cfg;
+  std::vector<std::thread> workers;
+  for (int i = 0; i < 2; ++i) {
+    const int listen_fd = sweep::tcp_listen("127.0.0.1:0");
+    cfg.connect.push_back("127.0.0.1:" +
+                          std::to_string(sweep::tcp_local_port(listen_fd)));
+    workers.emplace_back([listen_fd]() {
+      const int fd = sweep::tcp_accept(listen_fd, 30000);
+      ::close(listen_fd);
+      if (fd >= 0) sweep::serve_remote_worker(fd, fd);
+    });
+  }
+  sweep::SweepOptions opt;
+  opt.transport = std::make_shared<sweep::WorkerFleet>(cfg);
+  opt.grid = ref;
+  const auto remote = sweep::run_sweep(spec, opt);
+  ASSERT_EQ(remote.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    expect_stats_equal(remote[i].stats, reference[i].stats,
+                       "dial-out cell " + std::to_string(i));
+  }
+  opt.transport.reset();  // destruction sends Shutdown; workers exit
+  for (auto& w : workers) w.join();
+}
+
+// One inbound TCP worker and one spawned stdio worker share the queue.
+TEST(TcpTransport, MixedFleetSweepBitIdenticalToInProcess) {
+  ASSERT_FALSE(g_self_exe.empty());
+  register_unit_grid();
+  const sweep::GridRef ref{kUnitGrid, {{"trials", "12"}}};
+  const sweep::SweepSpec spec = sweep::build_grid(ref);
+  const auto reference = sweep::run_sweep(spec, {});
+
+  sweep::FleetConfig cfg = loopback_listen(1);
+  cfg.commands = self_spawning(1).commands;
+  auto fleet = std::make_shared<sweep::WorkerFleet>(cfg);
+  auto workers = launch_tcp_workers(fleet->listen_port(), 1);
+  sweep::SweepOptions opt;
+  opt.transport = fleet;
+  opt.grid = ref;
+  const auto remote = sweep::run_sweep(spec, opt);
+  ASSERT_EQ(remote.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    expect_stats_equal(remote[i].stats, reference[i].stats,
+                       "mixed cell " + std::to_string(i));
+  }
+  fleet.reset();
+  opt.transport.reset();
+  for (auto& w : workers) w.join();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--serve-stdio") {
-      // Worker role (spawned by the StdioTransport test): serve the framed
+      // Worker role (spawned by the stdio tests): serve the framed
       // protocol on stdin/stdout with the unit grid registered.
       register_unit_grid();
       return h3dfact::sweep::serve_remote_worker(0, 1);
