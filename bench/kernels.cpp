@@ -159,12 +159,10 @@ BENCHMARK(BM_ProjectionBatch)->Args({256, 16})->Args({512, 16});
 // the per-call kernels, or as one batch run whose MVMs are batched engine
 // passes across the live problems. A success threshold above cosine 1 pins
 // every run to exactly `cap` iterations, and random init keeps setup cost
-// off the measurement, so both paths execute the same number of MVMs and
-// the difference is the MVM path itself.
-resonator::ResonatorOptions fixed_work_options(std::size_t cap,
-                                               resonator::UpdateMode mode) {
+// off the measurement. Both run the default update schedule, so they
+// execute the same MVMs and the difference is the MVM path itself.
+resonator::ResonatorOptions fixed_work_options(std::size_t cap) {
   resonator::ResonatorOptions opts;
-  opts.update = mode;
   opts.max_iterations = cap;
   opts.success_threshold = 2.0;
   opts.detect_limit_cycles = false;
@@ -180,8 +178,7 @@ void BM_FactorizeSequential(benchmark::State& state) {
   resonator::ProblemGenerator gen(set);
   std::vector<resonator::FactorizationProblem> problems;
   for (std::size_t i = 0; i < batch; ++i) problems.push_back(gen.sample(rng));
-  resonator::ResonatorNetwork net(
-      set, fixed_work_options(5, resonator::UpdateMode::kAsynchronous));
+  resonator::ResonatorNetwork net(set, fixed_work_options(5));
   for (auto _ : state) {
     for (std::size_t i = 0; i < batch; ++i) {
       util::Rng run_rng(100 + i);
@@ -201,8 +198,7 @@ void BM_FactorizeBatched(benchmark::State& state) {
   resonator::ProblemGenerator gen(set);
   std::vector<resonator::FactorizationProblem> problems;
   for (std::size_t i = 0; i < batch; ++i) problems.push_back(gen.sample(rng));
-  resonator::ResonatorNetwork factorizer(
-      set, fixed_work_options(5, resonator::UpdateMode::kSynchronous));
+  resonator::ResonatorNetwork factorizer(set, fixed_work_options(5));
   for (auto _ : state) {
     std::vector<util::Rng> rngs;
     for (std::size_t i = 0; i < batch; ++i) rngs.emplace_back(100 + i);

@@ -51,6 +51,12 @@ perfbench/, the benchmark harness):
                in the kernel backends
                (src/hdc/kernels/*.cpp), so every SIMD path sits under the
                backend parity and fuzz suites.
+  hw-accounting
+               A function whose name ends _pJ, _fJ, _um2 or _mm2 may
+               appear only under src/ppa/, src/dse/, bench/ and
+               examples/. ppa computes every area, energy and latency
+               figure from its Table III calibration, so a second model
+               in device, cim or arch cannot drift away from it.
   pragma-once  Every header opens with #pragma once as its first
                non-comment line.
 
@@ -120,6 +126,9 @@ FORK_ALLOWLIST = {"src/sweep/transport.cpp"}
 
 # The kernel backends: one translation unit per ISA (docs/kernels.md).
 SIMD_ALLOW_RE = re.compile(r"src/hdc/kernels/[^/]+\.cpp")
+
+# The one hardware-accounting path and the layers that read its figures.
+HW_ACCOUNTING_ALLOW_PREFIXES = ("src/ppa/", "src/dse/", "bench/", "examples/")
 
 RULES = [
     {
@@ -225,6 +234,15 @@ RULES = [
         "message": "SIMD intrinsics outside src/hdc/kernels/*.cpp; add the "
                    "ISA path as a KernelBackend primitive so the parity and "
                    "fuzz suites cover it",
+    },
+    {
+        "id": "hw-accounting",
+        "pattern": re.compile(r"(?<![\w])\w+_(?:pJ|fJ|um2|mm2)\s*\("),
+        "allow": set(),
+        "allow_prefixes": HW_ACCOUNTING_ALLOW_PREFIXES,
+        "message": "area/energy figure outside src/ppa/; compute it in ppa "
+                   "(area_model, energy_model, timing_model) so there is one "
+                   "hardware-accounting path",
     },
 ]
 

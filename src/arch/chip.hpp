@@ -48,9 +48,6 @@ class H3dFactChip {
   /// Retune the sensing threshold (testchip validation flow, Sec. V-D).
   void retune_vtgt(double factor) { engine_->retune_vtgt(factor); }
 
-  [[nodiscard]] const ScheduleStats& schedule_totals() const {
-    return scheduler_->totals();
-  }
   [[nodiscard]] cim::CimMvmEngine& engine() { return *engine_; }
 
  private:

@@ -23,7 +23,8 @@ struct InterconnectSpec {
 /// The canonical Table I values.
 InterconnectSpec table1_spec();
 
-/// Per-array and per-chip TSV accounting + electrical side effects.
+/// Per-array TSV counts and their electrical side effects (the keep-out
+/// area they cost is ppa's calib::kTsvKeepoutUm2).
 class TsvModel {
  public:
   explicit TsvModel(const InterconnectSpec& spec = table1_spec()) : spec_(spec) {}
@@ -34,16 +35,6 @@ class TsvModel {
   /// X word lines + Y bit lines + Y/2 source lines (Sec. IV-B).
   [[nodiscard]] std::size_t tsvs_per_array(std::size_t rows, std::size_t cols) const {
     return rows + cols + cols / 2;
-  }
-
-  /// Keep-out silicon area of one TSV (pitch², µm²).
-  [[nodiscard]] double tsv_area_um2() const {
-    return spec_.tsv_pitch_um * spec_.tsv_pitch_um;
-  }
-
-  /// Total TSV keep-out area for n TSVs (mm²).
-  [[nodiscard]] double total_tsv_area_mm2(std::size_t n) const {
-    return static_cast<double>(n) * tsv_area_um2() * 1e-6;
   }
 
   /// Capacitance of one TSV (fF), from the coaxial MOS-capacitor model over

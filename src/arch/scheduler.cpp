@@ -27,8 +27,7 @@ BatchScheduler::BatchScheduler(const DesignSpec& design, std::size_t factors,
       sim_tier_("tier-3", TierRole::kSimilarity, design.rram_node),
       proj_tier_("tier-2", TierRole::kProjection, design.rram_node),
       controller_(sim_tier_, proj_tier_),
-      buffer_(device::SramParams{design.dims.sram_buffer_kb * 1024, 8,
-                                 design.digital_node}) {
+      buffer_(device::SramParams{design.dims.sram_buffer_kb * 1024, 8}) {
   if (factors == 0 || codebook_size == 0) {
     throw std::invalid_argument("scheduler needs non-zero problem dimensions");
   }
@@ -44,15 +43,6 @@ std::size_t BatchScheduler::codes_bits_per_problem() const {
 std::size_t BatchScheduler::max_batch() const {
   const std::size_t per_problem = codes_bits_per_problem();
   return per_problem ? buffer_.capacity_bits() / per_problem : 0;
-}
-
-std::uint64_t BatchScheduler::mvm_pass_cycles() const {
-  // One analog MVM pass: WL settle, then the ADC mux schedule over each
-  // subarray's columns (adc_share columns per ADC, all subarrays and their
-  // ADC banks concurrent), then the digital slice-code accumulation.
-  return timing_.wl_settle +
-         static_cast<std::uint64_t>(timing_.adc_cycles) * timing_.adc_share +
-         timing_.digital_accum;
 }
 
 ScheduleStats BatchScheduler::run_iteration(std::size_t batch) {
@@ -77,14 +67,12 @@ ScheduleStats BatchScheduler::run_iteration(std::size_t batch) {
       // Step I: unbinding result crosses tier-1 → tier-3 (D bits on WL TSVs).
       s.cycles += timing_.unbind_cycles;
       s.tsv_bits += D;
-      s.cycles += mvm_pass_cycles() * col_groups;
+      s.cycles += timing_.mvm_pass_cycles() * col_groups;
       ++s.mvms;
       // Step II is analog (one-shot through the column TSVs);
       // step III: 4-bit codes buffered in tier-1 SRAM.
       s.adc_conversions += m_;
-      const std::size_t code_bits = codes_bits_per_problem();
-      buffer_.access(code_bits, /*write=*/true);
-      s.sram_bits_written += code_bits;
+      s.sram_bits_written += codes_bits_per_problem();
     }
 
     // ---- Phase P: projection tier active for the whole batch ----
@@ -94,11 +82,10 @@ ScheduleStats BatchScheduler::run_iteration(std::size_t batch) {
     }
     for (std::size_t b = 0; b < batch; ++b) {
       const std::size_t code_bits = codes_bits_per_problem();
-      buffer_.access(code_bits, /*read=*/false);
       s.sram_bits_read += code_bits;
       // Codes cross tier-1 → tier-2 bit-serially over the coefficient planes.
       s.tsv_bits += code_bits;
-      s.cycles += mvm_pass_cycles() * static_cast<std::uint64_t>(adc_bits);
+      s.cycles += timing_.mvm_pass_cycles() * static_cast<std::uint64_t>(adc_bits);
       ++s.mvms;
       // Step IV: 1-bit projection outputs return to tier-1.
       s.tsv_bits += D;
@@ -108,7 +95,6 @@ ScheduleStats BatchScheduler::run_iteration(std::size_t batch) {
   s.peak_buffer_occupancy = buffer_.occupancy();
   buffer_.release(bits_needed);
   controller_.park();
-  totals_.merge(s);
   return s;
 }
 

@@ -8,8 +8,9 @@
 //            ADC codes are buffered in tier-1 SRAM,
 //   phase P: tier-2 active — projection MVMs consume the buffered codes.
 // Without the SRAM buffer the two tiers would have to ping-pong per problem,
-// paying a level-shifter transition each time. The scheduler accounts
-// cycles, tier transitions, TSV bit-transfers and SRAM traffic.
+// paying a level-shifter transition each time. The scheduler owns the stage
+// timing and returns, per iteration, the cycles, tier transitions, TSV
+// bit-transfers, SRAM traffic and ADC conversions it counted.
 
 #include <cstdint>
 
@@ -33,11 +34,9 @@ struct ScheduleStats {
   void merge(const ScheduleStats& o);
 };
 
-/// Latency parameters of the pipeline stages (cycles). The defaults make
-/// one full array MVM cost wl_settle + adc_share·adc_cycles + digital_accum
-/// = 138 cycles, consistent with ppa/calib.hpp's kMvmLatencyCycles (the
-/// 16:1 ADC column-mux sharing mirrors the MUX-shared sensing of the 40 nm
-/// testchip macro [25]).
+/// Latency parameters of the pipeline stages (cycles). The 16:1 ADC
+/// column-mux sharing mirrors the MUX-shared sensing of the 40 nm testchip
+/// macro [25].
 struct ScheduleTiming {
   std::uint32_t wl_settle = 16;         ///< row driver settle per MVM pass
   std::uint32_t adc_cycles = 5;         ///< 4-bit SAR: sample + 4 bit cycles
@@ -45,6 +44,17 @@ struct ScheduleTiming {
   std::uint32_t digital_accum = 42;     ///< slice-code accumulation pipeline
   std::uint32_t unbind_cycles = 4;      ///< XNOR array pass for one factor
   std::uint32_t tier_switch_cycles = 12;///< WL level-shifter transition
+
+  /// Cycles of one full 256×256 analog MVM pass: WL settle, then the ADC
+  /// mux schedule over each subarray's columns (adc_share columns per ADC,
+  /// all subarrays and their ADC banks concurrent), then the digital
+  /// slice-code accumulation. The defaults give 16 + 16·5 + 42 = 138, the
+  /// latency fit so that 8 concurrent arrays at 200 MHz give the 1.52 TOPS
+  /// of Table III; ppa::compute_timing reads it from here.
+  [[nodiscard]] constexpr std::uint64_t mvm_pass_cycles() const {
+    return wl_settle + static_cast<std::uint64_t>(adc_cycles) * adc_share +
+           digital_accum;
+  }
 };
 
 /// Simulates the per-iteration schedule for one design point and batch size.
@@ -66,7 +76,6 @@ class BatchScheduler {
   /// Bits of similarity codes one problem produces per factor.
   [[nodiscard]] std::size_t codes_bits_per_problem() const;
 
-  [[nodiscard]] const ScheduleStats& totals() const { return totals_; }
   [[nodiscard]] const Tier& similarity_tier() const { return sim_tier_; }
   [[nodiscard]] const Tier& projection_tier() const { return proj_tier_; }
 
@@ -79,10 +88,6 @@ class BatchScheduler {
   Tier proj_tier_;
   TierActivationController controller_;
   device::SramBuffer buffer_;
-  ScheduleStats totals_;
-
-  /// Cycles of one full-array MVM pass (all subarrays concurrent).
-  [[nodiscard]] std::uint64_t mvm_pass_cycles() const;
 };
 
 }  // namespace h3dfact::arch

@@ -40,12 +40,8 @@ bool TierActivationController::activate(TierRole role) {
       throw std::invalid_argument("digital tier is always on; cannot 'activate' it");
   }
   if (want->power() == PowerState::kActive) return false;
-  if (other->power() == PowerState::kActive) {
-    other->set_power(PowerState::kStandby);
-    other->count_transition();
-  }
+  if (other->power() == PowerState::kActive) other->set_power(PowerState::kStandby);
   want->set_power(PowerState::kActive);
-  want->count_transition();
   return true;
 }
 
@@ -57,10 +53,7 @@ TierRole TierActivationController::active() const {
 
 void TierActivationController::park() {
   for (Tier* t : {sim_, proj_}) {
-    if (t->power() == PowerState::kActive) {
-      t->set_power(PowerState::kStandby);
-      t->count_transition();
-    }
+    if (t->power() == PowerState::kActive) t->set_power(PowerState::kStandby);
   }
 }
 

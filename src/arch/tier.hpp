@@ -8,7 +8,6 @@
 // interconnects, only one RRAM tier may be active at a time; WL level
 // shifters power-gate the inactive tier (Fig. 3, red blocks).
 
-#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -47,17 +46,11 @@ class Tier {
 
   void set_power(PowerState s) { power_ = s; }
 
-  /// Number of activate/deactivate transitions (each costs level-shifter
-  /// switching energy and a settling delay).
-  [[nodiscard]] std::uint64_t transitions() const { return transitions_; }
-  void count_transition() { ++transitions_; }
-
  private:
   std::string name_;
   TierRole role_;
   device::Node node_;
   PowerState power_ = PowerState::kStandby;
-  std::uint64_t transitions_ = 0;
 };
 
 /// Enforces the single-active-RRAM-tier invariant of the shared-periphery

@@ -36,8 +36,6 @@ void RramCrossbar::program(const std::vector<std::int8_t>& weights,
     const double gm = plus_on ? params_.g_off_uS : params_.g_on_uS;
     g_plus_uS_[i] = gp * rng.lognormal(-0.5 * s * s, s);
     g_minus_uS_[i] = gm * rng.lognormal(-0.5 * s * s, s);
-    // One of the pair is SET, the other RESET.
-    program_energy_pJ_ += params_.set_energy_pJ + params_.reset_energy_pJ;
   }
 }
 
@@ -82,7 +80,6 @@ std::vector<double> RramCrossbar::mvm_bipolar(const std::vector<std::int8_t>& in
   for (std::size_t j = 0; j < cols_; ++j) {
     out[j] = out[j] * params_.v_read * retention + rng.gaussian(0.0, sigma);
   }
-  ++read_events_;
   return out;
 }
 

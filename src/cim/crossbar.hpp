@@ -49,12 +49,6 @@ class RramCrossbar {
                                                int bits, util::Rng& rng,
                                                double temperature_C = 25.0) const;
 
-  /// Number of analog read-out events so far (for energy accounting).
-  [[nodiscard]] std::uint64_t read_events() const { return read_events_; }
-
-  /// Total programming energy spent (pJ).
-  [[nodiscard]] double program_energy_pJ() const { return program_energy_pJ_; }
-
   /// Conductance delta ΔG = G_on − G_off (µS); converts current to counts:
   /// counts = I / (ΔG · V_read).
   [[nodiscard]] double delta_g_uS() const;
@@ -70,8 +64,6 @@ class RramCrossbar {
   device::RramParams params_;
   std::vector<double> g_plus_uS_;   // row-major rows×cols
   std::vector<double> g_minus_uS_;
-  double program_energy_pJ_ = 0.0;
-  mutable std::uint64_t read_events_ = 0;
 };
 
 }  // namespace h3dfact::cim

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "cim/macro.hpp"
-#include "cim/xnor_unit.hpp"
 #include "resonator/resonator.hpp"
 
 namespace h3dfact::cim {

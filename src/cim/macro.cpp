@@ -121,7 +121,6 @@ hdc::CoeffBlock CimMacro::similarity_batch(
         for (std::size_t j = 0; j < currents.size(); ++j) {
           const int code = slice_adcs_[r].convert(currents[j] * vtgt_scale_);
           a.at(g * d + j, b) += code;
-          ++adc_conversions_;
         }
       }
     }
@@ -177,20 +176,6 @@ hdc::CoeffBlock CimMacro::project_batch(const hdc::CoeffBlock& coeffs,
 void CimMacro::retune_vtgt(double factor) {
   if (factor <= 0.0) throw std::invalid_argument("VTGT retune factor must be positive");
   vtgt_scale_ = factor;
-}
-
-std::uint64_t CimMacro::analog_reads() const {
-  std::uint64_t n = 0;
-  for (const auto& xb : sim_slices_) n += xb.read_events();
-  for (const auto& xb : proj_slices_) n += xb.read_events();
-  return n;
-}
-
-double CimMacro::program_energy_pJ() const {
-  double e = 0.0;
-  for (const auto& xb : sim_slices_) e += xb.program_energy_pJ();
-  for (const auto& xb : proj_slices_) e += xb.program_energy_pJ();
-  return e;
 }
 
 }  // namespace h3dfact::cim

@@ -80,11 +80,6 @@ class CimMacro {
   /// Retune the sensing threshold scale (testchip validation, Sec. V-D).
   void retune_vtgt(double factor);
 
-  /// Totals for energy/throughput accounting.
-  [[nodiscard]] std::uint64_t analog_reads() const;
-  [[nodiscard]] std::uint64_t adc_conversions() const { return adc_conversions_; }
-  [[nodiscard]] double program_energy_pJ() const;
-
  private:
   std::size_t dim_;
   std::size_t m_;
@@ -98,7 +93,6 @@ class CimMacro {
   std::vector<RramCrossbar> proj_slices_;
   std::vector<device::SarAdc> slice_adcs_;   // one ADC set per subarray
   device::SensePath sense_;
-  mutable std::uint64_t adc_conversions_ = 0;
 };
 
 }  // namespace h3dfact::cim

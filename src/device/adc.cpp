@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <stdexcept>
 
 namespace h3dfact::device {
@@ -23,30 +22,6 @@ int SarAdc::convert(double input_uA) const {
   const double step = params_.full_scale_uA / static_cast<double>(max_code());
   const double code = std::round(corrected / step);
   return static_cast<int>(std::clamp<double>(code, -max_code(), max_code()));
-}
-
-double SarAdc::energy_pJ() const {
-  // SAR energy ≈ CDAC + comparator per decided bit; base value calibrated to
-  // published 4-bit SAR designs at 16 nm (~0.05 pJ/conv), quadrupling per
-  // +2 bits through the capacitive DAC.
-  const double base_16nm_4bit = 0.05;
-  const double bit_scale = std::pow(2.0, (params_.bits - 4));
-  const double node_scale =
-      tech(params_.node).energy_per_gate_rel / tech(Node::k16nm).energy_per_gate_rel;
-  return base_16nm_4bit * bit_scale * node_scale;
-}
-
-std::uint32_t SarAdc::latency_cycles() const {
-  return static_cast<std::uint32_t>(params_.bits) + 1;  // sample + bit cycles
-}
-
-double SarAdc::area_um2() const {
-  // CDAC area doubles per bit; comparator/logic roughly constant.
-  const double base_16nm_4bit = 60.0;  // µm², calibrated to NeuroSim-style data
-  const double bit_scale = std::pow(2.0, (params_.bits - 4));
-  const double node_scale =
-      tech(Node::k16nm).logic_density_rel / tech(params_.node).logic_density_rel;
-  return base_16nm_4bit * bit_scale * node_scale;
 }
 
 }  // namespace h3dfact::device

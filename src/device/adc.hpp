@@ -1,11 +1,9 @@
 #pragma once
 // SAR ADC model (Sec. IV-B): each RRAM column output is digitized by a 4-bit
 // SAR ADC in tier-1. Captures the transfer function (offset/gain error +
-// quantization) and the PPA characteristics used by the hardware reports.
+// quantization); its area and energy are ppa::adc_area_um2 /
+// ppa::adc_energy_pJ, its conversion latency arch::ScheduleTiming::adc_cycles.
 
-#include <cstdint>
-
-#include "device/tech_node.hpp"
 #include "util/rng.hpp"
 
 namespace h3dfact::device {
@@ -16,7 +14,6 @@ struct AdcParams {
   double full_scale_uA = 40.0;  ///< differential input current at full scale
   double offset_sigma_frac = 0.01;  ///< per-instance offset, fraction of FS
   double gain_sigma_frac = 0.01;    ///< per-instance gain error sigma
-  Node node = Node::k16nm;
 };
 
 /// One SAR ADC instance with calibrated-at-instantiation offset/gain error.
@@ -31,16 +28,6 @@ class SarAdc {
   /// Convert a (signed, differential) input current to a signed code in
   /// [−max_code, max_code].
   [[nodiscard]] int convert(double input_uA) const;
-
-  /// Conversion energy per sample (pJ). Scales ~2^bits for SAR CDACs and
-  /// with the node's switching energy.
-  [[nodiscard]] double energy_pJ() const;
-
-  /// Conversion latency in clock cycles (one bit decision per cycle + sample).
-  [[nodiscard]] std::uint32_t latency_cycles() const;
-
-  /// Layout area (µm²), node-scaled.
-  [[nodiscard]] double area_um2() const;
 
   [[nodiscard]] double offset_uA() const { return offset_uA_; }
   [[nodiscard]] double gain() const { return gain_; }

@@ -19,7 +19,6 @@ void PcmCell::program(bool on, util::Rng& rng) {
   nu_ = on ? 0.0
            : std::max(0.0, rng.gaussian(params_->drift_nu_mean,
                                         params_->drift_nu_sigma));
-  write_energy_pJ_ += on ? params_->set_energy_pJ : params_->reset_energy_pJ;
 }
 
 double PcmCell::conductance_uS(double t_since_prog_s) const {

@@ -26,8 +26,6 @@ struct PcmParams {
   double drift_nu_sigma = 0.01; ///< device-to-device ν spread
   double drift_t0_s = 1.0;      ///< drift reference time
   double v_read = 0.2;          ///< read voltage (V)
-  double set_energy_pJ = 15.0;  ///< crystallization pulse
-  double reset_energy_pJ = 30.0;///< melt-quench pulse
 };
 
 PcmParams default_pcm();
@@ -53,14 +51,11 @@ class PcmCell {
   /// crystalline and drift negligibly).
   [[nodiscard]] double drift_nu() const { return nu_; }
 
-  [[nodiscard]] double write_energy_pJ() const { return write_energy_pJ_; }
-
  private:
   const PcmParams* params_;
   bool on_ = false;
   double g_prog_uS_ = 0.0;
   double nu_ = 0.0;
-  double write_energy_pJ_ = 0.0;
 };
 
 /// Aggregate similarity-path statistics of a d-row PCM column at read time

@@ -14,7 +14,6 @@ void RramCell::program(bool on, util::Rng& rng) {
   // level stays positive. E[G] is kept at `mean` by the -sigma^2/2 shift.
   const double s = params_.prog_sigma;
   g_uS_ = mean * rng.lognormal(-0.5 * s * s, s);
-  write_energy_pJ_ += on ? params_.set_energy_pJ : params_.reset_energy_pJ;
 }
 
 double RramCell::read_uS(util::Rng& rng, double temperature_C) const {

@@ -23,8 +23,6 @@ struct RramParams {
   double v_read = 0.2;          ///< read voltage (V)
   double v_set = 2.5;           ///< SET programming voltage (V)
   double v_reset = 2.8;         ///< RESET programming voltage (V)
-  double set_energy_pJ = 5.0;   ///< energy per SET pulse
-  double reset_energy_pJ = 7.0; ///< energy per RESET pulse
   double retention_T_C = 100.0; ///< retention degrades beyond this temp [33]
 };
 
@@ -40,8 +38,7 @@ class RramCell {
   explicit RramCell(const RramParams& params) : params_(params) {}
 
   /// Program to the low-resistance (on) or high-resistance (off) state.
-  /// Draws a device-specific level from the programming distribution and
-  /// accounts for the write energy.
+  /// Draws a device-specific level from the programming distribution.
   void program(bool on, util::Rng& rng);
 
   /// True if programmed to the low-resistance state.
@@ -58,9 +55,6 @@ class RramCell {
   [[nodiscard]] double read_current_uA(util::Rng& rng,
                                        double temperature_C = 25.0) const;
 
-  /// Accumulated programming energy (pJ) over the cell's lifetime.
-  [[nodiscard]] double write_energy_pJ() const { return write_energy_pJ_; }
-
   /// Multiplicative retention degradation factor at temperature T:
   /// 1.0 below the retention knee, decaying on-state conductance above it.
   [[nodiscard]] static double retention_factor(const RramParams& p,
@@ -70,7 +64,6 @@ class RramCell {
   RramParams params_;
   bool on_ = false;
   double g_uS_ = 0.0;
-  double write_energy_pJ_ = 0.0;
 };
 
 }  // namespace h3dfact::device

@@ -23,37 +23,4 @@ void SramBuffer::release(std::size_t bits) {
   used_bits_ -= bits;
 }
 
-double SramBuffer::energy_per_bit_pJ(bool write) const {
-  // ~0.012 pJ/bit read, 0.018 pJ/bit write at 16 nm (small macro, calibrated
-  // to NeuroSim-style numbers); scaled by the node switching energy.
-  const double base = write ? 0.018 : 0.012;
-  const double scale = tech(params_.node).energy_per_gate_rel /
-                       tech(Node::k16nm).energy_per_gate_rel;
-  return base * scale;
-}
-
-double SramBuffer::access(std::size_t bits, bool write) {
-  const double e = energy_per_bit_pJ(write) * static_cast<double>(bits);
-  energy_pJ_ += e;
-  if (write) {
-    ++writes_;
-  } else {
-    ++reads_;
-  }
-  return e;
-}
-
-double SramBuffer::area_mm2() const {
-  const double cell_um2 = tech(params_.node).sram_cell_um2;
-  const double cells = static_cast<double>(capacity_bits());
-  const double periphery = 1.30;  // decoder/sense-amp overhead
-  return cells * cell_um2 * periphery * 1e-6;
-}
-
-void SramBuffer::reset_counters() {
-  energy_pJ_ = 0.0;
-  reads_ = 0;
-  writes_ = 0;
-}
-
 }  // namespace h3dfact::device

@@ -1,12 +1,10 @@
 #pragma once
-// SRAM array model (Sec. III-B / IV-A): tier-1 near-memory buffers that hold
-// ADC outputs for batch factorization, plus the SRAM-CIM arrays of the 2D
-// fully-digital baseline. Tracks capacity/occupancy and access energy.
+// SRAM buffer model (Sec. III-B / IV-A): the tier-1 near-memory buffer that
+// holds ADC outputs for batch factorization. Tracks capacity and occupancy,
+// which set the scheduler's batch limit; its area and traffic energy are
+// ppa's (area_model.cpp, energy_model.cpp).
 
-#include <cstdint>
-#include <stdexcept>
-
-#include "device/tech_node.hpp"
+#include <cstddef>
 
 namespace h3dfact::device {
 
@@ -14,10 +12,9 @@ namespace h3dfact::device {
 struct SramParams {
   std::size_t words = 4096;
   std::size_t word_bits = 32;
-  Node node = Node::k16nm;
 };
 
-/// Behavioural + PPA model of one SRAM macro used as a near-memory buffer.
+/// Capacity model of one SRAM macro used as a near-memory buffer.
 class SramBuffer {
  public:
   explicit SramBuffer(const SramParams& params);
@@ -38,27 +35,9 @@ class SramBuffer {
   /// Release previously allocated bits.
   void release(std::size_t bits);
 
-  /// Account one read / write of `bits` and return its energy (pJ).
-  double access(std::size_t bits, bool write);
-
-  [[nodiscard]] double total_access_energy_pJ() const { return energy_pJ_; }
-  [[nodiscard]] std::uint64_t reads() const { return reads_; }
-  [[nodiscard]] std::uint64_t writes() const { return writes_; }
-
-  /// Macro area (mm²) from bitcell area + ~30 % periphery overhead.
-  [[nodiscard]] double area_mm2() const;
-
-  /// Energy per bit accessed (pJ), node-scaled.
-  [[nodiscard]] double energy_per_bit_pJ(bool write) const;
-
-  void reset_counters();
-
  private:
   SramParams params_;
   std::size_t used_bits_ = 0;
-  double energy_pJ_ = 0.0;
-  std::uint64_t reads_ = 0;
-  std::uint64_t writes_ = 0;
 };
 
 }  // namespace h3dfact::device

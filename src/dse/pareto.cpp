@@ -100,59 +100,6 @@ std::vector<MetricPoint> pareto_front(std::vector<MetricPoint> points,
   return front;  // canonicalize already sorted by id
 }
 
-std::vector<MetricPoint> frontier_merge(const std::vector<MetricPoint>& a,
-                                        const std::vector<MetricPoint>& b,
-                                        const std::vector<Objective>& objectives) {
-  std::vector<MetricPoint> all = a;
-  all.insert(all.end(), b.begin(), b.end());
-  // Ids common to both sides must agree — a merge cannot arbitrate two
-  // different measurements of the same point.
-  std::sort(all.begin(), all.end(),
-            [](const MetricPoint& x, const MetricPoint& y) {
-              return x.id < y.id;
-            });
-  for (std::size_t i = 1; i < all.size(); ++i) {
-    if (all[i].id == all[i - 1].id) {
-      if (!metrics_equal(all[i], all[i - 1])) {
-        throw std::invalid_argument(
-            "frontier_merge: point " + std::to_string(all[i].id) +
-            " has conflicting metrics in the two frontiers");
-      }
-      all.erase(all.begin() + static_cast<std::ptrdiff_t>(i));
-      --i;
-    }
-  }
-  return pareto_front(std::move(all), objectives);
-}
-
-FrontierDiff frontier_diff(const std::vector<MetricPoint>& prev,
-                           const std::vector<MetricPoint>& next,
-                           const std::vector<Objective>& objectives) {
-  std::set<std::size_t> prev_ids;
-  std::set<std::size_t> next_ids;
-  for (const MetricPoint& p : prev) prev_ids.insert(p.id);
-  for (const MetricPoint& p : next) next_ids.insert(p.id);
-
-  FrontierDiff diff;
-  for (const MetricPoint& p : next) {
-    if (prev_ids.count(p.id) == 0) diff.added.push_back(p);
-  }
-  for (const MetricPoint& p : prev) {
-    if (next_ids.count(p.id) != 0) continue;
-    diff.removed.push_back(p);
-    for (const MetricPoint& q : next) {
-      if (dominates(q, p, objectives)) {
-        diff.dominated.push_back(p);
-        break;
-      }
-    }
-  }
-  sort_by_id(diff.added);
-  sort_by_id(diff.removed);
-  sort_by_id(diff.dominated);
-  return diff;
-}
-
 std::vector<std::vector<MetricPoint>> nondominated_layers(
     std::vector<MetricPoint> points, const std::vector<Objective>& objectives) {
   std::vector<MetricPoint> remaining =

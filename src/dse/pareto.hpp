@@ -49,28 +49,6 @@ struct MetricPoint {
 [[nodiscard]] std::vector<MetricPoint> pareto_front(
     std::vector<MetricPoint> points, const std::vector<Objective>& objectives);
 
-/// Frontier of the union of two point sets (e.g. merging the frontiers of
-/// two independently-searched subgrids). Ids must be globally unique or
-/// refer to identical points.
-[[nodiscard]] std::vector<MetricPoint> frontier_merge(
-    const std::vector<MetricPoint>& a, const std::vector<MetricPoint>& b,
-    const std::vector<Objective>& objectives);
-
-/// How a frontier changed between two evaluations of (roughly) the same
-/// space — the shape scripts/check_frontier.py gates on.
-struct FrontierDiff {
-  std::vector<MetricPoint> added;      ///< in `next` but not in `prev` (by id)
-  std::vector<MetricPoint> removed;    ///< in `prev` but not in `next` (by id)
-  std::vector<MetricPoint> dominated;  ///< subset of `removed` now dominated
-                                       ///< by some point of `next`
-};
-
-/// Diff two frontiers by id, flagging removed points that a point of
-/// `next` now dominates (the regression the CI gate refuses).
-[[nodiscard]] FrontierDiff frontier_diff(
-    const std::vector<MetricPoint>& prev, const std::vector<MetricPoint>& next,
-    const std::vector<Objective>& objectives);
-
 /// Split `points` into successive non-dominated layers: layer 0 is the
 /// frontier, layer 1 the frontier of the remainder, and so on (NSGA-style
 /// peeling). Every returned layer is sorted ascending by id; duplicate and

@@ -57,7 +57,6 @@
 #include "cim/crossbar.hpp"
 #include "cim/engine.hpp"
 #include "cim/macro.hpp"
-#include "cim/xnor_unit.hpp"
 
 #include "arch/chip.hpp"
 #include "arch/design.hpp"

@@ -123,7 +123,7 @@ void KernelPool::run_chunks() {
 void KernelPool::parallel_for(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& body) {
   if (n == 0) return;
-  if (threads() <= 1 || n < 2 || util::InlineKernels::active()) {
+  if (threads() <= 1 || n < 2 || util::kernels_inline()) {
     body(0, n);
     return;
   }

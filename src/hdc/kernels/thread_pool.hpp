@@ -16,8 +16,8 @@
 // (nested call, or several sweep/trial threads driving engines at once)
 // runs its chunks inline on the calling thread instead of queueing. That
 // keeps the pool deadlock-free and never oversubscribes — and by the
-// determinism contract the inline path produces the same bits. A thread in
-// a util::InlineKernels scope always runs inline (util/sync.hpp).
+// determinism contract the inline path produces the same bits. A thread
+// util::run_workers spawned always runs inline (util::kernels_inline).
 //
 // Thread count: set_threads() (tests, benches) wins over the
 // H3DFACT_KERNEL_THREADS environment variable (strict-parsed; garbage
@@ -52,8 +52,9 @@ class KernelPool {
   /// Run body(begin, end) over [0, n) split into at most threads()
   /// contiguous chunks and block until all complete. body must write only
   /// to regions disjoint per chunk (the determinism contract above).
-  /// Runs inline when n is small, threads() == 1, the calling thread is in
-  /// a util::InlineKernels scope (a local sweep shard), or the pool is busy.
+  /// Runs inline when n is small, threads() == 1, the calling thread is a
+  /// util::run_workers thread (a sweep shard or trial thread), or the pool
+  /// is busy.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t, std::size_t)>& body);
 

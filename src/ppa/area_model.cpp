@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "arch/interconnect.hpp"
 #include "ppa/calib.hpp"
 
 namespace h3dfact::ppa {
@@ -109,8 +108,6 @@ AreaBreakdown compute_area(const arch::DesignSpec& d) {
 
   // TSV keep-out: the F2F interface (3–2) uses hybrid bonds; the F2B TSVs
   // penetrate tier-2 on their way to tier-1.
-  arch::TsvModel tsv;
-  (void)tsv;
   out.items.push_back({"tsv keep-out", 2,
                        static_cast<double>(d.tsv_count) * calib::kTsvKeepoutUm2 * 1e-6});
 

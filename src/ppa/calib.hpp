@@ -57,10 +57,7 @@ inline constexpr double kGateEnergy40nmPj = 2.0e-4;
 inline constexpr double kTsvKeepoutUm2 = 3.5;
 
 // ---- Throughput calibration ----
-/// Effective latency (cycles) of one full 256×256 analog MVM including the
-/// column-ADC mux schedule; fit so that 8 concurrent arrays at 200 MHz give
-/// the 1.52 TOPS of Table III.
-inline constexpr double kMvmLatencyCycles = 138.0;
+// The MVM latency is the schedule's: arch::ScheduleTiming::mvm_pass_cycles().
 
 /// Base clock of the 2D designs (Table III).
 inline constexpr double kBaseClockMHz = 200.0;

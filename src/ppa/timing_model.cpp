@@ -1,6 +1,7 @@
 #include "ppa/timing_model.hpp"
 
 #include "arch/interconnect.hpp"
+#include "arch/scheduler.hpp"
 #include "ppa/calib.hpp"
 
 namespace h3dfact::ppa {
@@ -14,7 +15,8 @@ double clock_MHz(const arch::DesignSpec& design) {
 TimingResult compute_timing(const arch::DesignSpec& design) {
   TimingResult r;
   r.frequency_MHz = clock_MHz(design);
-  r.mvm_latency_cycles = calib::kMvmLatencyCycles;
+  r.mvm_latency_cycles =
+      static_cast<double>(arch::ScheduleTiming{}.mvm_pass_cycles());
 
   const auto& dims = design.dims;
   // All kernels' arrays compute concurrently at peak (the batched schedule

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -22,6 +23,16 @@ std::size_t quantile_rank(double q, std::size_t n) {
   const double scaled = q * static_cast<double>(n) - 1e-9;
   return std::max<std::size_t>(
       1, static_cast<std::size_t>(std::ceil(scaled)));
+}
+
+// The trace histograms hold max_iterations + 1 slots, which wraps to 0 for
+// a cap of SIZE_MAX.
+void check_trace_cap(std::size_t max_iterations) {
+  if (max_iterations == std::numeric_limits<std::size_t>::max()) {
+    throw std::invalid_argument(
+        "TrialConfig::max_iterations must be below SIZE_MAX when traces are "
+        "recorded: the trace histograms hold max_iterations + 1 slots");
+  }
 }
 
 }  // namespace
@@ -72,6 +83,7 @@ double TrialStats::accuracy_raw_at(std::size_t k) const {
 
 void TrialStats::accumulate(const ResonatorResult& result, bool correct_decode,
                             std::size_t max_iterations) {
+  if (!result.correct_trace.empty()) check_trace_cap(max_iterations);
   ++trials;
   if (result.solved) {
     ++solved;
@@ -179,6 +191,7 @@ TrialStats run_trial_block(const TrialConfig& config, std::size_t begin,
   }
   const TrialConfig& cfg = config;
   const bool traces = cfg.record_correct_trace;
+  if (traces) check_trace_cap(cfg.max_iterations);
 
   util::Rng master(cfg.seed);
   auto generator = std::make_shared<ProblemGenerator>(

@@ -249,10 +249,9 @@ std::vector<CellResult> run_with_threads(const SweepSpec& spec,
 
   ThreadPoolShared shared(spec, cells, log);
 
+  // Several shards are the parallelism: run_workers marks each shard thread,
+  // and each trial thread a shard starts, to run its kernels inline.
   util::run_workers(workers, [&]() {
-    // Several shards are the parallelism: each runs its kernels, and the
-    // kernels of any trial threads it starts, inline on the calling thread.
-    const util::InlineKernels inline_kernels(workers > 1);
     try {
       for (;;) {
         const std::size_t t = shared.next.fetch_add(1);

@@ -10,7 +10,7 @@
 //
 //   * default           — SweepOptions::shards threads in this process. While
 //                         several run, each runs its kernel calls inline
-//                         (util::InlineKernels): the shards are the
+//                         (util::kernels_inline): the shards are the
 //                         parallelism.
 //   * SweepOptions::transport — a WorkerFleet of remote workers over TCP
 //                         sockets and/or subprocess stdin/stdout

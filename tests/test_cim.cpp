@@ -1,6 +1,6 @@
 // Tests for the CIM layer: crossbar analog MVM fidelity, bit-serial inputs,
-// WL gating, macro similarity/projection against exact kernels, XNOR unit,
-// and the hardware-in-the-loop MVM engine.
+// WL gating, macro similarity/projection against exact kernels, and the
+// hardware-in-the-loop MVM engine.
 
 #include <algorithm>
 #include <cmath>
@@ -13,7 +13,6 @@
 #include "cim/crossbar.hpp"
 #include "cim/engine.hpp"
 #include "cim/macro.hpp"
-#include "cim/xnor_unit.hpp"
 #include "resonator/problem.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -126,19 +125,6 @@ TEST(Crossbar, RetentionReducesCurrentWhenHot) {
   EXPECT_LT(hot, cold);
 }
 
-TEST(Crossbar, ProgramEnergyAndReadEventsTracked) {
-  Rng rng(7);
-  RramCrossbar xb(4, 4, quiet_params(), rng);
-  auto w = random_weights(16, rng);
-  EXPECT_DOUBLE_EQ(xb.program_energy_pJ(), 0.0);
-  xb.program(w, rng);
-  EXPECT_GT(xb.program_energy_pJ(), 0.0);
-  std::vector<std::int8_t> x(4, 1);
-  (void)xb.mvm_bipolar(x, rng);
-  (void)xb.mvm_bipolar(x, rng);
-  EXPECT_EQ(xb.read_events(), 2u);
-}
-
 TEST(Crossbar, RejectsBadInputs) {
   Rng rng(8);
   RramCrossbar xb(4, 4, quiet_params(), rng);
@@ -148,25 +134,6 @@ TEST(Crossbar, RejectsBadInputs) {
                std::invalid_argument);
   std::vector<std::int8_t> x(3, 1);
   EXPECT_THROW((void)xb.mvm_bipolar(x, rng), std::invalid_argument);
-}
-
-TEST(XnorUnit, ComputesBindingAndCounts) {
-  Rng rng(10);
-  cim::XnorUnbindUnit unit;
-  auto a = BipolarVector::random(256, rng);
-  auto b = BipolarVector::random(256, rng);
-  auto u = unit.unbind(a, b);
-  EXPECT_TRUE(u == a.bind(b));
-  EXPECT_EQ(unit.gate_ops(), 256u);
-  EXPECT_GT(unit.energy_pJ(), 0.0);
-  unit.reset_counters();
-  EXPECT_EQ(unit.gate_ops(), 0u);
-}
-
-TEST(XnorUnit, LegacyNodeCostsMore) {
-  cim::XnorUnbindUnit u16(device::Node::k16nm);
-  cim::XnorUnbindUnit u40(device::Node::k40nm);
-  EXPECT_GT(u40.energy_per_gate_pJ(), u16.energy_per_gate_pJ());
 }
 
 MacroConfig small_macro_config(bool quiet = true) {
@@ -228,17 +195,6 @@ TEST(CimMacro, ColumnChunkingHandlesWideCodebooks) {
   int agree = 0;
   for (std::size_t d = 0; d < 256; ++d) agree += (y[d] == cb.vector(77).get(d));
   EXPECT_GT(agree, 245);
-}
-
-TEST(CimMacro, AdcConversionsAccounted) {
-  Rng rng(24);
-  hdc::Codebook cb(256, 16, rng);
-  CimMacro macro(cb, small_macro_config(), rng);
-  (void)macro.similarity(cb.vector(0), rng);
-  // 4 subarray slices × 16 columns each.
-  EXPECT_EQ(macro.adc_conversions(), 64u);
-  EXPECT_GT(macro.analog_reads(), 0u);
-  EXPECT_GT(macro.program_energy_pJ(), 0.0);
 }
 
 TEST(CimMacro, TemperatureAffectsReadout) {

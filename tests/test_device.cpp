@@ -79,15 +79,6 @@ TEST(RramCell, ReadNoiseHasConfiguredSigma) {
   EXPECT_NEAR(st.mean(), cell.conductance_uS(), 0.1);
 }
 
-TEST(RramCell, WriteEnergyAccumulates) {
-  Rng rng(4);
-  RramParams p = device::default_rram_40nm();
-  RramCell cell(p);
-  cell.program(true, rng);
-  cell.program(false, rng);
-  EXPECT_DOUBLE_EQ(cell.write_energy_pJ(), p.set_energy_pJ + p.reset_energy_pJ);
-}
-
 TEST(RramCell, RetentionDegradesAboveKnee) {
   RramParams p = device::default_rram_40nm();
   EXPECT_DOUBLE_EQ(RramCell::retention_factor(p, 25.0), 1.0);
@@ -179,23 +170,6 @@ TEST(SarAdc, InstanceMismatchIsStatic) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(adc.convert(13.0), c);
 }
 
-TEST(SarAdc, EnergyAndAreaScaleWithBitsAndNode) {
-  Rng rng(22);
-  device::AdcParams p4;
-  p4.bits = 4;
-  device::AdcParams p8 = p4;
-  p8.bits = 8;
-  device::AdcParams p4legacy = p4;
-  p4legacy.node = Node::k40nm;
-  device::SarAdc a4(p4, rng), a8(p8, rng), a4l(p4legacy, rng);
-  EXPECT_GT(a8.energy_pJ(), a4.energy_pJ());
-  EXPECT_GT(a8.area_um2(), a4.area_um2());
-  EXPECT_GT(a4l.energy_pJ(), a4.energy_pJ());
-  EXPECT_GT(a4l.area_um2(), a4.area_um2());
-  EXPECT_EQ(a4.latency_cycles(), 5u);
-  EXPECT_EQ(a8.latency_cycles(), 9u);
-}
-
 TEST(SarAdc, RejectsBadParams) {
   Rng rng(23);
   device::AdcParams p;
@@ -247,7 +221,7 @@ TEST(SensePath, RejectsBadConfig) {
 }
 
 TEST(SramBuffer, AllocateReleaseOccupancy) {
-  device::SramBuffer buf({1024, 8, Node::k16nm});
+  device::SramBuffer buf({1024, 8});
   EXPECT_EQ(buf.capacity_bits(), 8192u);
   buf.allocate(4096);
   EXPECT_DOUBLE_EQ(buf.occupancy(), 0.5);
@@ -256,31 +230,11 @@ TEST(SramBuffer, AllocateReleaseOccupancy) {
 }
 
 TEST(SramBuffer, OverflowAndUnderflowThrow) {
-  device::SramBuffer buf({16, 8, Node::k16nm});
+  device::SramBuffer buf({16, 8});
   EXPECT_THROW(buf.allocate(129), std::overflow_error);
   buf.allocate(128);
   EXPECT_THROW(buf.allocate(1), std::overflow_error);
   EXPECT_THROW(buf.release(129), std::underflow_error);
-}
-
-TEST(SramBuffer, AccessEnergyBookkeeping) {
-  device::SramBuffer buf({1024, 8, Node::k16nm});
-  const double e_read = buf.access(100, /*write=*/false);
-  const double e_write = buf.access(100, /*write=*/true);
-  EXPECT_GT(e_write, e_read);  // writes cost more
-  EXPECT_EQ(buf.reads(), 1u);
-  EXPECT_EQ(buf.writes(), 1u);
-  EXPECT_NEAR(buf.total_access_energy_pJ(), e_read + e_write, 1e-12);
-  buf.reset_counters();
-  EXPECT_EQ(buf.reads(), 0u);
-  EXPECT_DOUBLE_EQ(buf.total_access_energy_pJ(), 0.0);
-}
-
-TEST(SramBuffer, LegacyNodeCostsMoreEnergyAndArea) {
-  device::SramBuffer b16({1024, 8, Node::k16nm});
-  device::SramBuffer b40({1024, 8, Node::k40nm});
-  EXPECT_GT(b40.energy_per_bit_pJ(false), b16.energy_per_bit_pJ(false));
-  EXPECT_GT(b40.area_mm2(), b16.area_mm2());
 }
 
 TEST(PcmCell, ProgramSetsStateAndDriftExponent) {
@@ -293,7 +247,6 @@ TEST(PcmCell, ProgramSetsStateAndDriftExponent) {
   cell.program(false, rng);
   EXPECT_FALSE(cell.is_on());
   EXPECT_GT(cell.drift_nu(), 0.0);
-  EXPECT_GT(cell.write_energy_pJ(), 0.0);
 }
 
 TEST(PcmCell, ResetStateDriftsDownward) {

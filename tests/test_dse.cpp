@@ -120,24 +120,6 @@ TEST(Pareto, LayersPeelAndPartition) {
   EXPECT_EQ(ids(layers[2]), (std::vector<std::size_t>{4}));
 }
 
-TEST(Pareto, MergeAndDiffFlagDominatedRemovals) {
-  const auto prev = dse::pareto_front(
-      {mp(0, {1, 9}), mp(1, {5, 5}), mp(2, {9, 1})}, two_min());
-  // A new evaluation finds a point beating id 1 and loses id 2 entirely.
-  const auto next = dse::pareto_front(
-      {mp(0, {1, 9}), mp(3, {4, 4})}, two_min());
-  const dse::FrontierDiff diff = dse::frontier_diff(prev, next, two_min());
-  EXPECT_EQ(ids(diff.added), (std::vector<std::size_t>{3}));
-  EXPECT_EQ(ids(diff.removed), (std::vector<std::size_t>{1, 2}));
-  EXPECT_EQ(ids(diff.dominated), (std::vector<std::size_t>{1}));
-
-  const auto merged = dse::frontier_merge(prev, next, two_min());
-  EXPECT_EQ(ids(merged), (std::vector<std::size_t>{0, 2, 3}));
-  EXPECT_THROW(
-      (void)dse::frontier_merge({mp(0, {1, 2})}, {mp(0, {3, 4})}, two_min()),
-      std::invalid_argument);
-}
-
 // --- design space + evaluator ----------------------------------------------
 
 // The unit grid: 2 designs × 2 ADC precisions at a tiny dim (rows=64 × 2

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include <stdexcept>
 
+#include "arch/scheduler.hpp"
 #include "ppa/area_model.hpp"
 #include "ppa/energy_model.hpp"
 #include "ppa/floorplan.hpp"
@@ -83,6 +84,12 @@ TEST(TimingModel, ThroughputMatchesTable3) {
   EXPECT_NEAR(rows[0].timing.tops, 1.52, 0.08);
   EXPECT_NEAR(rows[1].timing.tops, 1.52, 0.08);
   EXPECT_NEAR(rows[2].timing.tops, 1.41, 0.08);
+  // The throughput's MVM latency is the batch schedule's, 138 cycles.
+  static_assert(arch::ScheduleTiming{}.mvm_pass_cycles() == 138);
+  for (const auto& row : rows) {
+    EXPECT_EQ(row.timing.mvm_latency_cycles,
+              static_cast<double>(arch::ScheduleTiming{}.mvm_pass_cycles()));
+  }
 }
 
 TEST(TimingModel, ComputeDensityHeadline) {

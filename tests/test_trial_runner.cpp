@@ -5,11 +5,15 @@
 #include "resonator/trial_runner.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <gtest/gtest.h>
+#include <limits>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "resonator/problem.hpp"
+#include "util/sync.hpp"
 
 namespace {
 
@@ -130,6 +134,45 @@ TEST(TrialRunner, TraceRecordingReachesFullAccuracyAtCap) {
   ASSERT_FALSE(stats.correct_by_iteration.empty());
   // Accuracy at the iteration cap equals the final aggregate accuracy.
   EXPECT_DOUBLE_EQ(stats.accuracy_at(config.max_iterations), stats.accuracy());
+}
+
+// A cap of SIZE_MAX would size the trace histograms max_iterations + 1 = 0
+// slots, so a traced run refuses it before any trial runs, and so does a
+// direct accumulate of a traced result (leaving the aggregate untouched).
+TEST(TrialRunner, TracedRunRefusesSizeMaxCap) {
+  resonator::TrialConfig config = small_config();
+  config.max_iterations = std::numeric_limits<std::size_t>::max();
+  config.record_correct_trace = true;
+  EXPECT_THROW((void)resonator::run_trials(config), std::invalid_argument);
+
+  resonator::ResonatorResult traced;
+  traced.correct_trace = {0, 1};
+  resonator::TrialStats stats;
+  EXPECT_THROW(stats.accumulate(traced, true, config.max_iterations),
+               std::invalid_argument);
+  EXPECT_EQ(stats.trials, 0u);
+}
+
+// Trial threads are the parallelism: every thread run_trial_block spawns
+// runs its kernels inline, and a single-threaded block keeps the pool.
+TEST(TrialRunner, TrialThreadsRunKernelsInline) {
+  for (const unsigned threads : {4u, 1u}) {
+    resonator::TrialConfig config = small_config();
+    config.trials = 16;  // four chunks, so four threads all start
+    config.threads = threads;
+    std::atomic<unsigned> built{0};
+    std::atomic<unsigned> inline_marked{0};
+    config.factory = [&](std::shared_ptr<const hdc::CodebookSet> set,
+                         const resonator::TrialConfig& c) {
+      ++built;
+      if (util::kernels_inline()) ++inline_marked;
+      return resonator::make_baseline(std::move(set), c);
+    };
+    (void)resonator::run_trials(config);
+    EXPECT_EQ(built.load(), threads);
+    EXPECT_EQ(inline_marked.load(), threads > 1 ? threads : 0u)
+        << "threads=" << threads;
+  }
 }
 
 }  // namespace

@@ -25,8 +25,8 @@ TEST(Umbrella, OneObjectPerLayerCoexists) {
   cell.program(true, rng);
   EXPECT_TRUE(cell.is_on());
 
-  cim::XnorUnbindUnit xnor;
-  (void)xnor.unbind(v, v);
+  cim::RramCrossbar xbar(4, 4, device::default_rram_40nm(), rng);
+  EXPECT_EQ(xbar.cols(), 4u);
 
   auto design = arch::make_design(arch::DesignKind::kH3dThreeTier);
   EXPECT_EQ(design.tiers, 3u);

@@ -538,26 +538,26 @@ TEST(Sync, CondVarPredicateWaitSeesNotifiedState) {
   producer.join();
 }
 
-// run_workers threads inherit the caller's InlineKernels flag, and a scope
-// only ever adds the flag, restoring the thread's own on exit.
-TEST(Sync, RunWorkersCarriesInlineKernels) {
-  using h3dfact::util::InlineKernels;
-  EXPECT_FALSE(InlineKernels::active());
-  std::atomic<int> inline_threads{0};
-  {
-    const InlineKernels outer(true);
-    const InlineKernels nested(false);
-    EXPECT_TRUE(InlineKernels::active());
-    h3dfact::util::run_workers(3, [&]() {
-      if (InlineKernels::active()) ++inline_threads;
+// Every thread run_workers spawns is marked to run its kernels inline; with
+// n <= 1 the worker runs on the caller, which keeps its own mark, and so
+// does a nested spawn inside a marked thread.
+TEST(Sync, RunWorkersMarksSpawnedThreadsInline) {
+  using h3dfact::util::kernels_inline;
+  using h3dfact::util::run_workers;
+  EXPECT_FALSE(kernels_inline());
+  std::atomic<int> marked{0};
+  run_workers(3, [&]() {
+    if (kernels_inline()) ++marked;
+    run_workers(1, [&]() {
+      if (kernels_inline()) ++marked;
     });
-  }
-  EXPECT_EQ(inline_threads.load(), 3);
-  EXPECT_FALSE(InlineKernels::active());
-  h3dfact::util::run_workers(2, [&]() {
-    if (InlineKernels::active()) ++inline_threads;
   });
-  EXPECT_EQ(inline_threads.load(), 3);
+  EXPECT_EQ(marked.load(), 6);
+  run_workers(1, [&]() {
+    if (kernels_inline()) ++marked;
+  });
+  EXPECT_EQ(marked.load(), 6);
+  EXPECT_FALSE(kernels_inline());
 }
 
 }  // namespace
