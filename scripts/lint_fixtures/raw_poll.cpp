@@ -1,5 +1,5 @@
-// Fixture: must trip [raw-poll]. A bare ::poll() outside the allowlisted
-// deadline-bounded consumers can block forever on a dead peer.
+// Fixture: must trip [raw-poll]. A bare ::poll() outside the worker
+// transport can block forever on a dead peer.
 #include <poll.h>
 
 int wait_forever(int fd) {

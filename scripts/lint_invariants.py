@@ -5,10 +5,12 @@ Enforces textual invariants that neither the compiler nor clang-tidy can
 express (docs/static-analysis.md) over src/, bench/ and examples/ (not
 perfbench/, the benchmark harness):
 
-  raw-poll     ::poll() may appear only in the deadline-bounded event-loop
-               consumers (sweep transport/runner, serve coordinator/client).
-               Everything else must route blocking waits through those
-               layers so no call site can block forever.
+  raw-poll     ::poll() may appear only in src/sweep/transport.cpp, home of
+               the one channel poll (sweep::poll_channels, under the sweep
+               scheduler, the serve coordinator and the serve client) and
+               the one-channel wait (WorkerChannel::await_frame). Every
+               other wait routes through those two, so no call site polls
+               or blocks on its own terms.
   raw-parse    The strto*/ato*/sto*/sscanf families may appear only in
                src/util/parse.hpp, the single strict-parse choke point.
                Raw use silently accepts " 14", "1e4"-as-int and partial
@@ -89,14 +91,9 @@ FIXTURE_DIR = Path(__file__).resolve().parent / "lint_fixtures"
 # Rules
 # ---------------------------------------------------------------------------
 
-# Files allowed to call ::poll directly: each wraps the call in a
-# DeadlineTracker / bounded-timeout loop and is reviewed as such.
-POLL_ALLOWLIST = {
-    "src/serve/client.cpp",
-    "src/serve/coordinator.cpp",
-    "src/sweep/runner.cpp",
-    "src/sweep/transport.cpp",
-}
+# The one file allowed to call ::poll directly: the worker transport, whose
+# poll_channels and await_frame every event loop and wait goes through.
+POLL_ALLOWLIST = {"src/sweep/transport.cpp"}
 
 # The one file where the raw C parse family may live.
 PARSE_ALLOWLIST = {"src/util/parse.hpp"}
@@ -135,9 +132,9 @@ RULES = [
         "id": "raw-poll",
         "pattern": re.compile(r"(?<![\w:])::poll\s*\("),
         "allow": POLL_ALLOWLIST,
-        "message": "raw ::poll() outside the deadline-bounded consumers; "
-                   "route the wait through sweep::WorkerFleet or the serve "
-                   "event loop",
+        "message": "raw ::poll() outside src/sweep/transport.cpp; wait "
+                   "through sweep::poll_channels or "
+                   "WorkerChannel::await_frame",
     },
     {
         "id": "raw-parse",

@@ -6,6 +6,10 @@
 
 namespace h3dfact::arch {
 
+namespace {
+constexpr ScheduleTiming kTiming{};
+}  // namespace
+
 void ScheduleStats::merge(const ScheduleStats& o) {
   cycles += o.cycles;
   tier_transitions += o.tier_transitions;
@@ -18,14 +22,12 @@ void ScheduleStats::merge(const ScheduleStats& o) {
 }
 
 BatchScheduler::BatchScheduler(const DesignSpec& design, std::size_t factors,
-                               std::size_t codebook_size,
-                               const ScheduleTiming& timing)
+                               std::size_t codebook_size)
     : design_(design),
       factors_(factors),
       m_(codebook_size),
-      timing_(timing),
-      sim_tier_("tier-3", TierRole::kSimilarity, design.rram_node),
-      proj_tier_("tier-2", TierRole::kProjection, design.rram_node),
+      sim_tier_("tier-3", TierRole::kSimilarity),
+      proj_tier_("tier-2", TierRole::kProjection),
       controller_(sim_tier_, proj_tier_),
       buffer_(device::SramParams{design.dims.sram_buffer_kb * 1024, 8}) {
   if (factors == 0 || codebook_size == 0) {
@@ -58,16 +60,16 @@ ScheduleStats BatchScheduler::run_iteration(std::size_t batch) {
     // ---- Phase S: similarity tier active for the whole batch ----
     if (controller_.activate(TierRole::kSimilarity)) {
       ++s.tier_transitions;
-      s.cycles += timing_.tier_switch_cycles;
+      s.cycles += kTiming.tier_switch_cycles;
     }
     // Column groups needed when the codebook is wider than one array.
     const std::size_t col_groups =
         (m_ + design_.dims.array_rows - 1) / design_.dims.array_rows;
     for (std::size_t b = 0; b < batch; ++b) {
       // Step I: unbinding result crosses tier-1 → tier-3 (D bits on WL TSVs).
-      s.cycles += timing_.unbind_cycles;
+      s.cycles += kTiming.unbind_cycles;
       s.tsv_bits += D;
-      s.cycles += timing_.mvm_pass_cycles() * col_groups;
+      s.cycles += kTiming.mvm_pass_cycles() * col_groups;
       ++s.mvms;
       // Step II is analog (one-shot through the column TSVs);
       // step III: 4-bit codes buffered in tier-1 SRAM.
@@ -78,14 +80,14 @@ ScheduleStats BatchScheduler::run_iteration(std::size_t batch) {
     // ---- Phase P: projection tier active for the whole batch ----
     if (controller_.activate(TierRole::kProjection)) {
       ++s.tier_transitions;
-      s.cycles += timing_.tier_switch_cycles;
+      s.cycles += kTiming.tier_switch_cycles;
     }
     for (std::size_t b = 0; b < batch; ++b) {
       const std::size_t code_bits = codes_bits_per_problem();
       s.sram_bits_read += code_bits;
       // Codes cross tier-1 → tier-2 bit-serially over the coefficient planes.
       s.tsv_bits += code_bits;
-      s.cycles += timing_.mvm_pass_cycles() * static_cast<std::uint64_t>(adc_bits);
+      s.cycles += kTiming.mvm_pass_cycles() * static_cast<std::uint64_t>(adc_bits);
       ++s.mvms;
       // Step IV: 1-bit projection outputs return to tier-1.
       s.tsv_bits += D;

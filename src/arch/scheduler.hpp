@@ -60,10 +60,10 @@ struct ScheduleTiming {
 /// Simulates the per-iteration schedule for one design point and batch size.
 class BatchScheduler {
  public:
-  /// `factors` = F, `codebook_size` = M of the mapped problem.
+  /// `factors` = F, `codebook_size` = M of the mapped problem. The stage
+  /// timing is ScheduleTiming{}, the one ppa::compute_timing reads.
   BatchScheduler(const DesignSpec& design, std::size_t factors,
-                 std::size_t codebook_size,
-                 const ScheduleTiming& timing = ScheduleTiming{});
+                 std::size_t codebook_size);
 
   /// Account one full resonator iteration for a batch of `batch` problems.
   /// Throws std::overflow_error if the batch does not fit the SRAM buffer
@@ -76,14 +76,10 @@ class BatchScheduler {
   /// Bits of similarity codes one problem produces per factor.
   [[nodiscard]] std::size_t codes_bits_per_problem() const;
 
-  [[nodiscard]] const Tier& similarity_tier() const { return sim_tier_; }
-  [[nodiscard]] const Tier& projection_tier() const { return proj_tier_; }
-
  private:
   DesignSpec design_;
   std::size_t factors_;
   std::size_t m_;
-  ScheduleTiming timing_;
   Tier sim_tier_;
   Tier proj_tier_;
   TierActivationController controller_;

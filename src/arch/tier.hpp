@@ -11,8 +11,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "device/tech_node.hpp"
-
 namespace h3dfact::arch {
 
 /// What a tier computes.
@@ -35,12 +33,11 @@ const char* power_state_name(PowerState s);
 /// One tier of the stack.
 class Tier {
  public:
-  Tier(std::string name, TierRole role, device::Node node)
-      : name_(std::move(name)), role_(role), node_(node) {}
+  Tier(std::string name, TierRole role)
+      : name_(std::move(name)), role_(role) {}
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] TierRole role() const { return role_; }
-  [[nodiscard]] device::Node node() const { return node_; }
   [[nodiscard]] PowerState power() const { return power_; }
   [[nodiscard]] bool is_rram() const { return role_ != TierRole::kDigital; }
 
@@ -49,7 +46,6 @@ class Tier {
  private:
   std::string name_;
   TierRole role_;
-  device::Node node_;
   PowerState power_ = PowerState::kStandby;
 };
 

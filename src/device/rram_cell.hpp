@@ -21,8 +21,6 @@ struct RramParams {
   double prog_sigma = 0.08;     ///< lognormal sigma of programming variation
   double read_noise_frac = 0.03;///< per-read Gaussian sigma / G_on
   double v_read = 0.2;          ///< read voltage (V)
-  double v_set = 2.5;           ///< SET programming voltage (V)
-  double v_reset = 2.8;         ///< RESET programming voltage (V)
   double retention_T_C = 100.0; ///< retention degrades beyond this temp [33]
 };
 

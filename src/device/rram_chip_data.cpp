@@ -56,30 +56,19 @@ TestchipNoiseModel::TestchipNoiseModel(std::size_t rows, const RramParams& p,
             [](const ReadoutStat& a, const ReadoutStat& b) { return a.level < b.level; });
 }
 
-namespace {
-double interp(const std::vector<ReadoutStat>& t, int level, bool want_sigma) {
+double TestchipNoiseModel::mean_at(int level) const {
+  const std::vector<ReadoutStat>& t = table_;
   if (t.empty()) throw std::logic_error("empty testchip table");
-  auto val = [&](const ReadoutStat& s) { return want_sigma ? s.sigma : s.mean; };
-  if (level <= t.front().level) return val(t.front());
-  if (level >= t.back().level) return val(t.back());
+  if (level <= t.front().level) return t.front().mean;
+  if (level >= t.back().level) return t.back().mean;
   for (std::size_t i = 1; i < t.size(); ++i) {
     if (level <= t[i].level) {
       const double x0 = t[i - 1].level, x1 = t[i].level;
-      const double y0 = val(t[i - 1]), y1 = val(t[i]);
       const double w = (level - x0) / (x1 - x0);
-      return y0 * (1.0 - w) + y1 * w;
+      return t[i - 1].mean * (1.0 - w) + t[i].mean * w;
     }
   }
-  return val(t.back());
-}
-}  // namespace
-
-double TestchipNoiseModel::mean_at(int level) const {
-  return interp(table_, level, /*want_sigma=*/false);
-}
-
-double TestchipNoiseModel::sigma_at(int level) const {
-  return interp(table_, level, /*want_sigma=*/true);
+  return t.back().mean;
 }
 
 double TestchipNoiseModel::aggregate_sigma() const {

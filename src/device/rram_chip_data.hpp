@@ -41,9 +41,6 @@ class TestchipNoiseModel {
   /// Interpolated mean readout for a nominal level.
   [[nodiscard]] double mean_at(int level) const;
 
-  /// Interpolated readout sigma for a nominal level.
-  [[nodiscard]] double sigma_at(int level) const;
-
   /// Aggregate similarity-path sigma (levels-averaged), the single number the
   /// stochastic factorizer consumes when it injects testchip statistics.
   [[nodiscard]] double aggregate_sigma() const;

@@ -33,12 +33,4 @@ std::vector<Table3Paper> table3_paper_values() {
   };
 }
 
-PcmReference pcm_factorizer_reference(const Table3Row& h3d_row) {
-  PcmReference ref;
-  ref.area_mm2 = h3d_row.area.total_mm2();        // iso-area comparison
-  ref.tops = h3d_row.timing.tops / 1.78;          // H3DFact is 1.78× faster
-  ref.tops_per_watt = h3d_row.energy.tops_per_watt / 1.48;  // and 1.48× greener
-  return ref;
-}
-
 }  // namespace h3dfact::ppa

@@ -44,15 +44,4 @@ struct Table3Paper {
 };
 std::vector<Table3Paper> table3_paper_values();
 
-/// Published headline numbers of the PCM in-memory factorizer [15] relative
-/// to H3DFact (Sec. V-B): H3DFact achieves 1.78× throughput and 1.48× energy
-/// efficiency at equal silicon area. Returns the implied [15] design point
-/// given our evaluated H3D row.
-struct PcmReference {
-  double tops;
-  double tops_per_watt;
-  double area_mm2;
-};
-PcmReference pcm_factorizer_reference(const Table3Row& h3d_row);
-
 }  // namespace h3dfact::ppa

@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include <poll.h>
-
 #include "sweep/transport.hpp"
 
 namespace h3dfact::serve {
@@ -20,6 +18,42 @@ struct ServeClient::Impl {
   std::unique_ptr<WorkerChannel> ch;
   std::deque<sweep::FactorReplyFrame> buffered;
   bool drain_acked = false;
+
+  /// Every frame the coordinator sends lands here: replies queue in arrival
+  /// order, a Drain ack is remembered, and an Error frame throws.
+  void handle(const Frame& frame) {
+    switch (frame.kind) {
+      case FrameKind::kFactorReply:
+        buffered.push_back(sweep::decode_factor_reply(frame.payload));
+        break;
+      case FrameKind::kDrain:
+        drain_acked = true;
+        break;
+      case FrameKind::kError:
+        throw std::runtime_error("serve client: coordinator error: " +
+                                 frame.payload);
+      default:
+        break;
+    }
+  }
+
+  /// Handle frames until `done()` holds; false if the coordinator hung up
+  /// first. Throws on timeout.
+  template <class Done>
+  bool await(int timeout_ms, Done done) {
+    while (!done()) {
+      std::optional<Frame> frame = ch->await_frame(timeout_ms);
+      if (!frame) return false;
+      handle(*frame);
+    }
+    return true;
+  }
+
+  sweep::FactorReplyFrame pop() {
+    sweep::FactorReplyFrame reply = std::move(buffered.front());
+    buffered.pop_front();
+    return reply;
+  }
 };
 
 ServeClient::ServeClient(const std::string& addr, int retries, int retry_ms)
@@ -38,27 +72,10 @@ bool ServeClient::send(const sweep::FactorRequestFrame& req) {
 
 std::optional<sweep::FactorReplyFrame> ServeClient::await_reply(
     int timeout_ms) {
-  if (!impl_->buffered.empty()) {
-    sweep::FactorReplyFrame reply = std::move(impl_->buffered.front());
-    impl_->buffered.pop_front();
-    return reply;
+  if (!impl_->await(timeout_ms, [&] { return !impl_->buffered.empty(); })) {
+    return std::nullopt;
   }
-  for (;;) {
-    std::optional<Frame> frame = impl_->ch->await_frame(timeout_ms);
-    if (!frame) return std::nullopt;
-    switch (frame->kind) {
-      case FrameKind::kFactorReply:
-        return sweep::decode_factor_reply(frame->payload);
-      case FrameKind::kDrain:
-        impl_->drain_acked = true;  // stray ack; remember it for drain()
-        break;
-      case FrameKind::kError:
-        throw std::runtime_error("serve client: coordinator error: " +
-                                 frame->payload);
-      default:
-        break;
-    }
-  }
+  return impl_->pop();
 }
 
 std::optional<sweep::FactorReplyFrame> ServeClient::poll_reply(
@@ -67,38 +84,30 @@ std::optional<sweep::FactorReplyFrame> ServeClient::poll_reply(
   using Clock = std::chrono::steady_clock;
   const Clock::time_point until =
       Clock::now() + std::chrono::milliseconds(timeout_ms < 0 ? 0 : timeout_ms);
+  WorkerChannel* const channels[] = {impl_->ch.get()};
+  bool closed = false;
   for (;;) {
-    if (!impl_->buffered.empty()) {
-      sweep::FactorReplyFrame reply = std::move(impl_->buffered.front());
-      impl_->buffered.pop_front();
-      return reply;
+    // Frames an earlier await_frame left parsed come first.
+    while (impl_->buffered.empty()) {
+      std::optional<Frame> frame = impl_->ch->next_frame();
+      if (!frame) break;
+      impl_->handle(*frame);
     }
-    while (std::optional<Frame> frame = impl_->ch->next_frame()) {
-      switch (frame->kind) {
-        case FrameKind::kFactorReply:
-          return sweep::decode_factor_reply(frame->payload);
-        case FrameKind::kDrain:
-          impl_->drain_acked = true;
-          break;
-        case FrameKind::kError:
-          throw std::runtime_error("serve client: coordinator error: " +
-                                   frame->payload);
-        default:
-          break;
-      }
+    if (!impl_->buffered.empty()) return impl_->pop();
+    if (closed) {
+      if (disconnected != nullptr) *disconnected = true;
+      return std::nullopt;
     }
     const auto left = std::chrono::ceil<std::chrono::milliseconds>(
         until - Clock::now()).count();
-    struct pollfd pfd{impl_->ch->read_fd(), POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, left > 0 ? static_cast<int>(left) : 0);
-    if (rc > 0) {
-      if (impl_->ch->pump() <= 0) {  // EOF or read error
-        if (disconnected != nullptr) *disconnected = true;
-        return std::nullopt;
-      }
-      continue;
-    }
-    if (Clock::now() >= until) return std::nullopt;
+    const bool woke = sweep::poll_channels(
+        channels, left > 0 ? static_cast<int>(left) : 0,
+        [&](std::size_t, Frame frame) { impl_->handle(frame); },
+        [&](std::size_t, const std::string& why) {
+          if (!why.empty()) throw std::runtime_error("serve client: " + why);
+          closed = true;
+        });
+    if (!woke && Clock::now() >= until) return std::nullopt;
   }
 }
 
@@ -115,27 +124,10 @@ sweep::FactorReplyFrame ServeClient::call(const sweep::FactorRequestFrame& req,
 }
 
 bool ServeClient::drain(int timeout_ms) {
-  if (!impl_->ch->send(FrameKind::kDrain, "")) return false;
-  while (!impl_->drain_acked) {
-    std::optional<Frame> frame = impl_->ch->await_frame(timeout_ms);
-    if (!frame) return false;
-    switch (frame->kind) {
-      case FrameKind::kDrain:
-        impl_->drain_acked = true;
-        break;
-      case FrameKind::kFactorReply:
-        // Replies for requests still in flight when we drained; keep them
-        // available for a caller that still wants to await_reply() them.
-        impl_->buffered.push_back(sweep::decode_factor_reply(frame->payload));
-        break;
-      case FrameKind::kError:
-        throw std::runtime_error("serve client: coordinator error: " +
-                                 frame->payload);
-      default:
-        break;
-    }
-  }
-  return true;
+  // Replies still in flight when we drained stay buffered for a caller that
+  // still wants to await_reply() them.
+  return impl_->ch->send(FrameKind::kDrain, "") &&
+         impl_->await(timeout_ms, [&] { return impl_->drain_acked; });
 }
 
 }  // namespace h3dfact::serve

@@ -1,7 +1,6 @@
 #include "serve/serving.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <deque>
@@ -18,7 +17,6 @@
 #include "util/rng.hpp"
 #include "util/sync.hpp"
 
-#include <poll.h>
 #include <unistd.h>
 
 namespace h3dfact::serve {
@@ -287,25 +285,13 @@ struct ServeCoordinator::Impl {
     }
   }
 
+  /// A peer's first frame: check_hello, then admit a client or bind a
+  /// worker by the role it declared.
   void handle_hello(Peer& peer, const Frame& frame) {
-    sweep::HelloFrame hello;
-    try {
-      hello = sweep::decode_hello(frame.payload);
-    } catch (const std::exception& e) {
-      drop_peer(peer, std::string("bad hello: ") + e.what());
-      return;
-    }
-    if (hello.magic != sweep::kProtocolMagic ||
-        hello.version != sweep::kProtocolVersion) {
-      peer.ch->send(FrameKind::kError,
-                    "protocol mismatch: coordinator speaks v" +
-                        std::to_string(sweep::kProtocolVersion));
-      drop_peer(peer, "protocol mismatch");
-      return;
-    }
+    const PeerRole role = sweep::check_hello(*peer.ch, frame);
     sweep::HelloFrame ack;
-    ack.role = hello.role;
-    switch (static_cast<PeerRole>(hello.role)) {
+    ack.role = static_cast<std::uint32_t>(role);
+    switch (role) {
       case PeerRole::kServeClient:
         if (!peer.ch->send(FrameKind::kHelloAck, encode_hello(ack))) {
           drop_peer(peer, "hello ack send failed");
@@ -341,7 +327,7 @@ struct ServeCoordinator::Impl {
         peer.ch->send(FrameKind::kError,
                       "this endpoint serves factorization requests; sweep "
                       "workers must dial a sweep coordinator");
-        drop_peer(peer, "unsupported peer role " + std::to_string(hello.role));
+        drop_peer(peer, "unsupported peer role " + std::to_string(ack.role));
         break;
     }
   }
@@ -349,17 +335,8 @@ struct ServeCoordinator::Impl {
   void handle_client_frame(Peer& peer, const Frame& frame) {
     switch (frame.kind) {
       case FrameKind::kFactorRequest: {
-        sweep::FactorRequestFrame req;
-        try {
-          req = sweep::decode_factor_request(frame.payload);
-        } catch (const std::exception& e) {
-          // A client that frames garbage gets dropped; everyone else keeps
-          // being served.
-          drop_peer(peer, std::string("malformed request: ") + e.what());
-          return;
-        }
         PendingRequest entry;
-        entry.req = std::move(req);
+        entry.req = sweep::decode_factor_request(frame.payload);
         entry.client_id = peer.id;
         entry.enqueued = Clock::now();
         if (entry.req.deadline_us > 0) {
@@ -407,13 +384,8 @@ struct ServeCoordinator::Impl {
         drop_peer(peer, "expected ServeReady");
         return;
       }
-      sweep::ServeReadyFrame ready;
-      try {
-        ready = sweep::decode_serve_ready(frame.payload);
-      } catch (const std::exception& e) {
-        drop_peer(peer, std::string("bad ServeReady: ") + e.what());
-        return;
-      }
+      const sweep::ServeReadyFrame ready =
+          sweep::decode_serve_ready(frame.payload);
       if (ready.fingerprint != fingerprint) {
         peer.ch->send(FrameKind::kError, "codebook fingerprint mismatch");
         drop_peer(peer, "codebook fingerprint mismatch (worker rebuilt a "
@@ -425,13 +397,8 @@ struct ServeCoordinator::Impl {
     }
     switch (frame.kind) {
       case FrameKind::kBatchResult: {
-        sweep::BatchResultFrame result;
-        try {
-          result = sweep::decode_batch_result(frame.payload);
-        } catch (const std::exception& e) {
-          drop_peer(peer, std::string("malformed batch result: ") + e.what());
-          return;
-        }
+        const sweep::BatchResultFrame result =
+            sweep::decode_batch_result(frame.payload);
         if (!peer.batch_id || *peer.batch_id != result.batch_id) {
           drop_peer(peer, "unsolicited batch result " +
                               std::to_string(result.batch_id));
@@ -476,13 +443,11 @@ struct ServeCoordinator::Impl {
     }
   }
 
+  /// Throws std::runtime_error when the frame fails the Hello check or its
+  /// payload fails to decode; run() drops the peer for it.
   void handle_frame(Peer& peer, const Frame& frame) {
     switch (peer.state) {
       case Peer::State::kAwaitHello:
-        if (frame.kind != FrameKind::kHello) {
-          drop_peer(peer, "peer opened with a non-Hello frame");
-          return;
-        }
         handle_hello(peer, frame);
         break;
       case Peer::State::kClient:
@@ -555,25 +520,34 @@ struct ServeCoordinator::Impl {
         break;
       }
 
-      std::vector<pollfd> fds;
       std::vector<Peer*> owners;
-      fds.push_back(pollfd{stop_pipe[0], POLLIN, 0});
-      owners.push_back(nullptr);
-      fds.push_back(pollfd{listen_fd, POLLIN, 0});
-      owners.push_back(nullptr);
+      std::vector<WorkerChannel*> channels;
       for (Peer& p : peers) {
-        if (p.ch->read_fd() >= 0) {
-          fds.push_back(pollfd{p.ch->read_fd(), POLLIN, 0});
-          owners.push_back(&p);
-        }
+        owners.push_back(&p);
+        channels.push_back(p.ch.get());
       }
-
-      const int rc = ::poll(fds.data(), fds.size(), next_timeout_ms());
-      if (rc < 0) {
-        if (errno == EINTR) continue;
-        throw std::runtime_error("ServeCoordinator: poll failed");
-      }
-      if (rc == 0) {
+      const int extra_fds[] = {stop_pipe[0], listen_fd};
+      bool extra_ready[] = {false, false};
+      const bool woke = sweep::poll_channels(
+          channels, next_timeout_ms(),
+          [&](std::size_t i, Frame frame) {
+            // A peer that frames garbage is dropped; everyone else keeps
+            // being served.
+            try {
+              handle_frame(*owners[i], frame);
+            } catch (const std::runtime_error& e) {
+              drop_peer(*owners[i], e.what());
+            }
+          },
+          [&](std::size_t i, const std::string& why) {
+            Peer& peer = *owners[i];
+            const bool quiet = peer.state == Peer::State::kClient ||
+                               peer.state == Peer::State::kAwaitHello;
+            drop_peer(peer, why.empty() && !quiet ? "worker disconnected"
+                                                  : why);
+          },
+          extra_fds, extra_ready);
+      if (!woke) {
         // Wake-up for an aged batch window or an expired worker deadline.
         for (const void* raw : deadlines.expired()) {
           auto* peer = static_cast<Peer*>(const_cast<void*>(raw));
@@ -586,8 +560,7 @@ struct ServeCoordinator::Impl {
         }
         continue;
       }
-
-      if ((fds[0].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+      if (extra_ready[0]) {
         char drainbuf[16];
         (void)!::read(stop_pipe[0], drainbuf, sizeof drainbuf);
         for (const PendingRequest& entry : pending) {
@@ -597,30 +570,7 @@ struct ServeCoordinator::Impl {
         finish_drain();
         break;
       }
-      if ((fds[1].revents & POLLIN) != 0) accept_peer();
-
-      for (std::size_t i = 2; i < fds.size(); ++i) {
-        if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-        Peer& peer = *owners[i];
-        if (peer.ch->read_fd() < 0) continue;
-        const long got = peer.ch->pump();
-        const bool disconnected = got <= 0;
-        try {
-          while (auto frame = peer.ch->next_frame()) {
-            handle_frame(peer, *frame);
-            if (peer.ch->read_fd() < 0) break;  // dropped while handling
-          }
-        } catch (const std::exception& e) {
-          drop_peer(peer, std::string("malformed frame: ") + e.what());
-          continue;
-        }
-        if (disconnected && peer.ch->read_fd() >= 0) {
-          drop_peer(peer, peer.state == Peer::State::kClient ||
-                                  peer.state == Peer::State::kAwaitHello
-                              ? ""
-                              : "worker disconnected");
-        }
-      }
+      if (extra_ready[1]) accept_peer();
       // Closed peers are kept in `peers` until here so stale Peer pointers
       // inside the loop body never dangle.
       peers.remove_if([](const Peer& p) { return p.ch->read_fd() < 0; });

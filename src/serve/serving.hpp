@@ -30,6 +30,11 @@
 // ServeInit artifact reference (src/io/) when one is given and reachable,
 // rebuilt from the ServeInit seed otherwise — and proves the binding with
 // hdc::set_fingerprint() before receiving work.
+//
+// The wire stack is the sweep transport's: the coordinator checks each
+// peer's first frame with sweep::check_hello and waits in
+// sweep::poll_channels, the serve worker is a sweep::run_worker loop, and
+// the client's poll_reply waits in the same poll_channels.
 
 #include <cstdint>
 #include <memory>
@@ -187,14 +192,16 @@ class WorkerSpaceCache {
 sweep::BatchResultFrame solve_serve_batch(const WorkerSpace& space,
                                           const sweep::BatchTaskFrame& task);
 
-/// Serve-worker loop (`sweep_worker --serve`): handshake as kServeWorker,
-/// bind the ServeInit problem space through a WorkerSpaceCache (artifact
-/// warm-start, seed rebuild, or memoized re-use), echo its fingerprint,
-/// then solve BatchTask frames until Shutdown/Drain/EOF. A non-empty
-/// `artifact_override` replaces the ServeInit's advertised artifact path —
-/// for hosts where the coordinator's path does not resolve. Returns the
-/// process exit code: 0 success, 2 on a failed handshake (a coordinator of
-/// another protocol version included), nonzero on other protocol errors.
+/// Serve worker (`sweep_worker --serve`) on sweep::run_worker: handshake as
+/// kServeWorker, bind the ServeInit problem space through a
+/// WorkerSpaceCache (artifact warm-start, seed rebuild, or memoized
+/// re-use), echo its fingerprint, then solve BatchTask frames until
+/// Shutdown/Drain/EOF. A non-empty `artifact_override` replaces the
+/// ServeInit's advertised artifact path — for hosts where the
+/// coordinator's path does not resolve. Returns run_worker's exit code: 0
+/// on Shutdown, Drain, EOF or a lost coordinator, 1 after a failed batch, 2
+/// on a failed handshake (a coordinator of another protocol version
+/// included) or a broken stream.
 int serve_factor_worker(int in_fd, int out_fd,
                         const std::string& artifact_override = "");
 

@@ -201,81 +201,49 @@ sweep::BatchResultFrame solve_serve_batch(const WorkerSpace& space,
 int serve_factor_worker(int in_fd, int out_fd,
                         const std::string& artifact_override) {
   WorkerChannel ch(in_fd, out_fd, -1, "serve-coordinator");
-  try {
-    sweep::dial_handshake(ch, sweep::PeerRole::kServeWorker);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "[serve_worker] handshake failed: %s\n", e.what());
-    return 2;
-  }
-
   WorkerSpaceCache cache;
-  for (;;) {
-    std::optional<Frame> frame;
-    try {
-      frame = ch.await_frame(-1);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "[serve_worker] protocol error: %s\n", e.what());
-      return 2;
-    }
-    if (!frame || frame->kind == FrameKind::kShutdown ||
-        frame->kind == FrameKind::kDrain) {
-      return 0;
-    }
-    switch (frame->kind) {
-      case FrameKind::kServeInit: {
+  auto bind_space = [&](const Frame& frame) {
+    sweep::ServeInitFrame init = sweep::decode_serve_init(frame.payload);
+    if (!artifact_override.empty()) init.artifact_path = artifact_override;
+    const WorkerSpace& space = cache.bind(init);
+    std::fprintf(stderr,
+                 "[serve_worker] bound problem space D=%llu F=%llu M=%llu "
+                 "(%s; rebuilds=%llu artifact_loads=%llu reuses=%llu)\n",
+                 static_cast<unsigned long long>(init.dim),
+                 static_cast<unsigned long long>(init.factors),
+                 static_cast<unsigned long long>(init.codebook_size),
+                 space.from_artifact ? "artifact" : "seed",
+                 static_cast<unsigned long long>(cache.rebuilds()),
+                 static_cast<unsigned long long>(cache.artifact_loads()),
+                 static_cast<unsigned long long>(cache.reuses()));
+    return Frame{FrameKind::kServeReady,
+                 sweep::encode_serve_ready({space.fingerprint})};
+  };
+  auto serve = [&](const Frame& frame) -> std::optional<Frame> {
+    switch (frame.kind) {
+      case FrameKind::kServeInit:
         try {
-          sweep::ServeInitFrame init =
-              sweep::decode_serve_init(frame->payload);
-          if (!artifact_override.empty()) {
-            init.artifact_path = artifact_override;
-          }
-          const WorkerSpace& space = cache.bind(init);
-          sweep::ServeReadyFrame ready;
-          ready.fingerprint = space.fingerprint;
-          std::fprintf(
-              stderr,
-              "[serve_worker] bound problem space D=%llu F=%llu M=%llu "
-              "(%s; rebuilds=%llu artifact_loads=%llu reuses=%llu)\n",
-              static_cast<unsigned long long>(init.dim),
-              static_cast<unsigned long long>(init.factors),
-              static_cast<unsigned long long>(init.codebook_size),
-              space.from_artifact ? "artifact" : "seed",
-              static_cast<unsigned long long>(cache.rebuilds()),
-              static_cast<unsigned long long>(cache.artifact_loads()),
-              static_cast<unsigned long long>(cache.reuses()));
-          if (!ch.send(FrameKind::kServeReady,
-                       sweep::encode_serve_ready(ready))) {
-            return 0;
-          }
-        } catch (const std::exception& e) {
+          return bind_space(frame);
+        } catch (...) {
           cache.reset();
-          if (!ch.send(FrameKind::kError, e.what())) return 0;
+          throw;
         }
-        break;
-      }
       case FrameKind::kBatchTask: {
-        try {
-          const sweep::BatchTaskFrame task =
-              sweep::decode_batch_task(frame->payload);
-          if (!cache.bound()) {
-            throw std::runtime_error("batch received before ServeInit");
-          }
-          const sweep::BatchResultFrame result =
-              solve_serve_batch(cache.space(), task);
-          if (!ch.send(FrameKind::kBatchResult,
-                       sweep::encode_batch_result(result))) {
-            return 0;
-          }
-        } catch (const std::exception& e) {
-          ch.send(FrameKind::kError, e.what());
-          return 1;
+        const sweep::BatchTaskFrame task =
+            sweep::decode_batch_task(frame.payload);
+        if (!cache.bound()) {
+          throw std::runtime_error("batch received before ServeInit");
         }
-        break;
+        return Frame{FrameKind::kBatchResult,
+                     sweep::encode_batch_result(
+                         solve_serve_batch(cache.space(), task))};
       }
       default:
-        break;  // handshake replays are harmless
+        return std::nullopt;  // handshake replays are harmless
     }
-  }
+  };
+  return sweep::run_worker(ch, sweep::PeerRole::kServeWorker, "serve_worker",
+                           serve);
 }
 
 }  // namespace h3dfact::serve

@@ -2,8 +2,8 @@
 // Per-peer deadline bookkeeping, shared by the sweep scheduler and the
 // serving coordinator.
 //
-// Both event loops block in ::poll() waiting for remote peers to answer an
-// outstanding assignment. With an infinite timeout, a peer that wedges
+// Both event loops block in sweep::poll_channels waiting for remote peers to
+// answer an outstanding assignment. With an infinite timeout, a peer that wedges
 // without closing its socket stalls the loop forever (the PR-6 scheduler
 // hang). A DeadlineTracker turns each outstanding assignment into an armed
 // deadline: the loop polls with poll_timeout_ms() instead of -1, and on
@@ -37,7 +37,7 @@ class DeadlineTracker {
   /// The peer answered (or left); forget its deadline.
   void disarm(const void* peer) { armed_.erase(peer); }
 
-  /// Timeout argument for ::poll(): milliseconds until the earliest armed
+  /// Timeout argument for poll_channels: milliseconds until the earliest armed
   /// deadline (rounded up, clamped to >= 0 so an already-expired deadline
   /// still makes poll return immediately), or -1 when nothing is armed.
   [[nodiscard]] int poll_timeout_ms() const {

@@ -1,6 +1,9 @@
 #include "sweep/protocol.hpp"
 
+#include <concepts>
+#include <map>
 #include <stdexcept>
+#include <type_traits>
 
 #include "util/bytes.hpp"
 #include "util/hash.hpp"
@@ -15,13 +18,6 @@ bool valid_kind(std::uint8_t kind) {
   return kind >= static_cast<std::uint8_t>(FrameKind::kHello) &&
          kind <= static_cast<std::uint8_t>(FrameKind::kBatchResult);
 }
-
-// The shortest encodings, which bound list counts (ByteReader::count): a
-// key/value pair is at least a u64 length prefix and 8 more bytes, a request
-// 6 u64 + 1 u8, a reply 7 u64 + 4 u8.
-constexpr std::size_t kMinPairBytes = 16;
-constexpr std::size_t kMinRequestBytes = 6 * 8 + 1;
-constexpr std::size_t kMinReplyBytes = 7 * 8 + 4;
 
 }  // namespace
 
@@ -63,366 +59,275 @@ std::optional<Frame> FrameParser::next() {
   return frame;
 }
 
-// --- handshake payloads -----------------------------------------------------
-
-std::string encode_hello(const HelloFrame& hello) {
-  std::string out;
-  util::put_u32(out, hello.magic);
-  util::put_u32(out, hello.version);
-  util::put_u32(out, hello.role);
-  return out;
-}
-
-HelloFrame decode_hello(std::string_view payload) {
-  util::ByteReader in(payload, "malformed sweep hello");
-  HelloFrame hello;
-  hello.magic = in.u32();
-  hello.version = in.u32();
-  hello.role = in.u32();
-  in.expect_exhausted();
-  return hello;
-}
-
-std::string encode_spec_init(const SpecInitFrame& init) {
-  std::string out;
-  util::put_str(out, init.grid.name);
-  util::put_u64(out, init.grid.params.size());
-  for (const auto& [k, v] : init.grid.params) {
-    util::put_str(out, k);
-    util::put_str(out, v);
-  }
-  util::put_u64(out, init.cell_threads);
-  util::put_u64(out, init.cell_count);
-  util::put_u64(out, init.fingerprint);
-  return out;
-}
-
-SpecInitFrame decode_spec_init(std::string_view payload) {
-  util::ByteReader in(payload, "malformed sweep spec-init");
-  SpecInitFrame init;
-  init.grid.name = in.str();
-  const std::size_t nparams = in.count(kMinPairBytes);
-  for (std::size_t i = 0; i < nparams; ++i) {
-    std::string k = in.str();
-    init.grid.params[std::move(k)] = in.str();
-  }
-  init.cell_threads = in.u64();
-  init.cell_count = in.u64();
-  init.fingerprint = in.u64();
-  in.expect_exhausted();
-  return init;
-}
-
-std::string encode_spec_ready(const SpecReadyFrame& ready) {
-  std::string out;
-  util::put_u64(out, ready.cell_count);
-  util::put_u64(out, ready.fingerprint);
-  return out;
-}
-
-SpecReadyFrame decode_spec_ready(std::string_view payload) {
-  util::ByteReader in(payload, "malformed sweep spec-ready");
-  SpecReadyFrame ready;
-  ready.cell_count = in.u64();
-  ready.fingerprint = in.u64();
-  in.expect_exhausted();
-  return ready;
-}
-
-std::string encode_task(const TaskFrame& task) {
-  std::string out;
-  util::put_u64(out, task.cell);
-  util::put_u64(out, task.begin);
-  util::put_u64(out, task.end);
-  return out;
-}
-
-TaskFrame decode_task(std::string_view payload) {
-  util::ByteReader in(payload, "malformed sweep task");
-  TaskFrame task;
-  task.cell = in.u64();
-  task.begin = in.u64();
-  task.end = in.u64();
-  in.expect_exhausted();
-  return task;
-}
-
-// --- serving payloads -------------------------------------------------------
-
-std::string encode_serve_init(const ServeInitFrame& init) {
-  std::string out;
-  util::put_u64(out, init.dim);
-  util::put_u64(out, init.factors);
-  util::put_u64(out, init.codebook_size);
-  util::put_u64(out, init.max_iterations);
-  util::put_u64(out, init.seed);
-  util::put_str(out, init.artifact_path);
-  util::put_u64(out, init.artifact_fingerprint);
-  return out;
-}
-
-ServeInitFrame decode_serve_init(std::string_view payload) {
-  util::ByteReader in(payload, "malformed serve-init");
-  ServeInitFrame init;
-  init.dim = in.u64();
-  init.factors = in.u64();
-  init.codebook_size = in.u64();
-  init.max_iterations = in.u64();
-  init.seed = in.u64();
-  init.artifact_path = in.str();
-  init.artifact_fingerprint = in.u64();
-  in.expect_exhausted();
-  return init;
-}
-
-std::string encode_serve_ready(const ServeReadyFrame& ready) {
-  std::string out;
-  util::put_u64(out, ready.fingerprint);
-  return out;
-}
-
-ServeReadyFrame decode_serve_ready(std::string_view payload) {
-  util::ByteReader in(payload, "malformed serve-ready");
-  ServeReadyFrame ready;
-  ready.fingerprint = in.u64();
-  in.expect_exhausted();
-  return ready;
-}
+// --- payload layouts --------------------------------------------------------
+// Each payload's fields, listed once in wire order. Writer walks a list to
+// encode it and Reader walks the same list to decode it. An unsigned integer
+// goes out at its own width (size_t as a u64), a double as its IEEE-754
+// bits, an enum as a u8, and a string, list or map behind a u64 count.
 
 namespace {
 
-void append_factor_request(std::string& out, const FactorRequestFrame& req) {
-  util::put_u64(out, req.id);
-  util::put_u64(out, req.deadline_us);
-  util::put_u8(out, static_cast<std::uint8_t>(req.encoding));
-  util::put_u64(out, req.trial_seed);
-  util::put_f64(out, req.flip_prob);
-  util::put_u64(out, req.solve_seed);
-  util::put_u64(out, req.query_words.size());
-  util::put_words(out, req.query_words.data(), req.query_words.size());
+template <class P, class T>
+concept Like = std::same_as<std::remove_const_t<P>, T>;
+
+template <class IO, Like<HelloFrame> P>
+void fields(IO& io, P& p) { io(p.magic, p.version, p.role); }
+
+template <class IO, Like<SpecInitFrame> P>
+void fields(IO& io, P& p) {
+  io(p.grid.name, p.grid.params, p.cell_threads, p.cell_count, p.fingerprint);
 }
 
-FactorRequestFrame read_factor_request(util::ByteReader& in) {
-  FactorRequestFrame req;
-  req.id = in.u64();
-  req.deadline_us = in.u64();
-  const std::uint8_t enc = in.u8();
-  if (enc > static_cast<std::uint8_t>(QueryEncoding::kExplicit)) {
-    throw std::runtime_error("malformed factor request: unknown encoding " +
-                             std::to_string(enc));
+template <class IO, Like<SpecReadyFrame> P>
+void fields(IO& io, P& p) { io(p.cell_count, p.fingerprint); }
+
+template <class IO, Like<TaskFrame> P>
+void fields(IO& io, P& p) { io(p.cell, p.begin, p.end); }
+
+template <class IO, Like<CellResult> P>
+void fields(IO& io, P& r) {
+  io(r.index, r.coordinates, r.params, r.meta, r.dim, r.factors,
+     r.codebook_size, r.trials, r.max_iterations, r.query_flip_prob, r.seed,
+     r.stats.trials, r.stats.solved, r.stats.correct, r.stats.cycles,
+     r.stats.iteration_samples, r.stats.correct_by_iteration,
+     r.stats.correct_raw_by_iteration, r.wall_seconds);
+}
+
+template <class IO, Like<ServeInitFrame> P>
+void fields(IO& io, P& p) {
+  io(p.dim, p.factors, p.codebook_size, p.max_iterations, p.seed,
+     p.artifact_path, p.artifact_fingerprint);
+}
+
+template <class IO, Like<ServeReadyFrame> P>
+void fields(IO& io, P& p) { io(p.fingerprint); }
+
+template <class IO, Like<FactorRequestFrame> P>
+void fields(IO& io, P& p) {
+  io(p.id, p.deadline_us, p.encoding, p.trial_seed, p.flip_prob, p.solve_seed,
+     p.query_words);
+}
+
+template <class IO, Like<FactorReplyFrame> P>
+void fields(IO& io, P& p) {
+  io(p.id, p.status, p.error, p.solved, p.correct_known, p.correct, p.decoded,
+     p.iterations, p.queue_us, p.solve_us, p.batch);
+}
+
+template <class IO, Like<BatchTaskFrame> P>
+void fields(IO& io, P& p) { io(p.batch_id, p.requests); }
+
+template <class IO, Like<BatchResultFrame> P>
+void fields(IO& io, P& p) { io(p.batch_id, p.replies); }
+
+/// Appends fields to a string with util::put_*.
+class Writer {
+ public:
+  explicit Writer(std::string& out) : out_(out) {}
+  template <class... T>
+  void operator()(const T&... fields) { (put(fields), ...); }
+
+ private:
+  template <std::unsigned_integral T>
+  void put(T v) {
+    if constexpr (sizeof(T) == 1) {
+      util::put_u8(out_, v);
+    } else if constexpr (sizeof(T) == 4) {
+      util::put_u32(out_, v);
+    } else {
+      util::put_u64(out_, v);
+    }
   }
-  req.encoding = static_cast<QueryEncoding>(enc);
-  req.trial_seed = in.u64();
-  req.flip_prob = in.f64();
-  req.solve_seed = in.u64();
-  req.query_words = in.words(in.count(8));
-  return req;
-}
-
-void append_factor_reply(std::string& out, const FactorReplyFrame& reply) {
-  util::put_u64(out, reply.id);
-  util::put_u8(out, static_cast<std::uint8_t>(reply.status));
-  util::put_str(out, reply.error);
-  util::put_u8(out, reply.solved);
-  util::put_u8(out, reply.correct_known);
-  util::put_u8(out, reply.correct);
-  util::put_u64(out, reply.decoded.size());
-  util::put_words(out, reply.decoded.data(), reply.decoded.size());
-  util::put_u64(out, reply.iterations);
-  util::put_u64(out, reply.queue_us);
-  util::put_u64(out, reply.solve_us);
-  util::put_u64(out, reply.batch);
-}
-
-FactorReplyFrame read_factor_reply(util::ByteReader& in) {
-  FactorReplyFrame reply;
-  reply.id = in.u64();
-  const std::uint8_t status = in.u8();
-  if (status > static_cast<std::uint8_t>(ReplyStatus::kFailed)) {
-    throw std::runtime_error("malformed factor reply: unknown status " +
-                             std::to_string(status));
+  void put(QueryEncoding e) { put(static_cast<std::uint8_t>(e)); }
+  void put(ReplyStatus s) { put(static_cast<std::uint8_t>(s)); }
+  void put(double v) { util::put_f64(out_, v); }
+  void put(const std::string& s) { util::put_str(out_, s); }
+  template <class A, class B>
+  void put(const std::pair<A, B>& kv) { (*this)(kv.first, kv.second); }
+  template <class T>
+  void put(const std::vector<T>& list) { put_list(list); }
+  template <class K, class V>
+  void put(const std::map<K, V>& map) { put_list(map); }
+  template <class P>
+    requires std::is_class_v<P>
+  void put(const P& payload) { fields(*this, payload); }
+  template <class List>
+  void put_list(const List& list) {
+    put(static_cast<std::uint64_t>(list.size()));
+    for (const auto& x : list) put(x);
   }
-  reply.status = static_cast<ReplyStatus>(status);
-  reply.error = in.str();
-  reply.solved = in.u8();
-  reply.correct_known = in.u8();
-  reply.correct = in.u8();
-  reply.decoded = in.words(in.count(8));
-  reply.iterations = in.u64();
-  reply.queue_us = in.u64();
-  reply.solve_us = in.u64();
-  reply.batch = in.u64();
-  return reply;
+
+  std::string& out_;
+};
+
+/// The shortest encoding of a T, a default T's (empty strings and lists):
+/// it bounds the count of a list of T. Computed once per type.
+template <class T>
+std::size_t min_bytes() {
+  static const std::size_t n = [] {
+    std::string out;
+    Writer{out}(T{});
+    return out.size();
+  }();
+  return n;
+}
+
+/// Reads fields back through util::ByteReader, which bounds every read.
+class Reader {
+ public:
+  explicit Reader(util::ByteReader& in) : in_(in) {}
+  template <class... T>
+  void operator()(T&... fields) { (get(fields), ...); }
+
+ private:
+  template <std::unsigned_integral T>
+  void get(T& v) {
+    if constexpr (sizeof(T) == 1) {
+      v = in_.u8();
+    } else if constexpr (sizeof(T) == 4) {
+      v = in_.u32();
+    } else {
+      v = static_cast<T>(in_.u64());
+    }
+  }
+  void get(QueryEncoding& e) {
+    e = range_checked(QueryEncoding::kExplicit,
+                      "malformed factor request: unknown encoding ");
+  }
+  void get(ReplyStatus& s) {
+    s = range_checked(ReplyStatus::kFailed,
+                      "malformed factor reply: unknown status ");
+  }
+  void get(double& v) { v = in_.f64(); }
+  void get(std::string& s) { s = in_.str(); }
+  void get(std::vector<std::uint64_t>& w) { w = in_.words(in_.count(8)); }
+  template <class A, class B>
+  void get(std::pair<A, B>& kv) { (*this)(kv.first, kv.second); }
+  template <class T>
+  void get(std::vector<T>& list) {
+    list.resize(in_.count(min_bytes<T>()));
+    for (T& x : list) get(x);
+  }
+  template <class K, class V>
+  void get(std::map<K, V>& map) {
+    const std::size_t n = in_.count(min_bytes<std::pair<K, V>>());
+    for (std::size_t i = 0; i < n; ++i) {
+      std::pair<K, V> kv;
+      get(kv);
+      map[std::move(kv.first)] = std::move(kv.second);
+    }
+  }
+  template <class P>
+    requires std::is_class_v<P>
+  void get(P& payload) { fields(*this, payload); }
+
+  /// A u8 enum, refused past `last` with an error naming its frame.
+  template <class E>
+  E range_checked(E last, const char* error) {
+    const std::uint8_t v = in_.u8();
+    if (v > static_cast<std::uint8_t>(last)) {
+      throw std::runtime_error(error + std::to_string(v));
+    }
+    return static_cast<E>(v);
+  }
+
+  util::ByteReader& in_;
+};
+
+template <class... P>
+std::string encode(const P&... payload) {
+  std::string out;
+  Writer{out}(payload...);
+  return out;
+}
+
+/// Decodes exactly one P from `bytes`; failures name `context`.
+template <class P>
+P decode(std::string_view bytes, const char* context) {
+  util::ByteReader in(bytes, context);
+  P payload{};
+  Reader{in}(payload);
+  in.expect_exhausted();
+  return payload;
 }
 
 }  // namespace
 
-std::string encode_factor_request(const FactorRequestFrame& req) {
-  std::string out;
-  append_factor_request(out, req);
+std::string encode_hello(const HelloFrame& hello) { return encode(hello); }
+HelloFrame decode_hello(std::string_view payload) {
+  return decode<HelloFrame>(payload, "malformed sweep hello");
+}
+
+std::string encode_spec_init(const SpecInitFrame& init) { return encode(init); }
+SpecInitFrame decode_spec_init(std::string_view payload) {
+  return decode<SpecInitFrame>(payload, "malformed sweep spec-init");
+}
+
+std::string encode_spec_ready(const SpecReadyFrame& ready) {
+  return encode(ready);
+}
+SpecReadyFrame decode_spec_ready(std::string_view payload) {
+  return decode<SpecReadyFrame>(payload, "malformed sweep spec-ready");
+}
+
+std::string encode_task(const TaskFrame& task) { return encode(task); }
+TaskFrame decode_task(std::string_view payload) {
+  return decode<TaskFrame>(payload, "malformed sweep task");
+}
+
+std::string encode_result(std::size_t block_begin, const CellResult& r) {
+  return encode(block_begin, r);
+}
+std::pair<std::size_t, CellResult> decode_result(std::string_view payload) {
+  auto out = decode<std::pair<std::size_t, CellResult>>(
+      payload, "malformed sweep result");
+  // Rebuild the Welford accumulator by sequential adds over the sample
+  // order, matching exactly how the worker built its own copy.
+  resonator::TrialStats& s = out.second.stats;
+  for (double x : s.iteration_samples) s.iterations_solved.add(x);
   return out;
 }
 
+std::string encode_serve_init(const ServeInitFrame& init) {
+  return encode(init);
+}
+ServeInitFrame decode_serve_init(std::string_view payload) {
+  return decode<ServeInitFrame>(payload, "malformed serve-init");
+}
+
+std::string encode_serve_ready(const ServeReadyFrame& ready) {
+  return encode(ready);
+}
+ServeReadyFrame decode_serve_ready(std::string_view payload) {
+  return decode<ServeReadyFrame>(payload, "malformed serve-ready");
+}
+
+std::string encode_factor_request(const FactorRequestFrame& req) {
+  return encode(req);
+}
 FactorRequestFrame decode_factor_request(std::string_view payload) {
-  util::ByteReader in(payload, "malformed factor request");
-  FactorRequestFrame req = read_factor_request(in);
-  in.expect_exhausted();
-  return req;
+  return decode<FactorRequestFrame>(payload, "malformed factor request");
 }
 
 std::string encode_factor_reply(const FactorReplyFrame& reply) {
-  std::string out;
-  append_factor_reply(out, reply);
-  return out;
+  return encode(reply);
 }
-
 FactorReplyFrame decode_factor_reply(std::string_view payload) {
-  util::ByteReader in(payload, "malformed factor reply");
-  FactorReplyFrame reply = read_factor_reply(in);
-  in.expect_exhausted();
-  return reply;
+  return decode<FactorReplyFrame>(payload, "malformed factor reply");
 }
 
 std::string encode_batch_task(const BatchTaskFrame& task) {
-  std::string out;
-  util::put_u64(out, task.batch_id);
-  util::put_u64(out, task.requests.size());
-  for (const FactorRequestFrame& req : task.requests) {
-    append_factor_request(out, req);
-  }
-  return out;
+  return encode(task);
 }
-
 BatchTaskFrame decode_batch_task(std::string_view payload) {
-  util::ByteReader in(payload, "malformed batch task");
-  BatchTaskFrame task;
-  task.batch_id = in.u64();
-  const std::size_t n = in.count(kMinRequestBytes);
-  task.requests.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    task.requests.push_back(read_factor_request(in));
-  }
-  in.expect_exhausted();
-  return task;
+  return decode<BatchTaskFrame>(payload, "malformed batch task");
 }
 
 std::string encode_batch_result(const BatchResultFrame& result) {
-  std::string out;
-  util::put_u64(out, result.batch_id);
-  util::put_u64(out, result.replies.size());
-  for (const FactorReplyFrame& reply : result.replies) {
-    append_factor_reply(out, reply);
-  }
-  return out;
+  return encode(result);
 }
-
 BatchResultFrame decode_batch_result(std::string_view payload) {
-  util::ByteReader in(payload, "malformed batch result");
-  BatchResultFrame result;
-  result.batch_id = in.u64();
-  const std::size_t n = in.count(kMinReplyBytes);
-  result.replies.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    result.replies.push_back(read_factor_reply(in));
-  }
-  in.expect_exhausted();
-  return result;
-}
-
-// --- result payload ---------------------------------------------------------
-
-std::string encode_result(std::size_t block_begin, const CellResult& r) {
-  std::string out;
-  util::put_u64(out, block_begin);
-  util::put_u64(out, r.index);
-  util::put_u64(out, r.coordinates.size());
-  for (const auto& [axis, label] : r.coordinates) {
-    util::put_str(out, axis);
-    util::put_str(out, label);
-  }
-  util::put_u64(out, r.params.size());
-  for (const auto& [k, v] : r.params) {
-    util::put_str(out, k);
-    util::put_f64(out, v);
-  }
-  util::put_u64(out, r.meta.size());
-  for (const auto& [k, v] : r.meta) {
-    util::put_str(out, k);
-    util::put_str(out, v);
-  }
-  util::put_u64(out, r.dim);
-  util::put_u64(out, r.factors);
-  util::put_u64(out, r.codebook_size);
-  util::put_u64(out, r.trials);
-  util::put_u64(out, r.max_iterations);
-  util::put_f64(out, r.query_flip_prob);
-  util::put_u64(out, r.seed);
-
-  const resonator::TrialStats& s = r.stats;
-  util::put_u64(out, s.trials);
-  util::put_u64(out, s.solved);
-  util::put_u64(out, s.correct);
-  util::put_u64(out, s.cycles);
-  util::put_u64(out, s.iteration_samples.size());
-  for (double x : s.iteration_samples) util::put_f64(out, x);
-  util::put_u64(out, s.correct_by_iteration.size());
-  for (std::size_t x : s.correct_by_iteration) util::put_u64(out, x);
-  util::put_u64(out, s.correct_raw_by_iteration.size());
-  for (std::size_t x : s.correct_raw_by_iteration) util::put_u64(out, x);
-  util::put_f64(out, r.wall_seconds);
-  return out;
-}
-
-std::pair<std::size_t, CellResult> decode_result(std::string_view payload) {
-  util::ByteReader in(payload, "malformed sweep result");
-  const std::size_t block_begin = static_cast<std::size_t>(in.u64());
-  CellResult r;
-  r.index = static_cast<std::size_t>(in.u64());
-  const std::size_t ncoords = in.count(kMinPairBytes);
-  r.coordinates.reserve(ncoords);
-  for (std::size_t i = 0; i < ncoords; ++i) {
-    std::string axis = in.str();
-    std::string label = in.str();
-    r.coordinates.emplace_back(std::move(axis), std::move(label));
-  }
-  const std::size_t nparams = in.count(kMinPairBytes);
-  for (std::size_t i = 0; i < nparams; ++i) {
-    std::string k = in.str();
-    r.params[std::move(k)] = in.f64();
-  }
-  const std::size_t nmeta = in.count(kMinPairBytes);
-  for (std::size_t i = 0; i < nmeta; ++i) {
-    std::string k = in.str();
-    r.meta[std::move(k)] = in.str();
-  }
-  r.dim = static_cast<std::size_t>(in.u64());
-  r.factors = static_cast<std::size_t>(in.u64());
-  r.codebook_size = static_cast<std::size_t>(in.u64());
-  r.trials = static_cast<std::size_t>(in.u64());
-  r.max_iterations = static_cast<std::size_t>(in.u64());
-  r.query_flip_prob = in.f64();
-  r.seed = in.u64();
-
-  resonator::TrialStats& s = r.stats;
-  s.trials = static_cast<std::size_t>(in.u64());
-  s.solved = static_cast<std::size_t>(in.u64());
-  s.correct = static_cast<std::size_t>(in.u64());
-  s.cycles = static_cast<std::size_t>(in.u64());
-  const std::size_t nsamples = in.count(8);
-  s.iteration_samples.reserve(nsamples);
-  for (std::size_t i = 0; i < nsamples; ++i) {
-    s.iteration_samples.push_back(in.f64());
-  }
-  // Rebuild the Welford accumulator by sequential adds over the sample
-  // order, matching exactly how the worker built its own copy.
-  for (double x : s.iteration_samples) s.iterations_solved.add(x);
-  const std::vector<std::uint64_t> hist = in.words(in.count(8));
-  s.correct_by_iteration.assign(hist.begin(), hist.end());
-  const std::vector<std::uint64_t> raw = in.words(in.count(8));
-  s.correct_raw_by_iteration.assign(raw.begin(), raw.end());
-  r.wall_seconds = in.f64();
-  in.expect_exhausted();
-  return {block_begin, std::move(r)};
+  return decode<BatchResultFrame>(payload, "malformed batch result");
 }
 
 // --- fingerprint ------------------------------------------------------------
@@ -432,39 +337,18 @@ std::uint64_t spec_fingerprint(const SweepSpec& spec) {
   // any divergence in config, parameters, coordinates or metadata between
   // two processes' resolutions of "the same" grid changes the digest.
   util::Fnv1a h;
-  std::string enc;
-  util::put_str(enc, spec.name);
   const std::size_t total = spec.cell_count();
-  util::put_u64(enc, total);
+  std::string enc = encode(spec.name, total);
   h.bytes(enc.data(), enc.size());
   for (std::size_t i = 0; i < total; ++i) {
     const Cell cell = spec.cell(i);
+    const resonator::TrialConfig& c = cell.config;
     enc.clear();
-    util::put_u64(enc, cell.index);
-    util::put_u64(enc, cell.config.dim);
-    util::put_u64(enc, cell.config.factors);
-    util::put_u64(enc, cell.config.codebook_size);
-    util::put_u64(enc, cell.config.trials);
-    util::put_u64(enc, cell.config.max_iterations);
-    util::put_f64(enc, cell.config.query_flip_prob);
-    util::put_u64(enc, cell.config.seed);
-    util::put_u64(enc, static_cast<std::uint64_t>(cell.config.execution));
-    util::put_u64(enc, cell.config.record_correct_trace ? 1 : 0);
-    util::put_u64(enc, cell.coordinates.size());
-    for (const auto& [axis, label] : cell.coordinates) {
-      util::put_str(enc, axis);
-      util::put_str(enc, label);
-    }
-    util::put_u64(enc, cell.params.size());
-    for (const auto& [k, v] : cell.params) {
-      util::put_str(enc, k);
-      util::put_f64(enc, v);
-    }
-    util::put_u64(enc, cell.meta.size());
-    for (const auto& [k, v] : cell.meta) {
-      util::put_str(enc, k);
-      util::put_str(enc, v);
-    }
+    Writer{enc}(cell.index, c.dim, c.factors, c.codebook_size, c.trials,
+                c.max_iterations, c.query_flip_prob, c.seed,
+                static_cast<std::uint64_t>(c.execution),
+                std::uint64_t{c.record_correct_trace}, cell.coordinates,
+                cell.params, cell.meta);
     h.bytes(enc.data(), enc.size());
   }
   return h.digest();

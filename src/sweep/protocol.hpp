@@ -9,12 +9,14 @@
 //
 // The payload codecs below are flat field dumps (no self-description): both
 // ends agree on the layout through kProtocolVersion, which the Hello/
-// HelloAck handshake verifies before any task flows. Scalars go through the
-// shared util/bytes.hpp codec. Every decode_* throws std::runtime_error
-// naming the frame when a payload is truncated, has trailing bytes, or holds
-// a count whose elements cannot fit in the bytes left. Remote workers rebuild
-// the SweepSpec from a registered grid name + parameters (see registry.hpp)
-// and prove they resolved the *same* grid by echoing spec_fingerprint().
+// HelloAck handshake verifies before any task flows. Each layout is one
+// field list in protocol.cpp that one writer (util::put_*) and one reader
+// (util::ByteReader) both walk. Every decode_* throws std::runtime_error
+// naming the frame when a payload is truncated, has trailing bytes, holds
+// a count whose elements cannot fit in the bytes left, or holds an enum
+// byte past its last value. Remote workers rebuild the SweepSpec from a
+// registered grid name + parameters (see registry.hpp) and prove they
+// resolved the *same* grid by echoing spec_fingerprint().
 
 #include <cstdint>
 #include <optional>
@@ -102,8 +104,6 @@ class FrameParser {
   void feed(const char* data, std::size_t n);
   /// Pop the next complete frame, if one is buffered.
   std::optional<Frame> next();
-  /// Bytes currently buffered (for tests and diagnostics).
-  [[nodiscard]] std::size_t buffered() const { return buf_.size(); }
 
  private:
   std::string buf_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <deque>
@@ -19,8 +18,6 @@
 #include "sweep/transport.hpp"
 #include "util/parse.hpp"
 #include "util/sync.hpp"
-
-#include <poll.h>
 
 namespace h3dfact::sweep {
 
@@ -394,10 +391,17 @@ std::vector<CellResult> run_with_channels(
     }
   };
 
-  auto handle_frame = [&](WorkerChannel& ch, Frame frame) {
+  auto handle_frame = [&](WorkerChannel& ch, const Frame& frame) {
     switch (frame.kind) {
       case FrameKind::kResult: {
-        auto [block_begin, partial] = decode_result(frame.payload);
+        std::pair<std::size_t, CellResult> result;
+        try {
+          result = decode_result(frame.payload);
+        } catch (const std::runtime_error& e) {
+          handle_disconnect(ch, std::string("malformed frame: ") + e.what());
+          break;
+        }
+        auto& [block_begin, partial] = result;
         auto it = std::find_if(ch.inflight.begin(), ch.inflight.end(),
                                [&](std::size_t t) {
                                  return tasks[t].cell == partial.index &&
@@ -431,61 +435,33 @@ std::vector<CellResult> run_with_channels(
   for (WorkerChannel* ch : channels) send_next_task(*ch);
 
   while (failure.empty() && log.completed() < goal) {
-    std::vector<pollfd> fds;
-    std::vector<WorkerChannel*> owners;
-    for (WorkerChannel* ch : channels) {
-      if (ch->read_fd() >= 0) {
-        fds.push_back(pollfd{ch->read_fd(), POLLIN, 0});
-        owners.push_back(ch);
-      }
-    }
-    if (fds.empty()) {
+    if (live_channels() == 0) {
       fail("all sweep workers disconnected with work outstanding");
       break;
     }
-    const int rc = ::poll(fds.data(), fds.size(), deadlines.poll_timeout_ms());
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      fail("poll on sweep worker channels failed");
-      break;
-    }
-    if (rc == 0) {
-      // Deadline wake-up: every expired peer still holding a block is
-      // dropped like a disconnect, requeueing its block onto survivors.
-      for (const void* peer : deadlines.expired()) {
-        auto* ch = static_cast<WorkerChannel*>(
-            const_cast<void*>(peer));
-        deadlines.disarm(ch);
-        if (ch->read_fd() >= 0 && !ch->inflight.empty()) {
-          handle_disconnect(*ch, "block deadline of " +
-                                     std::to_string(block_deadline_ms) +
-                                     " ms expired");
-        }
-        if (!failure.empty()) break;
+    const bool woke = poll_channels(
+        channels, deadlines.poll_timeout_ms(),
+        [&](std::size_t i, Frame frame) { handle_frame(*channels[i], frame); },
+        [&](std::size_t i, const std::string& why) {
+          WorkerChannel& ch = *channels[i];
+          if (why.empty() && ch.inflight.empty() && !ch.task_open) {
+            ch.close_all();  // clean exit after the queue drained
+          } else {
+            handle_disconnect(ch, why);
+          }
+        });
+    if (woke) continue;
+    // Deadline wake-up: every expired peer still holding a block is
+    // dropped like a disconnect, requeueing its block onto survivors.
+    for (const void* peer : deadlines.expired()) {
+      auto* ch = static_cast<WorkerChannel*>(const_cast<void*>(peer));
+      deadlines.disarm(ch);
+      if (ch->read_fd() >= 0 && !ch->inflight.empty()) {
+        handle_disconnect(*ch, "block deadline of " +
+                                   std::to_string(block_deadline_ms) +
+                                   " ms expired");
       }
-      continue;
-    }
-    for (std::size_t i = 0; i < fds.size(); ++i) {
-      if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      WorkerChannel& ch = *owners[i];
-      if (ch.read_fd() < 0) continue;  // closed while handling a peer
-      const long got = ch.pump();
-      bool disconnected = got <= 0;
-      try {
-        while (auto frame = ch.next_frame()) {
-          handle_frame(ch, std::move(*frame));
-        }
-      } catch (const std::exception& e) {
-        handle_disconnect(ch, std::string("malformed frame: ") + e.what());
-        continue;
-      }
-      if (disconnected) {
-        if (ch.inflight.empty() && !ch.task_open) {
-          ch.close_all();  // clean exit after the queue drained
-        } else {
-          handle_disconnect(ch, "");
-        }
-      }
+      if (!failure.empty()) break;
     }
   }
 

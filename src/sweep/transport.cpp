@@ -80,41 +80,21 @@ void set_cloexec(int fd) {
   if (flags >= 0) ::fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
 }
 
-// Coordinator side of the version handshake: the worker's first frame must
-// be a matching Hello; answer with HelloAck.
+// WorkerFleet's side of the version handshake: the worker's first frame
+// must pass check_hello and declare a sweep worker; answer with HelloAck.
 void coordinator_handshake(WorkerChannel& ch) {
   std::optional<Frame> frame = ch.await_frame(kHelloTimeoutMs);
   if (!frame) {
     throw std::runtime_error("sweep worker '" + ch.label() +
                              "' disconnected before Hello");
   }
-  if (frame->kind != FrameKind::kHello) {
-    ch.send(FrameKind::kError, "expected Hello frame");
-    throw std::runtime_error("sweep worker '" + ch.label() +
-                             "' opened with a non-Hello frame");
-  }
-  const HelloFrame hello = decode_hello(frame->payload);
-  if (hello.magic != kProtocolMagic) {
-    ch.send(FrameKind::kError, "bad protocol magic");
-    throw std::runtime_error("peer '" + ch.label() +
-                             "' is not a sweep worker (bad magic)");
-  }
-  if (hello.version != kProtocolVersion) {
-    ch.send(FrameKind::kError,
-            "protocol version mismatch: coordinator speaks v" +
-                std::to_string(kProtocolVersion) + ", worker v" +
-                std::to_string(hello.version));
-    throw std::runtime_error(
-        "sweep worker '" + ch.label() + "' protocol version mismatch (worker v" +
-        std::to_string(hello.version) + ", coordinator v" +
-        std::to_string(kProtocolVersion) + ")");
-  }
-  if (hello.role != static_cast<std::uint32_t>(PeerRole::kSweepWorker)) {
+  const PeerRole role = check_hello(ch, *frame);
+  if (role != PeerRole::kSweepWorker) {
     ch.send(FrameKind::kError, "this endpoint drives sweep workers only");
-    throw std::runtime_error("peer '" + ch.label() +
-                             "' declared role " + std::to_string(hello.role) +
-                             ", not a sweep worker (serve peers must dial a "
-                             "ServeCoordinator)");
+    throw std::runtime_error(
+        "peer '" + ch.label() + "' declared role " +
+        std::to_string(static_cast<std::uint32_t>(role)) +
+        ", not a sweep worker (serve peers must dial a ServeCoordinator)");
   }
   HelloFrame ack;
   if (!ch.send(FrameKind::kHelloAck, encode_hello(ack))) {
@@ -253,7 +233,84 @@ std::optional<Frame> WorkerChannel::await_frame(int timeout_ms) {
   }
 }
 
-// --- worker serve loops -----------------------------------------------------
+// --- coordinator event loop -------------------------------------------------
+
+PeerRole check_hello(WorkerChannel& ch, const Frame& frame) {
+  try {
+    if (frame.kind != FrameKind::kHello) {
+      throw std::runtime_error("expected a Hello frame, got frame kind " +
+                               std::to_string(static_cast<int>(frame.kind)));
+    }
+    const HelloFrame hello = decode_hello(frame.payload);
+    if (hello.magic != kProtocolMagic) {
+      throw std::runtime_error("bad protocol magic");
+    }
+    if (hello.version != kProtocolVersion) {
+      throw std::runtime_error(
+          "protocol version mismatch: coordinator speaks v" +
+          std::to_string(kProtocolVersion) + ", peer v" +
+          std::to_string(hello.version));
+    }
+    return static_cast<PeerRole>(hello.role);
+  } catch (const std::runtime_error& e) {
+    ch.send(FrameKind::kError, e.what());
+    throw std::runtime_error("peer '" + ch.label() + "' refused: " + e.what());
+  }
+}
+
+bool poll_channels(
+    std::span<WorkerChannel* const> channels, int timeout_ms,
+    const std::function<void(std::size_t, Frame)>& on_frame,
+    const std::function<void(std::size_t, const std::string&)>& on_closed,
+    std::span<const int> extra_fds, std::span<bool> extra_ready) {
+  std::vector<pollfd> fds;
+  fds.reserve(extra_fds.size() + channels.size());
+  for (const int fd : extra_fds) fds.push_back(pollfd{fd, POLLIN, 0});
+  // poll() skips negative fds, so closed channels keep their index.
+  for (WorkerChannel* ch : channels) {
+    fds.push_back(pollfd{ch->read_fd(), POLLIN, 0});
+  }
+  int rc;
+  while ((rc = ::poll(fds.data(), fds.size(), timeout_ms)) < 0) {
+    if (errno != EINTR) {
+      throw std::runtime_error(std::string("poll on worker channels failed: ") +
+                               std::strerror(errno));
+    }
+  }
+  if (rc == 0) return false;
+  constexpr short kReady = POLLIN | POLLHUP | POLLERR;
+  for (std::size_t j = 0; j < extra_ready.size(); ++j) {
+    extra_ready[j] = (fds[j].revents & kReady) != 0;
+  }
+  for (std::size_t i = 0; i < channels.size(); ++i) {
+    WorkerChannel& ch = *channels[i];
+    // A callback may have closed this channel while handling another.
+    if ((fds[extra_fds.size() + i].revents & kReady) == 0 ||
+        ch.read_fd() < 0) {
+      continue;
+    }
+    const bool eof = ch.pump() <= 0;
+    std::vector<Frame> frames;
+    std::string malformed;
+    try {
+      while (std::optional<Frame> frame = ch.next_frame()) {
+        frames.push_back(std::move(*frame));
+      }
+    } catch (const std::exception& e) {
+      malformed = std::string("malformed frame: ") + e.what();
+    }
+    for (Frame& frame : frames) {
+      if (ch.read_fd() < 0) break;
+      on_frame(i, std::move(frame));
+    }
+    if (ch.read_fd() >= 0 && (eof || !malformed.empty())) {
+      on_closed(i, malformed);
+    }
+  }
+  return true;
+}
+
+// --- worker loops -----------------------------------------------------------
 
 void dial_handshake(WorkerChannel& ch, PeerRole role) {
   HelloFrame hello;
@@ -283,80 +340,86 @@ void dial_handshake(WorkerChannel& ch, PeerRole role) {
   }
 }
 
-int serve_remote_worker(int in_fd, int out_fd,
-                        unsigned cell_threads_override) {
-  WorkerChannel ch(in_fd, out_fd, -1, "coordinator");
+int run_worker(WorkerChannel& ch, PeerRole role, const char* tag,
+               const WorkerHandler& serve) {
   try {
-    dial_handshake(ch, PeerRole::kSweepWorker);
+    dial_handshake(ch, role);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "[sweep_worker] handshake failed: %s\n", e.what());
+    std::fprintf(stderr, "[%s] handshake failed: %s\n", tag, e.what());
     return 2;
   }
-
-  std::optional<SweepSpec> spec;
-  unsigned cell_threads = 0;
   for (;;) {
     std::optional<Frame> frame;
     try {
       frame = ch.await_frame(-1);
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "[sweep_worker] protocol error: %s\n", e.what());
+      std::fprintf(stderr, "[%s] protocol error: %s\n", tag, e.what());
       return 2;
     }
-    if (!frame || frame->kind == FrameKind::kShutdown) return 0;
-    switch (frame->kind) {
+    if (!frame || frame->kind == FrameKind::kShutdown ||
+        frame->kind == FrameKind::kDrain) {
+      return 0;
+    }
+    std::optional<Frame> reply;
+    try {
+      reply = serve(*frame);
+    } catch (const std::exception& e) {
+      const bool sent = ch.send(FrameKind::kError, e.what());
+      if (frame->kind == FrameKind::kTask ||
+          frame->kind == FrameKind::kBatchTask) {
+        return 1;
+      }
+      if (!sent) return 0;
+      continue;
+    }
+    if (reply && !ch.send(reply->kind, reply->payload)) return 0;
+  }
+}
+
+int serve_remote_worker(int in_fd, int out_fd,
+                        unsigned cell_threads_override) {
+  WorkerChannel ch(in_fd, out_fd, -1, "coordinator");
+  std::optional<SweepSpec> spec;
+  unsigned cell_threads = 0;
+  auto serve = [&](const Frame& frame) -> std::optional<Frame> {
+    switch (frame.kind) {
       case FrameKind::kSpecInit: {
-        try {
-          const SpecInitFrame init = decode_spec_init(frame->payload);
-          SweepSpec rebuilt = build_grid(init.grid);
-          SpecReadyFrame ready;
-          ready.cell_count = rebuilt.cell_count();
-          ready.fingerprint = spec_fingerprint(rebuilt);
-          spec = std::move(rebuilt);
-          cell_threads = cell_threads_override != 0
-                             ? cell_threads_override
-                             : static_cast<unsigned>(init.cell_threads);
-          std::fprintf(stderr,
-                       "[sweep_worker] bound grid '%s' (%llu cells)\n",
-                       init.grid.name.c_str(),
-                       static_cast<unsigned long long>(ready.cell_count));
-          if (!ch.send(FrameKind::kSpecReady, encode_spec_ready(ready))) {
-            return 0;
-          }
-        } catch (const std::exception& e) {
-          spec.reset();
-          if (!ch.send(FrameKind::kError, e.what())) return 0;
-        }
-        break;
+        spec.reset();
+        const SpecInitFrame init = decode_spec_init(frame.payload);
+        SweepSpec rebuilt = build_grid(init.grid);
+        const SpecReadyFrame ready{rebuilt.cell_count(),
+                                   spec_fingerprint(rebuilt)};
+        spec = std::move(rebuilt);
+        cell_threads = cell_threads_override != 0
+                           ? cell_threads_override
+                           : static_cast<unsigned>(init.cell_threads);
+        std::fprintf(stderr, "[sweep_worker] bound grid '%s' (%llu cells)\n",
+                     init.grid.name.c_str(),
+                     static_cast<unsigned long long>(ready.cell_count));
+        return Frame{FrameKind::kSpecReady, encode_spec_ready(ready)};
       }
       case FrameKind::kTask: {
-        TaskFrame task{};
+        const TaskFrame task = decode_task(frame.payload);
+        const auto begin = static_cast<std::size_t>(task.begin);
         try {
-          task = decode_task(frame->payload);
           if (!spec) {
             throw std::runtime_error("task received before any SpecInit");
           }
-          const CellResult r =
-              run_cell_block(*spec, static_cast<std::size_t>(task.cell),
-                             static_cast<std::size_t>(task.begin),
-                             static_cast<std::size_t>(task.end), cell_threads);
-          if (!ch.send(FrameKind::kResult,
-                       encode_result(static_cast<std::size_t>(task.begin),
-                                     r))) {
-            return 0;
-          }
+          const CellResult r = run_cell_block(
+              *spec, static_cast<std::size_t>(task.cell), begin,
+              static_cast<std::size_t>(task.end), cell_threads);
+          return Frame{FrameKind::kResult, encode_result(begin, r)};
         } catch (const std::exception& e) {
-          ch.send(FrameKind::kError,
-                  "cell " + std::to_string(task.cell) + ": " + e.what());
-          return 1;
+          throw std::runtime_error("cell " + std::to_string(task.cell) + ": " +
+                                   e.what());
         }
-        break;
       }
       default:
         // Hello/HelloAck replays and result-direction frames are ignored.
-        break;
+        return std::nullopt;
     }
-  }
+  };
+  return run_worker(ch, PeerRole::kSweepWorker, "sweep_worker", serve);
 }
 
 // --- WorkerFleet ------------------------------------------------------------

@@ -22,10 +22,17 @@
 // onto the surviving workers. Per-cell seeds and the partition-invariant
 // merge make the statistics bit-identical no matter which route — or mix
 // of routes — computed each block.
+//
+// The serving daemon (src/serve) runs on the same stack: check_hello is
+// both coordinators' version check, run_worker both workers' loop, and
+// poll_channels the one event-loop wait under the sweep scheduler, the
+// serve coordinator and the serve client.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -71,7 +78,8 @@ class WorkerChannel {
   /// stream (treat the peer as broken).
   std::optional<Frame> next_frame();
   /// Block (poll + pump) until a frame arrives, the peer disconnects
-  /// (nullopt), or `timeout_ms` elapses (throws std::runtime_error).
+  /// (nullopt), or `timeout_ms` elapses (throws std::runtime_error). The
+  /// one-channel wait; a coordinator watching many uses poll_channels.
   std::optional<Frame> await_frame(int timeout_ms);
 
   /// Scheduler bookkeeping: queue indices of the task blocks this worker
@@ -149,6 +157,31 @@ class WorkerFleet {
   std::vector<std::unique_ptr<WorkerChannel>> channels_;
 };
 
+// --- coordinator side -------------------------------------------------------
+
+/// Coordinator side of the version handshake, shared by WorkerFleet and the
+/// serve coordinator: a peer's first frame must be a Hello carrying this
+/// build's protocol magic and version. A mismatch (another frame kind, a
+/// malformed payload, bad magic, another version) is answered with an Error
+/// frame naming it and thrown as std::runtime_error; otherwise the peer's
+/// declared role is returned, and the caller accepts or refuses it.
+PeerRole check_hello(WorkerChannel& ch, const Frame& frame);
+
+/// One wait of a coordinator's event loop. Polls the read fds of `channels`
+/// (closed ones are skipped) and `extra_fds` for up to `timeout_ms` (-1 =
+/// no limit), retrying on EINTR. Each readable channel i is pumped once,
+/// its complete frames go to on_frame(i, frame) in order until the channel
+/// closes, and then EOF or a malformed stream goes to on_closed(i, why),
+/// `why` empty for EOF. `extra_ready[j]` is set when `extra_fds[j]` has
+/// input or hung up. Returns false when the timeout passed with nothing
+/// ready; deadlines and requeues are the caller's. Throws
+/// std::runtime_error if poll fails; callback exceptions propagate.
+bool poll_channels(
+    std::span<WorkerChannel* const> channels, int timeout_ms,
+    const std::function<void(std::size_t, Frame)>& on_frame,
+    const std::function<void(std::size_t, const std::string&)>& on_closed,
+    std::span<const int> extra_fds = {}, std::span<bool> extra_ready = {});
+
 // --- worker side ------------------------------------------------------------
 
 /// Dial side of the version handshake, shared by sweep workers, serve
@@ -159,11 +192,25 @@ class WorkerFleet {
 /// another protocol.
 void dial_handshake(WorkerChannel& ch, PeerRole role);
 
-/// Serve loop for remote workers (`sweep_worker`): send Hello, verify the
-/// HelloAck, rebuild specs from SpecInit frames through the grid registry,
-/// execute Task frames, exit 0 on Shutdown/EOF. `cell_threads_override`
-/// nonzero forces that thread count regardless of what SpecInit asks.
-/// Returns the process exit code (0 success, nonzero protocol/exec error).
+/// A worker's answer to one coordinator frame: the reply to send, or
+/// nullopt to send nothing. Throwing answers the frame with an Error.
+using WorkerHandler = std::function<std::optional<Frame>(const Frame&)>;
+
+/// The worker loop shared by sweep and serve workers: dial_handshake as
+/// `role`, then hand every frame to `serve` and send its reply. A frame
+/// `serve` throws on gets an Error frame carrying the message; after a
+/// failed Task or BatchTask the worker exits, after any other failure (an
+/// init it could not bind) it keeps serving. `tag` prefixes the stderr
+/// diagnostics. Returns the process exit code: 0 on Shutdown, Drain, EOF or
+/// a lost peer, 1 after a failed task, 2 for a failed handshake or a broken
+/// stream.
+int run_worker(WorkerChannel& ch, PeerRole role, const char* tag,
+               const WorkerHandler& serve);
+
+/// Remote sweep worker (`sweep_worker`) on run_worker: rebuild specs from
+/// SpecInit frames through the grid registry and execute Task frames.
+/// `cell_threads_override` nonzero forces that thread count regardless of
+/// what SpecInit asks. Returns run_worker's exit code.
 int serve_remote_worker(int in_fd, int out_fd,
                         unsigned cell_threads_override = 0);
 

@@ -66,7 +66,6 @@ class ThermalGrid {
   ThermalGrid(GridConfig config, std::vector<Layer> layers);
 
   [[nodiscard]] const GridConfig& config() const { return config_; }
-  [[nodiscard]] std::size_t layer_count() const { return layers_.size(); }
 
   /// Steady-state solve: Jacobi-preconditioned conjugate gradients on
   /// θ = T − ambient from θ = 0, stopped once the scaled residual is below

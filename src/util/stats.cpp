@@ -40,10 +40,6 @@ double RunningStats::variance() const {
   return n_ ? m2_ / static_cast<double>(n_) : 0.0;
 }
 
-double RunningStats::sample_variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 double percentile(std::vector<double> xs, double p) {

@@ -15,7 +15,6 @@ class RunningStats {
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
   [[nodiscard]] double variance() const;     ///< population variance
-  [[nodiscard]] double sample_variance() const;
   [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const { return min_; }
   [[nodiscard]] double max() const { return max_; }

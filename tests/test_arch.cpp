@@ -54,17 +54,17 @@ TEST(Interconnect, FrequencyDerateMatchesTable3) {
 }
 
 TEST(Tier, RolesAndNames) {
-  Tier t3("tier-3", TierRole::kSimilarity, device::Node::k40nm);
+  Tier t3("tier-3", TierRole::kSimilarity);
   EXPECT_TRUE(t3.is_rram());
-  Tier t1("tier-1", TierRole::kDigital, device::Node::k16nm);
+  Tier t1("tier-1", TierRole::kDigital);
   EXPECT_FALSE(t1.is_rram());
   EXPECT_STREQ(tier_role_name(TierRole::kProjection), "projection");
   EXPECT_STREQ(power_state_name(PowerState::kShutdown), "shutdown");
 }
 
 TEST(TierActivation, SingleActiveInvariant) {
-  Tier sim("t3", TierRole::kSimilarity, device::Node::k40nm);
-  Tier proj("t2", TierRole::kProjection, device::Node::k40nm);
+  Tier sim("t3", TierRole::kSimilarity);
+  Tier proj("t2", TierRole::kProjection);
   TierActivationController ctl(sim, proj);
   EXPECT_EQ(ctl.active(), TierRole::kDigital);  // both parked
 
@@ -85,8 +85,8 @@ TEST(TierActivation, SingleActiveInvariant) {
 }
 
 TEST(TierActivation, DigitalTierCannotBeActivated) {
-  Tier sim("t3", TierRole::kSimilarity, device::Node::k40nm);
-  Tier proj("t2", TierRole::kProjection, device::Node::k40nm);
+  Tier sim("t3", TierRole::kSimilarity);
+  Tier proj("t2", TierRole::kProjection);
   TierActivationController ctl(sim, proj);
   EXPECT_THROW(ctl.activate(TierRole::kDigital), std::invalid_argument);
 }

@@ -134,14 +134,6 @@ TEST(EnergyModel, AdcEnergyScaling) {
   EXPECT_GT(adc_energy_pJ(4, device::Node::k40nm), adc_energy_pJ(4, device::Node::k16nm));
 }
 
-TEST(Report, PcmComparisonHeadline) {
-  auto rows = compute_table3();
-  auto pcm = pcm_factorizer_reference(rows[2]);
-  EXPECT_NEAR(rows[2].timing.tops / pcm.tops, 1.78, 1e-9);
-  EXPECT_NEAR(rows[2].energy.tops_per_watt / pcm.tops_per_watt, 1.48, 1e-9);
-  EXPECT_DOUBLE_EQ(pcm.area_mm2, rows[2].area.total_mm2());
-}
-
 TEST(Report, AccuraciesForwarded) {
   auto rows = compute_table3({}, {95.8, 99.3, 99.3});
   EXPECT_DOUBLE_EQ(rows[0].accuracy, 95.8);

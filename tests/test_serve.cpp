@@ -1,11 +1,12 @@
 // Serving-layer tests (docs/serving.md): the serve wire frames round-trip
-// and reject truncation, the encode side enforces the same frame cap the
-// parser does, a serve worker refuses a coordinator of another protocol
-// version, and a real ServeCoordinator + serve-worker fleet on TCP
-// loopback serves requests bit-identically to sequential solves, absorbs
-// late-joining workers, requeues batches off wedged workers within the
-// configured deadline, drops malformed clients without dying, and drains
-// to a clean shutdown.
+// and reject truncation and out-of-range enum bytes, the encode side
+// enforces the same frame cap the parser does, a serve worker refuses a
+// coordinator of another protocol version, and a real ServeCoordinator +
+// serve-worker fleet on TCP loopback serves requests bit-identically to
+// sequential solves, absorbs late-joining workers, requeues batches off
+// wedged workers within the configured deadline, answers a bad first frame
+// with an Error, drops malformed clients without dying, and drains to a
+// clean shutdown.
 
 #include <gtest/gtest.h>
 
@@ -163,6 +164,40 @@ TEST(ServeProtocol, TruncatedAndTrailingBytesThrow) {
   EXPECT_THROW((void)sweep::decode_factor_reply("ab"), std::runtime_error);
   EXPECT_THROW((void)sweep::decode_serve_init("ab"), std::runtime_error);
   EXPECT_THROW((void)sweep::decode_serve_ready("ab"), std::runtime_error);
+}
+
+// An enum byte past its last value fails as std::runtime_error naming the
+// frame, alone and inside a batch: encoding byte 2 of a FactorRequest sits
+// after two u64 fields, status byte 3 of a FactorReply after one, and a
+// batch puts its own two u64 fields in front.
+TEST(ServeProtocol, OutOfRangeEnumBytesThrowNamingTheFrame) {
+  auto expect_refused = [](auto decode, std::string payload, std::size_t at,
+                           char value, const std::string& message) {
+    payload[at] = value;
+    try {
+      (void)decode(payload);
+      ADD_FAILURE() << "expected '" << message << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  };
+  const std::string request = sweep::encode_factor_request(sample_request());
+  expect_refused(sweep::decode_factor_request, request, 16, 2,
+                 "malformed factor request: unknown encoding 2");
+  sweep::BatchTaskFrame task;
+  task.requests = {sample_request()};
+  expect_refused(sweep::decode_batch_task, sweep::encode_batch_task(task), 32,
+                 2, "malformed factor request: unknown encoding 2");
+
+  const std::string reply = sweep::encode_factor_reply({});
+  expect_refused(sweep::decode_factor_reply, reply, 8, 3,
+                 "malformed factor reply: unknown status 3");
+  sweep::BatchResultFrame result;
+  result.replies.resize(1);
+  expect_refused(sweep::decode_batch_result,
+                 sweep::encode_batch_result(result), 24, 3,
+                 "malformed factor reply: unknown status 3");
 }
 
 TEST(ServeProtocol, EncodeEnforcesTheSameFrameCapAsDecode) {
@@ -497,6 +532,57 @@ TEST(ServeEndToEnd, WedgedWorkerBatchRequeuedWithinDeadline) {
   EXPECT_GE(daemon.stats.workers_dropped, 1u);
   EXPECT_EQ(daemon.stats.completed, 1u);
   EXPECT_EQ(daemon.stats.failed, 0u);
+}
+
+// A peer whose first frame fails the Hello check — a Hello of another
+// protocol version — gets an Error frame naming it and is hung up on; it
+// never counts as a client or worker, and a well-formed client still
+// handshakes afterwards.
+TEST(ServeEndToEnd, HelloOfAnotherVersionGetsErrorThenEof) {
+  Daemon daemon(small_config());
+  {
+    const int fd = sweep::tcp_connect(daemon.addr(), 40, 50);
+    sweep::WorkerChannel stale(fd, fd, -1, "stale");
+    sweep::HelloFrame hello;
+    hello.version = sweep::kProtocolVersion + 1;
+    hello.role = static_cast<std::uint32_t>(sweep::PeerRole::kServeClient);
+    stale.send(sweep::FrameKind::kHello, sweep::encode_hello(hello));
+    const auto error = stale.await_frame(10000);
+    ASSERT_TRUE(error.has_value());
+    EXPECT_EQ(error->kind, sweep::FrameKind::kError);
+    EXPECT_NE(error->payload.find("mismatch"), std::string::npos)
+        << error->payload;
+    EXPECT_FALSE(stale.await_frame(10000).has_value());
+  }
+  EXPECT_EQ(daemon.coord->stats().clients_seen, 0u);
+  EXPECT_EQ(daemon.coord->stats().workers_seen, 0u);
+
+  serve::ServeClient client(daemon.addr());
+  ASSERT_TRUE(client.drain(30000));
+  daemon.join();
+  EXPECT_EQ(daemon.stats.clients_seen, 1u);
+}
+
+// A peer that opens with anything but a Hello gets the same Error frame
+// before the hang-up.
+TEST(ServeEndToEnd, NonHelloFirstFrameGetsErrorThenEof) {
+  Daemon daemon(small_config());
+  {
+    const int fd = sweep::tcp_connect(daemon.addr(), 40, 50);
+    sweep::WorkerChannel rude(fd, fd, -1, "rude");
+    rude.send(sweep::FrameKind::kFactorRequest,
+              sweep::encode_factor_request(sample_request()));
+    const auto error = rude.await_frame(10000);
+    ASSERT_TRUE(error.has_value());
+    EXPECT_EQ(error->kind, sweep::FrameKind::kError);
+    EXPECT_FALSE(rude.await_frame(10000).has_value());
+  }
+  EXPECT_EQ(daemon.coord->stats().clients_seen, 0u);
+  EXPECT_EQ(daemon.coord->stats().workers_seen, 0u);
+
+  serve::ServeClient client(daemon.addr());
+  ASSERT_TRUE(client.drain(30000));
+  daemon.join();
 }
 
 // A client that sends an undecodable FactorRequest is dropped; the

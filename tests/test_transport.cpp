@@ -1,9 +1,9 @@
 // Transport-layer tests: frame parsing against malformed/truncated input,
-// the version handshake, worker-fleet sweeps bit-identical to in-process
-// execution over every route (inbound TCP, dial-out, spawned stdio
-// subprocesses driving this very binary as the worker, and a mix),
-// worker-disconnect requeueing, spec fingerprint cross-checks, and a fleet
-// that fails partway.
+// the version handshake, the shared worker loop's exit codes and Error
+// frames, worker-fleet sweeps bit-identical to in-process execution over
+// every route (inbound TCP, dial-out, spawned stdio subprocesses driving
+// this very binary as the worker, and a mix), worker-disconnect requeueing,
+// spec fingerprint cross-checks, and a fleet that fails partway.
 //
 // This suite provides its own main: invoked with --serve-stdio it becomes a
 // sweep worker speaking the framed protocol on stdin/stdout, which is how
@@ -21,9 +21,11 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "serve/serving.hpp"
 #include "sweep/emit.hpp"
 #include "sweep/protocol.hpp"
 #include "sweep/registry.hpp"
@@ -390,6 +392,146 @@ TEST(GridRegistry, FingerprintSeparatesParamsAndMatchesRebuild) {
       sweep::build_grid({kUnitGrid, {{"seed", "999"}}}));
   EXPECT_EQ(a, a2);
   EXPECT_NE(a, b);
+}
+
+// --- worker loop ------------------------------------------------------------
+
+// One worker loop — the sweep worker or the serve worker — on one end of a
+// socketpair, driven by a fake coordinator on the other.
+class FakeCoordinator {
+ public:
+  explicit FakeCoordinator(bool serve) {
+    int fds[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+      throw std::runtime_error("socketpair failed");
+    }
+    worker_ = std::thread([this, serve, fd = fds[0]]() {
+      exit_code_ = serve ? serve::serve_factor_worker(fd, fd)
+                         : sweep::serve_remote_worker(fd, fd);
+    });
+    ch_ = std::make_unique<sweep::WorkerChannel>(fds[1], fds[1], -1, "fake");
+  }
+  ~FakeCoordinator() { (void)exit_code(); }
+  FakeCoordinator(const FakeCoordinator&) = delete;
+  FakeCoordinator& operator=(const FakeCoordinator&) = delete;
+
+  /// Answer the worker's Hello with a HelloAck speaking `version`.
+  void ack_hello(std::uint32_t version = sweep::kProtocolVersion) {
+    const auto hello = ch_->await_frame(30000);
+    ASSERT_TRUE(hello && hello->kind == sweep::FrameKind::kHello);
+    sweep::HelloFrame ack;
+    ack.version = version;
+    ch_->send(sweep::FrameKind::kHelloAck, sweep::encode_hello(ack));
+  }
+  void send(sweep::FrameKind kind, const std::string& payload = "") {
+    ch_->send(kind, payload);
+  }
+  /// The kind of the worker's next frame.
+  sweep::FrameKind next_kind() {
+    const auto frame = ch_->await_frame(30000);
+    if (!frame) throw std::runtime_error("worker hung up");
+    return frame->kind;
+  }
+  /// Hang up, then wait for the worker's exit code.
+  int exit_code() {
+    ch_.reset();
+    if (worker_.joinable()) worker_.join();
+    return exit_code_;
+  }
+
+ private:
+  int exit_code_ = -1;
+  std::unique_ptr<sweep::WorkerChannel> ch_;
+  std::thread worker_;  // writes exit_code_; joined by exit_code()
+};
+
+std::string unit_spec_init(const std::string& grid) {
+  sweep::SpecInitFrame init;
+  init.grid.name = grid;
+  return sweep::encode_spec_init(init);
+}
+
+std::string serve_init(std::uint64_t dim) {
+  sweep::ServeInitFrame init;
+  init.dim = dim;
+  init.factors = 2;
+  init.codebook_size = 4;
+  init.max_iterations = 10;
+  return sweep::encode_serve_init(init);
+}
+
+// A HelloAck of another protocol version fails the handshake: exit 2.
+TEST(WorkerLoop, HelloAckOfAnotherVersionExits2) {
+  for (const bool serve : {false, true}) {
+    FakeCoordinator fake(serve);
+    fake.ack_hello(sweep::kProtocolVersion + 1);
+    EXPECT_EQ(fake.exit_code(), 2) << "serve=" << serve;
+  }
+}
+
+// An init the worker cannot bind gets an Error frame, and the worker keeps
+// serving: the next, good init binds.
+TEST(WorkerLoop, BadInitGetsErrorAndWorkerKeepsServing) {
+  register_unit_grid();
+  {
+    FakeCoordinator fake(/*serve=*/false);
+    fake.ack_hello();
+    fake.send(sweep::FrameKind::kSpecInit, unit_spec_init("no-such-grid"));
+    EXPECT_EQ(fake.next_kind(), sweep::FrameKind::kError);
+    fake.send(sweep::FrameKind::kSpecInit, unit_spec_init(kUnitGrid));
+    EXPECT_EQ(fake.next_kind(), sweep::FrameKind::kSpecReady);
+    fake.send(sweep::FrameKind::kShutdown);
+    EXPECT_EQ(fake.exit_code(), 0);
+  }
+  {
+    FakeCoordinator fake(/*serve=*/true);
+    fake.ack_hello();
+    fake.send(sweep::FrameKind::kServeInit, serve_init(0));  // zero-sized
+    EXPECT_EQ(fake.next_kind(), sweep::FrameKind::kError);
+    fake.send(sweep::FrameKind::kServeInit, serve_init(64));
+    EXPECT_EQ(fake.next_kind(), sweep::FrameKind::kServeReady);
+    fake.send(sweep::FrameKind::kShutdown);
+    EXPECT_EQ(fake.exit_code(), 0);
+  }
+}
+
+// A task before any init is answered with an Error frame, and the worker
+// exits 1.
+TEST(WorkerLoop, TaskBeforeInitGetsErrorAndExits1) {
+  {
+    FakeCoordinator fake(/*serve=*/false);
+    fake.ack_hello();
+    fake.send(sweep::FrameKind::kTask, sweep::encode_task({0, 0, 4}));
+    EXPECT_EQ(fake.next_kind(), sweep::FrameKind::kError);
+    EXPECT_EQ(fake.exit_code(), 1);
+  }
+  {
+    FakeCoordinator fake(/*serve=*/true);
+    fake.ack_hello();
+    sweep::BatchTaskFrame task;
+    task.requests.resize(1);
+    fake.send(sweep::FrameKind::kBatchTask, sweep::encode_batch_task(task));
+    EXPECT_EQ(fake.next_kind(), sweep::FrameKind::kError);
+    EXPECT_EQ(fake.exit_code(), 1);
+  }
+}
+
+// Shutdown, a Drain to a serve worker, and EOF each end the loop with 0.
+TEST(WorkerLoop, ShutdownDrainAndEofExit0) {
+  for (const bool serve : {false, true}) {
+    FakeCoordinator shutdown(serve);
+    shutdown.ack_hello();
+    shutdown.send(sweep::FrameKind::kShutdown);
+    EXPECT_EQ(shutdown.exit_code(), 0) << "shutdown, serve=" << serve;
+
+    FakeCoordinator eof(serve);
+    eof.ack_hello();
+    EXPECT_EQ(eof.exit_code(), 0) << "EOF, serve=" << serve;
+  }
+  FakeCoordinator drain(/*serve=*/true);
+  drain.ack_hello();
+  drain.send(sweep::FrameKind::kDrain);
+  EXPECT_EQ(drain.exit_code(), 0);
 }
 
 // --- TCP loopback -----------------------------------------------------------
