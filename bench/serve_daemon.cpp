@@ -19,8 +19,6 @@
 //                         this H3DA artifact (bench/h3dfact_pack) instead
 //                         of generating from --seed, and advertise the
 //                         path + fingerprint to every worker [off]
-//   --save-artifact=PATH  serialize the bound codebooks to PATH on startup
-//                         (the pack step of the warm-start flow) [off]
 //
 // Prints "listening on port P" on stderr once bound, and the final
 // ServeStats as one JSON object on stdout when the run ends.
@@ -60,7 +58,6 @@ static int body(int argc, char** argv) {
   cfg.worker_deadline_ms = static_cast<int>(
       cli.u64("deadline-ms", 10000, std::numeric_limits<int>::max()));
   cfg.artifact = cli.str("artifact", "");
-  cfg.save_artifact = cli.str("save-artifact", "");
   cli.reject_unread();
 
   serve::ServeCoordinator coordinator(std::move(cfg));

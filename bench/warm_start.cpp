@@ -3,8 +3,8 @@
 // Measures, for one serve problem space, the three ways a worker can come
 // to hold its codebooks — regenerating from the seed (cold), loading a
 // packed H3DA artifact into the heap, and zero-copy mmapping it — plus the
-// pack cost and the memoized re-bind (WorkerSpaceCache fast path). Each
-// timing is the minimum over --repeats runs. Emits one JSON object to
+// pack cost and the two WorkerSpaceCache binds. Each timing is the
+// minimum over --repeats runs. Emits one JSON object to
 // --out (default stdout) so CI can archive the numbers next to ns/op.
 //
 // Flags: --dim=D --factors=F --M=M --seed=N [1024, 3, 16, 1]
@@ -87,8 +87,7 @@ static int body(int argc, char** argv) {
     // mmap unavailable on this platform; report -1 and keep going.
   }
 
-  // Worker-level bind times: cold seed bind, artifact bind, and the
-  // memoized re-bind of an identical ServeInit (the satellite fix).
+  // Worker-level bind times: cold seed bind and artifact bind.
   sweep::ServeInitFrame init;
   init.dim = dim;
   init.factors = factors;
@@ -105,9 +104,6 @@ static int body(int argc, char** argv) {
     serve::WorkerSpaceCache cache;
     (void)cache.bind(init);
   });
-  serve::WorkerSpaceCache cache;
-  (void)cache.bind(init);
-  const double rebind_us = min_us(repeats, [&] { (void)cache.bind(init); });
 
   std::FILE* f = out == "-" ? stdout : std::fopen(out.c_str(), "w");
   if (f == nullptr) {
@@ -120,11 +116,10 @@ static int body(int argc, char** argv) {
       "\"repeats\":%d,\"fingerprint\":\"0x%016llx\","
       "\"cold_build_us\":%.1f,\"pack_us\":%.1f,"
       "\"artifact_heap_us\":%.1f,\"artifact_mmap_us\":%.1f,"
-      "\"bind_seed_us\":%.1f,\"bind_artifact_us\":%.1f,"
-      "\"memoized_rebind_us\":%.3f}\n",
+      "\"bind_seed_us\":%.1f,\"bind_artifact_us\":%.1f}\n",
       dim, factors, M, static_cast<unsigned long long>(seed), repeats,
       static_cast<unsigned long long>(fingerprint), cold_us, pack_us,
-      heap_us, mmap_us, bind_seed_us, bind_artifact_us, rebind_us);
+      heap_us, mmap_us, bind_seed_us, bind_artifact_us);
   if (f != stdout) std::fclose(f);
   return 0;
 }

@@ -40,15 +40,14 @@ static int body(int argc, char** argv) {
   }
   auto v = [&](const char* label) { return items.vector(*items.find(label)); };
 
-  // Country records as superpositions of role-filler bindings.
+  // Country records as superpositions of role-filler bindings (three of
+  // them, so the majority never ties).
   auto usa = hdc::bundle({v("country").bind(v("USA")),
                           v("capital").bind(v("Washington-DC")),
-                          v("currency").bind(v("dollar"))},
-                         rng);
+                          v("currency").bind(v("dollar"))});
   auto mexico = hdc::bundle({v("country").bind(v("Mexico")),
                              v("capital").bind(v("CDMX")),
-                             v("currency").bind(v("peso"))},
-                            rng);
+                             v("currency").bind(v("peso"))});
 
   // "What is the dollar of Mexico?"  answer ≈ mexico ⊙ usa ⊙ dollar.
   auto query = mexico.bind(usa).bind(v("dollar"));

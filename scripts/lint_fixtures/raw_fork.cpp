@@ -1,11 +1,14 @@
 // Fixture: a process fork outside WorkerFleet's spawn must trip the
-// raw-fork rule; forking a generator stream must not.
+// raw-fork rule; a member function named fork that takes an argument must
+// not.
 #include <unistd.h>
 
-#include "util/rng.hpp"
+struct Stream {
+  Stream fork(int stream_id) const { return Stream{*this}; }
+};
 
-int spawn_shard(h3dfact::util::Rng& rng) {
-  h3dfact::util::Rng stream = rng.fork(7);
-  (void)stream;
+int spawn_shard(const Stream& parent) {
+  const Stream child = parent.fork(7);
+  (void)child;
   return static_cast<int>(::fork());
 }

@@ -45,7 +45,7 @@ perfbench/, the benchmark harness):
                in src/sweep/transport.cpp, where WorkerFleet spawns a
                worker command and execs it at once. Local sweep shards are
                threads; a second local process pool would duplicate them.
-               Rng::fork(stream_id) takes an argument and is not matched.
+               A member call such as x.fork(id) is not matched.
   raw-simd     Intrinsic headers (<immintrin.h>, <arm_neon.h>, ...),
                x86 intrinsic tokens (_mm*_, __m128/__m256/__m512 types)
                and the BMI2 bit deposit/extract (_pdep_u32/64,

@@ -3,24 +3,6 @@
 #include <stdexcept>
 namespace h3dfact::arch {
 
-const char* tier_role_name(TierRole role) {
-  switch (role) {
-    case TierRole::kSimilarity: return "similarity";
-    case TierRole::kProjection: return "projection";
-    case TierRole::kDigital: return "digital";
-  }
-  return "?";
-}
-
-const char* power_state_name(PowerState s) {
-  switch (s) {
-    case PowerState::kActive: return "active";
-    case PowerState::kStandby: return "standby";
-    case PowerState::kShutdown: return "shutdown";
-  }
-  return "?";
-}
-
 TierActivationController::TierActivationController(Tier& similarity_tier,
                                                    Tier& projection_tier)
     : sim_(&similarity_tier), proj_(&projection_tier) {

@@ -27,9 +27,6 @@ enum class PowerState {
   kShutdown,  ///< full power-off
 };
 
-const char* tier_role_name(TierRole role);
-const char* power_state_name(PowerState s);
-
 /// One tier of the stack.
 class Tier {
  public:

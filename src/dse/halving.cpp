@@ -63,10 +63,20 @@ std::vector<DesignPoint> join_all(const HardwareSlots& hw,
   return points;
 }
 
+// Promotion score within a non-dominated layer, higher is better:
+// 100·accuracy − 0.01·fJ/op − 10·mm² − 0.1·°C.
+double score(const DesignPoint& p) {
+  constexpr double kAccuracy = 100.0;
+  constexpr double kEnergy = 0.01;
+  constexpr double kArea = 10.0;
+  constexpr double kTemp = 0.1;
+  return kAccuracy * p.accuracy - kEnergy * p.hw.energy_per_op_fJ -
+         kArea * p.hw.area_mm2 - kTemp * p.hw.peak_C;
+}
+
 // Promote the top `count` entrants: non-dominated layer first, then the
-// scalarization, then cell index — a deterministic total order.
+// score, then cell index — a deterministic total order.
 std::vector<std::size_t> promote(const std::vector<DesignPoint>& points,
-                                 const Scalarization& score,
                                  std::size_t count) {
   std::map<std::size_t, const DesignPoint*> by_id;
   std::vector<MetricPoint> metric_points;
@@ -87,7 +97,7 @@ std::vector<std::size_t> promote(const std::vector<DesignPoint>& points,
   ranked.reserve(points.size());
   for (std::size_t l = 0; l < layers.size(); ++l) {
     for (const MetricPoint& mp : layers[l]) {
-      ranked.push_back({l, score.score(*by_id.at(mp.id)), mp.id});
+      ranked.push_back({l, score(*by_id.at(mp.id)), mp.id});
     }
   }
   // Duplicate-metric cells are collapsed out of the layers (pareto.hpp's
@@ -97,7 +107,7 @@ std::vector<std::size_t> promote(const std::vector<DesignPoint>& points,
   std::sort(layered_ids.begin(), layered_ids.end());
   for (const DesignPoint& p : points) {
     if (!std::binary_search(layered_ids.begin(), layered_ids.end(), p.index)) {
-      ranked.push_back({layers.size(), score.score(p), p.index});
+      ranked.push_back({layers.size(), score(p), p.index});
     }
   }
 
@@ -186,8 +196,7 @@ SearchResult run_search(const sweep::GridRef& ref,
     if (k + 1 < options.rungs) {
       const auto keep = static_cast<std::size_t>(std::ceil(
           static_cast<double>(survivors.size()) / options.eta));
-      report.promoted =
-          promote(points, options.score, std::max<std::size_t>(1, keep));
+      report.promoted = promote(points, std::max<std::size_t>(1, keep));
       survivors = report.promoted;
     } else {
       final_points = points;

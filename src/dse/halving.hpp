@@ -7,7 +7,7 @@
 // promotes the most promising 1/η of its entrants, and only the final
 // rung's survivors receive the full budget. Promotion ranks by
 // non-dominated layer first (a rung's Pareto frontier always promotes
-// ahead of dominated cells), then by a configurable scalarization, then by
+// ahead of dominated cells), then by a fixed weighted score, then by
 // cell index — all deterministic, so the search is reproducible at any
 // shard count and across the distributed fleet.
 //
@@ -32,25 +32,10 @@
 
 namespace h3dfact::dse {
 
-/// Scalar promotion score within a non-dominated layer: higher is better.
-/// score = w_accuracy·accuracy − w_energy·fJ/op − w_area·mm² − w_temp·°C.
-struct Scalarization {
-  double w_accuracy = 100.0;
-  double w_energy = 0.01;
-  double w_area = 10.0;
-  double w_temp = 0.1;
-
-  [[nodiscard]] double score(const DesignPoint& p) const {
-    return w_accuracy * p.accuracy - w_energy * p.hw.energy_per_op_fJ -
-           w_area * p.hw.area_mm2 - w_temp * p.hw.peak_C;
-  }
-};
-
 /// Search configuration on top of the sweep execution knobs.
 struct SearchOptions {
   std::size_t rungs = 2;  ///< 1 = plain exhaustive sweep at full budget
   double eta = 2.0;       ///< promotion fraction 1/η per rung (> 1)
-  Scalarization score;    ///< within-layer promotion tie-break
   /// Sweep execution (shards, transport, deadlines, progress). The `cells`,
   /// `grid` and `checkpoint_path` fields are managed per rung by the
   /// scheduler and must be left empty. The same settings size the hardware

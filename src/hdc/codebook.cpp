@@ -398,10 +398,6 @@ void Codebook::project_sign(std::span<const std::vector<int>> coeffs,
   }
 }
 
-BipolarVector Codebook::resonate(const BipolarVector& u) const {
-  return sign_of(project(similarity(u)));
-}
-
 std::size_t Codebook::nearest(const BipolarVector& u) const {
   if (vectors_.empty()) throw std::logic_error("nearest on empty codebook");
   auto sims = similarity(u);
@@ -451,12 +447,6 @@ void CodebookSet::compose(const std::vector<std::size_t>& indices,
   for (std::size_t f = 1; f < books_.size(); ++f) {
     out.bind_inplace(books_[f].vector(indices[f]));
   }
-}
-
-double CodebookSet::search_space() const {
-  double total = 1.0;
-  for (const auto& b : books_) total *= static_cast<double>(b.size());
-  return total;
 }
 
 std::uint64_t set_fingerprint(const CodebookSet& set) {

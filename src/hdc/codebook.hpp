@@ -153,9 +153,6 @@ class Codebook {
                     std::span<BipolarVector> out,
                     const kernels::KernelBackend& backend) const;
 
-  /// Fused resonator step: sign(X (Xᵀ u)) with deterministic tie-break.
-  [[nodiscard]] BipolarVector resonate(const BipolarVector& u) const;
-
   /// Index of the codevector with maximal dot product to u (cleanup).
   [[nodiscard]] std::size_t nearest(const BipolarVector& u) const;
 
@@ -221,9 +218,6 @@ class CodebookSet {
   /// per-iteration decode check).
   void compose(const std::vector<std::size_t>& indices,
                BipolarVector& out) const;
-
-  /// Total search-space size ∏ M_f as double (can exceed 2^64).
-  [[nodiscard]] double search_space() const;
 
  private:
   std::size_t dim_ = 0;

@@ -102,18 +102,6 @@ double BipolarVector::hamming(const BipolarVector& other) const {
   return static_cast<double>(disagree) / static_cast<double>(dim_);
 }
 
-BipolarVector BipolarVector::permute(long long k) const {
-  BipolarVector out(dim_);
-  if (dim_ == 0) return out;
-  const auto d = static_cast<long long>(dim_);
-  long long shift = ((k % d) + d) % d;
-  for (std::size_t i = 0; i < dim_; ++i) {
-    const std::size_t j = (i + static_cast<std::size_t>(shift)) % dim_;
-    out.set(j, get(i));
-  }
-  return out;
-}
-
 BipolarVector BipolarVector::negate() const {
   BipolarVector out(dim_);
   for (std::size_t w = 0; w < words_.size(); ++w) out.words_[w] = ~words_[w];
@@ -125,20 +113,6 @@ BipolarVector BipolarVector::with_flips(double p, util::Rng& rng) const {
   BipolarVector out = *this;
   for (std::size_t i = 0; i < dim_; ++i) {
     if (rng.bernoulli(p)) out.words_[i / 64] ^= (1ULL << (i % 64));
-  }
-  return out;
-}
-
-BipolarVector BipolarVector::with_exact_flips(std::size_t n, util::Rng& rng) const {
-  if (n > dim_) throw std::invalid_argument("cannot flip more elements than dim");
-  // Floyd's sampling of n distinct indices.
-  BipolarVector out = *this;
-  std::vector<bool> chosen(dim_, false);
-  for (std::size_t j = dim_ - n; j < dim_; ++j) {
-    auto t = static_cast<std::size_t>(rng.below(j + 1));
-    std::size_t pick = chosen[t] ? j : t;
-    chosen[pick] = true;
-    out.words_[pick / 64] ^= (1ULL << (pick % 64));
   }
   return out;
 }

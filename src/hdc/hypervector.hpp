@@ -63,17 +63,11 @@ class BipolarVector {
   /// Normalized Hamming distance in [0,1].
   [[nodiscard]] double hamming(const BipolarVector& other) const;
 
-  /// Cyclic permutation ρ^k (rotate elements by k positions).
-  [[nodiscard]] BipolarVector permute(long long k) const;
-
   /// Element-wise negation.
   [[nodiscard]] BipolarVector negate() const;
 
   /// Flip each element independently with probability p (query/channel noise).
   [[nodiscard]] BipolarVector with_flips(double p, util::Rng& rng) const;
-
-  /// Flip exactly n distinct randomly chosen elements.
-  [[nodiscard]] BipolarVector with_exact_flips(std::size_t n, util::Rng& rng) const;
 
   /// Unpack to a ±1 integer vector.
   [[nodiscard]] std::vector<int> to_values() const;

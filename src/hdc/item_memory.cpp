@@ -1,6 +1,5 @@
 #include "hdc/item_memory.hpp"
 
-#include <algorithm>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -36,24 +35,6 @@ CleanupResult ItemMemory::cleanup(const BipolarVector& query) const {
   best.label = labels_[best.index];
   best.cosine = static_cast<double>(best.dot) / static_cast<double>(dim_);
   return best;
-}
-
-std::vector<CleanupResult> ItemMemory::top_k(const BipolarVector& query,
-                                             std::size_t k) const {
-  std::vector<CleanupResult> all;
-  all.reserve(items_.size());
-  for (std::size_t i = 0; i < items_.size(); ++i) {
-    CleanupResult r;
-    r.index = i;
-    r.label = labels_[i];
-    r.dot = items_[i].dot(query);
-    r.cosine = static_cast<double>(r.dot) / static_cast<double>(dim_);
-    all.push_back(std::move(r));
-  }
-  std::sort(all.begin(), all.end(),
-            [](const CleanupResult& a, const CleanupResult& b) { return a.dot > b.dot; });
-  if (all.size() > k) all.resize(k);
-  return all;
 }
 
 }  // namespace h3dfact::hdc

@@ -38,10 +38,6 @@ class ItemMemory {
   /// Nearest stored item to the query.
   [[nodiscard]] CleanupResult cleanup(const BipolarVector& query) const;
 
-  /// Top-k nearest items, best first.
-  [[nodiscard]] std::vector<CleanupResult> top_k(const BipolarVector& query,
-                                                 std::size_t k) const;
-
  private:
   std::size_t dim_;
   std::vector<BipolarVector> items_;

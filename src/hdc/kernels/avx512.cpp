@@ -1,12 +1,8 @@
 // AVX-512 backend. Like avx2.cpp the translation unit compiles at the
 // baseline ISA with function-level target attributes, and the factory
-// probes the CPU — but here the probe picks between two bit-identical
-// variants of the popcount path: VPOPCNTDQ hardware lane popcount where
-// the CPU has it, else the AVX2-era nibble-LUT sequence widened to 512-bit
-// registers (AVX512BW supplies VPSHUFB/VPSADBW at 512 bits). Both variants
-// publish the same "avx512" name; the kernel *policy* (policy.cpp) is what
-// decides whether avx512 should outrank avx2 on a given capability set —
-// the backend itself only reports what can run.
+// probes the CPU: the backend exists only where the CPU has both avx512f
+// and VPOPCNTDQ, whose hardware lane popcount is what lets it outrank
+// avx2 (policy.cpp).
 
 #include "hdc/kernels/backend.hpp"
 #include "hdc/kernels/capability.hpp"
@@ -27,7 +23,7 @@ namespace {
 
 // popcount(a XOR b), 8 words per step, one VPOPCNTQ per 512-bit lane pair.
 __attribute__((target("avx512f,avx512vpopcntdq"))) long long
-xor_popcount_avx512pop(const std::uint64_t* a, const std::uint64_t* b,
+xor_popcount_avx512(const std::uint64_t* a, const std::uint64_t* b,
                        std::size_t nw) {
   __m512i acc = _mm512_setzero_si512();
   std::size_t w = 0;
@@ -35,31 +31,6 @@ xor_popcount_avx512pop(const std::uint64_t* a, const std::uint64_t* b,
     const __m512i va = _mm512_loadu_si512(a + w);
     const __m512i vb = _mm512_loadu_si512(b + w);
     acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(_mm512_xor_si512(va, vb)));
-  }
-  long long total = _mm512_reduce_add_epi64(acc);
-  for (; w < nw; ++w) total += std::popcount(a[w] ^ b[w]);
-  return total;
-}
-
-// The same contract without VPOPCNTDQ: the Mula nibble-LUT algorithm of
-// avx2.cpp at double width — VPSHUFB/VPSADBW are 512-bit under AVX512BW.
-__attribute__((target("avx512f,avx512bw"))) long long xor_popcount_avx512lut(
-    const std::uint64_t* a, const std::uint64_t* b, std::size_t nw) {
-  const __m512i lut = _mm512_broadcast_i32x4(
-      _mm_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4));
-  const __m512i low = _mm512_set1_epi8(0x0f);
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t w = 0;
-  for (; w + 8 <= nw; w += 8) {
-    const __m512i va = _mm512_loadu_si512(a + w);
-    const __m512i vb = _mm512_loadu_si512(b + w);
-    const __m512i x = _mm512_xor_si512(va, vb);
-    const __m512i lo = _mm512_and_si512(x, low);
-    const __m512i hi = _mm512_and_si512(_mm512_srli_epi32(x, 4), low);
-    const __m512i cnt = _mm512_add_epi8(_mm512_shuffle_epi8(lut, lo),
-                                        _mm512_shuffle_epi8(lut, hi));
-    acc =
-        _mm512_add_epi64(acc, _mm512_sad_epu8(cnt, _mm512_setzero_si512()));
   }
   long long total = _mm512_reduce_add_epi64(acc);
   for (; w < nw; ++w) total += std::popcount(a[w] ^ b[w]);
@@ -106,9 +77,10 @@ __attribute__((target("avx512f"))) void project_rows_avx512(
   }
 }
 
-// Tile loops carry the matching target attributes so the popcounts inline.
+// The tile loop carries the matching target attributes so the popcount
+// inlines.
 __attribute__((target("avx512f,avx512vpopcntdq"))) void
-similarity_tile_avx512pop(const std::uint64_t* rows, std::size_t row_stride,
+similarity_tile_avx512(const std::uint64_t* rows, std::size_t row_stride,
                           std::size_t nrows,
                           const std::uint64_t* const* queries, std::size_t nq,
                           std::size_t nw, long long dim, int* sims,
@@ -116,28 +88,14 @@ similarity_tile_avx512pop(const std::uint64_t* rows, std::size_t row_stride,
   for (std::size_t q = 0; q < nq; ++q) {
     for (std::size_t i = 0; i < nrows; ++i) {
       const long long disagree =
-          xor_popcount_avx512pop(queries[q], rows + i * row_stride, nw);
-      sims[q * sim_stride + i] = static_cast<int>(dim - 2 * disagree);
-    }
-  }
-}
-
-__attribute__((target("avx512f,avx512bw"))) void similarity_tile_avx512lut(
-    const std::uint64_t* rows, std::size_t row_stride, std::size_t nrows,
-    const std::uint64_t* const* queries, std::size_t nq, std::size_t nw,
-    long long dim, int* sims, std::size_t sim_stride) {
-  for (std::size_t q = 0; q < nq; ++q) {
-    for (std::size_t i = 0; i < nrows; ++i) {
-      const long long disagree =
-          xor_popcount_avx512lut(queries[q], rows + i * row_stride, nw);
+          xor_popcount_avx512(queries[q], rows + i * row_stride, nw);
       sims[q * sim_stride + i] = static_cast<int>(dim - 2 * disagree);
     }
   }
 }
 
 // Whole 64-element words, 16 lanes per compare straight into mask
-// registers; a partial last word goes to the scalar reference. Both
-// variants share it (it needs only avx512f).
+// registers; a partial last word goes to the scalar reference.
 __attribute__((target("avx512f"))) void sign_bits_avx512(const int* y,
                                                          std::size_t n,
                                                          std::uint64_t* neg,
@@ -168,16 +126,14 @@ __attribute__((target("bmi2"))) std::uint64_t deposit_bmi2(
 
 }  // namespace
 
-// The popcount variant by VPOPCNTDQ, and PDEP where the probe reports
-// BMI2, else the scalar loop.
+// Null without avx512f and VPOPCNTDQ; PDEP where the probe reports BMI2,
+// else the scalar loop.
 const KernelBackend* avx512_backend() {
   static const KernelBackend* selected = []() -> const KernelBackend* {
     const CpuCapabilities& caps = probe();
-    if (!caps.avx512f || !caps.avx512bw) return nullptr;
+    if (!caps.avx512f || !caps.avx512vpopcntdq) return nullptr;
     static const KernelBackend kAvx512{
-        "avx512", project_rows_avx512,
-        caps.avx512vpopcntdq ? similarity_tile_avx512pop
-                             : similarity_tile_avx512lut,
+        "avx512", project_rows_avx512, similarity_tile_avx512,
         sign_bits_avx512, caps.bmi2 ? deposit_bmi2 : scalar_backend()->deposit};
     return &kAvx512;
   }();

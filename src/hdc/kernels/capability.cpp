@@ -12,7 +12,6 @@ std::string CpuCapabilities::to_string() const {
   add(sse2, "sse2");
   add(avx2, "avx2");
   add(avx512f, "avx512f");
-  add(avx512bw, "avx512bw");
   add(avx512vpopcntdq, "avx512vpopcntdq");
   add(bmi2, "bmi2");
   add(neon, "neon");
@@ -29,7 +28,6 @@ CpuCapabilities probe_once() {
   caps.sse2 = true;
   caps.avx2 = __builtin_cpu_supports("avx2");
   caps.avx512f = __builtin_cpu_supports("avx512f");
-  caps.avx512bw = __builtin_cpu_supports("avx512bw");
   caps.avx512vpopcntdq = __builtin_cpu_supports("avx512vpopcntdq");
   caps.bmi2 = __builtin_cpu_supports("bmi2");
 #elif defined(__aarch64__) || defined(_M_ARM64)

@@ -18,7 +18,6 @@ struct CpuCapabilities {
   bool sse2 = false;             ///< x86-64 baseline (always true there)
   bool avx2 = false;             ///< 256-bit integer SIMD
   bool avx512f = false;          ///< 512-bit foundation
-  bool avx512bw = false;         ///< 512-bit byte/word ops (the LUT popcount)
   bool avx512vpopcntdq = false;  ///< hardware 64-bit lane popcount
   bool bmi2 = false;             ///< PDEP (the comparator's tie deposit)
   bool neon = false;             ///< aarch64 Advanced SIMD (baseline there)

@@ -48,16 +48,12 @@ int score_backend(std::string_view name, const CpuCapabilities& caps) {
   // Measured ranking, not first-match order. scalar is the floor every
   // host can run; sse2 beats it via 128-bit XOR + SWAR popcount; avx2's
   // 256-bit nibble-LUT popcount beats both; avx512 with hardware popcount
-  // (VPOPCNTDQ) is the ceiling, but *without* it the 512-bit LUT sequence
-  // is AVX2-class work at downclock risk, so it ranks below avx2.
+  // (VPOPCNTDQ) is the ceiling.
   if (name == "scalar") return 1;
   if (name == "sse2") return caps.sse2 ? 2 : 0;
   if (name == "neon") return caps.neon ? 4 : 0;
   if (name == "avx2") return caps.avx2 ? 4 : 0;
-  if (name == "avx512") {
-    if (!caps.avx512f || !caps.avx512bw) return 0;
-    return caps.avx512vpopcntdq ? 5 : 3;
-  }
+  if (name == "avx512") return caps.avx512f && caps.avx512vpopcntdq ? 5 : 0;
   return 0;  // unknown backends never win by accident
 }
 

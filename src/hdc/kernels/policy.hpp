@@ -1,11 +1,9 @@
 #pragma once
 // Kernel selection policy: capability-scored backend choice, the per-call
 // vs tiled crossover for the batched similarity path, and the work
-// threshold below which the engine-level worker pool stays cold. Replaces
-// the first-match dispatch table (the bug class where avx512 would win on
-// any machine that lists it, even where 512-bit downclocking makes AVX2
-// faster) with an explicit, unit-testable scoring function over
-// CpuCapabilities.
+// threshold below which the engine-level worker pool stays cold. The
+// backend choice is an explicit, unit-testable scoring function over
+// CpuCapabilities, not a first-match table.
 //
 // force_policy() overrides the built-in measured defaults (the crossover
 // table in docs/kernels.md) until reset_policy().
@@ -61,10 +59,8 @@ void reset_policy();
 
 /// Capability score of a backend name against a capability set. Higher
 /// wins; 0 means "cannot run here". The ordering encodes the measured
-/// ranking, not just vector width: avx512 outranks avx2 only when the CPU
-/// has hardware popcount (avx512vpopcntdq) — the 512-bit LUT-popcount
-/// fallback is AVX2-class throughput with downclock risk, so plain
-/// avx512f/bw scores *below* avx2.
+/// ranking, not just vector width: avx512 needs hardware popcount
+/// (avx512vpopcntdq) as well as avx512f, and with it outranks avx2.
 [[nodiscard]] int score_backend(std::string_view name,
                                 const CpuCapabilities& caps);
 

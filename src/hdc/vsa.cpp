@@ -1,20 +1,11 @@
 #include "hdc/vsa.hpp"
 
-#include <cmath>
 #include <stdexcept>
 #include <vector>
 
 namespace h3dfact::hdc {
 
-BipolarVector bind_all(const std::vector<BipolarVector>& vs) {
-  if (vs.empty()) throw std::invalid_argument("bind_all of empty list");
-  BipolarVector out = vs.front();
-  for (std::size_t i = 1; i < vs.size(); ++i) out.bind_inplace(vs[i]);
-  return out;
-}
-
-namespace {
-std::vector<int> sum_counts(const std::vector<BipolarVector>& vs) {
+BipolarVector bundle(const std::vector<BipolarVector>& vs) {
   if (vs.empty()) throw std::invalid_argument("bundle of empty list");
   const std::size_t dim = vs.front().dim();
   std::vector<int> counts(dim, 0);
@@ -22,45 +13,7 @@ std::vector<int> sum_counts(const std::vector<BipolarVector>& vs) {
     if (v.dim() != dim) throw std::invalid_argument("bundle dim mismatch");
     for (std::size_t d = 0; d < dim; ++d) counts[d] += v.get(d);
   }
-  return counts;
-}
-}  // namespace
-
-BipolarVector bundle(const std::vector<BipolarVector>& vs) {
-  return sign_of(sum_counts(vs));
-}
-
-BipolarVector bundle(const std::vector<BipolarVector>& vs, util::Rng& rng) {
-  return sign_of(sum_counts(vs), rng);
-}
-
-BipolarVector bundle_weighted(const std::vector<BipolarVector>& vs,
-                              const std::vector<int>& weights) {
-  if (vs.size() != weights.size()) {
-    throw std::invalid_argument("bundle_weighted size mismatch");
-  }
-  if (vs.empty()) throw std::invalid_argument("bundle_weighted of empty list");
-  const std::size_t dim = vs.front().dim();
-  std::vector<int> counts(dim, 0);
-  for (std::size_t i = 0; i < vs.size(); ++i) {
-    if (vs[i].dim() != dim) throw std::invalid_argument("bundle dim mismatch");
-    for (std::size_t d = 0; d < dim; ++d) counts[d] += weights[i] * vs[i].get(d);
-  }
   return sign_of(counts);
-}
-
-BipolarVector encode_sequence(const std::vector<BipolarVector>& vs) {
-  if (vs.empty()) throw std::invalid_argument("encode_sequence of empty list");
-  BipolarVector out = vs.front();  // ρ^0(v0)
-  for (std::size_t i = 1; i < vs.size(); ++i) {
-    out.bind_inplace(vs[i].permute(static_cast<long long>(i)));
-  }
-  return out;
-}
-
-double quasi_orthogonality_z(double cosine, std::size_t dim) {
-  // For random bipolar vectors, dot/D has mean 0 and stddev 1/sqrt(D).
-  return cosine * std::sqrt(static_cast<double>(dim));
 }
 
 }  // namespace h3dfact::hdc

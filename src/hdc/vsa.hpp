@@ -1,6 +1,6 @@
 #pragma once
-// Vector-symbolic algebra convenience operations built on BipolarVector
-// (binding, bundling/superposition, permutation-based sequences; Sec. II-A).
+// Vector-symbolic bundling (superposition) built on BipolarVector
+// (Sec. II-A).
 
 #include <vector>
 
@@ -8,26 +8,7 @@
 
 namespace h3dfact::hdc {
 
-/// Bind (element-wise multiply) a list of vectors: v1 ⊙ v2 ⊙ ... ⊙ vk.
-BipolarVector bind_all(const std::vector<BipolarVector>& vs);
-
 /// Majority-rule bundle [+] with deterministic (+1) tie-break.
 BipolarVector bundle(const std::vector<BipolarVector>& vs);
-
-/// Majority-rule bundle with random tie-break (required for even counts).
-BipolarVector bundle(const std::vector<BipolarVector>& vs, util::Rng& rng);
-
-/// Weighted bundle: sign(Σ w_i v_i).
-BipolarVector bundle_weighted(const std::vector<BipolarVector>& vs,
-                              const std::vector<int>& weights);
-
-/// Encode a sequence by permuting position i by ρ^i and binding:
-/// seq = ρ^0(v0) ⊙ ρ^1(v1) ⊙ ... (captures order, Sec. II-A op (3)).
-BipolarVector encode_sequence(const std::vector<BipolarVector>& vs);
-
-/// Expected |cosine| magnitude between random vectors ~ 1/sqrt(D);
-/// returns the z-score of an observed cosine under the null hypothesis
-/// of unrelated vectors.
-double quasi_orthogonality_z(double cosine, std::size_t dim);
 
 }  // namespace h3dfact::hdc

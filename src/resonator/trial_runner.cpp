@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/stats.hpp"
 #include "util/sync.hpp"
 
 namespace h3dfact::resonator {
@@ -52,19 +53,15 @@ double TrialStats::iterations_quantile(double q) const {
   return xs[needed - 1];
 }
 
-double TrialStats::iterations_quantile_solved(double q) const {
-  if (iteration_samples.empty() || q <= 0.0 || q > 1.0) return -1.0;
-  const std::size_t needed =
-      std::min(quantile_rank(q, iteration_samples.size()),
-               iteration_samples.size());
-  std::vector<double> xs = iteration_samples;
-  std::sort(xs.begin(), xs.end());
-  return xs[needed - 1];
-}
-
 double TrialStats::median_iterations() const {
   if (iteration_samples.empty()) return -1.0;
   return util::median(iteration_samples);
+}
+
+double TrialStats::mean_iterations_solved() const {
+  util::RunningStats s;
+  for (double x : iteration_samples) s.add(x);
+  return s.mean();
 }
 
 double TrialStats::accuracy_at(std::size_t k) const {
@@ -87,7 +84,6 @@ void TrialStats::accumulate(const ResonatorResult& result, bool correct_decode,
   ++trials;
   if (result.solved) {
     ++solved;
-    iterations_solved.add(static_cast<double>(result.iterations));
     iteration_samples.push_back(static_cast<double>(result.iterations));
   }
   if (correct_decode) ++correct;
@@ -132,10 +128,6 @@ void TrialStats::merge_block(const TrialStats& later) {
   solved += later.solved;
   correct += later.correct;
   cycles += later.cycles;
-  // Re-accumulate instead of Welford-merging: sequential add() over the
-  // concatenated sample sequence makes the result independent of how the
-  // trial range was partitioned, down to the last floating-point bit.
-  for (double x : later.iteration_samples) iterations_solved.add(x);
   iteration_samples.insert(iteration_samples.end(),
                            later.iteration_samples.begin(),
                            later.iteration_samples.end());
@@ -232,7 +224,7 @@ TrialStats run_trial_block(const TrialConfig& config, std::size_t begin,
     return util::Rng(util::splitmix64(stream));
   };
 
-  auto worker = [&]() {
+  auto run_chunks = [&]() {
     // The factory receives the config, so the network it builds already
     // honors the trace opt-in — no rebuild behind the factory's back.
     ResonatorNetwork net = factory(set, cfg);
@@ -283,7 +275,16 @@ TrialStats run_trial_block(const TrialConfig& config, std::size_t begin,
     }
   };
 
-  util::run_workers(nthreads, worker);
+  // The first failure drains the claim counter, so sibling threads stop at
+  // their next claim instead of running every remaining chunk.
+  util::run_workers(nthreads, [&]() {
+    try {
+      run_chunks();
+    } catch (...) {
+      next_chunk.store(nchunks);
+      throw;
+    }
+  });
 
   TrialStats total;
   if (traces) {

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "resonator/resonator.hpp"
-#include "util/stats.hpp"
 
 namespace h3dfact::resonator {
 
@@ -68,7 +67,6 @@ struct TrialStats {
   std::size_t solved = 0;        ///< composed decode matched query
   std::size_t correct = 0;       ///< decode matched ground truth
   std::size_t cycles = 0;        ///< limit cycles detected (deterministic)
-  util::RunningStats iterations_solved;  ///< iterations among solved trials
   std::vector<double> iteration_samples; ///< per-solved-trial iteration counts
   std::vector<std::size_t> correct_by_iteration;  ///< trace histogram (opt-in)
   /// Raw (non-cumulative) trace histogram: trials whose decode was correct
@@ -94,12 +92,11 @@ struct TrialStats {
   /// when fewer than q of the trials converged at all. `q` must lie in
   /// (0, 1]; out-of-range values return -1.
   [[nodiscard]] double iterations_quantile(double q) const;
-  /// Quantile of iterations among SOLVED trials only (no censoring): the
-  /// conditional convergence-speed distribution. -1 if none solved or `q`
-  /// is outside (0, 1].
-  [[nodiscard]] double iterations_quantile_solved(double q) const;
   /// Median iterations among solved trials (-1 if none solved).
   [[nodiscard]] double median_iterations() const;
+  /// Mean iterations among solved trials (0 if none solved): Welford's
+  /// running mean over iteration_samples in trial order.
+  [[nodiscard]] double mean_iterations_solved() const;
   /// Accuracy after exactly k iterations, counting only trials whose decode
   /// stayed correct from k on (requires trace recording). k = 0 is the
   /// pre-iteration accuracy of the initial-state decode.
@@ -117,9 +114,8 @@ struct TrialStats {
 
   /// Fold in the partial aggregate of a LATER contiguous trial block (the
   /// sweep shards split one cell's trials this way). Blocks must be merged
-  /// in ascending trial order; iterations_solved is re-accumulated sample
-  /// by sample, so the result is bit-identical to a single run over the
-  /// union no matter how the range was partitioned.
+  /// in ascending trial order, so the result is bit-identical to a single
+  /// run over the union no matter how the range was partitioned.
   void merge_block(const TrialStats& later);
 };
 

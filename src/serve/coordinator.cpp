@@ -106,7 +106,7 @@ struct ServeCoordinator::Impl {
     // fingerprint every worker must echo; workers do the actual solving.
     // With cfg.artifact the copy is loaded-and-verified from the file the
     // workers will also warm-start from; otherwise it is generated from
-    // the seed. Either way a non-empty cfg.save_artifact serializes it.
+    // the seed.
     std::shared_ptr<const hdc::CodebookSet> set;
     if (!cfg.artifact.empty()) {
       io::LoadedCodebookSet loaded = io::load_codebook_set(cfg.artifact);
@@ -128,11 +128,6 @@ struct ServeCoordinator::Impl {
       set = gen.codebooks_ptr();
     }
     fingerprint = hdc::set_fingerprint(*set);
-    if (!cfg.save_artifact.empty()) {
-      io::ArtifactWriter writer;
-      io::add_codebook_set(writer, *set);
-      writer.write(cfg.save_artifact);
-    }
     if (::pipe(stop_pipe) != 0) {
       throw std::runtime_error("ServeCoordinator: cannot create stop pipe");
     }
@@ -307,11 +302,9 @@ struct ServeCoordinator::Impl {
         init.codebook_size = cfg.codebook_size;
         init.max_iterations = cfg.max_iterations;
         init.seed = cfg.seed;
-        // Advertise the warm-start artifact: the coordinator's own file if
-        // it loaded from one, else the one it just saved (same bytes by the
-        // deterministic writer). The fingerprint pins the exact codebooks.
-        init.artifact_path =
-            !cfg.artifact.empty() ? cfg.artifact : cfg.save_artifact;
+        // Advertise the coordinator's warm-start artifact, if it loaded
+        // from one. The fingerprint pins the exact codebooks.
+        init.artifact_path = cfg.artifact;
         init.artifact_fingerprint =
             init.artifact_path.empty() ? 0 : fingerprint;
         if (!peer.ch->send(FrameKind::kHelloAck, encode_hello(ack)) ||

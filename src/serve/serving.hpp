@@ -74,11 +74,6 @@ struct ServeConfig {
   /// match dim/factors/codebook_size above; construction throws otherwise.
   std::string artifact;
 
-  /// When set, the coordinator serializes its bound codebook set to this
-  /// path (atomic tmp+rename) right after construction — the pack step of
-  /// the warm-start flow, usable without the standalone h3dfact_pack CLI.
-  std::string save_artifact;
-
   // Batching and admission.
   std::size_t max_batch = 8;      ///< dispatch when this many are queued
   std::int64_t max_delay_us = 2000;  ///< ...or when the oldest waited this
@@ -152,18 +147,17 @@ struct WorkerSpace {
   bool from_artifact = false;      ///< true when warm-started from a file
 };
 
-/// Memoized ServeInit binding. Coordinators re-send ServeInit on reconnect
-/// and whenever a worker re-handshakes; before this cache the worker
-/// regenerated every codebook each time even when nothing changed. bind()
-/// reuses the current space when the init frame is field-for-field
-/// identical to the one it was built from, and otherwise builds a fresh
-/// space — from the init's artifact reference when present and loadable
-/// (verifying the pinned fingerprint), falling back to the deterministic
-/// seed rebuild. Counters expose which path ran for tests and logs.
+/// A serve worker's ServeInit binding. bind() builds the space `init`
+/// describes — from the init's artifact reference when present and
+/// loadable (verifying the pinned fingerprint), falling back to the
+/// deterministic seed rebuild — and holds it for the connection's batches.
+/// A coordinator sends one ServeInit per connection, and a serve worker
+/// exits when its connection ends. Counters expose which path ran for
+/// tests and logs.
 class WorkerSpaceCache {
  public:
-  /// Bind (or re-use) the space `init` describes. Throws std::runtime_error
-  /// on an invalid init (zero-sized space, fingerprint-pinned artifact that
+  /// Bind the space `init` describes. Throws std::runtime_error on an
+  /// invalid init (zero-sized space, fingerprint-pinned artifact that
   /// loads but disagrees after the seed fallback is exhausted); the cache
   /// keeps any previously bound space on throw.
   const WorkerSpace& bind(const sweep::ServeInitFrame& init);
@@ -174,16 +168,12 @@ class WorkerSpaceCache {
   [[nodiscard]] std::uint64_t rebuilds() const { return rebuilds_; }
   /// Times bind() warm-started from an artifact.
   [[nodiscard]] std::uint64_t artifact_loads() const { return artifact_loads_; }
-  /// Times bind() was a memoized no-op.
-  [[nodiscard]] std::uint64_t reuses() const { return reuses_; }
   void reset();
 
  private:
   std::shared_ptr<WorkerSpace> space_;
-  sweep::ServeInitFrame bound_init_;  ///< the init space_ was built from
   std::uint64_t rebuilds_ = 0;
   std::uint64_t artifact_loads_ = 0;
-  std::uint64_t reuses_ = 0;
 };
 
 /// Solve one BatchTask over a bound space (the serve worker's inner step,
@@ -194,8 +184,8 @@ sweep::BatchResultFrame solve_serve_batch(const WorkerSpace& space,
 
 /// Serve worker (`sweep_worker --serve`) on sweep::run_worker: handshake as
 /// kServeWorker, bind the ServeInit problem space through a
-/// WorkerSpaceCache (artifact warm-start, seed rebuild, or memoized
-/// re-use), echo its fingerprint, then solve BatchTask frames until
+/// WorkerSpaceCache (artifact warm-start or seed rebuild), echo its
+/// fingerprint, then solve BatchTask frames until
 /// Shutdown/Drain/EOF. A non-empty `artifact_override` replaces the
 /// ServeInit's advertised artifact path — for hosts where the
 /// coordinator's path does not resolve. Returns run_worker's exit code: 0

@@ -86,13 +86,6 @@ const WorkerSpace& WorkerSpaceCache::bind(const sweep::ServeInitFrame& init) {
       init.max_iterations == 0) {
     throw std::runtime_error("ServeInit with zero-sized problem space");
   }
-  // The memoized fast path: a field-for-field identical re-ServeInit binds
-  // the identical space by construction, so answer from the current one.
-  if (space_ && bound_init_ == init) {
-    ++reuses_;
-    return *space_;
-  }
-
   auto next = std::make_shared<WorkerSpace>();
   std::shared_ptr<resonator::ProblemGenerator> generator;
   if (!init.artifact_path.empty()) {
@@ -115,7 +108,6 @@ const WorkerSpace& WorkerSpaceCache::bind(const sweep::ServeInitFrame& init) {
     ++rebuilds_;
   }
   space_ = std::move(next);
-  bound_init_ = init;
   return *space_;
 }
 
@@ -208,14 +200,13 @@ int serve_factor_worker(int in_fd, int out_fd,
     const WorkerSpace& space = cache.bind(init);
     std::fprintf(stderr,
                  "[serve_worker] bound problem space D=%llu F=%llu M=%llu "
-                 "(%s; rebuilds=%llu artifact_loads=%llu reuses=%llu)\n",
+                 "(%s; rebuilds=%llu artifact_loads=%llu)\n",
                  static_cast<unsigned long long>(init.dim),
                  static_cast<unsigned long long>(init.factors),
                  static_cast<unsigned long long>(init.codebook_size),
                  space.from_artifact ? "artifact" : "seed",
                  static_cast<unsigned long long>(cache.rebuilds()),
-                 static_cast<unsigned long long>(cache.artifact_loads()),
-                 static_cast<unsigned long long>(cache.reuses()));
+                 static_cast<unsigned long long>(cache.artifact_loads()));
     return Frame{FrameKind::kServeReady,
                  sweep::encode_serve_ready({space.fingerprint})};
   };

@@ -190,7 +190,7 @@ void write_json(std::ostream& os, const std::string& sweep_name,
        << ", \"iterations_p99\": "
        << fmt_g(r.stats.iterations_quantile(0.99))
        << ", \"mean_iterations_solved\": "
-       << fmt_g(r.stats.iterations_solved.mean()) << "},\n";
+       << fmt_g(r.stats.mean_iterations_solved()) << "},\n";
     // The raw per-trial record, printed exactly.
     os << "      \"iteration_samples\": [";
     first = true;

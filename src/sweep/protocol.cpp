@@ -36,26 +36,30 @@ std::string encode_frame(FrameKind kind, std::string_view payload) {
 }
 
 void FrameParser::feed(const char* data, std::size_t n) {
+  buf_.erase(0, pos_);
+  pos_ = 0;
   buf_.append(data, n);
 }
 
 std::optional<Frame> FrameParser::next() {
-  if (buf_.size() < 9) return std::nullopt;
-  const auto kind = static_cast<std::uint8_t>(buf_[0]);
+  const char* head = buf_.data() + pos_;
+  const std::size_t avail = buf_.size() - pos_;
+  if (avail < 9) return std::nullopt;
+  const auto kind = static_cast<std::uint8_t>(head[0]);
   if (!valid_kind(kind)) {
     throw std::runtime_error("malformed sweep frame: unknown kind " +
                              std::to_string(kind));
   }
-  const std::uint64_t payload_len = util::load_u64(buf_.data() + 1);
+  const std::uint64_t payload_len = util::load_u64(head + 1);
   if (payload_len > kMaxFramePayload) {
     throw std::runtime_error("malformed sweep frame: payload length " +
                              std::to_string(payload_len) + " exceeds limit");
   }
-  if (buf_.size() < 9 + payload_len) return std::nullopt;
+  if (avail < 9 + payload_len) return std::nullopt;
   Frame frame;
   frame.kind = static_cast<FrameKind>(kind);
-  frame.payload.assign(buf_.data() + 9, static_cast<std::size_t>(payload_len));
-  buf_.erase(0, 9 + static_cast<std::size_t>(payload_len));
+  frame.payload.assign(head + 9, static_cast<std::size_t>(payload_len));
+  pos_ += 9 + static_cast<std::size_t>(payload_len);
   return frame;
 }
 
@@ -279,13 +283,8 @@ std::string encode_result(std::size_t block_begin, const CellResult& r) {
   return encode(block_begin, r);
 }
 std::pair<std::size_t, CellResult> decode_result(std::string_view payload) {
-  auto out = decode<std::pair<std::size_t, CellResult>>(
-      payload, "malformed sweep result");
-  // Rebuild the Welford accumulator by sequential adds over the sample
-  // order, matching exactly how the worker built its own copy.
-  resonator::TrialStats& s = out.second.stats;
-  for (double x : s.iteration_samples) s.iterations_solved.add(x);
-  return out;
+  return decode<std::pair<std::size_t, CellResult>>(payload,
+                                                     "malformed sweep result");
 }
 
 std::string encode_serve_init(const ServeInitFrame& init) {

@@ -100,13 +100,16 @@ std::string encode_frame(FrameKind kind, std::string_view payload);
 /// caller must treat the peer as broken and drop the connection.
 class FrameParser {
  public:
-  /// Append raw bytes from the stream.
+  /// Append raw bytes from the stream, first dropping the frames next()
+  /// already returned.
   void feed(const char* data, std::size_t n);
-  /// Pop the next complete frame, if one is buffered.
+  /// Pop the next complete frame, if one is buffered. Popping advances a
+  /// read offset, so draining k buffered frames copies each byte once.
   std::optional<Frame> next();
 
  private:
   std::string buf_;
+  std::size_t pos_ = 0;  ///< start of the first frame not yet returned
 };
 
 // --- payload codecs ---------------------------------------------------------

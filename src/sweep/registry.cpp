@@ -33,12 +33,6 @@ void register_grid(const std::string& name, GridBuilder builder) {
   r.builders[name] = std::move(builder);
 }
 
-bool grid_registered(const std::string& name) {
-  Registry& r = registry();
-  util::MutexLock lock(r.mutex);
-  return r.builders.count(name) > 0;
-}
-
 SweepSpec build_grid(const GridRef& ref) {
   GridBuilder builder;
   {

@@ -40,9 +40,6 @@ struct GridRef {
 /// previous builder (idempotent registration helpers rely on this).
 void register_grid(const std::string& name, GridBuilder builder);
 
-/// True when `name` has a registered builder.
-[[nodiscard]] bool grid_registered(const std::string& name);
-
 /// Resolve `ref` through the registry. Throws std::out_of_range for an
 /// unknown name and propagates whatever the builder throws on bad params.
 [[nodiscard]] SweepSpec build_grid(const GridRef& ref);

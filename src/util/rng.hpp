@@ -46,12 +46,6 @@ class Rng {
     for (auto& s : state_) s = splitmix64(sm);
   }
 
-  /// Derive an independent child stream (e.g. one per trial or per thread).
-  [[nodiscard]] Rng fork(std::uint64_t stream_id) {
-    std::uint64_t mix = next() ^ (0x9e3779b97f4a7c15ULL * (stream_id + 1));
-    return Rng{mix};
-  }
-
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~0ULL; }
   result_type operator()() { return next(); }

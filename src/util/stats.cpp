@@ -20,22 +20,6 @@ void RunningStats::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto n = static_cast<double>(n_);
-  const auto m = static_cast<double>(other.n_);
-  mean_ += delta * m / (n + m);
-  m2_ += other.m2_ + delta * delta * n * m / (n + m);
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
 double RunningStats::variance() const {
   return n_ ? m2_ / static_cast<double>(n_) : 0.0;
 }
@@ -55,13 +39,6 @@ double percentile(std::vector<double> xs, double p) {
 
 double median(std::vector<double> xs) { return percentile(std::move(xs), 50.0); }
 
-double mean(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : xs) s += x;
-  return s / static_cast<double>(xs.size());
-}
-
 double wilson_halfwidth(std::size_t successes, std::size_t trials) {
   if (trials == 0) return 0.0;
   const double z = 1.96;
@@ -69,16 +46,6 @@ double wilson_halfwidth(std::size_t successes, std::size_t trials) {
   const double phat = static_cast<double>(successes) / n;
   return z * std::sqrt(phat * (1.0 - phat) / n + z * z / (4.0 * n * n)) /
          (1.0 + z * z / n);
-}
-
-double geomean(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  double acc = 0.0;
-  for (double x : xs) {
-    if (x <= 0.0) throw std::invalid_argument("geomean requires positive inputs");
-    acc += std::log(x);
-  }
-  return std::exp(acc / static_cast<double>(xs.size()));
 }
 
 }  // namespace h3dfact::util

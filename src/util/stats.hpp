@@ -10,7 +10,6 @@ namespace h3dfact::util {
 class RunningStats {
  public:
   void add(double x);
-  void merge(const RunningStats& other);
 
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
@@ -18,9 +17,6 @@ class RunningStats {
   [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const { return min_; }
   [[nodiscard]] double max() const { return max_; }
-  /// Sum of squared deviations (Welford's M2): exposes the remaining piece
-  /// of internal state so exact-equality tests can compare accumulators.
-  [[nodiscard]] double sum_squared_dev() const { return m2_; }
 
  private:
   std::size_t n_ = 0;
@@ -36,13 +32,7 @@ double percentile(std::vector<double> xs, double p);
 /// Median convenience wrapper.
 double median(std::vector<double> xs);
 
-/// Mean of a vector (0 for empty).
-double mean(const std::vector<double>& xs);
-
 /// Wilson score interval half-width for a binomial proportion at ~95% confidence.
 double wilson_halfwidth(std::size_t successes, std::size_t trials);
-
-/// Geometric mean (requires strictly positive inputs; returns 0 for empty).
-double geomean(const std::vector<double>& xs);
 
 }  // namespace h3dfact::util

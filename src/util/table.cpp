@@ -61,33 +61,6 @@ void Table::print(std::ostream& os) const {
   os.flush();
 }
 
-namespace {
-void emit_csv_row(std::ostream& os, const std::vector<std::string>& row) {
-  for (std::size_t c = 0; c < row.size(); ++c) {
-    if (c) os << ',';
-    const std::string& cell = row[c];
-    if (cell.find_first_of(",\"\n") != std::string::npos) {
-      os << '"';
-      for (char ch : cell) {
-        if (ch == '"') os << '"';
-        os << ch;
-      }
-      os << '"';
-    } else {
-      os << cell;
-    }
-  }
-  os << '\n';
-}
-}  // namespace
-
-void Table::print_csv(std::ostream& os) const {
-  if (!header_.empty()) emit_csv_row(os, header_);
-  for (const auto& r : rows_) emit_csv_row(os, r);
-  for (const auto& n : notes_) os << "# " << n << '\n';
-  os.flush();
-}
-
 std::string Table::fmt(double v, int precision) {
   std::ostringstream ss;
   ss << std::fixed << std::setprecision(precision) << v;

@@ -26,9 +26,6 @@ class Table {
   /// Render to a stream with box-drawing separators.
   void print(std::ostream& os) const;
 
-  /// Render as CSV (RFC-4180 quoting); notes become trailing '# ' lines.
-  void print_csv(std::ostream& os) const;
-
   [[nodiscard]] std::size_t rows() const { return rows_.size(); }
 
   /// Format helpers for numeric cells.

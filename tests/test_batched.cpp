@@ -744,13 +744,11 @@ TEST(TrialStatsRegression, QuantileRankIsFpRobust) {
   EXPECT_DOUBLE_EQ(s.iterations_quantile(1.5), -1.0);
 }
 
-TEST(TrialStatsRegression, SolvedOnlyQuantileIgnoresCensoring) {
+TEST(TrialStatsRegression, QuantileCensorsUnsolvedTrials) {
   resonator::TrialStats s;
   s.trials = 100;  // 96 unsolved
   s.iteration_samples = {8.0, 2.0, 4.0, 6.0};
-  EXPECT_DOUBLE_EQ(s.iterations_quantile_solved(0.5), 4.0);
-  EXPECT_DOUBLE_EQ(s.iterations_quantile_solved(1.0), 8.0);
-  // Censor-aware quantile over all trials still fails far below q=0.5.
+  // The quantile over all trials fails far below q=0.5.
   EXPECT_DOUBLE_EQ(s.iterations_quantile(0.5), -1.0);
   EXPECT_DOUBLE_EQ(s.iterations_quantile(0.04), 8.0);
 }

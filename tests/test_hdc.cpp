@@ -1,6 +1,7 @@
 // Unit + property tests for the hypervector algebra, codebooks, item memory
 // and scene encoding.
 
+#include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
 #include <stdexcept>
@@ -131,28 +132,6 @@ TEST(BipolarVector, HammingComplementsCosine) {
   EXPECT_NEAR(a.cosine(b), 1.0 - 2.0 * a.hamming(b), 1e-12);
 }
 
-TEST(BipolarVector, PermuteIsInvertible) {
-  Rng rng(11);
-  auto v = BipolarVector::random(97, rng);
-  EXPECT_TRUE(v.permute(13).permute(-13) == v);
-  EXPECT_TRUE(v.permute(0) == v);
-  EXPECT_TRUE(v.permute(97) == v);  // full rotation
-}
-
-TEST(BipolarVector, PermuteShiftsElements) {
-  auto v = BipolarVector::from_values({1, -1, 1, 1});
-  auto p = v.permute(1);
-  EXPECT_EQ(p.get(1), 1);
-  EXPECT_EQ(p.get(2), -1);
-  EXPECT_EQ(p.get(0), v.get(3));
-}
-
-TEST(BipolarVector, PermuteDecorrelates) {
-  Rng rng(12);
-  auto v = BipolarVector::random(2048, rng);
-  EXPECT_LT(std::abs(v.cosine(v.permute(1))), 0.1);
-}
-
 TEST(BipolarVector, WithFlipsProbabilityZeroAndOne) {
   Rng rng(13);
   auto v = BipolarVector::random(256, rng);
@@ -165,14 +144,6 @@ TEST(BipolarVector, WithFlipsApproximatesRate) {
   auto v = BipolarVector::random(20000, rng);
   auto n = v.with_flips(0.25, rng);
   EXPECT_NEAR(v.hamming(n), 0.25, 0.02);
-}
-
-TEST(BipolarVector, WithExactFlipsFlipsExactly) {
-  Rng rng(15);
-  auto v = BipolarVector::random(500, rng);
-  auto n = v.with_exact_flips(123, rng);
-  EXPECT_EQ(v.dot(n), 500 - 2 * 123);
-  EXPECT_THROW((void)v.with_exact_flips(501, rng), std::invalid_argument);
 }
 
 TEST(BipolarVector, HashDistinguishesAndMatches) {
@@ -336,16 +307,6 @@ TEST(Codebook, ProjectIsLinear) {
   for (std::size_t d = 0; d < 64; ++d) EXPECT_EQ(yab[d], ya[d] + yb[d]);
 }
 
-TEST(Codebook, ResonateFixedPointAtMember) {
-  // A clean codevector is a fixed point of one resonator step.
-  Rng rng(24);
-  Codebook cb(1024, 8, rng);
-  auto x = cb.vector(2);
-  auto next = cb.resonate(x);
-  // The projection is dominated by the matching member; crosstalk is small.
-  EXPECT_GT(next.cosine(x), 0.95);
-}
-
 TEST(Codebook, NearestFindsNoisyMember) {
   Rng rng(25);
   Codebook cb(1024, 32, rng);
@@ -447,62 +408,20 @@ TEST(CodebookSet, ComposeBindsMembers) {
   EXPECT_TRUE(s == manual);
 }
 
-TEST(CodebookSet, SearchSpaceIsProduct) {
-  Rng rng(30);
-  CodebookSet set(64, 4, 10, rng);
-  EXPECT_DOUBLE_EQ(set.search_space(), 10000.0);
-}
-
 TEST(CodebookSet, ComposeWrongArityThrows) {
   Rng rng(31);
   CodebookSet set(64, 3, 4, rng);
   EXPECT_THROW((void)set.compose({0, 1}), std::invalid_argument);
 }
 
-TEST(Vsa, BindAllOfOneIsIdentity) {
-  Rng rng(40);
-  auto a = BipolarVector::random(128, rng);
-  EXPECT_TRUE(h3dfact::hdc::bind_all({a}) == a);
-}
-
-TEST(Vsa, UnbindRecoversFactor) {
-  Rng rng(41);
-  auto a = BipolarVector::random(512, rng);
-  auto b = BipolarVector::random(512, rng);
-  auto c = BipolarVector::random(512, rng);
-  auto s = h3dfact::hdc::bind_all({a, b, c});
-  EXPECT_TRUE(s.bind(b).bind(c) == a);
-}
-
 TEST(Vsa, BundlePreservesMemberSimilarity) {
   Rng rng(42);
   std::vector<BipolarVector> vs;
   for (int i = 0; i < 5; ++i) vs.push_back(BipolarVector::random(2048, rng));
-  auto bun = h3dfact::hdc::bundle(vs, rng);
+  auto bun = h3dfact::hdc::bundle(vs);
   for (const auto& v : vs) EXPECT_GT(bun.cosine(v), 0.2);
   auto unrelated = BipolarVector::random(2048, rng);
   EXPECT_LT(std::abs(bun.cosine(unrelated)), 0.12);
-}
-
-TEST(Vsa, BundleWeightedFavorsHeavyMember) {
-  Rng rng(43);
-  auto a = BipolarVector::random(1024, rng);
-  auto b = BipolarVector::random(1024, rng);
-  auto w = h3dfact::hdc::bundle_weighted({a, b}, {5, 1});
-  EXPECT_GT(w.cosine(a), w.cosine(b));
-}
-
-TEST(Vsa, SequenceOrderMatters) {
-  Rng rng(44);
-  auto a = BipolarVector::random(1024, rng);
-  auto b = BipolarVector::random(1024, rng);
-  auto ab = h3dfact::hdc::encode_sequence({a, b});
-  auto ba = h3dfact::hdc::encode_sequence({b, a});
-  EXPECT_LT(std::abs(ab.cosine(ba)), 0.15);
-}
-
-TEST(Vsa, QuasiOrthogonalityZScore) {
-  EXPECT_NEAR(h3dfact::hdc::quasi_orthogonality_z(0.1, 100), 1.0, 1e-12);
 }
 
 TEST(ItemMemory, CleanupFindsExactItem) {
@@ -525,19 +444,6 @@ TEST(ItemMemory, CleanupToleratesNoise) {
   }
   auto noisy = mem.vector(31).with_flips(0.25, rng);
   EXPECT_EQ(mem.cleanup(noisy).index, 31u);
-}
-
-TEST(ItemMemory, TopKOrdering) {
-  Rng rng(52);
-  ItemMemory mem(256);
-  auto base = BipolarVector::random(256, rng);
-  mem.add("far", BipolarVector::random(256, rng));
-  mem.add("near", base.with_flips(0.05, rng));
-  mem.add("exact", base);
-  auto top = mem.top_k(base, 2);
-  ASSERT_EQ(top.size(), 2u);
-  EXPECT_EQ(top[0].label, "exact");
-  EXPECT_EQ(top[1].label, "near");
 }
 
 TEST(ItemMemory, FindByLabel) {
@@ -597,46 +503,23 @@ TEST(SceneEncoder, InvalidObjectThrows) {
   EXPECT_THROW((void)enc.encode({{0, 0, 0, 99}}), std::out_of_range);
 }
 
-TEST(Vsa, SequenceDecodableByUnbindingPermutedFactors) {
-  // seq = v0 ⊙ ρ(v1) ⊙ ρ²(v2): unbinding two recovers the third.
-  Rng rng(45);
-  auto a = BipolarVector::random(1024, rng);
-  auto b = BipolarVector::random(1024, rng);
-  auto c = BipolarVector::random(1024, rng);
-  auto seq = h3dfact::hdc::encode_sequence({a, b, c});
-  auto rec = seq.bind(b.permute(1)).bind(c.permute(2));
-  EXPECT_TRUE(rec == a);
-}
-
-TEST(Vsa, PermutationDistributesOverBinding) {
-  Rng rng(46);
-  auto a = BipolarVector::random(512, rng);
-  auto b = BipolarVector::random(512, rng);
-  EXPECT_TRUE(a.bind(b).permute(7) == a.permute(7).bind(b.permute(7)));
-}
-
 TEST(Vsa, BundleCapacityDegradesGracefully) {
   // Member similarity of a k-bundle scales ~1/sqrt(k); all members stay
-  // recoverable by cleanup well past k=10 at this dimension.
+  // recoverable well past k=10 at this dimension.
   Rng rng(47);
   const std::size_t d = 2048;
   std::vector<BipolarVector> vs;
   for (int i = 0; i < 15; ++i) vs.push_back(BipolarVector::random(d, rng));
-  auto bun = h3dfact::hdc::bundle(vs, rng);
-  ItemMemory mem(d);
-  for (std::size_t i = 0; i < vs.size(); ++i) {
-    mem.add("m" + std::to_string(i), vs[i]);
-  }
-  // Distractors.
+  auto bun = h3dfact::hdc::bundle(vs);
+  long long best_distractor = -static_cast<long long>(d);
   for (int i = 0; i < 50; ++i) {
-    mem.add("d" + std::to_string(i), BipolarVector::random(d, rng));
+    best_distractor =
+        std::max(best_distractor, bun.dot(BipolarVector::random(d, rng)));
   }
   // Each member beats every distractor.
   for (std::size_t i = 0; i < vs.size(); ++i) {
-    auto top = mem.top_k(bun, vs.size());
-    bool found = false;
-    for (const auto& r : top) found = found || (r.index == i);
-    EXPECT_TRUE(found) << "member " << i << " lost in the bundle";
+    EXPECT_GT(bun.dot(vs[i]), best_distractor)
+        << "member " << i << " lost in the bundle";
   }
 }
 
@@ -695,7 +578,7 @@ TEST(Properties, BindUnbindRoundTripIsExactIdentity) {
     auto a = BipolarVector::random(d, rng);
     auto b = BipolarVector::random(d, rng);
     auto c = BipolarVector::random(d, rng);
-    auto s = h3dfact::hdc::bind_all({a, b, c});
+    auto s = a.bind(b).bind(c);
     EXPECT_TRUE(s.bind(b).bind(c) == a) << "dim " << d;
     EXPECT_TRUE(s.bind(a).bind(c) == b) << "dim " << d;
     EXPECT_TRUE(s.bind(a).bind(b) == c) << "dim " << d;

