@@ -178,27 +178,12 @@ std::uint64_t fig6b_seed(const GridParams& p) {
   return param_u64(p, "seed", 66);
 }
 
-sweep::SweepSpec build_fig6b(const GridParams& p) {
-  // Every worker reconstructs the same testchip, so all derive the same
-  // VTGT retune factor.
-  const double retune = fig6b_testchip(p).vtgt_retune_factor();
-  const auto params = device::default_rram_40nm();
-
-  sweep::SweepSpec spec;
-  spec.name = kFig6b;
-  spec.base.dim = 1024;
-  spec.base.factors = static_cast<std::size_t>(param_u64(p, "f", 3));
-  spec.base.codebook_size = static_cast<std::size_t>(param_u64(p, "m", 7));
-  spec.base.trials = static_cast<std::size_t>(param_u64(p, "trials", 50));
-  spec.base.max_iterations = static_cast<std::size_t>(param_u64(p, "cap", 60));
-  spec.base.seed = fig6b_seed(p) + 10;
-  spec.base.record_correct_trace = true;
-  // The modelled macros draw device noise per call; keep the sequential
-  // draw order (the batch-of-one replay guarantee applies per trial).
-  spec.base.execution = resonator::TrialExecution::kPerTrial;
-
-  spec.factory = [params, retune](std::shared_ptr<const hdc::CodebookSet> set,
-                                  const sweep::Cell& cell) {
+// The fig6b factorizer: the device-level CIM engine, its 4-bit macros
+// programmed from the cell seed and its VTGT retuned by `retune`.
+sweep::CellFactory fig6b_factory(double retune) {
+  return [params = device::default_rram_40nm(), retune](
+             std::shared_ptr<const hdc::CodebookSet> set,
+             const sweep::Cell& cell) {
     cim::MacroConfig mc;
     mc.rows = 256;
     mc.subarrays = 4;
@@ -215,6 +200,107 @@ sweep::SweepSpec build_fig6b(const GridParams& p) {
     opts.record_correct_trace = true;
     return resonator::ResonatorNetwork(std::move(set), std::move(engine),
                                        opts);
+  };
+}
+
+sweep::SweepSpec build_fig6b(const GridParams& p) {
+  // Every worker reconstructs the same testchip, so all derive the same
+  // VTGT retune factor.
+  const double retune = fig6b_testchip(p).vtgt_retune_factor();
+
+  sweep::SweepSpec spec;
+  spec.name = kFig6b;
+  spec.base.dim = 1024;
+  spec.base.factors = static_cast<std::size_t>(param_u64(p, "f", 3));
+  spec.base.codebook_size = static_cast<std::size_t>(param_u64(p, "m", 7));
+  spec.base.trials = static_cast<std::size_t>(param_u64(p, "trials", 50));
+  spec.base.max_iterations = static_cast<std::size_t>(param_u64(p, "cap", 60));
+  spec.base.seed = fig6b_seed(p) + 10;
+  spec.base.record_correct_trace = true;
+  // The modelled macros draw device noise per call; keep the sequential
+  // draw order (the batch-of-one replay guarantee applies per trial).
+  spec.base.execution = resonator::TrialExecution::kPerTrial;
+
+  spec.factory = fig6b_factory(retune);
+  return spec;
+}
+
+// --- equivalence ------------------------------------------------------------
+
+// The cells scripts/check_equivalence.py compares between a parent and a
+// change (docs/sweeps.md, "Statistical equivalence"): Table II's F3/M16,
+// F3/M32, F3/M64 and F4/M16 H3DFact cells at their Table II operating
+// points and caps; the 8-bit-ADC design point of the dse-smoke frontier
+// (bench/baselines/frontier-small.json: F3/M16, cap 200); and fig6b's CIM
+// cell on its testchip. A cell's seed draws its codebooks (and fig6b's
+// programmed chip), and one codebook set shifts mean iterations by several
+// percent, more than the gate resolves. So each cell runs as kReplicas
+// replicas, each with its own seed and codebooks, and the gate pools them:
+// 40000 H3DFact trials and 6000 CIM trials per cell, which give the rank
+// test a power of at least 0.8 against a 5 % shift in mean iterations
+// (docs/sweeps.md). `theta`, when given, replaces the sense threshold of
+// every H3DFact cell: the gate's self-test must tell 1.4 from 1.5.
+sweep::SweepSpec build_equivalence(const GridParams& p) {
+  constexpr std::size_t kReplicas = 400;
+  constexpr std::size_t kH3dfactTrials = 100;  // per replica
+  constexpr std::size_t kCimTrials = 15;
+  const bool retheta = p.count("theta") != 0;
+  const double theta = param_f64(p, "theta", 1.5);
+  const double retune = fig6b_testchip({}).vtgt_retune_factor();
+
+  sweep::SweepSpec spec;
+  spec.name = kEquivalence;
+  spec.base.dim = 1024;
+  spec.base.seed = param_u64(p, "seed", 3301);
+  std::vector<sweep::AxisPoint> points;
+  auto h3dfact = [&](const Table2Row& r, int adc_bits, std::string label) {
+    sweep::AxisPoint pt;
+    pt.label = std::move(label);
+    pt.value = static_cast<double>(r.M);
+    pt.apply = [r, adc_bits,
+                theta = retheta ? theta : r.theta](sweep::Cell& c) {
+      c.config.factors = r.F;
+      c.config.codebook_size = r.M;
+      c.config.trials = kH3dfactTrials;
+      c.config.max_iterations = r.h3d_cap;
+      c.params["theta"] = theta;
+      c.params["sigma"] = r.sigma;
+      c.params["adc_bits"] = adc_bits;
+    };
+    points.push_back(std::move(pt));
+  };
+  for (const Table2Row& r : table2_rows(false, 0)) {
+    if ((r.F == 3 && r.M <= 64) || (r.F == 4 && r.M == 16)) {
+      h3dfact(r, 4, "F" + std::to_string(r.F) + "/M" + std::to_string(r.M));
+    }
+  }
+  // dse_search's channel defaults (sigma 0.5, theta 1.5, clip 4) at the
+  // dse-smoke cap of 200; the row's trial budgets go unused.
+  h3dfact({3, 16, 0, 0, 0, 200, 1.5, 0.5}, 8, "F3/M16/A8");
+  sweep::AxisPoint cim;
+  cim.label = "fig6b";
+  cim.value = 7;
+  cim.apply = [](sweep::Cell& c) {
+    c.config.factors = 3;
+    c.config.codebook_size = 7;
+    c.config.trials = kCimTrials;
+    c.config.max_iterations = 60;
+    c.config.execution = resonator::TrialExecution::kPerTrial;
+    c.params["cim"] = 1;
+  };
+  points.push_back(std::move(cim));
+  spec.axes.push_back(sweep::Axis::custom("cell", std::move(points)));
+  std::vector<double> replicas(kReplicas);
+  for (std::size_t i = 0; i < kReplicas; ++i) {
+    replicas[i] = static_cast<double>(i);
+  }
+  spec.axes.push_back(sweep::Axis::param("replica", std::move(replicas)));
+
+  spec.factory = [cim_factory = fig6b_factory(retune)](
+                     std::shared_ptr<const hdc::CodebookSet> set,
+                     const sweep::Cell& cell) {
+    if (cell.param("cim", 0) > 0.5) return cim_factory(std::move(set), cell);
+    return sweep::make_h3dfact_cell(std::move(set), cell);
   };
   return spec;
 }
@@ -352,6 +438,7 @@ void register_all() {
   sweep::register_grid(kAblationNoiseTheta, build_noise_theta);
   sweep::register_grid(kAblationDevice, build_device);
   sweep::register_grid(kAblationGeometry, build_geometry);
+  sweep::register_grid(kEquivalence, build_equivalence);
 }
 
 }  // namespace h3dfact::bench::grids

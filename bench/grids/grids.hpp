@@ -16,6 +16,8 @@
 //   ablation_noise_theta  — same as sigma (seed offset applied internally)
 //   ablation_device       — dim=1024, m=128, trials=20, cap=6000, seed=55
 //   ablation_geometry     — (trial-free: cells are evaluated analytically)
+//   equivalence           — seed=3301, theta (default: each H3DFact cell's
+//                           own sense threshold)
 
 #include "device/rram_chip_data.hpp"
 #include "sweep/registry.hpp"
@@ -30,6 +32,7 @@ inline constexpr const char* kAblationNoiseSigma = "ablation_noise_sigma";
 inline constexpr const char* kAblationNoiseTheta = "ablation_noise_theta";
 inline constexpr const char* kAblationDevice = "ablation_device";
 inline constexpr const char* kAblationGeometry = "ablation_geometry";
+inline constexpr const char* kEquivalence = "equivalence";
 
 /// Register every paper grid with the sweep registry. Idempotent; called by
 /// the grid bench mains and by sweep_worker before serving.

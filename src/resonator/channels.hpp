@@ -10,6 +10,7 @@
 // return values in any positively-scaled unit (e.g. raw ADC codes).
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,25 +42,24 @@ class SimilarityChannel {
 /// |a| < `threshold` (the VTGT decision, sparsifying like [15]); then an
 /// `adc_bits`-bit unsigned mid-tread ADC over [0, clip] with 2^bits − 1
 /// codes. Values within half a step of zero read as 0, so a coarse ADC
-/// sparsifies too (Fig. 6a). Each entry draws one gaussian, in entry
-/// order, even at sigma = 0. sigma, threshold and clip must be finite.
+/// sparsifies too (Fig. 6a). sigma, threshold and clip must be finite, and
+/// sigma at most 3276.7 counts, so that the noise table below stays within
+/// 2^16 rows.
 ///
-/// apply() skips the transform of the Box–Muller pairs the threshold
-/// already decides. A pair's normals are r·cos and r·sin of one angle,
-/// with r = √(−2 ln u1), so both are at most r in magnitude. For an
-/// entry e below θ − ½, let R = (θ − ½ − e)/σ, shrunk by a relative 1e-9.
-/// If u1 ≥ U(e) = exp(−R²/2), then r ≤ R, so e + σz < θ − ½ and the
-/// rounded count is below θ: the threshold reads it as 0, or, when it is
-/// negative, the unsigned ADC does. A pair whose u1 is at least U of its
-/// larger entry therefore codes both entries 0 without computing the
-/// transform. The 1e-9 margin absorbs the rounding of exp, log, sqrt and
-/// the final sum. Pairs with R < 1e-3 are always evaluated: they would
-/// almost never skip, and at that scale exp's rounding outgrows the margin.
-/// The uniforms of a skipped pair are still drawn, and the call's last
-/// draw always goes through util::Rng::gaussian(). The generator therefore
-/// ends as a draw-by-draw loop leaves it, down to the consumed sine that
-/// util::RngState keeps and tests compare, and the codes are the same bit
-/// for bit.
+/// apply() samples by inverse CDF and takes exactly one util::Rng::next()
+/// per entry, in entry order. An exact similarity e is an integer, so the
+/// rounded noisy count is e + n, where n is a discretized Gaussian with
+/// F(k) = P(n ≤ k) = Φ((k + ½)/σ). The channel holds F as the 2K + 1
+/// thresholds T(k) = ⌊F(k)·2^64⌋, k = −K..K with K = ⌈10σ⌉, a table that
+/// depends on σ alone and is built once per σ per process (the first 64
+/// distinct σ are kept). A draw u gives the smallest n with u < T(n).
+/// Threshold and ADC never decrease as the count grows, so with b₀ the
+/// largest count that codes 0, an entry whose u is below T(b₀ − e) codes 0
+/// without a search (at M = 16 the common case); any other entry
+/// binary-searches n above b₀ − e and codes e + n through the same map.
+/// The codes follow the Gaussian's distribution to the 2^-64 grid of the
+/// thresholds, except that the tails past ±10σ (under 1e-23) lump onto
+/// ±K. No log, sqrt or trigonometric function runs in the channel.
 class H3dfactChannel final : public SimilarityChannel {
  public:
   H3dfactChannel(double sigma, double threshold, int adc_bits, double clip);
@@ -68,8 +68,8 @@ class H3dfactChannel final : public SimilarityChannel {
   [[nodiscard]] std::string describe() const override;
 
  private:
-  /// The ADC code of entry `exact` under standard normal noise `z`.
-  [[nodiscard]] int code(int exact, double z) const;
+  /// The ADC code of the noisy count v.
+  [[nodiscard]] int code(long long v) const;
 
   double sigma_;
   double threshold_;
@@ -77,13 +77,8 @@ class H3dfactChannel final : public SimilarityChannel {
   double clip_;
   double max_code_;  ///< 2^bits − 1, the top ADC code
   double step_;
-  /// skip_u_[e] is U(e) for e in [0, skip_top_), and 2.0 (never skip, as
-  /// u1 ≤ 1) at skip_top_. An entry is looked up at clamp(e, 0, skip_top_):
-  /// an e ≥ skip_top_ has no gap below θ − ½ (or lies past the table's
-  /// 2^16-row cap) and is always evaluated, and a negative e has a wider
-  /// gap than e = 0, so U(0) is a safe bound for it.
-  int skip_top_ = 0;
-  std::vector<double> skip_u_;
+  long long zero_top_ = 0;  ///< b₀, the largest count that codes 0
+  std::shared_ptr<const std::vector<std::uint64_t>> cdf_;  ///< T(−K..K)
 };
 
 /// x rounded to the nearest integer, halfway cases away from zero: what

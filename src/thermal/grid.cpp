@@ -137,11 +137,15 @@ ThermalSolution ThermalGrid::solve() const {
     });
     return vav;
   };
-  // The stop value max_p |r_p / gsum_p|. A NaN sticks, so it never meets
-  // the tolerance.
+  // The reported residual max_p |r_p / gsum_p|. A NaN sticks, so it never
+  // meets the tolerance.
   auto scaled_max = [](double m, double v) {
     return v > m || std::isnan(v) ? v : m;
   };
+  // The stop test asks only whether that max is below the tolerance, so
+  // the passes carry a flag, not a serial max chain: some |z_p| is not
+  // below the tolerance, a NaN included.
+  const double tolerance = config_.tolerance_C;
 
   // Jacobi-preconditioned conjugate gradients on A theta = power, from
   // theta = 0: r is the residual power - A theta, z = r / gsum, d the
@@ -149,25 +153,26 @@ ThermalSolution ThermalGrid::solve() const {
   // returns exact ambient.
   std::vector<double> theta(padded, 0.0), r = power;
   std::vector<double> d(padded, 0.0), q(padded, 0.0);
-  double rz = 0.0, stop = 0.0;
+  double rz = 0.0;
+  bool above_tolerance = false;
   for_cells([&](std::size_t, std::size_t p) {
     const double z = r[p] * inv_gsum[p];
     d[p] = z;
     rz += r[p] * z;
-    stop = scaled_max(stop, std::abs(z));
+    above_tolerance |= !(std::abs(z) < tolerance);
   });
   std::size_t iterations = 0;
-  while (!(stop < config_.tolerance_C) && iterations < config_.max_sweeps) {
+  while (above_tolerance && iterations < config_.max_sweeps) {
     ++iterations;
     const double alpha = rz / apply(d, q);
     double rz_next = 0.0;
-    stop = 0.0;
+    above_tolerance = false;
     for_cells([&](std::size_t, std::size_t p) {
       theta[p] += alpha * d[p];
       r[p] -= alpha * q[p];
       const double z = r[p] * inv_gsum[p];
       rz_next += r[p] * z;
-      stop = scaled_max(stop, std::abs(z));
+      above_tolerance |= !(std::abs(z) < tolerance);
     });
     const double beta = rz_next / rz;
     rz = rz_next;

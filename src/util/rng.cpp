@@ -26,16 +26,13 @@ double Rng::gaussian() {
     has_cached_gauss_ = false;
     return cached_gauss_;
   }
-  const GaussianPair z = box_muller(gaussian_uniforms());
-  cached_gauss_ = z.sin;
+  const double u1 = 1.0 - uniform();
+  const double u2 = uniform();
+  const double r = std::sqrt(-2.0 * std::log(u1));
+  const double theta = 2.0 * M_PI * u2;
+  cached_gauss_ = r * std::sin(theta);
   has_cached_gauss_ = true;
-  return z.cos;
-}
-
-Rng::GaussianPair Rng::box_muller(PairUniforms u) {
-  const double r = std::sqrt(-2.0 * std::log(u.u1));
-  const double theta = 2.0 * M_PI * u.u2;
-  return {r * std::cos(theta), r * std::sin(theta)};
+  return r * std::cos(theta);
 }
 
 double Rng::lognormal(double mu, double sigma) {

@@ -114,8 +114,12 @@ TEST(Pipeline, DisentanglesCleanishScenes) {
   cfg.max_iterations = 300;
   cfg.frontend.feature_cosine = 0.8;
   PerceptionPipeline pipe(cfg);
+  // 300 scenes: over datasets of 30 the attribute accuracy spreads with an
+  // SD of about 0.026 around 0.978, so one dataset in seven read under the
+  // bound; over 300 scenes the SD is about 0.008 and the bound sits 3.4 SDs
+  // below the mean.
   Rng rng(6);
-  RavenDataset ds(30, rng);
+  RavenDataset ds(300, rng);
   auto res = pipe.evaluate(ds);
   EXPECT_GE(res.attribute_accuracy(), 0.95);
 }

@@ -25,9 +25,11 @@
 #include <vector>
 
 #include "hdc/kernels/thread_pool.hpp"
+#include "resonator/channels.hpp"
 #include "serve/serving.hpp"
 #include "sweep/protocol.hpp"
 #include "sweep/transport.hpp"
+#include "util/rng.hpp"
 #include "util/sync.hpp"
 
 namespace {
@@ -146,6 +148,39 @@ TEST(SyncStress, CondVarProducerConsumerDeliversEveryItem) {
 
   util::MutexLock lock(shared.sum_mutex);
   EXPECT_EQ(shared.consumed_sum, expected);
+}
+
+// --- H3DFact channel noise table --------------------------------------------
+
+// H3dfactChannel's noise table is built once per sigma per process and read
+// by every channel of that sigma: threads that race to build channels at
+// sigmas nothing has used yet, and sample through them at once, must each
+// read the codes of a channel built after the race.
+TEST(ChannelRaceStress, RacingBuildersReadOneNoiseTablePerSigma) {
+  constexpr int kThreads = 8;
+  // Values around the threshold and across ADC steps, so the codes vary.
+  std::vector<int> exact;
+  for (int e = -40; e <= 200; e += 3) exact.push_back(e);
+  for (const double sigma : {17.125, 23.5}) {  // unused elsewhere here
+    std::atomic<bool> go{false};
+    std::vector<std::vector<int>> codes(kThreads);
+    std::vector<std::thread> pool;
+    pool.reserve(kThreads);
+    for (int i = 0; i < kThreads; ++i) {
+      pool.emplace_back([&, i]() {
+        while (!go.load()) std::this_thread::yield();
+        const resonator::H3dfactChannel ch(sigma, 48.0, 4, 128.0);
+        util::Rng rng(99);
+        codes[static_cast<std::size_t>(i)] = ch.apply(exact, rng);
+      });
+    }
+    go = true;
+    for (auto& th : pool) th.join();
+    const resonator::H3dfactChannel after(sigma, 48.0, 4, 128.0);
+    util::Rng rng(99);
+    const std::vector<int> want = after.apply(exact, rng);
+    for (const std::vector<int>& got : codes) EXPECT_EQ(got, want) << sigma;
+  }
 }
 
 // --- kernel worker pool under contention ------------------------------------

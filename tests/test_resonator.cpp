@@ -3,7 +3,6 @@
 // runner statistics, and profiling.
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <gtest/gtest.h>
@@ -75,7 +74,9 @@ TEST(Channels, RejectsInvalidParams) {
       {"threshold", 0.0, -1.0, 10.0}, {"threshold", 0.0, nan, 10.0},
       {"threshold", 0.0, inf, 10.0},  {"clip", 0.0, 0.0, 0.0},
       {"clip", 0.0, 0.0, -1.0},       {"clip", 0.0, 0.0, nan},
-      {"clip", 0.0, 0.0, inf}};
+      {"clip", 0.0, 0.0, inf},
+      // Past the noise table's 2^16 rows (K = ⌈10σ⌉ = 32768).
+      {"sigma", 3276.8, 0.0, 10.0}};
   for (const Bad& b : bad) {
     try {
       const H3dfactChannel ch(b.sigma, b.threshold, 4, b.clip);
@@ -129,153 +130,139 @@ TEST(Channels, H3dfactFactoryComposition) {
 
 // Pins the channel's output stream: the paper-default channel at D = 1024
 // (sigma 16, threshold 48, 4-bit ADC over [0, 128]) on a fixed input and
-// generator must give these codes and consume exactly one gaussian per
-// entry. Any rewrite of the channel must keep both.
+// generator must give these codes and consume exactly one next() per
+// entry.
 TEST(Channels, H3dfactChannelOutputIsPinned) {
   const std::vector<int> exact{-300, -48, 0,   12,  30,  47,  48,  60,
                                75,   90,  110, 128, 140, 200, 512, 1024};
   Rng rng(7);
   const auto ch = resonator::make_h3dfact_channel(1024);
   EXPECT_EQ(ch->apply(exact, rng),
-            (std::vector<int>{0, 0, 0, 0, 8, 0, 6, 7, 10, 12, 13, 13, 15, 15,
+            (std::vector<int>{0, 0, 0, 0, 8, 8, 0, 0, 8, 9, 13, 15, 15, 15,
                               15, 15}));
   Rng fresh(7);
-  for (std::size_t i = 0; i < exact.size(); ++i) (void)fresh.gaussian();
+  for (std::size_t i = 0; i < exact.size(); ++i) (void)fresh.next();
   EXPECT_EQ(rng.save_state(), fresh.save_state());
 }
 
-// The channel as a draw-by-draw two-pass loop: one Rng::gaussian() per
-// entry, libm rounding, then threshold and ADC. apply() must match it bit
-// for bit, generator state included.
-std::vector<int> two_pass_channel(const std::vector<int>& exact, double sigma,
-                                  double threshold, int bits, double clip,
-                                  Rng& rng) {
+// Φ(x), the standard normal CDF, from libm's erfc.
+double normal_cdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
+
+// The channel's code distribution for exact value e in closed form: the
+// rounded count e + n with P(n = k) = Φ((k + ½)/σ) − Φ((k − ½)/σ), through
+// threshold and ADC written out here with libm rounding.
+std::vector<double> code_pmf(int e, double sigma, double threshold, int bits,
+                             double clip) {
   const double max_code = (1 << bits) - 1;
   const double step = clip / max_code;
-  std::vector<int> out(exact.size());
-  for (std::size_t m = 0; m < exact.size(); ++m) {
-    out[m] = static_cast<int>(std::lround(exact[m] + rng.gaussian(0.0, sigma)));
+  std::vector<double> pmf(static_cast<std::size_t>(max_code) + 1, 0.0);
+  const auto reach = static_cast<int>(std::ceil(12.0 * sigma)) + 1;
+  for (int k = -reach; k <= reach; ++k) {
+    const double p =
+        normal_cdf((k + 0.5) / sigma) - normal_cdf((k - 0.5) / sigma);
+    const double v = e + k;
+    const double sensed = std::abs(v) < threshold ? 0.0 : v;
+    pmf[static_cast<std::size_t>(
+        std::clamp(std::round(sensed / step), 0.0, max_code))] += p;
   }
-  for (int& v : out) {
-    const double sensed =
-        std::abs(static_cast<double>(v)) < threshold ? 0.0 : v;
-    v = static_cast<int>(std::clamp(std::round(sensed / step), 0.0, max_code));
-  }
-  return out;
+  return pmf;
 }
 
-// One exact similarity: next to θ − ½ (where the skip bound is tight), far
-// below it (where pairs skip), negative, above θ, or anywhere in between.
-int channel_entry(Rng& pick, double sigma, double threshold) {
-  const auto edge = static_cast<long long>(std::floor(threshold - 0.5));
-  const auto top = static_cast<long long>(threshold);
-  long long e = 0;
-  switch (pick.below(5)) {
-    case 0: e = edge + pick.range(-2, 2); break;
-    case 1:
-      e = edge - static_cast<long long>(pick.uniform(3.0, 12.0) * sigma) -
-          pick.range(0, 3);
-      break;
-    case 2: e = -pick.range(0, 2000); break;
-    case 3: e = top + pick.range(0, 300); break;
-    default: e = pick.range(-10, 10 + 3 * top); break;
-  }
-  return static_cast<int>(e);
-}
-
-TEST(Channels, MatchesTwoPassLoopBitForBit) {
-  Rng pick(23);
-  for (std::uint64_t config = 0; config < 400; ++config) {
-    // Every fourth config puts all entries one or two counts below an
-    // integer θ with R = ½/σ or 3/(2σ) near 1, where a skip bound that is
-    // only a little too loose would skip draws that cross θ.
-    const bool at_edge = config % 4 == 3;
-    const double sigma = at_edge           ? pick.uniform(0.3, 3.0)
-                         : config % 4 == 0 ? 0.0
-                         : config % 4 == 1 ? pick.uniform(0.0, 0.5)
-                                           : pick.uniform(0.0, 40.0);
-    double threshold = 0.0;
-    switch (at_edge ? 2 : pick.below(5)) {
-      case 0: break;
-      case 1: threshold = pick.uniform(0.0, 0.5); break;
-      case 2: threshold = static_cast<double>(pick.range(1, 100)); break;
-      case 3: threshold = static_cast<double>(pick.below(100)) + 0.5; break;
-      default: threshold = pick.uniform(0.0, 100.0); break;
+// The χ² statistic of `codes` against `pmf`, with the bins expected to hold
+// fewer than 5 draws pooled into one; `df` receives the degrees of freedom.
+double chi_squared(const std::vector<int>& codes,
+                   const std::vector<double>& pmf, int& df) {
+  std::vector<double> seen(pmf.size(), 0.0);
+  for (const int c : codes) seen.at(static_cast<std::size_t>(c)) += 1.0;
+  const auto n = static_cast<double>(codes.size());
+  double chi2 = 0.0, pooled_seen = 0.0, pooled_want = 0.0;
+  int bins = 0;
+  for (std::size_t c = 0; c < pmf.size(); ++c) {
+    const double want = pmf[c] * n;
+    if (want < 5.0) {
+      pooled_seen += seen[c];
+      pooled_want += want;
+      continue;
     }
-    const int bits = static_cast<int>(pick.range(1, 16));
-    const double clip = pick.uniform(0.1, 4.0 * threshold + 20.0);
-    const H3dfactChannel ch(sigma, threshold, bits, clip);
-    SCOPED_TRACE(ch.describe());
-    // One generator pair carried across calls, so every call starts where
-    // the previous one left the state, sometimes with a cached gaussian.
-    Rng got(config);
-    Rng want(config);
-    for (int call = 0; call < 40; ++call) {
-      if (pick.bernoulli(0.4)) {
-        (void)got.gaussian();
-        (void)want.gaussian();
+    chi2 += (seen[c] - want) * (seen[c] - want) / want;
+    ++bins;
+  }
+  if (pooled_want > 0.0) {
+    chi2 += (pooled_seen - pooled_want) * (pooled_seen - pooled_want) /
+            pooled_want;
+    ++bins;
+  }
+  df = bins - 1;
+  return chi2;
+}
+
+// The sampler against the closed-form pmf, not against any earlier code:
+// per exact value e, 100000 draws on a fixed seed, their code histogram's
+// χ² must stay under the 1 − 1e-6 quantile of its distribution
+// (Wilson–Hilferty, z = 4.75). The values straddle θ − ½ and several ADC
+// steps, reach the ADC's top code and go negative; noise_only() puts every
+// count in its own code, so there the histogram is the discretized
+// Gaussian itself.
+TEST(Channels, CodesFollowTheDiscretizedGaussian) {
+  struct Config {
+    double sigma, threshold;
+    int bits;
+    double clip;
+    std::vector<int> values;
+  };
+  const Config configs[] = {
+      // Paper default at D = 1024: θ − ½ = 47.5, ADC step 128/15.
+      {16.0, 48.0, 4, 128.0, {-300, -40, 0, 30, 47, 48, 60, 90, 128, 200}},
+      // A half-integer threshold, an 8-bit ADC of step 100/255.
+      {2.5, 10.5, 8, 100.0, {-3, 8, 9, 10, 11, 12, 50}},
+      // The 16-bit one-count ADC: codes are the rounded counts.
+      {10.0, 0.0, 16, 65535.0, {-5, 0, 3, 1000}},
+      // Noise below one count, and a 1-bit ADC.
+      {0.3, 0.0, 1, 2.0, {0, 1, 2}},
+  };
+  Rng rng(41);
+  for (const Config& cfg : configs) {
+    const H3dfactChannel ch(cfg.sigma, cfg.threshold, cfg.bits, cfg.clip);
+    for (const int e : cfg.values) {
+      SCOPED_TRACE(ch.describe() + ", e = " + std::to_string(e));
+      const std::vector<int> codes =
+          ch.apply(std::vector<int>(100000, e), rng);
+      const std::vector<double> pmf =
+          code_pmf(e, cfg.sigma, cfg.threshold, cfg.bits, cfg.clip);
+      // No draw lands on a code the noise cannot reach (under 1e-30).
+      for (const int c : codes) {
+        ASSERT_GT(pmf.at(static_cast<std::size_t>(c)), 1e-30) << "code " << c;
       }
-      std::vector<int> exact(pick.below(41));
-      for (int& e : exact) {
-        e = at_edge ? static_cast<int>(threshold - 1.0 - pick.range(0, 1))
-                    : channel_entry(pick, sigma, threshold);
-      }
-      ASSERT_EQ(ch.apply(exact, got),
-                two_pass_channel(exact, sigma, threshold, bits, clip, want))
-          << "call " << call << ", " << exact.size() << " entries";
-      ASSERT_EQ(got.save_state(), want.save_state()) << "call " << call;
+      int df = 0;
+      const double chi2 = chi_squared(codes, pmf, df);
+      if (df == 0) continue;  // one code holds all the mass
+      const double h = 2.0 / (9.0 * df);
+      const double bound = df * std::pow(1.0 - h + 4.75 * std::sqrt(h), 3);
+      EXPECT_LT(chi2, bound) << df << " degrees of freedom";
     }
   }
 }
 
-// A generator whose next two outputs are `first` and `second`. xoshiro256**
-// returns rotl(s1·5, 7)·9 and then sets s1 ^= s2 ^ s0, so with s0 = 0 the
-// two outputs fix s1 and s2 (5 and 9 are odd, hence invertible mod 2^64).
-Rng rng_with_outputs(std::uint64_t first, std::uint64_t second) {
-  auto inverse = [](std::uint64_t a) {
-    std::uint64_t x = a;  // Newton's iteration doubles the correct bits
-    for (int i = 0; i < 6; ++i) x *= 2 - a * x;
-    return x;
-  };
-  auto s1_for = [&](std::uint64_t out) {
-    return std::rotr(out * inverse(9), 7) * inverse(5);
-  };
-  util::RngState st;
-  st.s = {0, s1_for(first), s1_for(first) ^ s1_for(second), 0};
-  Rng rng;
-  rng.restore_state(st);
-  return rng;
-}
-
-// The skip bound's margin. A pair drawn exactly at the unshrunk bound
-// u1 = exp(−R²/2), R = (θ − ½ − e)/σ, whose angle puts all of r on one
-// entry (u2 = 0: cos 1; u2 = ¼: sin 1), lifts e = 47 to 47.5 exactly, which
-// rounds to θ = 48 and reads as a nonzero code: the pair must be evaluated.
-TEST(Channels, EvaluatesAPairAtTheUnshrunkSkipBound) {
-  const Rng probe = rng_with_outputs(0x0123456789abcdefULL, 42);
-  Rng copy = probe;
-  ASSERT_EQ(copy.next(), 0x0123456789abcdefULL);
-  ASSERT_EQ(copy.next(), 42u);
-
-  const double sigma = 1.0;
-  const double threshold = 48.0;
-  const H3dfactChannel ch(sigma, threshold, 4, 128.0);
-  const double r = (threshold - 0.5 - 47) / sigma;
-  const double u1 = std::exp(-0.5 * r * r);  // in [0.5, 1), so 1 − u1 is k·2^-53
-  const auto first = static_cast<std::uint64_t>((1.0 - u1) * 0x1p53) << 11;
-  for (const bool on_sine : {false, true}) {
-    SCOPED_TRACE(on_sine ? "sine" : "cosine");
-    const std::uint64_t second = on_sine ? std::uint64_t{1} << 62 : 0;
-    const std::vector<int> exact =
-        on_sine ? std::vector<int>{0, 47, 0, 0} : std::vector<int>{47, 0, 0, 0};
-    Rng got = rng_with_outputs(first, second);
-    Rng want = got;
-    const std::vector<int> codes =
-        two_pass_channel(exact, sigma, threshold, 4, 128.0, want);
-    ASSERT_NE(codes[on_sine ? 1 : 0], 0);  // the draw does reach θ
-    EXPECT_EQ(ch.apply(exact, got), codes);
-    EXPECT_EQ(got.save_state(), want.save_state());
+// The largest noise table, 2K + 1 = 65535 rows at sigma 3276.7
+// (K = 32767; 3276.8 is refused, see RejectsInvalidParams), builds and
+// samples the Gaussian's mean and spread.
+TEST(Channels, SamplesAtTheNoiseTableCap) {
+  constexpr double kWidest = 3276.7;
+  // The one-count 16-bit ADC: 32768 ± 10σ stays inside its codes.
+  const H3dfactChannel widest(kWidest, 0.0, 16, 65535.0);
+  Rng rng(43);
+  const std::vector<int> codes =
+      widest.apply(std::vector<int>(4000, 32768), rng);
+  double sum = 0.0, sum_sq = 0.0;
+  for (const int c : codes) {
+    sum += c - 32768.0;
+    sum_sq += (c - 32768.0) * (c - 32768.0);
   }
+  const double n = static_cast<double>(codes.size());
+  // Five standard errors of the mean and of the SD.
+  EXPECT_NEAR(sum / n, 0.0, 5.0 * kWidest / std::sqrt(n));
+  EXPECT_NEAR(std::sqrt(sum_sq / n), kWidest,
+              5.0 * kWidest / std::sqrt(2.0 * n));
 }
 
 TEST(Channels, RoundHalfAwayMatchesLibm) {
@@ -509,16 +496,17 @@ TEST(Resonator, RunsArePinned) {
         0.0,
         false}},
       // H3DFact: solves, then reaches the cap.
-      {&h3dfact, 4, true, 37, false, {4, 14, 7, 15}, 0, 0,
-       std::string(37, '0') + "1",
-       {{0xbbe12aecb6d6a6e9ULL, 0xe683fbbdce0349feULL, 0x230f5e4ecaf0c2d9ULL,
-         0xb35a96dfd06423b7ULL},
-        -0x1.d40b4189ae466p-1,
+      {&h3dfact, 4, true, 47, false, {4, 14, 7, 15}, 0, 0,
+       std::string(47, '0') + "1",
+       {{0xacd59c1f437f7b24ULL, 0xb7caa870e4e21f3dULL, 0xe2a47596884748b9ULL,
+         0x9f5c0961b6da032dULL},
+        0.0,
         false}},
-      {&h3dfact, 5, false, 60, true, {6, 6, 5, 7}, 0, 0, std::string(61, '0'),
-       {{0x011dbd98d50045bfULL, 0xdb01be061b6e305fULL, 0x643b65a15dda613fULL,
-         0xcdb0f7ac7cf5b221ULL},
-        0x1.4922ed7e57de5p-4,
+      {&h3dfact, 5, false, 60, true, {1, 11, 14, 15}, 0, 0,
+       std::string(61, '0'),
+       {{0xea563971d67138d5ULL, 0xdbd77e498c5e0849ULL, 0xc3ebdc75116ec5b4ULL,
+         0x189adef671ff6ab8ULL},
+        0.0,
         false}},
   };
   for (const Pinned& want : runs) {
