@@ -59,11 +59,12 @@
 
 namespace h3dfact::bench {
 
-/// Run one (D, F, M) accuracy/capacity cell and return the stats.
-inline resonator::TrialStats run_cell(
+/// Measure one (D, F, M) accuracy/capacity cell through the deterministic
+/// baseline or, when `stochastic`, the H3DFact factorizer at the paper's
+/// operating point, and return the stats.
+inline resonator::TrialStats measure_cell(
     std::size_t dim, std::size_t factors, std::size_t m, std::size_t trials,
-    std::size_t cap, std::uint64_t seed, bool stochastic,
-    int adc_bits = 4, double sigma_frac = 0.5) {
+    std::size_t cap, std::uint64_t seed, bool stochastic) {
   resonator::TrialConfig cfg;
   cfg.dim = dim;
   cfg.factors = factors;
@@ -72,10 +73,9 @@ inline resonator::TrialStats run_cell(
   cfg.max_iterations = cap;
   cfg.seed = seed;
   if (stochastic) {
-    cfg.factory = [adc_bits, sigma_frac](
-                      std::shared_ptr<const hdc::CodebookSet> s,
-                      const resonator::TrialConfig& c) {
-      return resonator::make_h3dfact(std::move(s), c, adc_bits, sigma_frac);
+    cfg.factory = [](std::shared_ptr<const hdc::CodebookSet> s,
+                     const resonator::TrialConfig& c) {
+      return resonator::make_h3dfact(std::move(s), c.max_iterations);
     };
   }
   return resonator::run_trials(cfg);

@@ -61,7 +61,7 @@ static int body(int argc, char** argv) {
   util::Table t2("Fig. 1c (right) -- Baseline accuracy vs problem size (F=4)");
   t2.set_header({"M", "search space", "baseline accuracy %"});
   for (std::size_t m : {8u, 16u, 32u, 64u, 128u}) {
-    auto stats = bench::run_cell(dim, 4, m, 30, 1000, seed + 3, false);
+    auto stats = bench::measure_cell(dim, 4, m, 30, 1000, seed + 3, false);
     const double space = std::pow(static_cast<double>(m), 4.0);
     t2.add_row({util::Table::fmt_int(static_cast<long long>(m)),
                 util::Table::fmt(space, 0), bench::acc_pct(stats)});

@@ -148,7 +148,8 @@ sweep::SweepSpec build_table2(const GridParams& p) {
   spec.factory = [](std::shared_ptr<const hdc::CodebookSet> s,
                     const sweep::Cell& cell) {
     if (cell.param("stochastic", 0) < 0.5) {
-      return resonator::make_baseline(std::move(s), cell.config);
+      return resonator::make_baseline(std::move(s),
+                                      cell.config.max_iterations);
     }
     return sweep::make_h3dfact_cell(std::move(s), cell);
   };
@@ -217,10 +218,6 @@ sweep::SweepSpec build_fig6b(const GridParams& p) {
   spec.base.max_iterations = static_cast<std::size_t>(param_u64(p, "cap", 60));
   spec.base.seed = fig6b_seed(p) + 10;
   spec.base.record_correct_trace = true;
-  // The modelled macros draw device noise per call; keep the sequential
-  // draw order (the batch-of-one replay guarantee applies per trial).
-  spec.base.execution = resonator::TrialExecution::kPerTrial;
-
   spec.factory = fig6b_factory(retune);
   return spec;
 }
@@ -285,7 +282,6 @@ sweep::SweepSpec build_equivalence(const GridParams& p) {
     c.config.codebook_size = 7;
     c.config.trials = kCimTrials;
     c.config.max_iterations = 60;
-    c.config.execution = resonator::TrialExecution::kPerTrial;
     c.params["cim"] = 1;
   };
   points.push_back(std::move(cim));

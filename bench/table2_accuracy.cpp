@@ -6,7 +6,7 @@
 // The table is the registered "table2" sweep grid (bench/grids) — a
 // factorizer axis × problem-size axis with per-cell trial budgets and the
 // paper's published values attached as cell metadata — executed through the
-// sharded SweepRunner. --shards=N runs N local worker threads;
+// sharded sweep::run_sweep. --shards=N runs N local worker threads;
 // --listen/--workers spread the grid over TCP `sweep_worker` processes
 // (per-cell stats are bit-identical for every worker mix; see
 // docs/sweeps.md). Scaled-down

@@ -24,8 +24,8 @@ static int body(int argc, char** argv) {
   // Measure the accuracy column at a mid-scale problem where the stochastic
   // benefit shows (F=3, M=96): deterministic digital vs stochastic RRAM.
   std::fprintf(stderr, "[table3] measuring accuracy cells...\n");
-  auto det = bench::run_cell(1024, 3, 96, trials, 3000, seed, /*stochastic=*/false);
-  auto sto = bench::run_cell(1024, 3, 96, trials, 3000, seed, /*stochastic=*/true);
+  auto det = bench::measure_cell(1024, 3, 96, trials, 3000, seed, /*stochastic=*/false);
+  auto sto = bench::measure_cell(1024, 3, 96, trials, 3000, seed, /*stochastic=*/true);
   const std::vector<double> acc = {100.0 * det.accuracy(), 100.0 * sto.accuracy(),
                                    100.0 * sto.accuracy()};
 

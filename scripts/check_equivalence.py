@@ -7,16 +7,19 @@ Usage:
     check_equivalence.py PARENT.json CHANGE.json
     check_equivalence.py --self-test
 
-Per cell it runs two tests:
+Per cell it runs two tests, and a third on traced cells:
   - accuracy: a two-proportion z-test on correct / trials;
   - iterations: a Mann-Whitney rank test on the iteration count of every
     trial, censored at the cap: a trial that did not solve ranks above
-    every solved one, and all of them tie.
+    every solved one, and all of them tie;
+  - one-shot accuracy (Fig. 6b's headline): a two-proportion z-test on
+    correct_raw_by_iteration[1] / trials, for a cell whose two dumps both
+    carry the trace histogram.
 Each p-value is two-sided, from the normal approximation (midranks and
-the tie-corrected variance for the rank test). With m cells the gate runs
-2m tests, and a Bonferroni correction holds the family-wise false-alarm
-rate at ALPHA = 0.05: a cell differs when either of its p-values is below
-ALPHA / (2m).
+the tie-corrected variance for the rank test). With m cells, t of them
+traced, the gate runs 2m + t tests, and a Bonferroni correction holds the
+family-wise false-alarm rate at ALPHA = 0.05: a cell differs when any of
+its p-values is below ALPHA / (2m + t).
 
 Each row also prints the rank test's power, at that threshold and the
 cell's trial count, against a 5 % shift in mean iterations: every parent
@@ -36,8 +39,9 @@ is printed. Exit status: 0 when every cell passes, 1 when a cell differs,
 
 `--self-test` runs the gate on synthetic grids drawn with fixed seeds: a
 seed-only change must pass, and a 27 % drop in mean iterations (what
-theta 1.5 -> 1.4 does at F3/M16) and a 2-point accuracy drop must each
-fail. docs/sweeps.md gives the real-data pair and the measured power.
+theta 1.5 -> 1.4 does at F3/M16), a 2-point accuracy drop and a 2-point
+one-shot accuracy drop must each fail. docs/sweeps.md gives the real-data
+pair and the measured power.
 """
 
 import bisect
@@ -132,6 +136,14 @@ def shift_power(sample: list[float], cap: int, alpha: float) -> float:
     return NORMAL.cdf(z - NORMAL.inv_cdf(1.0 - alpha / 2.0))
 
 
+def one_shot(cell: dict) -> int | None:
+    """Trials whose decode read correct after iteration 1, read as
+    TrialStats::accuracy_raw_at(1) reads it (the last slot when the cap is
+    0); None when the cell recorded no traces."""
+    hist = cell.get("correct_raw_by_iteration") or []
+    return hist[min(1, len(hist) - 1)] if hist else None
+
+
 def label(cell: dict) -> str:
     coords = {k: v for k, v in cell["coordinates"].items() if k != "replica"}
     return "/".join(str(v) for v in coords.values()) or str(cell["index"])
@@ -139,7 +151,8 @@ def label(cell: dict) -> str:
 
 def pool(cells: list[dict]) -> list[dict]:
     """Cells that differ only in their `replica` coordinate, merged into
-    one: trials, solved and correct add up, samples concatenate."""
+    one: trials, solved, correct and one-shot counts add up (the one-shot
+    count is None unless every replica is traced), samples concatenate."""
     out: dict[str, dict] = {}
     for cell in cells:
         key = label(cell)
@@ -147,11 +160,14 @@ def pool(cells: list[dict]) -> list[dict]:
             out[key] = {"label": key, "params": cell["params"],
                         "cap": cell["config"]["max_iterations"],
                         "trials": 0, "solved": 0, "correct": 0,
-                        "samples": []}
+                        "one_shot": 0, "samples": []}
         merged = out[key]
         merged["trials"] += cell["stats"]["trials"]
         merged["solved"] += cell["stats"]["solved"]
         merged["correct"] += cell["stats"]["correct"]
+        k = one_shot(cell)
+        merged["one_shot"] = (None if k is None or merged["one_shot"] is None
+                              else merged["one_shot"] + k)
         merged["samples"] += cell["iteration_samples"]
     return list(out.values())
 
@@ -180,14 +196,17 @@ def compare(parent: dict, change: dict, out=sys.stdout) -> int:
                 fail(f"cell {label(p)}: {key} {p['config'][key]} vs "
                      f"{c['config'][key]}")
     pooled = list(zip(pool(pcells), pool(ccells)))
-    tests = 2 * len(pooled)
+    traced = sum(p["one_shot"] is not None and c["one_shot"] is not None
+                 for p, c in pooled)
+    tests = 2 * len(pooled) + traced
     level = ALPHA / tests
     print(f"{parent['sweep']}: {len(pooled)} cells ({len(pcells)} replicas),"
           f" {tests} tests, family-wise alpha {ALPHA}, per-test level "
           f"{level:.2e}", file=out)
     print(f"{'cell':<10} {'trials':>7} {'acc parent':>10} {'acc change':>10}"
           f" {'p(acc)':>9} {'mean it parent':>14} {'mean it change':>14}"
-          f" {'p(rank)':>9} {'power@5%':>8}  verdict", file=out)
+          f" {'p(rank)':>9} {'power@5%':>8} {'1-shot parent':>13}"
+          f" {'1-shot change':>13} {'p(1-shot)':>9}  verdict", file=out)
     differs = 0
     for p, c in pooled:
         p_acc = proportion_p(p["correct"], p["trials"], c["correct"],
@@ -196,13 +215,20 @@ def compare(parent: dict, change: dict, out=sys.stdout) -> int:
         _, p_rank = rank_test(a, b)
         power = shift_power(a, p["cap"], level)
         bad = p_acc < level or p_rank < level
+        shot = f"{'-':>13} {'-':>13} {'-':>9}"
+        if p["one_shot"] is not None and c["one_shot"] is not None:
+            p_shot = proportion_p(p["one_shot"], p["trials"], c["one_shot"],
+                                  c["trials"])
+            bad = bad or p_shot < level
+            shot = (f"{p['one_shot'] / p['trials']:>13.4f} "
+                    f"{c['one_shot'] / c['trials']:>13.4f} {p_shot:>9.2e}")
         differs += bad
         print(f"{p['label']:<10} {p['trials']:>7} "
               f"{p['correct'] / p['trials']:>10.4f} "
               f"{c['correct'] / c['trials']:>10.4f} {p_acc:>9.2e} "
               f"{sum(a) / len(a):>14.2f} {sum(b) / len(b):>14.2f} "
-              f"{p_rank:>9.2e} {power:>8.3f}  {'DIFFERS' if bad else 'ok'}",
-              file=out)
+              f"{p_rank:>9.2e} {power:>8.3f} {shot}  "
+              f"{'DIFFERS' if bad else 'ok'}", file=out)
         for key in sorted(set(p["params"]) | set(c["params"])):
             if p["params"].get(key) != c["params"].get(key):
                 print(f"{'':<10} param {key}: {p['params'].get(key)} vs "
@@ -216,9 +242,11 @@ def compare(parent: dict, change: dict, out=sys.stdout) -> int:
 # --- self-test ----------------------------------------------------------------
 
 def synthetic_cell(index: int, rng: random.Random, trials: int, cap: int,
-                   mean: float, accuracy: float) -> dict:
+                   mean: float, accuracy: float,
+                   shot: float | None) -> dict:
     """A cell whose solved counts are 1 + geometric-lognormal draws with
-    about the given mean (SD about 1.5× the mean, like F3/M16's)."""
+    about the given mean (SD about 1.5× the mean, like F3/M16's), traced
+    with a one-shot accuracy of about `shot` unless it is None."""
     samples = []
     correct = 0
     mu = math.log(max(mean - 1.0, 1e-9)) - 0.5
@@ -229,6 +257,8 @@ def synthetic_cell(index: int, rng: random.Random, trials: int, cap: int,
         x = 1 + math.floor(rng.lognormvariate(mu, 1.0))
         if x <= cap:
             samples.append(x)
+    hist = [] if shot is None else [
+        0, sum(rng.random() < shot for _ in range(trials))]
     return {"index": index, "coordinates": {"cell": f"S{index}"},
             "params": {}, "config": {"dim": 1024, "factors": 3,
                                      "codebook_size": 16, "trials": trials,
@@ -236,15 +266,16 @@ def synthetic_cell(index: int, rng: random.Random, trials: int, cap: int,
             "stats": {"trials": trials, "solved": len(samples),
                       "correct": min(correct, len(samples)),
                       "accuracy": min(correct, len(samples)) / trials},
-            "iteration_samples": samples}
+            "iteration_samples": samples, "correct_raw_by_iteration": hist}
 
 
-def synthetic_grid(seed: int, means: list[float],
-                   accuracies: list[float]) -> dict:
+def synthetic_grid(seed: int, means: list[float], accuracies: list[float],
+                   shots: list[float | None]) -> dict:
     rng = random.Random(seed)
     return {"sweep": "synthetic",
-            "cells": [synthetic_cell(i, rng, 20000, 1000, m, a)
-                      for i, (m, a) in enumerate(zip(means, accuracies))]}
+            "cells": [synthetic_cell(i, rng, 20000, 1000, m, a, s)
+                      for i, (m, a, s) in enumerate(zip(means, accuracies,
+                                                        shots))]}
 
 
 class Sink:
@@ -255,13 +286,17 @@ class Sink:
 def self_test() -> int:
     means = [32.4, 35.0, 47.0, 54.0]
     acc = [1.0, 1.0, 0.999, 0.999]
-    parent = synthetic_grid(1, means, acc)
+    shots = [None, None, None, 0.935]  # one traced cell, like fig6b's
+    parent = synthetic_grid(1, means, acc, shots)
     cases = [
-        ("a seed-only change passes", synthetic_grid(2, means, acc), 0),
+        ("a seed-only change passes", synthetic_grid(2, means, acc, shots),
+         0),
         ("mean iterations 32.4 -> 23.5 in one cell fails",
-         synthetic_grid(3, [23.5] + means[1:], acc), 1),
+         synthetic_grid(3, [23.5] + means[1:], acc, shots), 1),
         ("accuracy 99.9 % -> 97.9 % in one cell fails",
-         synthetic_grid(4, means, acc[:3] + [0.979]), 1),
+         synthetic_grid(4, means, acc[:3] + [0.979], shots), 1),
+        ("one-shot accuracy 93.5 % -> 91.5 % in one cell fails",
+         synthetic_grid(5, means, acc, shots[:3] + [0.915]), 1),
     ]
     broken = 0
     for name, change, want in cases:
@@ -270,7 +305,7 @@ def self_test() -> int:
         broken += got != want
     # The power column must see a 5 % shift at 20000 trials a side.
     power = shift_power(censored(pool(parent["cells"][:1])[0]), 1000,
-                        ALPHA / 8)
+                        ALPHA / 9)
     ok = power >= 0.8
     print(f"{'ok  ' if ok else 'FAIL'} power against a 5 % shift at 20000 "
           f"trials: {power:.3f}")

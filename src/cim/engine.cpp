@@ -50,14 +50,4 @@ void CimMvmEngine::retune_vtgt(double factor) {
   for (auto& m : macros_) m.retune_vtgt(factor);
 }
 
-resonator::ResonatorNetwork CimMvmEngine::make_resonator(
-    std::shared_ptr<const hdc::CodebookSet> set, const MacroConfig& config,
-    std::size_t max_iterations, util::Rng& rng) {
-  auto engine = std::make_shared<CimMvmEngine>(set, config, rng);
-  resonator::ResonatorOptions opts;
-  opts.max_iterations = max_iterations;
-  opts.detect_limit_cycles = false;  // device noise makes dynamics stochastic
-  return resonator::ResonatorNetwork(std::move(set), std::move(engine), opts);
-}
-
 }  // namespace h3dfact::cim

@@ -45,11 +45,6 @@ class CimMvmEngine final : public resonator::MvmEngine {
   /// Retune every macro's sensing threshold (Sec. V-D).
   void retune_vtgt(double factor);
 
-  /// Build a resonator that runs through this engine.
-  static resonator::ResonatorNetwork make_resonator(
-      std::shared_ptr<const hdc::CodebookSet> set, const MacroConfig& config,
-      std::size_t max_iterations, util::Rng& rng);
-
  private:
   std::shared_ptr<const hdc::CodebookSet> set_;
   std::vector<CimMacro> macros_;

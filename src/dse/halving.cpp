@@ -184,7 +184,7 @@ SearchResult run_search(const sweep::GridRef& ref,
           options.checkpoint_base + ".rung" + std::to_string(k);
     }
     const std::vector<sweep::CellResult> cells =
-        sweep::SweepRunner(rung_spec, rung_opts).run();
+        sweep::run_sweep(rung_spec, rung_opts);
     out.cell_runs += cells.size();
     evaluate_new_cells(hw, cells, rung_opts);
     const std::vector<DesignPoint> points = join_all(hw, cells);

@@ -17,7 +17,7 @@
 // bit-identical to an exhaustive sweep of those cells — which is what lets
 // CI byte-diff the halving frontier against the exhaustive frontier.
 //
-// Every rung executes through the ordinary SweepRunner: local shards or a
+// Every rung executes through the ordinary run_sweep: local shards or a
 // remote fleet, and the sweep checkpoint, all apply per rung (rung k
 // checkpoints to "<base>.rung<k>"), so an interrupted search resumes
 // bit-identically from the completed cells of the rung it died in.
@@ -75,7 +75,7 @@ struct SearchResult {
 /// Run the successive-halving search over the registered grid `ref` names.
 /// With rungs = 1 this IS the exhaustive sweep. Throws std::invalid_argument
 /// for rungs = 0, eta <= 1, or a non-uniform-trials grid, and propagates
-/// SweepRunner failures.
+/// run_sweep failures.
 [[nodiscard]] SearchResult run_search(const sweep::GridRef& ref,
                                       const SearchOptions& options);
 

@@ -172,7 +172,8 @@ sweep::SweepSpec build_design_space(const GridParams& p) {
     // deterministic baseline dynamics. The RRAM designs read through the
     // stochastic H3DFact channel at the cell's ADC precision.
     if (cell.param(kParamDesign, 2) < 0.5) {
-      return resonator::make_baseline(std::move(set), cell.config);
+      return resonator::make_baseline(std::move(set),
+                                      cell.config.max_iterations);
     }
     return sweep::make_h3dfact_cell(std::move(set), cell);
   };

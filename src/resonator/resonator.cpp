@@ -12,26 +12,6 @@
 
 namespace h3dfact::resonator {
 
-hdc::CoeffBlock MvmEngine::similarity_batch(
-    std::size_t factor, std::span<const hdc::BipolarVector> us,
-    util::Rng& rng) {
-  std::vector<std::vector<int>> items;
-  items.reserve(us.size());
-  for (const auto& u : us) items.push_back(similarity(factor, u, rng));
-  return hdc::CoeffBlock::from_items(items);
-}
-
-hdc::CoeffBlock MvmEngine::project_batch(std::size_t factor,
-                                         const hdc::CoeffBlock& coeffs,
-                                         util::Rng& rng) {
-  std::vector<std::vector<int>> items;
-  items.reserve(coeffs.batch);
-  for (std::size_t b = 0; b < coeffs.batch; ++b) {
-    items.push_back(project(factor, coeffs.item(b), rng));
-  }
-  return hdc::CoeffBlock::from_items(items);
-}
-
 void MvmEngine::project_sign(std::size_t factor,
                              std::span<const std::vector<int>> coeffs,
                              std::span<util::Rng* const> tie_rngs,
@@ -392,11 +372,10 @@ ResonatorNetwork make_baseline(std::shared_ptr<const hdc::CodebookSet> set,
 }
 
 ResonatorNetwork make_h3dfact(std::shared_ptr<const hdc::CodebookSet> set,
-                              std::size_t max_iterations, int adc_bits,
-                              double sigma_frac) {
+                              std::size_t max_iterations) {
   ResonatorOptions opts;
   opts.max_iterations = max_iterations;
-  opts.channel = make_h3dfact_channel(set->dim(), adc_bits, sigma_frac);
+  opts.channel = make_h3dfact_channel(set->dim());
   opts.detect_limit_cycles = false;
   return ResonatorNetwork(std::move(set), opts);
 }

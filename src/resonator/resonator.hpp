@@ -29,7 +29,9 @@ namespace h3dfact::resonator {
 
 /// Abstraction of the two MVM kernels so the same loop can run on exact
 /// software kernels or through a modelled hardware path (cim/arch layers).
-/// The loop issues the projection through project_sign, which ends in the
+/// Every engine implements each kernel twice: per call, for a lone problem,
+/// and as one batch pass over the live problems of a lockstep batch. The
+/// loop issues the projection through project_sign, which ends in the
 /// comparator: an engine that can fuse the two (ExactMvmEngine) overrides
 /// it; every other engine inherits the default, which composes its
 /// project/project_batch with hdc::sign_of.
@@ -48,18 +50,18 @@ class MvmEngine {
                                                  util::Rng& rng) = 0;
 
   /// Batched similarity: a_b = X_fᵀ u_b for every query of the batch in one
-  /// engine pass (M×B block). The default walks the per-call kernel in batch
-  /// order, so custom engines stay correct; ExactMvmEngine swaps in the
-  /// blocked XOR+popcount tile kernel and CimMvmEngine a single macro pass.
+  /// engine pass (M×B block): ExactMvmEngine's blocked XOR+popcount tile
+  /// kernel, CimMvmEngine's single macro pass. Item b must be distributed
+  /// like a per-call similarity(factor, us[b]).
   [[nodiscard]] virtual hdc::CoeffBlock similarity_batch(
       std::size_t factor, std::span<const hdc::BipolarVector> us,
-      util::Rng& rng);
+      util::Rng& rng) = 0;
 
   /// Batched projection over an M×B item-major coefficient block (D×B
   /// block out). Same contract as similarity_batch: item b must be
   /// distributed like a per-call project(factor, coeffs.item(b)).
   [[nodiscard]] virtual hdc::CoeffBlock project_batch(
-      std::size_t factor, const hdc::CoeffBlock& coeffs, util::Rng& rng);
+      std::size_t factor, const hdc::CoeffBlock& coeffs, util::Rng& rng) = 0;
 
   /// Projection plus comparator over the live batch (step IV):
   /// out[b] = sign(X_f ã_b), ties broken by tie_rngs[b] as
@@ -209,9 +211,9 @@ ResonatorNetwork make_baseline(std::shared_ptr<const hdc::CodebookSet> set,
                                std::size_t max_iterations);
 
 /// H3DFact stochastic factorizer: Gaussian device noise + sense threshold +
-/// 4-bit unsigned ADC on the similarity path (Sec. III-C).
+/// 4-bit unsigned ADC on the similarity path (Sec. III-C), at the paper's
+/// operating point (make_h3dfact_channel's defaults).
 ResonatorNetwork make_h3dfact(std::shared_ptr<const hdc::CodebookSet> set,
-                              std::size_t max_iterations, int adc_bits = 4,
-                              double sigma_frac = 0.5);
+                              std::size_t max_iterations);
 
 }  // namespace h3dfact::resonator

@@ -148,26 +148,6 @@ void TrialStats::merge_block(const TrialStats& later) {
   }
 }
 
-ResonatorNetwork make_baseline(std::shared_ptr<const hdc::CodebookSet> set,
-                               const TrialConfig& config) {
-  ResonatorOptions opts;
-  opts.max_iterations = config.max_iterations;
-  opts.channel = nullptr;
-  opts.record_correct_trace = config.record_correct_trace;
-  return ResonatorNetwork(std::move(set), opts);
-}
-
-ResonatorNetwork make_h3dfact(std::shared_ptr<const hdc::CodebookSet> set,
-                              const TrialConfig& config, int adc_bits,
-                              double sigma_frac) {
-  ResonatorOptions opts;
-  opts.max_iterations = config.max_iterations;
-  opts.channel = make_h3dfact_channel(set->dim(), adc_bits, sigma_frac);
-  opts.detect_limit_cycles = false;
-  opts.record_correct_trace = config.record_correct_trace;
-  return ResonatorNetwork(std::move(set), opts);
-}
-
 TrialStats run_trials(const TrialConfig& config) {
   if (config.trials == 0) throw std::invalid_argument("zero trials");
   return run_trial_block(config, 0, config.trials);
@@ -194,7 +174,10 @@ TrialStats run_trial_block(const TrialConfig& config, std::size_t begin,
   if (!factory) {
     factory = [](std::shared_ptr<const hdc::CodebookSet> s,
                  const TrialConfig& c) {
-      return make_baseline(std::move(s), c);
+      ResonatorOptions opts;
+      opts.max_iterations = c.max_iterations;
+      opts.record_correct_trace = c.record_correct_trace;
+      return ResonatorNetwork(std::move(s), opts);
     };
   }
 
@@ -215,15 +198,6 @@ TrialStats run_trial_block(const TrialConfig& config, std::size_t begin,
   std::vector<TrialStats> chunk_stats(nchunks);
   std::atomic<std::size_t> next_chunk{0};
 
-  // Per-trial streams derive from (seed, trial index) alone
-  // (trial_stream_seed); the chunk's engine-randomness stream derives from
-  // (seed, chunk index) alone.
-  auto device_rng_for = [&](std::size_t c) {
-    std::uint64_t stream =
-        cfg.seed ^ (0xd1ceb004c0ffee11ULL + c * 0x9e3779b97f4a7c15ULL);
-    return util::Rng(util::splitmix64(stream));
-  };
-
   auto run_chunks = [&]() {
     // The factory receives the config, so the network it builds already
     // honors the trace opt-in — no rebuild behind the factory's back.
@@ -233,7 +207,6 @@ TrialStats run_trial_block(const TrialConfig& config, std::size_t begin,
           "record_correct_trace requested but the factory built a network "
           "without ResonatorOptions::record_correct_trace");
     }
-    const bool batched = cfg.execution == TrialExecution::kBatched;
 
     for (;;) {
       const std::size_t slot = next_chunk.fetch_add(1);
@@ -255,21 +228,18 @@ TrialStats run_trial_block(const TrialConfig& config, std::size_t begin,
         rngs.push_back(r);  // post-sampling state, as a standalone run sees it
       }
 
+      // The chunk's engine randomness (CIM device noise) draws from one
+      // stream keyed by (seed, chunk index) alone, as each trial's stream
+      // is keyed by (seed, trial index).
+      std::uint64_t stream =
+          cfg.seed ^ (0xd1ceb004c0ffee11ULL + c * 0x9e3779b97f4a7c15ULL);
+      util::Rng device_rng(util::splitmix64(stream));
       TrialStats local;
-      if (batched) {
-        util::Rng device_rng = device_rng_for(c);
-        auto results = net.run(problems, rngs, device_rng);
-        for (std::size_t i = 0; i < results.size(); ++i) {
-          local.accumulate(results[i],
-                           problems[i].is_correct(results[i].decoded),
-                           cfg.max_iterations);
-        }
-      } else {
-        for (std::size_t i = 0; i < problems.size(); ++i) {
-          ResonatorResult r = net.run(problems[i], rngs[i]);
-          local.accumulate(r, problems[i].is_correct(r.decoded),
-                           cfg.max_iterations);
-        }
+      auto results = net.run(problems, rngs, device_rng);
+      for (std::size_t i = 0; i < results.size(); ++i) {
+        local.accumulate(results[i],
+                         problems[i].is_correct(results[i].decoded),
+                         cfg.max_iterations);
       }
       chunk_stats[slot] = std::move(local);
     }

@@ -17,25 +17,6 @@
 
 namespace h3dfact::resonator {
 
-struct TrialConfig;
-
-/// How the trial block is driven through the MVM engine.
-enum class TrialExecution {
-  /// Default: each chunk of trials runs as one batch through
-  /// ResonatorNetwork::run, so every similarity/projection is one engine
-  /// pass across the chunk's live trials (per-call once one is left), with
-  /// engine randomness drawn from a per-chunk device stream. Bit-identical
-  /// to kPerTrial on engines without per-call randomness (ExactMvmEngine —
-  /// all channel/tie-break draws come from the per-trial generator either
-  /// way).
-  kBatched,
-  /// Each trial runs as a batch of one whose device stream is its own
-  /// generator. Use for engines whose per-call RNG draw order matters (e.g.
-  /// cim::CimMvmEngine device noise replayed draw-for-draw); statistically
-  /// equivalent to kBatched.
-  kPerTrial,
-};
-
 /// Experiment configuration.
 struct TrialConfig {
   std::size_t dim = 1024;        ///< hypervector dimension D
@@ -46,16 +27,13 @@ struct TrialConfig {
   double query_flip_prob = 0.0;  ///< query noise (perceptual frontend)
   std::uint64_t seed = 1;        ///< master seed (per-trial streams derive)
   unsigned threads = 0;          ///< worker threads; 0 = hardware concurrency
-  /// How trial blocks drive the MVM engine (see TrialExecution).
-  TrialExecution execution = TrialExecution::kBatched;
   /// Record per-iteration correctness traces (accuracy-vs-iteration curves,
   /// Fig. 6a/6b). Threaded through the factory: the network it builds must
-  /// have ResonatorOptions::record_correct_trace set accordingly — the
-  /// TrialConfig-taking make_baseline / make_h3dfact overloads do this.
+  /// have ResonatorOptions::record_correct_trace set accordingly.
   bool record_correct_trace = false;
   /// Builds the factorizer for a given codebook set; receives the config so
   /// it can honor max_iterations and record_correct_trace. Defaults to the
-  /// deterministic baseline.
+  /// deterministic baseline, traces included when requested.
   std::function<ResonatorNetwork(std::shared_ptr<const hdc::CodebookSet>,
                                  const TrialConfig&)>
       factory;
@@ -120,10 +98,10 @@ struct TrialStats {
 };
 
 /// Trial-block alignment: run_trials executes trials in lockstep chunks of
-/// this many problems, and sharded partial runs may only split on chunk
-/// boundaries. Part of the determinism contract — per-chunk engine RNG
-/// streams are keyed by (seed, chunk index) — so it is a fixed constant,
-/// not a knob.
+/// this many problems, each one batch through ResonatorNetwork::run, and
+/// sharded partial runs may only split on chunk boundaries. Part of the
+/// determinism contract — each chunk's engine RNG stream (CIM device noise)
+/// is keyed by (seed, chunk index) — so it is a fixed constant, not a knob.
 inline constexpr std::size_t kTrialBlockAlign = 4;
 
 /// The per-trial stream seed of trial `t` under master seed `seed`: trial t
@@ -138,10 +116,9 @@ inline constexpr std::size_t kTrialBlockAlign = 4;
 /// Run the experiment described by `config`. When traces are requested the
 /// factory must build a network that records them (std::invalid_argument
 /// otherwise — the runner never rebuilds networks behind the factory's
-/// back). Deterministic for a given config: results are independent of the
-/// thread count AND identical field-for-field (including sample order)
-/// across thread counts and execution modes on engines without per-call
-/// randomness.
+/// back). Deterministic for a given config: every field, sample order
+/// included, is identical at any thread count, because chunks merge in
+/// chunk order.
 TrialStats run_trials(const TrialConfig& config);
 
 /// Run only trials [begin, end) of the config — the sweep shards' unit of
@@ -152,16 +129,5 @@ TrialStats run_trials(const TrialConfig& config);
 /// every per-chunk engine stream from (seed, chunk index) alone.
 TrialStats run_trial_block(const TrialConfig& config, std::size_t begin,
                            std::size_t end);
-
-/// Deterministic baseline factorizer honoring the config's iteration cap
-/// and trace opt-in — the default TrialConfig::factory.
-ResonatorNetwork make_baseline(std::shared_ptr<const hdc::CodebookSet> set,
-                               const TrialConfig& config);
-
-/// H3DFact stochastic factorizer honoring the config's iteration cap and
-/// trace opt-in (see make_h3dfact in resonator.hpp for the channel model).
-ResonatorNetwork make_h3dfact(std::shared_ptr<const hdc::CodebookSet> set,
-                              const TrialConfig& config, int adc_bits = 4,
-                              double sigma_frac = 0.5);
 
 }  // namespace h3dfact::resonator

@@ -345,7 +345,6 @@ std::uint64_t spec_fingerprint(const SweepSpec& spec) {
     enc.clear();
     Writer{enc}(cell.index, c.dim, c.factors, c.codebook_size, c.trials,
                 c.max_iterations, c.query_flip_prob, c.seed,
-                static_cast<std::uint64_t>(c.execution),
                 std::uint64_t{c.record_correct_trace}, cell.coordinates,
                 cell.params, cell.meta);
     h.bytes(enc.data(), enc.size());

@@ -489,12 +489,6 @@ const std::string& CellResult::coordinate(const std::string& axis) const {
   return kEmpty;
 }
 
-CellResult run_cell(const SweepSpec& spec, std::size_t index,
-                    unsigned threads_override) {
-  return run_block(spec, index, 0, spec.cell(index).config.trials,
-                   threads_override);
-}
-
 CellResult run_cell_block(const SweepSpec& spec, std::size_t index,
                           std::size_t begin, std::size_t end,
                           unsigned threads_override) {
@@ -554,14 +548,12 @@ std::vector<std::size_t> parse_cell_filter(const std::string& expr,
   return {picked.begin(), picked.end()};
 }
 
-SweepRunner::SweepRunner(SweepSpec spec, SweepOptions options)
-    : spec_(std::move(spec)), options_(std::move(options)) {}
-
-std::vector<CellResult> SweepRunner::run() const {
-  const std::size_t total = spec_.cell_count();
+std::vector<CellResult> run_sweep(const SweepSpec& spec,
+                                  const SweepOptions& options) {
+  const std::size_t total = spec.cell_count();
   const unsigned nshards =
-      std::max(1u, options_.shards == 0 ? 1u : options_.shards);
-  if (options_.transport != nullptr && nshards > 1) {
+      std::max(1u, options.shards == 0 ? 1u : options.shards);
+  if (options.transport != nullptr && nshards > 1) {
     throw std::invalid_argument(
         "sweep shards=" + std::to_string(nshards) +
         " cannot be combined with a remote worker transport; to add this "
@@ -571,7 +563,7 @@ std::vector<CellResult> SweepRunner::run() const {
 
   // Resolve the cell selection (filter minus checkpoint-resumed cells).
   std::vector<std::size_t> selected =
-      options_.cells.empty() ? all_cells(total) : options_.cells;
+      options.cells.empty() ? all_cells(total) : options.cells;
   std::sort(selected.begin(), selected.end());
   selected.erase(std::unique(selected.begin(), selected.end()),
                  selected.end());
@@ -585,38 +577,32 @@ std::vector<CellResult> SweepRunner::run() const {
   // resolves every cell, so a plain local run (perhaps of one filtered
   // cell out of thousands) skips it.
   const bool fingerprinted =
-      !options_.checkpoint_path.empty() || options_.transport != nullptr;
-  const std::uint64_t fingerprint =
-      fingerprinted ? spec_fingerprint(spec_) : 0;
+      !options.checkpoint_path.empty() || options.transport != nullptr;
+  const std::uint64_t fingerprint = fingerprinted ? spec_fingerprint(spec) : 0;
   std::vector<CellResult> resumed;
-  if (!options_.checkpoint_path.empty()) {
-    resumed = read_checkpoint(options_.checkpoint_path, spec_, fingerprint);
+  if (!options.checkpoint_path.empty()) {
+    resumed = read_checkpoint(options.checkpoint_path, spec, fingerprint);
     std::set<std::size_t> done;
     for (const CellResult& r : resumed) done.insert(r.index);
     std::erase_if(selected, [&](std::size_t i) { return done.count(i) != 0; });
   }
 
-  CompletionLog log(options_, spec_.name, fingerprint, std::move(resumed),
+  CompletionLog log(options, spec.name, fingerprint, std::move(resumed),
                     selected.size());
   if (selected.empty()) return log.take();
 
-  if (options_.transport == nullptr) {
-    return run_with_threads(spec_, options_, selected, nshards, log);
+  if (options.transport == nullptr) {
+    return run_with_threads(spec, options, selected, nshards, log);
   }
   SpecBinding binding;
-  binding.ref = options_.grid;
-  binding.cell_threads = options_.threads_per_cell;
+  binding.ref = options.grid;
+  binding.cell_threads = options.threads_per_cell;
   binding.cell_count = total;
   binding.fingerprint = fingerprint;
   const std::vector<WorkerChannel*> channels =
-      options_.transport->bind(binding);
-  return run_with_channels(spec_, selected, channels, log,
-                           options_.block_deadline_ms);
-}
-
-std::vector<CellResult> run_sweep(const SweepSpec& spec,
-                                  const SweepOptions& options) {
-  return SweepRunner(spec, options).run();
+      options.transport->bind(binding);
+  return run_with_channels(spec, selected, channels, log,
+                           options.block_deadline_ms);
 }
 
 }  // namespace h3dfact::sweep

@@ -1,9 +1,9 @@
 #pragma once
 // Sharded sweep execution (the sweep subsystem, part 2 of 3).
 //
-// A SweepRunner executes every cell of a SweepSpec across a pool of
-// workers. The unit of work is a chunk-aligned trial block of one cell, fed
-// from a dynamic longest-first queue to whichever worker finishes first and
+// run_sweep executes every cell of a SweepSpec across a pool of workers.
+// The unit of work is a chunk-aligned trial block of one cell, fed from a
+// dynamic longest-first queue to whichever worker finishes first and
 // merged with the partition-invariant TrialStats::merge_block, so the
 // statistics are bit-identical for every worker count and schedule — only
 // the wall clock changes. The workers are one of:
@@ -72,7 +72,7 @@ struct CellResult {
 /// Execution knobs, orthogonal to the grid declaration.
 struct SweepOptions {
   /// Local worker shards, one thread each; 1 runs cells on the calling
-  /// thread. Must stay 1 when `transport` is set (run() throws
+  /// thread. Must stay 1 when `transport` is set (run_sweep throws
   /// std::invalid_argument otherwise).
   unsigned shards = 1;
   /// Worker threads inside each cell's trial blocks. 0 = auto: single-
@@ -90,7 +90,7 @@ struct SweepOptions {
       progress;
 
   /// Remote worker fleet; null runs locally. A fleet's connections persist
-  /// across run() calls (multi-grid benches bind the same fleet
+  /// across run_sweep calls (multi-grid benches bind the same fleet
   /// repeatedly).
   std::shared_ptr<WorkerFleet> transport;
   /// Registry recipe remote workers rebuild the spec from; required
@@ -118,43 +118,20 @@ struct SweepOptions {
   int block_deadline_ms = 0;
 };
 
-/// Executes a SweepSpec. Stateless between runs; run() may be called again.
-class SweepRunner {
- public:
-  /// Bind a spec to execution options (both copied).
-  explicit SweepRunner(SweepSpec spec, SweepOptions options = {});
-
-  /// The grid under execution.
-  [[nodiscard]] const SweepSpec& spec() const { return spec_; }
-  /// The execution knobs.
-  [[nodiscard]] const SweepOptions& options() const { return options_; }
-
-  /// Run every selected cell; results are returned sorted by cell index
-  /// (checkpoint-resumed cells included). Throws std::invalid_argument when
-  /// both `shards` > 1 and a fleet are set, and std::runtime_error when
-  /// the sweep cannot complete: a worker failed, every remote worker
-  /// disconnected, or the checkpoint file is not one of this spec.
-  [[nodiscard]] std::vector<CellResult> run() const;
-
- private:
-  SweepSpec spec_;
-  SweepOptions options_;
-};
-
-/// Convenience: SweepRunner(spec, options).run().
+/// Execute a SweepSpec: run every selected cell and return the results
+/// sorted by cell index (checkpoint-resumed cells included). Throws
+/// std::invalid_argument when both `shards` > 1 and a fleet are set, and
+/// std::runtime_error when the sweep cannot complete: a worker failed,
+/// every remote worker disconnected, or the checkpoint file is not one of
+/// this spec.
 std::vector<CellResult> run_sweep(const SweepSpec& spec,
                                   const SweepOptions& options = {});
 
-/// Resolve and execute one cell in the calling process (the unit of work a
-/// worker performs; exposed for tests and custom schedulers).
-/// `threads_override` replaces the cell config's thread count when nonzero.
-CellResult run_cell(const SweepSpec& spec, std::size_t index,
-                    unsigned threads_override = 0);
-
-/// Execute trials [begin, end) of cell `index` in the calling process — the
-/// trial-block granularity the workers operate at. `begin` must be chunk-
+/// Resolve cell `index` and execute its trials [begin, end) in the calling
+/// process — the unit of work a worker performs. `begin` must be chunk-
 /// aligned (resonator::kTrialBlockAlign); merging a partition of a cell's
-/// blocks in ascending order reproduces run_cell exactly.
+/// blocks in ascending order reproduces the whole cell exactly.
+/// `threads_override` replaces the cell config's thread count when nonzero.
 CellResult run_cell_block(const SweepSpec& spec, std::size_t index,
                           std::size_t begin, std::size_t end,
                           unsigned threads_override = 0);

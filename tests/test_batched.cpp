@@ -104,44 +104,6 @@ TEST(BatchedKernels, ProjectBatchBitExact) {
   }
 }
 
-// The MvmEngine default batch implementation (loop over per-call kernels)
-// and the ExactMvmEngine tile-kernel override must agree.
-TEST(BatchedKernels, EngineBatchMatchesPerCallLoop) {
-  util::Rng rng(303);
-  auto set = std::make_shared<hdc::CodebookSet>(512, 3, 16, rng);
-
-  // Thin per-call engine that deliberately inherits the default batched
-  // entry points.
-  class PerCallEngine final : public resonator::MvmEngine {
-   public:
-    explicit PerCallEngine(std::shared_ptr<const hdc::CodebookSet> s)
-        : set_(std::move(s)) {}
-    std::vector<int> similarity(std::size_t f, const hdc::BipolarVector& u,
-                                util::Rng&) override {
-      return set_->book(f).similarity(u);
-    }
-    std::vector<int> project(std::size_t f, const std::vector<int>& coeffs,
-                             util::Rng&) override {
-      return set_->book(f).project(coeffs);
-    }
-
-   private:
-    std::shared_ptr<const hdc::CodebookSet> set_;
-  };
-
-  PerCallEngine base(set);
-  resonator::ExactMvmEngine tiled(set);
-  auto us = random_queries(512, 4, rng);
-  for (std::size_t f = 0; f < set->factors(); ++f) {
-    auto a_base = base.similarity_batch(f, us, rng);
-    auto a_tiled = tiled.similarity_batch(f, us, rng);
-    EXPECT_EQ(a_base.data, a_tiled.data);
-    auto y_base = base.project_batch(f, a_base, rng);
-    auto y_tiled = tiled.project_batch(f, a_tiled, rng);
-    EXPECT_EQ(y_base.data, y_tiled.data);
-  }
-}
-
 void expect_same_result(const resonator::ResonatorResult& a,
                         const resonator::ResonatorResult& b,
                         std::size_t problem) {
@@ -698,9 +660,9 @@ TEST(CimBatch, BatchedNoiseIsDistributionCompatible) {
 
 // The CIM engine takes MvmEngine's default project_sign: project_batch and
 // sign_of per lane while several lanes live, per-call project once one is
-// left. A kBatched trial run through it is pinned to the values the
-// unfused loop produced, draw for draw (fig6b-small.json gates the same
-// path at grid scale).
+// left. A trial run through it is pinned to the values the unfused loop
+// produced, draw for draw (fig6b-small.json gates the same path at grid
+// scale).
 TEST(CimBatch, BatchedTrialsArePinned) {
   resonator::TrialConfig cfg;
   cfg.dim = 256;
@@ -710,12 +672,16 @@ TEST(CimBatch, BatchedTrialsArePinned) {
   cfg.max_iterations = 60;
   cfg.seed = 909;
   cfg.threads = 1;
-  cfg.execution = resonator::TrialExecution::kBatched;
   cfg.factory = [](std::shared_ptr<const hdc::CodebookSet> set,
                    const resonator::TrialConfig& c) {
     util::Rng chip(77);
-    return cim::CimMvmEngine::make_resonator(
-        std::move(set), small_macro_config(), c.max_iterations, chip);
+    auto engine =
+        std::make_shared<cim::CimMvmEngine>(set, small_macro_config(), chip);
+    resonator::ResonatorOptions opts;
+    opts.max_iterations = c.max_iterations;
+    opts.detect_limit_cycles = false;
+    return resonator::ResonatorNetwork(std::move(set), std::move(engine),
+                                       opts);
   };
   const resonator::TrialStats stats = resonator::run_trials(cfg);
   EXPECT_EQ(stats.solved, 19u);

@@ -225,7 +225,11 @@ TEST(CimEngine, FactorizesThroughHardwarePath) {
   Rng rng(30);
   auto set = std::make_shared<hdc::CodebookSet>(256, 3, 8, rng);
   MacroConfig mc = small_macro_config(/*quiet=*/false);
-  auto net = cim::CimMvmEngine::make_resonator(set, mc, 200, rng);
+  resonator::ResonatorOptions opts;
+  opts.max_iterations = 200;
+  opts.detect_limit_cycles = false;
+  const resonator::ResonatorNetwork net(
+      set, std::make_shared<cim::CimMvmEngine>(set, mc, rng), opts);
   resonator::ProblemGenerator gen(set);
   int ok = 0;
   for (int i = 0; i < 10; ++i) {

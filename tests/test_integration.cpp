@@ -29,7 +29,7 @@ resonator::TrialStats stoch_cell(std::size_t M, std::size_t trials,
   cfg.seed = seed;
   cfg.factory = [](std::shared_ptr<const hdc::CodebookSet> s,
                    const resonator::TrialConfig& c) {
-    return resonator::make_h3dfact(std::move(s), c);
+    return resonator::make_h3dfact(std::move(s), c.max_iterations);
   };
   return resonator::run_trials(cfg);
 }

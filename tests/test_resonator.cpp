@@ -606,7 +606,7 @@ TEST(TrialRunner, StochasticFactoryUsed) {
   cfg.seed = 17;
   cfg.factory = [](std::shared_ptr<const hdc::CodebookSet> s,
                    const resonator::TrialConfig& c) {
-    return resonator::make_h3dfact(std::move(s), c);
+    return resonator::make_h3dfact(std::move(s), c.max_iterations);
   };
   auto stats = resonator::run_trials(cfg);
   EXPECT_GE(stats.accuracy(), 0.9);

@@ -152,8 +152,7 @@ TEST(SweepSpec, ParamAxisFeedsTheCellFactory) {
   spec.factory = [&seen](std::shared_ptr<const hdc::CodebookSet> set,
                          const sweep::Cell& cell) {
     seen.push_back(cell.param("adc_bits", -1));
-    return resonator::make_h3dfact(std::move(set), cell.config,
-                                   static_cast<int>(cell.param("adc_bits", 4)));
+    return sweep::make_h3dfact_cell(std::move(set), cell);
   };
   auto results = sweep::run_sweep(spec);
   ASSERT_EQ(results.size(), 2u);
@@ -165,7 +164,7 @@ TEST(SweepSpec, ParamAxisFeedsTheCellFactory) {
 
 // The acceptance property: per-cell statistics are bit-identical for every
 // shard count, because each cell is a pure function of (spec, cell index).
-TEST(SweepRunner, ShardCountInvariance) {
+TEST(RunSweep, ShardCountInvariance) {
   sweep::SweepSpec spec = small_grid();
 
   sweep::SweepOptions seq;
@@ -192,13 +191,14 @@ TEST(SweepRunner, ShardCountInvariance) {
   // And every cell equals a direct single-cell execution (run_trials is the
   // one-cell special case of the sweep).
   for (std::size_t i = 0; i < reference.size(); ++i) {
-    const auto direct = sweep::run_cell(spec, i, /*threads_override=*/1);
+    const auto direct = sweep::run_cell_block(
+        spec, i, 0, spec.cell(i).config.trials, /*threads_override=*/1);
     expect_stats_equal(direct.stats, reference[i].stats,
                        "direct cell " + std::to_string(i));
   }
 }
 
-TEST(SweepRunner, ProgressReportsEveryCell) {
+TEST(RunSweep, ProgressReportsEveryCell) {
   sweep::SweepSpec spec = small_grid();
   sweep::SweepOptions opt;
   opt.shards = 2;
@@ -217,7 +217,7 @@ TEST(SweepRunner, ProgressReportsEveryCell) {
   EXPECT_EQ(last_done, 4u);
 }
 
-TEST(SweepRunner, WorkerFailurePropagates) {
+TEST(RunSweep, WorkerFailurePropagates) {
   sweep::SweepSpec spec = small_grid();
   // Poison one cell: zero trials makes run_trials throw inside the worker.
   spec.finalize = [](sweep::Cell& cell) {
@@ -242,7 +242,7 @@ TEST(SweepRunner, WorkerFailurePropagates) {
 // inline on the thread that makes it — also from trial threads the shard
 // starts — so shards never push kernel work onto cores other shards hold.
 // One shard keeps the pool's fan-out.
-TEST(SweepRunner, LocalShardsRunKernelsInline) {
+TEST(RunSweep, LocalShardsRunKernelsInline) {
   struct RestoreKernelThreads {
     unsigned saved = hdc::kernels::kernel_threads();
     ~RestoreKernelThreads() { hdc::kernels::set_kernel_threads(saved); }
@@ -267,7 +267,8 @@ TEST(SweepRunner, LocalShardsRunKernelsInline) {
           util::MutexLock lock(mutex);
           calls.push_back({caller, std::this_thread::get_id(), begin, end});
         });
-    return resonator::make_baseline(std::move(set), cell.config);
+    return resonator::make_baseline(std::move(set),
+                                    cell.config.max_iterations);
   };
 
   for (unsigned cell_threads : {0u, 2u}) {
@@ -292,42 +293,6 @@ TEST(SweepRunner, LocalShardsRunKernelsInline) {
   const std::size_t factories = spec.cell_count();  // one trial thread each
   EXPECT_EQ(calls.size(), 4 * factories);  // four chunks per call
   for (const Call& c : calls) EXPECT_EQ(c.end - c.begin, 16u);
-}
-
-// run_trials execution modes: the lockstep-batched default must reproduce
-// the per-trial path field-for-field on engines without per-call
-// randomness, for the deterministic baseline and through the stochastic
-// channel, at any thread count.
-TEST(TrialExecution, BatchedMatchesPerTrial) {
-  for (const bool stochastic : {false, true}) {
-    resonator::TrialConfig cfg;
-    cfg.dim = 256;
-    cfg.factors = 2;
-    cfg.codebook_size = 6;
-    cfg.trials = 70;  // spans multiple lockstep chunks
-    cfg.max_iterations = 60;
-    cfg.seed = 99;
-    cfg.record_correct_trace = true;
-    if (stochastic) {
-      cfg.factory = [](std::shared_ptr<const hdc::CodebookSet> s,
-                       const resonator::TrialConfig& c) {
-        return resonator::make_h3dfact(std::move(s), c);
-      };
-    }
-
-    cfg.execution = resonator::TrialExecution::kPerTrial;
-    cfg.threads = 1;
-    const auto per_trial = resonator::run_trials(cfg);
-
-    cfg.execution = resonator::TrialExecution::kBatched;
-    for (unsigned threads : {1u, 4u}) {
-      cfg.threads = threads;
-      const auto batched = resonator::run_trials(cfg);
-      expect_stats_equal(per_trial, batched,
-                         std::string(stochastic ? "h3d" : "baseline") +
-                             " threads=" + std::to_string(threads));
-    }
-  }
 }
 
 // --- emitter golden files --------------------------------------------------
@@ -467,7 +432,7 @@ TEST(SweepEmit, CheckpointRoundTripsThroughReader) {
 
 // --- cell filter + checkpoint resume ----------------------------------------
 
-TEST(SweepRunner, CellFilterRunsOnlySelectedCells) {
+TEST(RunSweep, CellFilterRunsOnlySelectedCells) {
   EXPECT_EQ(sweep::parse_cell_filter("0-2,5,7-8", 10),
             (std::vector<std::size_t>{0, 1, 2, 5, 7, 8}));
   EXPECT_EQ(sweep::parse_cell_filter("3", 4), (std::vector<std::size_t>{3}));
@@ -498,7 +463,7 @@ TEST(SweepRunner, CellFilterRunsOnlySelectedCells) {
   expect_stats_equal(subset[1].stats, reference[3].stats, "filtered cell 3");
 }
 
-TEST(SweepRunner, CheckpointResumeSkipsCompletedCells) {
+TEST(RunSweep, CheckpointResumeSkipsCompletedCells) {
   sweep::SweepSpec spec = small_grid();
   const auto reference = sweep::run_sweep(spec, {});
 
@@ -546,7 +511,7 @@ TEST(SweepRunner, CheckpointResumeSkipsCompletedCells) {
 
 // A file that is not a checkpoint of this very spec stops the run before any
 // cell runs, names the file, and is left byte for byte as it was.
-TEST(SweepRunner, CheckpointRefusesForeignOrCorruptFiles) {
+TEST(RunSweep, CheckpointRefusesForeignOrCorruptFiles) {
   const sweep::SweepSpec spec = small_grid();
   const std::uint64_t fingerprint = sweep::spec_fingerprint(spec);
   const std::string path = ::testing::TempDir() + "/sweep_refusal.ckpt";
@@ -639,7 +604,7 @@ TEST(SweepRunner, CheckpointRefusesForeignOrCorruptFiles) {
 
 // Checkpoint writes are best-effort: a path that cannot be written (here,
 // in a missing directory) costs the resume, never the sweep.
-TEST(SweepRunner, UnwritableCheckpointStillFinishesTheSweep) {
+TEST(RunSweep, UnwritableCheckpointStillFinishesTheSweep) {
   const sweep::SweepSpec spec = small_grid();
   const auto reference = sweep::run_sweep(spec, {});
   sweep::SweepOptions opt;

@@ -416,7 +416,7 @@ TEST(Protocol, EncodingIsPinned) {
 
   register_unit_grid();
   EXPECT_EQ(sweep::spec_fingerprint(sweep::build_grid({kUnitGrid, {}})),
-            2461937933229881901ull);
+            8333741447596776653ull);
 }
 
 // --- registry + fingerprint -------------------------------------------------

@@ -13,8 +13,10 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "cim/engine.hpp"
 #include "resonator/channels.hpp"
 #include "resonator/problem.hpp"
 #include "util/sync.hpp"
@@ -40,27 +42,61 @@ std::vector<double> sorted_samples(const resonator::TrialStats& stats) {
   return xs;
 }
 
-// Same seed must yield identical aggregate statistics regardless of the
-// worker-thread count: each trial derives its RNG from (seed, trial index)
-// alone, so the work-stealing schedule must not leak into the results.
+// Same seed must yield identical statistics regardless of the worker-thread
+// count: each trial derives its RNG from (seed, trial index) alone, each
+// chunk its device stream from (seed, chunk index) alone, and chunks merge
+// in chunk order, so the work-stealing schedule must not leak into any
+// field. Checked on the deterministic baseline, through the H3DFact
+// channel, and on the CIM engine, the one engine that draws device noise
+// from the per-chunk stream; every run records traces.
 TEST(TrialRunner, DeterministicAcrossThreadCounts) {
-  resonator::TrialConfig config = small_config();
+  const auto h3dfact = [](std::shared_ptr<const hdc::CodebookSet> set,
+                          const resonator::TrialConfig& c) {
+    resonator::ResonatorOptions opts;
+    opts.max_iterations = c.max_iterations;
+    opts.channel = resonator::make_h3dfact_channel(c.dim);
+    opts.detect_limit_cycles = false;
+    opts.record_correct_trace = true;
+    return resonator::ResonatorNetwork(std::move(set), opts);
+  };
+  const auto cim = [](std::shared_ptr<const hdc::CodebookSet> set,
+                      const resonator::TrialConfig& c) {
+    cim::MacroConfig mc;
+    mc.rows = c.dim / mc.subarrays;
+    util::Rng chip(c.seed);
+    auto engine = std::make_shared<cim::CimMvmEngine>(set, mc, chip);
+    resonator::ResonatorOptions opts;
+    opts.max_iterations = c.max_iterations;
+    opts.detect_limit_cycles = false;
+    opts.record_correct_trace = true;
+    return resonator::ResonatorNetwork(std::move(set), std::move(engine),
+                                       opts);
+  };
+  const std::vector<
+      std::pair<const char*, decltype(resonator::TrialConfig::factory)>>
+      inputs = {{"baseline", nullptr}, {"h3dfact", h3dfact}, {"cim", cim}};
+  for (const auto& [name, factory] : inputs) {
+    resonator::TrialConfig config = small_config();
+    config.record_correct_trace = true;
+    config.factory = factory;
 
-  config.threads = 1;
-  const resonator::TrialStats one = resonator::run_trials(config);
+    config.threads = 1;
+    const resonator::TrialStats one = resonator::run_trials(config);
 
-  config.threads = 4;
-  const resonator::TrialStats four = resonator::run_trials(config);
+    config.threads = 4;
+    const resonator::TrialStats four = resonator::run_trials(config);
 
-  EXPECT_EQ(one.trials, four.trials);
-  EXPECT_EQ(one.solved, four.solved);
-  EXPECT_EQ(one.correct, four.correct);
-  EXPECT_EQ(one.cycles, four.cycles);
-  // Merge order differs between schedules; compare order-independent views.
-  EXPECT_EQ(sorted_samples(one), sorted_samples(four));
-  EXPECT_NEAR(one.mean_iterations_solved(), four.mean_iterations_solved(),
-              1e-9);
-  EXPECT_DOUBLE_EQ(one.median_iterations(), four.median_iterations());
+    EXPECT_GT(one.solved, 0u) << name;
+    ASSERT_FALSE(one.correct_raw_by_iteration.empty()) << name;
+    EXPECT_EQ(one.trials, four.trials) << name;
+    EXPECT_EQ(one.solved, four.solved) << name;
+    EXPECT_EQ(one.correct, four.correct) << name;
+    EXPECT_EQ(one.cycles, four.cycles) << name;
+    EXPECT_EQ(one.iteration_samples, four.iteration_samples) << name;
+    EXPECT_EQ(one.correct_by_iteration, four.correct_by_iteration) << name;
+    EXPECT_EQ(one.correct_raw_by_iteration, four.correct_raw_by_iteration)
+        << name;
+  }
 }
 
 // Re-running the identical config must reproduce the identical stats
@@ -105,7 +141,7 @@ TEST(TrialRunner, TrialStreamSeedReplaysEachTrial) {
   resonator::ProblemGenerator gen(config.dim, config.factors,
                                   config.codebook_size, master);
   resonator::ResonatorNetwork net =
-      resonator::make_baseline(gen.codebooks_ptr(), config);
+      resonator::make_baseline(gen.codebooks_ptr(), config.max_iterations);
   resonator::TrialStats got;
   for (std::size_t t = 0; t < config.trials; ++t) {
     util::Rng r(resonator::trial_stream_seed(config.seed, t));
@@ -170,7 +206,7 @@ TEST(TrialRunner, TrialThreadsRunKernelsInline) {
                          const resonator::TrialConfig& c) {
       ++built;
       if (util::kernels_inline()) ++inline_marked;
-      return resonator::make_baseline(std::move(set), c);
+      return resonator::make_baseline(std::move(set), c.max_iterations);
     };
     (void)resonator::run_trials(config);
     EXPECT_EQ(built.load(), threads);
