@@ -16,6 +16,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -352,16 +353,32 @@ BENCHMARK_CAPTURE(BM_ProjectSign, two_equal, SignMix::kTwoEqual);
 BENCHMARK_CAPTURE(BM_ProjectSign, three_ties, SignMix::kThreeTies);
 BENCHMARK_CAPTURE(BM_ProjectSign, five_codes, SignMix::kFiveCodes);
 
+// The paper-default H3DFact channel at D = 1024 on one similarity vector
+// of M entries. M = 16 is shaped like solve_m16's traffic: a pool of 64
+// vectors cycled, each with one entry of the factor being solved, uniform
+// in [0, D], and M − 1 crosstalk entries drawn N(0, √D), all clipped at 0,
+// so that about 14 % of entries code nonzero. M = 256 and 512 draw every
+// entry uniformly from [−200, 200].
 void BM_H3dChannel(benchmark::State& state) {
   util::Rng rng(5);
   auto channel = resonator::make_h3dfact_channel(1024);
-  std::vector<int> sims(static_cast<std::size_t>(state.range(0)));
-  for (auto& s : sims) s = static_cast<int>(rng.range(-200, 200));
+  const auto m = static_cast<std::size_t>(state.range(0));
+  std::vector<std::vector<int>> pool(m == 16 ? 64 : 1, std::vector<int>(m));
+  for (auto& sims : pool) {
+    for (auto& s : sims) {
+      s = m == 16 ? static_cast<int>(std::max(0L, std::lround(rng.gaussian(
+                                                   0.0, 32.0))))
+                  : static_cast<int>(rng.range(-200, 200));
+    }
+    if (m == 16) sims[rng.below(m)] = static_cast<int>(rng.range(0, 1024));
+  }
+  std::size_t next = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(channel->apply(sims, rng));
+    benchmark::DoNotOptimize(channel->apply(pool[next], rng));
+    next = (next + 1) % pool.size();
   }
 }
-BENCHMARK(BM_H3dChannel)->Arg(256)->Arg(512);
+BENCHMARK(BM_H3dChannel)->Arg(16)->Arg(256)->Arg(512);
 
 void BM_CrossbarMvm(benchmark::State& state) {
   util::Rng rng(6);

@@ -137,22 +137,22 @@ RowList& nonzero_rows(const std::uint64_t* packed, std::size_t words,
   return list;
 }
 
-// Elements per fused projection chunk: the chunk's sums live on the stack.
-constexpr std::size_t kSignChunk = 4096;
+// Mask words per comparator chunk: one sign_rows call's worth.
+constexpr std::size_t kChunkWords = kernels::kSignRowsMax / 64;
 
 // Hands an item's sign and tie masks to `writer` a stack chunk at a time:
-// masks(w, neg, tie) gives word w's. The bits past `dim` are cleared here,
-// since masks built from constants or complements set them.
-template <typename Masks>
-void put_mask_words(std::size_t dim, SignWriter& writer, Masks masks) {
-  constexpr std::size_t kChunkWords = kSignChunk / 64;
-  // Left uninitialized: masks() writes every word put_masks reads.
+// fill(w0, n, neg, tie) writes words w0..w0 + n of each, w0 ascending. The
+// bits past `dim` are cleared here, since masks built from constants or
+// complements set them.
+template <typename Fill>
+void put_mask_chunks(std::size_t dim, SignWriter& writer, Fill fill) {
+  // Left uninitialized: fill() writes every word put_masks reads.
   std::uint64_t neg[kChunkWords];
   std::uint64_t tie[kChunkWords];
   const std::size_t nw = dim / 64 + (dim % 64 != 0);
   for (std::size_t w0 = 0; w0 < nw; w0 += kChunkWords) {
     const std::size_t n = std::min(nw - w0, kChunkWords);
-    for (std::size_t i = 0; i < n; ++i) masks(w0 + i, neg[i], tie[i]);
+    fill(w0, n, neg, tie);
     if (w0 + n == nw && dim % 64 != 0) {
       const std::uint64_t live = (std::uint64_t{1} << (dim % 64)) - 1;
       neg[n - 1] &= live;
@@ -160,6 +160,18 @@ void put_mask_words(std::size_t dim, SignWriter& writer, Masks masks) {
     }
     writer.put_masks(neg, tie, n);
   }
+}
+
+// put_mask_chunks with masks(w, neg, tie) giving word w's.
+template <typename Masks>
+void put_mask_words(std::size_t dim, SignWriter& writer, Masks masks) {
+  put_mask_chunks(dim, writer,
+                  [&](std::size_t w0, std::size_t n, std::uint64_t* neg,
+                      std::uint64_t* tie) {
+                    for (std::size_t i = 0; i < n; ++i) {
+                      masks(w0 + i, neg[i], tie[i]);
+                    }
+                  });
 }
 
 // The packed path of project_sign, for items whose signs follow from at
@@ -368,26 +380,25 @@ void Codebook::project_sign(std::span<const std::vector<int>> coeffs,
     }
   }
   const std::size_t kB = coeffs.size();
-  // One item: the nonzero rows' sums for a chunk of elements go straight
-  // from project_rows into stack scratch and out through the comparator;
-  // the row pointers then step to the next chunk's words.
+  // One item: the packed path, or else the backend's sign_rows over a
+  // chunk of the nonzero rows' words at a time, the row pointers stepping
+  // to the next chunk's words.
   auto sign_items = [&](std::size_t b0, std::size_t b1) {
-    // Left uninitialized: project_rows writes every element put() reads,
-    // and zeroing 16 KB per call would cost about as much as the pass.
-    alignas(64) int chunk[kSignChunk];
     for (std::size_t b = b0; b < b1; ++b) {
       RowList& list = nonzero_rows(packed_data(), words_, coeffs[b]);
       SignWriter writer(dim_, rngs[b], out[b], backend);
       if (put_packed(list, dim_, writer)) continue;
-      for (std::size_t i = 0; i < dim_; i += kSignChunk) {
-        if (i != 0) {
-          for (auto& row : list.rows) row += kSignChunk / 64;
-        }
-        const std::size_t len = std::min(dim_ - i, kSignChunk);
-        backend.project_rows(list.rows.data(), list.coeffs.data(),
-                             list.rows.size(), len, chunk);
-        writer.put(chunk, len);
-      }
+      put_mask_chunks(dim_, writer,
+                      [&](std::size_t w0, std::size_t n, std::uint64_t* neg,
+                          std::uint64_t* tie) {
+                        if (w0 != 0) {
+                          for (auto& row : list.rows) row += kChunkWords;
+                        }
+                        backend.sign_rows(list.rows.data(), list.coeffs.data(),
+                                          list.rows.size(),
+                                          std::min(dim_ - 64 * w0, 64 * n),
+                                          neg, tie);
+                      });
     }
   };
   if (vectors_.size() * kB * dim_ >=

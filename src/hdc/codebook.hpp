@@ -143,7 +143,8 @@ class Codebook {
   /// allocated once the calling thread is warm: an item with no nonzero
   /// coefficient, one dominant coefficient or two nonzero coefficients
   /// takes its sign and tie masks straight from the packed rows, and any
-  /// other item is summed a 4096-element stack chunk at a time. Passes
+  /// other item takes them from the backend's sign_rows, 4096 elements a
+  /// call (byte lanes on AVX512BW while Σ|c| ≤ 255). Passes
   /// above the policy's work threshold fan items across the KernelPool like
   /// project_batch; each item draws only from its own generator, so items
   /// must not share one. Every c_b has size() entries, and rngs and out

@@ -158,6 +158,7 @@ const KernelBackend* avx2_backend() {
     if (!caps.avx2) return nullptr;
     static const KernelBackend kAvx2{
         "avx2", project_rows_avx2, similarity_tile_avx2, sign_bits_avx2,
+        compose_sign_rows<project_rows_avx2, sign_bits_avx2>,
         caps.bmi2 ? deposit_bmi2 : scalar_backend()->deposit};
     return &kAvx2;
   }();

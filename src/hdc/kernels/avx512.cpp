@@ -2,7 +2,8 @@
 // baseline ISA with function-level target attributes, and the factory
 // probes the CPU: the backend exists only where the CPU has both avx512f
 // and VPOPCNTDQ, whose hardware lane popcount is what lets it outrank
-// avx2 (policy.cpp).
+// avx2 (policy.cpp). Within it, bmi2 picks the deposit and avx512bw the
+// comparator's byte-lane kernel; neither is scored.
 
 #include "hdc/kernels/backend.hpp"
 #include "hdc/kernels/capability.hpp"
@@ -13,6 +14,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #endif
 
 namespace h3dfact::hdc::kernels {
@@ -119,6 +121,63 @@ __attribute__((target("avx512f"))) void sign_bits_avx512(const int* y,
   }
 }
 
+// Q words of the byte-lane comparator from word w0, one register of sums
+// each: a row word, complemented for a negative code, is the add mask of
+// |c_j| over the word's 64 byte lanes, so lane d ends at S_d, and two
+// unsigned compares against ⌊A/2⌋ give the word's sign and tie masks.
+template <std::size_t Q>
+__attribute__((target("avx512f,avx512bw"))) inline void sign_words_avx512bw(
+    const std::uint64_t* const* rows, const int* coeffs, std::size_t k,
+    std::size_t w0, std::uint64_t total, std::uint64_t* neg,
+    std::uint64_t* tie) {
+  __m512i acc[Q];
+  for (auto& a : acc) a = _mm512_setzero_si512();
+  for (std::size_t j = 0; j < k; ++j) {
+    const int c = coeffs[j];  // |c| ≤ 255 here
+    const __m512i mag = _mm512_set1_epi8(static_cast<char>(c < 0 ? -c : c));
+    const std::uint64_t flip = c < 0 ? ~std::uint64_t{0} : 0;
+    for (std::size_t q = 0; q < Q; ++q) {
+      acc[q] = _mm512_mask_add_epi8(acc[q], rows[j][w0 + q] ^ flip, acc[q],
+                                    mag);
+    }
+  }
+  const __m512i half = _mm512_set1_epi8(static_cast<char>(total / 2));
+  for (std::size_t q = 0; q < Q; ++q) {
+    neg[w0 + q] = _mm512_cmpgt_epu8_mask(acc[q], half);
+    tie[w0 + q] = total % 2 == 0 ? _mm512_cmpeq_epu8_mask(acc[q], half) : 0;
+  }
+}
+
+// The summed comparator in byte lanes while A = Σ|c_j| ≤ 255 (backend.hpp),
+// four words per pass so that four sums are independent; a larger A takes
+// the composition.
+__attribute__((target("avx512f,avx512bw"))) void sign_rows_avx512bw(
+    const std::uint64_t* const* rows, const int* coeffs, std::size_t k,
+    std::size_t n, std::uint64_t* neg, std::uint64_t* tie) {
+  std::uint64_t total = 0;  // A; k terms of at most 2^31 cannot wrap
+  for (std::size_t j = 0; j < k; ++j) {
+    total += static_cast<std::uint64_t>(std::llabs(coeffs[j]));
+  }
+  if (total > 255) {
+    compose_sign_rows<project_rows_avx512, sign_bits_avx512>(rows, coeffs, k,
+                                                             n, neg, tie);
+    return;
+  }
+  const std::size_t nw = n / 64 + (n % 64 != 0);
+  std::size_t w = 0;
+  for (; w + 4 <= nw; w += 4) {
+    sign_words_avx512bw<4>(rows, coeffs, k, w, total, neg, tie);
+  }
+  for (; w < nw; ++w) {
+    sign_words_avx512bw<1>(rows, coeffs, k, w, total, neg, tie);
+  }
+  if (n % 64 != 0) {
+    const std::uint64_t live = (std::uint64_t{1} << (n % 64)) - 1;
+    neg[nw - 1] &= live;
+    tie[nw - 1] &= live;
+  }
+}
+
 __attribute__((target("bmi2"))) std::uint64_t deposit_bmi2(
     std::uint64_t src, std::uint64_t mask) {
   return _pdep_u64(src, mask);
@@ -126,22 +185,31 @@ __attribute__((target("bmi2"))) std::uint64_t deposit_bmi2(
 
 }  // namespace
 
-// Null without avx512f and VPOPCNTDQ; PDEP where the probe reports BMI2,
-// else the scalar loop.
-const KernelBackend* avx512_backend() {
-  static const KernelBackend* selected = []() -> const KernelBackend* {
-    const CpuCapabilities& caps = probe();
-    if (!caps.avx512f || !caps.avx512vpopcntdq) return nullptr;
-    static const KernelBackend kAvx512{
+const KernelBackend* avx512_backend(const CpuCapabilities& caps) {
+  if (!caps.avx512f || !caps.avx512vpopcntdq) return nullptr;
+  const auto table = [](bool bmi2, bool bw) {
+    return KernelBackend{
         "avx512", project_rows_avx512, similarity_tile_avx512,
-        sign_bits_avx512, caps.bmi2 ? deposit_bmi2 : scalar_backend()->deposit};
-    return &kAvx512;
-  }();
+        sign_bits_avx512,
+        bw ? sign_rows_avx512bw
+           : compose_sign_rows<project_rows_avx512, sign_bits_avx512>,
+        bmi2 ? deposit_bmi2 : scalar_backend()->deposit};
+  };
+  // Indexed [bmi2][avx512bw].
+  static const KernelBackend kAvx512[2][2] = {
+      {table(false, false), table(false, true)},
+      {table(true, false), table(true, true)}};
+  return &kAvx512[caps.bmi2][caps.avx512bw];
+}
+
+const KernelBackend* avx512_backend() {
+  static const KernelBackend* const selected = avx512_backend(probe());
   return selected;
 }
 
 #else  // !H3DFACT_KERNELS_AVX512
 
+const KernelBackend* avx512_backend(const CpuCapabilities&) { return nullptr; }
 const KernelBackend* avx512_backend() { return nullptr; }
 
 #endif

@@ -1,8 +1,9 @@
 #pragma once
 // Multi-ISA kernel backend layer for the hot-path primitives of a
 // resonator step: the XOR+popcount similarity tile, the projection the
-// codebook computes straight from its packed ±1 rows, and the sign masks
-// and tie deposit of the comparator (hdc::sign_of, Codebook::project_sign).
+// codebook computes straight from its packed ±1 rows, the sign masks of
+// integer sums and of a projection, and the tie deposit of the comparator
+// (hdc::sign_of, Codebook::project_sign).
 // Each backend is one translation unit compiled for its ISA (scalar
 // always; SSE2 at the x86-64 baseline; AVX2 and AVX-512 via function-level
 // target attributes on x86_64; NEON on aarch64 where Advanced SIMD is
@@ -19,11 +20,14 @@
 // tail elements past the widest vector width are always handled, so
 // arbitrary dims/word counts are valid.
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 #include <vector>
 
 namespace h3dfact::hdc::kernels {
+
+struct CpuCapabilities;
 
 /// One ISA-specific implementation of the kernel primitives. Plain
 /// function-pointer table so per-ISA translation units stay free of
@@ -67,12 +71,40 @@ struct KernelBackend {
   void (*sign_bits)(const int* y, std::size_t n, std::uint64_t* neg,
                     std::uint64_t* zero);
 
+  /// Sign masks of the projection, as sign_bits writes them for the n sums
+  /// project_rows(rows, coeffs, k, n) would write: ceil(n/64) words each of
+  /// neg and tie, bits past n 0, n at most kSignRowsMax. A backend without
+  /// a kernel of its own composes its own project_rows and sign_bits
+  /// (compose_sign_rows). The AVX-512 kernel with AVX512BW sums small codes
+  /// in byte lanes instead: with A = Σ|c_j| ≤ 255, element d's negative
+  /// mass S = Σ_j |c_j|·[bit_j ≠ (c_j < 0)] fits a byte, the sum is A − 2S,
+  /// so the element is negative iff S > ⌊A/2⌋ and tied iff 2S = A.
+  void (*sign_rows)(const std::uint64_t* const* rows, const int* coeffs,
+                    std::size_t k, std::size_t n, std::uint64_t* neg,
+                    std::uint64_t* tie);
+
   /// Bit deposit (BMI2 PDEP): the low popcount(mask) bits of src, lowest
   /// first, placed at the set bits of mask, lowest first; every other bit
   /// is 0. The comparator (hdc::SignWriter) fills a word's ties from its
   /// random stream with one call.
   std::uint64_t (*deposit)(std::uint64_t src, std::uint64_t mask);
 };
+
+/// The most elements one sign_rows call takes: the composed slot sums them
+/// in one 16 KB stack chunk.
+inline constexpr std::size_t kSignRowsMax = 4096;
+
+/// The sign_rows slot of a backend without a kernel of its own: its
+/// ProjectRows into a stack chunk, then its SignBits over the chunk.
+template <auto ProjectRows, auto SignBits>
+void compose_sign_rows(const std::uint64_t* const* rows, const int* coeffs,
+                       std::size_t k, std::size_t n, std::uint64_t* neg,
+                       std::uint64_t* tie) {
+  // Left uninitialized: ProjectRows writes every element SignBits reads.
+  alignas(64) int sums[kSignRowsMax];
+  ProjectRows(rows, coeffs, k, n, sums);
+  SignBits(sums, n, neg, tie);
+}
 
 /// Every backend compiled into this binary that can run on this CPU, scalar
 /// first. Scalar is always present, so the result is never empty.
@@ -116,5 +148,12 @@ const KernelBackend* sse2_backend();
 const KernelBackend* avx2_backend();
 const KernelBackend* avx512_backend();
 const KernelBackend* neon_backend();
+
+/// The AVX-512 table a capability set selects, the one avx512_backend()
+/// returns for probe(): nullptr without avx512f and VPOPCNTDQ; a deposit
+/// of PDEP with bmi2, else the scalar loop; a sign_rows of the byte-lane
+/// kernel with avx512bw, else the composition. Neither of the last two is
+/// scored. Call only the slots of the table the probe selects.
+const KernelBackend* avx512_backend(const CpuCapabilities& caps);
 
 }  // namespace h3dfact::hdc::kernels

@@ -13,6 +13,7 @@ std::string CpuCapabilities::to_string() const {
   add(avx2, "avx2");
   add(avx512f, "avx512f");
   add(avx512vpopcntdq, "avx512vpopcntdq");
+  add(avx512bw, "avx512bw");
   add(bmi2, "bmi2");
   add(neon, "neon");
   if (out.empty()) out = "none";
@@ -29,6 +30,7 @@ CpuCapabilities probe_once() {
   caps.avx2 = __builtin_cpu_supports("avx2");
   caps.avx512f = __builtin_cpu_supports("avx512f");
   caps.avx512vpopcntdq = __builtin_cpu_supports("avx512vpopcntdq");
+  caps.avx512bw = __builtin_cpu_supports("avx512bw");
   caps.bmi2 = __builtin_cpu_supports("bmi2");
 #elif defined(__aarch64__) || defined(_M_ARM64)
   // Advanced SIMD is mandatory in AArch64: no runtime probe needed.

@@ -19,6 +19,7 @@ struct CpuCapabilities {
   bool avx2 = false;             ///< 256-bit integer SIMD
   bool avx512f = false;          ///< 512-bit foundation
   bool avx512vpopcntdq = false;  ///< hardware 64-bit lane popcount
+  bool avx512bw = false;  ///< byte lanes (the comparator's summed path)
   bool bmi2 = false;             ///< PDEP (the comparator's tie deposit)
   bool neon = false;             ///< aarch64 Advanced SIMD (baseline there)
 

@@ -145,9 +145,10 @@ void sign_bits_neon(const int* y, std::size_t n, std::uint64_t* neg,
 
 // AArch64 has no bit deposit outside SVE2: the slot takes the scalar loop.
 const KernelBackend* neon_backend() {
-  static const KernelBackend kNeon{"neon", project_rows_neon,
-                                   similarity_tile_neon, sign_bits_neon,
-                                   scalar_backend()->deposit};
+  static const KernelBackend kNeon{
+      "neon", project_rows_neon, similarity_tile_neon, sign_bits_neon,
+      compose_sign_rows<project_rows_neon, sign_bits_neon>,
+      scalar_backend()->deposit};
   return &kNeon;
 }
 

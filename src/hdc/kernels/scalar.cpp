@@ -119,9 +119,9 @@ std::uint64_t deposit_scalar(std::uint64_t src, std::uint64_t mask) {
   return out;
 }
 
-constexpr KernelBackend kScalar{"scalar", project_rows_scalar,
-                                 similarity_tile_scalar, sign_bits_scalar,
-                                 deposit_scalar};
+constexpr KernelBackend kScalar{
+    "scalar", project_rows_scalar, similarity_tile_scalar, sign_bits_scalar,
+    compose_sign_rows<project_rows_scalar, sign_bits_scalar>, deposit_scalar};
 
 }  // namespace
 

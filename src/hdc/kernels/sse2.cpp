@@ -117,9 +117,10 @@ void sign_bits_sse2(const int* y, std::size_t n, std::uint64_t* neg,
 
 // SSE2 has no bit deposit: the slot takes the scalar loop.
 const KernelBackend* sse2_backend() {
-  static const KernelBackend kSse2{"sse2", project_rows_sse2,
-                                   similarity_tile_sse2, sign_bits_sse2,
-                                   scalar_backend()->deposit};
+  static const KernelBackend kSse2{
+      "sse2", project_rows_sse2, similarity_tile_sse2, sign_bits_sse2,
+      compose_sign_rows<project_rows_sse2, sign_bits_sse2>,
+      scalar_backend()->deposit};
   return &kSse2;
 }
 

@@ -1,7 +1,8 @@
 #pragma once
 // The batched factorizer is the resonator network itself: its batch run()
 // steps many problems in lockstep through one MVM engine (see
-// ResonatorNetwork). The name stays for the callers that drive batches.
+// ResonatorNetwork). Only perfbench still names the alias; it goes when
+// the benchmark changes with it.
 
 #include "resonator/resonator.hpp"
 

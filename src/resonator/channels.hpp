@@ -51,15 +51,30 @@ class SimilarityChannel {
 /// rounded noisy count is e + n, where n is a discretized Gaussian with
 /// F(k) = P(n ≤ k) = Φ((k + ½)/σ). The channel holds F as the 2K + 1
 /// thresholds T(k) = ⌊F(k)·2^64⌋, k = −K..K with K = ⌈10σ⌉, a table that
-/// depends on σ alone and is built once per σ per process (the first 64
-/// distinct σ are kept). A draw u gives the smallest n with u < T(n).
-/// Threshold and ADC never decrease as the count grows, so with b₀ the
-/// largest count that codes 0, an entry whose u is below T(b₀ − e) codes 0
-/// without a search (at M = 16 the common case); any other entry
-/// binary-searches n above b₀ − e and codes e + n through the same map.
-/// The codes follow the Gaussian's distribution to the 2^-64 grid of the
-/// thresholds, except that the tails past ±10σ (under 1e-23) lump onto
-/// ±K. No log, sqrt or trigonometric function runs in the channel.
+/// depends on σ alone. A draw u gives the smallest n with u < T(n), lumped
+/// onto ±K past the table.
+///
+/// Threshold and ADC never decrease as the count grows, and they change
+/// value only at the code steps B₁ < B₂ < … < B_S: B₁ = b₀ + 1, with b₀ the
+/// largest count that codes 0, and each later step the first count whose
+/// code passes the last one's (at most 2^bits − 1 steps; ten at the paper
+/// default at D = 1024, where the threshold jumps from code 0 to code 6).
+/// An entry reaches step s iff e + n ≥ B_s, that is iff u ≥ T(B_s − 1 − e):
+/// always when that index is below −K, never at or above K. Its code is
+/// the code of the last step it reaches, found by a binary search over the
+/// steps (4 probes at 4 bits), and 0 when it misses B₁, which is the fast
+/// zero test of the common case. The codes follow the Gaussian's
+/// distribution to the 2^-64 grid of the thresholds, except that the tails
+/// past ±10σ (under 1e-23) lump onto ±K. No log, sqrt, trigonometric
+/// function or division runs in apply().
+///
+/// The constructor validates and then makes one lookup in a process-wide
+/// memo. The noise tables are keyed by σ, and the steps by (σ, θ, bits,
+/// clip), holding B_s − 1 + K and the step's code. The first 64 distinct
+/// keys of each are kept, later ones built per channel. A table is at most
+/// 2^16 rows of 8 bytes (512 KiB); a step list is at most 65535 steps of
+/// 10 bytes (640 KiB, a 16-bit ADC of one-count steps). So the memo holds
+/// at most 32 MiB of tables and 40 MiB of steps.
 class H3dfactChannel final : public SimilarityChannel {
  public:
   H3dfactChannel(double sigma, double threshold, int adc_bits, double clip);
@@ -67,18 +82,14 @@ class H3dfactChannel final : public SimilarityChannel {
                                        util::Rng& rng) const override;
   [[nodiscard]] std::string describe() const override;
 
- private:
-  /// The ADC code of the noisy count v.
-  [[nodiscard]] int code(long long v) const;
+  struct Steps;  ///< the noise table and the code steps (channels.cpp)
 
+ private:
   double sigma_;
   double threshold_;
   int bits_;
   double clip_;
-  double max_code_;  ///< 2^bits − 1, the top ADC code
-  double step_;
-  long long zero_top_ = 0;  ///< b₀, the largest count that codes 0
-  std::shared_ptr<const std::vector<std::uint64_t>> cdf_;  ///< T(−K..K)
+  std::shared_ptr<const Steps> steps_;
 };
 
 /// x rounded to the nearest integer, halfway cases away from zero: what

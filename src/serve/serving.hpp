@@ -16,7 +16,7 @@
 // drain state, per-request deadline), wait in a FIFO until `max_batch` have
 // collected or the oldest has waited `max_delay_us`, then dispatch as one
 // BatchTask to an idle worker, which solves them in lockstep through a
-// BatchedFactorizer and answers a BatchResult that is demultiplexed into
+// ResonatorNetwork's batch run and answers a BatchResult that is demultiplexed into
 // per-request replies. A worker that wedges past `worker_deadline_ms` is
 // dropped via the sweep scheduler's DeadlineTracker and its batch requeued
 // (3 attempts, then a kFailed reply). A Drain frame stops admission,
@@ -42,7 +42,7 @@
 #include <string>
 
 #include "hdc/codebook.hpp"
-#include "resonator/batched.hpp"
+#include "resonator/resonator.hpp"
 #include "resonator/problem.hpp"
 #include "resonator/trial_runner.hpp"
 #include "sweep/protocol.hpp"
@@ -141,7 +141,7 @@ class ServeCoordinator {
 /// factorizer over it.
 struct WorkerSpace {
   std::shared_ptr<resonator::ProblemGenerator> generator;
-  std::shared_ptr<resonator::BatchedFactorizer> factorizer;
+  std::shared_ptr<resonator::ResonatorNetwork> factorizer;
   std::size_t dim = 0;
   std::uint64_t fingerprint = 0;   ///< hdc::set_fingerprint of the binding
   bool from_artifact = false;      ///< true when warm-started from a file

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "io/codec.hpp"
-#include "resonator/batched.hpp"
+#include "resonator/resonator.hpp"
 #include "resonator/problem.hpp"
 #include "sweep/transport.hpp"
 #include "util/rng.hpp"
@@ -96,7 +96,7 @@ const WorkerSpace& WorkerSpaceCache::bind(const sweep::ServeInitFrame& init) {
 
   resonator::ResonatorOptions opts;  // baseline defaults, as run_trials
   opts.max_iterations = static_cast<std::size_t>(init.max_iterations);
-  next->factorizer = std::make_shared<resonator::BatchedFactorizer>(
+  next->factorizer = std::make_shared<resonator::ResonatorNetwork>(
       generator->codebooks_ptr(), opts);
   next->generator = std::move(generator);
   next->dim = static_cast<std::size_t>(init.dim);

@@ -260,7 +260,7 @@ std::string encode_factor_reply(const FactorReplyFrame& reply);
 FactorReplyFrame decode_factor_reply(std::string_view payload);
 
 /// BatchTask payload: the requests a serve worker must solve in lockstep
-/// through its BatchedFactorizer. `batch_id` is echoed in the BatchResult
+/// through its ResonatorNetwork. `batch_id` is echoed in the BatchResult
 /// and seeds the batch's device-randomness stream.
 struct BatchTaskFrame {
   std::uint64_t batch_id = 0;

@@ -22,7 +22,6 @@
 #include "hdc/kernels/backend.hpp"
 #include "hdc/kernels/policy.hpp"
 #include "hdc/kernels/thread_pool.hpp"
-#include "resonator/batched.hpp"
 #include "resonator/channels.hpp"
 #include "resonator/profiler.hpp"
 #include "resonator/resonator.hpp"
@@ -118,7 +117,7 @@ void expect_same_result(const resonator::ResonatorResult& a,
 // On the exact engine the batched front-end must replay each problem's
 // synchronous trajectory bit for bit when seeded with the same per-problem
 // generator.
-TEST(BatchedFactorizer, MatchesSequentialSynchronousRuns) {
+TEST(BatchedRun, MatchesSequentialSynchronousRuns) {
   util::Rng rng(404);
   auto set = std::make_shared<hdc::CodebookSet>(512, 3, 8, rng);
   resonator::ProblemGenerator gen(set);
@@ -143,7 +142,7 @@ TEST(BatchedFactorizer, MatchesSequentialSynchronousRuns) {
     sequential.push_back(net.run(problems[i], run_rng));
   }
 
-  resonator::BatchedFactorizer batched(set, opts);
+  resonator::ResonatorNetwork batched(set, opts);
   std::vector<util::Rng> rngs;
   for (std::uint64_t s : seeds) rngs.emplace_back(s);
   util::Rng device_rng(1);
@@ -157,7 +156,7 @@ TEST(BatchedFactorizer, MatchesSequentialSynchronousRuns) {
 
 // Same equivalence through a stochastic similarity channel: the channel
 // draws from the per-problem generator, so trajectories still replay.
-TEST(BatchedFactorizer, MatchesSequentialRunsWithStochasticChannel) {
+TEST(BatchedRun, MatchesSequentialRunsWithStochasticChannel) {
   util::Rng rng(505);
   auto set = std::make_shared<hdc::CodebookSet>(512, 3, 8, rng);
   resonator::ProblemGenerator gen(set);
@@ -175,7 +174,7 @@ TEST(BatchedFactorizer, MatchesSequentialRunsWithStochasticChannel) {
   }
 
   resonator::ResonatorNetwork net(set, opts);
-  resonator::BatchedFactorizer batched(set, opts);
+  resonator::ResonatorNetwork batched(set, opts);
 
   std::vector<resonator::ResonatorResult> sequential;
   std::vector<util::Rng> rngs;
@@ -196,7 +195,7 @@ TEST(BatchedFactorizer, MatchesSequentialRunsWithStochasticChannel) {
 // Asynchronous runs batch too — across problems, not within one: each
 // problem's freshest-state update sequence replays exactly, so the batched
 // front-end can carry the trial runner's default (asynchronous) traffic.
-TEST(BatchedFactorizer, MatchesSequentialAsynchronousRuns) {
+TEST(BatchedRun, MatchesSequentialAsynchronousRuns) {
   util::Rng rng(909);
   auto set = std::make_shared<hdc::CodebookSet>(512, 3, 8, rng);
   resonator::ProblemGenerator gen(set);
@@ -221,7 +220,7 @@ TEST(BatchedFactorizer, MatchesSequentialAsynchronousRuns) {
     sequential.push_back(net.run(problems[i], run_rng));
   }
 
-  resonator::BatchedFactorizer batched(set, opts);
+  resonator::ResonatorNetwork batched(set, opts);
   std::vector<util::Rng> rngs;
   for (std::uint64_t s : seeds) rngs.emplace_back(s);
   util::Rng device_rng(4);
@@ -234,7 +233,7 @@ TEST(BatchedFactorizer, MatchesSequentialAsynchronousRuns) {
 }
 
 // Same asynchronous equivalence through the stochastic H3DFact channel.
-TEST(BatchedFactorizer, MatchesSequentialAsynchronousStochasticRuns) {
+TEST(BatchedRun, MatchesSequentialAsynchronousStochasticRuns) {
   util::Rng rng(919);
   auto set = std::make_shared<hdc::CodebookSet>(512, 3, 8, rng);
   resonator::ProblemGenerator gen(set);
@@ -252,7 +251,7 @@ TEST(BatchedFactorizer, MatchesSequentialAsynchronousStochasticRuns) {
   }
 
   resonator::ResonatorNetwork net(set, opts);
-  resonator::BatchedFactorizer batched(set, opts);
+  resonator::ResonatorNetwork batched(set, opts);
 
   std::vector<resonator::ResonatorResult> sequential;
   std::vector<util::Rng> rngs;
@@ -319,7 +318,8 @@ TEST(ThreadedEngine, ExactEngineBitIdenticalAcrossThreadCounts) {
 // The coefficient patterns that decide the comparator's path and its tie
 // draws: the packed path (no code, one dominant code, two codes) and the
 // summed one (three or more codes without a dominant one, or a dominant
-// one whose magnitudes reach 2^31).
+// one whose magnitudes reach 2^31), on both sides of the AVX-512 byte-lane
+// kernel's guard at Σ|c| = 255.
 enum class Coeffs {
   kZero,
   kOneCode,
@@ -330,6 +330,8 @@ enum class Coeffs {
   kBelowGuard,
   kAtGuard,
   kManyCodes,
+  kSummedAt255,
+  kSummedAt256,
   kDenseNegative,
   kPlusMinusD,
 };
@@ -398,6 +400,18 @@ std::vector<int> pattern_coeffs(Coeffs kind, std::size_t m, std::size_t dim,
       }
       break;
     }
+    case Coeffs::kSummedAt255:  // summed, the byte-lane kernel's largest
+    case Coeffs::kSummedAt256: {  // Σ|c|, then its smallest composed one
+      // Four codes near 64 of mixed signs, none dominant.
+      int mag[4] = {64, 64, 64, kind == Coeffs::kSummedAt255 ? 63 : 64};
+      for (int t = 0; t < 4; ++t) {
+        const int r = static_cast<int>(rng.range(0, 24));
+        mag[t % 4] -= r;
+        mag[(t + 1) % 4] += r;
+      }
+      for (std::size_t j = 0; j < 4; ++j) c[slots[j]] = mag[j] * sign();
+      break;
+    }
     case Coeffs::kDenseNegative:
       for (auto& v : c) v = static_cast<int>(rng.range(-15, 15));
       break;
@@ -434,7 +448,8 @@ TEST(FusedProjection, MatchesSignOfProject) {
          {Coeffs::kZero, Coeffs::kOneCode, Coeffs::kEqualCodes,
           Coeffs::kDominantNegative, Coeffs::kOppositeEqual,
           Coeffs::kSumOfTwo, Coeffs::kBelowGuard, Coeffs::kAtGuard,
-          Coeffs::kManyCodes, Coeffs::kDenseNegative, Coeffs::kPlusMinusD}) {
+          Coeffs::kManyCodes, Coeffs::kSummedAt255, Coeffs::kSummedAt256,
+          Coeffs::kDenseNegative, Coeffs::kPlusMinusD}) {
       for (std::size_t batch = 1; batch <= 5; ++batch) {
         std::vector<std::vector<int>> coeffs;
         for (std::size_t b = 0; b < batch; ++b) {
@@ -493,7 +508,7 @@ TEST(FusedProjection, MatchesSignOfProject) {
 // Full factorization through the batched front-end: thread count must not
 // perturb a single bit of any trajectory (solved flags, iteration counts,
 // decoded indices all replay).
-TEST(ThreadedEngine, BatchedFactorizerBitIdenticalAcrossThreadCounts) {
+TEST(ThreadedEngine, BatchedRunBitIdenticalAcrossThreadCounts) {
   PoolGuard guard;
   namespace kernels = h3dfact::hdc::kernels;
   util::Rng rng(1102);
@@ -519,7 +534,7 @@ TEST(ThreadedEngine, BatchedFactorizerBitIdenticalAcrossThreadCounts) {
 
   auto run_at = [&](unsigned threads) {
     kernels::set_kernel_threads(threads);
-    resonator::BatchedFactorizer batched(set, opts);
+    resonator::ResonatorNetwork batched(set, opts);
     std::vector<util::Rng> rngs;
     for (std::uint64_t s : seeds) rngs.emplace_back(s);
     util::Rng device_rng(9);
@@ -536,10 +551,10 @@ TEST(ThreadedEngine, BatchedFactorizerBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(BatchedFactorizer, ValidatesInputs) {
+TEST(BatchedRun, ValidatesInputs) {
   util::Rng rng(606);
   auto set = std::make_shared<hdc::CodebookSet>(256, 2, 4, rng);
-  resonator::BatchedFactorizer batched(set, resonator::ResonatorOptions{});
+  resonator::ResonatorNetwork batched(set, resonator::ResonatorOptions{});
   // The update mode is honored as given (default: asynchronous, matching
   // ResonatorNetwork) — both schedules batch across problems.
   EXPECT_EQ(batched.options().update, resonator::UpdateMode::kAsynchronous);
@@ -558,7 +573,7 @@ TEST(BatchedFactorizer, ValidatesInputs) {
 
 // The profiler sees the batched path: a six-problem batch books exactly the
 // element ops of the six standalone runs, phase by phase.
-TEST(BatchedFactorizer, ProfilesBatchedRuns) {
+TEST(BatchedRun, ProfilesBatchedRuns) {
   util::Rng rng(1300);
   auto set = std::make_shared<hdc::CodebookSet>(512, 3, 8, rng);
   resonator::ProblemGenerator gen(set);
@@ -586,7 +601,7 @@ TEST(BatchedFactorizer, ProfilesBatchedRuns) {
 
   resonator::PhaseProfiler batch_prof;
   opts.profiler = &batch_prof;
-  resonator::BatchedFactorizer batched(set, opts);
+  resonator::ResonatorNetwork batched(set, opts);
   util::Rng device_rng(6);
   (void)batched.run(problems, rngs, device_rng);
 

@@ -22,6 +22,10 @@
 //   sign_bits        whole words plus every tail length 0..63, from
 //                    unaligned starts, over int extremes; no write past
 //                    the last word.
+//   sign_rows        k = 0..16 rows with repeats, code sums on both sides
+//                    of the byte-lane guard (255/256) and at 2^31 − 1,
+//                    word tails up to kSignRowsMax; no write past the last
+//                    word. The byte-lane kernel also runs directly.
 //   deposit          single-bit, all-but-one, low and high runs,
 //                    alternating and random masks of every density.
 //   project_batch    batch ∈ {0, 1, many}, all-zero coefficient rows.
@@ -43,6 +47,7 @@
 #include "hdc/codebook.hpp"
 #include "hdc/hypervector.hpp"
 #include "hdc/kernels/backend.hpp"
+#include "hdc/kernels/capability.hpp"
 #include "hdc/kernels/policy.hpp"
 #include "hdc/kernels/thread_pool.hpp"
 #include "util/rng.hpp"
@@ -255,6 +260,80 @@ TEST(KernelFuzz, SignBitsBitIdenticalAcrossTailsAndAlignments) {
       }
     }
   }
+}
+
+// sign_rows of `backend` against the scalar composition, over k = 0…16 rows
+// (some listed again), code sums A = Σ|c_j| of 1, 254, 255, 256 and
+// 2^31 − 1 split into codes of mixed signs (the byte-lane kernel's guard
+// sits between 255 and 256), and n across the word tails up to
+// kSignRowsMax; no word is written past the last.
+void check_sign_rows_over_code_sums(const KernelBackend& backend,
+                                    std::uint64_t seed) {
+  const KernelBackend* scalar = kernels::scalar_backend();
+  Rng rng(seed);
+  constexpr std::uint64_t kSentinel = 0x5A5A5A5A5A5A5A5AULL;
+  constexpr std::size_t kMaxRows = 16;
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 1000u, 1024u, 4096u}) {
+    const std::size_t nw = (n + 63) / 64;
+    const auto block = random_words(kMaxRows * nw, rng);
+    for (std::size_t k = 0; k <= kMaxRows; ++k) {
+      std::vector<const std::uint64_t*> rows;
+      for (std::size_t j = 0; j < k; ++j) {
+        // About one row in four repeats an earlier one.
+        rows.push_back(j > 0 && rng.bernoulli(0.25)
+                           ? rows[rng.below(j)]
+                           : block.data() + j * nw);
+      }
+      const std::uint64_t sums[] = {1, 254, 255, 256, (1ULL << 31) - 1};
+      for (const std::uint64_t A : sums) {
+        if (k == 0 && A != sums[0]) continue;
+        // A split into k magnitudes (zeros where A < k), then signs.
+        std::vector<int> coeffs(k, 0);
+        std::uint64_t left = k == 0 ? 0 : A;
+        for (std::size_t j = 0; j + 1 < k; ++j) {
+          const std::uint64_t mag = rng.below(2 * left / (k - j) + 1);
+          coeffs[j] = static_cast<int>(std::min(mag, left));
+          left -= static_cast<std::uint64_t>(coeffs[j]);
+        }
+        if (k > 0) coeffs[k - 1] = static_cast<int>(left);
+        for (auto& c : coeffs) c *= rng.bipolar();
+        std::vector<std::uint64_t> got_neg(nw + 1, kSentinel);
+        std::vector<std::uint64_t> got_tie = got_neg;
+        std::vector<std::uint64_t> want_neg = got_neg;
+        std::vector<std::uint64_t> want_tie = got_neg;
+        backend.sign_rows(rows.data(), coeffs.data(), k, n, got_neg.data(),
+                          got_tie.data());
+        scalar->sign_rows(rows.data(), coeffs.data(), k, n, want_neg.data(),
+                          want_tie.data());
+        ASSERT_EQ(got_neg, want_neg)
+            << backend.name << " n=" << n << " k=" << k << " A=" << A;
+        ASSERT_EQ(got_tie, want_tie)
+            << backend.name << " n=" << n << " k=" << k << " A=" << A;
+        ASSERT_EQ(got_neg[nw], kSentinel) << backend.name << " n=" << n;
+        ASSERT_EQ(got_tie[nw], kSentinel) << backend.name << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(KernelFuzz, SignRowsBitIdenticalOverCodeSums) {
+  for (const KernelBackend* backend : fuzz_backends()) {
+    check_sign_rows_over_code_sums(*backend, 0xF022000A);
+  }
+}
+
+// The byte-lane kernel itself, whichever backend the process selected.
+TEST(KernelFuzz, ByteLaneSignRowsOverCodeSums) {
+  const kernels::CpuCapabilities& caps = kernels::probe();
+  if (!caps.avx512f || !caps.avx512vpopcntdq || !caps.avx512bw) {
+    GTEST_SKIP() << "the byte-lane sign_rows needs avx512bw (with avx512f "
+                    "and avx512vpopcntdq); this CPU reports: "
+                 << caps.to_string();
+  }
+  kernels::CpuCapabilities bw = caps;
+  const KernelBackend* backend = kernels::avx512_backend(bw);
+  ASSERT_NE(backend, nullptr);
+  check_sign_rows_over_code_sums(*backend, 0xF022000B);
 }
 
 // deposit differenced against scalar over every single-bit and all-but-one

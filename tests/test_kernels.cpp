@@ -181,6 +181,27 @@ TEST(KernelCapability, ProbeMatchesCompiledInBackends) {
     }
   }
   EXPECT_EQ(kernels::find("sse2")->deposit, scalar->deposit);
+  // avx512's sign_rows is the byte-lane kernel where the probe reports
+  // avx512bw, else the composition, which a synthetic BW-less set (Knights
+  // Mill: VPOPCNTDQ without BW) selects; nothing else in the table moves.
+  kernels::CpuCapabilities knm;
+  knm.sse2 = knm.avx2 = knm.avx512f = knm.avx512vpopcntdq = true;
+  kernels::CpuCapabilities bw = knm;
+  bw.avx512bw = true;
+  const KernelBackend* composed = kernels::avx512_backend(knm);
+  const KernelBackend* byte_lanes = kernels::avx512_backend(bw);
+  ASSERT_NE(composed, nullptr);
+  ASSERT_NE(byte_lanes, nullptr);
+  EXPECT_NE(composed->sign_rows, byte_lanes->sign_rows);
+  EXPECT_EQ(composed->project_rows, byte_lanes->project_rows);
+  EXPECT_EQ(composed->sign_bits, byte_lanes->sign_bits);
+  EXPECT_EQ(composed->deposit, byte_lanes->deposit);
+  EXPECT_EQ(kernels::score_backend("avx512", knm),
+            kernels::score_backend("avx512", bw));
+  if (const KernelBackend* b = kernels::find("avx512")) {
+    EXPECT_EQ(b->sign_rows,
+              (caps.avx512bw ? byte_lanes : composed)->sign_rows);
+  }
 #elif defined(__aarch64__)
   EXPECT_TRUE(caps.neon);
   EXPECT_FALSE(caps.sse2);
@@ -353,6 +374,45 @@ TEST(KernelParity, SignBitsMatchesScalar) {
       scalar->sign_bits(y.data(), n, want_neg.data(), want_zero.data());
       EXPECT_EQ(got_neg, want_neg) << backend->name << " n=" << n;
       EXPECT_EQ(got_zero, want_zero) << backend->name << " n=" << n;
+    }
+  }
+}
+
+// sign_rows over k = 0…M rows (a row listed twice among them), element
+// counts up to kSignRowsMax and coefficients from all zero through small
+// codes to ±D: scalar against sign_bits of the element loop's sums, every
+// backend against scalar.
+TEST(KernelParity, SignRowsMatchesScalar) {
+  const KernelBackend* scalar = kernels::scalar_backend();
+  Rng rng(2031);
+  constexpr std::size_t kM = 6;
+  std::vector<std::size_t> counts(std::begin(kElemCounts),
+                                  std::end(kElemCounts));
+  counts.push_back(kernels::kSignRowsMax - 5);
+  for (const std::size_t base : counts) {
+    const std::size_t n = base + static_cast<std::size_t>(rng.range(0, 5));
+    const std::size_t nw = (n + 63) / 64;
+    const auto block = random_words(kM * nw, rng);
+    for (std::size_t k = 0; k <= kM; ++k) {
+      std::vector<const std::uint64_t*> rows;
+      for (std::size_t j = 0; j < k; ++j) rows.push_back(block.data() + j * nw);
+      if (k >= 2) rows[k - 1] = rows[0];  // the first row, listed twice
+      for (const int span : {0, 1, 7, 15, static_cast<int>(n)}) {
+        std::vector<int> coeffs(k);
+        for (auto& c : coeffs) c = static_cast<int>(rng.range(-span, span));
+        const auto sums = naive_project(rows, coeffs, n);
+        std::vector<std::uint64_t> want_neg(nw), want_tie(nw);
+        scalar->sign_bits(sums.data(), n, want_neg.data(), want_tie.data());
+        for (const KernelBackend* backend : kernels::available()) {
+          std::vector<std::uint64_t> neg(nw, 1), tie(nw, 1);
+          backend->sign_rows(rows.data(), coeffs.data(), k, n, neg.data(),
+                             tie.data());
+          EXPECT_EQ(neg, want_neg)
+              << backend->name << " n=" << n << " k=" << k << " span=" << span;
+          EXPECT_EQ(tie, want_tie)
+              << backend->name << " n=" << n << " k=" << k << " span=" << span;
+        }
+      }
     }
   }
 }

@@ -150,17 +150,25 @@ TEST(SyncStress, CondVarProducerConsumerDeliversEveryItem) {
   EXPECT_EQ(shared.consumed_sum, expected);
 }
 
-// --- H3DFact channel noise table --------------------------------------------
+// --- H3DFact channel memo ---------------------------------------------------
 
-// H3dfactChannel's noise table is built once per sigma per process and read
-// by every channel of that sigma: threads that race to build channels at
-// sigmas nothing has used yet, and sample through them at once, must each
-// read the codes of a channel built after the race.
+// H3dfactChannel's noise table is built once per sigma per process, and its
+// code steps once per (sigma, threshold, bits, clip): threads that race to
+// build channels at sigmas nothing has used yet, and sample through them at
+// once, must each read the codes of a channel built after the race.
 TEST(ChannelRaceStress, RacingBuildersReadOneNoiseTablePerSigma) {
   constexpr int kThreads = 8;
   // Values around the threshold and across ADC steps, so the codes vary.
   std::vector<int> exact;
   for (int e = -40; e <= 200; e += 3) exact.push_back(e);
+  // Two configurations share each sigma, so their step lists race for one
+  // noise table while each races for its own memo entry.
+  struct Config {
+    double threshold;
+    int bits;
+    double clip;
+  };
+  const Config configs[] = {{48.0, 4, 128.0}, {10.5, 8, 360.0}};
   for (const double sigma : {17.125, 23.5}) {  // unused elsewhere here
     std::atomic<bool> go{false};
     std::vector<std::vector<int>> codes(kThreads);
@@ -169,17 +177,22 @@ TEST(ChannelRaceStress, RacingBuildersReadOneNoiseTablePerSigma) {
     for (int i = 0; i < kThreads; ++i) {
       pool.emplace_back([&, i]() {
         while (!go.load()) std::this_thread::yield();
-        const resonator::H3dfactChannel ch(sigma, 48.0, 4, 128.0);
+        const Config& c = configs[i % 2];
+        const resonator::H3dfactChannel ch(sigma, c.threshold, c.bits, c.clip);
         util::Rng rng(99);
         codes[static_cast<std::size_t>(i)] = ch.apply(exact, rng);
       });
     }
     go = true;
     for (auto& th : pool) th.join();
-    const resonator::H3dfactChannel after(sigma, 48.0, 4, 128.0);
-    util::Rng rng(99);
-    const std::vector<int> want = after.apply(exact, rng);
-    for (const std::vector<int>& got : codes) EXPECT_EQ(got, want) << sigma;
+    for (int i = 0; i < kThreads; ++i) {
+      const Config& c = configs[i % 2];
+      const resonator::H3dfactChannel after(sigma, c.threshold, c.bits,
+                                            c.clip);
+      util::Rng rng(99);
+      EXPECT_EQ(codes[static_cast<std::size_t>(i)], after.apply(exact, rng))
+          << sigma << " thread " << i;
+    }
   }
 }
 

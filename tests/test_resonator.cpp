@@ -265,6 +265,139 @@ TEST(Channels, SamplesAtTheNoiseTableCap) {
               5.0 * kWidest / std::sqrt(2.0 * n));
 }
 
+// The count search the step search replaced, kept as its oracle: the noise
+// table, a std::upper_bound over it for the smallest n with u < T(n), then
+// threshold and ADC through round_half_away.
+class CountSearch {
+ public:
+  CountSearch(double sigma, double threshold, int bits, double clip)
+      : threshold_(threshold),
+        max_code_((1 << bits) - 1),
+        step_(clip / max_code_) {
+    K_ = static_cast<long long>(std::ceil(10.0 * sigma));
+    for (long long k = -K_; k <= K_; ++k) {
+      const double arg = (static_cast<double>(k) + 0.5) / sigma * M_SQRT1_2;
+      if (k < 0) {
+        T_.push_back(static_cast<std::uint64_t>(0x1p63 * std::erfc(-arg)));
+      } else {
+        const auto upper =
+            static_cast<std::uint64_t>(std::ceil(0x1p63 * std::erfc(arg)));
+        T_.push_back(upper == 0 ? ~std::uint64_t{0} : 0 - upper);
+      }
+    }
+    long long lo = -1;
+    long long hi = (1LL << 31) + (1LL << 15) + 1;
+    while (hi - lo > 1) {
+      const long long mid = lo + (hi - lo) / 2;
+      (code(mid) == 0 ? lo : hi) = mid;
+    }
+    zero_top_ = lo;
+  }
+
+  [[nodiscard]] int code(long long v) const {
+    const auto count = static_cast<double>(v);
+    const double sensed = std::abs(count) < threshold_ ? 0.0 : count;
+    return static_cast<int>(std::clamp(
+        resonator::round_half_away(sensed / step_), 0.0, max_code_));
+  }
+
+  [[nodiscard]] std::vector<int> apply(const std::vector<int>& exact,
+                                       Rng& rng) const {
+    const std::uint64_t* T = T_.data();
+    std::vector<int> out(exact.size());
+    for (std::size_t m = 0; m < exact.size(); ++m) {
+      const std::uint64_t u = rng.next();
+      const long long i = zero_top_ - exact[m] + K_;
+      if (i >= 2 * K_ || (i >= 0 && u < T[i])) continue;
+      const std::uint64_t* hit =
+          std::upper_bound(T + std::max(i + 1, 0LL), T + 2 * K_, u);
+      out[m] = code(exact[m] + (hit - T) - K_);
+    }
+    return out;
+  }
+
+  [[nodiscard]] long long zero_top() const { return zero_top_; }
+  [[nodiscard]] long long half_rows() const { return K_; }
+
+ private:
+  double threshold_;
+  double max_code_;
+  double step_;
+  long long K_ = 0;
+  long long zero_top_ = 0;
+  std::vector<std::uint64_t> T_;
+};
+
+// The step search against the count search, draw for draw: equal codes and
+// the generator left in the same state, at entries placed on every
+// boundary the search meets: b₀ ± 1, each code step ± 1, the top code ± K,
+// the four ±K clamps of the first and the top step's table index, and the
+// int extremes.
+TEST(Channels, StepSearchMatchesCountSearch) {
+  struct Config {
+    double sigma, threshold;
+    int bits;
+    double clip;
+  };
+  const Config configs[] = {
+      {16.0, 48.0, 4, 128.0},   // paper default at D = 1024
+      {2.5, 10.5, 8, 360.0},    // half-integer θ; product and quotient of
+                                // the ADC step round apart at some steps
+      {10.0, 0.0, 16, 65535.0},  // one-count ADC: 65535 steps
+      {0.3, 0.0, 1, 2.0},        // one step
+      {0.0, 48.0, 4, 128.0},     // no noise: K = 0
+      {3276.7, 0.0, 16, 65535.0},  // the table cap, K = 32767
+  };
+  constexpr int kMax = std::numeric_limits<int>::max();
+  constexpr int kMin = std::numeric_limits<int>::min();
+  for (const Config& cfg : configs) {
+    const H3dfactChannel ch(cfg.sigma, cfg.threshold, cfg.bits, cfg.clip);
+    const CountSearch oracle(cfg.sigma, cfg.threshold, cfg.bits, cfg.clip);
+    SCOPED_TRACE(ch.describe());
+    const long long b0 = oracle.zero_top();
+    const long long K = oracle.half_rows();
+    // The code steps, by scanning the oracle's map upward from b₀ + 1.
+    std::vector<long long> steps;
+    const int top = (1 << cfg.bits) - 1;
+    for (long long v = b0 + 1, c = 0; c < top; ++v) {
+      if (oracle.code(v) > c) {
+        steps.push_back(v);
+        c = oracle.code(v);
+      }
+    }
+    ASSERT_FALSE(steps.empty());
+    std::vector<long long> values = {kMin, kMin + 1, -1000000, -(1LL << 30),
+                                     kMax, kMax - 1, 0};
+    for (const long long b : steps) {
+      for (const long long d : {-1, 0, 1}) values.push_back(b + d);
+    }
+    for (const long long b : {steps.front(), steps.back()}) {
+      // e puts the index B − 1 − e at −K − 1, −K, K − 1 and K.
+      for (const long long k : {-K - 1, -K, K - 1, K}) {
+        values.push_back(b - 1 - k);
+      }
+      values.push_back(b + K);
+      values.push_back(b - K);
+    }
+    // 64 draws per value, 4 where the one-count ADC has 65535 steps.
+    const std::size_t reps = steps.size() > 1000 ? 4 : 64;
+    std::vector<int> exact;
+    for (const long long v : values) {
+      const long long e = std::clamp<long long>(v, kMin, kMax);
+      exact.insert(exact.end(), reps, static_cast<int>(e));
+    }
+    Rng got_rng(2027);
+    Rng want_rng(2027);
+    const std::vector<int> got = ch.apply(exact, got_rng);
+    const std::vector<int> want = oracle.apply(exact, want_rng);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << "entry " << i << ", e = " << exact[i];
+    }
+    EXPECT_EQ(got_rng.save_state(), want_rng.save_state());
+  }
+}
+
 TEST(Channels, RoundHalfAwayMatchesLibm) {
   using resonator::round_half_away;
   std::vector<double> xs{0.0,   -0.0, 0.5,  -0.5, 1.5, -1.5, 2.5, -2.5,
