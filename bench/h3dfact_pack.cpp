@@ -174,7 +174,7 @@ static int body(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const auto& pos = cli.positional();
   if (pos.empty()) return usage();
-  if (pos[0] == "pack") return cmd_pack(cli);
+  if (pos[0] == "pack" && pos.size() == 1) return cmd_pack(cli);
   if (pos[0] == "info" && pos.size() == 2) return cmd_info(cli, pos[1]);
   if (pos[0] == "verify" && pos.size() == 2) return cmd_verify(cli, pos[1]);
   return usage();

@@ -1,17 +1,18 @@
 // Microbenches of the hot kernels: packed binding, codebook similarity
 // (XOR+popcount), integer projection, sign activation (tie-free and with
 // random tie-breaks), the fused projection and comparator per coefficient
-// mix, the device-level crossbar MVM, and the
+// mix, the H3DFact channel, the device-level crossbar MVM, and the
 // batched-vs-per-call MVM paths of the batched engine. These quantify why
 // MVMs dominate (Fig. 1c), track kernel regressions, and show the batched
 // amortization (compare the *PerCall / *Batch pairs at equal {M, B}
 // arguments). Built only when google-benchmark is installed; configure
 // skips this target otherwise.
 //
-// `--json=FILE` writes a machine-readable artifact (see docs/kernels.md for
-// the schema): benchmark names, ns/op, items/s and the active kernel
-// backend id. CI's kernel-baseline job diffs that artifact against
-// bench/baselines/ to gate kernel regressions.
+// Every google-benchmark flag works as usual (--benchmark_format=json and
+// --benchmark_out= give the machine-readable form, with the kernel backend
+// in its context). scripts/check_kernels.py times these rows against a
+// parent build on the same host to gate kernel regressions
+// (docs/kernels.md).
 
 #include <benchmark/benchmark.h>
 
@@ -21,8 +22,6 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "cim/crossbar.hpp"
@@ -398,63 +397,6 @@ void BM_CrossbarMvm(benchmark::State& state) {
 }
 BENCHMARK(BM_CrossbarMvm)->Arg(64)->Arg(256);
 
-// --- --json artifact --------------------------------------------------------
-
-struct KernelTiming {
-  std::string name;
-  std::size_t iterations = 0;
-  double ns_per_op = 0.0;
-  double items_per_sec = 0.0;  // 0 when the bench reports no item count
-};
-
-// Hand-rolled writer (matching the sweep emitters' style): a flat object
-// with provenance fields plus one row per timed benchmark. The `backend`
-// field is the kernel backend every hdc-layer bench ran through, which is
-// what makes two artifacts comparable. `harness` stays in the schema so the
-// checked-in baselines keep validating.
-void write_json(const std::string& path,
-                const std::vector<KernelTiming>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    throw std::runtime_error("cannot open --json output file: " + path);
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema_version\": 1,\n");
-  std::fprintf(f, "  \"backend\": \"%s\",\n",
-               h3dfact::hdc::kernels::active().name);
-  std::fprintf(f, "  \"harness\": \"google-benchmark\",\n");
-  std::fprintf(f, "  \"benchmarks\": [");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const KernelTiming& r = rows[i];
-    std::fprintf(f,
-                 "%s\n    {\"name\": \"%s\", \"iterations\": %zu, "
-                 "\"ns_per_op\": %.6g, \"items_per_sec\": %.6g}",
-                 i == 0 ? "" : ",", r.name.c_str(), r.iterations, r.ns_per_op,
-                 r.items_per_sec);
-  }
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %zu benchmark timings to %s (backend: %s)\n",
-               rows.size(), path.c_str(), h3dfact::hdc::kernels::active().name);
-}
-
-// Pull our own flags out of argv (google-benchmark rejects flags it does
-// not know) and return the remaining argc.
-int extract_own_flags(int argc, char** argv, std::string* json_path,
-                      bool* list_backends) {
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      *json_path = argv[i] + 7;
-    } else if (std::strcmp(argv[i], "--list-backends") == 0) {
-      *list_backends = true;
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  return out;
-}
-
 // `--list-backends`: machine-greppable probe for CI — one backend name per
 // line plus the detected capability set, then exit. The avx512 CI leg runs
 // this to decide between a real forced-avx512 pass and a loud skip.
@@ -467,58 +409,23 @@ int print_backends() {
   return 0;
 }
 
-// Collects every run for the --json artifact and forwards every call to the
-// display reporter that --benchmark_format and --benchmark_color select.
-class CollectingReporter : public benchmark::BenchmarkReporter {
- public:
-  explicit CollectingReporter(benchmark::BenchmarkReporter* display)
-      : display_(display) {}
-
-  bool ReportContext(const Context& context) override {
-    return display_->ReportContext(context);
-  }
-
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      KernelTiming t;
-      t.name = run.benchmark_name();
-      t.iterations = static_cast<std::size_t>(run.iterations);
-      t.ns_per_op = run.iterations == 0
-                        ? 0.0
-                        : 1e9 * run.real_accumulated_time /
-                              static_cast<double>(run.iterations);
-      const auto it = run.counters.find("items_per_second");
-      if (it != run.counters.end()) t.items_per_sec = it->second;
-      rows.push_back(std::move(t));
-    }
-    display_->ReportRuns(runs);
-  }
-
-  void Finalize() override { display_->Finalize(); }
-
-  std::vector<KernelTiming> rows;
-
- private:
-  benchmark::BenchmarkReporter* display_;  // owned by google-benchmark
-};
-
 }  // namespace
 
 static int body(int argc, char** argv) {
-  std::string json_path;
-  bool list_backends = false;
-  argc = extract_own_flags(argc, argv, &json_path, &list_backends);
-  if (list_backends) return print_backends();
+  // google-benchmark refuses flags it does not know, so this one is looked
+  // for before it parses the rest.
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--list-backends") == 0) return print_backends();
+  }
   benchmark::Initialize(&argc, argv);
-  // A typoed flag (e.g. --jsn=, or --json with a space) must fail up front,
-  // not after a multi-minute run that silently writes no artifact.
+  // A typoed flag must fail up front, not after a multi-minute run.
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  // Status lines go to stderr, so stdout holds only the selected format.
-  std::fprintf(stderr, "kernel backend: %s\n",
-               h3dfact::hdc::kernels::active().name);
-  CollectingReporter reporter(benchmark::CreateDefaultDisplayReporter());
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  if (!json_path.empty()) write_json(json_path, reporter.rows);
+  // Status lines go to stderr, so stdout holds only the selected format;
+  // the JSON formats carry the backend in their context as well.
+  const char* backend = h3dfact::hdc::kernels::active().name;
+  std::fprintf(stderr, "kernel backend: %s\n", backend);
+  benchmark::AddCustomContext("kernel_backend", backend);
+  benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;
 }

@@ -34,9 +34,9 @@ struct CpuCapabilities;
 /// virtual-dispatch plumbing and the active table is one pointer load.
 struct KernelBackend {
   /// Stable identifier: "scalar", "sse2", "avx2", "avx512" or "neon". Also
-  /// the value the
-  /// H3DFACT_KERNEL_BACKEND environment variable matches against, and the
-  /// `backend` field of the bench/kernels --json artifact.
+  /// the value the H3DFACT_KERNEL_BACKEND environment variable matches
+  /// against, and what bench/kernels prints on its `kernel backend:` stderr
+  /// line (and as `kernel_backend` in its JSON context).
   const char* name;
 
   /// y[0..n) = Σ_{j<k} coeffs[j]·x_j, where x_j is the ±1 row packed at

@@ -24,7 +24,7 @@ struct CpuCapabilities {
   bool neon = false;             ///< aarch64 Advanced SIMD (baseline there)
 
   /// Human-readable feature list, e.g. "sse2 avx2 avx512f" ("none" when
-  /// empty) — what bench/kernels prints at startup next to the selection.
+  /// empty) — what bench/kernels --list-backends prints after the names.
   [[nodiscard]] std::string to_string() const;
 };
 

@@ -20,13 +20,15 @@
 //   then                  payloads, each at a 64-byte-aligned offset,
 //                         zero-padded in between
 //
-// The 64-byte section alignment is what makes the zero-copy read path work:
-// a kCodebookWords payload is a raw row-major u64 block, so an mmap of the
-// file yields codevector rows the similarity kernels stream directly
+// The 64-byte section alignment is what makes the zero-copy kernel reads
+// work: a kCodebookWords payload is a raw row-major u64 block, so an mmap
+// of the file yields codevector rows the kernels stream directly
 // (hdc::Codebook::from_packed with borrow=true), and N workers on one host
-// share the read-only pages. Every read path verifies header, table digest
-// and per-section digests before any payload byte is interpreted; corrupt or
-// truncated files fail with io::ArtifactError, never undefined behavior.
+// share those read-only pages; from_packed still keeps an owned copy of
+// each row for whole-vector reads (io/codec.hpp). Every read path verifies
+// header, table digest and per-section digests before any payload byte is
+// interpreted; corrupt or truncated files fail with io::ArtifactError,
+// never undefined behavior.
 
 #include <cstdint>
 #include <stdexcept>

@@ -4,13 +4,16 @@
 // to an ArtifactWriter (one artifact can carry any mix); loaders decode and
 // verify out of a loaded Artifact.
 //
-// Codebook loads are zero-copy: the kCodebookWords payloads are row-major
-// packed u64 rows at 64-byte-aligned offsets, so the loaded hdc::Codebook
-// borrows them in place (hdc::Codebook::from_packed, borrow=true) instead of
-// copying — for mmap-backed artifacts the similarity kernels then stream
-// codevector rows straight from the page cache, shared read-only across
-// every worker on the host. The returned shared_ptr keeps the backing file
-// mapping (or heap image) alive for as long as any copy of the set is.
+// The kCodebookWords payloads are row-major packed u64 rows at 64-byte-
+// aligned offsets, so the loaded hdc::Codebook's kernels borrow them in
+// place (hdc::Codebook::from_packed, borrow=true): for mmap-backed
+// artifacts the similarity and projection kernels stream codevector rows
+// straight from the page cache, shared read-only across every worker on
+// the host. from_packed still copies each row into an owned BipolarVector,
+// which CodebookSet::compose and the other whole-vector reads use, so each
+// process holds one private copy of the codebooks too. The returned
+// shared_ptr keeps the backing file mapping (or heap image) alive for as
+// long as any copy of the set is.
 
 #include <cstdint>
 #include <memory>

@@ -145,24 +145,26 @@ std::shared_ptr<const Steps> code_steps(double sigma, double threshold,
 
 }  // namespace
 
+// σ + 0.0 is +0.0 for σ = −0.0, which passes the check below and keys the
+// memo as 0.0 but would build its table from ±∞ of the wrong signs.
 H3dfactChannel::H3dfactChannel(double sigma, double threshold, int adc_bits,
                                double clip)
-    : sigma_(sigma), threshold_(threshold), bits_(adc_bits), clip_(clip) {
+    : sigma_(sigma + 0.0), threshold_(threshold), bits_(adc_bits), clip_(clip) {
   // Every parameter is checked before the lookup: a NaN must never key the
   // memo.
   auto require = [](bool ok, const char* what) {
     if (!ok) throw std::invalid_argument(what);
   };
-  require(sigma >= 0.0 && std::isfinite(sigma),
+  require(sigma_ >= 0.0 && std::isfinite(sigma_),
           "noise sigma must be finite and non-negative");
-  require(std::ceil(10.0 * sigma) <= kMaxTableHalfRows,
+  require(std::ceil(10.0 * sigma_) <= kMaxTableHalfRows,
           "noise sigma above 3276.7 counts: its table would pass 2^16 rows");
   require(threshold >= 0.0 && std::isfinite(threshold),
           "threshold must be finite and non-negative");
   require(adc_bits >= 1 && adc_bits <= 16, "ADC bits out of range");
   require(clip > 0.0 && std::isfinite(clip),
           "ADC clip must be finite and positive");
-  steps_ = code_steps(sigma, threshold, adc_bits, clip);
+  steps_ = code_steps(sigma_, threshold, adc_bits, clip);
 }
 
 std::vector<int> H3dfactChannel::apply(const std::vector<int>& exact,

@@ -92,7 +92,18 @@ void Cli::reject_unread() const {
   for (const auto& [key, value] : kv_) {
     if (read_.count(key) == 0) unread += (unread.empty() ? "--" : ", --") + key;
   }
-  if (!unread.empty()) throw std::invalid_argument("unknown flag " + unread);
+  std::string stray;
+  if (!positional_read_) {
+    for (const auto& arg : positional_) {
+      stray += (stray.empty() ? "" : ", ") + arg;
+    }
+  }
+  std::string message = unread.empty() ? "" : "unknown flag " + unread;
+  if (!stray.empty()) {
+    message += (message.empty() ? "" : "; ") + ("unexpected argument " + stray) +
+               " (a flag takes its value as --key=value)";
+  }
+  if (!message.empty()) throw std::invalid_argument(message);
 }
 
 int run_main(int argc, char** argv, int (*body)(int argc, char** argv)) {

@@ -3,7 +3,8 @@
 //
 // Supported forms: --flag (bool), --key=value. Every accessor records the
 // key it looks up, so once a main has read its flags reject_unread() can
-// refuse the ones it never will (a typo, or a flag that no longer exists).
+// refuse the ones it never will (a typo, or a flag that no longer exists),
+// and any positional argument unless the main read positional().
 
 #include <cstdint>
 #include <limits>
@@ -31,12 +32,17 @@ class Cli {
   [[nodiscard]] std::string str(const std::string& key, std::string def) const;
 
   /// Throws std::invalid_argument naming every --key on the command line
-  /// that no accessor above has looked up. Call it after the last flag is
-  /// read and before the work starts.
+  /// that no accessor above has looked up, and every positional argument
+  /// when positional() was never called: "--json out.json" parses as
+  /// --json=true plus a positional "out.json". Call it after the last flag
+  /// is read and before the work starts.
   void reject_unread() const;
 
   /// Positional (non-flag) arguments in order.
-  [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
+  [[nodiscard]] const std::vector<std::string>& positional() const {
+    positional_read_ = true;
+    return positional_;
+  }
 
   [[nodiscard]] const std::string& program() const { return program_; }
 
@@ -48,6 +54,7 @@ class Cli {
   std::map<std::string, std::string> kv_;
   mutable std::set<std::string> read_;  ///< every key an accessor looked up
   std::vector<std::string> positional_;
+  mutable bool positional_read_ = false;
 };
 
 /// The one exit path of every bench and tool main: runs `body` and passes

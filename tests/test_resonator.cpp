@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <gtest/gtest.h>
 #include <limits>
 #include <memory>
@@ -56,6 +58,29 @@ TEST(Channels, GaussianZeroSigmaIsExact) {
   Rng rng(3);
   std::vector<int> a{5, 3, 2, 0, 65535};
   EXPECT_EQ(noise_only(0.0).apply(a, rng), a);
+}
+
+// σ = −0.0 passes the sign check and keys the memo as 0.0, so it must be
+// the σ = 0 channel: same table, same codes, one draw per entry. Builds the
+// −0.0 channel before the σ = 0 one and exits 0 when the two agree.
+[[noreturn]] void exit_unless_negative_zero_sigma_is_zero() {
+  const H3dfactChannel negative = noise_only(-0.0);
+  const H3dfactChannel zero = noise_only(0.0);
+  const std::vector<int> a{-7, 0, 1, 5, 1000, 65535, 70000};
+  Rng r1(8), r2(8);
+  const bool codes = negative.apply(a, r1) == zero.apply(a, r2);
+  const bool draws = r1.save_state() == r2.save_state();
+  const bool text = negative.describe() == zero.describe();
+  std::fprintf(stderr, "codes %d draws %d describe %d\n", codes, draws, text);
+  std::exit(codes && draws && text ? 0 : 1);
+}
+
+// In a fresh process (the threadsafe death-test style re-executes the
+// binary), so no σ = 0 table already in the memo hides one built from −0.0.
+TEST(Channels, NegativeZeroSigmaIsZeroSigma) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_EXIT(exit_unless_negative_zero_sigma_is_zero(),
+              testing::ExitedWithCode(0), "codes 1 draws 1 describe 1");
 }
 
 TEST(Channels, RejectsInvalidParams) {

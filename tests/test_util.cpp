@@ -353,12 +353,15 @@ TEST(Cli, RejectsFlagsNothingRead) {
   EXPECT_THROW((void)cli.f64("ratio", 0), std::invalid_argument);
   try {
     cli.reject_unread();
-    FAIL() << "accepted --bogus and --thermal-grid";
+    FAIL() << "accepted --bogus, --thermal-grid and pos";
   } catch (const std::invalid_argument& e) {
-    EXPECT_STREQ(e.what(), "unknown flag --bogus, --thermal-grid");
+    EXPECT_STREQ(e.what(),
+                 "unknown flag --bogus, --thermal-grid; unexpected argument "
+                 "pos (a flag takes its value as --key=value)");
   }
   (void)cli.flag("bogus");
   (void)cli.flag("thermal-grid");
+  (void)cli.positional();
   EXPECT_NO_THROW(cli.reject_unread());
 
   testing::internal::CaptureStderr();
@@ -371,7 +374,31 @@ TEST(Cli, RejectsFlagsNothingRead) {
   EXPECT_EQ(status, 1);
   EXPECT_EQ(testing::internal::GetCapturedStderr(),
             "[dse_search] unknown flag --bogus, --fast, --name, --ratio, "
-            "--thermal-grid\n");
+            "--thermal-grid; unexpected argument pos (a flag takes its value "
+            "as --key=value)\n");
+}
+
+// A flag value after a space parses as the flag set to "true" plus a
+// positional argument, which no main but h3dfact_pack reads: it is refused
+// by name instead of sending the dump to a file called "true".
+TEST(Cli, RejectsPositionalsNothingRead) {
+  const char* argv[] = {"build/bench/fig6a_adc_precision", "--trials=4",
+                        "--cap=10", "--json", "out.json", "extra"};
+  Cli cli(6, const_cast<char**>(argv));
+  EXPECT_EQ(cli.u64("trials", 0), 4u);
+  EXPECT_EQ(cli.u64("cap", 0), 10u);
+  EXPECT_EQ(cli.str("json", ""), "true");
+  try {
+    cli.reject_unread();
+    FAIL() << "accepted the positional arguments out.json and extra";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "unexpected argument out.json, extra (a flag takes its "
+                 "value as --key=value)");
+  }
+  // A main that reads its positional arguments takes them.
+  ASSERT_EQ(cli.positional().size(), 2u);
+  EXPECT_NO_THROW(cli.reject_unread());
 }
 
 // The one exit path of the bench mains: a thrown exception becomes exit
